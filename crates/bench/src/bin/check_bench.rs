@@ -5,9 +5,6 @@
 //! check_bench --time-budget 50 <fresh> <base>     # … plus a wall-clock budget
 //! check_bench --exact <dir-a> <dir-b>             # determinism diff (ignores wall clock)
 //! check_bench --exact --speedup-summary <sharded> <sequential>
-//! check_bench --serve BENCH_serve.json            # service-load sanity gate
-//! check_bench --serve --p99-ceiling-ms 5000 BENCH_serve.json
-//! check_bench --serve --min-sessions 10000 BENCH_serve.json
 //! ```
 //!
 //! Default mode compares freshly generated `BENCH_*.json` files against the
@@ -39,20 +36,6 @@
 //! sequential-vs-sharded wall-clock table is appended to the file named by
 //! `$GITHUB_STEP_SUMMARY` (or printed to stdout when the variable is unset),
 //! so every CI run documents what the extra shards bought.
-//!
-//! `--serve` mode gates one `BENCH_serve.json` record produced by
-//! `serve-loadgen`: nonzero throughput, zero hard protocol errors, and a
-//! p99 wall-clock latency under a deliberately generous ceiling
-//! (`--p99-ceiling-ms`, default 10000) — wall-clock latency varies with the
-//! runner, so this gate catches order-of-magnitude service regressions, not
-//! jitter.  With `--min-sessions <n>` the record must also show at least `n`
-//! concurrently held sessions (the 10k-session soak gate).  When the record
-//! carries an offered-load sweep (`latency p50/p99 @ N qps` series from
-//! `serve-loadgen --sweep`), every phase's p99 must clear the same ceiling,
-//! every phase must have completed work, and the median-latency-vs-offered-
-//! load curve must stay monotone up to a 25% noise allowance: queueing
-//! latency grows with offered load, so a higher-load phase reporting a
-//! *much lower* median means the measurement dropped work on the floor.
 
 use exspan_bench::BenchReport;
 use std::collections::BTreeMap;
@@ -371,202 +354,23 @@ fn write_speedup_summary(
     }
 }
 
-/// Default p99 latency ceiling for `--serve` mode, in milliseconds.  Latency
-/// here is real wall clock measured under a churning deployment on a shared
-/// runner, so the ceiling is generous on purpose: it trips on
-/// order-of-magnitude service regressions (a stalled worker pump, an accept
-/// loop gone quadratic), not on scheduler jitter.
-const DEFAULT_P99_CEILING_MS: f64 = 10_000.0;
-
-/// How far a higher-offered-load phase's median latency may dip *below* a
-/// lower-load phase's before the sweep ordering gate fails.  Queueing
-/// latency is monotone in offered load; a big inversion means a phase shed
-/// work without counting it.  The gate runs on p50 — the median over
-/// hundreds of completions is stable where p99 (the worst couple of
-/// samples) is pure runner noise — and 25% absorbs scheduling jitter.
-const SWEEP_ORDER_TOLERANCE: f64 = 0.25;
-
-/// Extracts one latency series of the offered-load sweep from a serve
-/// record: `(offered_qps, latency_ms)` per `latency {pXX} @ N qps` series,
-/// sorted by offered load.
-fn sweep_phases(report: &BenchReport, which: &str) -> Vec<(f64, f64)> {
-    let prefix = format!("latency {which} @ ");
-    let mut phases: Vec<(f64, f64)> = report
-        .series
-        .iter()
-        .filter_map(|s| {
-            let qps = s.label.strip_prefix(&prefix)?.strip_suffix(" qps")?;
-            Some((qps.trim().parse::<f64>().ok()?, s.mean))
-        })
-        .collect();
-    phases.sort_by(|a, b| a.0.total_cmp(&b.0));
-    phases
-}
-
-/// Gates the offered-load sweep series: every phase under the p99 ceiling,
-/// every phase with completed work, and no large median-latency inversion
-/// as offered load rises.
-fn check_sweep(report: &BenchReport, path: &str, p99_ceiling_ms: f64) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (qps, p99) in sweep_phases(report, "p99") {
-        println!("  serve: sweep @ {qps:.0} qps → p99 {p99:.1} ms");
-        if p99.is_nan() || p99 > p99_ceiling_ms {
-            failures.push(format!(
-                "{path}: sweep phase @ {qps:.0} qps has p99 {p99:.1} ms over the \
-                 {p99_ceiling_ms:.0} ms ceiling"
-            ));
-        }
-        let achieved_label = format!("achieved @ {qps:.0} qps");
-        match report.series(&achieved_label) {
-            Some(s) if s.mean > 0.0 && !s.mean.is_nan() => {}
-            Some(s) => failures.push(format!(
-                "{path}: sweep phase @ {qps:.0} qps achieved {} qps — nothing completed",
-                s.mean
-            )),
-            None => failures.push(format!("{path}: series {achieved_label:?} is missing")),
-        }
-    }
-    for pair in sweep_phases(report, "p50").windows(2) {
-        let (lo_qps, lo_p50) = pair[0];
-        let (hi_qps, hi_p50) = pair[1];
-        if hi_p50.is_nan() || hi_p50 < lo_p50 * (1.0 - SWEEP_ORDER_TOLERANCE) {
-            failures.push(format!(
-                "{path}: p50 at {hi_qps:.0} qps ({hi_p50:.1} ms) fell more than {:.0}% below \
-                 p50 at {lo_qps:.0} qps ({lo_p50:.1} ms) — the latency-vs-load curve inverted",
-                SWEEP_ORDER_TOLERANCE * 100.0
-            ));
-        }
-    }
-    failures
-}
-
-/// Sanity gate over a single `BENCH_serve.json` record from `serve-loadgen`.
-fn check_serve(path: &str, p99_ceiling_ms: f64, min_sessions: Option<f64>) -> Vec<String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check_bench: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let report: BenchReport = match serde_json::from_str(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("check_bench: cannot parse {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let mut failures = Vec::new();
-    if report.figure != "serve" {
-        failures.push(format!(
-            "{path}: figure is {:?}, expected \"serve\" — is this really a serve-loadgen record?",
-            report.figure
-        ));
-        return failures;
-    }
-    let mut series_mean = |label: &str| -> Option<f64> {
-        let found = report.series(label).map(|s| s.mean);
-        if found.is_none() {
-            failures.push(format!("{path}: series {label:?} is missing"));
-        }
-        found
-    };
-
-    let qps = series_mean("QPS");
-    let p99 = series_mean("latency p99 (ms)");
-    let errors = series_mean("protocol errors");
-    let sessions = series_mean("sessions");
-    if let Some(qps) = qps {
-        println!(
-            "  serve: {qps:.1} QPS over {:.0} session(s)",
-            sessions.unwrap_or(0.0)
-        );
-        // NaN must fail the gate, so compare on the passing side.  An
-        // idle-session soak (`serve-loadgen --queries 0`, gated via
-        // `--min-sessions`) legitimately completes nothing, so zero
-        // throughput only fails when no session floor was requested.
-        if qps.is_nan() || (qps <= 0.0 && min_sessions.is_none()) {
-            failures.push(format!(
-                "{path}: throughput is {qps} QPS — nothing completed"
-            ));
-        }
-    }
-    if let Some(floor) = min_sessions {
-        match report.series("held sessions").map(|s| s.mean) {
-            Some(held) => {
-                println!("  serve: held {held:.0} concurrent session(s) (floor {floor:.0})");
-                if held.is_nan() || held < floor {
-                    failures.push(format!(
-                        "{path}: held {held:.0} session(s), below the --min-sessions floor of \
-                         {floor:.0}"
-                    ));
-                }
-            }
-            None => failures.push(format!(
-                "{path}: series \"held sessions\" is missing but --min-sessions was given"
-            )),
-        }
-    }
-    if let Some(p99) = p99 {
-        println!("  serve: latency p99 {p99:.1} ms (ceiling {p99_ceiling_ms:.0} ms)");
-        if p99.is_nan() || p99 > p99_ceiling_ms {
-            failures.push(format!(
-                "{path}: latency p99 {p99:.1} ms exceeds the {p99_ceiling_ms:.0} ms ceiling"
-            ));
-        }
-    }
-    if let Some(errors) = errors {
-        if errors != 0.0 {
-            failures.push(format!(
-                "{path}: {errors} hard protocol error(s) — the wire contract was violated"
-            ));
-        }
-    }
-    failures.extend(check_sweep(&report, path, p99_ceiling_ms));
-    failures
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut exact = false;
     let mut speedup_summary = false;
-    let mut serve = false;
     let mut time_budget: Option<f64> = None;
-    let mut p99_ceiling_ms = DEFAULT_P99_CEILING_MS;
-    let mut min_sessions: Option<f64> = None;
     let mut dirs: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--exact" => exact = true,
             "--speedup-summary" => speedup_summary = true,
-            "--serve" => serve = true,
             "--time-budget" => {
                 i += 1;
                 time_budget = match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
                     Some(pct) if pct >= 0.0 => Some(pct),
                     _ => {
                         eprintln!("check_bench: --time-budget needs a non-negative percentage");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--p99-ceiling-ms" => {
-                i += 1;
-                p99_ceiling_ms = match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(ms) if ms > 0.0 => ms,
-                    _ => {
-                        eprintln!("check_bench: --p99-ceiling-ms needs a positive number");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--min-sessions" => {
-                i += 1;
-                min_sessions = match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(n) if n > 0.0 => Some(n),
-                    _ => {
-                        eprintln!("check_bench: --min-sessions needs a positive number");
                         std::process::exit(2);
                     }
                 };
@@ -578,39 +382,6 @@ fn main() {
             dir => dirs.push(dir.to_string()),
         }
         i += 1;
-    }
-    if serve {
-        // `--serve` takes a single record file and shares nothing with the
-        // directory-diff modes; mixing their flags would silently gate nothing.
-        if exact || speedup_summary || time_budget.is_some() {
-            eprintln!("check_bench: --serve cannot be combined with the directory-diff flags");
-            std::process::exit(2);
-        }
-        if dirs.len() != 1 {
-            eprintln!(
-                "usage: check_bench --serve [--p99-ceiling-ms <ms>] [--min-sessions <n>] \
-                 <BENCH_serve.json>"
-            );
-            std::process::exit(2);
-        }
-        let failures = check_serve(&dirs[0], p99_ceiling_ms, min_sessions);
-        if failures.is_empty() {
-            println!("check_bench: serve gate passed");
-            return;
-        }
-        eprintln!("check_bench: {} failure(s):", failures.len());
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-    if p99_ceiling_ms != DEFAULT_P99_CEILING_MS {
-        eprintln!("check_bench: --p99-ceiling-ms only applies to --serve mode");
-        std::process::exit(2);
-    }
-    if min_sessions.is_some() {
-        eprintln!("check_bench: --min-sessions only applies to --serve mode");
-        std::process::exit(2);
     }
     if dirs.len() != 2 {
         eprintln!(

@@ -1,12 +1,9 @@
 //! A small blocking client for the wire protocol — the counterpart the
 //! protocol tests (and simple tools) drive the server with.
 //!
-//! The client speaks protocol v2 by default ([`ServeClient::connect`]) and
-//! can be pinned to an older version with
-//! [`ServeClient::connect_with_version`].  Requests can be pipelined:
-//! [`ServeClient::submit_pipelined`] / [`ServeClient::poll_pipelined`] send
-//! without waiting, and [`ServeClient::recv_response`] returns logical
-//! responses as they complete — matched by request id, possibly out of
+//! Requests can be pipelined: [`ServeClient::submit_pipelined`] /
+//! [`ServeClient::poll_pipelined`] send without waiting, and
+//! [`ServeClient::recv_response`] returns logical responses as they complete — matched by request id, possibly out of
 //! order, with streamed [`Frame::ResultChunk`] bodies reassembled
 //! transparently.  The plain [`ServeClient::submit`] / [`ServeClient::poll`]
 //! wrappers stay strictly request-response.
@@ -16,7 +13,7 @@ use crate::proto::{
     self, ErrorCode, Frame, FrameRead, QuerySpec, QueryState, ResultAssembler, PROTOCOL_VERSION,
 };
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -41,14 +38,14 @@ pub struct SessionInfo {
     pub rate: f64,
     /// This session's token-bucket burst capacity.
     pub burst: u32,
-    /// Negotiated protocol version (1 when the server only acked v1).
+    /// The session's protocol version.
     pub version: u16,
-    /// Requests this connection may keep in flight (1 on v1 sessions).
+    /// Requests this connection may keep in flight.
     pub pipeline_depth: u32,
-    /// Data bytes per result chunk the server streams (0 on v1 sessions).
+    /// Data bytes per result chunk the server streams.
     pub chunk_bytes: u32,
     /// Whether result bodies travel dictionary-compressed — the client
-    /// offered the codec and the server accepted (v2 sessions only).
+    /// offered the codec and the server accepted.
     pub codec: bool,
 }
 
@@ -61,15 +58,12 @@ pub struct PollStatus {
     pub latency: f64,
     /// Result summary (empty while pending).
     pub summary: String,
-    /// The full rendered result, reassembled from the v2 chunk stream (and
-    /// decompressed, on codec sessions).  `None` while pending and on v1
-    /// sessions (which never stream bodies).
+    /// The full rendered result, reassembled from the chunk stream (and
+    /// decompressed, on codec sessions).  `None` while pending.
     pub result: Option<String>,
-    /// Cache entries the query's session maintained in place (0 from
-    /// pre-codec servers).
+    /// Cache entries the query's session maintained in place.
     pub cache_maintained: u64,
-    /// Bytes the dictionary codec saved on the session's query traffic
-    /// (0 from pre-codec servers).
+    /// Bytes the dictionary codec saved on the session's query traffic.
     pub compressed_bytes_saved: u64,
 }
 
@@ -116,8 +110,9 @@ struct PendingStream {
 
 /// One connected, greeted protocol session.
 pub struct ServeClient {
+    /// The session's one socket: reads are buffered, frames are written
+    /// straight through (each is encoded whole before it is sent).
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
     info: SessionInfo,
     next_request: u64,
     /// Polls whose `QueryStatusV2` announced a body still being streamed.
@@ -125,59 +120,29 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connects and performs the handshake at the newest protocol version,
-    /// offering the dictionary result codec.
+    /// Connects and performs the handshake, offering the dictionary result
+    /// codec.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<ServeClient, ServeError> {
-        Self::connect_with(addr, PROTOCOL_VERSION, true)
+        Self::connect_with(addr, true)
     }
 
-    /// Connects announcing `version` in the `Hello` (codec not offered) —
-    /// useful to act as an old client against a newer server.
-    pub fn connect_with_version(
-        addr: impl ToSocketAddrs,
-        version: u16,
-    ) -> Result<ServeClient, ServeError> {
-        Self::connect_with(addr, version, false)
-    }
-
-    /// Connects announcing `version` and optionally offering the dictionary
-    /// result codec of [`exspan_types::compress`].
+    /// Connects, optionally offering the dictionary result codec of
+    /// [`exspan_types::compress`].
     pub fn connect_with(
         addr: impl ToSocketAddrs,
-        version: u16,
         offer_codec: bool,
     ) -> Result<ServeClient, ServeError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = BufWriter::new(stream);
+        let mut reader = BufReader::new(stream);
         proto::write_frame(
-            &mut writer,
+            &mut reader.get_ref(),
             &Frame::Hello {
-                version,
+                version: PROTOCOL_VERSION,
                 codec: offer_codec,
             },
         )?;
         let info = match read_one(&mut reader)? {
-            Frame::HelloAck {
-                session,
-                program,
-                nodes,
-                max_inflight,
-                rate,
-                burst,
-            } => SessionInfo {
-                session,
-                program,
-                nodes,
-                max_inflight,
-                rate,
-                burst,
-                version: 1,
-                pipeline_depth: 1,
-                chunk_bytes: 0,
-                codec: false,
-            },
             Frame::HelloAckV2 {
                 session,
                 program,
@@ -215,13 +180,12 @@ impl ServeClient {
             other => {
                 return Err(ServeError::UnexpectedFrame {
                     got: other.name(),
-                    expected: "HelloAck",
+                    expected: "HelloAckV2",
                 })
             }
         };
         Ok(ServeClient {
             reader,
-            writer,
             info,
             next_request: 1,
             streams: HashMap::new(),
@@ -243,14 +207,17 @@ impl ServeClient {
     /// against [`ServeClient::recv_response`].
     pub fn submit_pipelined(&mut self, spec: QuerySpec) -> Result<u64, ServeError> {
         let request = self.request_id();
-        proto::write_frame(&mut self.writer, &Frame::SubmitQuery { request, spec })?;
+        proto::write_frame(
+            &mut self.reader.get_ref(),
+            &Frame::SubmitQuery { request, spec },
+        )?;
         Ok(request)
     }
 
     /// Sends a poll without waiting; returns its request id.
     pub fn poll_pipelined(&mut self, query: u64) -> Result<u64, ServeError> {
         let request = self.request_id();
-        proto::write_frame(&mut self.writer, &Frame::Poll { request, query })?;
+        proto::write_frame(&mut self.reader.get_ref(), &Frame::Poll { request, query })?;
         Ok(request)
     }
 
@@ -263,26 +230,6 @@ impl ServeClient {
             match read_one(&mut self.reader)? {
                 Frame::SubmitAck { request, query } => {
                     return Ok(Response::Submitted { request, query })
-                }
-                Frame::QueryStatus {
-                    request,
-                    query,
-                    state,
-                    latency,
-                    summary,
-                } => {
-                    return Ok(Response::Status {
-                        request,
-                        query,
-                        status: PollStatus {
-                            state,
-                            latency,
-                            summary,
-                            result: None,
-                            cache_maintained: 0,
-                            compressed_bytes_saved: 0,
-                        },
-                    })
                 }
                 Frame::QueryStatusV2 {
                     request,
@@ -429,7 +376,7 @@ impl ServeClient {
             }),
             _ => Err(ServeError::UnexpectedFrame {
                 got: "a response for a different request",
-                expected: "QueryStatus",
+                expected: "QueryStatusV2",
             }),
         }
     }
@@ -475,14 +422,13 @@ impl ServeClient {
     /// Sends an orderly goodbye and waits for the echo (discarding any
     /// still-in-flight pipelined responses on the way).
     pub fn bye(mut self) -> Result<(), ServeError> {
-        proto::write_frame(&mut self.writer, &Frame::Bye)?;
+        proto::write_frame(&mut self.reader.get_ref(), &Frame::Bye)?;
         loop {
             match read_one(&mut self.reader)? {
                 Frame::Bye => return Ok(()),
                 // Responses to pipelined requests may still be in flight
                 // ahead of the echo; drop them.
                 Frame::SubmitAck { .. }
-                | Frame::QueryStatus { .. }
                 | Frame::QueryStatusV2 { .. }
                 | Frame::ResultChunk { .. }
                 | Frame::Error { .. } => {}
@@ -498,12 +444,12 @@ impl ServeClient {
 }
 
 /// xorshift64* jitter source: no external RNG, deterministic per seed.
-pub(crate) struct Jitter {
+struct Jitter {
     state: u64,
 }
 
 impl Jitter {
-    pub(crate) fn new(seed: u64) -> Jitter {
+    fn new(seed: u64) -> Jitter {
         Jitter {
             state: seed | 1, // xorshift state must be nonzero
         }
@@ -519,7 +465,7 @@ impl Jitter {
     }
 
     /// A uniform duration in `[0, bound)` (zero when `bound` is zero).
-    pub(crate) fn in_range(&mut self, bound: Duration) -> Duration {
+    fn in_range(&mut self, bound: Duration) -> Duration {
         let nanos = bound.as_nanos() as u64;
         if nanos == 0 {
             return Duration::ZERO;

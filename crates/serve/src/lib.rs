@@ -39,22 +39,23 @@
 //! An executor only chooses the *horizon* of each pump, never the order of
 //! events below it — determinism below the horizon is untouched.
 //!
-//! ## Wire protocol v2
+//! ## Wire protocol
 //!
 //! Length-prefixed frames over TCP (see [`proto`] for the byte-level
-//! layout):
+//! layout; attribute values travel in the canonical encoding of
+//! [`exspan_types::codec`]):
 //!
 //! ```text
 //! length: u32 BE │ type: u8 │ payload
 //! ```
 //!
-//! A session is `Hello → HelloAck`/`HelloAckV2` (the server acks
-//! `min(client, server)` — v1 clients keep working unchanged), then any
+//! A session is `Hello → HelloAckV2` (there is one protocol version; an
+//! older `Hello` is refused with a typed `HandshakeRejected`), then any
 //! number of **pipelined** requests: up to [`ServeConfig::pipeline_depth`]
 //! `SubmitQuery`/`Poll` frames may be in flight at once, each answered by a
 //! response carrying its request id — possibly **out of order**, in
-//! whatever order the worker finishes them.  Completed v2 polls whose
-//! rendered result exceeds one frame are streamed as `ResultChunk` frames
+//! whatever order the worker finishes them.  Completed polls stream the
+//! rendered result as `ResultChunk` frames
 //! ([`proto::MAX_FRAME_LEN`] bounds *frames*, not results) and reassembled
 //! transparently by [`ServeClient`].  A session ends with `Bye ↔ Bye`.
 //!
@@ -84,44 +85,30 @@
 //! | `config.rate = r; config.burst = b` | `.rate_limit(r, b)` |
 //! | `config.clock_rate = c` | `.clock_rate(c)` |
 //! | `config.quantum = q` | `.quantum(q)` |
-//! | *(new in v2)* | `.pipeline_depth(n)`, `.write_queue_bytes(n)`, `.chunk_bytes(n)` |
+//! | *(added later)* | `.pipeline_depth(n)`, `.write_queue_bytes(n)`, `.chunk_bytes(n)` |
 //! | persistence wired by the caller | `.data_dir(path)` — shutdown checkpoints |
 //! | `Server::start(deployment, config)` | `Server::bind(deployment, config)` |
 //! | `use exspan_serve::ServeConfig` | `use exspan::{ServeClient, ServeConfig}` also works |
 //!
-//! ## Loadgen quick-start
+//! ## Running it
 //!
-//! ```bash
-//! # 64 concurrent sessions, 4 queries each, against a churning deployment:
-//! cargo run --release -p exspan-serve --bin serve-loadgen -- \
-//!     --sessions 64 --queries 4 --out BENCH_serve.json
-//!
-//! # Sweep offered load and hold a 10k-session soak:
-//! cargo run --release -p exspan-serve --bin serve-loadgen -- \
-//!     --sessions 10000 --queries 0 --hold 10
-//! cargo run --release -p exspan-serve --bin serve-loadgen -- \
-//!     --sessions 128 --queries 4 --sweep 50,100,200 --out BENCH_serve.json
-//!
-//! # Gate the result like the figure benches:
-//! cargo run --release -p exspan-bench --bin check_bench -- \
-//!     --serve BENCH_serve.json
-//! ```
-//!
-//! Or serve interactively: `cargo run -p exspan-serve --bin exspan-serve`
-//! prints the bound address and serves until stdin closes.  The in-process
-//! equivalent is [`Server::bind`] + [`ServeClient::connect`].
+//! `cargo run -p exspan-serve --bin exspan-serve` prints the bound address
+//! and serves until stdin closes; the in-process equivalent is
+//! [`Server::bind`] + [`ServeClient::connect`].  Load is measured by the
+//! repository's end-to-end benchmark, not by this crate:
+//! `bash benchmarks/e2e/run.sh --workload serve-query --seed 42 --seconds 8
+//! --trace 0` drives closed- and open-loop query mixes against a live server
+//! over loopback TCP.
 
 pub mod client;
 pub mod error;
 pub mod limiter;
-pub mod loadgen;
 pub mod proto;
 pub mod server;
 
 pub use client::{PollStatus, Response, ServeClient, SessionInfo};
 pub use error::ServeError;
 pub use limiter::TokenBucket;
-pub use loadgen::{bench_report, LoadgenConfig, LoadgenSummary, PhaseStats};
 pub use proto::{
     ErrorCode, Frame, FrameBuffer, QuerySpec, QueryState, ResultAssembler, ResultStream, WireError,
 };

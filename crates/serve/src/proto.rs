@@ -10,84 +10,76 @@
 //! ```
 //!
 //! `length` counts the type byte plus the payload and must be between 1 and
-//! [`MAX_FRAME_LEN`].  Integers are big-endian; floats are IEEE-754 bits,
-//! big-endian; strings are a `u16` byte length followed by UTF-8.
+//! [`MAX_FRAME_LEN`].  Frame fields are big-endian integers, IEEE-754 bit
+//! patterns for floats, and strings as a `u16` byte length followed by
+//! UTF-8.  [`Value`]s — the attribute values of a submitted query's target
+//! tuple — travel in the canonical encoding of [`exspan_types::codec`], the
+//! same bytes that name the tuple in a provenance VID and persist it in the
+//! store; frames are decoded with that module's bounds-checked `Reader`.
 //!
 //! Frame types (client → server requests carry a `request_id` echoed in the
 //! response so a session can pipeline):
 //!
-//! | type | frame                         | direction | since |
-//! |------|-------------------------------|-----------|-------|
-//! | 0x01 | [`Frame::Hello`] (magic+vers) | C → S     | v1    |
-//! | 0x02 | [`Frame::HelloAck`]           | S → C     | v1    |
-//! | 0x03 | [`Frame::Bye`]                | C ↔ S     | v1    |
-//! | 0x04 | [`Frame::HelloAckV2`]         | S → C     | v2    |
-//! | 0x10 | [`Frame::SubmitQuery`]        | C → S     | v1    |
-//! | 0x11 | [`Frame::SubmitAck`]          | S → C     | v1    |
-//! | 0x12 | [`Frame::Poll`]               | C → S     | v1    |
-//! | 0x13 | [`Frame::QueryStatus`]        | S → C     | v1    |
-//! | 0x14 | [`Frame::QueryStatusV2`]      | S → C     | v2    |
-//! | 0x15 | [`Frame::ResultChunk`]        | S → C     | v2    |
-//! | 0x7F | [`Frame::Error`]              | S → C     | v1    |
+//! | type | frame                         | direction |
+//! |------|-------------------------------|-----------|
+//! | 0x01 | [`Frame::Hello`] (magic+vers) | C → S     |
+//! | 0x03 | [`Frame::Bye`]                | C ↔ S     |
+//! | 0x04 | [`Frame::HelloAckV2`]         | S → C     |
+//! | 0x10 | [`Frame::SubmitQuery`]        | C → S     |
+//! | 0x11 | [`Frame::SubmitAck`]          | S → C     |
+//! | 0x12 | [`Frame::Poll`]               | C → S     |
+//! | 0x14 | [`Frame::QueryStatusV2`]      | S → C     |
+//! | 0x15 | [`Frame::ResultChunk`]        | S → C     |
+//! | 0x7F | [`Frame::Error`]              | S → C     |
+//!
+//! There is one protocol version, [`PROTOCOL_VERSION`]; a [`Frame::Hello`]
+//! announcing an older one is answered with
+//! [`ErrorCode::HandshakeRejected`].  (Tags `0x02` and `0x13` belonged to
+//! version 1 and are not reused; the `V2` suffixes date from then.)
 //!
 //! Every protocol violation is answered with a typed [`Frame::Error`]
 //! ([`ErrorCode`]) on the same connection — the server never hangs up on a
 //! malformed, oversized or over-limit request.
 //!
-//! # Version negotiation
-//!
-//! [`Frame::Hello`] carries the highest version the client speaks; the
-//! session then runs at `min(client, PROTOCOL_VERSION)`.  A v1 session is
-//! acknowledged with [`Frame::HelloAck`] and only ever sees v1 response
-//! frames; a v2 session is acknowledged with [`Frame::HelloAckV2`] (which
-//! also announces the negotiated version, the per-connection pipeline depth,
-//! and the chunk payload size the server will use).  Versions below
-//! [`MIN_PROTOCOL_VERSION`] are rejected with
-//! [`ErrorCode::HandshakeRejected`].
-//!
-//! # Pipelining (v2)
+//! # Pipelining
 //!
 //! A client may keep up to `pipeline_depth` requests in flight on one
 //! connection.  Responses are matched by the echoed `request` id and may
 //! complete **out of order** — a fast query's status can arrive while an
 //! earlier query's result is still streaming.
 //!
-//! # Result streaming (v2)
+//! # Result streaming
 //!
-//! [`MAX_FRAME_LEN`] bounds *frames*, not *results*.  When a v2 poll finds
-//! a completed query, [`Frame::QueryStatusV2`] announces the rendered result
+//! [`MAX_FRAME_LEN`] bounds *frames*, not *results*.  When a poll finds a
+//! completed query, [`Frame::QueryStatusV2`] announces the rendered result
 //! body's byte length in `result_total`; the body itself follows as
 //! [`Frame::ResultChunk`] frames (each carrying at most [`MAX_CHUNK_DATA`]
-//! bytes — the negotiated `chunk_bytes` in practice) that the client
+//! bytes — the announced `chunk_bytes` in practice) that the client
 //! reassembles by `request` id with [`ResultAssembler`].  Chunks for one
 //! request arrive in offset order; chunks for *different* requests may
 //! interleave.  A `result_total` of zero means no chunks follow.
 //!
-//! # Result compression (v2)
+//! # Result compression
 //!
-//! A client that sets the codec flag in its [`Frame::Hello`] (a trailing
-//! flags byte; pre-codec encodings simply omit it) offers the dictionary
-//! byte codec of [`exspan_types::compress`].  The server accepts by echoing
-//! the flag in [`Frame::HelloAckV2`]; from then on every streamed result
-//! body travels as `compress_bytes` output and `result_total` counts the
-//! *compressed* bytes.  [`Frame::QueryStatusV2`] additionally reports the
-//! session's `cache_maintained` and `compressed_bytes_saved` counters as
-//! optional trailing fields, so load generators can observe both
-//! optimizations without a side channel.
+//! A client that sets the codec flag in its [`Frame::Hello`] offers the
+//! dictionary byte codec of [`exspan_types::compress`].  The server accepts
+//! by echoing the flag in [`Frame::HelloAckV2`]; from then on every streamed
+//! result body travels as `compress_bytes` output and `result_total` counts
+//! the *compressed* bytes.  [`Frame::QueryStatusV2`] additionally reports
+//! the session's `cache_maintained` and `compressed_bytes_saved` counters,
+//! so load generators can observe both optimizations without a side channel.
 
 use exspan_core::{Repr, TraversalOrder};
-use exspan_types::{Symbol, Value};
+use exspan_types::codec::{self, DecodeError, Reader};
+use exspan_types::Value;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 /// Handshake magic: the first four payload bytes of [`Frame::Hello`].
 pub const MAGIC: [u8; 4] = *b"XSPN";
 
-/// Highest wire protocol version spoken by this crate.
+/// The wire protocol version spoken by this crate.
 pub const PROTOCOL_VERSION: u16 = 2;
-
-/// Oldest wire protocol version still served.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
 
 /// Upper bound on `type byte + payload` of one frame (64 KiB).  Larger
 /// frames are answered with [`ErrorCode::Oversized`] and skipped.
@@ -100,9 +92,6 @@ pub const CHUNK_HEADER_LEN: usize = 29;
 /// Most data bytes one [`Frame::ResultChunk`] can carry without the frame
 /// exceeding [`MAX_FRAME_LEN`].
 pub const MAX_CHUNK_DATA: usize = MAX_FRAME_LEN - CHUNK_HEADER_LEN;
-
-/// Maximum [`Value::List`] nesting depth accepted on the wire.
-const MAX_LIST_DEPTH: u8 = 4;
 
 /// Typed protocol error codes carried by [`Frame::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,7 +189,13 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Completion state carried by [`Frame::QueryStatus`].
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        WireError::new(e.to_string())
+    }
+}
+
+/// Completion state carried by [`Frame::QueryStatusV2`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryState {
     /// The query is still in flight — poll again after the clock advances.
@@ -239,27 +234,11 @@ pub enum Frame {
         /// Protocol version the client speaks.
         version: u16,
         /// Whether the client offers the dictionary result codec
-        /// ([`exspan_types::compress`]).  Encoded as a trailing flags byte;
-        /// pre-codec encodings omit it and decode as `false`.
+        /// ([`exspan_types::compress`]).
         codec: bool,
     },
-    /// Handshake acceptance with the deployment's shape and limits.
-    HelloAck {
-        /// Server-assigned session id.
-        session: u64,
-        /// Name of the NDlog program the deployment runs.
-        program: String,
-        /// Number of nodes in the topology.
-        nodes: u32,
-        /// Maximum queries in flight across all sessions.
-        max_inflight: u32,
-        /// Token-bucket refill rate (requests per second) of this session.
-        rate: f64,
-        /// Token-bucket burst capacity of this session.
-        burst: u32,
-    },
-    /// Handshake acceptance for a v2+ session, superseding
-    /// [`Frame::HelloAck`] with the negotiated version and streaming limits.
+    /// Handshake acceptance with the deployment's shape and the session's
+    /// limits.
     HelloAckV2 {
         /// Server-assigned session id.
         session: u64,
@@ -273,7 +252,7 @@ pub enum Frame {
         rate: f64,
         /// Token-bucket burst capacity of this session.
         burst: u32,
-        /// Negotiated protocol version (`min(client, server)`).
+        /// The session's protocol version ([`PROTOCOL_VERSION`]).
         version: u16,
         /// Maximum requests this connection may keep in flight.
         pipeline_depth: u32,
@@ -281,7 +260,6 @@ pub enum Frame {
         chunk_bytes: u32,
         /// Whether the session's [`Frame::ResultChunk`] bodies travel
         /// dictionary-compressed (client offered and server accepted).
-        /// Trailing flags byte; absent in pre-codec encodings (`false`).
         codec: bool,
     },
     /// Orderly goodbye (either direction; the server echoes it).
@@ -307,20 +285,7 @@ pub enum Frame {
         /// The query id from [`Frame::SubmitAck`].
         query: u64,
     },
-    /// Current state of a query.
-    QueryStatus {
-        /// Echo of the poll's request id.
-        request: u64,
-        /// The polled query id.
-        query: u64,
-        /// Completion state.
-        state: QueryState,
-        /// Simulated seconds from issue to completion (0 while pending).
-        latency: f64,
-        /// Human-readable result summary (empty while pending).
-        summary: String,
-    },
-    /// Current state of a query on a v2 session.  When `state` is
+    /// Current state of a query.  When `state` is
     /// [`QueryState::Complete`], `result_total` announces the byte length of
     /// the rendered result body that follows as [`Frame::ResultChunk`]
     /// frames (zero means the result is empty and no chunks follow).
@@ -340,11 +305,9 @@ pub enum Frame {
         /// bytes that follow as [`Frame::ResultChunk`] frames.
         result_total: u64,
         /// Cache entries this query's session maintained in place
-        /// ([`exspan_core::CacheMaintenance::Incremental`]).  Optional
-        /// trailing field; absent in pre-codec encodings (0).
+        /// ([`exspan_core::CacheMaintenance::Incremental`]).
         cache_maintained: u64,
         /// Bytes the dictionary codec saved on the session's query traffic.
-        /// Optional trailing field; absent in pre-codec encodings (0).
         compressed_bytes_saved: u64,
     },
     /// One slice of a rendered query result, reassembled by `request` id.
@@ -375,13 +338,11 @@ impl Frame {
     pub fn name(&self) -> &'static str {
         match self {
             Frame::Hello { .. } => "Hello",
-            Frame::HelloAck { .. } => "HelloAck",
             Frame::HelloAckV2 { .. } => "HelloAckV2",
             Frame::Bye => "Bye",
             Frame::SubmitQuery { .. } => "SubmitQuery",
             Frame::SubmitAck { .. } => "SubmitAck",
             Frame::Poll { .. } => "Poll",
-            Frame::QueryStatus { .. } => "QueryStatus",
             Frame::QueryStatusV2 { .. } => "QueryStatusV2",
             Frame::ResultChunk { .. } => "ResultChunk",
             Frame::Error { .. } => "Error",
@@ -418,48 +379,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), WireError> {
         .map_err(|_| WireError::new(format!("string of {} bytes exceeds u16 length", s.len())))?;
     put_u16(out, len);
     out.extend_from_slice(s.as_bytes());
-    Ok(())
-}
-
-fn put_value(out: &mut Vec<u8>, value: &Value, depth: u8) -> Result<(), WireError> {
-    match value {
-        Value::Node(n) => {
-            out.push(0);
-            put_u32(out, *n);
-        }
-        Value::Int(i) => {
-            out.push(1);
-            put_i64(out, *i);
-        }
-        Value::Str(s) => {
-            out.push(2);
-            put_str(out, s.as_str())?;
-        }
-        Value::Bool(b) => {
-            out.push(3);
-            out.push(u8::from(*b));
-        }
-        Value::List(items) => {
-            if depth >= MAX_LIST_DEPTH {
-                return Err(WireError::new("list nesting exceeds wire depth limit"));
-            }
-            out.push(4);
-            let len = u16::try_from(items.len())
-                .map_err(|_| WireError::new("list of more than u16::MAX values"))?;
-            put_u16(out, len);
-            for item in items.iter() {
-                put_value(out, item, depth + 1)?;
-            }
-        }
-        Value::Digest(d) => {
-            out.push(5);
-            out.extend_from_slice(d);
-        }
-        Value::Payload(size) => {
-            out.push(6);
-            put_u32(out, *size);
-        }
-    }
     Ok(())
 }
 
@@ -509,22 +428,6 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
             put_u16(&mut body, *version);
             body.push(u8::from(*codec));
         }
-        Frame::HelloAck {
-            session,
-            program,
-            nodes,
-            max_inflight,
-            rate,
-            burst,
-        } => {
-            body.push(0x02);
-            put_u64(&mut body, *session);
-            put_str(&mut body, program)?;
-            put_u32(&mut body, *nodes);
-            put_u32(&mut body, *max_inflight);
-            put_f64(&mut body, *rate);
-            put_u32(&mut body, *burst);
-        }
         Frame::HelloAckV2 {
             session,
             program,
@@ -563,7 +466,7 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
                 .map_err(|_| WireError::new("tuple of more than u16::MAX values"))?;
             put_u16(&mut body, count);
             for value in &spec.values {
-                put_value(&mut body, value, 0)?;
+                codec::encode_value(value, &mut body);
             }
         }
         Frame::SubmitAck { request, query } => {
@@ -575,23 +478,6 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
             body.push(0x12);
             put_u64(&mut body, *request);
             put_u64(&mut body, *query);
-        }
-        Frame::QueryStatus {
-            request,
-            query,
-            state,
-            latency,
-            summary,
-        } => {
-            body.push(0x13);
-            put_u64(&mut body, *request);
-            put_u64(&mut body, *query);
-            body.push(match state {
-                QueryState::Pending => 0,
-                QueryState::Complete => 1,
-            });
-            put_f64(&mut body, *latency);
-            put_str(&mut body, summary)?;
         }
         Frame::QueryStatusV2 {
             request,
@@ -658,196 +544,84 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A frame string: `u16` byte length, then UTF-8.
+fn read_str(r: &mut Reader<'_>) -> Result<String, DecodeError> {
+    let len = r.u16()? as usize;
+    Ok(r.utf8(len)?.to_string())
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
+fn read_repr(r: &mut Reader<'_>) -> Result<Repr, DecodeError> {
+    Ok(match r.u8()? {
+        0 => Repr::Polynomial,
+        1 => Repr::NodeSet,
+        2 => Repr::DerivationCount,
+        3 => Repr::Derivability,
+        4 => Repr::Bdd,
+        5 => Repr::ContiguousTrustDomains(r.u32()?),
+        _ => return Err(r.error("unknown repr tag")),
+    })
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let available = self.buf.len() - self.pos;
-        if available < n {
-            return Err(WireError::new(format!(
-                "truncated payload: needed {n} bytes, had {available}"
-            )));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
+fn read_traversal(r: &mut Reader<'_>) -> Result<TraversalOrder, DecodeError> {
+    Ok(match r.u8()? {
+        0 => TraversalOrder::Bfs,
+        1 => TraversalOrder::Dfs,
+        2 => TraversalOrder::DfsThreshold(r.i64()?),
+        3 => TraversalOrder::RandomMoonwalk {
+            fanout: r.u32()? as usize,
+            seed: r.u64()?,
+        },
+        _ => return Err(r.error("unknown traversal tag")),
+    })
+}
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(b);
-        Ok(u64::from_be_bytes(arr))
-    }
-
-    fn i64(&mut self) -> Result<i64, WireError> {
-        let b = self.take(8)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(b);
-        Ok(i64::from_be_bytes(arr))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::new("string is not valid UTF-8"))
-    }
-
-    fn value(&mut self, depth: u8) -> Result<Value, WireError> {
-        match self.u8()? {
-            0 => Ok(Value::Node(self.u32()?)),
-            1 => Ok(Value::Int(self.i64()?)),
-            2 => Ok(Value::Str(Symbol::intern(&self.string()?))),
-            3 => Ok(Value::Bool(self.u8()? != 0)),
-            4 => {
-                if depth >= MAX_LIST_DEPTH {
-                    return Err(WireError::new("list nesting exceeds wire depth limit"));
-                }
-                let count = self.u16()? as usize;
-                let mut items = Vec::with_capacity(count.min(256));
-                for _ in 0..count {
-                    items.push(self.value(depth + 1)?);
-                }
-                Ok(Value::List(Arc::new(items)))
-            }
-            5 => {
-                let b = self.take(20)?;
-                let mut digest = [0u8; 20];
-                digest.copy_from_slice(b);
-                Ok(Value::Digest(digest))
-            }
-            6 => Ok(Value::Payload(self.u32()?)),
-            tag => Err(WireError::new(format!("unknown value tag {tag}"))),
-        }
-    }
-
-    fn repr(&mut self) -> Result<Repr, WireError> {
-        Ok(match self.u8()? {
-            0 => Repr::Polynomial,
-            1 => Repr::NodeSet,
-            2 => Repr::DerivationCount,
-            3 => Repr::Derivability,
-            4 => Repr::Bdd,
-            5 => Repr::ContiguousTrustDomains(self.u32()?),
-            tag => return Err(WireError::new(format!("unknown repr tag {tag}"))),
-        })
-    }
-
-    fn traversal(&mut self) -> Result<TraversalOrder, WireError> {
-        Ok(match self.u8()? {
-            0 => TraversalOrder::Bfs,
-            1 => TraversalOrder::Dfs,
-            2 => TraversalOrder::DfsThreshold(self.i64()?),
-            3 => TraversalOrder::RandomMoonwalk {
-                fanout: self.u32()? as usize,
-                seed: self.u64()?,
-            },
-            tag => return Err(WireError::new(format!("unknown traversal tag {tag}"))),
-        })
-    }
-
-    /// Bytes not yet consumed — used to decode optional trailing fields
-    /// added by newer protocol revisions (absent in older encodings).
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn finish(self, what: &str) -> Result<(), WireError> {
-        if self.pos != self.buf.len() {
-            return Err(WireError::new(format!(
-                "{} trailing bytes after {what}",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
+fn read_state(r: &mut Reader<'_>) -> Result<QueryState, DecodeError> {
+    match r.u8()? {
+        0 => Ok(QueryState::Pending),
+        1 => Ok(QueryState::Complete),
+        _ => Err(r.error("unknown query state")),
     }
 }
 
 /// Decodes one frame body (`type byte + payload`, no length prefix).
 pub fn decode_frame(body: &[u8]) -> Result<Frame, WireError> {
     let mut r = Reader::new(body);
-    let ty = r.u8()?;
-    let frame = match ty {
+    let frame = match r.u8()? {
         0x01 => {
-            let magic = r.take(4)?;
-            if magic != MAGIC {
+            if r.bytes(4)? != MAGIC {
                 return Err(WireError::new("bad handshake magic"));
             }
-            let version = r.u16()?;
-            // Optional trailing flags byte (absent in pre-codec encodings).
-            let codec = r.remaining() > 0 && r.u8()? != 0;
-            Frame::Hello { version, codec }
+            Frame::Hello {
+                version: r.u16()?,
+                codec: r.u8()? != 0,
+            }
         }
-        0x02 => Frame::HelloAck {
+        0x04 => Frame::HelloAckV2 {
             session: r.u64()?,
-            program: r.string()?,
+            program: read_str(&mut r)?,
             nodes: r.u32()?,
             max_inflight: r.u32()?,
             rate: r.f64()?,
             burst: r.u32()?,
+            version: r.u16()?,
+            pipeline_depth: r.u32()?,
+            chunk_bytes: r.u32()?,
+            codec: r.u8()? != 0,
         },
-        0x04 => {
-            let session = r.u64()?;
-            let program = r.string()?;
-            let nodes = r.u32()?;
-            let max_inflight = r.u32()?;
-            let rate = r.f64()?;
-            let burst = r.u32()?;
-            let version = r.u16()?;
-            let pipeline_depth = r.u32()?;
-            let chunk_bytes = r.u32()?;
-            let codec = r.remaining() > 0 && r.u8()? != 0;
-            Frame::HelloAckV2 {
-                session,
-                program,
-                nodes,
-                max_inflight,
-                rate,
-                burst,
-                version,
-                pipeline_depth,
-                chunk_bytes,
-                codec,
-            }
-        }
         0x03 => Frame::Bye,
         0x10 => {
             let request = r.u64()?;
             let issuer = r.u32()?;
-            let repr = r.repr()?;
-            let traversal = r.traversal()?;
+            let repr = read_repr(&mut r)?;
+            let traversal = read_traversal(&mut r)?;
             let cached = r.u8()? != 0;
-            let relation = r.string()?;
+            let relation = read_str(&mut r)?;
             let location = r.u32()?;
-            let count = r.u16()? as usize;
-            let mut values = Vec::with_capacity(count.min(256));
+            let count = r.u16()?;
+            let count = r.count(count)?;
+            let mut values = Vec::with_capacity(count);
             for _ in 0..count {
-                values.push(r.value(0)?);
+                values.push(codec::decode_value(&mut r)?);
             }
             Frame::SubmitQuery {
                 request,
@@ -870,50 +644,16 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame, WireError> {
             request: r.u64()?,
             query: r.u64()?,
         },
-        0x13 => {
-            let request = r.u64()?;
-            let query = r.u64()?;
-            let state = match r.u8()? {
-                0 => QueryState::Pending,
-                1 => QueryState::Complete,
-                tag => return Err(WireError::new(format!("unknown query state {tag}"))),
-            };
-            Frame::QueryStatus {
-                request,
-                query,
-                state,
-                latency: r.f64()?,
-                summary: r.string()?,
-            }
-        }
-        0x14 => {
-            let request = r.u64()?;
-            let query = r.u64()?;
-            let state = match r.u8()? {
-                0 => QueryState::Pending,
-                1 => QueryState::Complete,
-                tag => return Err(WireError::new(format!("unknown query state {tag}"))),
-            };
-            let latency = r.f64()?;
-            let summary = r.string()?;
-            let result_total = r.u64()?;
-            // Optional trailing session counters (absent pre-codec).
-            let (cache_maintained, compressed_bytes_saved) = if r.remaining() > 0 {
-                (r.u64()?, r.u64()?)
-            } else {
-                (0, 0)
-            };
-            Frame::QueryStatusV2 {
-                request,
-                query,
-                state,
-                latency,
-                summary,
-                result_total,
-                cache_maintained,
-                compressed_bytes_saved,
-            }
-        }
+        0x14 => Frame::QueryStatusV2 {
+            request: r.u64()?,
+            query: r.u64()?,
+            state: read_state(&mut r)?,
+            latency: r.f64()?,
+            summary: read_str(&mut r)?,
+            result_total: r.u64()?,
+            cache_maintained: r.u64()?,
+            compressed_bytes_saved: r.u64()?,
+        },
         0x15 => {
             let request = r.u64()?;
             let offset = r.u64()?;
@@ -923,17 +663,17 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame, WireError> {
                 request,
                 offset,
                 total,
-                bytes: r.take(len)?.to_vec(),
+                bytes: r.bytes(len)?.to_vec(),
             }
         }
         0x7F => Frame::Error {
             code: ErrorCode::from_wire(r.u16()?)?,
             request: r.u64()?,
-            message: r.string()?,
+            message: read_str(&mut r)?,
         },
         other => return Err(WireError::new(format!("unknown frame type 0x{other:02x}"))),
     };
-    r.finish(frame.name())?;
+    r.finish()?;
     Ok(frame)
 }
 
@@ -1283,14 +1023,6 @@ mod tests {
             version: PROTOCOL_VERSION,
             codec: true,
         });
-        roundtrip(Frame::HelloAck {
-            session: 7,
-            program: "mincost".into(),
-            nodes: 100,
-            max_inflight: 512,
-            rate: 250.5,
-            burst: 32,
-        });
         roundtrip(Frame::Bye);
         roundtrip(Frame::SubmitQuery {
             request: 99,
@@ -1304,7 +1036,7 @@ mod tests {
                 values: vec![
                     Value::Node(2),
                     Value::Int(5),
-                    Value::Str(Symbol::intern("x")),
+                    Value::from("x"),
                     Value::Bool(true),
                     Value::list(vec![Value::Int(1), Value::Node(0)]),
                     Value::Digest([9; 20]),
@@ -1319,13 +1051,6 @@ mod tests {
         roundtrip(Frame::Poll {
             request: 100,
             query: 1,
-        });
-        roundtrip(Frame::QueryStatus {
-            request: 100,
-            query: 1,
-            state: QueryState::Complete,
-            latency: 0.125,
-            summary: "2 derivations".into(),
         });
         roundtrip(Frame::Error {
             code: ErrorCode::RateLimited,
@@ -1368,42 +1093,14 @@ mod tests {
     }
 
     #[test]
-    fn pre_codec_encodings_decode_with_defaults() {
-        // A Hello from a pre-codec peer ends right after the version: no
-        // flags byte.  It must decode as "codec not offered".
+    fn version_1_frames_and_short_encodings_are_rejected() {
+        // The flag byte of Hello/HelloAckV2 and the two session counters of
+        // QueryStatusV2 are mandatory: an encoding that stops short of them
+        // is truncated, not "older".
         let mut hello = vec![0x01];
         hello.extend_from_slice(&MAGIC);
-        hello.extend_from_slice(&2u16.to_be_bytes());
-        assert_eq!(
-            decode_frame(&hello).expect("legacy Hello decodes"),
-            Frame::Hello {
-                version: 2,
-                codec: false
-            }
-        );
-        // Same for the optional trailing fields of HelloAckV2 and
-        // QueryStatusV2: strip them off a fresh encoding and decode.
-        let ack = Frame::HelloAckV2 {
-            session: 1,
-            program: "mincost".into(),
-            nodes: 4,
-            max_inflight: 8,
-            rate: 1.0,
-            burst: 2,
-            version: 2,
-            pipeline_depth: 4,
-            chunk_bytes: 512,
-            codec: true,
-        };
-        let body = encode_frame(&ack).unwrap()[4..].to_vec();
-        let legacy = &body[..body.len() - 1];
-        match decode_frame(legacy).expect("legacy HelloAckV2 decodes") {
-            Frame::HelloAckV2 { codec, session, .. } => {
-                assert!(!codec);
-                assert_eq!(session, 1);
-            }
-            other => panic!("unexpected frame {}", other.name()),
-        }
+        hello.extend_from_slice(&PROTOCOL_VERSION.to_be_bytes());
+        assert!(decode_frame(&hello).is_err());
         let status = Frame::QueryStatusV2 {
             request: 9,
             query: 3,
@@ -1415,19 +1112,11 @@ mod tests {
             compressed_bytes_saved: 6,
         };
         let body = encode_frame(&status).unwrap()[4..].to_vec();
-        let legacy = &body[..body.len() - 16];
-        match decode_frame(legacy).expect("legacy QueryStatusV2 decodes") {
-            Frame::QueryStatusV2 {
-                cache_maintained,
-                compressed_bytes_saved,
-                result_total,
-                ..
-            } => {
-                assert_eq!(cache_maintained, 0);
-                assert_eq!(compressed_bytes_saved, 0);
-                assert_eq!(result_total, 10);
-            }
-            other => panic!("unexpected frame {}", other.name()),
+        assert!(decode_frame(&body[..body.len() - 16]).is_err());
+        // The version-1 response tags are gone.
+        for tag in [0x02, 0x13] {
+            let err = decode_frame(&[tag]).unwrap_err();
+            assert!(err.reason.contains("unknown frame type"), "{}", err.reason);
         }
     }
 
@@ -1455,7 +1144,7 @@ mod tests {
     #[test]
     fn bad_magic_and_unknown_tags_are_rejected() {
         let mut hello = encode_frame(&Frame::Hello {
-            version: 1,
+            version: PROTOCOL_VERSION,
             codec: false,
         })
         .unwrap()[4..]
@@ -1487,13 +1176,9 @@ mod tests {
         assert!(err.reason.contains("TrustDomain"));
     }
 
-    #[test]
-    fn deep_list_nesting_is_rejected() {
-        let mut v = Value::Int(0);
-        for _ in 0..6 {
-            v = Value::list(vec![v]);
-        }
-        let err = encode_frame(&Frame::SubmitQuery {
+    /// A `SubmitQuery` body carrying `values` behind `count`.
+    fn submit_body(count: u16, values: &[u8]) -> Vec<u8> {
+        let frame = Frame::SubmitQuery {
             request: 1,
             spec: QuerySpec {
                 issuer: 0,
@@ -1502,11 +1187,52 @@ mod tests {
                 cached: false,
                 relation: "link".into(),
                 location: 0,
-                values: vec![v],
+                values: vec![],
             },
-        })
-        .unwrap_err();
-        assert!(err.reason.contains("depth"));
+        };
+        let mut body = encode_frame(&frame).unwrap()[4..].to_vec();
+        body.truncate(body.len() - 2); // the zero value count
+        body.extend_from_slice(&count.to_be_bytes());
+        body.extend_from_slice(values);
+        body
+    }
+
+    #[test]
+    fn deeply_nested_lists_are_decode_errors_in_every_decoder() {
+        // 100,000 nested list headers (5 bytes a level in the canonical
+        // form, 2 in the dictionary form) once overflowed the stack of the
+        // store's unbounded decoder; the one decoder's depth bound turns
+        // them into the typed error recovery treats as a torn tail.
+        const LEVELS: usize = 100_000;
+        let nested = [0x05, 0, 0, 0, 1].repeat(LEVELS);
+        let deep = |e: DecodeError| assert_eq!(e.reason, "list nesting too deep");
+
+        let mut tuple = vec![0x03, 0, 0, 0, 1, b'r', 0, 0, 0, 0, 0, 0, 0, 1];
+        tuple.extend_from_slice(&nested);
+        deep(codec::decode_tuple(&mut Reader::new(&tuple)).unwrap_err());
+
+        let mut message = vec![1, 0x00, 1, b'r', 0, 1];
+        message.extend_from_slice(&[0x05, 1].repeat(LEVELS));
+        deep(exspan_types::compress::decode_message(&message).unwrap_err());
+
+        // (A body this size is past MAX_FRAME_LEN, so a server refuses it
+        // even earlier; decode_frame itself must still be safe on it.)
+        let err = decode_frame(&submit_body(1, &nested)).unwrap_err();
+        assert!(
+            err.reason.contains("list nesting too deep"),
+            "{}",
+            err.reason
+        );
+    }
+
+    #[test]
+    fn hostile_submit_values_are_typed_errors() {
+        // A value count beyond the bytes present reserves nothing.
+        let err = decode_frame(&submit_body(u16::MAX, &[])).unwrap_err();
+        assert!(err.reason.contains("exceeds input"), "{}", err.reason);
+        // Unknown value tag, and a string that is not UTF-8.
+        assert!(decode_frame(&submit_body(1, &[0x99])).is_err());
+        assert!(decode_frame(&submit_body(1, &[0x03, 0, 0, 0, 1, 0xFF])).is_err());
     }
 
     #[test]
@@ -1520,7 +1246,7 @@ mod tests {
         write_frame(
             &mut buf,
             &Frame::Hello {
-                version: 1,
+                version: PROTOCOL_VERSION,
                 codec: false,
             },
         )
@@ -1541,7 +1267,7 @@ mod tests {
                 assert_eq!(
                     decode_frame(&body).unwrap(),
                     Frame::Hello {
-                        version: 1,
+                        version: PROTOCOL_VERSION,
                         codec: false
                     }
                 );

@@ -7,7 +7,7 @@
 //!   listener and every nonblocking connection.  Each connection is a small
 //!   state machine: an incremental [`FrameBuffer`] on the read side, a
 //!   bounded write queue plus pending [`ResultStream`]s on the write side,
-//!   the per-session [`TokenBucket`], and the negotiated protocol version.
+//!   and the per-session [`TokenBucket`].
 //!   The reactor performs the handshake, rate limiting, pipeline-depth
 //!   accounting and result chunking itself; only submits and polls cross to
 //!   the worker (tagged with a connection id so responses find their way
@@ -16,7 +16,7 @@
 //!   executor, exactly as before the reactor rewrite.  Each tick drains
 //!   pending commands (submits, polls), then pumps the deployment to the
 //!   simulated time the wall clock has paid for (`Deployment::run_with`).
-//!   Completed v2 polls also carry the rendered result body (cached per
+//!   Completed polls also carry the rendered result body (cached per
 //!   query, shared by `Arc`), which the reactor streams back in
 //!   [`Frame::ResultChunk`] frames.  The worker wakes the reactor through a
 //!   loopback byte after posting replies.
@@ -34,13 +34,12 @@
 //! Result chunks are paced pull-style: a stream's next chunk is encoded only
 //! when the write queue has room, and multiple pending streams on one
 //! connection are drained round-robin — so a small response submitted after
-//! a huge one genuinely completes first (out-of-order completion, v2
-//! pipelining).
+//! a huge one genuinely completes first (out-of-order completion).
 
 use crate::limiter::TokenBucket;
 use crate::proto::{
     self, ErrorCode, Frame, FrameBuffer, FrameRead, QuerySpec, QueryState, ResultStream,
-    CHUNK_HEADER_LEN, MAX_CHUNK_DATA, MAX_FRAME_LEN, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    CHUNK_HEADER_LEN, MAX_CHUNK_DATA, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use exspan_core::{Annotation, Deployment, QueryError, QueryHandle};
 use exspan_runtime::WallClock;
@@ -91,9 +90,9 @@ const FLUSH_QUANTUM: usize = 128 * 1024;
 /// | `rate`, `burst`  | [`ServeConfig::rate_limit`] |
 /// | `clock_rate`     | [`ServeConfig::clock_rate`] |
 /// | `quantum`        | [`ServeConfig::quantum`] |
-/// | — (new in v2)    | [`ServeConfig::pipeline_depth`] |
-/// | — (new in v2)    | [`ServeConfig::write_queue_bytes`] |
-/// | — (new in v2)    | [`ServeConfig::chunk_bytes`] |
+/// | — (added later)  | [`ServeConfig::pipeline_depth`] |
+/// | — (added later)  | [`ServeConfig::write_queue_bytes`] |
+/// | — (added later)  | [`ServeConfig::chunk_bytes`] |
 /// | — (CLI-only before) | [`ServeConfig::data_dir`] |
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -170,7 +169,7 @@ impl ServeConfig {
     }
 
     /// Requests one connection may keep in flight before further requests
-    /// are refused with [`ErrorCode::Admission`] (v2 pipelining).
+    /// are refused with [`ErrorCode::Admission`].
     pub fn pipeline_depth(mut self, pipeline_depth: u32) -> Self {
         self.pipeline_depth = pipeline_depth.max(1);
         self
@@ -215,7 +214,7 @@ enum PollVerdict {
         state: QueryState,
         latency: f64,
         summary: String,
-        /// Rendered result body (v2 polls of completed queries only) —
+        /// Rendered result body (polls of completed queries only) —
         /// dictionary-compressed when the connection negotiated the codec.
         result: Option<Arc<Vec<u8>>>,
         /// Cache entries the query's session maintained in place.
@@ -237,7 +236,6 @@ enum Command {
         conn: usize,
         request: u64,
         query: u64,
-        want_result: bool,
         /// Render the result body through the dictionary codec (the
         /// connection offered and the server accepted it at handshake).
         want_codec: bool,
@@ -392,7 +390,7 @@ fn summarize(annotation: Option<&Annotation>) -> String {
     }
 }
 
-/// Renders a completed query's full result body for the v2 chunk stream.
+/// Renders a completed query's full result body for the chunk stream.
 fn render_result(annotation: Option<&Annotation>) -> Vec<u8> {
     match annotation {
         None => Vec::new(),
@@ -425,7 +423,7 @@ fn worker_loop(
     // Rendered result bodies, cached so repeated polls of one completed
     // query re-use the same `Arc`ed bytes.  Codec connections get the
     // dictionary-compressed rendering, cached separately: one deployment
-    // serves pre-codec and codec sessions side by side.
+    // serves plain and codec sessions side by side.
     let mut rendered: HashMap<u64, Arc<Vec<u8>>> = HashMap::new();
     let mut rendered_compressed: HashMap<u64, Arc<Vec<u8>>> = HashMap::new();
 
@@ -451,32 +449,29 @@ fn worker_loop(
                 conn,
                 request,
                 query,
-                want_result,
                 want_codec,
             } => {
                 let verdict = match handles.get(&query) {
                     None => PollVerdict::Unknown,
                     Some(&handle) => match deployment.completed_outcome(handle) {
                         Ok(outcome) => {
-                            let result = want_result.then(|| {
-                                let flat = Arc::clone(rendered.entry(query).or_insert_with(|| {
-                                    Arc::new(render_result(outcome.annotation.as_ref()))
-                                }));
-                                if want_codec {
-                                    Arc::clone(rendered_compressed.entry(query).or_insert_with(
-                                        || Arc::new(exspan_types::compress::compress_bytes(&flat)),
-                                    ))
-                                } else {
-                                    flat
-                                }
-                            });
+                            let flat = Arc::clone(rendered.entry(query).or_insert_with(|| {
+                                Arc::new(render_result(outcome.annotation.as_ref()))
+                            }));
+                            let result = if want_codec {
+                                Arc::clone(rendered_compressed.entry(query).or_insert_with(|| {
+                                    Arc::new(exspan_types::compress::compress_bytes(&flat))
+                                }))
+                            } else {
+                                flat
+                            };
                             let stats = deployment.session(handle).stats().clone();
                             PollVerdict::Status {
                                 state: QueryState::Complete,
                                 latency: outcome.completed_at.unwrap_or(outcome.issued_at)
                                     - outcome.issued_at,
                                 summary: summarize(outcome.annotation.as_ref()),
-                                result,
+                                result: Some(result),
                                 cache_maintained: stats.cache_maintained,
                                 compressed_bytes_saved: stats.compressed_bytes_saved,
                             }
@@ -617,10 +612,10 @@ struct Conn {
     stream_bytes: usize,
     bucket: TokenBucket,
     session: u64,
-    /// Negotiated protocol version; `None` until a successful `Hello`.
-    version: Option<u16>,
+    /// Whether a `Hello` has been accepted on this connection.
+    greeted: bool,
     /// Whether this session's result bodies travel dictionary-compressed
-    /// (offered in `Hello`, accepted on v2+ sessions).
+    /// (offered in `Hello`).
     codec: bool,
     /// Requests currently at the worker (pipeline-depth accounting).
     inflight: u32,
@@ -641,7 +636,7 @@ impl Conn {
             stream_bytes: 0,
             bucket: TokenBucket::new(config.rate, config.burst),
             session,
-            version: None,
+            greeted: false,
             codec: false,
             inflight: 0,
             draining: false,
@@ -969,14 +964,14 @@ impl Reactor {
         };
         match frame {
             Frame::Hello { version, codec } => {
-                if version < MIN_PROTOCOL_VERSION {
+                if version < PROTOCOL_VERSION {
                     conn.respond(
                         &Frame::Error {
                             code: ErrorCode::HandshakeRejected,
                             request: 0,
                             message: format!(
                                 "protocol version {version} unsupported (server speaks \
-                                 {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
+                                 {PROTOCOL_VERSION})"
                             ),
                         },
                         None,
@@ -984,33 +979,21 @@ impl Reactor {
                     );
                     return; // the client may retry with a supported version
                 }
-                let negotiated = version.min(PROTOCOL_VERSION);
-                conn.version = Some(negotiated);
-                // The dictionary codec rides on the v2 chunk stream; accept
-                // the offer only when the session actually streams results.
-                conn.codec = codec && negotiated >= 2;
-                let ack = if negotiated >= 2 {
-                    Frame::HelloAckV2 {
-                        session: conn.session,
-                        program: self.greeting.program.clone(),
-                        nodes: self.greeting.nodes,
-                        max_inflight: config.max_inflight as u32,
-                        rate: config.rate,
-                        burst: config.burst,
-                        version: negotiated,
-                        pipeline_depth: config.pipeline_depth,
-                        chunk_bytes: config.chunk_bytes as u32,
-                        codec: conn.codec,
-                    }
-                } else {
-                    Frame::HelloAck {
-                        session: conn.session,
-                        program: self.greeting.program.clone(),
-                        nodes: self.greeting.nodes,
-                        max_inflight: config.max_inflight as u32,
-                        rate: config.rate,
-                        burst: config.burst,
-                    }
+                // A client from the future is answered at the one version
+                // this server speaks.
+                conn.greeted = true;
+                conn.codec = codec;
+                let ack = Frame::HelloAckV2 {
+                    session: conn.session,
+                    program: self.greeting.program.clone(),
+                    nodes: self.greeting.nodes,
+                    max_inflight: config.max_inflight as u32,
+                    rate: config.rate,
+                    burst: config.burst,
+                    version: PROTOCOL_VERSION,
+                    pipeline_depth: config.pipeline_depth,
+                    chunk_bytes: config.chunk_bytes as u32,
+                    codec,
                 };
                 conn.respond(&ack, None, config);
             }
@@ -1030,12 +1013,10 @@ impl Reactor {
             }
             Frame::Poll { request, query } => {
                 if Self::gate_request(conn, request, config) {
-                    let want_result = conn.version.unwrap_or(1) >= 2;
                     let sent = self.cmds.send(Command::Poll {
                         conn: id,
                         request,
                         query,
-                        want_result,
                         want_codec: conn.codec,
                     });
                     Self::track_sent(conn, request, sent.is_ok(), config);
@@ -1043,10 +1024,8 @@ impl Reactor {
             }
             // Server-to-client frames arriving at the server are protocol
             // violations, answered in kind (connection stays open).
-            other @ (Frame::HelloAck { .. }
-            | Frame::HelloAckV2 { .. }
+            other @ (Frame::HelloAckV2 { .. }
             | Frame::SubmitAck { .. }
-            | Frame::QueryStatus { .. }
             | Frame::QueryStatusV2 { .. }
             | Frame::ResultChunk { .. }
             | Frame::Error { .. }) => {
@@ -1066,7 +1045,7 @@ impl Reactor {
     /// Handshake, rate-limit and pipeline-depth gate shared by submits and
     /// polls.  `false` means a typed error was already queued.
     fn gate_request(conn: &mut Conn, request: u64, config: &ServeConfig) -> bool {
-        if conn.version.is_none() {
+        if !conn.greeted {
             conn.respond(
                 &Frame::Error {
                     code: ErrorCode::HandshakeRejected,
@@ -1178,36 +1157,22 @@ impl Reactor {
                         cache_maintained,
                         compressed_bytes_saved,
                     } => {
-                        if conn.version.unwrap_or(1) >= 2 {
-                            let body = result.filter(|b| !b.is_empty());
-                            let result_total = body.as_ref().map_or(0, |b| b.len() as u64);
-                            conn.respond(
-                                &Frame::QueryStatusV2 {
-                                    request,
-                                    query,
-                                    state,
-                                    latency,
-                                    summary,
-                                    result_total,
-                                    cache_maintained,
-                                    compressed_bytes_saved,
-                                },
-                                body.map(|b| (request, b)),
-                                config,
-                            );
-                        } else {
-                            conn.respond(
-                                &Frame::QueryStatus {
-                                    request,
-                                    query,
-                                    state,
-                                    latency,
-                                    summary,
-                                },
-                                None,
-                                config,
-                            );
-                        }
+                        let body = result.filter(|b| !b.is_empty());
+                        let result_total = body.as_ref().map_or(0, |b| b.len() as u64);
+                        conn.respond(
+                            &Frame::QueryStatusV2 {
+                                request,
+                                query,
+                                state,
+                                latency,
+                                summary,
+                                result_total,
+                                cache_maintained,
+                                compressed_bytes_saved,
+                            },
+                            body.map(|b| (request, b)),
+                            config,
+                        );
                     }
                     PollVerdict::Unknown => {
                         conn.respond(

@@ -1,10 +1,11 @@
 //! End-to-end wire-protocol tests against a live in-process server:
-//! malformed / oversized / truncated frames, handshake rejection and
-//! version negotiation, admission-control overflow and rate-limit
+//! malformed / oversized / truncated frames, handshake rejection of old
+//! protocol versions, admission-control overflow and rate-limit
 //! backpressure — each answered with a *typed* protocol error on a
-//! connection that stays open — plus the v2 features: chunked result
-//! streaming past [`MAX_FRAME_LEN`], pipelined out-of-order completion,
-//! slow-reader write-queue overflow, and v1-client compatibility.
+//! connection that stays open — plus chunked result streaming past
+//! [`MAX_FRAME_LEN`], pipelined out-of-order completion, slow-reader
+//! write-queue overflow, canonical values on the wire, and a reactor
+//! holding ten thousand idle sessions.
 
 use exspan_core::{Exspan, ProvenanceMode, Repr, Traversal};
 use exspan_netsim::{LinkClass, LinkProps, Topology};
@@ -12,6 +13,7 @@ use exspan_serve::proto::{
     self, ErrorCode, Frame, FrameRead, QuerySpec, QueryState, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use exspan_serve::{Response, ServeClient, ServeConfig, Server, ServerHandle};
+use exspan_types::{Tuple, Value};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -100,7 +102,7 @@ fn bestpath_spec() -> QuerySpec {
         cached: false,
         relation: "bestPathCost".into(),
         location: 0,
-        values: vec![exspan_types::Value::Node(2), exspan_types::Value::Int(5)],
+        values: vec![Value::Node(2), Value::Int(5)],
     }
 }
 
@@ -114,10 +116,7 @@ fn diamond_spec(to: u32, cost: i64) -> QuerySpec {
         cached: false,
         relation: "bestPathCost".into(),
         location: 0,
-        values: vec![
-            exspan_types::Value::Node(to),
-            exspan_types::Value::Int(cost),
-        ],
+        values: vec![Value::Node(to), Value::Int(cost)],
     }
 }
 
@@ -155,7 +154,7 @@ fn malformed_truncated_and_oversized_frames_get_typed_errors() {
 }
 
 #[test]
-fn handshake_rejection_and_version_negotiation() {
+fn handshake_rejects_old_versions_and_the_connection_stays_usable() {
     let server = boot(ServeConfig::default());
     let mut stream = raw_connect(&server);
 
@@ -170,19 +169,31 @@ fn handshake_rejection_and_version_negotiation() {
     .unwrap();
     expect_error(&mut stream, ErrorCode::HandshakeRejected);
 
-    // A version below the floor is rejected...
+    // Every version below the one the server speaks is rejected — there
+    // is no negotiate-down path — and the session is still not greeted...
+    for version in 0..PROTOCOL_VERSION {
+        proto::write_frame(
+            &mut stream,
+            &Frame::Hello {
+                version,
+                codec: false,
+            },
+        )
+        .unwrap();
+        expect_error(&mut stream, ErrorCode::HandshakeRejected);
+    }
     proto::write_frame(
         &mut stream,
-        &Frame::Hello {
-            version: 0,
-            codec: false,
+        &Frame::Poll {
+            request: 8,
+            query: 0,
         },
     )
     .unwrap();
     expect_error(&mut stream, ErrorCode::HandshakeRejected);
 
-    // ...a version from the future negotiates down to what the server
-    // speaks...
+    // ...while the same connection accepts a current Hello afterwards (one
+    // from the future is answered at the server's version)...
     proto::write_frame(
         &mut stream,
         &Frame::Hello {
@@ -193,7 +204,7 @@ fn handshake_rejection_and_version_negotiation() {
     .unwrap();
     match read_decoded(&mut stream) {
         Frame::HelloAckV2 { version, .. } => assert_eq!(version, PROTOCOL_VERSION),
-        other => panic!("expected negotiated HelloAckV2, got {other:?}"),
+        other => panic!("expected HelloAckV2, got {other:?}"),
     }
 
     // Server-to-client frames sent by the client are violations, typed too.
@@ -285,8 +296,10 @@ fn a_query_completes_end_to_end_over_the_wire() {
     assert_eq!(status.state, QueryState::Complete);
     assert!(status.latency > 0.0, "simulated latency is positive");
     assert_eq!(status.summary, "2 derivations");
-    // v2 sessions stream the rendered polynomial alongside the summary.
-    let result = status.result.expect("v2 polls carry the result body");
+    // The rendered polynomial is streamed alongside the summary.
+    let result = status
+        .result
+        .expect("completed polls carry the result body");
     assert!(!result.is_empty());
     client.bye().expect("clean goodbye");
     let deployment = server.shutdown();
@@ -387,8 +400,7 @@ fn codec_sessions_negotiate_and_stream_identical_results() {
     let k = 10;
     let server = boot_on(diamond_chain(k), ServeConfig::default().clock_rate(1000.0));
 
-    let mut plain =
-        ServeClient::connect_with(server.addr(), PROTOCOL_VERSION, false).expect("handshake");
+    let mut plain = ServeClient::connect_with(server.addr(), false).expect("handshake");
     assert!(!plain.info().codec, "codec must stay off when not offered");
     let query = plain
         .submit(diamond_spec(k as u32, 2 * k as i64))
@@ -453,22 +465,99 @@ fn slow_reader_write_queue_overflow_is_typed_and_closes() {
 }
 
 #[test]
-fn v1_clients_keep_working_against_a_v2_server() {
+fn submitted_values_travel_in_the_canonical_form() {
+    // The target tuple's values cross the wire in the canonical encoding of
+    // `exspan_types::codec`, so the VID the server queries — SHA-1 over that
+    // same encoding — must equal the one computed client-side, whatever the
+    // value types (here a string, a nested list, a digest).
     let server = boot(ServeConfig::default().clock_rate(1000.0));
-    let mut client = ServeClient::connect_with_version(server.addr(), 1).expect("v1 handshake");
-    assert_eq!(client.info().version, 1);
-    assert_eq!(client.info().pipeline_depth, 1);
-    assert_eq!(client.info().chunk_bytes, 0);
-
-    let query = client.submit(bestpath_spec()).expect("admitted");
+    let values = vec![
+        Value::from("pröv"),
+        Value::list(vec![
+            Value::Node(1),
+            Value::list(vec![Value::Int(-7), Value::from("inner")]),
+            Value::Bool(true),
+        ]),
+        Value::Digest([0xA5; 20]),
+    ];
+    let mut client = ServeClient::connect(server.addr()).expect("handshake");
+    let query = client
+        .submit(QuerySpec {
+            values: values.clone(),
+            relation: "noSuchRelation".into(),
+            ..bestpath_spec()
+        })
+        .expect("admitted");
     let status = client
         .wait_for(query, Duration::from_secs(30))
         .expect("no protocol error")
         .expect("completes");
     assert_eq!(status.state, QueryState::Complete);
-    assert_eq!(status.summary, "2 derivations");
-    // v1 sessions get the summary only — no streamed body, ever.
-    assert!(status.result.is_none());
     client.bye().expect("clean goodbye");
+    let deployment = server.shutdown();
+    assert_eq!(
+        deployment.outcomes()[0].vid,
+        Tuple::new("noSuchRelation", 0, values).vid()
+    );
+}
+
+#[test]
+fn idle_sessions_soak() {
+    // One reactor thread holds ten thousand idle sessions and every one of
+    // them still gets served.  Each session costs two descriptors in this
+    // process (client end + server end); 512 are left for everything else.
+    const WORKERS: usize = 8;
+    let nofile = pollshim::raise_nofile_limit(20_512).expect("rlimit") as usize;
+    let n = 10_000.min((nofile - 512) / 2);
+    assert!(n >= 9_000, "descriptor limit {nofile} is too low to soak");
+    let server = boot(ServeConfig::default().max_sessions(n).clock_rate(1000.0));
+    let addr = server.addr();
+    let complete = |client: &mut ServeClient| {
+        let query = client.submit(bestpath_spec()).expect("admitted");
+        let status = client
+            .wait_for(query, Duration::from_secs(30))
+            .expect("no protocol error")
+            .expect("completes");
+        assert_eq!(status.summary, "2 derivations");
+        query
+    };
+
+    let mut first = ServeClient::connect(addr).expect("handshake");
+    let known = complete(&mut first);
+    let connected = std::sync::Barrier::new(WORKERS + 1);
+    let mut last = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                let connected = &connected;
+                scope.spawn(move || {
+                    // n - 2 sessions here, plus `first` and `last`.
+                    let share = (n - 2) / WORKERS + usize::from(w < (n - 2) % WORKERS);
+                    let mut clients: Vec<ServeClient> = (0..share)
+                        .map(|_| ServeClient::connect(addr).expect("handshake"))
+                        .collect();
+                    connected.wait(); // everyone is connected
+                    connected.wait(); // the idle hold is over
+                    for client in &mut clients {
+                        let status = client.poll(known).expect("idle session still served");
+                        assert_eq!(status.state, QueryState::Complete);
+                    }
+                    connected.wait(); // keep every session open until all polled
+                })
+            })
+            .collect();
+        connected.wait();
+        let last = ServeClient::connect(addr).expect("handshake");
+        assert_eq!(server.session_count(), n);
+        std::thread::sleep(Duration::from_secs(1));
+        assert_eq!(server.session_count(), n, "idle sessions are kept");
+        connected.wait();
+        connected.wait();
+        for worker in workers {
+            worker.join().expect("worker");
+        }
+        last
+    });
+    complete(&mut first);
+    complete(&mut last);
     server.shutdown();
 }

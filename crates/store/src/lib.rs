@@ -10,8 +10,8 @@
 //!    changes, aggregate-provenance bookkeeping) and appends them once per
 //!    barrier window as a checksummed, length-prefixed batch closed by a
 //!    commit record.  The [`Durability`] knob controls fsync cadence:
-//!    `None` (OS decides), `Barrier` (default: one fsync per committed
-//!    window), or `Always` (per record).
+//!    `None` (OS decides) or `Barrier` (default: one fsync per committed
+//!    window).
 //! 2. **Canonical snapshots** ([`snapshot`]).  Once enough log accumulates
 //!    (`StoreConfig::snapshot_wal_bytes`), the engine hands the backend a
 //!    full dump — tables in `(node, relation)` order with rows in `scan()`
@@ -54,10 +54,10 @@
 //! <data_dir>/spill/        evicted cold tables (cleared on open)
 //! ```
 //!
-//! This crate depends only on `exspan-types`: the value/tuple codec
-//! ([`codec`]) *reuses the canonical hash encoding* those types already
-//! define (the bytes that name a tuple in a provenance VID are the bytes
-//! that persist it), adding only the decoder.
+//! This crate depends only on `exspan-types`, and its value/tuple codec
+//! ([`codec`]) *is* `exspan_types::codec`: records persist the canonical
+//! hash encoding (the bytes that name a tuple in a provenance VID are the
+//! bytes that store it).
 
 pub mod backend;
 pub mod codec;
@@ -68,7 +68,7 @@ pub mod wal;
 pub use backend::{
     DiskBackend, MemoryBackend, RecoveredState, StorageBackend, StorageStats, StoreConfig,
 };
-pub use codec::CodecError;
+use codec::DecodeError;
 pub use snapshot::{AggProvEntry, SnapshotData, TableDump};
 pub use wal::{Durability, LinkRecord, WalBatch, WalOp};
 
@@ -76,7 +76,7 @@ pub use wal::{Durability, LinkRecord, WalBatch, WalOp};
 #[derive(Debug)]
 pub enum StoreError {
     Io(std::io::Error),
-    Codec(CodecError),
+    Codec(DecodeError),
     Corrupt(String),
 }
 
@@ -106,8 +106,8 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-impl From<CodecError> for StoreError {
-    fn from(e: CodecError) -> Self {
+impl From<DecodeError> for StoreError {
+    fn from(e: DecodeError) -> Self {
         StoreError::Codec(e)
     }
 }

@@ -29,10 +29,9 @@
 //! (short record, checksum mismatch, undecodable payload, or trailing
 //! operations with no commit) and cleanly ignores.  Reopening truncates the
 //! file back to the last committed byte.  The [`Durability`] knob decides
-//! when `fsync` runs: never, once per committed batch (default), or after
-//! every record.
+//! when `fsync` runs: never, or once per committed batch (the default).
 
-use crate::codec::{self, CodecError, Reader};
+use crate::codec::{self, DecodeError, Reader};
 use crate::crc32::crc32;
 use exspan_types::symbol::RelId;
 use exspan_types::tuple::Tuple;
@@ -57,8 +56,6 @@ pub enum Durability {
     /// the engine could resume from is stable.
     #[default]
     Barrier,
-    /// `fsync` after every record.  Slowest; only for paranoia testing.
-    Always,
 }
 
 /// A persisted link change, kept representation-exact: latencies and
@@ -160,7 +157,7 @@ pub(crate) fn encode_link(link: &LinkRecord, out: &mut Vec<u8>) {
     out.push(link.class);
 }
 
-pub(crate) fn decode_link(r: &mut Reader<'_>) -> Result<LinkRecord, CodecError> {
+pub(crate) fn decode_link(r: &mut Reader<'_>) -> Result<LinkRecord, DecodeError> {
     Ok(LinkRecord {
         a: r.u32()?,
         b: r.u32()?,
@@ -176,7 +173,7 @@ enum Record {
     Commit { seq: u64, time_bits: u64 },
 }
 
-fn decode_record(payload: &[u8]) -> Result<Record, CodecError> {
+fn decode_record(payload: &[u8]) -> Result<Record, DecodeError> {
     let mut r = Reader::new(payload);
     let record = match r.u8()? {
         TAG_TUPLE => {
@@ -198,10 +195,8 @@ fn decode_record(payload: &[u8]) -> Result<Record, CodecError> {
             let install = r.u8()? != 0;
             let node = r.u32()?;
             let relation = RelId::intern(r.string()?);
-            let count = r.u32()? as usize;
-            if count > r.remaining() {
-                return Err(CodecError::Truncated);
-            }
+            let count = r.u32()?;
+            let count = r.count(count)?;
             let mut group = Vec::with_capacity(count);
             for _ in 0..count {
                 group.push(codec::decode_value(&mut r)?);
@@ -225,13 +220,11 @@ fn decode_record(payload: &[u8]) -> Result<Record, CodecError> {
             seq: r.u64()?,
             time_bits: r.u64()?,
         },
-        tag => return Err(CodecError::BadTag(tag)),
+        _ => return Err(r.error("unknown record tag")),
     };
-    if !r.is_empty() {
-        // A valid record consumes its whole payload; trailing garbage means
-        // the frame length lied, i.e. corruption.
-        return Err(CodecError::Truncated);
-    }
+    // A valid record consumes its whole payload; trailing garbage means
+    // the frame length lied, i.e. corruption.
+    r.finish()?;
     Ok(record)
 }
 
@@ -279,12 +272,6 @@ impl WalWriter {
             payload.clear();
             encode_op(op, &mut payload);
             frame(&payload, &mut frames);
-            if self.durability == Durability::Always {
-                self.file.write_all(&frames)?;
-                self.file.sync_data()?;
-                self.len += frames.len() as u64;
-                frames.clear();
-            }
         }
         payload.clear();
         payload.push(TAG_COMMIT);
@@ -295,7 +282,7 @@ impl WalWriter {
         self.len += frames.len() as u64;
         match self.durability {
             Durability::None => {}
-            Durability::Barrier | Durability::Always => self.file.sync_data()?,
+            Durability::Barrier => self.file.sync_data()?,
         }
         Ok(self.len)
     }

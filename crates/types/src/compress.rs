@@ -46,6 +46,7 @@
 //! alphanumeric word tokens of a text are dictionarized, everything else is
 //! copied raw, and decoding reproduces the input exactly.
 
+use crate::codec::{put_varint, DecodeError, Reader, MAX_LIST_DEPTH};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::wire::UDP_IP_HEADER_BYTES;
@@ -84,25 +85,6 @@ fn unzigzag(u: u64) -> i64 {
     ((u >> 1) as i64) ^ -((u & 1) as i64)
 }
 
-/// A decode failure: the offset it occurred at plus a static reason.
-/// Torn, truncated or hostile input surfaces as this error — decoding never
-/// panics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError {
-    /// Byte offset in the input at which decoding failed.
-    pub at: usize,
-    /// What was wrong.
-    pub reason: &'static str,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "decode error at byte {}: {}", self.at, self.reason)
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
 /// Per-message encoder: owns the output buffer and the dictionary state.
 /// Encode any number of tuples (or raw primitives) through one encoder to
 /// share its dictionary; drop or [`Encoder::finish`] it at the message
@@ -124,12 +106,8 @@ impl Encoder {
     }
 
     /// Appends a LEB128 varint.
-    pub fn write_varint(&mut self, mut x: u64) {
-        while x >= 0x80 {
-            self.out.push((x as u8) | 0x80);
-            x >>= 7;
-        }
-        self.out.push(x as u8);
+    pub fn write_varint(&mut self, x: u64) {
+        put_varint(&mut self.out, x);
     }
 
     /// Appends a string through the dictionary: inline on first occurrence,
@@ -226,12 +204,12 @@ impl Encoder {
     }
 }
 
-/// Per-message decoder over a byte slice.  Mirrors [`Encoder`]; every read is
-/// bounds-checked and reports [`DecodeError`] instead of panicking.
+/// Per-message decoder: the dictionary layer over a [`Reader`].  Mirrors
+/// [`Encoder`]; torn, truncated or hostile input surfaces as a
+/// [`DecodeError`] — decoding never panics.
 #[derive(Debug)]
 pub struct Decoder<'a> {
-    input: &'a [u8],
-    pos: usize,
+    r: Reader<'a>,
     /// Definition-order dictionary; strings and digests share the id space.
     entries: Vec<DictEntry>,
 }
@@ -242,144 +220,84 @@ enum DictEntry {
     Digest([u8; 20]),
 }
 
-/// Nesting bound for decoded lists, matching the depth any honest encoder in
-/// this workspace produces; guards against stack exhaustion on hostile input.
-const MAX_LIST_DEPTH: usize = 8;
-
 impl<'a> Decoder<'a> {
     /// A decoder positioned at the start of `input` with an empty dictionary.
     pub fn new(input: &'a [u8]) -> Decoder<'a> {
         Decoder {
-            input,
-            pos: 0,
+            r: Reader::new(input),
             entries: Vec::new(),
         }
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.input.len() - self.pos
-    }
-
-    fn err(&self, reason: &'static str) -> DecodeError {
-        DecodeError {
-            at: self.pos,
-            reason,
-        }
-    }
-
-    fn read_byte(&mut self) -> Result<u8, DecodeError> {
-        let b = *self
-            .input
-            .get(self.pos)
-            .ok_or_else(|| self.err("unexpected end of input"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.remaining() < n {
-            return Err(self.err("unexpected end of input"));
-        }
-        let s = &self.input[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Reads a LEB128 varint (at most 10 bytes).
-    pub fn read_varint(&mut self) -> Result<u64, DecodeError> {
-        let mut x = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.read_byte()?;
-            if shift >= 63 && b > 1 {
-                return Err(self.err("varint overflows 64 bits"));
-            }
-            x |= u64::from(b & 0x7F) << shift;
-            if b & 0x80 == 0 {
-                return Ok(x);
-            }
-            shift += 7;
-        }
-    }
-
+    /// A varint length or count, bounded by what is physically present.
     fn read_len(&mut self) -> Result<usize, DecodeError> {
-        let n = self.read_varint()?;
-        // A declared length can never exceed what is physically present.
-        if n > self.remaining() as u64 {
-            return Err(self.err("declared length exceeds input"));
-        }
-        Ok(n as usize)
+        let n = self.r.varint()?;
+        self.r.count(n)
+    }
+
+    fn read_u32(&mut self, overflow: &'static str) -> Result<u32, DecodeError> {
+        u32::try_from(self.r.varint()?).map_err(|_| self.r.error(overflow))
+    }
+
+    /// Resolves a back-reference to its dictionary entry.
+    fn entry(&mut self) -> Result<&DictEntry, DecodeError> {
+        let id = self.r.varint()?;
+        usize::try_from(id)
+            .ok()
+            .and_then(|id| self.entries.get(id))
+            .ok_or_else(|| self.r.error("dictionary reference out of range"))
     }
 
     /// Reads a dictionary string (define or back-reference).
     pub fn decode_str(&mut self) -> Result<String, DecodeError> {
-        match self.read_byte()? {
+        match self.r.u8()? {
             DICT_DEFINE => {
                 let len = self.read_len()?;
-                let bytes = self.read_bytes(len)?;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|_| self.err("string is not valid UTF-8"))?
-                    .to_string();
+                let s = self.r.utf8(len)?.to_string();
                 self.entries.push(DictEntry::Str(s.clone()));
                 Ok(s)
             }
-            DICT_REF => {
-                let id = self.read_varint()?;
-                match self.entries.get(id as usize) {
-                    Some(DictEntry::Str(s)) => Ok(s.clone()),
-                    Some(DictEntry::Digest(_)) => {
-                        Err(self.err("reference to a digest where a string was expected"))
-                    }
-                    None => Err(self.err("dictionary reference out of range")),
-                }
-            }
-            _ => Err(self.err("invalid dictionary op")),
+            DICT_REF => match self.entry()? {
+                DictEntry::Str(s) => Ok(s.clone()),
+                DictEntry::Digest(_) => Err(self
+                    .r
+                    .error("reference to a digest where a string was expected")),
+            },
+            _ => Err(self.r.error("invalid dictionary op")),
         }
     }
 
     /// Reads a dictionary digest (define or back-reference).
     pub fn decode_digest(&mut self) -> Result<[u8; 20], DecodeError> {
-        match self.read_byte()? {
+        match self.r.u8()? {
             DICT_DEFINE => {
-                let bytes = self.read_bytes(20)?;
-                let mut d = [0u8; 20];
-                d.copy_from_slice(bytes);
+                let d = self.r.array()?;
                 self.entries.push(DictEntry::Digest(d));
                 Ok(d)
             }
-            DICT_REF => {
-                let id = self.read_varint()?;
-                match self.entries.get(id as usize) {
-                    Some(DictEntry::Digest(d)) => Ok(*d),
-                    Some(DictEntry::Str(_)) => {
-                        Err(self.err("reference to a string where a digest was expected"))
-                    }
-                    None => Err(self.err("dictionary reference out of range")),
-                }
-            }
-            _ => Err(self.err("invalid dictionary op")),
+            DICT_REF => match self.entry()? {
+                DictEntry::Digest(d) => Ok(*d),
+                DictEntry::Str(_) => Err(self
+                    .r
+                    .error("reference to a string where a digest was expected")),
+            },
+            _ => Err(self.r.error("invalid dictionary op")),
         }
     }
 
     fn decode_value_at(&mut self, depth: usize) -> Result<Value, DecodeError> {
-        match self.read_byte()? {
-            TAG_NODE => {
-                let n = self.read_varint()?;
-                u32::try_from(n)
-                    .map(Value::Node)
-                    .map_err(|_| self.err("node id overflows u32"))
-            }
-            TAG_INT => Ok(Value::Int(unzigzag(self.read_varint()?))),
+        match self.r.u8()? {
+            TAG_NODE => self.read_u32("node id overflows u32").map(Value::Node),
+            TAG_INT => Ok(Value::Int(unzigzag(self.r.varint()?))),
             TAG_STR => Ok(Value::from(self.decode_str()?)),
-            TAG_BOOL => match self.read_byte()? {
+            TAG_BOOL => match self.r.u8()? {
                 0 => Ok(Value::Bool(false)),
                 1 => Ok(Value::Bool(true)),
-                _ => Err(self.err("invalid bool byte")),
+                _ => Err(self.r.error("invalid bool byte")),
             },
             TAG_LIST => {
                 if depth >= MAX_LIST_DEPTH {
-                    return Err(self.err("list nesting too deep"));
+                    return Err(self.r.error("list nesting too deep"));
                 }
                 let len = self.read_len()?;
                 let mut items = Vec::with_capacity(len.min(64));
@@ -389,13 +307,10 @@ impl<'a> Decoder<'a> {
                 Ok(Value::list(items))
             }
             TAG_DIGEST => Ok(Value::Digest(self.decode_digest()?)),
-            TAG_PAYLOAD => {
-                let sz = self.read_varint()?;
-                u32::try_from(sz)
-                    .map(Value::Payload)
-                    .map_err(|_| self.err("payload size overflows u32"))
-            }
-            _ => Err(self.err("invalid value tag")),
+            TAG_PAYLOAD => self
+                .read_u32("payload size overflows u32")
+                .map(Value::Payload),
+            _ => Err(self.r.error("invalid value tag")),
         }
     }
 
@@ -407,8 +322,7 @@ impl<'a> Decoder<'a> {
     /// Reads one tuple.
     pub fn decode_tuple(&mut self) -> Result<Tuple, DecodeError> {
         let relation = self.decode_str()?;
-        let location = self.read_varint()?;
-        let location = u32::try_from(location).map_err(|_| self.err("location overflows u32"))?;
+        let location = self.read_u32("location overflows u32")?;
         let nvalues = self.read_len()?;
         let mut values = Vec::with_capacity(nvalues.min(64));
         for _ in 0..nvalues {
@@ -438,12 +352,7 @@ pub fn decode_message(bytes: &[u8]) -> Result<Vec<Tuple>, DecodeError> {
     for _ in 0..count {
         tuples.push(dec.decode_tuple()?);
     }
-    if dec.remaining() != 0 {
-        return Err(DecodeError {
-            at: bytes.len() - dec.remaining(),
-            reason: "trailing bytes after message",
-        });
-    }
+    dec.r.finish()?;
     Ok(tuples)
 }
 
@@ -528,31 +437,25 @@ pub fn compress_bytes(input: &[u8]) -> Vec<u8> {
 /// Decompresses a payload produced by [`compress_bytes`].  Never panics:
 /// torn or hostile input yields a [`DecodeError`].
 pub fn decompress_bytes(input: &[u8]) -> Result<Vec<u8>, DecodeError> {
-    let mut dec = Decoder::new(input);
+    let mut r = Reader::new(input);
     let mut out = Vec::with_capacity(input.len());
-    let mut dict: Vec<(usize, usize)> = Vec::new(); // (offset, len) into `out`
-    while dec.remaining() > 0 {
-        match dec.read_varint()? {
-            OP_RAW => {
-                let len = dec.read_len()?;
-                out.extend_from_slice(dec.read_bytes(len)?);
+    let mut dict: Vec<std::ops::Range<usize>> = Vec::new(); // tokens, as ranges of `out`
+    while !r.is_empty() {
+        let op = r.varint()?;
+        if op == OP_RAW || op == OP_DEF {
+            let len = r.varint()?;
+            let bytes = r.bytes(r.count(len)?)?;
+            if op == OP_DEF {
+                dict.push(out.len()..out.len() + bytes.len());
             }
-            OP_DEF => {
-                let len = dec.read_len()?;
-                let bytes = dec.read_bytes(len)?;
-                dict.push((out.len(), len));
-                out.extend_from_slice(bytes);
-            }
-            op => {
-                let id = (op - OP_REF0) as usize;
-                let &(offset, len) = dict.get(id).ok_or(DecodeError {
-                    at: input.len() - dec.remaining(),
-                    reason: "dictionary reference out of range",
-                })?;
-                // The referenced token already lives in `out`.
-                let token: Vec<u8> = out[offset..offset + len].to_vec();
-                out.extend_from_slice(&token);
-            }
+            out.extend_from_slice(bytes);
+        } else {
+            let token = usize::try_from(op - OP_REF0)
+                .ok()
+                .and_then(|id| dict.get(id))
+                .ok_or_else(|| r.error("dictionary reference out of range"))?;
+            // The referenced token already lives in `out`.
+            out.extend_from_within(token.clone());
         }
     }
     Ok(out)
@@ -570,14 +473,11 @@ mod tests {
     }
 
     #[test]
-    fn varint_roundtrips_boundaries() {
+    fn varint_len_matches_the_encoding() {
         for x in [0u64, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX] {
             let mut enc = Encoder::new();
             enc.write_varint(x);
             assert_eq!(enc.bytes().len(), varint_len(x));
-            let mut dec = Decoder::new(enc.bytes());
-            assert_eq!(dec.read_varint().unwrap(), x);
-            assert_eq!(dec.remaining(), 0);
         }
     }
 

@@ -21,11 +21,16 @@
 //!   evaluation harness.  Interning does not change any wire size: the model
 //!   always charged a fixed-width relation id per tuple and content-length
 //!   bytes per string value.
+//! * [`codec`] — the one binary codec: the canonical (VID) encoding of values
+//!   and tuples, its decoder, and the bounds-checked [`codec::Reader`] and
+//!   [`codec::DecodeError`] that the store's records, the serve protocol's
+//!   frames and the dictionary layer below are all decoded with.
 //! * [`compress`] — the dictionary wire codec behind the opt-in compressed
 //!   accounting mode and the serve protocol's compressed result bodies:
 //!   first occurrence of a string/VID in a message is sent inline and
 //!   assigned a varint id, repeats cost the id alone.
 
+pub mod codec;
 pub mod compress;
 pub mod sha1;
 pub mod symbol;
