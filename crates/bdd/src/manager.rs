@@ -384,18 +384,9 @@ impl SharedBddStore {
 /// assert!(m.implies(f, a));
 /// ```
 ///
-/// # Migration from the owning manager
-///
-/// `BddManager` used to own its node table; it is now a handle, and
-/// `BddManager::new()` attaches to the process-global [`SharedBddStore`].
-/// Consequences for callers of the old API:
-///
-/// * [`Bdd::index`] / [`Bdd::from_raw`] are `u64` (content-keyed ids), no
-///   longer `u32` slot indices.
-/// * `Clone` shares the store instead of deep-copying the node table.
-/// * [`BddManager::node_count`] reports the *store's* population.  Code
-///   that asserts allocation behavior should attach to an isolated store
-///   via [`BddManager::with_store`].
+/// `Clone` shares the store, and [`BddManager::node_count`] reports the
+/// store's population: code that asserts allocation behavior should attach
+/// to an isolated store via [`BddManager::with_store`].
 #[derive(Debug, Clone)]
 pub struct BddManager {
     store: SharedBddStore,

@@ -1,49 +1,30 @@
-//! CI perf gate over the machine-readable benchmark records.
+//! The byte-identity gate over the machine-readable figure records.
 //!
 //! ```text
-//! check_bench <fresh-dir> <baseline-dir>          # regression + ordering gate
-//! check_bench --time-budget 50 <fresh> <base>     # … plus a wall-clock budget
-//! check_bench --exact <dir-a> <dir-b>             # determinism diff (ignores wall clock)
-//! check_bench --exact --speedup-summary <sharded> <sequential>
+//! check_bench <dir-a> <dir-b>
 //! ```
 //!
-//! Default mode compares freshly generated `BENCH_*.json` files against the
-//! committed baselines and fails (exit 1) if
+//! Compares two directories of `BENCH_*.json` files — a fresh `figures` run
+//! against the committed `benchmarks/baseline`, a sharded run against a
+//! sequential one, a run through a persistent store against an in-memory
+//! one — and fails (exit 1) if
 //!
-//! * any figure's per-series **mean regresses by more than 25%** (the metric
-//!   is traffic or latency, so larger = worse), or
+//! * the two are **not identical** once wall-clock time and shard count are
+//!   set aside: a figure or series present on one side only, or any series
+//!   statistic that is not bit-equal, or
 //! * the **value ≥ reference ≥ none provenance-mode ordering of the paper
-//!   inverts** on any bandwidth figure, or
-//! * Figure 18's **dictionary codec stops paying for itself**: the compressed
-//!   mean exceeds the flat mean on any program, or the MINCOST / PATHVECTOR
-//!   savings fall below 25%, or
-//! * a baseline figure is missing from the fresh output, or
-//! * (with `--time-budget <pct>`) the suite's **total wall clock** exceeds the
-//!   baseline total by more than `pct` percent.
+//!   inverts** on any bandwidth figure of `<dir-a>`, or
+//! * Figure 18's **dictionary codec stops paying for itself** in `<dir-a>`:
+//!   the compressed mean exceeds the flat mean on any program, or the
+//!   MINCOST / PATHVECTOR savings fall below 25%.
 //!
 //! The series statistics are functions of the *simulated* protocol run, which
-//! is deterministic — so those gates are immune to runner noise.  The wall
-//! clock is real time and does vary with the runner, which is why the budget
-//! is opt-in, applies to the suite total (not per figure), and ships with a
-//! generous default headroom in CI (50%); it exists to catch order-of-magnitude
-//! slowdowns on the hot path, not single-digit jitter.  Per-figure
-//! `wall_secs` deltas are always printed for the record.
-//!
-//! `--exact` mode asserts two output directories are identical except for
-//! wall-clock time and shard count: CI runs the tiny scale sequentially and
-//! with four shards and diffs the results, pinning the sharded runtime's
-//! bit-identical guarantee.  With `--speedup-summary`, a markdown
-//! sequential-vs-sharded wall-clock table is appended to the file named by
-//! `$GITHUB_STEP_SUMMARY` (or printed to stdout when the variable is unset),
-//! so every CI run documents what the extra shards bought.
+//! is deterministic at every shard count and with or without persistence, so
+//! nothing here depends on the runner.  Timing is not this tool's business:
+//! `benchmarks/e2e` measures it.
 
 use exspan_bench::BenchReport;
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::path::Path;
-
-/// Allowed relative regression of a series mean before the gate fails.
-const MEAN_REGRESSION_TOLERANCE: f64 = 0.25;
 
 /// Figures on which the paper's provenance-mode ordering must hold.
 /// Figure 18 deliberately stays out of this list: it charts one provenance
@@ -91,37 +72,6 @@ fn load_dir(dir: &str) -> BTreeMap<String, BenchReport> {
         std::process::exit(2);
     }
     out
-}
-
-fn check_regressions(
-    fresh: &BTreeMap<String, BenchReport>,
-    base: &BTreeMap<String, BenchReport>,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (figure, baseline) in base {
-        let Some(current) = fresh.get(figure) else {
-            failures.push(format!("{figure}: missing from fresh results"));
-            continue;
-        };
-        for bs in &baseline.series {
-            let Some(cs) = current.series(&bs.label) else {
-                failures.push(format!("{figure}: series '{}' disappeared", bs.label));
-                continue;
-            };
-            let allowed = bs.mean * (1.0 + MEAN_REGRESSION_TOLERANCE);
-            if cs.mean > allowed {
-                failures.push(format!(
-                    "{figure} [{}]: mean {} regressed {:.1}% over baseline {} (allowed {:.0}%)",
-                    bs.label,
-                    cs.mean,
-                    (cs.mean / bs.mean - 1.0) * 100.0,
-                    bs.mean,
-                    MEAN_REGRESSION_TOLERANCE * 100.0
-                ));
-            }
-        }
-    }
-    failures
 }
 
 fn check_ordering(fresh: &BTreeMap<String, BenchReport>) -> Vec<String> {
@@ -254,183 +204,23 @@ fn check_exact(
     failures
 }
 
-/// Prints the per-figure wall-clock deltas and enforces the optional suite
-/// budget.  Returns a failure line when the budget is exceeded.
-fn check_time_budget(
-    fresh: &BTreeMap<String, BenchReport>,
-    base: &BTreeMap<String, BenchReport>,
-    budget_pct: Option<f64>,
-) -> Vec<String> {
-    let mut total_fresh = 0.0;
-    let mut total_base = 0.0;
-    println!("wall-clock per figure (fresh vs baseline):");
-    for (figure, baseline) in base {
-        let Some(current) = fresh.get(figure) else {
-            continue;
-        };
-        total_fresh += current.wall_clock_seconds;
-        total_base += baseline.wall_clock_seconds;
-        let delta = if baseline.wall_clock_seconds > 0.0 {
-            (current.wall_clock_seconds / baseline.wall_clock_seconds - 1.0) * 100.0
-        } else {
-            0.0
-        };
-        println!(
-            "  {figure:>6}: {:>7.2}s vs {:>7.2}s  ({delta:+.1}%)",
-            current.wall_clock_seconds, baseline.wall_clock_seconds
-        );
-    }
-    let total_delta = if total_base > 0.0 {
-        (total_fresh / total_base - 1.0) * 100.0
-    } else {
-        0.0
-    };
-    println!(
-        "  {:>6}: {total_fresh:>7.2}s vs {total_base:>7.2}s  ({total_delta:+.1}%)",
-        "total"
-    );
-    let mut failures = Vec::new();
-    if let Some(pct) = budget_pct {
-        let allowed = total_base * (1.0 + pct / 100.0);
-        if total_fresh > allowed {
-            failures.push(format!(
-                "suite wall clock {total_fresh:.2}s exceeds the {pct:.0}% budget over baseline \
-                 {total_base:.2}s (allowed {allowed:.2}s)"
-            ));
-        }
-    }
-    failures
-}
-
-/// Renders the sequential-vs-sharded speedup table and appends it to
-/// `$GITHUB_STEP_SUMMARY` (falling back to stdout).
-fn write_speedup_summary(
-    sharded: &BTreeMap<String, BenchReport>,
-    sequential: &BTreeMap<String, BenchReport>,
-) {
-    let shards = sharded
-        .values()
-        .next()
-        .map(|r| r.shards)
-        .unwrap_or_default();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "### Sequential vs {shards}-shard wall clock (tiny scale)\n\n\
-         | figure | sequential (s) | {shards} shards (s) | speedup |\n\
-         |---|---:|---:|---:|\n"
-    ));
-    let mut total_seq = 0.0;
-    let mut total_shard = 0.0;
-    for (figure, seq) in sequential {
-        let Some(sh) = sharded.get(figure) else {
-            continue;
-        };
-        total_seq += seq.wall_clock_seconds;
-        total_shard += sh.wall_clock_seconds;
-        out.push_str(&format!(
-            "| {figure} | {:.2} | {:.2} | {:.2}× |\n",
-            seq.wall_clock_seconds,
-            sh.wall_clock_seconds,
-            seq.wall_clock_seconds / sh.wall_clock_seconds.max(1e-9)
-        ));
-    }
-    out.push_str(&format!(
-        "| **total** | **{total_seq:.2}** | **{total_shard:.2}** | **{:.2}×** |\n",
-        total_seq / total_shard.max(1e-9)
-    ));
-    match std::env::var("GITHUB_STEP_SUMMARY") {
-        Ok(path) if !path.is_empty() => {
-            let appended = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| f.write_all(out.as_bytes()));
-            if let Err(e) = appended {
-                eprintln!("check_bench: cannot append step summary to {path}: {e}");
-                println!("{out}");
-            }
-        }
-        _ => println!("{out}"),
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut exact = false;
-    let mut speedup_summary = false;
-    let mut time_budget: Option<f64> = None;
-    let mut dirs: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--exact" => exact = true,
-            "--speedup-summary" => speedup_summary = true,
-            "--time-budget" => {
-                i += 1;
-                time_budget = match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(pct) if pct >= 0.0 => Some(pct),
-                    _ => {
-                        eprintln!("check_bench: --time-budget needs a non-negative percentage");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            other if other.starts_with("--") => {
-                eprintln!("check_bench: unknown flag {other}");
-                std::process::exit(2);
-            }
-            dir => dirs.push(dir.to_string()),
-        }
-        i += 1;
-    }
+    let dirs: Vec<String> = std::env::args().skip(1).collect();
     if dirs.len() != 2 {
-        eprintln!(
-            "usage: check_bench [--exact] [--speedup-summary] [--time-budget <pct>] \
-             <fresh-dir> <baseline-dir>"
-        );
+        eprintln!("usage: check_bench <dir-a> <dir-b>");
         std::process::exit(2);
     }
-    // Reject flag combinations that would otherwise be silently ignored — a
-    // perf gate that looks enabled but never runs is worse than a usage error.
-    if exact && time_budget.is_some() {
-        eprintln!("check_bench: --time-budget applies to the perf gate, not --exact mode");
-        std::process::exit(2);
-    }
-    if speedup_summary && !exact {
-        eprintln!("check_bench: --speedup-summary requires --exact (sharded vs sequential dirs)");
-        std::process::exit(2);
-    }
-    let (fresh_dir, base_dir) = (&dirs[0], &dirs[1]);
-    if !Path::new(base_dir).is_dir() {
-        eprintln!("check_bench: baseline directory {base_dir} does not exist");
-        std::process::exit(2);
-    }
-    let fresh = load_dir(fresh_dir);
-    let base = load_dir(base_dir);
+    let fresh = load_dir(&dirs[0]);
+    let base = load_dir(&dirs[1]);
 
-    let failures = if exact {
-        let f = check_exact(&fresh, &base);
-        if speedup_summary && f.is_empty() {
-            write_speedup_summary(&fresh, &base);
-        }
-        f
-    } else {
-        let mut f = check_regressions(&fresh, &base);
-        f.extend(check_ordering(&fresh));
-        f.extend(check_compression(&fresh));
-        f.extend(check_time_budget(&fresh, &base, time_budget));
-        f
-    };
+    let mut failures = check_exact(&fresh, &base);
+    failures.extend(check_ordering(&fresh));
+    failures.extend(check_compression(&fresh));
 
     if failures.is_empty() {
-        let mode = if exact {
-            "determinism diff"
-        } else {
-            "perf gate"
-        };
         println!(
-            "check_bench: {mode} passed over {} figure(s)",
-            base.len().max(fresh.len())
+            "check_bench: {} figure(s) identical, ordering and fig18 floors hold",
+            base.len()
         );
     } else {
         eprintln!("check_bench: {} failure(s):", failures.len());

@@ -67,7 +67,7 @@ impl Scale {
         }
     }
 
-    /// A reduced scale suitable for quick runs and Criterion benches.
+    /// A reduced scale suitable for quick runs.
     pub fn small() -> Self {
         Scale {
             domains: vec![1, 2],

@@ -4,9 +4,6 @@
 //! evaluation (paper §7).  Each `figure*` function returns the data series of
 //! one figure; the `figures` binary prints them (and the paper's expected
 //! shape) and EXPERIMENTS.md records a reference run.
-//!
-//! The harness is also reused by the Criterion benchmarks, which exercise the
-//! same drivers at reduced scale.
 
 pub mod experiments;
 pub mod report;

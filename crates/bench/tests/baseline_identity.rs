@@ -1,7 +1,7 @@
 //! Regression: the interned/`Arc`-shared runtime reproduces the committed
 //! figure baselines bit-for-bit, at 1 and 4 shards.
 //!
-//! `check_bench --exact` pins this in CI over the full tiny-scale suite; this
+//! `check_bench` pins this in CI over the full tiny-scale suite; this
 //! test pins it in `cargo test` over the fast figures (fig16/fig17 complete
 //! in well under a second each at tiny scale even in debug builds), so a
 //! representation change that alters any series statistic — wire sizes,

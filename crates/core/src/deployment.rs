@@ -50,9 +50,7 @@
 //! ```
 
 use crate::mode::ProvenanceMode;
-use crate::query::{
-    CacheMaintenance, Ctx, QueryError, QueryOutcome, QueryTrafficStats, SessionCore, TraversalOrder,
-};
+use crate::query::{Ctx, QueryError, QueryOutcome, SessionCore, SessionStats, TraversalOrder};
 use crate::repr::{Annotation, Repr};
 use crate::rewrite::{provenance_rewrite, RewriteOptions};
 use crate::value_policy::ValueBddPolicy;
@@ -464,7 +462,7 @@ impl DeploymentBuilder {
 /// keeps message ids unique across concurrent sessions.
 struct QueryFabric {
     sessions: Vec<SessionCore>,
-    specs: Vec<(Repr, TraversalOrder, bool, CacheMaintenance)>,
+    specs: Vec<(Repr, TraversalOrder, bool)>,
     outcomes: Vec<QueryOutcome>,
     /// `session_of[outcome index]` = owning session.
     session_of: Vec<usize>,
@@ -489,28 +487,18 @@ impl QueryFabric {
     }
 
     /// Finds the session matching the configuration, creating it on demand.
-    fn session_for(
-        &mut self,
-        repr: &Repr,
-        traversal: TraversalOrder,
-        cached: bool,
-        maintenance: CacheMaintenance,
-    ) -> usize {
-        if let Some(i) = self.specs.iter().position(|(r, t, c, m)| {
-            r == repr && *t == traversal && *c == cached && *m == maintenance
-        }) {
+    fn session_for(&mut self, repr: &Repr, traversal: TraversalOrder, cached: bool) -> usize {
+        if let Some(i) = self
+            .specs
+            .iter()
+            .position(|(r, t, c)| r == repr && *t == traversal && *c == cached)
+        {
             return i;
         }
         let id = self.sessions.len();
-        self.sessions.push(SessionCore::new(
-            id,
-            repr.instantiate(),
-            traversal,
-            cached,
-            maintenance,
-        ));
-        self.specs
-            .push((repr.clone(), traversal, cached, maintenance));
+        self.sessions
+            .push(SessionCore::new(id, repr.instantiate(), traversal, cached));
+        self.specs.push((repr.clone(), traversal, cached));
         id
     }
 
@@ -587,16 +575,6 @@ impl QueryFabric {
             }
         }
     }
-
-    /// Routes a base-tuple delta to every caching session, which reacts per
-    /// its [`CacheMaintenance`] policy (invalidate, or maintain in place).
-    fn on_base_delta(&mut self, vid: Vid, insert: bool) {
-        for session in &mut self.sessions {
-            if session.caching() {
-                session.on_base_delta(vid, insert);
-            }
-        }
-    }
 }
 
 /// Adapter handing the engine's surfaced externals to the query fabric.
@@ -633,7 +611,7 @@ pub struct Deployment {
     /// when the clock passes its time — invalidating at *scheduling* time
     /// would let queries completing before the delta cache results that then
     /// silently go stale.
-    pending_invalidations: BTreeMap<u64, Vec<(Vid, bool)>>,
+    pending_invalidations: BTreeMap<u64, Vec<Vid>>,
     /// True when [`DeploymentBuilder::data_dir`] pointed at an existing store
     /// and the deployment booted from its recovered state instead of seeding.
     recovered: bool,
@@ -659,7 +637,7 @@ impl QueryHandle {
 /// caching configuration and its shared result cache).
 pub struct QuerySession<'a> {
     core: &'a SessionCore,
-    spec: &'a (Repr, TraversalOrder, bool, CacheMaintenance),
+    spec: &'a (Repr, TraversalOrder, bool),
 }
 
 impl QuerySession<'_> {
@@ -678,13 +656,8 @@ impl QuerySession<'_> {
         self.spec.2
     }
 
-    /// How the session's cache reacts to base-tuple deltas.
-    pub fn maintenance(&self) -> CacheMaintenance {
-        self.spec.3
-    }
-
     /// Traffic statistics of this session's query protocol messages.
-    pub fn stats(&self) -> &QueryTrafficStats {
+    pub fn stats(&self) -> &SessionStats {
         self.core.stats()
     }
 
@@ -708,7 +681,6 @@ pub struct QueryBuilder<'a> {
     repr: Repr,
     traversal: TraversalOrder,
     cached: bool,
-    maintenance: CacheMaintenance,
     at: Option<f64>,
 }
 
@@ -737,15 +709,6 @@ impl<'a> QueryBuilder<'a> {
         self
     }
 
-    /// How the session's cache reacts to base-tuple deltas (default
-    /// [`CacheMaintenance::Invalidate`]).  Only meaningful with
-    /// [`QueryBuilder::cached`]; sessions with different maintenance
-    /// policies are distinct.
-    pub fn maintenance(mut self, maintenance: CacheMaintenance) -> Self {
-        self.maintenance = maintenance;
-        self
-    }
-
     /// Schedules issuance at an absolute simulated time instead of now.
     pub fn at(mut self, time: f64) -> Self {
         self.at = Some(time);
@@ -764,10 +727,9 @@ impl<'a> QueryBuilder<'a> {
             repr,
             traversal,
             cached,
-            maintenance,
             at,
         } = self;
-        deployment.submit_query(target, issuer, repr, traversal, cached, maintenance, at)
+        deployment.submit_query(target, issuer, repr, traversal, cached, at)
     }
 
     /// Convenience: submits the query, runs the deployment to fixpoint, and
@@ -780,11 +742,9 @@ impl<'a> QueryBuilder<'a> {
             repr,
             traversal,
             cached,
-            maintenance,
             at,
         } = self;
-        let handle =
-            deployment.submit_query(target, issuer, repr, traversal, cached, maintenance, at);
+        let handle = deployment.submit_query(target, issuer, repr, traversal, cached, at);
         deployment.run_to_fixpoint();
         deployment
             .outcome(handle)
@@ -922,18 +882,16 @@ impl Deployment {
     }
 
     /// Inserts a base tuple at `node` now.  Cached query results depending
-    /// on it are invalidated (or incrementally maintained, per the owning
-    /// session's [`CacheMaintenance`] policy).
+    /// on it are invalidated.
     pub fn insert_base(&mut self, node: NodeId, tuple: Tuple) {
-        self.fabric.on_base_delta(tuple.vid(), true);
+        self.fabric.invalidate(tuple.vid());
         self.engine.insert_base(node, tuple);
     }
 
     /// Deletes a base tuple at `node` now.  Cached query results depending
-    /// on it are invalidated (or incrementally maintained, per the owning
-    /// session's [`CacheMaintenance`] policy).
+    /// on it are invalidated.
     pub fn delete_base(&mut self, node: NodeId, tuple: Tuple) {
-        self.fabric.on_base_delta(tuple.vid(), false);
+        self.fabric.invalidate(tuple.vid());
         self.engine.delete_base(node, tuple);
     }
 
@@ -944,12 +902,12 @@ impl Deployment {
     /// completing before the delta does not leave a stale cache entry behind.
     pub fn schedule_delta(&mut self, time: f64, node: NodeId, tuple: Tuple, insert: bool) {
         if time <= self.engine.now() {
-            self.fabric.on_base_delta(tuple.vid(), insert);
+            self.fabric.invalidate(tuple.vid());
         } else {
             self.pending_invalidations
                 .entry(time.to_bits())
                 .or_default()
-                .push((tuple.vid(), insert));
+                .push(tuple.vid());
         }
         self.engine.schedule_delta(time, node, tuple, insert);
     }
@@ -1111,8 +1069,8 @@ impl Deployment {
                 .pending_invalidations
                 .remove(&bits)
                 .expect("key observed above");
-            for (vid, insert) in vids {
-                self.fabric.on_base_delta(vid, insert);
+            for vid in vids {
+                self.fabric.invalidate(vid);
             }
         }
         // A fully drained event queue means any still-unresolved query state
@@ -1194,12 +1152,10 @@ impl Deployment {
             repr: Repr::Polynomial,
             traversal: TraversalOrder::Bfs,
             cached: false,
-            maintenance: CacheMaintenance::default(),
             at: None,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn submit_query(
         &mut self,
         target: Tuple,
@@ -1207,12 +1163,9 @@ impl Deployment {
         repr: Repr,
         traversal: TraversalOrder,
         cached: bool,
-        maintenance: CacheMaintenance,
         at: Option<f64>,
     ) -> QueryHandle {
-        let sid = self
-            .fabric
-            .session_for(&repr, traversal, cached, maintenance);
+        let sid = self.fabric.session_for(&repr, traversal, cached);
         let QueryFabric {
             sessions,
             outcomes,
@@ -1295,8 +1248,8 @@ impl Deployment {
     }
 
     /// Query-traffic statistics summed over every session.
-    pub fn query_traffic_stats(&self) -> QueryTrafficStats {
-        let mut total = QueryTrafficStats::zero();
+    pub fn query_traffic_stats(&self) -> SessionStats {
+        let mut total = SessionStats::zero();
         for s in &self.fabric.sessions {
             total.merge_from(s.stats());
         }

@@ -45,10 +45,7 @@ pub use deployment::{
     BuildError, Deployment, DeploymentBuilder, Exspan, QueryBuilder, QueryHandle, QuerySession,
 };
 pub use mode::ProvenanceMode;
-pub use query::{
-    CacheMaintenance, QueryError, QueryOutcome, QueryTrafficStats, SessionStats, Traversal,
-    TraversalOrder,
-};
+pub use query::{QueryError, QueryOutcome, SessionStats, Traversal, TraversalOrder};
 pub use repr::{
     Annotation, BddRepr, DerivabilityRepr, DerivationCountRepr, NodeSetRepr, PolynomialRepr,
     ProvExpr, ProvenanceRepr, Repr, TrustDomainRepr,

@@ -136,28 +136,7 @@ struct PendingRule {
     results: Vec<Annotation>,
 }
 
-/// How a caching session reacts when a base-tuple delta touches tuples its
-/// cached results were computed from (§6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CacheMaintenance {
-    /// Discard every (transitively) dependent cache entry; the next query
-    /// recomputes it.  The paper's behavior and the default.
-    #[default]
-    Invalidate,
-    /// Maintain dependent cache entries in place where the representation
-    /// supports it: on base-tuple *deletion* the cached annotation is
-    /// rewritten via [`crate::repr::ProvenanceRepr::remove_base`] (for
-    /// polynomials, derivations using the deleted tuple are pruned; for
-    /// BDDs, the tuple's variable is restricted to false).  Insertions —
-    /// which can create derivations a cached annotation has never seen —
-    /// and representations without a `remove_base` fall back to
-    /// invalidation, so this mode is always sound.
-    Incremental,
-}
-
 /// Per-session statistics: query traffic plus cache behavior.
-///
-/// (Previously named `QueryTrafficStats`; the old name remains as an alias.)
 #[derive(Debug, Clone)]
 pub struct SessionStats {
     /// Total bytes of query-protocol messages (requests + responses).
@@ -170,18 +149,7 @@ pub struct SessionStats {
     pub cache_misses: u64,
     /// Number of cache entries invalidated.
     pub invalidations: u64,
-    /// Number of cache entries maintained in place by
-    /// [`CacheMaintenance::Incremental`] instead of being invalidated.
-    pub cache_maintained: u64,
-    /// Bytes the session's query-protocol messages would have saved under
-    /// the dictionary wire codec (tuple contents dictionary-encoded;
-    /// annotations charged unchanged).  Accounting only — the flat byte
-    /// model in [`SessionStats::bytes`] is what every figure charts.
-    pub compressed_bytes_saved: u64,
 }
-
-/// The pre-rename name of [`SessionStats`].
-pub type QueryTrafficStats = SessionStats;
 
 impl SessionStats {
     pub(crate) fn zero() -> Self {
@@ -191,8 +159,6 @@ impl SessionStats {
             cache_hits: 0,
             cache_misses: 0,
             invalidations: 0,
-            cache_maintained: 0,
-            compressed_bytes_saved: 0,
         }
     }
 
@@ -202,8 +168,6 @@ impl SessionStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.invalidations += other.invalidations;
-        self.cache_maintained += other.cache_maintained;
-        self.compressed_bytes_saved += other.compressed_bytes_saved;
     }
 }
 
@@ -229,7 +193,6 @@ pub(crate) struct SessionCore {
     repr: Box<dyn ProvenanceRepr>,
     traversal: TraversalOrder,
     caching_enabled: bool,
-    maintenance: CacheMaintenance,
     cache: HashMap<(NodeId, CacheKey), Annotation>,
     /// child digest -> cache entries that were computed from it.
     dependents: HashMap<Digest, HashSet<(NodeId, CacheKey)>>,
@@ -240,7 +203,7 @@ pub(crate) struct SessionCore {
     /// Scheduled query issuance (global outcome index -> issuer and target).
     scheduled: HashMap<i64, (NodeId, Tuple)>,
     series: BandwidthSeries,
-    stats: QueryTrafficStats,
+    stats: SessionStats,
     rng: SmallRng,
 }
 
@@ -250,14 +213,12 @@ impl SessionCore {
         repr: Box<dyn ProvenanceRepr>,
         traversal: TraversalOrder,
         caching: bool,
-        maintenance: CacheMaintenance,
     ) -> Self {
         SessionCore {
             session_id,
             repr,
             traversal,
             caching_enabled: caching,
-            maintenance,
             cache: HashMap::new(),
             dependents: HashMap::new(),
             pending_tuples: HashMap::new(),
@@ -265,7 +226,7 @@ impl SessionCore {
             in_flight: HashMap::new(),
             scheduled: HashMap::new(),
             series: BandwidthSeries::new(0.1),
-            stats: QueryTrafficStats::zero(),
+            stats: SessionStats::zero(),
             rng: SmallRng::seed_from_u64(0x5EED),
         }
     }
@@ -278,7 +239,7 @@ impl SessionCore {
         self.repr.as_ref()
     }
 
-    pub(crate) fn stats(&self) -> &QueryTrafficStats {
+    pub(crate) fn stats(&self) -> &SessionStats {
         &self.stats
     }
 
@@ -455,13 +416,6 @@ impl SessionCore {
         let bytes = message_size(std::slice::from_ref(tuple), extra) as u64;
         self.stats.bytes += bytes;
         self.stats.messages += 1;
-        // Parallel compressed accounting: what the same message would cost
-        // under the dictionary codec (annotation charged unchanged).  Pure
-        // bookkeeping — `stats.bytes` stays the flat model.
-        let compressed =
-            exspan_types::compress::compressed_message_size(std::slice::from_ref(tuple), extra)
-                as u64;
-        self.stats.compressed_bytes_saved += bytes.saturating_sub(compressed);
         self.series.record(engine.now(), bytes as usize);
     }
 
@@ -900,88 +854,6 @@ impl SessionCore {
     // ------------------------------------------------------------------
     // Cache invalidation (§6.1)
     // ------------------------------------------------------------------
-
-    /// Reacts to a base-tuple delta for `vid` according to the session's
-    /// [`CacheMaintenance`] policy: invalidation (the default, and the
-    /// fallback for insertions), or in-place maintenance of dependent cache
-    /// entries on deletion.
-    pub(crate) fn on_base_delta(&mut self, vid: Vid, insert: bool) {
-        match self.maintenance {
-            CacheMaintenance::Invalidate => self.invalidate(vid),
-            // Insertion can create derivations a cached annotation has never
-            // seen; no local rewrite can conjure them, so fall back.
-            CacheMaintenance::Incremental if insert => self.invalidate(vid),
-            CacheMaintenance::Incremental => self.maintain_delete(vid),
-        }
-    }
-
-    /// Incremental maintenance for a base-tuple *deletion* (the
-    /// [`CacheMaintenance::Incremental`] path): every cached annotation that
-    /// transitively depends on `vid` — found through the recorded
-    /// child-digest edges — is rewritten in place via
-    /// [`ProvenanceRepr::remove_base`].  Cached annotations are expressed
-    /// over base-tuple leaves, so pruning the deleted base from them yields
-    /// exactly what invalidate-and-recompute would: the deletion removes
-    /// precisely the derivations that used the tuple.  Entries the
-    /// representation cannot rewrite (and the deleted tuple's own entries)
-    /// are invalidated as before, keeping the mode sound for every
-    /// representation.
-    fn maintain_delete(&mut self, vid: Vid) {
-        // The base tuple's own cached entries are gone for good.
-        let direct: Vec<(NodeId, CacheKey)> = self
-            .cache
-            .keys()
-            .filter(|(_, k)| {
-                matches!(k, CacheKey::Tuple(v) if *v == vid)
-                    || matches!(k, CacheKey::Rule(r) if *r == vid)
-            })
-            .cloned()
-            .collect();
-        for key in direct {
-            self.cache.remove(&key);
-            self.stats.invalidations += 1;
-        }
-        // Transitively collect dependent entries WITHOUT consuming the
-        // dependency edges: maintained entries stay cached and must keep
-        // reacting to future deltas.
-        let mut affected: Vec<(NodeId, CacheKey)> = Vec::new();
-        let mut frontier: Vec<Digest> = vec![vid];
-        let mut seen: HashSet<Digest> = HashSet::new();
-        while let Some(d) = frontier.pop() {
-            if !seen.insert(d) {
-                continue;
-            }
-            if let Some(parents) = self.dependents.get(&d) {
-                let mut parents: Vec<(NodeId, CacheKey)> = parents.iter().cloned().collect();
-                // The HashSet iteration order is nondeterministic; sort so
-                // maintenance order (and hence stats) is reproducible.
-                parents.sort();
-                for (node, key) in parents {
-                    let parent_digest = match key {
-                        CacheKey::Tuple(v) => v,
-                        CacheKey::Rule(r) => r,
-                    };
-                    affected.push((node, key));
-                    frontier.push(parent_digest);
-                }
-            }
-        }
-        for entry in affected {
-            let Some(ann) = self.cache.get(&entry) else {
-                continue;
-            };
-            match self.repr.remove_base(ann, vid) {
-                Some(maintained) => {
-                    self.cache.insert(entry, maintained);
-                    self.stats.cache_maintained += 1;
-                }
-                None => {
-                    self.cache.remove(&entry);
-                    self.stats.invalidations += 1;
-                }
-            }
-        }
-    }
 
     /// Invalidates every cached result that (transitively) depends on the
     /// tuple vertex `vid` — called when a base tuple is inserted or deleted.

@@ -272,20 +272,6 @@ pub trait ProvenanceRepr: Send {
         let _ = (annotation, threshold);
         false
     }
-
-    /// Rewrites `annotation` to reflect the *deletion* of the base tuple
-    /// `vid`, for incremental cache maintenance
-    /// ([`crate::query::CacheMaintenance::Incremental`]).  Returns the
-    /// maintained annotation, or `None` when the representation cannot
-    /// maintain it — including when the rewrite collapses to "no derivations
-    /// left" — in which case the session invalidates the cache entry
-    /// instead.  The default maintains nothing, so aggregate
-    /// representations (counts, node sets) that cannot subtract a base
-    /// tuple's contribution stay sound.
-    fn remove_base(&mut self, annotation: &Annotation, vid: Vid) -> Option<Annotation> {
-        let _ = (annotation, vid);
-        None
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -337,46 +323,6 @@ impl ProvenanceRepr for PolynomialRepr {
         match annotation {
             Annotation::Expr(e) => e.wire_size(),
             _ => 0,
-        }
-    }
-
-    fn remove_base(&mut self, annotation: &Annotation, vid: Vid) -> Option<Annotation> {
-        let Annotation::Expr(e) = annotation else {
-            return None;
-        };
-        prune_base(e, vid).map(Annotation::Expr)
-    }
-}
-
-/// Substitutes zero for `Base(vid)` in the polynomial and normalizes:
-/// a product with a zero factor is zero, a sum drops its zero terms.
-/// `None` means the whole expression collapsed to zero (every derivation
-/// used the deleted tuple).
-fn prune_base(e: &ProvExpr, vid: Vid) -> Option<ProvExpr> {
-    match e {
-        ProvExpr::Base(v) => (*v != vid).then(|| e.clone()),
-        ProvExpr::Product { rule, loc, factors } => {
-            let pruned: Vec<ProvExpr> = factors
-                .iter()
-                .map(|f| prune_base(f, vid))
-                .collect::<Option<_>>()?;
-            Some(ProvExpr::Product {
-                rule: rule.clone(),
-                loc: *loc,
-                factors: pruned,
-            })
-        }
-        ProvExpr::Sum { loc, terms } => {
-            let surviving: Vec<ProvExpr> =
-                terms.iter().filter_map(|t| prune_base(t, vid)).collect();
-            if surviving.is_empty() {
-                None
-            } else {
-                Some(ProvExpr::Sum {
-                    loc: *loc,
-                    terms: surviving,
-                })
-            }
         }
     }
 }
@@ -700,23 +646,6 @@ impl ProvenanceRepr for BddRepr {
             Annotation::Bdd(b) => self.manager.serialized_size(*b),
             _ => 0,
         }
-    }
-
-    fn remove_base(&mut self, annotation: &Annotation, vid: Vid) -> Option<Annotation> {
-        let Annotation::Bdd(b) = annotation else {
-            return None;
-        };
-        // A base tuple the session never assigned a variable cannot occur in
-        // any cached BDD: the annotation is already correct.
-        let Some(var) = self.vars.get(&vid).copied() else {
-            return Some(annotation.clone());
-        };
-        let restricted = self.manager.restrict(*b, var, false);
-        // FALSE means no derivation survives — let invalidation retire the
-        // entry rather than caching an unsatisfiable annotation.
-        self.manager
-            .is_satisfiable(restricted)
-            .then_some(Annotation::Bdd(restricted))
     }
 }
 

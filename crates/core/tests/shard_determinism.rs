@@ -7,11 +7,12 @@
 //! that guarantee for each provenance mode over topologies small enough for
 //! debug-mode CI.
 
-use exspan_core::{Deployment, Exspan, ProvenanceMode};
+use exspan_core::{Deployment, Exspan, ProvExpr, ProvenanceMode, Repr};
 use exspan_ndlog::ast::Program;
 use exspan_ndlog::programs;
 use exspan_netsim::Topology;
-use exspan_types::Tuple;
+use exspan_types::{Tuple, Vid};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Everything a figure could observe about a finished run.
@@ -127,6 +128,87 @@ fn value_mode_annotations_identical_across_shard_counts() {
     assert!(!oracle.is_empty());
     assert_eq!(oracle, sizes(2));
     assert_eq!(oracle, sizes(4));
+}
+
+/// Expands a polynomial into its canonical monomial set — one sorted VID
+/// list per derivation — which is insensitive to the order sub-results
+/// happened to arrive in.
+fn monomials(e: &ProvExpr) -> BTreeSet<Vec<Vid>> {
+    match e {
+        ProvExpr::Base(v) => BTreeSet::from([vec![*v]]),
+        ProvExpr::Sum { terms, .. } => terms.iter().flat_map(monomials).collect(),
+        ProvExpr::Product { factors, .. } => {
+            let mut acc: BTreeSet<Vec<Vid>> = BTreeSet::from([Vec::new()]);
+            for f in factors {
+                let fm = monomials(f);
+                acc = acc
+                    .iter()
+                    .flat_map(|m| {
+                        fm.iter().map(move |fm1| {
+                            let mut combined = m.clone();
+                            combined.extend(fm1.iter().copied());
+                            combined.sort();
+                            combined
+                        })
+                    })
+                    .collect();
+            }
+            acc
+        }
+    }
+}
+
+#[test]
+fn cached_answers_after_link_deletion_identical_across_shard_counts() {
+    // Warm a caching session, fail a ring link, re-converge, ask again: the
+    // second round is answered partly from surviving cache entries and
+    // partly by recomputing invalidated ones, and its derivations must not
+    // depend on the shard count.
+    let round = |shards: usize| {
+        let mut deployment = deploy(&programs::mincost(), ProvenanceMode::Reference, shards);
+        deployment.run_to_fixpoint();
+        let targets: Vec<Tuple> = deployment
+            .tuples_everywhere_shared("bestPathCost")
+            .iter()
+            .filter(|t| t.location < 6)
+            .map(|t| (**t).clone())
+            .collect();
+        assert!(!targets.is_empty(), "protocol produced no bestPathCost");
+        let ask = |deployment: &mut Deployment| {
+            let handles: Vec<_> = targets
+                .iter()
+                .map(|t| {
+                    deployment
+                        .query(t)
+                        .repr(Repr::Polynomial)
+                        .cached(true)
+                        .submit()
+                })
+                .collect();
+            deployment.run_to_fixpoint();
+            handles
+        };
+        ask(&mut deployment);
+        deployment.remove_link(2, 3);
+        deployment.run_to_fixpoint();
+        let handles = ask(&mut deployment);
+        assert!(
+            deployment.session(handles[0]).stats().invalidations > 0,
+            "the deleted link must touch cached entries"
+        );
+        handles
+            .iter()
+            .map(|h| {
+                let outcome = deployment.outcome(*h).expect("own handle");
+                outcome
+                    .annotation
+                    .as_ref()
+                    .and_then(|a| a.as_expr())
+                    .map(monomials)
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(round(1), round(4));
 }
 
 #[test]

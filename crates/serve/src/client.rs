@@ -44,9 +44,6 @@ pub struct SessionInfo {
     pub pipeline_depth: u32,
     /// Data bytes per result chunk the server streams.
     pub chunk_bytes: u32,
-    /// Whether result bodies travel dictionary-compressed — the client
-    /// offered the codec and the server accepted.
-    pub codec: bool,
 }
 
 /// Result of polling a query.
@@ -58,13 +55,9 @@ pub struct PollStatus {
     pub latency: f64,
     /// Result summary (empty while pending).
     pub summary: String,
-    /// The full rendered result, reassembled from the chunk stream (and
-    /// decompressed, on codec sessions).  `None` while pending.
+    /// The full rendered result, reassembled from the chunk stream.  `None`
+    /// while pending.
     pub result: Option<String>,
-    /// Cache entries the query's session maintained in place.
-    pub cache_maintained: u64,
-    /// Bytes the dictionary codec saved on the session's query traffic.
-    pub compressed_bytes_saved: u64,
 }
 
 /// One logical server response, matched to its request id.
@@ -103,8 +96,6 @@ struct PendingStream {
     state: QueryState,
     latency: f64,
     summary: String,
-    cache_maintained: u64,
-    compressed_bytes_saved: u64,
     assembler: ResultAssembler,
 }
 
@@ -120,18 +111,8 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connects and performs the handshake, offering the dictionary result
-    /// codec.
+    /// Connects and performs the handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<ServeClient, ServeError> {
-        Self::connect_with(addr, true)
-    }
-
-    /// Connects, optionally offering the dictionary result codec of
-    /// [`exspan_types::compress`].
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        offer_codec: bool,
-    ) -> Result<ServeClient, ServeError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let mut reader = BufReader::new(stream);
@@ -139,7 +120,7 @@ impl ServeClient {
             &mut reader.get_ref(),
             &Frame::Hello {
                 version: PROTOCOL_VERSION,
-                codec: offer_codec,
+                codec: false,
             },
         )?;
         let info = match read_one(&mut reader)? {
@@ -153,7 +134,7 @@ impl ServeClient {
                 version,
                 pipeline_depth,
                 chunk_bytes,
-                codec,
+                ..
             } => SessionInfo {
                 session,
                 program,
@@ -164,7 +145,6 @@ impl ServeClient {
                 version,
                 pipeline_depth,
                 chunk_bytes,
-                codec,
             },
             Frame::Error {
                 code,
@@ -238,8 +218,7 @@ impl ServeClient {
                     latency,
                     summary,
                     result_total,
-                    cache_maintained,
-                    compressed_bytes_saved,
+                    ..
                 } => {
                     if result_total == 0 {
                         let result = (state == QueryState::Complete).then(String::new);
@@ -251,8 +230,6 @@ impl ServeClient {
                                 latency,
                                 summary,
                                 result,
-                                cache_maintained,
-                                compressed_bytes_saved,
                             },
                         });
                     }
@@ -264,8 +241,6 @@ impl ServeClient {
                             state,
                             latency,
                             summary,
-                            cache_maintained,
-                            compressed_bytes_saved,
                             assembler: ResultAssembler::new(result_total),
                         },
                     );
@@ -287,17 +262,6 @@ impl ServeClient {
                             .streams
                             .remove(&request)
                             .expect("stream entry just borrowed");
-                        // On codec sessions the body travels compressed.
-                        let body = if self.info.codec {
-                            exspan_types::compress::decompress_bytes(&body).map_err(|e| {
-                                ServeError::UnexpectedFrame {
-                                    got: "an undecodable compressed result body",
-                                    expected: e.reason,
-                                }
-                            })?
-                        } else {
-                            body
-                        };
                         return Ok(Response::Status {
                             request,
                             query: stream.query,
@@ -306,8 +270,6 @@ impl ServeClient {
                                 latency: stream.latency,
                                 summary: stream.summary,
                                 result: Some(String::from_utf8_lossy(&body).into_owned()),
-                                cache_maintained: stream.cache_maintained,
-                                compressed_bytes_saved: stream.compressed_bytes_saved,
                             },
                         });
                     }

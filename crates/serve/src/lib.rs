@@ -20,25 +20,6 @@
 //!   [`exspan_runtime::WallClock`] and executes submits/polls it receives
 //!   over a channel, waking the reactor through a loopback socket pair.
 //!
-//! ## Executor migration: `SimClock` vs `WallClock`
-//!
-//! Historically every driver raced the simulation "as fast as possible" to a
-//! requested horizon.  That policy is now the
-//! [`exspan_runtime::Executor`] trait with two implementations:
-//!
-//! * [`exspan_runtime::SimClock`] — the deterministic clock.
-//!   `Deployment::run_until(t)` is literally `run_with(&mut SimClock, t)`:
-//!   one pump straight to the target, byte-identical to the pre-trait code.
-//!   Figures, tests and baselines all ride this path.
-//! * [`exspan_runtime::WallClock`] — simulated seconds accrue at a
-//!   configurable rate per wall-clock second.  `run_with(&mut wall, t)`
-//!   pumps only as far as real time has paid for, sleeping a bounded
-//!   quantum between pumps (no tokio, just `thread::sleep`).  This is what
-//!   lets a server interleave query admission with gradual protocol churn.
-//!
-//! An executor only chooses the *horizon* of each pump, never the order of
-//! events below it — determinism below the horizon is untouched.
-//!
 //! ## Wire protocol
 //!
 //! Length-prefixed frames over TCP (see [`proto`] for the byte-level
@@ -58,6 +39,8 @@
 //! rendered result as `ResultChunk` frames
 //! ([`proto::MAX_FRAME_LEN`] bounds *frames*, not results) and reassembled
 //! transparently by [`ServeClient`].  A session ends with `Bye ↔ Bye`.
+//! Bodies travel as rendered: the handshake's `codec` flag and the two
+//! trailing `QueryStatusV2` counters are reserved (see [`proto`]).
 //!
 //! Every violation — malformed body, oversized frame, pre-handshake
 //! request, admission-control overflow, rate-limit exhaustion, pipeline
@@ -68,27 +51,6 @@
 //! bounded accept queue (`max_sessions`), a global in-flight query cap
 //! (`max_inflight`), a per-session token bucket ([`limiter::TokenBucket`]),
 //! a per-connection pipeline depth and write-queue byte bound.
-//!
-//! ## Migrating from the pub-field `ServeConfig` / `Server::start`
-//!
-//! `ServeConfig` used to be a plain struct whose fields were set with a
-//! struct literal and handed to `Server::start`.  It is now a builder (so
-//! knobs can grow without breaking struct literals), entry is
-//! [`Server::bind`], and both it and [`ServeClient`] are re-exported from
-//! the `exspan` facade:
-//!
-//! | before | after |
-//! |---|---|
-//! | `ServeConfig { addr: a, ..Default::default() }` | `ServeConfig::default().addr(a)` |
-//! | `config.max_sessions = n` | `.max_sessions(n)` |
-//! | `config.max_inflight = n` | `.max_inflight(n)` |
-//! | `config.rate = r; config.burst = b` | `.rate_limit(r, b)` |
-//! | `config.clock_rate = c` | `.clock_rate(c)` |
-//! | `config.quantum = q` | `.quantum(q)` |
-//! | *(added later)* | `.pipeline_depth(n)`, `.write_queue_bytes(n)`, `.chunk_bytes(n)` |
-//! | persistence wired by the caller | `.data_dir(path)` — shutdown checkpoints |
-//! | `Server::start(deployment, config)` | `Server::bind(deployment, config)` |
-//! | `use exspan_serve::ServeConfig` | `use exspan::{ServeClient, ServeConfig}` also works |
 //!
 //! ## Running it
 //!

@@ -59,15 +59,15 @@
 //! request arrive in offset order; chunks for *different* requests may
 //! interleave.  A `result_total` of zero means no chunks follow.
 //!
-//! # Result compression
+//! # Reserved fields
 //!
-//! A client that sets the codec flag in its [`Frame::Hello`] offers the
-//! dictionary byte codec of [`exspan_types::compress`].  The server accepts
-//! by echoing the flag in [`Frame::HelloAckV2`]; from then on every streamed
-//! result body travels as `compress_bytes` output and `result_total` counts
-//! the *compressed* bytes.  [`Frame::QueryStatusV2`] additionally reports
-//! the session's `cache_maintained` and `compressed_bytes_saved` counters,
-//! so load generators can observe both optimizations without a side channel.
+//! Result bodies always travel as rendered.  The `codec` flag of
+//! [`Frame::Hello`] / [`Frame::HelloAckV2`] once negotiated a compressed
+//! body; it stays in the layout, a client may still set it, and the server
+//! always answers `false`.  The `cache_maintained` and
+//! `compressed_bytes_saved` counters of [`Frame::QueryStatusV2`] likewise
+//! stay in the layout, written as zero by the server and ignored by
+//! [`crate::ServeClient`].
 
 use exspan_core::{Repr, TraversalOrder};
 use exspan_types::codec::{self, DecodeError, Reader};
@@ -233,8 +233,8 @@ pub enum Frame {
     Hello {
         /// Protocol version the client speaks.
         version: u16,
-        /// Whether the client offers the dictionary result codec
-        /// ([`exspan_types::compress`]).
+        /// Reserved: an offer of a result-body codec, which the server
+        /// declines.
         codec: bool,
     },
     /// Handshake acceptance with the deployment's shape and the session's
@@ -258,8 +258,7 @@ pub enum Frame {
         pipeline_depth: u32,
         /// Data bytes per [`Frame::ResultChunk`] the server will send.
         chunk_bytes: u32,
-        /// Whether the session's [`Frame::ResultChunk`] bodies travel
-        /// dictionary-compressed (client offered and server accepted).
+        /// Reserved: always `false` — result bodies travel as rendered.
         codec: bool,
     },
     /// Orderly goodbye (either direction; the server echoes it).
@@ -300,14 +299,12 @@ pub enum Frame {
         latency: f64,
         /// Human-readable result summary (empty while pending).
         summary: String,
-        /// Total bytes of the streamed result body (0 while pending).  On
-        /// codec sessions this is the *compressed* length — exactly the
-        /// bytes that follow as [`Frame::ResultChunk`] frames.
+        /// Total bytes of the streamed result body (0 while pending) —
+        /// exactly the bytes that follow as [`Frame::ResultChunk`] frames.
         result_total: u64,
-        /// Cache entries this query's session maintained in place
-        /// ([`exspan_core::CacheMaintenance::Incremental`]).
+        /// Reserved: always zero.
         cache_maintained: u64,
-        /// Bytes the dictionary codec saved on the session's query traffic.
+        /// Reserved: always zero.
         compressed_bytes_saved: u64,
     },
     /// One slice of a rendered query result, reassembled by `request` id.

@@ -79,21 +79,6 @@ const FLUSH_QUANTUM: usize = 128 * 1024;
 ///     .rate_limit(500.0, 64)
 ///     .pipeline_depth(32);
 /// ```
-///
-/// Migration from the PR 7 field-struct form:
-///
-/// | old public field | builder method |
-/// |------------------|----------------|
-/// | `addr`           | [`ServeConfig::addr`] |
-/// | `max_sessions`   | [`ServeConfig::max_sessions`] |
-/// | `max_inflight`   | [`ServeConfig::max_inflight`] |
-/// | `rate`, `burst`  | [`ServeConfig::rate_limit`] |
-/// | `clock_rate`     | [`ServeConfig::clock_rate`] |
-/// | `quantum`        | [`ServeConfig::quantum`] |
-/// | — (added later)  | [`ServeConfig::pipeline_depth`] |
-/// | — (added later)  | [`ServeConfig::write_queue_bytes`] |
-/// | — (added later)  | [`ServeConfig::chunk_bytes`] |
-/// | — (CLI-only before) | [`ServeConfig::data_dir`] |
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     addr: String,
@@ -214,13 +199,8 @@ enum PollVerdict {
         state: QueryState,
         latency: f64,
         summary: String,
-        /// Rendered result body (polls of completed queries only) —
-        /// dictionary-compressed when the connection negotiated the codec.
+        /// Rendered result body (polls of completed queries only).
         result: Option<Arc<Vec<u8>>>,
-        /// Cache entries the query's session maintained in place.
-        cache_maintained: u64,
-        /// Bytes the codec saved on the session's query traffic.
-        compressed_bytes_saved: u64,
     },
     Unknown,
 }
@@ -236,9 +216,6 @@ enum Command {
         conn: usize,
         request: u64,
         query: u64,
-        /// Render the result body through the dictionary codec (the
-        /// connection offered and the server accepted it at handshake).
-        want_codec: bool,
     },
 }
 
@@ -421,16 +398,12 @@ fn worker_loop(
         WallClock::starting_at(deployment.now(), config.clock_rate).with_quantum(config.quantum);
     let mut handles: HashMap<u64, QueryHandle> = HashMap::new();
     // Rendered result bodies, cached so repeated polls of one completed
-    // query re-use the same `Arc`ed bytes.  Codec connections get the
-    // dictionary-compressed rendering, cached separately: one deployment
-    // serves plain and codec sessions side by side.
+    // query re-use the same `Arc`ed bytes.
     let mut rendered: HashMap<u64, Arc<Vec<u8>>> = HashMap::new();
-    let mut rendered_compressed: HashMap<u64, Arc<Vec<u8>>> = HashMap::new();
 
     let handle_command = |deployment: &mut Deployment,
                           handles: &mut HashMap<u64, QueryHandle>,
                           rendered: &mut HashMap<u64, Arc<Vec<u8>>>,
-                          rendered_compressed: &mut HashMap<u64, Arc<Vec<u8>>>,
                           cmd: Command| {
         match cmd {
             Command::Submit {
@@ -449,31 +422,20 @@ fn worker_loop(
                 conn,
                 request,
                 query,
-                want_codec,
             } => {
                 let verdict = match handles.get(&query) {
                     None => PollVerdict::Unknown,
                     Some(&handle) => match deployment.completed_outcome(handle) {
                         Ok(outcome) => {
-                            let flat = Arc::clone(rendered.entry(query).or_insert_with(|| {
+                            let result = Arc::clone(rendered.entry(query).or_insert_with(|| {
                                 Arc::new(render_result(outcome.annotation.as_ref()))
                             }));
-                            let result = if want_codec {
-                                Arc::clone(rendered_compressed.entry(query).or_insert_with(|| {
-                                    Arc::new(exspan_types::compress::compress_bytes(&flat))
-                                }))
-                            } else {
-                                flat
-                            };
-                            let stats = deployment.session(handle).stats().clone();
                             PollVerdict::Status {
                                 state: QueryState::Complete,
                                 latency: outcome.completed_at.unwrap_or(outcome.issued_at)
                                     - outcome.issued_at,
                                 summary: summarize(outcome.annotation.as_ref()),
                                 result: Some(result),
-                                cache_maintained: stats.cache_maintained,
-                                compressed_bytes_saved: stats.compressed_bytes_saved,
                             }
                         }
                         Err(QueryError::NotComplete { .. }) => PollVerdict::Status {
@@ -481,8 +443,6 @@ fn worker_loop(
                             latency: 0.0,
                             summary: String::new(),
                             result: None,
-                            cache_maintained: 0,
-                            compressed_bytes_saved: 0,
                         },
                         Err(_) => PollVerdict::Unknown,
                     },
@@ -500,13 +460,7 @@ fn worker_loop(
     loop {
         let mut replied = false;
         while let Ok(cmd) = rx.try_recv() {
-            handle_command(
-                &mut deployment,
-                &mut handles,
-                &mut rendered,
-                &mut rendered_compressed,
-                cmd,
-            );
+            handle_command(&mut deployment, &mut handles, &mut rendered, cmd);
             replied = true;
         }
         if replied {
@@ -524,21 +478,9 @@ fn worker_loop(
         // then commit their replies together, ahead of the first flush.
         match rx.recv_timeout(config.quantum) {
             Ok(cmd) => {
-                handle_command(
-                    &mut deployment,
-                    &mut handles,
-                    &mut rendered,
-                    &mut rendered_compressed,
-                    cmd,
-                );
+                handle_command(&mut deployment, &mut handles, &mut rendered, cmd);
                 while let Ok(cmd) = rx.try_recv() {
-                    handle_command(
-                        &mut deployment,
-                        &mut handles,
-                        &mut rendered,
-                        &mut rendered_compressed,
-                        cmd,
-                    );
+                    handle_command(&mut deployment, &mut handles, &mut rendered, cmd);
                 }
                 let _ = wake.write(&[1]);
             }
@@ -614,9 +556,6 @@ struct Conn {
     session: u64,
     /// Whether a `Hello` has been accepted on this connection.
     greeted: bool,
-    /// Whether this session's result bodies travel dictionary-compressed
-    /// (offered in `Hello`).
-    codec: bool,
     /// Requests currently at the worker (pipeline-depth accounting).
     inflight: u32,
     /// Close once the write queue fully flushes (after `Bye` or a fatal
@@ -637,7 +576,6 @@ impl Conn {
             bucket: TokenBucket::new(config.rate, config.burst),
             session,
             greeted: false,
-            codec: false,
             inflight: 0,
             draining: false,
         }
@@ -963,7 +901,7 @@ impl Reactor {
             }
         };
         match frame {
-            Frame::Hello { version, codec } => {
+            Frame::Hello { version, .. } => {
                 if version < PROTOCOL_VERSION {
                     conn.respond(
                         &Frame::Error {
@@ -982,7 +920,6 @@ impl Reactor {
                 // A client from the future is answered at the one version
                 // this server speaks.
                 conn.greeted = true;
-                conn.codec = codec;
                 let ack = Frame::HelloAckV2 {
                     session: conn.session,
                     program: self.greeting.program.clone(),
@@ -993,7 +930,8 @@ impl Reactor {
                     version: PROTOCOL_VERSION,
                     pipeline_depth: config.pipeline_depth,
                     chunk_bytes: config.chunk_bytes as u32,
-                    codec,
+                    // Reserved: an offered result codec is declined.
+                    codec: false,
                 };
                 conn.respond(&ack, None, config);
             }
@@ -1017,7 +955,6 @@ impl Reactor {
                         conn: id,
                         request,
                         query,
-                        want_codec: conn.codec,
                     });
                     Self::track_sent(conn, request, sent.is_ok(), config);
                 }
@@ -1154,8 +1091,6 @@ impl Reactor {
                         latency,
                         summary,
                         result,
-                        cache_maintained,
-                        compressed_bytes_saved,
                     } => {
                         let body = result.filter(|b| !b.is_empty());
                         let result_total = body.as_ref().map_or(0, |b| b.len() as u64);
@@ -1167,8 +1102,9 @@ impl Reactor {
                                 latency,
                                 summary,
                                 result_total,
-                                cache_maintained,
-                                compressed_bytes_saved,
+                                // Reserved counters, always zero.
+                                cache_maintained: 0,
+                                compressed_bytes_saved: 0,
                             },
                             body.map(|b| (request, b)),
                             config,

@@ -12,7 +12,7 @@ use exspan_netsim::{LinkClass, LinkProps, Topology};
 use exspan_serve::proto::{
     self, ErrorCode, Frame, FrameRead, QuerySpec, QueryState, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
-use exspan_serve::{Response, ServeClient, ServeConfig, Server, ServerHandle};
+use exspan_serve::{Response, ResultAssembler, ServeClient, ServeConfig, Server, ServerHandle};
 use exspan_types::{Tuple, Value};
 use std::io::Write;
 use std::net::TcpStream;
@@ -390,46 +390,72 @@ fn large_results_stream_chunked_and_pipelined_polls_complete_out_of_order() {
 }
 
 #[test]
-fn codec_sessions_negotiate_and_stream_identical_results() {
-    // One server, two clients: one offering the dictionary codec, one
-    // declining it.  Both must see byte-identical rendered results; the
-    // codec session must actually negotiate (flag echoed in HelloAckV2)
-    // and ship fewer bytes on the wire (result_total is the compressed
-    // length, checked indirectly through the chunk assembler accepting a
-    // shorter stream).
-    let k = 10;
-    let server = boot_on(diamond_chain(k), ServeConfig::default().clock_rate(1000.0));
+fn offered_codec_is_declined_and_bodies_travel_plain() {
+    // The `codec` flag is reserved: a client that still offers it is told
+    // `false`, and the chunk stream carries the rendering itself.
+    let server = boot(ServeConfig::default().clock_rate(1000.0));
+    let mut stream = raw_connect(&server);
+    proto::write_frame(
+        &mut stream,
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+            codec: true,
+        },
+    )
+    .unwrap();
+    match read_decoded(&mut stream) {
+        Frame::HelloAckV2 { codec, .. } => assert!(!codec, "the offer must be declined"),
+        other => panic!("expected HelloAckV2, got {other:?}"),
+    }
 
-    let mut plain = ServeClient::connect_with(server.addr(), false).expect("handshake");
-    assert!(!plain.info().codec, "codec must stay off when not offered");
-    let query = plain
-        .submit(diamond_spec(k as u32, 2 * k as i64))
-        .expect("admitted");
-    let flat = plain
-        .wait_for(query, Duration::from_secs(120))
-        .expect("no protocol error")
-        .expect("completes")
-        .result
-        .expect("body streamed");
+    let submit = Frame::SubmitQuery {
+        request: 1,
+        spec: bestpath_spec(),
+    };
+    proto::write_frame(&mut stream, &submit).unwrap();
+    let Frame::SubmitAck { query, .. } = read_decoded(&mut stream) else {
+        panic!("expected SubmitAck");
+    };
+    let mut assembler = loop {
+        proto::write_frame(&mut stream, &Frame::Poll { request: 2, query }).unwrap();
+        match read_decoded(&mut stream) {
+            Frame::QueryStatusV2 {
+                state: QueryState::Complete,
+                result_total,
+                cache_maintained,
+                compressed_bytes_saved,
+                ..
+            } => {
+                assert_eq!((cache_maintained, compressed_bytes_saved), (0, 0));
+                break ResultAssembler::new(result_total);
+            }
+            Frame::QueryStatusV2 { .. } => std::thread::sleep(Duration::from_millis(2)),
+            other => panic!("expected QueryStatusV2, got {other:?}"),
+        }
+    };
+    let body = loop {
+        let Frame::ResultChunk {
+            offset,
+            total,
+            bytes,
+            ..
+        } = read_decoded(&mut stream)
+        else {
+            panic!("expected ResultChunk");
+        };
+        if let Some(body) = assembler.accept(offset, total, &bytes).expect("in order") {
+            break body;
+        }
+    };
 
-    let mut codec = ServeClient::connect(server.addr()).expect("handshake");
-    assert!(codec.info().codec, "server must accept the offered codec");
-    let query = codec
-        .submit(diamond_spec(k as u32, 2 * k as i64))
-        .expect("admitted");
-    let status = codec
-        .wait_for(query, Duration::from_secs(120))
-        .expect("no protocol error")
-        .expect("completes");
-    assert_eq!(
-        status.result.as_deref(),
-        Some(flat.as_str()),
-        "codec and plain sessions must decode to the same rendering"
-    );
-
-    codec.bye().expect("clean goodbye");
-    plain.bye().expect("clean goodbye");
-    server.shutdown();
+    let deployment = server.shutdown();
+    let rendered = deployment.outcomes()[0]
+        .annotation
+        .as_ref()
+        .and_then(|a| a.as_expr())
+        .expect("a polynomial answer")
+        .to_string();
+    assert_eq!(body, rendered.into_bytes());
 }
 
 #[test]

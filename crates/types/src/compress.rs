@@ -42,9 +42,13 @@
 //!
 //! A second, byte-oriented entry point ([`compress_bytes`] /
 //! [`decompress_bytes`]) applies the same define-or-reference scheme to
-//! opaque rendered payloads (the serve protocol's `ResultChunk` bodies):
-//! alphanumeric word tokens of a text are dictionarized, everything else is
-//! copied raw, and decoding reproduces the input exactly.
+//! opaque rendered payloads: alphanumeric word tokens of a text are
+//! dictionarized, everything else is copied raw, and decoding reproduces the
+//! input exactly.  Nothing ships bytes through it: it pays only on long,
+//! repetitive renderings, and on the result bodies `benchmarks/e2e` serves
+//! it read `types.compress_ratio` = 0.75 (a third *larger*), so
+//! `exspan-serve` sends bodies as rendered.  The pair stays as the subject
+//! of that benchmark's `types.compress_*` probes.
 
 use crate::codec::{put_varint, DecodeError, Reader, MAX_LIST_DEPTH};
 use crate::tuple::Tuple;
@@ -369,7 +373,7 @@ pub fn compressed_message_size(tuples: &[Tuple], annotation_bytes: usize) -> usi
 }
 
 // ---------------------------------------------------------------------------
-// Byte-payload codec (serve `ResultChunk` bodies)
+// Byte-payload codec
 // ---------------------------------------------------------------------------
 
 /// Ops of the byte-payload stream.  `OP_RAW` copies bytes verbatim, `OP_DEF`

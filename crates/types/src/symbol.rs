@@ -24,7 +24,7 @@
 //!
 //! Because the wire-size model always charged a fixed 2-byte relation id per
 //! tuple and content-length bytes per string value, interning changes **no
-//! figure by a single byte** (`check_bench --exact` passes against the
+//! figure by a single byte** (`check_bench` passes against the
 //! committed baselines) while cutting the figures-suite wall clock on the
 //! 1-core reference container:
 //!

@@ -176,19 +176,6 @@ impl Tuple {
         7 + self.values.iter().map(Value::wire_size).sum::<usize>()
     }
 
-    /// Number of bytes this tuple occupies under the dictionary wire codec
-    /// ([`crate::compress`]) with a fresh per-message dictionary.  Strings
-    /// and digests are emitted inline on first occurrence (repeats within
-    /// the tuple cost a varint id), integers shrink to varints, and opaque
-    /// payloads stay charged at their declared size.  This is the opt-in
-    /// compressed accounting model; [`Tuple::wire_size`] remains the flat
-    /// model every existing figure is built on.
-    pub fn compressed_wire_size(&self) -> usize {
-        let mut enc = crate::compress::Encoder::new();
-        enc.encode_tuple(self);
-        enc.charged_len()
-    }
-
     /// Convenience accessor: the `i`-th non-location attribute.
     pub fn value(&self, i: usize) -> &Value {
         &self.values[i]

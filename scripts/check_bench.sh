@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI perf gate: regenerate the tiny-scale benchmark figures and compare them
+# CI figure gate: regenerate the tiny-scale benchmark figures and compare them
 # against the committed baselines.
 #
 #   scripts/check_bench.sh                  # regenerate (1 shard) + gate
@@ -8,21 +8,18 @@
 #   scripts/check_bench.sh --data-dir DIR   # regenerate through a persistent
 #                                           # store (restartable; see figures
 #                                           # --data-dir)
-#   scripts/check_bench.sh --time-budget 50 # also fail if total wall clock
-#                                           # regresses >50% vs the baseline
 #
-# The gate (crates/bench/src/bin/check_bench.rs) fails if any figure's mean
-# regresses more than 25% over benchmarks/baseline, or if the paper's
-# value >= reference >= none provenance-mode ordering inverts.  All gated
-# numbers come from the deterministic simulation, so the gate is immune to
-# runner speed.
+# The gate (crates/bench/src/bin/check_bench.rs) fails if any series statistic
+# is not bit-equal to benchmarks/baseline, if the paper's value >= reference
+# >= none provenance-mode ordering inverts, or if fig18's codec savings fall
+# under their floors.  All gated numbers come from the deterministic
+# simulation, so the gate is immune to runner speed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BASELINE_DIR=benchmarks/baseline
 FRESH_DIR=""
 SHARDS=1
-BUDGET_ARGS=()
 DATA_DIR_ARGS=()
 
 while [[ $# -gt 0 ]]; do
@@ -35,16 +32,12 @@ while [[ $# -gt 0 ]]; do
       FRESH_DIR="$2"
       shift 2
       ;;
-    --time-budget)
-      BUDGET_ARGS=(--time-budget "$2")
-      shift 2
-      ;;
     --data-dir)
       DATA_DIR_ARGS=(--data-dir "$2")
       shift 2
       ;;
     *)
-      echo "usage: $0 [--shards N] [--fresh DIR] [--time-budget PCT] [--data-dir DIR]" >&2
+      echo "usage: $0 [--shards N] [--fresh DIR] [--data-dir DIR]" >&2
       exit 2
       ;;
   esac
@@ -66,4 +59,4 @@ if [[ -z "$FRESH_DIR" ]]; then
 fi
 
 echo "== comparing $FRESH_DIR against $BASELINE_DIR"
-./target/release/check_bench ${BUDGET_ARGS[@]+"${BUDGET_ARGS[@]}"} "$FRESH_DIR" "$BASELINE_DIR"
+./target/release/check_bench "$FRESH_DIR" "$BASELINE_DIR"
