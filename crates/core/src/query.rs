@@ -193,9 +193,12 @@ pub(crate) struct SessionCore {
     repr: Box<dyn ProvenanceRepr>,
     traversal: TraversalOrder,
     caching_enabled: bool,
-    cache: HashMap<(NodeId, CacheKey), Annotation>,
-    /// child digest -> cache entries that were computed from it.
-    dependents: HashMap<Digest, HashSet<(NodeId, CacheKey)>>,
+    /// Cached results by vertex, so invalidation reaches the entry for a VID
+    /// or RID by lookup.  The node is not part of the key: a VID or RID digest
+    /// covers its location, and a vertex is only ever queried at that node.
+    cache: HashMap<CacheKey, Annotation>,
+    /// child digest -> vertices whose cached results were computed from it.
+    dependents: HashMap<Digest, HashSet<Digest>>,
     pending_tuples: HashMap<Digest, PendingTuple>,
     pending_rules: HashMap<Digest, PendingRule>,
     /// Annotations travelling inside result messages, keyed by the message id.
@@ -214,6 +217,11 @@ impl SessionCore {
         traversal: TraversalOrder,
         caching: bool,
     ) -> Self {
+        // Only a moonwalk draws from the generator.
+        let seed = match traversal {
+            TraversalOrder::RandomMoonwalk { seed, .. } => seed,
+            _ => 0,
+        };
         SessionCore {
             session_id,
             repr,
@@ -227,7 +235,7 @@ impl SessionCore {
             scheduled: HashMap::new(),
             series: BandwidthSeries::new(0.1),
             stats: SessionStats::zero(),
-            rng: SmallRng::seed_from_u64(0x5EED),
+            rng: SmallRng::seed_from_u64(seed),
         }
     }
 
@@ -482,7 +490,7 @@ impl SessionCore {
     ) {
         // Cache check.
         if self.caching_enabled {
-            if let Some(ann) = self.cache.get(&(node, CacheKey::Tuple(vid))).cloned() {
+            if let Some(ann) = self.cache.get(&CacheKey::Tuple(vid)).cloned() {
                 self.stats.cache_hits += 1;
                 self.reply_tuple(ctx, node, qid, vid, ann, reply, time);
                 return;
@@ -609,8 +617,7 @@ impl SessionCore {
         let pending = self.pending_tuples.remove(&qid).expect("checked above");
         let ann = self.repr.p_idb(pending.node, &pending.results);
         if self.caching_enabled {
-            self.cache
-                .insert((pending.node, CacheKey::Tuple(pending.vid)), ann.clone());
+            self.cache.insert(CacheKey::Tuple(pending.vid), ann.clone());
         }
         self.reply_tuple(
             ctx,
@@ -690,7 +697,7 @@ impl SessionCore {
         time: f64,
     ) {
         if self.caching_enabled {
-            if let Some(ann) = self.cache.get(&(rloc, CacheKey::Rule(rid))).cloned() {
+            if let Some(ann) = self.cache.get(&CacheKey::Rule(rid)).cloned() {
                 self.stats.cache_hits += 1;
                 self.finish_rule_reply(ctx, rloc, rqid, rid, parent_qid, parent_node, ann, time);
                 return;
@@ -786,8 +793,7 @@ impl SessionCore {
             .repr
             .p_rule(&pending.rule, pending.rloc, &pending.results);
         if self.caching_enabled {
-            self.cache
-                .insert((pending.rloc, CacheKey::Rule(pending.rid)), ann.clone());
+            self.cache.insert(CacheKey::Rule(pending.rid), ann.clone());
             // Record dependencies for invalidation: the rule result depends on
             // each of its children.
             let exec = rule_exec_entry(ctx.engine, pending.rloc, pending.rid);
@@ -796,7 +802,7 @@ impl SessionCore {
                     self.dependents
                         .entry(child)
                         .or_default()
-                        .insert((pending.rloc, CacheKey::Rule(pending.rid)));
+                        .insert(pending.rid);
                 }
             }
         }
@@ -828,10 +834,7 @@ impl SessionCore {
             // The parent tuple's cached result (once it completes at
             // parent_node) depends on this rule execution.
             if let Some(parent) = self.pending_tuples.get(&parent_qid) {
-                self.dependents
-                    .entry(rid)
-                    .or_default()
-                    .insert((parent.node, CacheKey::Tuple(parent.vid)));
+                self.dependents.entry(rid).or_default().insert(parent.vid);
             }
         }
         if parent_node == rloc {
@@ -864,33 +867,14 @@ impl SessionCore {
             if !seen.insert(d) {
                 continue;
             }
-            // Remove direct cache entries for the digest itself.
-            let direct: Vec<(NodeId, CacheKey)> = self
-                .cache
-                .keys()
-                .filter(|(_, k)| {
-                    matches!(k, CacheKey::Tuple(v) if *v == d)
-                        || matches!(k, CacheKey::Rule(r) if *r == d)
-                })
-                .cloned()
-                .collect();
-            for key in direct {
-                self.cache.remove(&key);
-                self.stats.invalidations += 1;
-            }
-            // Propagate to dependents.
-            if let Some(parents) = self.dependents.remove(&d) {
-                for (node, key) in parents {
-                    if self.cache.remove(&(node, key)).is_some() {
-                        self.stats.invalidations += 1;
-                    }
-                    let parent_digest = match key {
-                        CacheKey::Tuple(v) => v,
-                        CacheKey::Rule(r) => r,
-                    };
-                    frontier.push(parent_digest);
+            // Remove the cache entry for the digest itself.
+            for key in [CacheKey::Tuple(d), CacheKey::Rule(d)] {
+                if self.cache.remove(&key).is_some() {
+                    self.stats.invalidations += 1;
                 }
             }
+            // Propagate to dependents: each loses its entries when popped.
+            frontier.extend(self.dependents.remove(&d).into_iter().flatten());
         }
     }
 }

@@ -117,24 +117,28 @@ impl RuleExecEntry {
 
 /// Returns all `prov` entries for `vid` stored at `node`.
 ///
-/// Reads the table through the shared-handle path: parsing borrows each row
-/// instead of deep-copying the whole `prov` table per query step.
+/// `prov` is whole-tuple-keyed, so these are the key range `[node, vid, ..]`
+/// of the node's table and only those rows are read and parsed, in the order
+/// the query layer's results depend on: ascending `(RID, RLoc)`, i.e. the
+/// table sorted by content, then filtered — alternative derivations are
+/// combined, and DFS / moonwalk pick among them, in exactly this sequence.
+/// A query session always reads an in-memory table (`Shard::step` faults a
+/// node in before it surfaces a query message); the cold read of a spilled
+/// table serves inspection and API callers only.
 pub fn prov_entries(engine: &Engine, node: NodeId, vid: Vid) -> Vec<ProvEntry> {
-    engine
-        .tuples_shared(node, "prov")
-        .iter()
+    let key = [Value::Node(node), Value::from_digest(vid)];
+    let rows = engine.tuples_with_prefix(node, "prov", &key);
+    rows.iter()
         .filter_map(|t| ProvEntry::from_tuple(t))
-        .filter(|e| e.vid == vid)
         .collect()
 }
 
-/// Returns the `ruleExec` entry for `rid` stored at `node`, if any.
+/// Returns the `ruleExec` entry for `rid` stored at `node`, if any: the
+/// first row of the key range `[node, rid, ..]`.
 pub fn rule_exec_entry(engine: &Engine, node: NodeId, rid: Rid) -> Option<RuleExecEntry> {
-    engine
-        .tuples_shared(node, "ruleExec")
-        .iter()
-        .filter_map(|t| RuleExecEntry::from_tuple(t))
-        .find(|e| e.rid == rid)
+    let key = [Value::Node(node), Value::from_digest(rid)];
+    let rows = engine.tuples_with_prefix(node, "ruleExec", &key);
+    rows.iter().find_map(|t| RuleExecEntry::from_tuple(t))
 }
 
 /// Returns every `prov` entry stored anywhere in the network (used by tests

@@ -5,11 +5,14 @@
 //! of the canonical snapshot encoding, a pure function of logical state that
 //! is independent of shard count, spill residency, and execution history.
 
-use exspan_core::{Deployment, Exspan, ProvenanceMode};
+use exspan_core::storage::{prov_entries, rule_exec_entry};
+use exspan_core::{Annotation, Deployment, Exspan, ProvenanceMode, Repr};
 use exspan_ndlog::programs;
 use exspan_netsim::{LinkClass, LinkProps, Topology};
+use exspan_types::Tuple;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 static DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
 
@@ -183,6 +186,64 @@ fn spill_budget_preserves_observable_state() {
     assert!(d.storage_stats().cold_reads > 0);
     // The digest is spill-independent.
     assert_eq!(d.state_digest(), oracle.0);
+}
+
+/// The `prov` entries of each target and the rule executions behind them,
+/// read through the storage API the query layer uses.
+fn keyed_reads(d: &Deployment, targets: &[Arc<Tuple>]) -> Vec<String> {
+    let mut seen = Vec::new();
+    for t in targets {
+        for e in prov_entries(d.engine(), t.location, t.vid()) {
+            let exec = e
+                .rid
+                .and_then(|rid| rule_exec_entry(d.engine(), e.rloc, rid));
+            seen.push(format!("{e:?} {exec:?}"));
+        }
+    }
+    seen
+}
+
+fn polynomials(d: &mut Deployment, targets: &[Arc<Tuple>]) -> Vec<Annotation> {
+    targets
+        .iter()
+        .map(|t| {
+            let outcome = d.query(t).issuer(0).repr(Repr::Polynomial).execute();
+            outcome.annotation.expect("query completes")
+        })
+        .collect()
+}
+
+#[test]
+fn provenance_reads_and_queries_over_spilled_tables_match_the_in_memory_answers() {
+    let (targets, reads, answers) = {
+        let mut d = builder(1).build().unwrap();
+        d.run_to_fixpoint();
+        churn(&mut d);
+        let mut targets = d.tuples_everywhere_shared("bestPathCost");
+        targets.retain(|t| t.location % 5 == 3 && t.values[0].as_node().unwrap() % 4 == 0);
+        assert!(targets.len() >= 6);
+        let reads = keyed_reads(&d, &targets);
+        let answers = polynomials(&mut d, &targets);
+        (targets, reads, answers)
+    };
+    let scratch = Scratch::new("spill-query");
+    let mut d = builder(1)
+        .data_dir(scratch.path())
+        .memory_budget_rows(32)
+        .build()
+        .unwrap();
+    d.run_to_fixpoint();
+    churn(&mut d);
+    let spilled = d.storage_stats();
+    assert!(spilled.tables_spilled > 0, "budget must force spill");
+    // Reading by key leaves a spilled table on disk: a cold read, no fault.
+    assert_eq!(keyed_reads(&d, &targets), reads);
+    let read = d.storage_stats();
+    assert!(read.cold_reads > spilled.cold_reads);
+    assert_eq!(read.tables_faulted, spilled.tables_faulted);
+    // A query message faults its node's tables in before the session reads.
+    assert_eq!(polynomials(&mut d, &targets), answers);
+    assert!(d.storage_stats().tables_faulted > read.tables_faulted);
 }
 
 #[test]

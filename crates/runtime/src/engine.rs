@@ -43,7 +43,7 @@ use exspan_netsim::{
 use exspan_store::{
     AggProvEntry, LinkRecord, MemoryBackend, SnapshotData, StorageBackend, StorageStats, WalOp,
 };
-use exspan_types::{wire, NodeId, RelId, Symbol, Tuple};
+use exspan_types::{wire, NodeId, RelId, Symbol, Tuple, Value};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -386,6 +386,18 @@ impl Engine {
         self.shards[self.owner(node)]
             .store
             .tuples_shared(node, RelId::intern(relation))
+    }
+
+    /// [`Engine::tuples_shared`] restricted to the tuples whose leading
+    /// attributes (0 = location) equal `prefix`: same order, read by key range.
+    pub fn tuples_with_prefix(
+        &self,
+        node: NodeId,
+        relation: &str,
+        prefix: &[Value],
+    ) -> Vec<Arc<Tuple>> {
+        let store = &self.shards[self.owner(node)].store;
+        store.tuples_with_prefix(node, RelId::intern(relation), prefix)
     }
 
     /// Visible tuples of `relation` across all nodes, as shared handles
@@ -1052,7 +1064,6 @@ mod tests {
     use super::*;
     use exspan_ndlog::programs;
     use exspan_netsim::Topology;
-    use exspan_types::Value;
 
     fn link(s: NodeId, d: NodeId, c: i64) -> Tuple {
         Tuple::new("link", s, vec![Value::Node(d), Value::Int(c)])

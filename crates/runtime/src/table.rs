@@ -22,6 +22,7 @@
 use exspan_store::{TableDump, WalOp};
 use exspan_types::{NodeId, RelId, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -395,6 +396,20 @@ impl Table {
         out
     }
 
+    /// The rows whose leading attributes (0 = location) equal `prefix`, read as
+    /// one key range — `None` unless the table is whole-tuple-keyed: only then
+    /// is the row key the attribute list, so that the matches are contiguous
+    /// and in the content order [`Table::tuples_shared`] sorts into.
+    pub fn prefix_rows(&self, prefix: &[Value]) -> Option<Vec<Arc<Tuple>>> {
+        if !self.key.is_empty() {
+            return None;
+        }
+        let from = (Bound::Included(prefix), Bound::Unbounded);
+        let rows = self.rows.range::<[Value], _>(from);
+        let rows = rows.take_while(|(key, _)| key.starts_with(prefix));
+        Some(rows.map(|(_, row)| Arc::clone(&row.tuple)).collect())
+    }
+
     #[cfg(test)]
     fn secondary_index_count(&self) -> usize {
         self.indexes.len()
@@ -599,6 +614,27 @@ impl TableStore {
             return out;
         }
         Vec::new()
+    }
+
+    /// [`TableStore::tuples_shared`] restricted to the tuples whose leading
+    /// attributes (0 = location) equal `prefix`, in the same order: a key-range
+    /// walk ([`Table::prefix_rows`]), or the full read filtered for a keyed
+    /// table or a spilled one (a cold read; only inspection callers get there).
+    pub fn tuples_with_prefix(
+        &self,
+        node: NodeId,
+        relation: RelId,
+        prefix: &[Value],
+    ) -> Vec<Arc<Tuple>> {
+        let table = self.tables.get(&(node, relation));
+        if let Some(rows) = table.and_then(|t| t.prefix_rows(prefix)) {
+            return rows;
+        }
+        let mut out = self.tuples_shared(node, relation);
+        if let Some((loc, rest)) = prefix.split_first() {
+            out.retain(|t| *loc == Value::Node(t.location) && t.values.starts_with(rest));
+        }
+        out
     }
 
     /// All visible tuples of `relation` across every node, as shared handles
@@ -1116,6 +1152,69 @@ mod tests {
         t.insert(&path_cost(0, 2, 5));
         let rows: Vec<Tuple> = t.tuples_shared().iter().map(|a| (**a).clone()).collect();
         assert_eq!(rows, vec![path_cost(0, 2, 5), path_cost(0, 3, 1)]);
+    }
+
+    fn attrs(t: &Tuple) -> Vec<Value> {
+        let loc = std::iter::once(Value::Node(t.location));
+        loc.chain(t.values.iter().cloned()).collect()
+    }
+
+    /// The reader the prefix read replaces, kept as its oracle: the table
+    /// copied and sorted by content, then the rows starting with `prefix`.
+    fn sorted_then_filtered(mut all: Vec<Arc<Tuple>>, prefix: &[Value]) -> Vec<Arc<Tuple>> {
+        all.retain(|t| attrs(t).starts_with(prefix));
+        all
+    }
+
+    proptest::proptest! {
+        /// Under random inserts, duplicate derivations and deletes the range
+        /// walk equals sort-then-filter in content and order, for the empty
+        /// prefix, an absent one, and every prefix of every tuple touched
+        /// (so of rows present, deleted and never inserted alike).
+        #[test]
+        fn prefix_rows_equal_the_sorted_filtered_read(
+            ops in proptest::collection::vec((0u8..3, 0u32..2, 0u32..3, 0i64..3, 0i64..2), 0..48),
+        ) {
+            let mut t = Table::set_semantics("r");
+            let mut prefixes = vec![Vec::new(), vec![Value::Node(9)]];
+            for (op, loc, a, b, c) in ops {
+                let row = Tuple::new("r", loc, vec![Value::Node(a), Value::Int(b), Value::Int(c)]);
+                if op < 2 {
+                    t.insert(&row);
+                } else {
+                    t.delete(&row);
+                }
+                prefixes.extend((1..=4).map(|n| attrs(&row)[..n].to_vec()));
+            }
+            for prefix in prefixes {
+                let ranged = t.prefix_rows(&prefix).expect("whole-tuple key");
+                proptest::prop_assert_eq!(ranged, sorted_then_filtered(t.tuples_shared(), &prefix));
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_and_unwritten_tables_answer_prefix_reads_by_filtering() {
+        let best_rel = Symbol::intern("bestPathCost");
+        let mut store = TableStore::new(HashMap::from([(best_rel, vec![0usize, 1])]));
+        for (d, c) in [(3, 9), (2, 5), (4, 2), (2, 4)] {
+            store.table_mut(0, best_rel).insert(&best(0, d, c));
+        }
+        let keyed = store.table(0, best_rel).expect("just written");
+        assert!(keyed.prefix_rows(&[Value::Node(0)]).is_none());
+        for n in 0..=3 {
+            for prefix in [&attrs(&best(0, 2, 4))[..n], &attrs(&best(1, 3, 5))[..n]] {
+                assert_eq!(
+                    store.tuples_with_prefix(0, best_rel, prefix),
+                    sorted_then_filtered(store.tuples_shared(0, best_rel), prefix),
+                    "{prefix:?}"
+                );
+            }
+        }
+        let to_2 = [Value::Node(0), Value::Node(2)];
+        let hit = store.tuples_with_prefix(0, best_rel, &to_2);
+        assert_eq!(hit, vec![Arc::new(best(0, 2, 4))]);
+        assert!(store.tuples_with_prefix(7, best_rel, &[]).is_empty());
     }
 
     #[test]

@@ -179,6 +179,44 @@ fn random_moonwalk_explores_a_subset() {
 }
 
 #[test]
+fn random_moonwalk_walk_is_a_function_of_its_seed() {
+    let count = |deployment: &mut Deployment, target: &Tuple| {
+        let full = deployment
+            .query(target)
+            .issuer(0)
+            .repr(Repr::DerivationCount)
+            .execute();
+        full.annotation.unwrap().as_count().unwrap()
+    };
+    // The derivations walked, one per vertex, as a polynomial.
+    let walk = |deployment: &mut Deployment, target: &Tuple, seed: u64| {
+        let walk = deployment
+            .query(target)
+            .issuer(0)
+            .repr(Repr::Polynomial)
+            .traversal(Traversal::RandomMoonwalk { fanout: 1, seed })
+            .execute();
+        walk.annotation.expect("moonwalk completes")
+    };
+    let mut deployment = reference_deployment(12, 13);
+    let target = some_targets(&deployment, 40)
+        .into_iter()
+        .max_by_key(|t| count(&mut deployment, t))
+        .unwrap();
+    assert!(count(&mut deployment, &target) >= 2);
+    let walks: Vec<_> = (1..=6)
+        .map(|seed| walk(&mut deployment, &target, seed))
+        .collect();
+    assert!(
+        walks.iter().any(|w| *w != walks[0]),
+        "six seeds walked the same derivations: {:?}",
+        walks[0]
+    );
+    let mut fresh = reference_deployment(12, 13);
+    assert_eq!(walk(&mut fresh, &target, 1), walks[0]);
+}
+
+#[test]
 fn caching_reduces_traffic_and_is_invalidated_correctly() {
     let mut deployment = reference_deployment(12, 21);
     let targets = some_targets(&deployment, 5);
