@@ -267,8 +267,12 @@ impl DeploymentBuilder {
         self
     }
 
-    /// How many WAL bytes may accumulate before a snapshot is taken and the
-    /// log truncated (only meaningful with [`DeploymentBuilder::data_dir`]).
+    /// The floor of the snapshot trigger: a snapshot is taken and the log
+    /// truncated at the first barrier where the WAL is at least `bytes` long
+    /// *and* at least as long as the snapshot it would replace, so a store
+    /// writes at most twice what it logs plus one snapshot and a reopen
+    /// replays at most about one snapshot's length of log.  `u64::MAX`
+    /// means never (only meaningful with [`DeploymentBuilder::data_dir`]).
     pub fn snapshot_every_bytes(mut self, bytes: u64) -> Self {
         self.snapshot_every_bytes = bytes;
         self

@@ -274,27 +274,6 @@ fn spilled_store_recovers_after_restart() {
 }
 
 #[test]
-fn torn_wal_tail_recovers_cleanly_at_deployment_level() {
-    use std::io::Write;
-    let scratch = Scratch::new("torn");
-    let digest = {
-        let mut d = builder(1).data_dir(scratch.path()).build().unwrap();
-        d.run_to_fixpoint();
-        churn(&mut d);
-        d.state_digest()
-    };
-    // Simulate a crash mid-append: garbage past the last committed batch.
-    let wal = scratch.path().join("wal.log");
-    let mut f = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
-    f.write_all(&[0x00, 0x00, 0x00, 0x2a, 0xde, 0xad, 0xbe])
-        .unwrap();
-    drop(f);
-    let d = builder(1).data_dir(scratch.path()).build().unwrap();
-    assert!(d.recovered_from_store());
-    assert_eq!(d.state_digest(), digest, "torn tail corrupted recovery");
-}
-
-#[test]
 fn node_count_mismatch_is_a_build_error() {
     let scratch = Scratch::new("mismatch");
     {
@@ -322,4 +301,219 @@ fn in_memory_default_reports_zero_storage_activity() {
     assert_eq!(stats.wal_bytes, 0);
     assert_eq!(stats.snapshots_written, 0);
     assert_eq!(stats.tables_spilled, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Every crash point
+// ---------------------------------------------------------------------------
+
+/// Churn batches in the crash workload, and the one after which the writer
+/// dies.  On the 5-node ring the amortised rule (floor 1) snapshots at the
+/// initial fixpoint and again at batch [`TAIL_FROM`], so the crashed store is
+/// a snapshot plus the tail of batches 7..=10 — and batch 12 of a resumed run
+/// takes the next snapshot.
+const BATCHES: usize = 12;
+const CRASH_AFTER: usize = 10;
+const TAIL_FROM: usize = 6;
+
+/// How the store under test was written (what `recovery_smoke` called a
+/// scenario): writer shards, snapshot floor, spill budget.
+struct Writer {
+    shards: usize,
+    floor: u64,
+    budget: Option<usize>,
+}
+
+/// Who recovers: damage point `i` is reopened by `RECOVERERS[i % 3]`, so every
+/// kind of damage meets every configuration, whatever wrote the store.
+const RECOVERERS: [(usize, Option<usize>); 3] = [(1, None), (4, None), (1, Some(64))];
+
+fn ring(shards: usize, floor: u64, budget: Option<usize>) -> exspan_core::DeploymentBuilder {
+    let b = Exspan::builder()
+        .program(programs::mincost())
+        .topology(Topology::testbed_ring(5, 7))
+        .mode(ProvenanceMode::Reference)
+        .shards(shards)
+        .snapshot_every_bytes(floor);
+    match budget {
+        Some(rows) => b.memory_budget_rows(rows),
+        None => b,
+    }
+}
+
+/// Churn batch `index` (0 is the initial fixpoint): toggles one chord and
+/// runs to fixpoint.  A function of the index and the topology it meets, so
+/// a recovered deployment resumes at any batch boundary.
+fn apply_batch(d: &mut Deployment, index: usize) {
+    if index > 0 {
+        let (a, b) = [(0, 2), (1, 3), (2, 4), (0, 3)][index % 4];
+        if d.topology().link(a, b).is_some() {
+            d.remove_link(a, b);
+        } else {
+            let cost = 1 + (index % 3) as i64;
+            let props = LinkProps::from_class(LinkClass::StubStub);
+            d.add_link(a, b, LinkProps { cost, ..props });
+        }
+    }
+    d.run_to_fixpoint();
+}
+
+fn copy_store(from: &std::path::Path, to: &std::path::Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for name in ["wal.log", "snapshot.bin"] {
+        if from.join(name).exists() {
+            std::fs::copy(from.join(name), to.join(name)).unwrap();
+        }
+    }
+}
+
+#[derive(Debug)]
+enum Damage {
+    /// The log ends here: a crash mid-append, or none at the final boundary.
+    Cut(usize),
+    /// One bit of this byte is wrong.
+    Flip(usize),
+    /// A half-written frame follows the last commit.
+    Garbage,
+}
+
+/// Kills `writer` after batch [`CRASH_AFTER`], then damages a copy of its
+/// store at every record boundary of the tail and four ways inside every
+/// record, and in the two windows of a snapshot write; every reopen must
+/// land on the digest of the last commit wholly before the damage, and
+/// resumed runs must end where the uninterrupted run does.
+fn every_crash_point(writer: Writer) {
+    let oracle: Vec<String> = {
+        let mut d = ring(1, 1, None).build().unwrap();
+        let digests = (0..=BATCHES).map(|i| {
+            apply_batch(&mut d, i);
+            d.state_digest()
+        });
+        digests.collect()
+    };
+
+    let scratch = Scratch::new("crash-points");
+    let (live, crashed, point) = (
+        scratch.path().join("live"),
+        scratch.path().join("crashed"),
+        scratch.path().join("point"),
+    );
+    // `commits[k]`: the length of `wal.log` once batch `k` was committed.
+    let mut commits = Vec::new();
+    {
+        let mut d = ring(writer.shards, writer.floor, writer.budget)
+            .data_dir(&live)
+            .build()
+            .unwrap();
+        for (k, digest) in oracle.iter().enumerate().take(CRASH_AFTER + 1) {
+            apply_batch(&mut d, k);
+            assert_eq!(&d.state_digest(), digest, "writer diverged at batch {k}");
+            commits.push(std::fs::metadata(live.join("wal.log")).unwrap().len() as usize);
+        }
+        // Death: what is in the files now is all there is.
+        copy_store(&live, &crashed);
+        // Had it lived to snapshot once more and died between the rename and
+        // the truncation: the new snapshot beside the log it supersedes.
+        d.checkpoint();
+        copy_store(&crashed, &point);
+        std::fs::copy(live.join("snapshot.bin"), point.join("snapshot.bin")).unwrap();
+        let mut d = ring(1, writer.floor, None)
+            .data_dir(&point)
+            .build()
+            .unwrap();
+        assert_eq!(d.state_digest(), oracle[CRASH_AFTER], "stale log replayed");
+        (CRASH_AFTER + 1..=BATCHES).for_each(|k| apply_batch(&mut d, k));
+        assert_eq!(d.state_digest(), oracle[BATCHES]);
+    }
+    let wal = std::fs::read(crashed.join("wal.log")).unwrap();
+    let snapshotting = writer.floor != u64::MAX;
+    assert_eq!(crashed.join("snapshot.bin").exists(), snapshotting);
+    if snapshotting {
+        assert_eq!(commits[TAIL_FROM], 0, "batch {TAIL_FROM} should snapshot");
+    }
+    assert_eq!(commits[CRASH_AFTER], wal.len());
+
+    // The last commit wholly before byte `offset` of the log.
+    let landed = |offset: usize| {
+        let mut tail = (TAIL_FROM..=CRASH_AFTER).rev();
+        tail.find(|&k| commits[k] <= offset).unwrap()
+    };
+    let mut points = Vec::new();
+    let mut pos = commits[TAIL_FROM];
+    while pos < wal.len() {
+        let len = u32::from_be_bytes(wal[pos..pos + 4].try_into().unwrap()) as usize;
+        let (payload, end) = (pos + 8, pos + 8 + len);
+        let before = landed(pos);
+        points.push((Damage::Cut(pos), before));
+        points.push((Damage::Cut(pos + 1), before));
+        points.push((Damage::Cut(payload + len / 2), before));
+        points.push((Damage::Cut(end - 1), before));
+        points.push((Damage::Flip(payload + len / 2), before));
+        pos = end;
+    }
+    assert_eq!(pos, wal.len(), "the committed log is whole frames");
+    points.push((Damage::Cut(wal.len()), CRASH_AFTER));
+    points.push((Damage::Garbage, CRASH_AFTER));
+    assert!(points.len() >= 100, "only {} damage points", points.len());
+
+    let resumed = [0, points.len() / 2, points.len() - 1];
+    for (i, (damage, k)) in points.iter().enumerate() {
+        copy_store(&crashed, &point);
+        let mut log = wal.clone();
+        match *damage {
+            Damage::Cut(at) => log.truncate(at),
+            Damage::Flip(at) => log[at] ^= 0x04,
+            Damage::Garbage => log.extend_from_slice(&[0, 0, 1, 0, 0xba, 0xad, 0xf0, 0x0d]),
+        }
+        std::fs::write(point.join("wal.log"), &log).unwrap();
+        // A temp file from a snapshot that never reached its rename.
+        std::fs::write(point.join("snapshot.tmp"), &log[..log.len() / 3]).unwrap();
+
+        let (shards, budget) = RECOVERERS[i % RECOVERERS.len()];
+        let mut d = ring(shards, writer.floor, budget)
+            .data_dir(&point)
+            .build()
+            .unwrap();
+        assert!(d.recovered_from_store());
+        assert!(!point.join("snapshot.tmp").exists());
+        assert_eq!(
+            d.state_digest(),
+            oracle[*k],
+            "{damage:?} of a {}-byte log, reopened by {shards} shard(s) under budget \
+             {budget:?}: expected the state of batch {k}",
+            wal.len()
+        );
+        if resumed.contains(&i) {
+            (k + 1..=BATCHES).for_each(|k| apply_batch(&mut d, k));
+            assert_eq!(d.state_digest(), oracle[BATCHES], "resumed from {damage:?}");
+        }
+    }
+}
+
+#[test]
+fn every_crash_point_of_a_snapshot_plus_tail_store() {
+    every_crash_point(Writer {
+        shards: 1,
+        floor: 1,
+        budget: None,
+    });
+}
+
+#[test]
+fn every_crash_point_of_a_store_written_by_four_shards_under_a_spill_budget() {
+    every_crash_point(Writer {
+        shards: 4,
+        floor: 1,
+        budget: Some(64),
+    });
+}
+
+#[test]
+fn every_crash_point_of_a_wal_only_store() {
+    every_crash_point(Writer {
+        shards: 4,
+        floor: u64::MAX,
+        budget: None,
+    });
 }

@@ -12,8 +12,10 @@ use std::path::{Path, PathBuf};
 pub struct StoreConfig {
     /// When the WAL is fsynced (see [`Durability`]).
     pub durability: Durability,
-    /// A snapshot is taken (and the log truncated) once at least this many
-    /// bytes of WAL have accumulated since the last one.
+    /// The floor of the snapshot trigger: a snapshot is taken (and the log
+    /// truncated) once the WAL is at least this long *and* at least as long
+    /// as the snapshot it would replace, so every snapshot byte written is
+    /// paid for by a logged byte.  `u64::MAX` means never.
     pub snapshot_wal_bytes: u64,
     /// In-memory row budget across all tables; when exceeded, the largest
     /// tables are spilled to disk until the budget holds.  `None` disables
@@ -140,7 +142,11 @@ pub struct DiskBackend {
     spill_dir: PathBuf,
     wal: WalWriter,
     config: StoreConfig,
-    wal_bytes_since_snapshot: u64,
+    /// Length of the `snapshot.bin` the next snapshot would replace (0 while
+    /// there is none).  The log since that snapshot is all of `wal.log`:
+    /// every snapshot truncates it.
+    snapshot_bytes: u64,
+    /// Everything but `wal_bytes`, which is the writer's length.
     stats: StorageStats,
 }
 
@@ -159,7 +165,8 @@ impl DiskBackend {
     /// committed state at all (a fresh deployment).
     ///
     /// Stale spill files are deleted: they are an in-process eviction
-    /// cache, and the snapshot + WAL are always the authoritative copy.
+    /// cache, and the snapshot + WAL are always the authoritative copy.  A
+    /// `snapshot.tmp` left by a crash before its rename is deleted too.
     pub fn open(
         dir: &Path,
         config: StoreConfig,
@@ -171,11 +178,16 @@ impl DiskBackend {
         }
         std::fs::create_dir_all(&spill_dir)?;
 
+        match std::fs::remove_file(dir.join("snapshot.tmp")) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
+        }
+
         let snapshot_path = dir.join("snapshot.bin");
-        let snapshot = if snapshot_path.exists() {
-            Some(snapshot::load_snapshot(&snapshot_path)?)
-        } else {
-            None
+        let (snapshot, snapshot_bytes) = match std::fs::metadata(&snapshot_path) {
+            Ok(meta) => (Some(snapshot::load_snapshot(&snapshot_path)?), meta.len()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (None, 0),
+            Err(e) => return Err(e.into()),
         };
         let wal_path = dir.join("wal.log");
         let (mut batches, valid) = wal::read_wal(&wal_path)?;
@@ -190,10 +202,7 @@ impl DiskBackend {
         } else {
             None
         };
-        let mut stats = StorageStats {
-            wal_bytes: valid,
-            ..StorageStats::default()
-        };
+        let mut stats = StorageStats::default();
         if let Some(rec) = &recovered {
             stats.recovered_batches = rec.batches.len() as u64;
         }
@@ -202,9 +211,7 @@ impl DiskBackend {
                 dir: dir.to_path_buf(),
                 spill_dir,
                 wal,
-                // Start the snapshot clock at the recovered log length so a
-                // long surviving log still triggers a snapshot promptly.
-                wal_bytes_since_snapshot: valid,
+                snapshot_bytes,
                 config,
                 stats,
             },
@@ -229,25 +236,28 @@ impl StorageBackend for DiskBackend {
     }
 
     fn commit_batch(&mut self, ops: &[WalOp], seq: u64, time_bits: u64) -> Result<(), StoreError> {
-        let before = self.wal.len;
-        let after = self.wal.append_batch(ops, seq, time_bits)?;
-        self.wal_bytes_since_snapshot += after - before;
+        self.wal.append_batch(ops, seq, time_bits)?;
         self.stats.committed_batches += 1;
         self.stats.committed_ops += ops.len() as u64;
-        self.stats.wal_bytes = after;
         Ok(())
     }
 
+    /// Due when the log has outgrown the snapshot it would replace (and the
+    /// configured floor): writes stay within twice the bytes logged plus one
+    /// snapshot, and recovery reads at most one snapshot plus a log of that
+    /// length and one barrier batch.
     fn snapshot_due(&self) -> bool {
-        self.wal_bytes_since_snapshot >= self.config.snapshot_wal_bytes
+        self.wal.len >= self.config.snapshot_wal_bytes.max(self.snapshot_bytes)
     }
 
     fn write_snapshot(&mut self, snap: &SnapshotData) -> Result<(), StoreError> {
-        snapshot::write_snapshot(&self.dir.join("snapshot.bin"), snap)?;
+        self.snapshot_bytes = snapshot::write_snapshot(&self.dir.join("snapshot.bin"), snap)?;
+        // The rename must be on disk before the truncation can be: after a
+        // power cut, the old snapshot beside an empty log would have lost
+        // every batch in between.
+        std::fs::File::open(&self.dir)?.sync_all()?;
         self.wal.truncate()?;
-        self.wal_bytes_since_snapshot = 0;
         self.stats.snapshots_written += 1;
-        self.stats.wal_bytes = 0;
         Ok(())
     }
 
@@ -256,7 +266,10 @@ impl StorageBackend for DiskBackend {
     }
 
     fn stats(&self) -> StorageStats {
-        self.stats
+        StorageStats {
+            wal_bytes: self.wal.len,
+            ..self.stats
+        }
     }
 }
 
@@ -369,26 +382,151 @@ mod tests {
         assert_eq!(std::fs::metadata(&wal).unwrap().len(), committed);
     }
 
-    #[test]
-    fn snapshot_due_follows_the_byte_threshold() {
-        let dir = tmp("due");
+    /// A store whose snapshot floor is `floor` bytes of log.
+    fn open_with_floor(dir: &Path, floor: u64) -> DiskBackend {
         let config = StoreConfig {
-            snapshot_wal_bytes: 1,
+            snapshot_wal_bytes: floor,
             ..StoreConfig::default()
         };
-        let (mut b, _) = DiskBackend::open(&dir, config).unwrap();
-        assert!(!b.snapshot_due());
-        b.commit_batch(&[op(1, 5)], 1, 1.0f64.to_bits()).unwrap();
-        assert!(b.snapshot_due());
+        DiskBackend::open(dir, config).unwrap().0
+    }
+
+    /// Commits one batch of `ops` fixed-width operations and returns the
+    /// bytes it appended (the same for every batch of that many).
+    fn commit(b: &mut DiskBackend, seq: u64, ops: u32) -> u64 {
+        let before = b.stats().wal_bytes;
+        let ops: Vec<WalOp> = (0..ops).map(|i| op(i, seq as i64)).collect();
+        b.commit_batch(&ops, seq, 0).unwrap();
+        b.stats().wal_bytes - before
+    }
+
+    /// Writes a snapshot whose `snapshot.bin` is exactly `file_len` bytes
+    /// long: one row carrying a string padded to fit.
+    fn write_snapshot_of_len(b: &mut DiskBackend, file_len: u64) {
+        let with_pad = |pad: u64| SnapshotData {
+            seq: 0,
+            time_bits: 0,
+            node_count: 4,
+            links: vec![],
+            tables: vec![crate::TableDump {
+                node: 0,
+                relation: exspan_types::symbol::RelId::intern("pad"),
+                rows: vec![(
+                    Arc::new(Tuple::new(
+                        "pad",
+                        0,
+                        vec![Value::from("x".repeat(pad as usize))],
+                    )),
+                    1,
+                )],
+            }],
+            agg: vec![],
+        };
+        let mut body = Vec::new();
+        snapshot::encode_snapshot(&with_pad(0), &mut body);
+        let unpadded = body.len() as u64 + 4; // + the trailing CRC
+        b.write_snapshot(&with_pad(file_len - unpadded)).unwrap();
+        let written = std::fs::metadata(b.dir().join("snapshot.bin")).unwrap();
+        assert_eq!(written.len(), file_len);
     }
 
     #[test]
-    fn stale_spill_files_are_cleared_on_open() {
+    fn nothing_is_due_below_the_floor_and_never_at_u64_max() {
+        let batch = commit(&mut open_with_floor(&tmp("due-probe"), 1), 1, 4);
+        let mut b = open_with_floor(&tmp("due-floor"), 3 * batch);
+        assert!(!b.snapshot_due());
+        commit(&mut b, 1, 4);
+        commit(&mut b, 2, 4);
+        assert!(!b.snapshot_due(), "two batches are under a floor of three");
+        commit(&mut b, 3, 4);
+        assert!(b.snapshot_due(), "the floor is inclusive");
+
+        let mut never = open_with_floor(&tmp("due-never"), u64::MAX);
+        commit(&mut never, 1, 4);
+        assert!(!never.snapshot_due());
+        // Not even with a snapshot shorter than the log since.
+        write_snapshot_of_len(&mut never, batch);
+        commit(&mut never, 2, 4);
+        assert!(!never.snapshot_due());
+    }
+
+    #[test]
+    fn due_exactly_when_the_log_is_as_long_as_the_snapshot_it_would_replace() {
+        let batch = commit(&mut open_with_floor(&tmp("amortised-probe"), 1), 1, 4);
+        for (snapshot_len, due_after_three) in [(3 * batch + 1, false), (3 * batch, true)] {
+            let mut b = open_with_floor(&tmp("amortised"), 1);
+            write_snapshot_of_len(&mut b, snapshot_len);
+            commit(&mut b, 1, 4);
+            commit(&mut b, 2, 4);
+            assert!(!b.snapshot_due(), "the floor alone was passed long ago");
+            commit(&mut b, 3, 4);
+            assert_eq!(b.stats().wal_bytes, 3 * batch);
+            assert_eq!(b.snapshot_due(), due_after_three);
+            commit(&mut b, 4, 4);
+            assert!(b.snapshot_due());
+            // Each snapshot written moves the threshold to its own length.
+            write_snapshot_of_len(&mut b, batch + 1);
+            commit(&mut b, 5, 4);
+            assert!(!b.snapshot_due());
+            commit(&mut b, 6, 4);
+            assert!(b.snapshot_due());
+        }
+    }
+
+    #[test]
+    fn reopen_takes_the_threshold_from_disk_and_counts_the_surviving_log() {
+        let dir = tmp("amortised-reopen");
+        let mut b = open_with_floor(&dir, 1);
+        let batch = commit(&mut b, 1, 4);
+        write_snapshot_of_len(&mut b, 3 * batch);
+        commit(&mut b, 2, 4);
+        commit(&mut b, 3, 4);
+        drop(b);
+        let mut b = open_with_floor(&dir, 1);
+        assert_eq!(b.stats().wal_bytes, 2 * batch);
+        assert!(!b.snapshot_due(), "threshold forgotten across the reopen");
+        commit(&mut b, 4, 4);
+        assert!(b.snapshot_due(), "the two surviving batches must count");
+    }
+
+    #[test]
+    fn writes_stay_within_twice_the_log_plus_one_snapshot() {
+        // Grow-then-churn, driven the way the engine drives a backend: one
+        // large batch builds the state, then small batches replace rows in
+        // place, so the state — modelled as a snapshot as long as the log
+        // that built it — keeps its size.
+        let mut b = open_with_floor(&tmp("amortised-bound"), 1024);
+        let state = commit(&mut b, 1, 400);
+        let (mut logged, mut batch, mut snapshots) = (state, 0, 0);
+        for seq in 2..=400 {
+            if b.snapshot_due() {
+                write_snapshot_of_len(&mut b, state);
+                snapshots += 1;
+            }
+            batch = commit(&mut b, seq, 20);
+            logged += batch;
+        }
+        assert!(snapshots >= 5, "only {snapshots} checkpoint cycles");
+        let written = logged + snapshots * state;
+        assert!(
+            written <= 2 * logged + state,
+            "{written} B written for {logged} B logged and {snapshots} snapshots of {state} B"
+        );
+        // And not by never checkpointing: the log a recovery would replay
+        // stays under one snapshot plus one batch.
+        assert!(b.stats().wal_bytes < state + batch);
+    }
+
+    #[test]
+    fn stale_spill_files_and_snapshot_tmp_are_cleared_on_open() {
         let dir = tmp("spill-clear");
         std::fs::create_dir_all(dir.join("spill")).unwrap();
         std::fs::write(dir.join("spill/n0_x.tbl"), b"stale").unwrap();
-        let (b, _) = DiskBackend::open(&dir, StoreConfig::default()).unwrap();
+        std::fs::write(dir.join("snapshot.tmp"), b"half a snapshot").unwrap();
+        let (b, rec) = DiskBackend::open(&dir, StoreConfig::default()).unwrap();
         let spill = b.spill_dir().unwrap();
         assert!(std::fs::read_dir(spill).unwrap().next().is_none());
+        assert!(rec.is_none(), "a temp file is not a snapshot");
+        assert!(!dir.join("snapshot.tmp").exists());
     }
 }

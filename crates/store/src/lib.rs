@@ -12,14 +12,20 @@
 //!    commit record.  The [`Durability`] knob controls fsync cadence:
 //!    `None` (OS decides) or `Barrier` (default: one fsync per committed
 //!    window).
-//! 2. **Canonical snapshots** ([`snapshot`]).  Once enough log accumulates
-//!    (`StoreConfig::snapshot_wal_bytes`), the engine hands the backend a
+//! 2. **Canonical snapshots, amortised** ([`snapshot`]).  Once the log has
+//!    outgrown the state — `wal.log` is at least as long as the
+//!    `snapshot.bin` it would replace, and at least the floor
+//!    `StoreConfig::snapshot_wal_bytes` — the engine hands the backend a
 //!    full dump — tables in `(node, relation)` order with rows in `scan()`
 //!    order, the link set, and the aggregate-provenance map, all sorted
 //!    canonically — so snapshot bytes are a pure function of logical state:
 //!    a 1-shard and a 4-shard run of the same workload write *identical*
-//!    files.  Snapshots are written to a temp file and atomically renamed;
-//!    the WAL is truncated only after the rename.
+//!    files.  Every snapshot byte is paid for by a logged byte: a store
+//!    writes at most twice what it logs plus one snapshot, recovery reads
+//!    at most one snapshot plus a log of that length and one barrier batch
+//!    (so replaying a tail is the normal recovery path), and the directory
+//!    holds at most about two snapshots' worth of bytes.  The ratio is the
+//!    constant 1, not an option.
 //! 3. **Cold-table spill** ([`snapshot::write_spill`]).  With a row budget
 //!    configured, the largest tables are evicted to their snapshot form
 //!    when the budget is exceeded and transparently faulted back in when
@@ -29,13 +35,24 @@
 //!
 //! ## Recovery invariants
 //!
+//! A commit is one `write` of a whole batch to `wal.log` followed (under
+//! [`Durability::Barrier`]) by an fsync, before the engine's `run_*` call
+//! returns.  A snapshot is, in this order: write `snapshot.tmp`, fsync it,
+//! rename it over `snapshot.bin`, **fsync the directory**, truncate
+//! `wal.log`, fsync that.  The directory fsync is what makes the rename
+//! durable before the truncation can be; without it a power cut could leave
+//! the old snapshot beside an empty log, losing every batch in between.  A
+//! crash therefore leaves one of: the old snapshot + the full log (a
+//! leftover `snapshot.tmp` is deleted on open); the new snapshot + the full
+//! log, whose batches it already contains; the new snapshot + an empty log.
+//!
 //! Opening a data directory ([`DiskBackend::open`]) loads the latest valid
 //! snapshot, replays committed WAL batches newer than the snapshot's
-//! watermark (the `seq` filter makes replay idempotent when a crash landed
-//! between snapshot rename and log truncation), and stops cleanly at the
-//! first torn or invalid record — a short frame, checksum mismatch,
-//! undecodable payload, or trailing operations without a commit are all
-//! treated as the crash tail, never a panic.  Because the journal records
+//! watermark (the `seq` filter makes replay idempotent in the second case
+//! above), and stops cleanly at the first torn or invalid record — a short
+//! frame, checksum mismatch, undecodable payload, or trailing operations
+//! without a commit are all treated as the crash tail, never a panic.
+//! Because the journal records
 //! logical intents and replay drives them through the identical table
 //! code, the recovered tables are **byte-identical** to the state at the
 //! last committed barrier: same rows, same duplicate counts, same keyed-

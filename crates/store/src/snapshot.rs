@@ -23,9 +23,10 @@
 //! snapshot body.
 //!
 //! Snapshots are written to a temporary file, fsynced, and atomically
-//! renamed into place; the WAL is truncated only after the rename succeeds,
-//! so a crash at any point leaves either the old snapshot + full log or the
-//! new snapshot (+ a log whose stale prefix recovery filters by `seq`).
+//! renamed into place; the backend then fsyncs the directory, so the rename
+//! itself is on disk, and only after that truncates the WAL — a crash at any
+//! point leaves either the old snapshot + full log or the new snapshot (+ a
+//! log whose stale prefix recovery filters by `seq`).
 //!
 //! # Spill files (`spill/n<node>_<relation>.tbl`)
 //!
@@ -203,7 +204,9 @@ fn decode_snapshot(data: &[u8]) -> Result<SnapshotData, StoreError> {
     })
 }
 
-fn write_checksummed(path: &Path, body: Vec<u8>) -> std::io::Result<()> {
+/// Writes `body` + CRC to a temp file, fsyncs it and renames it to `path`;
+/// returns the file's length.
+fn write_checksummed(path: &Path, body: Vec<u8>) -> std::io::Result<u64> {
     let mut bytes = body;
     let crc = crc32(&bytes);
     bytes.extend_from_slice(&crc.to_be_bytes());
@@ -214,11 +217,13 @@ fn write_checksummed(path: &Path, body: Vec<u8>) -> std::io::Result<()> {
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
-    Ok(())
+    Ok(bytes.len() as u64)
 }
 
-/// Writes the snapshot atomically (temp file + fsync + rename).
-pub fn write_snapshot(path: &Path, snap: &SnapshotData) -> std::io::Result<()> {
+/// Writes the snapshot atomically (temp file + fsync + rename) and returns
+/// the length of the file.  The rename itself is durable only once the
+/// directory is fsynced — the caller's job, before it truncates the log.
+pub fn write_snapshot(path: &Path, snap: &SnapshotData) -> std::io::Result<u64> {
     let mut body = Vec::new();
     encode_snapshot(snap, &mut body);
     write_checksummed(path, body)
@@ -235,7 +240,7 @@ pub fn write_spill(path: &Path, dump: &TableDump) -> std::io::Result<()> {
     body.extend_from_slice(SPILL_MAGIC);
     body.extend_from_slice(&VERSION.to_be_bytes());
     encode_table(dump, &mut body);
-    write_checksummed(path, body)
+    write_checksummed(path, body).map(drop)
 }
 
 /// Loads a spill file back into a [`TableDump`].
