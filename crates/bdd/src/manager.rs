@@ -535,25 +535,6 @@ impl BddManager {
         seen.into_iter().collect()
     }
 
-    /// Number of nodes reachable from `b` (including terminals).
-    pub fn reachable_node_count(&self, b: Bdd) -> usize {
-        let inner = self.store.lock();
-        let mut visited = std::collections::HashSet::new();
-        let mut stack = vec![b];
-        while let Some(cur) = stack.pop() {
-            if !visited.insert(cur) {
-                continue;
-            }
-            if cur.is_terminal() {
-                continue;
-            }
-            let n = inner.node(cur);
-            stack.push(n.low);
-            stack.push(n.high);
-        }
-        visited.len()
-    }
-
     /// Number of non-terminal nodes reachable from `b`.
     pub fn reachable_internal_count(&self, b: Bdd) -> usize {
         self.store.lock().reachable_internal_count(b)

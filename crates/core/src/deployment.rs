@@ -18,11 +18,14 @@
 //!   Queries with equal configuration share a typed *session* (one result
 //!   cache, one representation instance) inspectable through
 //!   [`Deployment::session`].
-//! * **Measure / advance** — [`Deployment::run_until`] and
-//!   [`Deployment::run_to_fixpoint`] advance protocol maintenance, churn
-//!   deltas *and* in-flight queries on one simulated clock (the engine's
-//!   [`exspan_runtime::ExternalSink`] path), so query traffic overlaps
-//!   ongoing maintenance exactly as Figures 9–12 of the paper intend.
+//! * **Measure / advance** — [`Deployment::run_until`] (and
+//!   [`Deployment::run_to_fixpoint`], the same call with no limit) is the one
+//!   way to advance time: protocol maintenance, churn deltas *and* in-flight
+//!   queries share one simulated clock (the query fabric listens as the
+//!   engine's [`exspan_runtime::ExternalSink`]), so query traffic overlaps
+//!   ongoing maintenance exactly as Figures 9–12 of the paper intend.  A
+//!   front-end — figures, tests, the benchmark, `exspan-serve` — says only
+//!   how far simulated time may go.
 //!
 //! ```
 //! use exspan_core::{Exspan, ProvenanceMode, Repr, Traversal};
@@ -55,13 +58,10 @@ use crate::repr::{Annotation, Repr};
 use crate::rewrite::{provenance_rewrite, RewriteOptions};
 use crate::value_policy::ValueBddPolicy;
 use exspan_ndlog::ast::Program;
-use exspan_ndlog::diag::{Diagnostic, Diagnostics, Severity};
+use exspan_ndlog::diag::{Diagnostic, Severity};
 use exspan_netsim::{ChurnEvent, LinkProps, Topology};
-use exspan_runtime::{
-    Engine, EngineConfig, Executor, ExternalSink, FixpointStats, ShardConfig, SharedPolicy,
-    SimClock,
-};
-use exspan_store::{DiskBackend, Durability, StorageBackend, StorageStats, StoreConfig};
+use exspan_runtime::{Engine, EngineConfig, ExternalSink, FixpointStats, SharedPolicy};
+use exspan_store::{DiskBackend, StorageBackend, StorageStats, StoreConfig};
 use exspan_types::{Digest, NodeId, Tuple, Value, Vid};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -136,44 +136,6 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Non-fatal findings (warnings and notes) produced by the static analysis
-/// a successful [`DeploymentBuilder::build`] ran over the program.  Errors
-/// never appear here — they fail the build as
-/// [`BuildError::InvalidProgram`].
-#[derive(Debug, Clone, Default)]
-pub struct BuildWarnings {
-    diagnostics: Diagnostics,
-}
-
-impl BuildWarnings {
-    /// Whether the analysis produced no warnings or notes at all.
-    pub fn is_empty(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
-
-    /// Number of retained diagnostics.
-    pub fn len(&self) -> usize {
-        self.diagnostics.len()
-    }
-
-    /// Iterates over the diagnostics, warnings before notes (the stable
-    /// order of [`Diagnostics::sort`]).
-    pub fn iter(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter()
-    }
-
-    /// Warning-severity diagnostics only (the ones `ndlog-lint
-    /// --deny-warnings` would reject).
-    pub fn warnings(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.of_severity(Severity::Warning)
-    }
-
-    /// Renders every diagnostic, one block per finding.
-    pub fn render(&self) -> String {
-        self.diagnostics.render(None)
-    }
-}
-
 /// Builder for a [`Deployment`]; obtained from [`Exspan::builder`].
 #[derive(Debug, Clone)]
 pub struct DeploymentBuilder {
@@ -181,10 +143,8 @@ pub struct DeploymentBuilder {
     topology: Option<Topology>,
     mode: ProvenanceMode,
     shards: usize,
-    max_steps: u64,
     seed_links: bool,
     data_dir: Option<PathBuf>,
-    durability: Durability,
     snapshot_every_bytes: u64,
     memory_budget_rows: Option<usize>,
     track_compressed: bool,
@@ -192,17 +152,14 @@ pub struct DeploymentBuilder {
 
 impl Default for DeploymentBuilder {
     fn default() -> Self {
-        let store_defaults = StoreConfig::default();
         DeploymentBuilder {
             program: None,
             topology: None,
             mode: ProvenanceMode::Reference,
             shards: 1,
-            max_steps: 200_000_000,
             seed_links: true,
             data_dir: None,
-            durability: store_defaults.durability,
-            snapshot_every_bytes: store_defaults.snapshot_wal_bytes,
+            snapshot_every_bytes: StoreConfig::default().snapshot_wal_bytes,
             memory_budget_rows: None,
             track_compressed: false,
         }
@@ -235,12 +192,6 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Safety cap on processed events per `run_*` call.
-    pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
     /// Whether `build` seeds both directions of every topology link as `link`
     /// base tuples (default `true` — the paper gives every node a priori
     /// knowledge of its local links).
@@ -257,13 +208,6 @@ impl DeploymentBuilder {
     /// [`Deployment::recovered_from_store`] to distinguish the two.
     pub fn data_dir(mut self, path: impl Into<PathBuf>) -> Self {
         self.data_dir = Some(path.into());
-        self
-    }
-
-    /// WAL fsync cadence (default [`Durability::Barrier`]; only meaningful
-    /// with [`DeploymentBuilder::data_dir`]).
-    pub fn durability(mut self, durability: Durability) -> Self {
-        self.durability = durability;
         self
     }
 
@@ -334,19 +278,16 @@ impl DeploymentBuilder {
                     .collect(),
             ));
         }
-        let warnings = BuildWarnings {
-            diagnostics: analysis
-                .diagnostics
-                .iter()
-                .filter(|d| d.severity < Severity::Error)
-                .cloned()
-                .collect(),
-        };
+        let warnings: Vec<Diagnostic> = analysis
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity < Severity::Error)
+            .cloned()
+            .collect();
 
         let mut engine_config = EngineConfig {
             aggregate_provenance: false,
-            max_steps: self.max_steps,
-            shards: ShardConfig::with_shards(self.shards),
+            shards: self.shards,
             track_compressed: self.track_compressed,
             ..EngineConfig::default()
         };
@@ -394,9 +335,8 @@ impl DeploymentBuilder {
         let mut recovered = false;
         if let Some(dir) = &self.data_dir {
             let store_config = StoreConfig {
-                durability: self.durability,
                 snapshot_wal_bytes: self.snapshot_every_bytes,
-                spill_budget_rows: self.memory_budget_rows,
+                ..StoreConfig::default()
             };
             let (backend, state) = DiskBackend::open(dir, store_config)
                 .map_err(|e| BuildError::Storage(e.to_string()))?;
@@ -508,7 +448,8 @@ impl QueryFabric {
 
     /// Whether any query activity is pending (incomplete outcomes, scheduled
     /// issuances, or protocol messages in flight).  When idle, the deployment
-    /// can use the engine's bulk (parallelizable) run path.
+    /// passes the engine no sink, which frees it to run its shards in
+    /// parallel.
     fn active(&self) -> bool {
         self.incomplete > 0
             || self
@@ -581,12 +522,9 @@ impl QueryFabric {
     }
 }
 
-/// Adapter handing the engine's surfaced externals to the query fabric.
-struct FabricSink<'a> {
-    fabric: &'a mut QueryFabric,
-}
-
-impl ExternalSink for FabricSink<'_> {
+/// The engine hands every surfaced external tuple to the fabric, which
+/// routes it to the session that owns it.
+impl ExternalSink for QueryFabric {
     fn on_external(
         &mut self,
         engine: &mut Engine,
@@ -595,7 +533,7 @@ impl ExternalSink for FabricSink<'_> {
         time: f64,
         _insert: bool,
     ) {
-        self.fabric.dispatch(engine, node, &tuple, time);
+        self.dispatch(engine, node, &tuple, time);
     }
 }
 
@@ -607,7 +545,7 @@ pub struct Deployment {
     mode: ProvenanceMode,
     value_policy: Option<Arc<Mutex<ValueBddPolicy>>>,
     program_name: String,
-    warnings: BuildWarnings,
+    warnings: Vec<Diagnostic>,
     fabric: QueryFabric,
     /// Cache invalidations for base-tuple deltas scheduled in the simulated
     /// future, keyed by the delta's application time (as `f64::to_bits`, so
@@ -774,8 +712,9 @@ impl Deployment {
     }
 
     /// Warnings and notes the build-time static analysis produced for the
-    /// program (errors would have failed [`DeploymentBuilder::build`]).
-    pub fn build_warnings(&self) -> &BuildWarnings {
+    /// program, warnings first (errors would have failed
+    /// [`DeploymentBuilder::build`]).
+    pub fn build_warnings(&self) -> &[Diagnostic] {
         &self.warnings
     }
 
@@ -859,15 +798,6 @@ impl Deployment {
     /// Creates the `link(@a,b,cost)` tuple for one direction of a link.
     pub fn link_tuple(a: NodeId, b: NodeId, cost: i64) -> Tuple {
         Tuple::new("link", a, vec![Value::Node(b), Value::Int(cost)])
-    }
-
-    /// Base-tuple VIDs affected by a churn event (the VIDs whose cached query
-    /// results the deployment invalidates when the event is applied).
-    pub fn churn_event_vids(event: &ChurnEvent) -> Vec<Vid> {
-        vec![
-            Self::link_tuple(event.a, event.b, event.props.cost).vid(),
-            Self::link_tuple(event.b, event.a, event.props.cost).vid(),
-        ]
     }
 
     /// Inserts both directions of every topology link as `link` base tuples.
@@ -993,55 +923,21 @@ impl Deployment {
         self.run_until(f64::INFINITY)
     }
 
-    /// Runs until the next event would occur after `time`, under the
-    /// deterministic [`SimClock`] executor — the clock of every figure
-    /// experiment and test.  Equivalent to
-    /// `run_with(&mut SimClock, time)`.
+    /// Runs until the next event would occur after `time` — the one way to
+    /// advance the deployment's clock.  Every front-end (figures, tests, the
+    /// benchmark, `exspan-serve`) says only how far simulated time may go;
+    /// what is computed below that time is the engine's deterministic event
+    /// order, whoever asks and however often.
     ///
-    /// While queries are in flight, events are processed one at a time in
-    /// global deterministic order and query-protocol messages are dispatched
-    /// to their sessions between maintenance deltas; with no query activity,
-    /// the engine's bulk (parallelizable) path is used.
+    /// While queries are in flight the query fabric listens as the engine's
+    /// [`ExternalSink`], so query-protocol messages are dispatched to their
+    /// sessions between maintenance deltas in global event order; with no
+    /// query activity the engine is free to run its shards in parallel.
     ///
     /// Pending cache invalidations of future-scheduled base-tuple deltas are
     /// applied exactly when the clock passes the delta's time, so results
     /// cached before a scheduled change never survive it.
     pub fn run_until(&mut self, time: f64) -> FixpointStats {
-        self.run_with(&mut SimClock, time)
-    }
-
-    /// Runs toward simulated time `target` under an explicit [`Executor`].
-    ///
-    /// The executor only decides how far each pump may advance ([`SimClock`]
-    /// pays for the whole target at once and this collapses to the exact
-    /// historical `run_until` path; [`WallClock`](exspan_runtime::WallClock)
-    /// caps each pump at the simulated time real time has accrued and
-    /// sleeps between pumps).  Event processing below the horizon is the
-    /// engine's deterministic order either way, so *what* is computed is
-    /// executor-independent — only *when* it is computed changes.
-    pub fn run_with(&mut self, executor: &mut dyn Executor, target: f64) -> FixpointStats {
-        let mut total = FixpointStats {
-            fixpoint_time: self.engine.last_activity(),
-            steps: 0,
-            external: 0,
-        };
-        loop {
-            let horizon = executor.horizon(target);
-            let stats = self.run_clock_segment(horizon);
-            total.steps += stats.steps;
-            total.external += stats.external;
-            total.fixpoint_time = stats.fixpoint_time;
-            if horizon >= target || !executor.is_realtime() {
-                break;
-            }
-            executor.wait(target);
-        }
-        total
-    }
-
-    /// One executor pump: runs the unified clock (maintenance, churn,
-    /// queries, pending cache invalidations) up to the simulated `time`.
-    fn run_clock_segment(&mut self, time: f64) -> FixpointStats {
         let mut total = FixpointStats {
             fixpoint_time: self.engine.last_activity(),
             steps: 0,
@@ -1079,24 +975,22 @@ impl Deployment {
         }
         // A fully drained event queue means any still-unresolved query state
         // belongs to messages the simulator dropped; write it off so future
-        // runs regain the bulk (parallel) path.
+        // runs regain the parallel path.
         if self.fabric.active() && self.engine.peek_time().is_none() {
             self.fabric.reap_orphans();
         }
         total
     }
 
-    /// One segment of [`Deployment::run_until`]: interactive while query
-    /// activity is pending, bulk otherwise.
+    /// One segment of [`Deployment::run_until`]: the fabric listens while
+    /// query activity is pending.
     fn advance(&mut self, time: f64) -> FixpointStats {
-        if self.fabric.active() {
-            let mut sink = FabricSink {
-                fabric: &mut self.fabric,
-            };
-            self.engine.run_until_interactive(time, &mut sink)
+        let sink: Option<&mut dyn ExternalSink> = if self.fabric.active() {
+            Some(&mut self.fabric)
         } else {
-            self.engine.run_until(time)
-        }
+            None
+        };
+        self.engine.run_until(time, sink)
     }
 
     // ------------------------------------------------------------------

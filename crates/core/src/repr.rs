@@ -579,11 +579,6 @@ impl BddRepr {
         &self.manager
     }
 
-    /// The variable id assigned to a base tuple, if it was encountered.
-    pub fn var_of(&self, vid: Vid) -> Option<u32> {
-        self.vars.get(&vid).copied()
-    }
-
     fn var(&mut self, vid: Vid) -> Bdd {
         let next = self.vars.len() as u32;
         let id = *self.vars.entry(vid).or_insert(next);

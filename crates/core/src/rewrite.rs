@@ -338,13 +338,13 @@ fn base_prov_rule(relation: &str, arity: usize) -> Rule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exspan_ndlog::analyze;
     use exspan_ndlog::programs;
-    use exspan_ndlog::validate::validate_program;
 
     #[test]
     fn rewritten_mincost_validates_and_has_expected_structure() {
         let p = provenance_rewrite(&programs::mincost(), RewriteOptions::default());
-        validate_program(&p).expect("rewritten program must validate");
+        assert!(!analyze(&p).has_errors(), "rewritten program must validate");
         // sp1 and sp2 each get a derivation rule; sp3 (aggregate) is kept.
         assert!(p.rule("sp1_prov").is_some());
         assert!(p.rule("sp2_prov").is_some());
@@ -407,8 +407,12 @@ mod tests {
     fn rewritten_path_vector_and_packet_forward_validate() {
         for program in [programs::path_vector(), programs::packet_forward()] {
             let p = provenance_rewrite(&program, RewriteOptions::default());
-            validate_program(&p)
-                .unwrap_or_else(|e| panic!("rewrite of {} failed validation: {e:?}", program.name));
+            let errors: Vec<_> = analyze(&p).errors().cloned().collect();
+            assert!(
+                errors.is_empty(),
+                "rewrite of {} failed validation: {errors:?}",
+                program.name
+            );
         }
     }
 
@@ -423,7 +427,10 @@ mod tests {
         assert!(p.rule("prov_central").is_some());
         assert!(p.rule("rule_exec_central").is_some());
         assert!(p.table("provCentral").is_some());
-        validate_program(&p).expect("centralized rewrite must validate");
+        assert!(
+            !analyze(&p).has_errors(),
+            "centralized rewrite must validate"
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! [`analyze`] runs four passes over the shared [`Diagnostics`]
 //! infrastructure of [`crate::diag`], after the structural checks of
-//! [`crate::validate`]:
+//! the `validate` module:
 //!
 //! 1. [`schema`] — per-column type inference and arity checking: every
 //!    relation's column types are inferred from constants, arithmetic,

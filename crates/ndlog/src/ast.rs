@@ -31,14 +31,6 @@ impl Term {
     pub fn constant(v: impl Into<Value>) -> Term {
         Term::Const(v.into())
     }
-
-    /// Returns the variable name if this term is a variable.
-    pub fn as_var(&self) -> Option<Symbol> {
-        match self {
-            Term::Var(v) => Some(*v),
-            Term::Const(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Term {

@@ -178,11 +178,6 @@ impl Diagnostics {
         self.items.push(d);
     }
 
-    /// Adds every diagnostic of `other`.
-    pub fn extend(&mut self, other: Diagnostics) {
-        self.items.extend(other.items);
-    }
-
     /// Number of diagnostics.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -244,27 +239,6 @@ impl Diagnostics {
             .map(|d| d.render(source))
             .collect::<Vec<_>>()
             .join("\n\n")
-    }
-
-    /// Consumes the collection, yielding the diagnostics in current order.
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.items
-    }
-}
-
-impl IntoIterator for Diagnostics {
-    type Item = Diagnostic;
-    type IntoIter = std::vec::IntoIter<Diagnostic>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.into_iter()
-    }
-}
-
-impl FromIterator<Diagnostic> for Diagnostics {
-    fn from_iter<I: IntoIterator<Item = Diagnostic>>(iter: I) -> Self {
-        Diagnostics {
-            items: iter.into_iter().collect(),
-        }
     }
 }
 

@@ -122,7 +122,7 @@ pub fn builtin_sources() -> Vec<(&'static str, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate::validate_program;
+    use crate::analyze::analyze;
 
     #[test]
     fn mincost_structure_matches_paper() {
@@ -134,7 +134,7 @@ mod tests {
             p.base_relations().into_iter().collect::<Vec<_>>(),
             vec!["link"]
         );
-        assert!(validate_program(&p).is_ok());
+        assert!(!analyze(&p).has_errors());
     }
 
     #[test]
@@ -142,7 +142,7 @@ mod tests {
         let p = path_vector();
         assert_eq!(p.rules.len(), 4);
         assert!(p.derived_relations().contains("bestPath"));
-        assert!(validate_program(&p).is_ok());
+        assert!(!analyze(&p).has_errors());
     }
 
     #[test]
@@ -151,7 +151,7 @@ mod tests {
         assert!(p.rule("pv2").is_some(), "control plane rules present");
         assert!(p.rule("f1").is_some(), "data plane rules present");
         assert!(p.table("bestHop").is_some());
-        assert!(validate_program(&p).is_ok());
+        assert!(!analyze(&p).has_errors());
         // ePacket is an event predicate, so it must not be materialized.
         assert!(p.table("ePacket").is_none());
         assert!(crate::is_event_predicate("ePacket"));

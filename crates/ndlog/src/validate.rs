@@ -7,100 +7,15 @@
 //! message).  These checks reject programs the engine could not execute
 //! faithfully, with actionable error messages.
 //!
-//! This module is the structural half of the static-analysis suite: the
-//! deeper passes (schema inference, aggregate stratification, reachability,
-//! distribution lints) live in [`mod@crate::analyze`] and run on top of the same
-//! [`Diagnostics`] infrastructure.  [`validate_program`] remains the stable
-//! entry point for structural checks alone.
+//! This module is the structural pass of the static-analysis suite: it runs
+//! first in [`crate::analyze::analyze_with_source`], and the deeper passes
+//! (schema inference, aggregate stratification, reachability, distribution
+//! lints) of [`mod@crate::analyze`] push into the same [`Diagnostics`].
 
 use crate::ast::{BodyItem, HeadArg, Program, Rule, Term};
-use crate::diag::{Diagnostic, Diagnostics, Severity, SourceMap, Span};
+use crate::diag::{Diagnostic, Diagnostics, Severity, SourceMap};
 use exspan_types::Symbol;
 use std::collections::BTreeSet;
-
-/// A validation failure: the legacy rule-label + message surface over a
-/// span-carrying [`Diagnostic`].
-///
-/// [`std::error::Error::source`] exposes the underlying diagnostic, and
-/// [`ValidationError::span`] the source span (populated when the program was
-/// parsed with [`crate::parser::parse_program_spanned`] and validated through
-/// [`validate_program_spanned`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ValidationError {
-    /// Label of the offending rule (empty for program-level errors).
-    pub rule: String,
-    /// Human-readable description of the problem.
-    pub message: String,
-    diagnostic: Diagnostic,
-}
-
-impl ValidationError {
-    /// The underlying diagnostic (lint code, severity, span).
-    pub fn diagnostic(&self) -> &Diagnostic {
-        &self.diagnostic
-    }
-
-    /// The stable lint code, e.g. `"E004"`.
-    pub fn code(&self) -> &'static str {
-        self.diagnostic.code
-    }
-
-    /// Source span of the offending construct, when known.
-    pub fn span(&self) -> Option<Span> {
-        self.diagnostic.span
-    }
-}
-
-impl From<Diagnostic> for ValidationError {
-    fn from(diagnostic: Diagnostic) -> Self {
-        ValidationError {
-            rule: diagnostic
-                .rule
-                .map(|r| r.as_str().to_string())
-                .unwrap_or_default(),
-            message: diagnostic.message.clone(),
-            diagnostic,
-        }
-    }
-}
-
-impl std::fmt::Display for ValidationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.rule.is_empty() {
-            write!(f, "{}", self.message)
-        } else {
-            write!(f, "rule {}: {}", self.rule, self.message)
-        }
-    }
-}
-
-impl std::error::Error for ValidationError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.diagnostic)
-    }
-}
-
-/// Validates every rule of `program`, returning all problems found.
-pub fn validate_program(program: &Program) -> Result<(), Vec<ValidationError>> {
-    validate_program_spanned(program, None)
-}
-
-/// Like [`validate_program`], but attaches source spans from `source` (as
-/// produced by [`crate::parser::parse_program_spanned`]) so errors render
-/// `program:line:col` locations.
-pub fn validate_program_spanned(
-    program: &Program,
-    source: Option<&SourceMap>,
-) -> Result<(), Vec<ValidationError>> {
-    let mut diags = Diagnostics::new();
-    validate_into(program, source, &mut diags);
-    if diags.is_empty() {
-        Ok(())
-    } else {
-        diags.sort();
-        Err(diags.into_iter().map(ValidationError::from).collect())
-    }
-}
 
 /// Runs the structural checks, pushing diagnostics into `out`.  Used by
 /// [`crate::analyze::analyze`] so all passes share one collection.
@@ -309,44 +224,31 @@ fn validate_rule(idx: usize, rule: &Rule, source: Option<&SourceMap>, out: &mut 
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::analyze::{analyze, analyze_with_source};
+    use crate::diag::Diagnostic;
     use crate::parser::{parse_program, parse_program_spanned};
-    use crate::programs;
 
-    #[test]
-    fn builtin_programs_validate() {
-        for p in [
-            programs::mincost(),
-            programs::path_vector(),
-            programs::packet_forward(),
-        ] {
-            let normalized = p.normalize();
-            assert!(
-                validate_program(&normalized).is_ok(),
-                "program {} failed validation",
-                p.name
-            );
-        }
+    /// The error diagnostics of analyzing `src`.
+    fn errors(src: &str) -> Vec<Diagnostic> {
+        let p = parse_program("bad", src).unwrap();
+        analyze(&p).errors().cloned().collect()
     }
 
     #[test]
     fn rejects_unlocalized_rule() {
-        let p = parse_program("bad", "r1 out(@X,Y) :- a(@X,Y), b(@Y,X).").unwrap();
-        let errs = validate_program(&p).unwrap_err();
+        let errs = errors("r1 out(@X,Y) :- a(@X,Y), b(@Y,X).");
         assert!(errs.iter().any(|e| e.message.contains("not localized")));
     }
 
     #[test]
     fn rejects_unbound_head_variable() {
-        let p = parse_program("bad", "r1 out(@X,Z) :- a(@X,Y).").unwrap();
-        let errs = validate_program(&p).unwrap_err();
+        let errs = errors("r1 out(@X,Z) :- a(@X,Y).");
         assert!(errs.iter().any(|e| e.message.contains("Z")));
     }
 
     #[test]
     fn rejects_unbound_head_location() {
-        let p = parse_program("bad", "r1 out(@W,Y) :- a(@X,Y).").unwrap();
-        let errs = validate_program(&p).unwrap_err();
+        let errs = errors("r1 out(@W,Y) :- a(@X,Y).");
         assert!(errs
             .iter()
             .any(|e| e.message.contains("head location variable W")));
@@ -354,28 +256,24 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_labels_and_bodyless_rules() {
-        let p = parse_program("bad", "r1 out(@X,Y) :- a(@X,Y). r1 out2(@X,Y) :- a(@X,Y).").unwrap();
-        let errs = validate_program(&p).unwrap_err();
+        let errs = errors("r1 out(@X,Y) :- a(@X,Y). r1 out2(@X,Y) :- a(@X,Y).");
         assert!(errs.iter().any(|e| e.message.contains("duplicate")));
     }
 
     #[test]
     fn rejects_unbound_constraint_and_assignment_vars() {
-        let p = parse_program("bad", "r1 out(@X,Y) :- a(@X,Y), Z!=3.").unwrap();
-        let errs = validate_program(&p).unwrap_err();
+        let errs = errors("r1 out(@X,Y) :- a(@X,Y), Z!=3.");
         assert!(errs
             .iter()
             .any(|e| e.message.contains("unbound variable Z")));
 
-        let p = parse_program("bad", "r1 out(@X,V) :- a(@X,Y), V=W+1.").unwrap();
-        let errs = validate_program(&p).unwrap_err();
+        let errs = errors("r1 out(@X,V) :- a(@X,Y), V=W+1.");
         assert!(errs.iter().any(|e| e.message.contains("not bound earlier")));
     }
 
     #[test]
     fn rejects_remote_aggregate_and_bad_table_keys() {
-        let p = parse_program("bad", "r1 out(@Y,min<C>) :- a(@X,Y,C).").unwrap();
-        let errs = validate_program(&p).unwrap_err();
+        let errs = errors("r1 out(@Y,min<C>) :- a(@X,Y,C).");
         assert!(errs
             .iter()
             .any(|e| e.message.contains("aggregate rules must derive")));
@@ -383,40 +281,26 @@ mod tests {
         let mut p2 = parse_program("bad2", "r1 out(@X,C) :- a(@X,C).").unwrap();
         p2.tables
             .push(crate::ast::TableDecl::with_keys("out", 2, vec![5]));
-        let errs = validate_program(&p2).unwrap_err();
-        assert!(errs.iter().any(|e| e.message.contains("key position 5")));
+        let analysis = analyze(&p2);
+        assert!(analysis
+            .errors()
+            .any(|e| e.message.contains("key position 5")));
     }
 
     #[test]
     fn spanned_validation_carries_line_col() {
         let src = "r1 out(@X,Z) :- a(@X,Y).\n";
         let (p, map) = parse_program_spanned("bad", src).unwrap();
-        let errs = validate_program_spanned(&p, Some(&map)).unwrap_err();
-        let e = errs
-            .iter()
+        let analysis = analyze_with_source(&p, Some(&map));
+        let e = analysis
+            .errors()
             .find(|e| e.message.contains("head variable Z"))
             .expect("unbound head variable error");
-        assert_eq!(e.code(), "E004");
-        let span = e.span().expect("span recorded");
+        assert_eq!(e.code, "E004");
+        let span = e.span.expect("span recorded");
         assert_eq!(map.line_col(span.start), (1, 11)); // the `Z` head argument
-                                                       // Error::source exposes the diagnostic.
-        let src_err = std::error::Error::source(e).expect("source");
-        assert!(src_err.to_string().contains("E004"), "{src_err}");
+        assert!(e.to_string().contains("E004"), "{e}");
         // Unspanned validation keeps spans empty.
-        let errs2 = validate_program(&p).unwrap_err();
-        assert!(errs2.iter().all(|e| e.span().is_none()));
-    }
-
-    #[test]
-    fn error_display() {
-        let e = ValidationError::from(Diagnostic::new(
-            "E004",
-            Severity::Error,
-            Some(Symbol::intern("r1")),
-            "boom",
-        ));
-        assert_eq!(e.to_string(), "rule r1: boom");
-        let e2 = ValidationError::from(Diagnostic::new("E007", Severity::Error, None, "prog"));
-        assert_eq!(e2.to_string(), "prog");
+        assert!(analyze(&p).errors().all(|e| e.span.is_none()));
     }
 }

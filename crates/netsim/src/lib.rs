@@ -25,4 +25,4 @@ pub mod topology;
 
 pub use churn::{ChurnEvent, ChurnModel};
 pub use sim::{EventKey, RoutedEvent, ScheduledMessage, ShardView, Simulator, TrafficStats};
-pub use topology::{LinkClass, LinkProps, Topology, TopologyKind};
+pub use topology::{LinkClass, LinkProps, Topology};

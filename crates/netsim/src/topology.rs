@@ -73,26 +73,12 @@ impl LinkProps {
     }
 }
 
-/// Which generator produced a topology (kept for reporting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TopologyKind {
-    /// GT-ITM style transit-stub graph.
-    TransitStub,
-    /// Ring plus random peers (the deployment testbed of §7.4).
-    Testbed,
-    /// The 4-node example of Figure 3.
-    PaperExample,
-    /// Hand-built.
-    Custom,
-}
-
 /// An undirected network topology with per-link properties.
 ///
 /// Links are stored once per unordered pair; all query methods treat them as
 /// bidirectional (the paper assumes symmetric links).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Topology {
-    kind: TopologyKind,
     num_nodes: usize,
     links: BTreeMap<(NodeId, NodeId), LinkProps>,
     adjacency: BTreeMap<NodeId, BTreeSet<NodeId>>,
@@ -102,7 +88,6 @@ impl Topology {
     /// Creates an empty topology with `num_nodes` nodes (ids `0..num_nodes`).
     pub fn empty(num_nodes: usize) -> Self {
         Topology {
-            kind: TopologyKind::Custom,
             num_nodes,
             links: BTreeMap::new(),
             adjacency: BTreeMap::new(),
@@ -120,11 +105,6 @@ impl Topology {
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
-    }
-
-    /// Which generator produced this topology.
-    pub fn kind(&self) -> TopologyKind {
-        self.kind
     }
 
     /// All node ids.
@@ -326,7 +306,6 @@ impl Topology {
     /// Link costs match the figure: a–b 3, a–c 5, b–c 2, b–d 5, c–d 3.
     pub fn paper_example() -> Topology {
         let mut t = Topology::empty(4);
-        t.kind = TopologyKind::PaperExample;
         let mk = |cost| LinkProps {
             latency: 0.002,
             bandwidth: 50e6,
@@ -353,7 +332,6 @@ impl Topology {
         let num_nodes = num_domains * nodes_per_domain;
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut t = Topology::empty(num_nodes);
-        t.kind = TopologyKind::TransitStub;
 
         let mut transit_nodes: Vec<NodeId> = Vec::new();
         let mut next_id: NodeId = 0;
@@ -429,7 +407,6 @@ impl Topology {
         assert!(num_nodes >= 3, "testbed ring needs at least 3 nodes");
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut t = Topology::empty(num_nodes);
-        t.kind = TopologyKind::Testbed;
         for i in 0..num_nodes {
             let a = i as NodeId;
             let b = ((i + 1) % num_nodes) as NodeId;

@@ -18,27 +18,38 @@
 //!
 //! The topology's nodes are partitioned over `Shard`s (see [`crate::shard`]) by
 //! rendezvous hashing; each shard owns the tables, event queue and traffic
-//! counters of its nodes.  [`Engine::run_until`] runs the shards on worker
-//! threads in *barrier windows*: at each barrier the coordinator finds the
-//! earliest pending event time `t_min` across all shards and releases every
-//! shard to process its events strictly before `t_min + L`, where `L` is the
-//! smallest link latency of the topology (the *lookahead*).  A cross-shard
-//! delta produced inside the window is due no earlier than the window's end,
-//! so delivering the per-shard outboxes into the destination inboxes at the
-//! barrier never reorders anything.  Every event carries an
+//! counters of its nodes.  [`Engine::run_until`] — the one way to advance
+//! simulated time — has two event loops and picks between them from what it
+//! can observe.
+//!
+//! With more than one shard and no [`ExternalSink`] it runs the shards on
+//! worker threads in *barrier windows*: at each barrier the coordinator finds
+//! the earliest pending event time `t_min` across all shards and releases
+//! every shard to process its events strictly before `t_min + L`, where `L`
+//! is the smallest link latency of the topology (the *lookahead*).  A
+//! cross-shard delta produced inside the window is due no earlier than the
+//! window's end, so delivering the per-shard outboxes into the destination
+//! inboxes at the barrier never reorders anything.  Every event carries an
 //! execution-independent ordering key (`(time, source node, per-source
 //! sequence)`), per-node state is only ever touched by the owning shard, and
 //! the traffic counters are integral — which together make the sharded run
-//! *bit-identical* to the sequential one (`ShardConfig::sequential()`), as
-//! the determinism tests assert.
+//! *bit-identical* to the one-shard run, as the determinism tests assert.
+//!
+//! Otherwise — one shard, or a sink listening — it steps through the events
+//! one at a time in global key order on the calling thread (at one shard
+//! simply the shard's own queue), handing each external tuple to the sink as
+//! it arrives.  A sink cannot be served from inside a barrier window: it
+//! reads tables and the clock *at the event*, and the window has by then
+//! applied later deltas of the same node.
 
+use crate::plugin::ExternalSink;
+pub use crate::shard::SharedPolicy;
 use crate::shard::{RuleData, Shard};
-pub use crate::shard::{ShardConfig, SharedPolicy};
 use exspan_ndlog::ast::{BodyItem, Program};
 use exspan_ndlog::eval::FuncRegistry;
 use exspan_ndlog::plan::ProgramPlans;
 use exspan_netsim::{
-    EventKey, LinkClass, LinkProps, RoutedEvent, ShardView, Simulator, Topology, TrafficStats,
+    LinkClass, LinkProps, RoutedEvent, ShardView, Simulator, Topology, TrafficStats,
 };
 use exspan_store::{
     AggProvEntry, LinkRecord, MemoryBackend, SnapshotData, StorageBackend, StorageStats, WalOp,
@@ -119,8 +130,9 @@ pub struct EngineConfig {
     /// sharded runs the limit is enforced at window granularity, so slightly
     /// more events than the limit may be processed.
     pub max_steps: u64,
-    /// How many shards (worker threads) execute the protocol.
-    pub shards: ShardConfig,
+    /// How many shards (worker threads) execute the protocol; 1 keeps
+    /// everything on the calling thread.
+    pub shards: usize,
     /// When `true` (the default), rule bodies execute compiled join plans
     /// over maintained secondary indexes (see [`exspan_ndlog::plan`]).  When
     /// `false`, evaluation falls back to body-ordered full-table scans — the
@@ -143,7 +155,7 @@ impl Default for EngineConfig {
         EngineConfig {
             aggregate_provenance: false,
             max_steps: 200_000_000,
-            shards: ShardConfig::sequential(),
+            shards: 1,
             join_planning: true,
             track_compressed: false,
         }
@@ -250,7 +262,7 @@ impl Engine {
             .iter()
             .map(|(rel, cols)| (*rel, cols.iter().cloned().collect()))
             .collect();
-        let num_shards = config.shards.num_shards.max(1);
+        let num_shards = config.shards.max(1);
         let assignment = Arc::new(topology.partition_rendezvous(num_shards));
         let data = Arc::new(RuleData {
             rules: program.rules,
@@ -437,34 +449,12 @@ impl Engine {
 
     /// Inserts a base tuple at `node` now (processed when its event fires).
     pub fn insert_base(&mut self, node: NodeId, tuple: Tuple) {
-        self.notify_base(node, &tuple, true);
-        let now = self.now();
-        let owner = self.owner(node);
-        self.shards[owner].sim.schedule_at(
-            now,
-            node,
-            Payload::Delta {
-                tuple: Arc::new(tuple),
-                insert: true,
-                token: None,
-            },
-        );
+        self.schedule_delta(self.now(), node, tuple, true);
     }
 
     /// Deletes a base tuple at `node` now.
     pub fn delete_base(&mut self, node: NodeId, tuple: Tuple) {
-        self.notify_base(node, &tuple, false);
-        let now = self.now();
-        let owner = self.owner(node);
-        self.shards[owner].sim.schedule_at(
-            now,
-            node,
-            Payload::Delta {
-                tuple: Arc::new(tuple),
-                insert: false,
-                token: None,
-            },
-        );
+        self.schedule_delta(self.now(), node, tuple, false);
     }
 
     /// Schedules a delta at an absolute simulated time (used by experiment
@@ -513,29 +503,6 @@ impl Engine {
         self.flush_outboxes();
     }
 
-    /// Directly stores a tuple at a node without triggering any rules.
-    /// Used by higher layers for bookkeeping tables (e.g. query caches).
-    pub fn store_silent(&mut self, node: NodeId, tuple: &Tuple) {
-        let owner = self.owner(node);
-        let tuple = Arc::new(tuple.clone());
-        self.shards[owner].store.journal_tuple(node, true, &tuple);
-        self.shards[owner]
-            .store
-            .table_mut(node, tuple.relation)
-            .insert_shared(&tuple);
-    }
-
-    /// Directly removes a tuple at a node without triggering any rules.
-    pub fn remove_silent(&mut self, node: NodeId, tuple: &Tuple) {
-        let owner = self.owner(node);
-        let tuple = Arc::new(tuple.clone());
-        self.shards[owner].store.journal_tuple(node, false, &tuple);
-        self.shards[owner]
-            .store
-            .table_mut(node, tuple.relation)
-            .delete(&tuple);
-    }
-
     /// Moves events diverted to foreign shards into the destination inboxes,
     /// coalescing same-destination events into one locked append per
     /// destination shard rather than a lock round-trip per event.
@@ -569,28 +536,33 @@ impl Engine {
         }
     }
 
-    /// Processes the next event in global deterministic order.
-    ///
-    /// With multiple shards this merges the per-shard queues by event key —
-    /// the exact order the sequential engine would use — so layers that need
-    /// single-step control (the provenance query protocol) behave
-    /// identically regardless of shard count.
-    pub fn step(&mut self) -> Step {
-        self.sync_topology();
+    /// The shard holding the next event in global key order, and that event's
+    /// time, or `None` when every queue is empty.  With several shards the
+    /// in-flight cross-shard deltas are delivered first and the per-shard
+    /// queues merged by event key — the exact order one shard would use.  One
+    /// shard diverts nothing to an outbox, so its own queue is the answer.
+    fn next_event(&mut self) -> Option<(usize, f64)> {
+        if let [only] = self.shards.as_slice() {
+            return only.sim.peek_time().map(|t| (0, t));
+        }
         self.flush_outboxes();
         self.drain_inboxes();
-        let next: Option<(usize, EventKey)> = self
-            .shards
+        self.shards
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.sim.peek_key().map(|k| (i, k)))
-            .min_by(|(_, a), (_, b)| a.order(b));
-        let Some((idx, _)) = next else {
-            return Step::Idle;
-        };
-        let step = self.shards[idx].step();
-        self.flush_outboxes();
-        step
+            .min_by(|(_, a), (_, b)| a.order(b))
+            .map(|(i, k)| (i, k.time))
+    }
+
+    /// Processes the next event in global deterministic order, so callers
+    /// that need single-step control behave identically at any shard count.
+    pub fn step(&mut self) -> Step {
+        self.sync_topology();
+        match self.next_event() {
+            Some((idx, _)) => self.shards[idx].step(),
+            None => Step::Idle,
+        }
     }
 
     /// Simulated time of the earliest pending event across all shards (after
@@ -598,88 +570,65 @@ impl Engine {
     /// queue is empty.
     pub fn peek_time(&mut self) -> Option<f64> {
         self.sync_topology();
-        self.flush_outboxes();
-        self.drain_inboxes();
-        self.shards
-            .iter()
-            .filter_map(|s| s.sim.peek_time())
-            .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+        self.next_event().map(|(_, t)| t)
     }
 
     /// Runs until the event queue is empty (global fixpoint).
     pub fn run_to_fixpoint(&mut self) -> FixpointStats {
-        self.run_until(f64::INFINITY)
-    }
-
-    /// Like [`Engine::run_until`], but instead of dropping external tuples it
-    /// hands each one to `sink` — in global deterministic event order, with
-    /// the engine available for replies — so higher protocol layers (the
-    /// provenance query protocol) advance on the *same* simulated clock as
-    /// protocol maintenance and churn.
-    ///
-    /// Events are processed one at a time through the deterministic
-    /// merged-queue path ([`Engine::step`]), so the result is bit-identical
-    /// at any shard count.  Callers with no external traffic in flight should
-    /// prefer [`Engine::run_until`], which can use the parallel barrier loop.
-    pub fn run_until_interactive(
-        &mut self,
-        time_limit: f64,
-        sink: &mut dyn crate::plugin::ExternalSink,
-    ) -> FixpointStats {
-        let steps_before: u64 = self.shards.iter().map(|s| s.processed).sum();
-        let max_steps = self.data.config.max_steps;
-        // With an infinite limit the time check can never trigger, and
-        // step() already reports queue exhaustion as Idle — skip the peek
-        // (it repeats the flush/drain work step() performs) on that path.
-        let check_limit = time_limit.is_finite();
-        let mut steps = 0u64;
-        let mut external = 0u64;
-        while steps < max_steps {
-            if check_limit {
-                match self.peek_time() {
-                    None => break,
-                    Some(t) if t > time_limit => break,
-                    Some(_) => {}
-                }
-            }
-            match self.step() {
-                Step::Idle => break,
-                Step::Handled => steps += 1,
-                Step::External {
-                    node,
-                    tuple,
-                    time,
-                    insert,
-                } => {
-                    steps += 1;
-                    external += 1;
-                    sink.on_external(self, node, tuple, time, insert);
-                }
-            }
-        }
-        self.flush_storage();
-        let steps_after: u64 = self.shards.iter().map(|s| s.processed).sum();
-        FixpointStats {
-            fixpoint_time: self.last_activity(),
-            steps: steps_after - steps_before,
-            external,
-        }
+        self.run_until(f64::INFINITY, None)
     }
 
     /// Runs until the next event would occur after `time_limit` (or the
-    /// queues empty).  External tuples are dropped and counted.
-    pub fn run_until(&mut self, time_limit: f64) -> FixpointStats {
+    /// queues empty).
+    ///
+    /// External tuples — event tuples no rule handles — are handed to `sink`
+    /// in global deterministic event order, with the engine available for
+    /// replies, so higher protocol layers (the provenance query protocol)
+    /// advance on the *same* simulated clock as protocol maintenance and
+    /// churn.  Without a sink they are dropped and counted, and a
+    /// multi-shard engine is free to use the parallel barrier loop; the
+    /// result is bit-identical either way.
+    pub fn run_until(
+        &mut self,
+        time_limit: f64,
+        mut sink: Option<&mut dyn ExternalSink>,
+    ) -> FixpointStats {
         self.sync_topology();
-        self.flush_outboxes();
-        self.drain_inboxes();
         let steps_before: u64 = self.shards.iter().map(|s| s.processed).sum();
         let ext_before: u64 = self.shards.iter().map(|s| s.externals_seen).sum();
-        if self.shards.len() == 1 {
-            self.run_sequential(time_limit);
-        } else {
+        if self.shards.len() > 1 && sink.is_none() {
+            self.flush_outboxes();
             self.run_parallel(time_limit);
+        } else {
+            let max_steps = self.data.config.max_steps;
+            let mut steps = 0u64;
+            while steps < max_steps {
+                let Some((idx, t)) = self.next_event() else {
+                    break;
+                };
+                if t > time_limit {
+                    break;
+                }
+                steps += 1;
+                let step = self.shards[idx].step();
+                if let (
+                    Step::External {
+                        node,
+                        tuple,
+                        time,
+                        insert,
+                    },
+                    Some(sink),
+                ) = (step, sink.as_deref_mut())
+                {
+                    sink.on_external(self, node, tuple, time, insert);
+                    // The sink held the engine mutably: pick up a topology
+                    // change before the next event routes.
+                    self.sync_topology();
+                }
+            }
         }
-        // The window just closed and every worker thread has joined: commit
+        // The run just closed and every worker thread has joined: commit
         // the journaled operations as one quiescent WAL batch.
         self.flush_storage();
         let steps_after: u64 = self.shards.iter().map(|s| s.processed).sum();
@@ -688,24 +637,6 @@ impl Engine {
             fixpoint_time: self.last_activity(),
             steps: steps_after - steps_before,
             external: ext_after - ext_before,
-        }
-    }
-
-    /// The historical single-threaded event loop (one shard owns everything).
-    fn run_sequential(&mut self, time_limit: f64) {
-        let max_steps = self.data.config.max_steps;
-        let shard = &mut self.shards[0];
-        let mut steps = 0u64;
-        while steps < max_steps {
-            match shard.sim.peek_time() {
-                None => break,
-                Some(t) if t > time_limit => break,
-                Some(_) => {}
-            }
-            match shard.step() {
-                Step::Idle => break,
-                _ => steps += 1,
-            }
         }
     }
 
@@ -761,7 +692,7 @@ impl Engine {
                             break;
                         }
                         let h = f64::from_bits(horizon_ref.load(Ordering::SeqCst));
-                        let (steps, _) = shard.run_window(h, time_limit);
+                        let steps = shard.run_window(h, time_limit);
                         steps_ref.fetch_add(steps, Ordering::SeqCst);
                         for ev in shard.sim.take_outbox() {
                             outbound[assignment[ev.msg.to as usize] as usize].push(ev);
@@ -1267,7 +1198,7 @@ mod tests {
         let topo = Topology::transit_stub(1, 5);
         let mut engine = Engine::new(programs::mincost(), topo, EngineConfig::default());
         seed_links(&mut engine);
-        let stats = engine.run_until(0.01);
+        let stats = engine.run_until(0.01, None);
         assert!(engine.now() <= 0.011);
         assert!(stats.steps > 0);
     }
@@ -1308,19 +1239,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn store_and_remove_silent_do_not_trigger_rules() {
-        let topo = Topology::paper_example();
-        let mut engine = Engine::new(programs::mincost(), topo, EngineConfig::default());
-        let t = link(0, 1, 9);
-        engine.store_silent(0, &t);
-        assert_eq!(engine.tuples_shared(0, "link"), vec![Arc::new(t.clone())]);
-        // No derivation happened (no events processed at all).
-        assert!(engine.tuples_shared(0, "pathCost").is_empty());
-        engine.remove_silent(0, &t);
-        assert!(engine.tuples_shared(0, "link").is_empty());
-    }
-
     type Fingerprint = (Vec<Arc<Tuple>>, Vec<u64>, Vec<(f64, f64)>);
 
     /// Collects a canonical snapshot of the engine's full visible state and
@@ -1347,7 +1265,7 @@ mod tests {
                 programs::mincost(),
                 topo,
                 EngineConfig {
-                    shards: ShardConfig::with_shards(shards),
+                    shards,
                     ..Default::default()
                 },
             );
@@ -1375,7 +1293,7 @@ mod tests {
                 programs::mincost(),
                 topo,
                 EngineConfig {
-                    shards: ShardConfig::with_shards(shards),
+                    shards,
                     ..Default::default()
                 },
             );
@@ -1397,9 +1315,7 @@ mod tests {
     }
 
     #[test]
-    fn run_until_interactive_hands_externals_to_the_sink_in_step_order() {
-        use crate::plugin::ExternalSink;
-
+    fn run_until_hands_externals_to_the_sink_in_step_order() {
         /// Collects surfaced externals; replies once to the first one so the
         /// reply's surfacing proves the sink can drive the engine re-entrantly.
         struct Collect {
@@ -1430,7 +1346,7 @@ mod tests {
                 programs::mincost(),
                 topo,
                 EngineConfig {
-                    shards: ShardConfig::with_shards(shards),
+                    shards,
                     ..Default::default()
                 },
             );
@@ -1444,7 +1360,7 @@ mod tests {
                 seen: Vec::new(),
                 replied: false,
             };
-            let stats = engine.run_until_interactive(f64::INFINITY, &mut sink);
+            let stats = engine.run_until(f64::INFINITY, Some(&mut sink));
             (sink.seen, stats.external)
         };
         let (seq, externals) = run(1);
@@ -1452,23 +1368,92 @@ mod tests {
         assert_eq!(externals, 5);
         assert_eq!(seq.len(), 5);
         assert!(seq.iter().any(|(_, t, _)| t.relation == "eProvResults"));
-        // And the interactive loop is shard-count independent like step().
+        // And the stepping loop is shard-count independent like step().
         assert_eq!(seq, run(3).0);
     }
 
     #[test]
-    fn run_until_interactive_respects_the_time_limit() {
+    fn run_until_with_a_sink_respects_the_time_limit() {
         struct Ignore;
-        impl crate::plugin::ExternalSink for Ignore {
+        impl ExternalSink for Ignore {
             fn on_external(&mut self, _: &mut Engine, _: NodeId, _: Arc<Tuple>, _: f64, _: bool) {}
         }
         let topo = Topology::transit_stub(1, 5);
         let mut engine = Engine::new(programs::mincost(), topo, EngineConfig::default());
         seed_links(&mut engine);
-        let stats = engine.run_until_interactive(0.01, &mut Ignore);
+        let stats = engine.run_until(0.01, Some(&mut Ignore));
         assert!(engine.now() <= 0.011);
         assert!(stats.steps > 0);
         assert!(engine.peek_time().is_some(), "events must remain queued");
+    }
+
+    #[test]
+    fn both_loops_agree_with_and_without_a_sink() {
+        /// Records the arrival time of every external it is handed.
+        struct Record(Vec<f64>);
+        impl ExternalSink for Record {
+            fn on_external(&mut self, _: &mut Engine, _: NodeId, _: Arc<Tuple>, t: f64, _: bool) {
+                self.0.push(t);
+            }
+        }
+
+        // Externals beside route maintenance and forwarded packets: probes
+        // (event tuples no rule handles) sent over the network before the
+        // routes converge and scheduled locally after.  The 3-shard run
+        // without a sink is `run_parallel`; the other three are the stepping
+        // loop.
+        let run = |shards: usize, with_sink: bool| {
+            let config = EngineConfig {
+                shards,
+                ..Default::default()
+            };
+            let mut engine = Engine::new(
+                programs::packet_forward(),
+                Topology::paper_example(),
+                config,
+            );
+            seed_links(&mut engine);
+            for n in 0..4u32 {
+                let peer = (n + 2) % 4;
+                let probe =
+                    |at: NodeId, id: u32| Tuple::new("eProbe", at, vec![Value::Int(id.into())]);
+                engine.send_tuple(n, peer, probe(peer, n), 16);
+                engine.schedule_delta(0.003 * f64::from(n + 1), n, probe(n, 10 + n), true);
+                let packet = vec![Value::Node(n), Value::Node(peer), Value::Payload(256)];
+                engine.schedule_delta(0.05, n, Tuple::new("ePacket", n, packet), true);
+            }
+            let mut sink = Record(Vec::new());
+            let mut advance = |engine: &mut Engine, limit: f64| {
+                let sink: Option<&mut dyn ExternalSink> =
+                    if with_sink { Some(&mut sink) } else { None };
+                engine.run_until(limit, sink)
+            };
+            let at_limit = advance(&mut engine, 0.0065);
+            let next = engine.peek_time();
+            let queued: usize = engine.shards.iter().map(|s| s.sim.pending()).sum();
+            let rest = advance(&mut engine, f64::INFINITY);
+            assert_eq!(engine.peek_time(), None);
+            if with_sink {
+                assert_eq!(sink.0.len() as u64, at_limit.external + rest.external);
+                assert!(sink.0.windows(2).all(|w| w[0] <= w[1]), "{:?}", sink.0);
+            }
+            let bytes = engine.stats().total_bytes();
+            let received = engine.tuples_everywhere_shared("recvPacket").len();
+            let digest = engine.state_digest();
+            (at_limit, next, queued, rest, bytes, received, digest)
+        };
+        let reference = run(1, false);
+        let (at_limit, next, queued, rest, _, received, _) = reference;
+        assert!(
+            at_limit.external > 0 && rest.external > 0,
+            "externals on both sides"
+        );
+        assert_eq!(at_limit.external + rest.external, 8);
+        assert!(next.is_some() && queued > 0, "the limit must cut the run");
+        assert_eq!(received, 4, "every packet delivered");
+        assert_eq!(reference, run(1, true), "1 shard, sink");
+        assert_eq!(reference, run(3, false), "3 shards, run_parallel");
+        assert_eq!(reference, run(3, true), "3 shards, sink");
     }
 
     #[test]
@@ -1481,7 +1466,7 @@ mod tests {
                 programs::mincost(),
                 topo,
                 EngineConfig {
-                    shards: ShardConfig::with_shards(shards),
+                    shards,
                     ..Default::default()
                 },
             );

@@ -15,15 +15,12 @@
 //!   incremental insertion *and* deletion with cascades) over the subset of
 //!   nodes the shard owns.
 //! * [`engine`] — the [`engine::Engine`] coordinator: partitions the
-//!   topology's nodes over shards by rendezvous hashing and runs them on
-//!   worker threads in deterministic barrier windows, producing results
-//!   bit-identical to the sequential engine
-//!   ([`shard::ShardConfig::sequential`]).
-//! * [`executor`] — the [`executor::Executor`] pacing trait:
-//!   [`executor::SimClock`] (deterministic figures/tests clock) and
-//!   [`executor::WallClock`] (real-time pacing for live service
-//!   front-ends) decide how far each engine pump may advance simulated
-//!   time, without ever touching event order below the horizon.
+//!   topology's nodes over shards by rendezvous hashing.
+//!   [`engine::Engine::run_until`] is the one way to advance simulated time:
+//!   all a caller says is how far.  It has two event loops — deterministic
+//!   barrier windows on worker threads, and a stepping loop in global event
+//!   order for one shard or while an [`plugin::ExternalSink`] is listening —
+//!   with bit-identical results.
 //! * [`plugin`] — the [`plugin::AnnotationPolicy`] hook through which the
 //!   provenance layer implements *value-based* provenance (annotations
 //!   attached to every transmitted tuple) without the engine knowing anything
@@ -35,13 +32,11 @@
 //! `exspan-core` can be layered on top as plain message traffic.
 
 pub mod engine;
-pub mod executor;
 pub mod plugin;
 pub mod shard;
 pub mod table;
 
 pub use engine::{Engine, EngineConfig, FixpointStats, Payload, Step};
-pub use executor::{Executor, SimClock, WallClock};
 pub use plugin::{AnnotationPolicy, AnnotationToken, ExternalSink};
-pub use shard::{ShardConfig, SharedPolicy};
+pub use shard::SharedPolicy;
 pub use table::{DeleteEffect, InsertEffect, Table};

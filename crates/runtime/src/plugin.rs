@@ -27,7 +27,7 @@ use std::sync::Arc;
 ///
 /// This is the hook through which higher protocol layers — the distributed
 /// provenance *query* protocol of `exspan-core` — participate in the
-/// engine's single simulated clock: [`Engine::run_until_interactive`] calls
+/// engine's single simulated clock: [`Engine::run_until`] calls
 /// the sink for every external tuple *in deterministic event order*, with the
 /// engine handed back mutably so the sink can reply (send tuples, schedule
 /// deltas) at the exact simulated time the event occurred.  Protocol
@@ -134,28 +134,5 @@ pub trait AnnotationPolicy: Send {
         removed: bool,
     ) {
         let _ = (node, tuple, token, insert, removed);
-    }
-}
-
-/// A policy that attaches nothing (the "No Prov." baseline).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoAnnotation;
-
-impl AnnotationPolicy for NoAnnotation {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use exspan_types::Value;
-
-    #[test]
-    fn default_policy_is_inert() {
-        let mut p = NoAnnotation;
-        let t = Arc::new(Tuple::new("link", 0, vec![Value::Node(1), Value::Int(1)]));
-        p.on_base(0, &t, true);
-        let token = p.on_derivation(0, "sp1", std::slice::from_ref(&t), &t, true);
-        assert!(token.is_none());
-        assert_eq!(p.annotation_bytes(0, 1, &t, token), 0);
-        p.on_arrival(0, &t, token, true, false);
     }
 }

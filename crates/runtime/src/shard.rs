@@ -33,40 +33,6 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// How many shards the engine spreads the topology's nodes over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardConfig {
-    /// Number of shards (and worker threads during fixpoint runs).
-    pub num_shards: usize,
-}
-
-impl ShardConfig {
-    /// A single shard: the engine behaves exactly like the historical
-    /// sequential engine (no worker threads, one queue, one table store).
-    /// Used as the oracle in determinism tests.
-    pub fn sequential() -> Self {
-        ShardConfig { num_shards: 1 }
-    }
-
-    /// A fixed shard count.
-    pub fn with_shards(num_shards: usize) -> Self {
-        assert!(num_shards >= 1, "need at least one shard");
-        ShardConfig { num_shards }
-    }
-
-    /// One shard per available CPU core (at least one).
-    pub fn auto() -> Self {
-        let n = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        ShardConfig { num_shards: n }
-    }
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig::sequential()
-    }
-}
-
 /// An annotation policy shared between the coordinator and every shard.
 pub type SharedPolicy = Arc<Mutex<dyn AnnotationPolicy>>;
 
@@ -188,31 +154,20 @@ impl Shard {
     }
 
     /// Processes every queued event strictly before `horizon` (and no later
-    /// than `limit`).  Returns `(events processed, externals dropped)`.
+    /// than `limit`), dropping externals, and returns the number processed.
     /// This is one barrier window of the parallel fixpoint loop; the horizon
     /// is chosen by the coordinator such that no in-flight cross-shard
     /// message can be due before it.
-    pub(crate) fn run_window(&mut self, horizon: f64, limit: f64) -> (u64, u64) {
+    pub(crate) fn run_window(&mut self, horizon: f64, limit: f64) -> u64 {
         let mut steps = 0u64;
-        let mut external = 0u64;
-        loop {
-            match self.sim.peek_key() {
-                None => break,
-                Some(k) if k.time >= horizon || k.time > limit => break,
-                Some(_) => {}
+        while let Some(k) = self.sim.peek_key() {
+            if k.time >= horizon || k.time > limit {
+                break;
             }
-            match self.step() {
-                Step::Idle => break,
-                Step::External { .. } => {
-                    external += 1;
-                    steps += 1;
-                }
-                Step::Handled => {
-                    steps += 1;
-                }
-            }
+            self.step();
+            steps += 1;
         }
-        (steps, external)
+        steps
     }
 
     /// Whether tuples of `relation` have no handler inside the engine: event
@@ -1210,19 +1165,5 @@ mod tests {
         // Relation mismatch fails.
         let atom3 = Atom::new("path", Term::var("Z"), vec![Term::var("S"), Term::var("C")]);
         assert!(unify_atom(&atom3, &t, &Bindings::new()).is_none());
-    }
-
-    #[test]
-    fn shard_config_constructors() {
-        assert_eq!(ShardConfig::sequential().num_shards, 1);
-        assert_eq!(ShardConfig::with_shards(4).num_shards, 4);
-        assert!(ShardConfig::auto().num_shards >= 1);
-        assert_eq!(ShardConfig::default(), ShardConfig::sequential());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_rejected() {
-        ShardConfig::with_shards(0);
     }
 }

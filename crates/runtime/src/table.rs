@@ -186,11 +186,6 @@ impl Table {
         self.relation.as_str()
     }
 
-    /// Interned relation identifier.
-    pub fn relation_id(&self) -> RelId {
-        self.relation
-    }
-
     /// Number of distinct tuples currently visible.
     pub fn len(&self) -> usize {
         self.rows.len()

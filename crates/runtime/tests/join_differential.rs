@@ -13,7 +13,7 @@ use exspan_ndlog::ast::{
     Term,
 };
 use exspan_netsim::{LinkClass, LinkProps, Topology};
-use exspan_runtime::{Engine, EngineConfig, ShardConfig};
+use exspan_runtime::{Engine, EngineConfig};
 use exspan_types::{NodeId, Tuple, Value};
 use proptest::prelude::*;
 
@@ -276,7 +276,7 @@ fn run_program(
         program,
         ring(),
         EngineConfig {
-            shards: ShardConfig::with_shards(shards),
+            shards,
             join_planning,
             ..Default::default()
         },

@@ -16,9 +16,10 @@
 //!   requests more response bytes than [`ServeConfig::write_queue_bytes`]
 //!   while not reading them is answered with a typed `Overloaded` error and
 //!   closed — slow readers cannot pin server memory.
-//! * the **worker** owns the [`exspan_core::Deployment`] under a
-//!   [`exspan_runtime::WallClock`] and executes submits/polls it receives
-//!   over a channel, waking the reactor through a loopback socket pair.
+//! * the **worker** owns the [`exspan_core::Deployment`]: it executes the
+//!   submits/polls it receives over a channel, advances the deployment to
+//!   `origin + elapsed × clock_rate` once per wake-up, and wakes the reactor
+//!   through a loopback socket pair.  It holds no per-query state.
 //!
 //! ## Wire protocol
 //!

@@ -12,14 +12,15 @@
 //!   accounting and result chunking itself; only submits and polls cross to
 //!   the worker (tagged with a connection id so responses find their way
 //!   back and may complete out of order).
-//! * **Worker thread** — owns the [`Deployment`] and a [`WallClock`]
-//!   executor, exactly as before the reactor rewrite.  Each tick drains
-//!   pending commands (submits, polls), then pumps the deployment to the
-//!   simulated time the wall clock has paid for (`Deployment::run_with`).
-//!   Completed polls also carry the rendered result body (cached per
-//!   query, shared by `Arc`), which the reactor streams back in
-//!   [`Frame::ResultChunk`] frames.  The worker wakes the reactor through a
-//!   loopback byte after posting replies.
+//! * **Worker thread** — owns the [`Deployment`].  Each wake-up (a command
+//!   arrived, or a millisecond passed) drains pending commands (submits,
+//!   polls), then advances the deployment once, to the simulated time real
+//!   time has paid for: `origin + elapsed × clock_rate`
+//!   ([`Deployment::run_until`], the same call every other front-end makes).
+//!   It keeps no per-query state: a query id is the index of its outcome in
+//!   the deployment, and a completed poll renders that outcome's body, which
+//!   the reactor streams back in [`Frame::ResultChunk`] frames.  The worker
+//!   wakes the reactor through a loopback byte after posting replies.
 //!
 //! # Backpressure
 //!
@@ -41,8 +42,7 @@ use crate::proto::{
     self, ErrorCode, Frame, FrameBuffer, FrameRead, QuerySpec, QueryState, ResultStream,
     CHUNK_HEADER_LEN, MAX_CHUNK_DATA, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
-use exspan_core::{Annotation, Deployment, QueryError, QueryHandle};
-use exspan_runtime::WallClock;
+use exspan_core::{Annotation, Deployment};
 use exspan_types::Tuple;
 use pollshim::{PollFd, POLLIN, POLLOUT};
 use std::collections::{HashMap, VecDeque};
@@ -53,7 +53,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Reactor poll timeout: bounds shutdown latency when no fd turns ready.
 const POLL_TIMEOUT_MS: i32 = 25;
@@ -68,6 +68,11 @@ const REFILL_BYTES: usize = 128 * 1024;
 /// the *same* connection while a stream drains go out ahead of the stream's
 /// tail — which is what makes pipelined completion genuinely out-of-order.
 const FLUSH_QUANTUM: usize = 128 * 1024;
+
+/// How long the worker blocks waiting for a command before it advances the
+/// simulated clock anyway: short enough to keep pace with real time, long
+/// enough not to busy-spin.
+const QUANTUM: Duration = Duration::from_millis(1);
 
 /// Tuning knobs of a [`Server`], built fluently:
 ///
@@ -87,10 +92,8 @@ pub struct ServeConfig {
     rate: f64,
     burst: u32,
     clock_rate: f64,
-    quantum: Duration,
     pipeline_depth: u32,
     write_queue_bytes: usize,
-    chunk_bytes: usize,
     data_dir: Option<PathBuf>,
 }
 
@@ -103,10 +106,8 @@ impl Default for ServeConfig {
             rate: 500.0,
             burst: 64,
             clock_rate: 50.0,
-            quantum: WallClock::DEFAULT_QUANTUM,
             pipeline_depth: 32,
             write_queue_bytes: 1024 * 1024,
-            chunk_bytes: MAX_CHUNK_DATA,
             data_dir: None,
         }
     }
@@ -134,7 +135,8 @@ impl ServeConfig {
     }
 
     /// Per-session token bucket: `rate` requests per second refill, `burst`
-    /// capacity.
+    /// capacity.  [`Server::bind`] refuses a `rate` that is not finite and
+    /// positive, and a `burst` of 0.
     pub fn rate_limit(mut self, rate: f64, burst: u32) -> Self {
         self.rate = rate;
         self.burst = burst;
@@ -142,14 +144,10 @@ impl ServeConfig {
     }
 
     /// Simulated seconds the deployment advances per wall-clock second.
+    /// [`Server::bind`] refuses a rate that is not finite and positive — a
+    /// stalled or inverted clock would never reach any event.
     pub fn clock_rate(mut self, clock_rate: f64) -> Self {
         self.clock_rate = clock_rate;
-        self
-    }
-
-    /// Worker sleep quantum while waiting for wall time to accrue.
-    pub fn quantum(mut self, quantum: Duration) -> Self {
-        self.quantum = quantum;
         self
     }
 
@@ -166,14 +164,6 @@ impl ServeConfig {
     /// connection is closed after flushing.
     pub fn write_queue_bytes(mut self, write_queue_bytes: usize) -> Self {
         self.write_queue_bytes = write_queue_bytes;
-        self
-    }
-
-    /// Data bytes per [`Frame::ResultChunk`] (clamped to
-    /// [`MAX_CHUNK_DATA`]).  Lowering this mainly serves tests that want
-    /// many chunks from small results.
-    pub fn chunk_bytes(mut self, chunk_bytes: usize) -> Self {
-        self.chunk_bytes = chunk_bytes.clamp(1, MAX_CHUNK_DATA);
         self
     }
 
@@ -284,7 +274,24 @@ impl Server {
     /// (e.g. [`Deployment::schedule_churn_event`]) *before* binding: the
     /// wall clock pays simulated time out gradually, so events scheduled
     /// ahead fire while the server is live.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`], before anything is bound or spawned,
+    /// when `clock_rate` or the token-bucket `rate` is not finite and
+    /// positive or `burst` is 0; otherwise whatever binding the sockets or
+    /// spawning the threads returns.
     pub fn bind(deployment: Deployment, config: ServeConfig) -> io::Result<ServerHandle> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !positive(config.clock_rate) || !positive(config.rate) || config.burst == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "clock rate ({}) and request rate ({}) must be finite and > 0, burst ({}) > 0",
+                    config.clock_rate, config.rate, config.burst
+                ),
+            ));
+        }
         // Best-effort: a 10k-session cap is useless if the process is stuck
         // at the default 1024-fd soft limit.  Failure is fine — the accept
         // path refuses over-cap connections gracefully either way.
@@ -394,80 +401,70 @@ fn worker_loop(
     mut wake: TcpStream,
     stop: &AtomicBool,
 ) -> Deployment {
-    let mut wall =
-        WallClock::starting_at(deployment.now(), config.clock_rate).with_quantum(config.quantum);
-    let mut handles: HashMap<u64, QueryHandle> = HashMap::new();
-    // Rendered result bodies, cached so repeated polls of one completed
-    // query re-use the same `Arc`ed bytes.
-    let mut rendered: HashMap<u64, Arc<Vec<u8>>> = HashMap::new();
+    // Simulated time is `origin + elapsed × clock_rate`: real time pays for
+    // it, so maintenance, churn and queries run at an observable pace.
+    let origin = deployment.now();
+    let epoch = Instant::now();
 
-    let handle_command = |deployment: &mut Deployment,
-                          handles: &mut HashMap<u64, QueryHandle>,
-                          rendered: &mut HashMap<u64, Arc<Vec<u8>>>,
-                          cmd: Command| {
-        match cmd {
-            Command::Submit {
+    let handle_command = |deployment: &mut Deployment, cmd: Command| match cmd {
+        Command::Submit {
+            conn,
+            request,
+            spec,
+        } => {
+            let verdict = admit(deployment, spec, config.max_inflight);
+            let _ = replies.send(Reply::Submit {
                 conn,
                 request,
-                spec,
-            } => {
-                let verdict = admit(deployment, handles, spec, config.max_inflight);
-                let _ = replies.send(Reply::Submit {
-                    conn,
-                    request,
-                    verdict,
-                });
-            }
-            Command::Poll {
+                verdict,
+            });
+        }
+        Command::Poll {
+            conn,
+            request,
+            query,
+        } => {
+            // A query id is the index of its outcome, whichever session
+            // submitted it.
+            let outcome = usize::try_from(query)
+                .ok()
+                .and_then(|index| deployment.outcomes().get(index));
+            let verdict = match outcome {
+                None => PollVerdict::Unknown,
+                Some(outcome) => match outcome.completed_at {
+                    Some(completed_at) => PollVerdict::Status {
+                        state: QueryState::Complete,
+                        latency: completed_at - outcome.issued_at,
+                        summary: summarize(outcome.annotation.as_ref()),
+                        result: Some(Arc::new(render_result(outcome.annotation.as_ref()))),
+                    },
+                    None => PollVerdict::Status {
+                        state: QueryState::Pending,
+                        latency: 0.0,
+                        summary: String::new(),
+                        result: None,
+                    },
+                },
+            };
+            let _ = replies.send(Reply::Poll {
                 conn,
                 request,
                 query,
-            } => {
-                let verdict = match handles.get(&query) {
-                    None => PollVerdict::Unknown,
-                    Some(&handle) => match deployment.completed_outcome(handle) {
-                        Ok(outcome) => {
-                            let result = Arc::clone(rendered.entry(query).or_insert_with(|| {
-                                Arc::new(render_result(outcome.annotation.as_ref()))
-                            }));
-                            PollVerdict::Status {
-                                state: QueryState::Complete,
-                                latency: outcome.completed_at.unwrap_or(outcome.issued_at)
-                                    - outcome.issued_at,
-                                summary: summarize(outcome.annotation.as_ref()),
-                                result: Some(result),
-                            }
-                        }
-                        Err(QueryError::NotComplete { .. }) => PollVerdict::Status {
-                            state: QueryState::Pending,
-                            latency: 0.0,
-                            summary: String::new(),
-                            result: None,
-                        },
-                        Err(_) => PollVerdict::Unknown,
-                    },
-                };
-                let _ = replies.send(Reply::Poll {
-                    conn,
-                    request,
-                    query,
-                    verdict,
-                });
-            }
+                verdict,
+            });
         }
     };
 
     loop {
         let mut replied = false;
         while let Ok(cmd) = rx.try_recv() {
-            handle_command(&mut deployment, &mut handles, &mut rendered, cmd);
+            handle_command(&mut deployment, cmd);
             replied = true;
         }
         if replied {
             let _ = wake.write(&[1]);
         }
-        let target = wall.accrued();
-        deployment.run_with(&mut wall, target);
+        deployment.run_until(origin + epoch.elapsed().as_secs_f64() * config.clock_rate);
         if stop.load(Ordering::SeqCst) {
             break;
         }
@@ -476,11 +473,11 @@ fn worker_loop(
         // already queued before writing the wake byte: commands the reactor
         // forwarded in one tick (e.g. a pipelined batch from one client)
         // then commit their replies together, ahead of the first flush.
-        match rx.recv_timeout(config.quantum) {
+        match rx.recv_timeout(QUANTUM) {
             Ok(cmd) => {
-                handle_command(&mut deployment, &mut handles, &mut rendered, cmd);
+                handle_command(&mut deployment, cmd);
                 while let Ok(cmd) = rx.try_recv() {
-                    handle_command(&mut deployment, &mut handles, &mut rendered, cmd);
+                    handle_command(&mut deployment, cmd);
                 }
                 let _ = wake.write(&[1]);
             }
@@ -491,12 +488,7 @@ fn worker_loop(
     deployment
 }
 
-fn admit(
-    deployment: &mut Deployment,
-    handles: &mut HashMap<u64, QueryHandle>,
-    spec: QuerySpec,
-    max_inflight: usize,
-) -> SubmitVerdict {
+fn admit(deployment: &mut Deployment, spec: QuerySpec, max_inflight: usize) -> SubmitVerdict {
     let inflight = deployment.incomplete_queries();
     if inflight >= max_inflight {
         return SubmitVerdict::Refused {
@@ -522,9 +514,9 @@ fn admit(
         .traversal(spec.traversal)
         .cached(spec.cached)
         .submit();
-    let query = handle.index() as u64;
-    handles.insert(query, handle);
-    SubmitVerdict::Admitted { query }
+    SubmitVerdict::Admitted {
+        query: handle.index() as u64,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -582,8 +574,8 @@ impl Conn {
     }
 
     /// Encoded wire cost of streaming `remaining` more body bytes.
-    fn stream_cost(remaining: usize, chunk_bytes: usize) -> usize {
-        remaining + remaining.div_ceil(chunk_bytes) * (CHUNK_HEADER_LEN + 4)
+    fn stream_cost(remaining: usize) -> usize {
+        remaining + remaining.div_ceil(MAX_CHUNK_DATA) * (CHUNK_HEADER_LEN + 4)
     }
 
     /// Queues an encoded response frame without a budget check (used for
@@ -612,9 +604,7 @@ impl Conn {
     /// result body to stream.  Over-budget commits become `Overloaded`.
     fn respond(&mut self, frame: &Frame, body: Option<(u64, Arc<Vec<u8>>)>, config: &ServeConfig) {
         let bytes = proto::encode_frame(frame).expect("server response frames always encode");
-        let body_cost = body
-            .as_ref()
-            .map_or(0, |(_, b)| Self::stream_cost(b.len(), config.chunk_bytes));
+        let body_cost = body.as_ref().map_or(0, |(_, b)| Self::stream_cost(b.len()));
         if self.queued_bytes + self.stream_bytes + bytes.len() + body_cost
             > config.write_queue_bytes
         {
@@ -626,7 +616,7 @@ impl Conn {
         if let Some((request, body)) = body {
             if !body.is_empty() {
                 self.streams
-                    .push_back(ResultStream::new(request, body, config.chunk_bytes));
+                    .push_back(ResultStream::new(request, body, MAX_CHUNK_DATA));
                 self.stream_bytes += body_cost;
             }
         }
@@ -929,7 +919,7 @@ impl Reactor {
                     burst: config.burst,
                     version: PROTOCOL_VERSION,
                     pipeline_depth: config.pipeline_depth,
-                    chunk_bytes: config.chunk_bytes as u32,
+                    chunk_bytes: MAX_CHUNK_DATA as u32,
                     // Reserved: an offered result codec is declined.
                     codec: false,
                 };

@@ -273,6 +273,42 @@ fn rate_limit_backpressure_is_typed_and_recoverable() {
 }
 
 #[test]
+fn bind_refuses_rates_no_clock_or_bucket_can_run_on() {
+    // A port nothing holds: bound once to learn it, then released.
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .to_string();
+    let bind = |config: ServeConfig| {
+        let deployment = Exspan::builder()
+            .program(exspan_ndlog::programs::mincost())
+            .topology(Topology::paper_example())
+            .build()
+            .expect("valid deployment");
+        Server::bind(deployment, config.addr(addr.as_str()))
+    };
+    let mut bad: Vec<ServeConfig> = [0.0, -1.0, f64::NAN, f64::INFINITY]
+        .into_iter()
+        .map(|rate| ServeConfig::default().clock_rate(rate))
+        .collect();
+    bad.push(ServeConfig::default().rate_limit(0.0, 1));
+    bad.push(ServeConfig::default().rate_limit(f64::NAN, 1));
+    bad.push(ServeConfig::default().rate_limit(1.0, 0));
+    for config in bad {
+        let err = bind(config.clone())
+            .err()
+            .unwrap_or_else(|| panic!("{config:?} must be refused"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{config:?}");
+    }
+    // Refusal came before anything was bound: the address is still free.
+    let server = bind(ServeConfig::default()).expect("a sound config binds the same address");
+    let client = ServeClient::connect(server.addr()).expect("handshake");
+    client.bye().expect("clean goodbye");
+    server.shutdown();
+}
+
+#[test]
 fn unknown_query_ids_are_typed_errors() {
     let server = boot(ServeConfig::default());
     let mut client = ServeClient::connect(server.addr()).expect("handshake");
@@ -342,8 +378,8 @@ fn large_results_stream_chunked_and_pipelined_polls_complete_out_of_order() {
     // hold off reading: the worker commits the small response while the
     // reactor is still flushing the big stream one quantum per tick, so
     // the small response overtakes the stream's tail — genuine
-    // out-of-order completion.  Both polls are idempotent reads of cached
-    // results, so on a loaded runner (where the scheduler can let the
+    // out-of-order completion.  Both polls are idempotent reads of completed
+    // outcomes, so on a loaded runner (where the scheduler can let the
     // reactor drain the whole stream before the worker commits the small
     // reply) the pair is simply retried; one interleaved attempt proves
     // the protocol property.
@@ -389,6 +425,56 @@ fn large_results_stream_chunked_and_pipelined_polls_complete_out_of_order() {
     server.shutdown();
 }
 
+/// Submits [`bestpath_spec`] on a greeted raw connection.
+fn submit_bestpath(stream: &mut TcpStream) -> u64 {
+    let submit = Frame::SubmitQuery {
+        request: 1,
+        spec: bestpath_spec(),
+    };
+    proto::write_frame(stream, &submit).unwrap();
+    match read_decoded(stream) {
+        Frame::SubmitAck { query, .. } => query,
+        other => panic!("expected SubmitAck, got {other:?}"),
+    }
+}
+
+/// Polls `query` until complete, then reassembles the chunk stream:
+/// `(result_total, body)`.
+fn poll_body(stream: &mut TcpStream, query: u64) -> (u64, Vec<u8>) {
+    let result_total = loop {
+        proto::write_frame(stream, &Frame::Poll { request: 2, query }).unwrap();
+        match read_decoded(stream) {
+            Frame::QueryStatusV2 {
+                state: QueryState::Complete,
+                result_total,
+                cache_maintained,
+                compressed_bytes_saved,
+                ..
+            } => {
+                assert_eq!((cache_maintained, compressed_bytes_saved), (0, 0));
+                break result_total;
+            }
+            Frame::QueryStatusV2 { .. } => std::thread::sleep(Duration::from_millis(2)),
+            other => panic!("expected QueryStatusV2, got {other:?}"),
+        }
+    };
+    let mut assembler = ResultAssembler::new(result_total);
+    loop {
+        let Frame::ResultChunk {
+            offset,
+            total,
+            bytes,
+            ..
+        } = read_decoded(stream)
+        else {
+            panic!("expected ResultChunk");
+        };
+        if let Some(body) = assembler.accept(offset, total, &bytes).expect("in order") {
+            break (result_total, body);
+        }
+    }
+}
+
 #[test]
 fn offered_codec_is_declined_and_bodies_travel_plain() {
     // The `codec` flag is reserved: a client that still offers it is told
@@ -407,46 +493,8 @@ fn offered_codec_is_declined_and_bodies_travel_plain() {
         Frame::HelloAckV2 { codec, .. } => assert!(!codec, "the offer must be declined"),
         other => panic!("expected HelloAckV2, got {other:?}"),
     }
-
-    let submit = Frame::SubmitQuery {
-        request: 1,
-        spec: bestpath_spec(),
-    };
-    proto::write_frame(&mut stream, &submit).unwrap();
-    let Frame::SubmitAck { query, .. } = read_decoded(&mut stream) else {
-        panic!("expected SubmitAck");
-    };
-    let mut assembler = loop {
-        proto::write_frame(&mut stream, &Frame::Poll { request: 2, query }).unwrap();
-        match read_decoded(&mut stream) {
-            Frame::QueryStatusV2 {
-                state: QueryState::Complete,
-                result_total,
-                cache_maintained,
-                compressed_bytes_saved,
-                ..
-            } => {
-                assert_eq!((cache_maintained, compressed_bytes_saved), (0, 0));
-                break ResultAssembler::new(result_total);
-            }
-            Frame::QueryStatusV2 { .. } => std::thread::sleep(Duration::from_millis(2)),
-            other => panic!("expected QueryStatusV2, got {other:?}"),
-        }
-    };
-    let body = loop {
-        let Frame::ResultChunk {
-            offset,
-            total,
-            bytes,
-            ..
-        } = read_decoded(&mut stream)
-        else {
-            panic!("expected ResultChunk");
-        };
-        if let Some(body) = assembler.accept(offset, total, &bytes).expect("in order") {
-            break body;
-        }
-    };
+    let query = submit_bestpath(&mut stream);
+    let (_, body) = poll_body(&mut stream, query);
 
     let deployment = server.shutdown();
     let rendered = deployment.outcomes()[0]
@@ -456,6 +504,23 @@ fn offered_codec_is_declined_and_bodies_travel_plain() {
         .expect("a polynomial answer")
         .to_string();
     assert_eq!(body, rendered.into_bytes());
+}
+
+#[test]
+fn repeated_polls_from_any_session_render_the_same_body() {
+    // The worker keeps nothing per query or per session: a query id is the
+    // index of its outcome, and every poll renders that outcome again.
+    let server = boot(ServeConfig::default().clock_rate(1000.0));
+    let mut stream = raw_connect(&server);
+    hello(&mut stream);
+    let query = submit_bestpath(&mut stream);
+    let first = poll_body(&mut stream, query);
+    assert!(first.0 > 0 && first.0 == first.1.len() as u64);
+    assert_eq!(first, poll_body(&mut stream, query));
+    let mut other = raw_connect(&server);
+    hello(&mut other);
+    assert_eq!(first, poll_body(&mut other, query));
+    server.shutdown();
 }
 
 #[test]

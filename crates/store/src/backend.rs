@@ -17,10 +17,6 @@ pub struct StoreConfig {
     /// as the snapshot it would replace, so every snapshot byte written is
     /// paid for by a logged byte.  `u64::MAX` means never.
     pub snapshot_wal_bytes: u64,
-    /// In-memory row budget across all tables; when exceeded, the largest
-    /// tables are spilled to disk until the budget holds.  `None` disables
-    /// spill.
-    pub spill_budget_rows: Option<usize>,
 }
 
 impl Default for StoreConfig {
@@ -28,7 +24,6 @@ impl Default for StoreConfig {
         StoreConfig {
             durability: Durability::Barrier,
             snapshot_wal_bytes: 256 * 1024,
-            spill_budget_rows: None,
         }
     }
 }
@@ -222,11 +217,6 @@ impl DiskBackend {
     /// The data directory this backend persists into.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The configured spill row budget, if spill is enabled.
-    pub fn spill_budget_rows(&self) -> Option<usize> {
-        self.config.spill_budget_rows
     }
 }
 

@@ -29,9 +29,6 @@ impl Digest {
     pub fn short(&self) -> String {
         self.to_hex()[..8].to_string()
     }
-
-    /// Number of bytes a digest occupies on the wire.
-    pub const WIRE_SIZE: usize = 20;
 }
 
 impl std::fmt::Debug for Digest {

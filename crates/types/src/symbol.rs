@@ -89,11 +89,6 @@ impl Symbol {
     pub fn is_empty(self) -> bool {
         self.0.is_empty()
     }
-
-    /// Number of distinct strings interned so far (diagnostics / tests).
-    pub fn interned_count() -> usize {
-        interner().read().expect("symbol interner poisoned").len()
-    }
 }
 
 impl PartialEq for Symbol {

@@ -6,7 +6,6 @@
 //! all account identically.
 
 use crate::tuple::Tuple;
-use crate::value::Value;
 
 /// Fixed per-message header: source, destination, message type and length.
 pub const MESSAGE_HEADER_BYTES: usize = 12;
@@ -27,12 +26,6 @@ pub fn message_size(tuples: &[Tuple], annotation_bytes: usize) -> usize {
         + UDP_IP_HEADER_BYTES
         + tuples.iter().map(Tuple::wire_size).sum::<usize>()
         + annotation_bytes
-}
-
-/// Returns the serialized size of a list of values (used for provenance
-/// annotations such as polynomials or VID lists).
-pub fn values_size(values: &[Value]) -> usize {
-    values.iter().map(Value::wire_size).sum()
 }
 
 /// A running bandwidth accumulator that buckets bytes into fixed-width time
@@ -112,14 +105,6 @@ mod tests {
         assert_eq!(
             sz,
             MESSAGE_HEADER_BYTES + UDP_IP_HEADER_BYTES + t.wire_size() + 24
-        );
-    }
-
-    #[test]
-    fn values_size_sums_components() {
-        assert_eq!(
-            values_size(&[Value::Int(1), Value::Digest([0; 20])]),
-            4 + 20
         );
     }
 
