@@ -1,9 +1,44 @@
 //! Reporting types for experiment output.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonError, JsonValue, Serialize};
+
+/// Writes and reads each struct as a JSON object with one member per field —
+/// the encoding of the `BENCH_<figure>.json` files.
+macro_rules! json_records {
+    ($($name:ident: $($field:ident),+;)+) => {$(
+        impl Serialize for $name {
+            fn json_into(&self, out: &mut String) {
+                let fields: &[(&str, &dyn Serialize)] =
+                    &[$((stringify!($field), &self.$field)),+];
+                for (i, (name, value)) in fields.iter().enumerate() {
+                    out.push(if i == 0 { '{' } else { ',' });
+                    serde::write_json_string(name, out);
+                    out.push(':');
+                    value.json_into(out);
+                }
+                out.push('}');
+            }
+        }
+
+        impl Deserialize for $name {
+            fn from_json_value(v: &JsonValue) -> Result<Self, JsonError> {
+                Ok($name {
+                    $($field: Deserialize::from_json_value(v.get_field(stringify!($field))?)?),+
+                })
+            }
+        }
+    )+};
+}
+
+json_records! {
+    Series: label, points;
+    FigureReport: id, title, x_label, y_label, series, expected_shape;
+    BenchSeries: label, mean, max, last, points;
+    BenchReport: figure, title, scale, shards, wall_clock_seconds, y_label, series;
+}
 
 /// One named data series of a figure, e.g. the "Ref-based Prov." curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Legend label (matching the paper's figure legends where applicable).
     pub label: String,
@@ -41,7 +76,7 @@ impl Series {
 }
 
 /// The regenerated data of one figure of the paper.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FigureReport {
     /// Figure identifier, e.g. `"fig6"`.
     pub id: String,
@@ -58,7 +93,7 @@ pub struct FigureReport {
 }
 
 /// Per-series summary statistics inside a [`BenchReport`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BenchSeries {
     /// Legend label.
     pub label: String,
@@ -77,7 +112,7 @@ pub struct BenchSeries {
 /// Everything except `wall_clock_seconds` is a function of the simulated
 /// protocol run and therefore deterministic: CI regenerates these files and
 /// diffs them against the committed baselines (`scripts/check_bench.sh`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BenchReport {
     /// Figure identifier, e.g. `"fig6"`.
     pub figure: String,
@@ -189,7 +224,7 @@ mod tests {
         assert!(text.contains("[A]"));
         assert!(r.series("A").is_some());
         assert!(r.series("B").is_none());
-        // serde round trip
+        // JSON round trip
         let json = serde_json::to_string(&r).unwrap();
         let back: FigureReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.series.len(), 1);

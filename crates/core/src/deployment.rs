@@ -17,15 +17,17 @@
 //!   .cached(true).submit()`) returning a lightweight [`QueryHandle`].
 //!   Queries with equal configuration share a typed *session* (one result
 //!   cache, one representation instance) inspectable through
-//!   [`Deployment::session`].
+//!   [`Deployment::session`].  The protocol itself — §5.1's rules as one
+//!   table of derived query ids — lives wholly in [`crate::query`]; this
+//!   module only submits to it and reads outcomes back.
 //! * **Measure / advance** — [`Deployment::run_until`] (and
 //!   [`Deployment::run_to_fixpoint`], the same call with no limit) is the one
 //!   way to advance time: protocol maintenance, churn deltas *and* in-flight
-//!   queries share one simulated clock (the query fabric listens as the
-//!   engine's [`exspan_runtime::ExternalSink`]), so query traffic overlaps
-//!   ongoing maintenance exactly as Figures 9–12 of the paper intend.  A
-//!   front-end — figures, tests, the benchmark, `exspan-serve` — says only
-//!   how far simulated time may go.
+//!   queries share one simulated clock (while its id table is non-empty the
+//!   query fabric listens as the engine's [`exspan_runtime::ExternalSink`]),
+//!   so query traffic overlaps ongoing maintenance exactly as Figures 9–12
+//!   of the paper intend.  A front-end — figures, tests, the benchmark,
+//!   `exspan-serve` — says only how far simulated time may go.
 //!
 //! ```
 //! use exspan_core::{Exspan, ProvenanceMode, Repr, Traversal};
@@ -53,17 +55,17 @@
 //! ```
 
 use crate::mode::ProvenanceMode;
-use crate::query::{Ctx, QueryError, QueryOutcome, SessionCore, SessionStats, TraversalOrder};
+use crate::query::{QueryError, QueryFabric, QueryOutcome, Session, SessionStats, TraversalOrder};
 use crate::repr::{Annotation, Repr};
 use crate::rewrite::{provenance_rewrite, RewriteOptions};
 use crate::value_policy::ValueBddPolicy;
 use exspan_ndlog::ast::Program;
 use exspan_ndlog::diag::{Diagnostic, Severity};
 use exspan_netsim::{ChurnEvent, LinkProps, Topology};
-use exspan_runtime::{Engine, EngineConfig, ExternalSink, FixpointStats, SharedPolicy};
+use exspan_runtime::{Engine, EngineConfig, FixpointStats, SharedPolicy};
 use exspan_store::{DiskBackend, StorageBackend, StorageStats, StoreConfig};
-use exspan_types::{Digest, NodeId, Tuple, Value, Vid};
-use std::collections::{BTreeMap, HashMap};
+use exspan_types::{NodeId, Tuple, Value, Vid};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -143,7 +145,6 @@ pub struct DeploymentBuilder {
     topology: Option<Topology>,
     mode: ProvenanceMode,
     shards: usize,
-    seed_links: bool,
     data_dir: Option<PathBuf>,
     snapshot_every_bytes: u64,
     memory_budget_rows: Option<usize>,
@@ -157,7 +158,6 @@ impl Default for DeploymentBuilder {
             topology: None,
             mode: ProvenanceMode::Reference,
             shards: 1,
-            seed_links: true,
             data_dir: None,
             snapshot_every_bytes: StoreConfig::default().snapshot_wal_bytes,
             memory_budget_rows: None,
@@ -189,14 +189,6 @@ impl DeploymentBuilder {
     /// are bit-identical for every shard count.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Whether `build` seeds both directions of every topology link as `link`
-    /// base tuples (default `true` — the paper gives every node a priori
-    /// knowledge of its local links).
-    pub fn seed_links(mut self, seed: bool) -> Self {
-        self.seed_links = seed;
         self
     }
 
@@ -387,153 +379,16 @@ impl DeploymentBuilder {
             value_policy,
             program_name: program.name.clone(),
             warnings,
-            fabric: QueryFabric::new(),
+            fabric: QueryFabric::default(),
             pending_invalidations: BTreeMap::new(),
             recovered,
         };
         // A recovered store already contains the link tuples (and everything
         // derived from them); re-seeding would double their derivations.
-        if self.seed_links && !recovered {
+        if !recovered {
             deployment.seed_links();
         }
         Ok(deployment)
-    }
-}
-
-/// All query-session state of one deployment: the sessions themselves plus
-/// the deployment-global outcome table, the digest→session routing map used
-/// to dispatch incoming query-protocol messages, and the id counter that
-/// keeps message ids unique across concurrent sessions.
-struct QueryFabric {
-    sessions: Vec<SessionCore>,
-    specs: Vec<(Repr, TraversalOrder, bool)>,
-    outcomes: Vec<QueryOutcome>,
-    /// `session_of[outcome index]` = owning session.
-    session_of: Vec<usize>,
-    route: HashMap<Digest, usize>,
-    next_id: u64,
-    /// Number of submitted queries whose outcome has not been delivered (and
-    /// not been written off as orphaned by [`QueryFabric::reap_orphans`]).
-    incomplete: usize,
-}
-
-impl QueryFabric {
-    fn new() -> Self {
-        QueryFabric {
-            sessions: Vec::new(),
-            specs: Vec::new(),
-            outcomes: Vec::new(),
-            session_of: Vec::new(),
-            route: HashMap::new(),
-            next_id: 0,
-            incomplete: 0,
-        }
-    }
-
-    /// Finds the session matching the configuration, creating it on demand.
-    fn session_for(&mut self, repr: &Repr, traversal: TraversalOrder, cached: bool) -> usize {
-        if let Some(i) = self
-            .specs
-            .iter()
-            .position(|(r, t, c)| r == repr && *t == traversal && *c == cached)
-        {
-            return i;
-        }
-        let id = self.sessions.len();
-        self.sessions
-            .push(SessionCore::new(id, repr.instantiate(), traversal, cached));
-        self.specs.push((repr.clone(), traversal, cached));
-        id
-    }
-
-    /// Whether any query activity is pending (incomplete outcomes, scheduled
-    /// issuances, or protocol messages in flight).  When idle, the deployment
-    /// passes the engine no sink, which frees it to run its shards in
-    /// parallel.
-    fn active(&self) -> bool {
-        self.incomplete > 0
-            || self
-                .sessions
-                .iter()
-                .any(super::query::SessionCore::has_pending)
-    }
-
-    /// Whether any session caches query results (and could therefore go
-    /// stale when a scheduled base-tuple delta is applied).
-    fn any_caching(&self) -> bool {
-        self.sessions.iter().any(super::query::SessionCore::caching)
-    }
-
-    /// Writes off query state that can no longer make progress.  Called when
-    /// the engine's event queue has fully drained: at that point any still
-    /// unresolved sub-query or in-flight result belongs to a message the
-    /// simulator dropped (e.g. churn partitioned the issuer from the target),
-    /// and keeping it would pin [`QueryFabric::active`] — and with it the
-    /// slower single-stepped run path — forever.  Orphaned outcomes keep
-    /// `completed_at: None`, honestly reporting that no result arrived.
-    fn reap_orphans(&mut self) {
-        self.incomplete = 0;
-        self.route.clear();
-        for session in &mut self.sessions {
-            session.clear_pending();
-        }
-    }
-
-    /// Routes one surfaced external tuple to the session that owns it.
-    fn dispatch(&mut self, engine: &mut Engine, node: NodeId, tuple: &Tuple, time: f64) {
-        let sid = match tuple.relation.as_str() {
-            "eQueryIssue" => tuple
-                .values
-                .first()
-                .and_then(|v| v.as_int().ok())
-                .and_then(|i| self.session_of.get(i as usize).copied()),
-            "eProvQuery" | "eRuleQuery" | "eProvResults" | "eRuleResults" => tuple
-                .values
-                .first()
-                .and_then(|v| v.as_digest().ok())
-                .and_then(|d| self.route.get(&d).copied()),
-            _ => None,
-        };
-        let Some(sid) = sid else { return };
-        let QueryFabric {
-            sessions,
-            outcomes,
-            route,
-            next_id,
-            incomplete,
-            ..
-        } = self;
-        let mut ctx = Ctx {
-            engine,
-            outcomes,
-            route,
-            next_id,
-            incomplete,
-        };
-        sessions[sid].handle_external(&mut ctx, node, tuple, time);
-    }
-
-    fn invalidate(&mut self, vid: Vid) {
-        for session in &mut self.sessions {
-            if session.caching() {
-                session.invalidate(vid);
-            }
-        }
-    }
-}
-
-/// The engine hands every surfaced external tuple to the fabric, which
-/// routes it to the session that owns it.
-impl ExternalSink for QueryFabric {
-    fn on_external(
-        &mut self,
-        engine: &mut Engine,
-        node: NodeId,
-        tuple: Arc<Tuple>,
-        time: f64,
-        _insert: bool,
-    ) {
-        self.dispatch(engine, node, &tuple, time);
     }
 }
 
@@ -547,7 +402,7 @@ pub struct Deployment {
     program_name: String,
     warnings: Vec<Diagnostic>,
     fabric: QueryFabric,
-    /// Cache invalidations for base-tuple deltas scheduled in the simulated
+    /// Cache invalidations for base-tuple deltas due in the simulated
     /// future, keyed by the delta's application time (as `f64::to_bits`, so
     /// the map orders by time).  [`Deployment::run_until`] applies each batch
     /// when the clock passes its time — invalidating at *scheduling* time
@@ -577,40 +432,37 @@ impl QueryHandle {
 
 /// Read-only view of one typed query session (a representation + traversal +
 /// caching configuration and its shared result cache).
-pub struct QuerySession<'a> {
-    core: &'a SessionCore,
-    spec: &'a (Repr, TraversalOrder, bool),
-}
+pub struct QuerySession<'a>(&'a Session);
 
 impl QuerySession<'_> {
     /// The representation queries of this session use.
     pub fn repr(&self) -> &Repr {
-        &self.spec.0
+        &self.0.spec
     }
 
     /// The traversal order queries of this session use.
     pub fn traversal(&self) -> TraversalOrder {
-        self.spec.1
+        self.0.traversal
     }
 
     /// Whether result caching (§6.1) is enabled.
     pub fn cached(&self) -> bool {
-        self.spec.2
+        self.0.caching
     }
 
     /// Traffic statistics of this session's query protocol messages.
     pub fn stats(&self) -> &SessionStats {
-        self.core.stats()
+        &self.0.stats
     }
 
     /// Bandwidth time-series of this session's query traffic (bytes/second).
     pub fn bandwidth_samples(&self) -> Vec<(f64, f64)> {
-        self.core.bandwidth_samples()
+        self.0.series.samples()
     }
 
     /// Number of cache entries currently held across all nodes.
     pub fn cache_entries(&self) -> usize {
-        self.core.cache_entries()
+        self.0.cache.len()
     }
 }
 
@@ -662,36 +514,28 @@ impl<'a> QueryBuilder<'a> {
     /// [`Deployment::run_to_fixpoint`]); poll [`Deployment::outcome`] for the
     /// result.
     pub fn submit(self) -> QueryHandle {
-        let QueryBuilder {
-            deployment,
-            target,
-            issuer,
-            repr,
-            traversal,
-            cached,
-            at,
-        } = self;
-        deployment.submit_query(target, issuer, repr, traversal, cached, at)
+        self.submit_on().1
     }
 
     /// Convenience: submits the query, runs the deployment to fixpoint, and
     /// returns the completed outcome.
     pub fn execute(self) -> QueryOutcome {
-        let QueryBuilder {
-            deployment,
-            target,
-            issuer,
-            repr,
-            traversal,
-            cached,
-            at,
-        } = self;
-        let handle = deployment.submit_query(target, issuer, repr, traversal, cached, at);
+        let (deployment, handle) = self.submit_on();
         deployment.run_to_fixpoint();
         deployment
             .outcome(handle)
             .cloned()
-            .expect("handle returned by submit_query is valid")
+            .expect("handle returned by submit is valid")
+    }
+
+    /// Submits the query; hands back the deployment with the handle.
+    fn submit_on(self) -> (&'a mut Deployment, QueryHandle) {
+        let deployment = self.deployment;
+        let fabric = &mut deployment.fabric;
+        let session = fabric.session_for(&self.repr, self.traversal, self.cached);
+        let engine = &mut deployment.engine;
+        let index = fabric.submit(engine, session, self.issuer, &self.target, self.at);
+        (deployment, QueryHandle { index, session })
     }
 }
 
@@ -800,9 +644,9 @@ impl Deployment {
         Tuple::new("link", a, vec![Value::Node(b), Value::Int(cost)])
     }
 
-    /// Inserts both directions of every topology link as `link` base tuples.
-    /// Called by `build` unless [`DeploymentBuilder::seed_links`] disabled it.
-    pub fn seed_links(&mut self) {
+    /// Inserts both directions of every topology link as `link` base tuples
+    /// (the paper gives every node a priori knowledge of its local links).
+    fn seed_links(&mut self) {
         let links: Vec<(NodeId, NodeId, i64)> = self
             .engine
             .topology()
@@ -929,14 +773,14 @@ impl Deployment {
     /// what is computed below that time is the engine's deterministic event
     /// order, whoever asks and however often.
     ///
-    /// While queries are in flight the query fabric listens as the engine's
-    /// [`ExternalSink`], so query-protocol messages are dispatched to their
-    /// sessions between maintenance deltas in global event order; with no
-    /// query activity the engine is free to run its shards in parallel.
+    /// While any query id is live the query fabric listens as the engine's
+    /// [`exspan_runtime::ExternalSink`], so query-protocol messages are
+    /// handled between maintenance deltas in global event order; with an
+    /// empty id table the engine is free to run its shards in parallel.
     ///
-    /// Pending cache invalidations of future-scheduled base-tuple deltas are
+    /// Pending cache invalidations of base-tuple deltas due in the future are
     /// applied exactly when the clock passes the delta's time, so results
-    /// cached before a scheduled change never survive it.
+    /// cached before such a change never survive it.
     pub fn run_until(&mut self, time: f64) -> FixpointStats {
         let mut total = FixpointStats {
             fixpoint_time: self.engine.last_activity(),
@@ -976,8 +820,8 @@ impl Deployment {
         // A fully drained event queue means any still-unresolved query state
         // belongs to messages the simulator dropped; write it off so future
         // runs regain the parallel path.
-        if self.fabric.active() && self.engine.peek_time().is_none() {
-            self.fabric.reap_orphans();
+        if !self.fabric.is_idle() && self.engine.peek_time().is_none() {
+            self.fabric.clear();
         }
         total
     }
@@ -985,12 +829,11 @@ impl Deployment {
     /// One segment of [`Deployment::run_until`]: the fabric listens while
     /// query activity is pending.
     fn advance(&mut self, time: f64) -> FixpointStats {
-        let sink: Option<&mut dyn ExternalSink> = if self.fabric.active() {
-            Some(&mut self.fabric)
+        if self.fabric.is_idle() {
+            self.engine.run_until(time, None)
         } else {
-            None
-        };
-        self.engine.run_until(time, sink)
+            self.engine.run_until(time, Some(&mut self.fabric))
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1054,45 +897,6 @@ impl Deployment {
         }
     }
 
-    fn submit_query(
-        &mut self,
-        target: Tuple,
-        issuer: NodeId,
-        repr: Repr,
-        traversal: TraversalOrder,
-        cached: bool,
-        at: Option<f64>,
-    ) -> QueryHandle {
-        let sid = self.fabric.session_for(&repr, traversal, cached);
-        let QueryFabric {
-            sessions,
-            outcomes,
-            session_of,
-            route,
-            next_id,
-            incomplete,
-            ..
-        } = &mut self.fabric;
-        *incomplete += 1;
-        let mut ctx = Ctx {
-            engine: &mut self.engine,
-            outcomes: &mut *outcomes,
-            route: &mut *route,
-            next_id: &mut *next_id,
-            incomplete: &mut *incomplete,
-        };
-        let index = match at {
-            Some(time) => sessions[sid].issue_at(&mut ctx, time, issuer, &target),
-            None => sessions[sid].issue_now(&mut ctx, issuer, &target),
-        };
-        session_of.push(sid);
-        debug_assert_eq!(session_of.len(), outcomes.len());
-        QueryHandle {
-            index,
-            session: sid,
-        }
-    }
-
     /// The outcome of a submitted query (poll after advancing the clock).
     pub fn outcome(&self, handle: QueryHandle) -> Option<&QueryOutcome> {
         self.fabric.outcomes.get(handle.index)
@@ -1134,10 +938,7 @@ impl Deployment {
 
     /// The typed session a query belongs to.
     pub fn session(&self, handle: QueryHandle) -> QuerySession<'_> {
-        QuerySession {
-            core: &self.fabric.sessions[handle.session],
-            spec: &self.fabric.specs[handle.session],
-        }
+        QuerySession(&self.fabric.sessions[handle.session])
     }
 
     /// Number of distinct query sessions created so far.
@@ -1149,7 +950,7 @@ impl Deployment {
     pub fn query_traffic_stats(&self) -> SessionStats {
         let mut total = SessionStats::zero();
         for s in &self.fabric.sessions {
-            total.merge_from(s.stats());
+            total.merge_from(&s.stats);
         }
         total
     }
@@ -1159,7 +960,7 @@ impl Deployment {
     pub fn query_bandwidth_samples(&self) -> Vec<(f64, f64)> {
         let mut merged: BTreeMap<u64, f64> = BTreeMap::new();
         for s in &self.fabric.sessions {
-            for (t, v) in s.bandwidth_samples() {
+            for (t, v) in s.series.samples() {
                 *merged.entry(t.to_bits()).or_insert(0.0) += v;
             }
         }
@@ -1180,7 +981,7 @@ impl Deployment {
         self.fabric
             .sessions
             .get(handle.session)
-            .and_then(|s| s.repr().as_any().downcast_ref::<R>())
+            .and_then(|s| s.repr.as_any().downcast_ref::<R>())
             .map(f)
     }
 
@@ -1318,15 +1119,6 @@ mod tests {
         let d = mincost_deployment(ProvenanceMode::Reference);
         assert!(!d.tuples_shared(0, "link").is_empty());
         assert!(!d.tuples_shared(0, "bestPathCost").is_empty());
-
-        let mut unseeded = Exspan::builder()
-            .program(programs::mincost())
-            .topology(Topology::paper_example())
-            .seed_links(false)
-            .build()
-            .unwrap();
-        unseeded.run_to_fixpoint();
-        assert!(unseeded.tuples_shared(0, "link").is_empty());
     }
 
     #[test]
@@ -1429,7 +1221,7 @@ mod tests {
 
     #[test]
     fn dropped_query_messages_leave_an_incomplete_outcome_and_a_working_deployment() {
-        // Partition the issuer from the target before a scheduled query
+        // Partition the issuer from the target before a deferred query
         // issues: the simulator drops the unroutable query message, the
         // outcome honestly stays incomplete, and the deployment keeps
         // serving later queries (orphaned protocol state is reaped once the

@@ -25,10 +25,11 @@
 //!   polynomials, node sets, derivation counts, derivability tests, BDD
 //!   (absorption) provenance and trust-domain granularity, all expressed
 //!   through the `f_pEDB` / `f_pIDB` / `f_pRULE` user-defined-function triple.
-//! * [`query`] — the distributed recursive query protocol of §5.1 with the
-//!   optimizations of §6: result caching along the reverse path with
-//!   transitive invalidation, BFS / DFS / DFS-with-threshold / random
-//!   moonwalk traversal orders.
+//! * [`query`] — the distributed recursive query protocol of §5.1 as one
+//!   table of query ids, derived as the paper derives them
+//!   (`RQID = f_sha1(QID+RID)`), and typed messages; with the optimizations
+//!   of §6: result caching along the reverse path with transitive
+//!   invalidation, BFS / DFS / DFS-with-threshold / random moonwalk orders.
 //! * [`value_policy`] — value-based provenance as an engine annotation
 //!   policy: every transmitted tuple carries its full (BDD-condensed)
 //!   derivation history.

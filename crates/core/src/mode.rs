@@ -1,9 +1,7 @@
 //! Provenance distribution modes (§3, "Distribution").
 
-use serde::{Deserialize, Serialize};
-
 /// How provenance is maintained and distributed for a protocol run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProvenanceMode {
     /// No provenance at all — the baseline ("No Prov." in the figures).
     None,

@@ -10,18 +10,39 @@
 //! representation's `f_pRULE` / `f_pIDB` functions and returned along the
 //! reverse path.
 //!
-//! The implementation mirrors the NDlog query rules of §5.1 (`edb1`, `c0`,
-//! `idb1`–`idb4`, `rv1`–`rv4`) as an explicit message-driven state machine:
-//! `eProvQuery` / `eRuleQuery` / `eProvResults` / `eRuleResults` tuples are
-//! exchanged through the engine (so their bandwidth and latency are accounted
-//! exactly like protocol traffic), and the per-node buffering that
-//! `pResultTmp` performs is held in the session's pending-query tables.
+//! The paper states the protocol as NDlog rules (§5.1: `edb1`, `idb1`–`idb4`,
+//! `rv1`–`rv4`) over one kind of state: a query id that is either travelling
+//! in a message or waiting at a node for its children (`pResultTmp`,
+//! `rResultTmp`).  `QueryFabric` mirrors exactly that with **one table of
+//! protocol ids**, each id in exactly one `State` and tagged with the
+//! *session* (a representation + traversal + caching configuration) it
+//! belongs to:
 //!
-//! The machinery lives in the private `SessionCore`, one instance per *query session*
-//! (a representation + traversal + caching configuration).  Sessions are
-//! owned and driven by [`crate::deployment::Deployment`], whose unified event
-//! loop interleaves query messages with protocol maintenance and churn on one
-//! simulated clock.
+//! ```text
+//! QuerySent ──► Pending(Tuple | Rule vertex) ──► ResultSent(annotation) ──► gone
+//! ```
+//!
+//! A message names one id and is acted on only if that id is in the state the
+//! message implies; anything else is dropped.  The table is empty exactly
+//! when no query is in progress, which is how
+//! [`crate::deployment::Deployment`] decides whether the fabric must listen
+//! to the engine at all.
+//!
+//! Ids are **derived**, as the paper derives them (`RQID = f_sha1(QID+RID)`),
+//! not drawn from a counter — an id is a function of the path from the
+//! query's root to the vertex, unique without any shared state:
+//!
+//! * query number *i* has `QID = sha1("q" ‖ i)`;
+//! * the rule execution `RID` queried on behalf of `QID` gets
+//!   `RQID = sha1(QID ‖ RID)`;
+//! * the input tuple `VID` at body position *p* of that rule execution gets
+//!   `QID' = sha1(RQID ‖ p ‖ VID)` — position-qualified, because a rule may
+//!   join the same tuple twice.
+//!
+//! The five message relations (`eQueryIssue`, `eProvQuery`, `eRuleQuery`,
+//! `eProvResults`, `eRuleResults`) travel through the engine, so their
+//! bandwidth and latency are accounted exactly like protocol traffic; their
+//! tuple layouts are known to `QueryMsg` alone.
 //!
 //! Optimizations:
 //!
@@ -32,16 +53,19 @@
 //! * **Traversal orders** (§6.2) — BFS explores all alternative derivations
 //!   at once; DFS explores them sequentially; DFS-with-threshold stops as
 //!   soon as the partial result satisfies the query's threshold; random
-//!   moonwalk explores a random subset of derivations.
+//!   moonwalk explores a random subset of derivations.  Tuple vertices and
+//!   rule-execution vertices share one children-dispatch routine, so the
+//!   choice is made in one place.
 
-use crate::repr::{Annotation, ProvenanceRepr};
+use crate::repr::{Annotation, ProvenanceRepr, Repr};
 use crate::storage::{prov_entries, rule_exec_entry};
-use exspan_runtime::Engine;
+use exspan_runtime::{Engine, ExternalSink};
 use exspan_types::wire::{message_size, BandwidthSeries};
 use exspan_types::{sha1_digest, Digest, NodeId, Rid, Tuple, Value, Vid};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// How the provenance graph is traversed (§6.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,47 +119,6 @@ impl QueryOutcome {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum CacheKey {
-    Tuple(Vid),
-    Rule(Rid),
-}
-
-#[derive(Debug, Clone)]
-enum ReplyTo {
-    /// The final requester of query `index`.
-    Requester { node: NodeId, index: usize },
-    /// A pending rule query waiting for one of its children.
-    Rule { rqid: Digest },
-}
-
-#[derive(Debug)]
-struct PendingTuple {
-    vid: Vid,
-    node: NodeId,
-    reply: ReplyTo,
-    /// Children (rule executions) not yet dispatched.
-    remaining: Vec<(Rid, NodeId)>,
-    /// Number of dispatched children whose results are still outstanding.
-    outstanding: usize,
-    results: Vec<Annotation>,
-}
-
-#[derive(Debug)]
-struct PendingRule {
-    rid: Rid,
-    rule: String,
-    rloc: NodeId,
-    /// The tuple query waiting for this rule's result.
-    parent_qid: Digest,
-    /// Node at which the parent tuple query is buffering.
-    parent_node: NodeId,
-    /// Child tuple vertices not yet dispatched (resolved locally at rloc).
-    remaining: Vec<Vid>,
-    outstanding: usize,
-    results: Vec<Annotation>,
-}
-
 /// Per-session statistics: query traffic plus cache behavior.
 #[derive(Debug, Clone)]
 pub struct SessionStats {
@@ -171,469 +154,553 @@ impl SessionStats {
     }
 }
 
-/// Mutable state shared by every session of one deployment, threaded through
-/// the query machinery: the engine (message transport + clock), the global
-/// outcome table, the digest→session routing map used to dispatch incoming
-/// query messages, and the deployment-wide id counter that keeps message ids
-/// unique across concurrent sessions.
-pub(crate) struct Ctx<'a> {
-    pub(crate) engine: &'a mut Engine,
-    pub(crate) outcomes: &'a mut Vec<QueryOutcome>,
-    pub(crate) route: &'a mut HashMap<Digest, usize>,
-    pub(crate) next_id: &'a mut u64,
-    /// Count of submitted-but-undelivered outcomes, decremented on delivery.
-    pub(crate) incomplete: &'a mut usize,
+/// Whom a tuple vertex's result goes to.
+enum ReplyTo {
+    /// The issuer of query `index`, at `node`.
+    Requester { node: NodeId, index: usize },
+    /// The rule execution pending under `rqid`, at the tuple's own node.
+    Rule { rqid: Digest },
 }
 
-/// The per-session state machine of the distributed query protocol: one
-/// representation + traversal + caching configuration, its result cache, and
-/// its pending-query tables.
-pub(crate) struct SessionCore {
-    session_id: usize,
-    repr: Box<dyn ProvenanceRepr>,
-    traversal: TraversalOrder,
-    caching_enabled: bool,
-    /// Cached results by vertex, so invalidation reaches the entry for a VID
-    /// or RID by lookup.  The node is not part of the key: a VID or RID digest
-    /// covers its location, and a vertex is only ever queried at that node.
-    cache: HashMap<CacheKey, Annotation>,
+/// Which vertex of the provenance graph a pending id stands for.
+enum Vertex {
+    /// A tuple waiting for the rule executions that derived it
+    /// (`pResultTmp`, rules `idb1`–`idb4`).
+    Tuple { vid: Vid, reply: ReplyTo },
+    /// A rule execution waiting for its input tuples (`rResultTmp`, rules
+    /// `rv1`–`rv4`); its result goes to the tuple query `parent`: (its id,
+    /// the node it buffers at).
+    Rule {
+        rid: Rid,
+        rule: String,
+        parent: (Digest, NodeId),
+    },
+}
+
+/// One child of a pending vertex, with the protocol id derived for it: a
+/// rule execution `vertex` stored at `node` (under a tuple vertex), or an
+/// input tuple `vertex` resolved at the rule's own node (under a rule vertex).
+struct Child {
+    id: Digest,
+    vertex: Digest,
+    node: NodeId,
+}
+
+/// A vertex buffering its children's results.
+struct Pending {
+    vertex: Vertex,
+    /// Node at which the vertex is stored and its results are combined.
+    node: NodeId,
+    /// Children not yet dispatched.
+    remaining: Vec<Child>,
+    /// Number of dispatched children whose results are still outstanding.
+    outstanding: usize,
+    results: Vec<Annotation>,
+}
+
+/// The state of one protocol id.
+enum State {
+    /// Travelling in a request: an `eQueryIssue` timer, an `eProvQuery` or an
+    /// `eRuleQuery`.
+    QuerySent,
+    /// Waiting at a node for children: a [`Vertex::Tuple`] or [`Vertex::Rule`].
+    Pending(Pending),
+    /// Travelling back in `eProvResults` / `eRuleResults` with this
+    /// annotation.
+    ResultSent(Annotation),
+}
+
+/// `f_sha1` over the concatenation of `parts`: how §5.1 derives every id.
+fn derive_id(parts: &[&[u8]]) -> Digest {
+    sha1_digest(&parts.concat())
+}
+
+/// The id of query number `index`.
+fn root_qid(index: usize) -> Digest {
+    derive_id(&[b"q", &(index as u64).to_be_bytes()])
+}
+
+/// A query-protocol message, fields in the order of its tuple: the one place
+/// that knows the layouts of the five event relations.
+#[derive(Debug, PartialEq)]
+enum QueryMsg {
+    /// `eQueryIssue(@Issuer, Index)`: the timer of a query issued later.
+    Issue(usize),
+    /// `eProvQuery(@Loc, QID, VID, Ret, Index)`.
+    ProvQuery(Digest, Vid, NodeId, usize),
+    /// `eRuleQuery(@RLoc, RQID, RID, Ret, QID)`.
+    RuleQuery(Digest, Rid, NodeId, Digest),
+    /// `eProvResults(@Ret, QID, VID, Index)`, the annotation riding along.
+    ProvResults(Digest, Vid, usize),
+    /// `eRuleResults(@Ret, RQID, QID)`, the annotation riding along.
+    RuleResults(Digest, Digest),
+}
+
+impl QueryMsg {
+    /// Parses a query-protocol tuple; `None` on an unknown relation, a wrong
+    /// arity or a wrong-typed value.
+    fn from_tuple(tuple: &Tuple) -> Option<QueryMsg> {
+        let digest = |i: usize| tuple.values.get(i)?.as_digest().ok();
+        let node = |i: usize| tuple.values.get(i)?.as_node().ok();
+        let index = |i: usize| usize::try_from(tuple.values.get(i)?.as_int().ok()?).ok();
+        Some(match (tuple.relation.as_str(), tuple.values.len()) {
+            ("eQueryIssue", 1) => QueryMsg::Issue(index(0)?),
+            ("eProvQuery", 4) => QueryMsg::ProvQuery(digest(0)?, digest(1)?, node(2)?, index(3)?),
+            ("eRuleQuery", 4) => QueryMsg::RuleQuery(digest(0)?, digest(1)?, node(2)?, digest(3)?),
+            ("eProvResults", 3) => QueryMsg::ProvResults(digest(0)?, digest(1)?, index(2)?),
+            ("eRuleResults", 2) => QueryMsg::RuleResults(digest(0)?, digest(1)?),
+            _ => return None,
+        })
+    }
+
+    /// Renders this message as a tuple addressed to `to`.
+    fn to_tuple(&self, to: NodeId) -> Tuple {
+        let d = Value::from_digest;
+        let int = |i: usize| Value::Int(i as i64);
+        let (relation, values) = match *self {
+            QueryMsg::Issue(index) => ("eQueryIssue", vec![int(index)]),
+            QueryMsg::ProvQuery(qid, vid, ret, index) => (
+                "eProvQuery",
+                vec![d(qid), d(vid), Value::Node(ret), int(index)],
+            ),
+            QueryMsg::RuleQuery(rqid, rid, ret, qid) => (
+                "eRuleQuery",
+                vec![d(rqid), d(rid), Value::Node(ret), d(qid)],
+            ),
+            QueryMsg::ProvResults(qid, vid, index) => {
+                ("eProvResults", vec![d(qid), d(vid), int(index)])
+            }
+            QueryMsg::RuleResults(rqid, qid) => ("eRuleResults", vec![d(rqid), d(qid)]),
+        };
+        Tuple::new(relation, to, values)
+    }
+
+    /// The protocol id this message carries.
+    fn id(&self) -> Digest {
+        match *self {
+            QueryMsg::Issue(index) => root_qid(index),
+            QueryMsg::ProvQuery(id, ..)
+            | QueryMsg::RuleQuery(id, ..)
+            | QueryMsg::ProvResults(id, ..)
+            | QueryMsg::RuleResults(id, ..) => id,
+        }
+    }
+}
+
+/// What is per query *configuration*: one representation + traversal +
+/// caching choice, its result cache and its traffic counters.  Queries with
+/// equal configuration share a session.
+pub(crate) struct Session {
+    pub(crate) spec: Repr,
+    pub(crate) traversal: TraversalOrder,
+    pub(crate) caching: bool,
+    pub(crate) repr: Box<dyn ProvenanceRepr>,
+    /// Cached results by vertex — tuple results under their VID, rule results
+    /// under their RID — so invalidation reaches an entry by lookup.  The node
+    /// is not part of the key: a VID or RID digest covers its location, and a
+    /// vertex is only ever queried at that node.
+    pub(crate) cache: HashMap<Digest, Annotation>,
     /// child digest -> vertices whose cached results were computed from it.
     dependents: HashMap<Digest, HashSet<Digest>>,
-    pending_tuples: HashMap<Digest, PendingTuple>,
-    pending_rules: HashMap<Digest, PendingRule>,
-    /// Annotations travelling inside result messages, keyed by the message id.
-    in_flight: HashMap<Digest, Annotation>,
-    /// Scheduled query issuance (global outcome index -> issuer and target).
-    scheduled: HashMap<i64, (NodeId, Tuple)>,
-    series: BandwidthSeries,
-    stats: SessionStats,
+    pub(crate) series: BandwidthSeries,
+    pub(crate) stats: SessionStats,
     rng: SmallRng,
 }
 
-impl SessionCore {
-    pub(crate) fn new(
-        session_id: usize,
-        repr: Box<dyn ProvenanceRepr>,
+impl Session {
+    /// Looks `vertex` up in the result cache (§6.1), counting the hit or miss.
+    fn lookup(&mut self, vertex: Digest) -> Option<Annotation> {
+        let hit = self.cache.get(&vertex).filter(|_| self.caching).cloned();
+        match hit {
+            Some(_) => self.stats.cache_hits += 1,
+            None => self.stats.cache_misses += 1,
+        }
+        hit
+    }
+
+    /// Invalidates every cached result that (transitively) depends on the
+    /// tuple vertex `vid` — called when a base tuple is inserted or deleted.
+    fn invalidate(&mut self, vid: Vid) {
+        let mut frontier: Vec<Digest> = vec![vid];
+        while let Some(d) = frontier.pop() {
+            // Remove the cache entry for the digest itself.
+            if self.cache.remove(&d).is_some() {
+                self.stats.invalidations += 1;
+            }
+            // Propagate to dependents: each loses its entries when popped, and
+            // a digest reached a second time finds nothing left to remove.
+            frontier.extend(self.dependents.remove(&d).into_iter().flatten());
+        }
+    }
+}
+
+/// All query state of one deployment: the sessions, the outcome of every
+/// query submitted so far, and the table of protocol ids that *is* the §5.1
+/// state machine (see the module docs).
+#[derive(Default)]
+pub(crate) struct QueryFabric {
+    pub(crate) sessions: Vec<Session>,
+    pub(crate) outcomes: Vec<QueryOutcome>,
+    /// Every live protocol id, the session it belongs to and its state.
+    ids: HashMap<Digest, (usize, State)>,
+    /// Number of submitted queries whose outcome has not been delivered (and
+    /// not been written off by [`QueryFabric::clear`]).
+    pub(crate) incomplete: usize,
+}
+
+impl QueryFabric {
+    /// Finds the session matching the configuration, creating it on demand.
+    pub(crate) fn session_for(
+        &mut self,
+        repr: &Repr,
         traversal: TraversalOrder,
         caching: bool,
-    ) -> Self {
-        // Only a moonwalk draws from the generator.
-        let seed = match traversal {
-            TraversalOrder::RandomMoonwalk { seed, .. } => seed,
-            _ => 0,
-        };
-        SessionCore {
-            session_id,
-            repr,
-            traversal,
-            caching_enabled: caching,
-            cache: HashMap::new(),
-            dependents: HashMap::new(),
-            pending_tuples: HashMap::new(),
-            pending_rules: HashMap::new(),
-            in_flight: HashMap::new(),
-            scheduled: HashMap::new(),
-            series: BandwidthSeries::new(0.1),
-            stats: SessionStats::zero(),
-            rng: SmallRng::seed_from_u64(seed),
+    ) -> usize {
+        let found = self
+            .sessions
+            .iter()
+            .position(|s| s.spec == *repr && s.traversal == traversal && s.caching == caching);
+        found.unwrap_or_else(|| {
+            // Only a moonwalk draws from the generator.
+            let seed = match traversal {
+                TraversalOrder::RandomMoonwalk { seed, .. } => seed,
+                _ => 0,
+            };
+            self.sessions.push(Session {
+                spec: repr.clone(),
+                traversal,
+                caching,
+                repr: repr.instantiate(),
+                cache: HashMap::new(),
+                dependents: HashMap::new(),
+                series: BandwidthSeries::new(0.1),
+                stats: SessionStats::zero(),
+                rng: SmallRng::seed_from_u64(seed),
+            });
+            self.sessions.len() - 1
+        })
+    }
+
+    /// Whether no query is in progress: no id is travelling or waiting.  An
+    /// idle fabric need not listen to the engine, which frees the engine to
+    /// run its shards in parallel.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Writes off every id still in the table.  Called when the engine's
+    /// event queue has fully drained: whatever is unresolved then belongs to
+    /// a message the simulator dropped (e.g. churn partitioned the issuer
+    /// from the target) and can never progress.  Such outcomes keep
+    /// `completed_at: None`, honestly reporting that no result arrived; the
+    /// result caches are kept — completed results stay valid.
+    pub(crate) fn clear(&mut self) {
+        self.ids.clear();
+        self.incomplete = 0;
+    }
+
+    /// Whether any session caches query results (and could therefore go
+    /// stale when a base-tuple delta due later is applied).
+    pub(crate) fn any_caching(&self) -> bool {
+        self.sessions.iter().any(|s| s.caching)
+    }
+
+    /// Invalidates, in every caching session, the results that depend on
+    /// the base tuple `vid`.
+    pub(crate) fn invalidate(&mut self, vid: Vid) {
+        for session in self.sessions.iter_mut().filter(|s| s.caching) {
+            session.invalidate(vid);
         }
     }
 
-    pub(crate) fn caching(&self) -> bool {
-        self.caching_enabled
-    }
-
-    pub(crate) fn repr(&self) -> &dyn ProvenanceRepr {
-        self.repr.as_ref()
-    }
-
-    pub(crate) fn stats(&self) -> &SessionStats {
-        &self.stats
-    }
-
-    pub(crate) fn bandwidth_samples(&self) -> Vec<(f64, f64)> {
-        self.series.samples()
-    }
-
-    pub(crate) fn cache_entries(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Whether the session still has unresolved protocol state (queries
-    /// waiting to be issued, buffered sub-queries, or results in flight).
-    pub(crate) fn has_pending(&self) -> bool {
-        !self.scheduled.is_empty()
-            || !self.pending_tuples.is_empty()
-            || !self.pending_rules.is_empty()
-            || !self.in_flight.is_empty()
-    }
-
-    /// Drops all unresolved protocol state (used when the event queue has
-    /// drained and the corresponding messages can never arrive).  The result
-    /// cache is kept — completed results stay valid.
-    pub(crate) fn clear_pending(&mut self) {
-        self.scheduled.clear();
-        self.pending_tuples.clear();
-        self.pending_rules.clear();
-        self.in_flight.clear();
-    }
-
-    fn fresh_id(&mut self, ctx: &mut Ctx, tag: &str) -> Digest {
-        *ctx.next_id += 1;
-        sha1_digest(format!("{tag}:{}", *ctx.next_id).as_bytes())
-    }
-
-    /// Registers a network-visible id in the dispatch route (idempotent);
-    /// the entry lives until the id's terminal message is consumed.
-    fn register(&self, ctx: &mut Ctx, id: Digest) {
-        ctx.route.insert(id, self.session_id);
-    }
-
-    // ------------------------------------------------------------------
-    // Query issuance
-    // ------------------------------------------------------------------
-
-    /// Issues a provenance query for `target` from `issuer` immediately.
-    /// Returns the global outcome index.
-    pub(crate) fn issue_now(&mut self, ctx: &mut Ctx, issuer: NodeId, target: &Tuple) -> usize {
-        let index = ctx.outcomes.len();
-        let issued_at = ctx.engine.now();
-        ctx.outcomes.push(QueryOutcome {
-            issuer,
-            target_node: target.location,
-            vid: target.vid(),
-            issued_at,
-            completed_at: None,
-            annotation: None,
-        });
-        self.send_prov_query(ctx, issuer, target.location, target.vid(), index);
-        index
-    }
-
-    /// Schedules a provenance query for `target` to be issued by `issuer` at
-    /// simulated time `time`.  Returns the global outcome index.
-    pub(crate) fn issue_at(
+    /// Submits a provenance query for `target` from `issuer` in session
+    /// `sid`, now or at simulated time `at`.  Returns the outcome index.
+    pub(crate) fn submit(
         &mut self,
-        ctx: &mut Ctx,
-        time: f64,
+        engine: &mut Engine,
+        sid: usize,
         issuer: NodeId,
         target: &Tuple,
+        at: Option<f64>,
     ) -> usize {
-        let index = ctx.outcomes.len();
-        ctx.outcomes.push(QueryOutcome {
+        let index = self.outcomes.len();
+        self.outcomes.push(QueryOutcome {
             issuer,
             target_node: target.location,
             vid: target.vid(),
-            issued_at: time,
+            issued_at: at.unwrap_or_else(|| engine.now()),
             completed_at: None,
             annotation: None,
         });
-        self.scheduled
-            .insert(index as i64, (issuer, target.clone()));
-        let issue = Tuple::new("eQueryIssue", issuer, vec![Value::Int(index as i64)]);
-        ctx.engine.schedule_delta(time, issuer, issue, true);
+        self.incomplete += 1;
+        match at {
+            None => self.send_prov_query(engine, sid, index),
+            Some(time) => {
+                self.enter(root_qid(index), sid, State::QuerySent);
+                let issue = QueryMsg::Issue(index).to_tuple(issuer);
+                engine.schedule_delta(time, issuer, issue, true);
+            }
+        }
         index
     }
 
-    /// Handles one external (query-protocol) tuple addressed to this session.
-    pub(crate) fn handle_external(
+    /// Puts `id` into the table.  Ids are derived from the path that leads to
+    /// them, so a live id is never entered twice.
+    fn enter(&mut self, id: Digest, sid: usize, state: State) {
+        let previous = self.ids.insert(id, (sid, state));
+        debug_assert!(previous.is_none(), "protocol id {id} entered twice");
+    }
+
+    /// Sends `msg` along `(from, to)` and records its id as travelling: with
+    /// `ann` as a result carrying that annotation, without as a request.  All
+    /// traffic flows through the engine, so it is accounted in the
+    /// simulator's byte counters as well as the session's.
+    fn send(
         &mut self,
-        ctx: &mut Ctx,
-        node: NodeId,
-        tuple: &Tuple,
-        time: f64,
+        engine: &mut Engine,
+        sid: usize,
+        (from, to): (NodeId, NodeId),
+        msg: &QueryMsg,
+        ann: Option<Annotation>,
     ) {
-        match tuple.relation.as_str() {
-            "eQueryIssue" => {
-                let Ok(index) = tuple.values[0].as_int() else {
-                    return;
-                };
-                if let Some((issuer, target)) = self.scheduled.remove(&index) {
-                    ctx.outcomes[index as usize].issued_at = time;
-                    self.send_prov_query(
-                        ctx,
-                        issuer,
-                        target.location,
-                        target.vid(),
-                        index as usize,
-                    );
-                }
+        let session = &mut self.sessions[sid];
+        let extra = ann.as_ref().map_or(0, |a| session.repr.wire_size(a));
+        let tuple = msg.to_tuple(to);
+        let bytes = message_size(std::slice::from_ref(&tuple), extra);
+        session.stats.bytes += bytes as u64;
+        session.stats.messages += 1;
+        session.series.record(engine.now(), bytes);
+        let state = ann.map_or(State::QuerySent, State::ResultSent);
+        self.enter(msg.id(), sid, state);
+        engine.send_tuple(from, to, tuple, extra);
+    }
+
+    /// `edb1`: asks the target node of query `index` for the tuple's
+    /// provenance.
+    fn send_prov_query(&mut self, engine: &mut Engine, sid: usize, index: usize) {
+        let q = &self.outcomes[index];
+        let (issuer, target_node) = (q.issuer, q.target_node);
+        let msg = QueryMsg::ProvQuery(root_qid(index), q.vid, issuer, index);
+        self.send(engine, sid, (issuer, target_node), &msg, None);
+    }
+
+    /// Acts on one query-protocol message surfaced at `node`, if the id it
+    /// names is in the state the message implies.
+    fn on_message(&mut self, engine: &mut Engine, node: NodeId, msg: QueryMsg, time: f64) {
+        let id = msg.id();
+        let Some((sid, state)) = self.ids.remove(&id) else {
+            return;
+        };
+        match (msg, state) {
+            (QueryMsg::Issue(index), State::QuerySent) => {
+                self.outcomes[index].issued_at = time;
+                self.send_prov_query(engine, sid, index);
             }
-            "eProvQuery" => {
-                let (Ok(qid), Ok(vid), Ok(ret)) = (
-                    tuple.values[0].as_digest(),
-                    tuple.values[1].as_digest(),
-                    tuple.values[2].as_node(),
-                ) else {
-                    return;
-                };
-                let index = tuple.values[3].as_int().unwrap_or(-1);
-                let reply = ReplyTo::Requester {
-                    node: ret,
-                    index: index as usize,
-                };
-                self.start_tuple_query(ctx, node, qid, vid, reply, time);
+            (QueryMsg::ProvQuery(qid, vid, ret, index), State::QuerySent) => {
+                let reply = ReplyTo::Requester { node: ret, index };
+                self.start_tuple(engine, sid, node, qid, vid, reply, time);
             }
-            "eRuleQuery" => {
-                let (Ok(rqid), Ok(rid), Ok(origin)) = (
-                    tuple.values[0].as_digest(),
-                    tuple.values[1].as_digest(),
-                    tuple.values[2].as_node(),
-                ) else {
-                    return;
-                };
-                let Ok(parent_qid) = tuple.values[3].as_digest() else {
-                    return;
-                };
-                self.start_rule_query(ctx, node, rqid, rid, parent_qid, origin, time);
+            (QueryMsg::RuleQuery(rqid, rid, ret, qid), State::QuerySent) => {
+                self.start_rule(engine, sid, node, rqid, rid, (qid, ret), time);
             }
-            "eProvResults" => {
-                let (Ok(qid), Ok(_vid)) =
-                    (tuple.values[0].as_digest(), tuple.values[1].as_digest())
-                else {
-                    return;
-                };
-                let index = tuple.values[2].as_int().unwrap_or(-1);
-                ctx.route.remove(&qid);
-                if let Some(ann) = self.in_flight.remove(&qid) {
-                    self.deliver_final(ctx, index as usize, ann, time);
-                }
+            (QueryMsg::ProvResults(_, _, index), State::ResultSent(ann)) => {
+                self.deliver_final(index, ann, time);
             }
-            "eRuleResults" => {
-                let Ok(rqid) = tuple.values[0].as_digest() else {
-                    return;
-                };
-                ctx.route.remove(&rqid);
-                if let Some(ann) = self.in_flight.remove(&rqid) {
-                    let Ok(parent_qid) = tuple.values[1].as_digest() else {
-                        return;
-                    };
-                    self.tuple_child_result(ctx, parent_qid, ann, time);
-                }
+            (QueryMsg::RuleResults(_, qid), State::ResultSent(ann)) => {
+                self.child_result(engine, qid, ann, time);
             }
-            _ => {}
+            // A stale or foreign message: the id stays as it was.
+            (_, state) => self.enter(id, sid, state),
         }
     }
 
-    // ------------------------------------------------------------------
-    // Message sending helpers (all traffic flows through the engine so it is
-    // accounted in the simulator's byte counters as well as our own).
-    // ------------------------------------------------------------------
-
-    fn account(&mut self, engine: &Engine, tuple: &Tuple, extra: usize) {
-        let bytes = message_size(std::slice::from_ref(tuple), extra) as u64;
-        self.stats.bytes += bytes;
-        self.stats.messages += 1;
-        self.series.record(engine.now(), bytes as usize);
-    }
-
-    fn send_prov_query(
+    /// Starts resolving the tuple vertex `vid` stored at `node` under `qid`.
+    #[allow(clippy::too_many_arguments)]
+    fn start_tuple(
         &mut self,
-        ctx: &mut Ctx,
-        issuer: NodeId,
-        target_node: NodeId,
-        vid: Vid,
-        index: usize,
-    ) {
-        let qid = self.fresh_id(ctx, "q");
-        self.register(ctx, qid);
-        let tuple = Tuple::new(
-            "eProvQuery",
-            target_node,
-            vec![
-                Value::from_digest(qid),
-                Value::from_digest(vid),
-                Value::Node(issuer),
-                Value::Int(index as i64),
-            ],
-        );
-        self.account(ctx.engine, &tuple, 0);
-        ctx.engine.send_tuple(issuer, target_node, tuple, 0);
-    }
-
-    fn send_rule_query(
-        &mut self,
-        ctx: &mut Ctx,
-        from: NodeId,
-        rloc: NodeId,
-        rqid: Digest,
-        rid: Rid,
-        parent_qid: Digest,
-    ) {
-        self.register(ctx, rqid);
-        let tuple = Tuple::new(
-            "eRuleQuery",
-            rloc,
-            vec![
-                Value::from_digest(rqid),
-                Value::from_digest(rid),
-                Value::Node(from),
-                Value::from_digest(parent_qid),
-            ],
-        );
-        self.account(ctx.engine, &tuple, 0);
-        ctx.engine.send_tuple(from, rloc, tuple, 0);
-    }
-
-    // ------------------------------------------------------------------
-    // Tuple-vertex queries (the idb1–idb4 rules)
-    // ------------------------------------------------------------------
-
-    fn start_tuple_query(
-        &mut self,
-        ctx: &mut Ctx,
+        engine: &mut Engine,
+        sid: usize,
         node: NodeId,
         qid: Digest,
         vid: Vid,
         reply: ReplyTo,
         time: f64,
     ) {
-        // Cache check.
-        if self.caching_enabled {
-            if let Some(ann) = self.cache.get(&CacheKey::Tuple(vid)).cloned() {
-                self.stats.cache_hits += 1;
-                self.reply_tuple(ctx, node, qid, vid, ann, reply, time);
-                return;
-            }
+        let session = &mut self.sessions[sid];
+        if let Some(ann) = session.lookup(vid) {
+            return self.reply_tuple(engine, sid, node, qid, vid, ann, reply, time);
         }
-        self.stats.cache_misses += 1;
-
-        let entries = prov_entries(ctx.engine, node, vid);
         let mut results = Vec::new();
-        let mut children: Vec<(Rid, NodeId)> = Vec::new();
-        for e in &entries {
+        let mut remaining = Vec::new();
+        for e in prov_entries(engine, node, vid) {
             match e.rid {
-                None => results.push(self.repr.p_edb(vid, node)),
-                Some(rid) => children.push((rid, e.rloc)),
+                None => results.push(session.repr.p_edb(vid, node)),
+                Some(rid) => remaining.push(Child {
+                    id: derive_id(&[&qid.0, &rid.0]),
+                    vertex: rid,
+                    node: e.rloc,
+                }),
             }
         }
-
         // Random moonwalk: keep a random subset of the alternative derivations.
-        if let TraversalOrder::RandomMoonwalk { fanout, .. } = self.traversal {
-            while children.len() > fanout {
-                let idx = self.rng.gen_range(0..children.len());
-                children.swap_remove(idx);
+        if let TraversalOrder::RandomMoonwalk { fanout, .. } = session.traversal {
+            while remaining.len() > fanout {
+                let idx = session.rng.gen_range(0..remaining.len());
+                remaining.swap_remove(idx);
             }
         }
-
-        let mut pending = PendingTuple {
-            vid,
+        let pending = Pending {
+            vertex: Vertex::Tuple { vid, reply },
             node,
-            reply,
-            remaining: children,
+            remaining,
             outstanding: 0,
             results,
         };
-
-        match self.traversal {
-            TraversalOrder::Bfs | TraversalOrder::RandomMoonwalk { .. } => {
-                // Dispatch all children at once.
-                let children = std::mem::take(&mut pending.remaining);
-                pending.outstanding = children.len();
-                self.pending_tuples.insert(qid, pending);
-                for (rid, rloc) in children {
-                    self.dispatch_rule_child(ctx, node, qid, rid, rloc, time);
-                }
-            }
-            TraversalOrder::Dfs | TraversalOrder::DfsThreshold(_) => {
-                if let Some((rid, rloc)) = pending.remaining.pop() {
-                    pending.outstanding = 1;
-                    self.pending_tuples.insert(qid, pending);
-                    self.dispatch_rule_child(ctx, node, qid, rid, rloc, time);
-                } else {
-                    self.pending_tuples.insert(qid, pending);
-                }
-            }
-        }
-
-        self.try_complete_tuple(ctx, qid, time);
+        self.enter(qid, sid, State::Pending(pending));
+        self.dispatch_children(engine, qid, time);
     }
 
-    fn dispatch_rule_child(
+    /// Starts resolving the rule execution `rid` stored at `rloc` under
+    /// `rqid`, for the tuple query `parent`.
+    #[allow(clippy::too_many_arguments)]
+    fn start_rule(
         &mut self,
-        ctx: &mut Ctx,
-        node: NodeId,
-        qid: Digest,
-        rid: Rid,
+        engine: &mut Engine,
+        sid: usize,
         rloc: NodeId,
+        rqid: Digest,
+        rid: Rid,
+        parent: (Digest, NodeId),
         time: f64,
     ) {
-        let rqid = self.fresh_id(ctx, "rq");
-        if rloc == node {
-            // Local rule execution vertex: no message needed.
-            self.start_rule_query(ctx, rloc, rqid, rid, qid, node, time);
-        } else {
-            self.send_rule_query(ctx, node, rloc, rqid, rid, qid);
+        let session = &mut self.sessions[sid];
+        if let Some(ann) = session.lookup(rid) {
+            return self.reply_rule(engine, sid, rloc, rqid, rid, parent, ann, time);
+        }
+        let Some(exec) = rule_exec_entry(engine, rloc, rid) else {
+            // Dangling pointer (e.g. the entry was deleted concurrently):
+            // answer with an empty combination.
+            let ann = session.repr.p_rule("?", rloc, &[]);
+            return self.reply_rule(engine, sid, rloc, rqid, rid, parent, ann, time);
+        };
+        let children = exec.vids.iter().enumerate().map(|(position, vid)| Child {
+            id: derive_id(&[&rqid.0, &(position as u64).to_be_bytes(), &vid.0]),
+            vertex: *vid,
+            node: rloc,
+        });
+        let rule = exec.rule;
+        let pending = Pending {
+            vertex: Vertex::Rule { rid, rule, parent },
+            node: rloc,
+            remaining: children.collect(),
+            outstanding: 0,
+            results: Vec::new(),
+        };
+        self.enter(rqid, sid, State::Pending(pending));
+        self.dispatch_children(engine, rqid, time);
+    }
+
+    /// The children-dispatch routine both vertex kinds share, and the one
+    /// place the traversal order (§6.2) is chosen: dispatches the next
+    /// children of the vertex pending under `id` — all that remain under BFS
+    /// and moonwalk, one (the last) under DFS — and completes the vertex once
+    /// none is outstanding or left.
+    fn dispatch_children(&mut self, engine: &mut Engine, id: Digest, time: f64) {
+        let Some((sid, State::Pending(pending))) = self.ids.get_mut(&id) else {
+            return;
+        };
+        let (sid, node) = (*sid, pending.node);
+        let batch = match self.sessions[sid].traversal {
+            TraversalOrder::Bfs | TraversalOrder::RandomMoonwalk { .. } => {
+                std::mem::take(&mut pending.remaining)
+            }
+            TraversalOrder::Dfs | TraversalOrder::DfsThreshold(_) => {
+                pending.remaining.pop().into_iter().collect()
+            }
+        };
+        pending.outstanding += batch.len();
+        let of_rule = matches!(pending.vertex, Vertex::Rule { .. });
+        for child in batch {
+            if of_rule {
+                // Inputs of a rule execution are resolved at its own node.
+                let reply = ReplyTo::Rule { rqid: id };
+                self.start_tuple(engine, sid, node, child.id, child.vertex, reply, time);
+            } else if child.node == node {
+                // Local rule execution vertex: no message needed.
+                self.start_rule(engine, sid, node, child.id, child.vertex, (id, node), time);
+            } else {
+                let msg = QueryMsg::RuleQuery(child.id, child.vertex, node, id);
+                self.send(engine, sid, (node, child.node), &msg, None);
+            }
+        }
+        // Children resolved without a message have reported back by now, and
+        // may have completed the vertex (and moved `id` on) already.
+        let done = |p: &Pending| p.outstanding == 0 && p.remaining.is_empty();
+        if matches!(self.ids.get(&id), Some((_, State::Pending(p))) if done(p)) {
+            self.complete(engine, id, time);
         }
     }
 
-    fn tuple_child_result(&mut self, ctx: &mut Ctx, qid: Digest, ann: Annotation, time: f64) {
-        let Some(pending) = self.pending_tuples.get_mut(&qid) else {
+    /// Combines the results of the vertex pending under `id`, caches the
+    /// combination (§6.1) and sends it where the vertex replies to.
+    fn complete(&mut self, engine: &mut Engine, id: Digest, time: f64) {
+        let Some((sid, State::Pending(pending))) = self.ids.remove(&id) else {
+            unreachable!("only a pending vertex is completed");
+        };
+        let session = &mut self.sessions[sid];
+        let node = pending.node;
+        match pending.vertex {
+            Vertex::Tuple { vid, reply } => {
+                let ann = session.repr.p_idb(node, &pending.results);
+                if session.caching {
+                    session.cache.insert(vid, ann.clone());
+                }
+                self.reply_tuple(engine, sid, node, id, vid, ann, reply, time);
+            }
+            Vertex::Rule { rid, rule, parent } => {
+                let ann = session.repr.p_rule(&rule, node, &pending.results);
+                if session.caching {
+                    session.cache.insert(rid, ann.clone());
+                    // Record dependencies for invalidation: the rule result
+                    // depends on each of its current inputs.
+                    let exec = rule_exec_entry(engine, node, rid);
+                    for child in exec.into_iter().flat_map(|e| e.vids) {
+                        session.dependents.entry(child).or_default().insert(rid);
+                    }
+                }
+                self.reply_rule(engine, sid, node, id, rid, parent, ann, time);
+            }
+        }
+    }
+
+    /// One child's annotation arrives at the vertex pending under `id`.
+    fn child_result(&mut self, engine: &mut Engine, id: Digest, ann: Annotation, time: f64) {
+        let Some((sid, State::Pending(pending))) = self.ids.get_mut(&id) else {
             return;
         };
+        let session = &mut self.sessions[*sid];
         pending.results.push(ann);
         pending.outstanding = pending.outstanding.saturating_sub(1);
-
-        // DFS / DFS-threshold: decide whether to stop or explore the next
-        // alternative derivation.
-        let next = match self.traversal {
-            TraversalOrder::Dfs => {
-                if pending.outstanding == 0 {
-                    pending.remaining.pop()
-                } else {
-                    None
-                }
+        // DFS-with-threshold: a tuple vertex stops exploring alternative
+        // derivations once its partial result satisfies the threshold.
+        if let (Vertex::Tuple { .. }, TraversalOrder::DfsThreshold(threshold)) =
+            (&pending.vertex, session.traversal)
+        {
+            let partial = session.repr.p_idb(pending.node, &pending.results);
+            if session.repr.exceeds_threshold(&partial, threshold) {
+                pending.remaining.clear();
             }
-            TraversalOrder::DfsThreshold(threshold) => {
-                let partial = self.repr.p_idb(pending.node, &pending.results);
-                if self.repr.exceeds_threshold(&partial, threshold) {
-                    pending.remaining.clear();
-                    None
-                } else if pending.outstanding == 0 {
-                    pending.remaining.pop()
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        };
-        if let Some((rid, rloc)) = next {
-            let node = pending.node;
-            pending.outstanding += 1;
-            self.dispatch_rule_child(ctx, node, qid, rid, rloc, time);
-            return;
         }
-        self.try_complete_tuple(ctx, qid, time);
-    }
-
-    fn try_complete_tuple(&mut self, ctx: &mut Ctx, qid: Digest, time: f64) {
-        let done = match self.pending_tuples.get(&qid) {
-            Some(p) => p.outstanding == 0 && p.remaining.is_empty(),
-            None => false,
-        };
-        if !done {
-            return;
+        if pending.outstanding == 0 {
+            self.dispatch_children(engine, id, time);
         }
-        let pending = self.pending_tuples.remove(&qid).expect("checked above");
-        let ann = self.repr.p_idb(pending.node, &pending.results);
-        if self.caching_enabled {
-            self.cache.insert(CacheKey::Tuple(pending.vid), ann.clone());
-        }
-        self.reply_tuple(
-            ctx,
-            pending.node,
-            qid,
-            pending.vid,
-            ann,
-            pending.reply,
-            time,
-        );
     }
 
     #[allow(clippy::too_many_arguments)]
     fn reply_tuple(
         &mut self,
-        ctx: &mut Ctx,
+        engine: &mut Engine,
+        sid: usize,
         node: NodeId,
         qid: Digest,
         vid: Vid,
@@ -642,250 +709,74 @@ impl SessionCore {
         time: f64,
     ) {
         match reply {
+            ReplyTo::Requester { node: ret, index } if ret == node => {
+                self.deliver_final(index, ann, time);
+            }
             ReplyTo::Requester { node: ret, index } => {
-                if ret == node {
-                    ctx.route.remove(&qid);
-                    self.deliver_final(ctx, index, ann, time);
-                } else {
-                    self.register(ctx, qid);
-                    let extra = self.repr.wire_size(&ann);
-                    let tuple = Tuple::new(
-                        "eProvResults",
-                        ret,
-                        vec![
-                            Value::from_digest(qid),
-                            Value::from_digest(vid),
-                            Value::Int(index as i64),
-                        ],
-                    );
-                    self.in_flight.insert(qid, ann);
-                    self.account(ctx.engine, &tuple, extra);
-                    ctx.engine.send_tuple(node, ret, tuple, extra);
-                }
+                let msg = QueryMsg::ProvResults(qid, vid, index);
+                self.send(engine, sid, (node, ret), &msg, Some(ann));
             }
-            ReplyTo::Rule { rqid } => {
-                // Children of a rule execution are resolved at the rule's own
-                // node, so this reply never crosses the network.
-                self.rule_child_result(ctx, rqid, ann, time);
-            }
+            // Children of a rule execution are resolved at the rule's own
+            // node, so this reply never crosses the network.
+            ReplyTo::Rule { rqid } => self.child_result(engine, rqid, ann, time),
         }
     }
 
-    fn deliver_final(&mut self, ctx: &mut Ctx, index: usize, ann: Annotation, time: f64) {
-        if let Some(outcome) = ctx.outcomes.get_mut(index) {
+    #[allow(clippy::too_many_arguments)]
+    fn reply_rule(
+        &mut self,
+        engine: &mut Engine,
+        sid: usize,
+        rloc: NodeId,
+        rqid: Digest,
+        rid: Rid,
+        (parent_qid, parent_node): (Digest, NodeId),
+        ann: Annotation,
+        time: f64,
+    ) {
+        let session = &mut self.sessions[sid];
+        if session.caching {
+            // The parent tuple's cached result (once it completes at
+            // parent_node) depends on this rule execution.
+            if let Some((_, State::Pending(parent))) = self.ids.get(&parent_qid) {
+                if let Vertex::Tuple { vid, .. } = parent.vertex {
+                    session.dependents.entry(rid).or_default().insert(vid);
+                }
+            }
+        }
+        if parent_node == rloc {
+            self.child_result(engine, parent_qid, ann, time);
+        } else {
+            let msg = QueryMsg::RuleResults(rqid, parent_qid);
+            self.send(engine, sid, (rloc, parent_node), &msg, Some(ann));
+        }
+    }
+
+    fn deliver_final(&mut self, index: usize, ann: Annotation, time: f64) {
+        if let Some(outcome) = self.outcomes.get_mut(index) {
             if outcome.completed_at.is_none() {
-                *ctx.incomplete = ctx.incomplete.saturating_sub(1);
+                self.incomplete = self.incomplete.saturating_sub(1);
             }
             outcome.completed_at = Some(time);
             outcome.annotation = Some(ann);
         }
     }
-
-    // ------------------------------------------------------------------
-    // Rule-execution-vertex queries (the rv1–rv4 rules)
-    // ------------------------------------------------------------------
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_rule_query(
-        &mut self,
-        ctx: &mut Ctx,
-        rloc: NodeId,
-        rqid: Digest,
-        rid: Rid,
-        parent_qid: Digest,
-        parent_node: NodeId,
-        time: f64,
-    ) {
-        if self.caching_enabled {
-            if let Some(ann) = self.cache.get(&CacheKey::Rule(rid)).cloned() {
-                self.stats.cache_hits += 1;
-                self.finish_rule_reply(ctx, rloc, rqid, rid, parent_qid, parent_node, ann, time);
-                return;
-            }
-        }
-        self.stats.cache_misses += 1;
-
-        let Some(exec) = rule_exec_entry(ctx.engine, rloc, rid) else {
-            // Dangling pointer (e.g. the entry was deleted concurrently):
-            // answer with an empty combination.
-            let ann = self.repr.p_rule("?", rloc, &[]);
-            self.finish_rule_reply(ctx, rloc, rqid, rid, parent_qid, parent_node, ann, time);
-            return;
-        };
-
-        let mut pending = PendingRule {
-            rid,
-            rule: exec.rule.clone(),
-            rloc,
-            parent_qid,
-            parent_node,
-            remaining: exec.vids.clone(),
-            outstanding: 0,
-            results: Vec::new(),
-        };
-
-        match self.traversal {
-            TraversalOrder::Bfs | TraversalOrder::RandomMoonwalk { .. } => {
-                let children = std::mem::take(&mut pending.remaining);
-                pending.outstanding = children.len();
-                self.pending_rules.insert(rqid, pending);
-                for child_vid in children {
-                    let sub_qid = self.fresh_id(ctx, "cq");
-                    self.start_tuple_query(
-                        ctx,
-                        rloc,
-                        sub_qid,
-                        child_vid,
-                        ReplyTo::Rule { rqid },
-                        time,
-                    );
-                }
-            }
-            TraversalOrder::Dfs | TraversalOrder::DfsThreshold(_) => {
-                if let Some(child_vid) = pending.remaining.pop() {
-                    pending.outstanding = 1;
-                    self.pending_rules.insert(rqid, pending);
-                    let sub_qid = self.fresh_id(ctx, "cq");
-                    self.start_tuple_query(
-                        ctx,
-                        rloc,
-                        sub_qid,
-                        child_vid,
-                        ReplyTo::Rule { rqid },
-                        time,
-                    );
-                } else {
-                    self.pending_rules.insert(rqid, pending);
-                }
-            }
-        }
-        self.try_complete_rule(ctx, rqid, time);
-    }
-
-    fn rule_child_result(&mut self, ctx: &mut Ctx, rqid: Digest, ann: Annotation, time: f64) {
-        let Some(pending) = self.pending_rules.get_mut(&rqid) else {
-            return;
-        };
-        pending.results.push(ann);
-        pending.outstanding = pending.outstanding.saturating_sub(1);
-        if pending.outstanding == 0 {
-            if let Some(child_vid) = pending.remaining.pop() {
-                let rloc = pending.rloc;
-                pending.outstanding = 1;
-                let sub_qid = self.fresh_id(ctx, "cq");
-                self.start_tuple_query(ctx, rloc, sub_qid, child_vid, ReplyTo::Rule { rqid }, time);
-                return;
-            }
-        }
-        self.try_complete_rule(ctx, rqid, time);
-    }
-
-    fn try_complete_rule(&mut self, ctx: &mut Ctx, rqid: Digest, time: f64) {
-        let done = match self.pending_rules.get(&rqid) {
-            Some(p) => p.outstanding == 0 && p.remaining.is_empty(),
-            None => false,
-        };
-        if !done {
-            return;
-        }
-        let pending = self.pending_rules.remove(&rqid).expect("checked above");
-        let ann = self
-            .repr
-            .p_rule(&pending.rule, pending.rloc, &pending.results);
-        if self.caching_enabled {
-            self.cache.insert(CacheKey::Rule(pending.rid), ann.clone());
-            // Record dependencies for invalidation: the rule result depends on
-            // each of its children.
-            let exec = rule_exec_entry(ctx.engine, pending.rloc, pending.rid);
-            if let Some(exec) = exec {
-                for child in exec.vids {
-                    self.dependents
-                        .entry(child)
-                        .or_default()
-                        .insert(pending.rid);
-                }
-            }
-        }
-        self.finish_rule_reply(
-            ctx,
-            pending.rloc,
-            rqid,
-            pending.rid,
-            pending.parent_qid,
-            pending.parent_node,
-            ann,
-            time,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish_rule_reply(
-        &mut self,
-        ctx: &mut Ctx,
-        rloc: NodeId,
-        rqid: Digest,
-        rid: Rid,
-        parent_qid: Digest,
-        parent_node: NodeId,
-        ann: Annotation,
-        time: f64,
-    ) {
-        if self.caching_enabled {
-            // The parent tuple's cached result (once it completes at
-            // parent_node) depends on this rule execution.
-            if let Some(parent) = self.pending_tuples.get(&parent_qid) {
-                self.dependents.entry(rid).or_default().insert(parent.vid);
-            }
-        }
-        if parent_node == rloc {
-            ctx.route.remove(&rqid);
-            self.tuple_child_result(ctx, parent_qid, ann, time);
-        } else {
-            self.register(ctx, rqid);
-            let extra = self.repr.wire_size(&ann);
-            let tuple = Tuple::new(
-                "eRuleResults",
-                parent_node,
-                vec![Value::from_digest(rqid), Value::from_digest(parent_qid)],
-            );
-            self.in_flight.insert(rqid, ann);
-            self.account(ctx.engine, &tuple, extra);
-            ctx.engine.send_tuple(rloc, parent_node, tuple, extra);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Cache invalidation (§6.1)
-    // ------------------------------------------------------------------
-
-    /// Invalidates every cached result that (transitively) depends on the
-    /// tuple vertex `vid` — called when a base tuple is inserted or deleted.
-    pub(crate) fn invalidate(&mut self, vid: Vid) {
-        let mut frontier: Vec<Digest> = vec![vid];
-        let mut seen: HashSet<Digest> = HashSet::new();
-        while let Some(d) = frontier.pop() {
-            if !seen.insert(d) {
-                continue;
-            }
-            // Remove the cache entry for the digest itself.
-            for key in [CacheKey::Tuple(d), CacheKey::Rule(d)] {
-                if self.cache.remove(&key).is_some() {
-                    self.stats.invalidations += 1;
-                }
-            }
-            // Propagate to dependents: each loses its entries when popped.
-            frontier.extend(self.dependents.remove(&d).into_iter().flatten());
-        }
-    }
 }
 
-impl std::fmt::Debug for SessionCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionCore")
-            .field("traversal", &self.traversal)
-            .field("caching_enabled", &self.caching_enabled)
-            .field("cache_entries", &self.cache.len())
-            .finish()
+/// The engine hands every surfaced external tuple to the fabric; whatever
+/// does not parse as a query-protocol message is dropped.
+impl ExternalSink for QueryFabric {
+    fn on_external(
+        &mut self,
+        engine: &mut Engine,
+        node: NodeId,
+        tuple: Arc<Tuple>,
+        time: f64,
+        _insert: bool,
+    ) {
+        if let Some(msg) = QueryMsg::from_tuple(&tuple) {
+            self.on_message(engine, node, msg, time);
+        }
     }
 }
 
@@ -940,3 +831,65 @@ impl std::fmt::Display for QueryError {
 }
 
 impl std::error::Error for QueryError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Exspan;
+    use exspan_ndlog::programs;
+    use exspan_netsim::Topology;
+
+    /// A query tuple from outside the module that is short, long or
+    /// wrong-typed parses to `None` and is dropped, also when it names a live
+    /// id (the handler used to index `values[1..=3]` unchecked).
+    #[test]
+    fn malformed_query_tuples_are_dropped() {
+        let (a, b) = (sha1_digest(b"a"), sha1_digest(b"b"));
+        for msg in [
+            QueryMsg::Issue(7),
+            QueryMsg::ProvQuery(a, b, 3, 7),
+            QueryMsg::RuleQuery(a, b, 3, a),
+            QueryMsg::ProvResults(a, b, 7),
+            QueryMsg::RuleResults(a, b),
+        ] {
+            let tuple = msg.to_tuple(1);
+            assert_eq!(QueryMsg::from_tuple(&tuple), Some(msg));
+            let mut long = tuple.clone();
+            long.values.push(Value::Int(0));
+            assert_eq!(QueryMsg::from_tuple(&long), None, "{long:?}");
+            for cut in 0..tuple.values.len() {
+                let mut short = tuple.clone();
+                short.values.truncate(cut);
+                assert_eq!(QueryMsg::from_tuple(&short), None, "{short:?}");
+                let mut mistyped = tuple.clone();
+                mistyped.values[cut] = Value::Bool(true);
+                assert_eq!(QueryMsg::from_tuple(&mistyped), None, "{mistyped:?}");
+            }
+        }
+        let negative = Tuple::new("eQueryIssue", 1, vec![Value::Int(-1)]);
+        assert_eq!(QueryMsg::from_tuple(&negative), None);
+
+        // Through a deployment: the id of a deferred query is live from
+        // submission on; truncated tuples naming it neither panic nor
+        // disturb the query.
+        let mut d = Exspan::builder()
+            .program(programs::mincost())
+            .topology(Topology::paper_example())
+            .build()
+            .expect("valid deployment");
+        d.run_to_fixpoint();
+        let target = Tuple::new("bestPathCost", 0, vec![Value::Node(2), Value::Int(5)]);
+        let (now, later) = (d.now(), d.now() + 0.5);
+        let handle = d.query(&target).issuer(3).at(later).submit();
+        let live = Value::from_digest(root_qid(handle.index()));
+        for relation in ["eProvQuery", "eRuleQuery", "eProvResults", "eRuleResults"] {
+            d.schedule_delta(now, 0, Tuple::new(relation, 0, vec![live.clone()]), true);
+        }
+        d.schedule_delta(now, 3, Tuple::new("eQueryIssue", 3, vec![]), true);
+        // Nor does a well-formed result arriving while the id is still a request.
+        let early = QueryMsg::ProvResults(root_qid(handle.index()), target.vid(), handle.index());
+        d.schedule_delta(now, 3, early.to_tuple(3), true);
+        d.run_to_fixpoint();
+        assert!(d.outcome(handle).expect("submitted").is_complete());
+    }
+}

@@ -7,13 +7,12 @@
 //! (`Term::var("S")`, `Atom::new("link", …)`) and intern transparently.
 
 use exspan_types::{RelId, Symbol, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A term: either a variable (names start with an uppercase letter) or a
 /// constant value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
     /// A variable, e.g. `S`, `Cost`.
     Var(Symbol),
@@ -43,7 +42,7 @@ impl fmt::Display for Term {
 }
 
 /// Binary comparison operators usable in rule-body constraints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `==`
     Eq,
@@ -74,7 +73,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// Arithmetic operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArithOp {
     /// `+`
     Add,
@@ -100,7 +99,7 @@ impl fmt::Display for ArithOp {
 
 /// An expression appearing in assignments, constraints, or (before
 /// normalization) head arguments.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A term (variable or constant).
     Term(Term),
@@ -167,7 +166,7 @@ impl fmt::Display for Expr {
 
 /// An atom: a predicate with a location specifier and argument terms,
 /// appearing in rule bodies, e.g. `link(@Z,S,C1)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Atom {
     /// Interned relation (predicate) identifier.
     pub relation: RelId,
@@ -222,7 +221,7 @@ impl fmt::Display for Atom {
 /// The paper restricts the provenance rewrite to MIN and MAX (§4.2.2); COUNT
 /// is additionally supported by the engine because the provenance *query*
 /// rules use `COUNT<*>` (rule `c0` of §5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `min<X>`
     Min,
@@ -245,7 +244,7 @@ impl fmt::Display for AggFunc {
 
 /// A single head argument: a plain term, an expression to be computed, or an
 /// aggregate over a variable.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum HeadArg {
     /// A term copied from the body bindings.
     Term(Term),
@@ -268,7 +267,7 @@ impl fmt::Display for HeadArg {
 }
 
 /// The head of a rule.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RuleHead {
     /// Interned relation derived by the rule.
     pub relation: RelId,
@@ -309,7 +308,7 @@ impl fmt::Display for RuleHead {
 }
 
 /// A single element of a rule body.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum BodyItem {
     /// A predicate atom.
     Atom(Atom),
@@ -330,7 +329,7 @@ impl fmt::Display for BodyItem {
 }
 
 /// An NDlog rule: `label head :- body.`
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Rule {
     /// Interned rule label, e.g. `sp2`.  Used in provenance RIDs.
     pub label: Symbol,
@@ -379,7 +378,7 @@ impl fmt::Display for Rule {
 
 /// A materialized-table declaration: relation name, arity (including the
 /// location attribute) and primary-key attribute positions (0 = location).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableDecl {
     /// Interned relation name.
     pub relation: RelId,
@@ -411,7 +410,7 @@ impl TableDecl {
 }
 
 /// A complete NDlog program: table declarations plus rules.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     /// Human-readable name (e.g. `"MINCOST"`).
     pub name: String,

@@ -3,13 +3,12 @@
 use exspan_types::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The class of a link; used to pick latency/bandwidth defaults and to select
 /// candidate links for the churn workload (which only touches stub-to-stub
 /// links, as in §7.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkClass {
     /// Between two transit (backbone) nodes: 50 ms, 1 Gbps.
     TransitTransit,
@@ -48,7 +47,7 @@ impl LinkClass {
 }
 
 /// Properties of a (bidirectional) link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkProps {
     /// One-way propagation latency in seconds.
     pub latency: f64,
@@ -77,7 +76,7 @@ impl LinkProps {
 ///
 /// Links are stored once per unordered pair; all query methods treat them as
 /// bidirectional (the paper assumes symmetric links).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     num_nodes: usize,
     links: BTreeMap<(NodeId, NodeId), LinkProps>,

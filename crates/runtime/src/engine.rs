@@ -117,6 +117,11 @@ pub struct FixpointStats {
     pub external: u64,
 }
 
+/// Runaway guard: the most events one `run_until` call processes.  The
+/// parallel loop checks it once per barrier window, so it may process
+/// slightly more.
+const MAX_STEPS: u64 = 200_000_000;
+
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -126,10 +131,6 @@ pub struct EngineConfig {
     /// through the rewritten NDlog rules themselves; aggregates cannot be
     /// expressed that way and are instrumented here instead.
     pub aggregate_provenance: bool,
-    /// Safety limit on processed events for a single `run_*` call.  In
-    /// sharded runs the limit is enforced at window granularity, so slightly
-    /// more events than the limit may be processed.
-    pub max_steps: u64,
     /// How many shards (worker threads) execute the protocol; 1 keeps
     /// everything on the calling thread.
     pub shards: usize,
@@ -154,7 +155,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             aggregate_provenance: false,
-            max_steps: 200_000_000,
             shards: 1,
             join_planning: true,
             track_compressed: false,
@@ -600,9 +600,8 @@ impl Engine {
             self.flush_outboxes();
             self.run_parallel(time_limit);
         } else {
-            let max_steps = self.data.config.max_steps;
             let mut steps = 0u64;
-            while steps < max_steps {
+            while steps < MAX_STEPS {
                 let Some((idx, t)) = self.next_event() else {
                     break;
                 };
@@ -653,7 +652,6 @@ impl Engine {
             lookahead > 0.0,
             "links must have positive latency for the parallel runtime"
         );
-        let max_steps = self.data.config.max_steps;
         let num_shards = self.shards.len();
         let barrier = Barrier::new(num_shards + 1);
         let next_times: Vec<AtomicU64> = (0..num_shards)
@@ -716,7 +714,7 @@ impl Engine {
                     .map(|s| f64::from_bits(s.load(Ordering::SeqCst)))
                     .filter(|t| !t.is_nan())
                     .fold(f64::NAN, f64::min);
-                let exhausted = total_steps.load(Ordering::SeqCst) >= max_steps;
+                let exhausted = total_steps.load(Ordering::SeqCst) >= MAX_STEPS;
                 let terminate = min_next.is_nan() || min_next > time_limit || exhausted;
                 if terminate {
                     stop.store(true, Ordering::SeqCst);

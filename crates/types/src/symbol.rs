@@ -33,7 +33,6 @@
 //! | tiny, all 12 figures | 47.9 | 24.9 | −48% |
 //! | small, all 12 figures | 122.8 | 58.0 | −53% |
 
-use serde::{Deserialize, JsonError, JsonValue, Serialize};
 use std::collections::HashSet;
 use std::sync::{OnceLock, RwLock};
 
@@ -207,23 +206,6 @@ impl PartialEq<String> for Symbol {
     }
 }
 
-impl Serialize for Symbol {
-    fn json_into(&self, out: &mut String) {
-        serde::write_json_string(self.0, out);
-    }
-}
-
-impl Deserialize for Symbol {
-    fn from_json_value(v: &JsonValue) -> Result<Self, JsonError> {
-        match v {
-            JsonValue::String(s) => Ok(Symbol::intern(s)),
-            other => Err(JsonError::msg(format!(
-                "expected string for Symbol, found {other:?}"
-            ))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,16 +265,5 @@ mod tests {
         assert_eq!(s.len(), 12);
         assert!(!s.is_empty());
         assert!(Symbol::intern("").is_empty());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let s = Symbol::intern("prov");
-        let mut out = String::new();
-        s.json_into(&mut out);
-        assert_eq!(out, "\"prov\"");
-        let back = Symbol::from_json_value(&JsonValue::String("prov".into())).unwrap();
-        assert_eq!(back, s);
-        assert!(Symbol::from_json_value(&JsonValue::Number(1.0)).is_err());
     }
 }

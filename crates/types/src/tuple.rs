@@ -12,7 +12,6 @@ use crate::sha1::{Digest, Sha1};
 use crate::symbol::RelId;
 use crate::value::{encode_str_for_hash, Value};
 use crate::Error;
-use serde::{Deserialize, Serialize};
 
 /// The address of a node in the network.  Location specifiers (`@X`) resolve
 /// to `NodeId`s at runtime.
@@ -30,7 +29,7 @@ pub type Rid = Digest;
 /// A relation schema: name, arity, and which attribute positions form the
 /// primary key (used for update/overwrite semantics of materialized tables,
 /// e.g. `bestPathCost` keyed on `(src, dst)`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     /// Interned relation name, e.g. `"pathCost"`.
     pub name: RelId,
@@ -113,7 +112,7 @@ pub struct TupleKey {
 /// The first conceptual attribute of every NDlog predicate is its location
 /// specifier; we store it separately in [`Tuple::location`] and keep the
 /// remaining attributes in [`Tuple::values`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tuple {
     /// Interned relation (predicate) identifier.  Compare it against string
     /// literals directly (`t.relation == "prov"`) or resolve it with

@@ -19,11 +19,10 @@
 use crate::sha1::Digest;
 use crate::symbol::Symbol;
 use crate::Error;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A single attribute value inside a [`crate::Tuple`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// A node address (location specifier).
     Node(u32),

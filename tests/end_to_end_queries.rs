@@ -5,7 +5,7 @@
 
 use exspan::core::{Deployment, ProvenanceMode, QueryHandle, Repr, Traversal};
 use exspan::ndlog::programs;
-use exspan::netsim::Topology;
+use exspan::netsim::{LinkClass, LinkProps, Topology};
 use exspan::setup;
 use exspan::types::{Tuple, Value};
 use std::sync::Arc;
@@ -382,6 +382,71 @@ fn packet_forwarding_with_provenance_delivers_packets() {
         assert!(
             received.iter().any(|t| t.values[0] == Value::Node(src)),
             "packet from {src} to {dst} was not delivered: {received:?}"
+        );
+    }
+}
+
+/// Protocol ids are derived from the path that leads to a vertex (module docs
+/// of `exspan_core::query`), and a debug assertion fires if one is entered
+/// into the id table twice.  Two shapes could make paths collide: a rule
+/// execution that joins the same tuple at two body positions, and a ring,
+/// where alternative derivations share most of their vertices.
+#[test]
+fn derived_query_ids_are_unique_on_repeated_and_shared_vertices() {
+    // MINCOST plus a rule joining `bestPathCost` with itself.  The repeated
+    // input must be a tuple that waits for a remote rule execution: one that
+    // resolves on the spot has left the table before its twin enters.
+    let source = programs::mincost_source()
+        + "materialize(pair, 3, keys(0,1,2)).
+           j1 pair(@S,A,B) :- bestPathCost(@S,A,C1), bestPathCost(@S,B,C2).";
+    let self_join = exspan::ndlog::parser::parse_program("SELFJOIN", &source)
+        .expect("program parses")
+        .normalize();
+    let joined = setup::converged(
+        self_join,
+        Topology::paper_example(),
+        ProvenanceMode::Reference,
+        1,
+    );
+    // pair(@a,c,c) joins bestPathCost(@a,c,5) — two derivations, one of them
+    // through b — with itself.
+    let twice = Tuple::new("pair", 0, vec![Value::Node(2), Value::Node(2)]);
+
+    let mut ring_topology = Topology::empty(6);
+    for i in 0..6u32 {
+        let props = LinkProps::from_class(LinkClass::StubStub);
+        ring_topology.add_link(i, (i + 1) % 6, props);
+    }
+    let ring = setup::mincost_reference(ring_topology, 1);
+    // The node opposite n0 is reached at equal cost both ways round.
+    let routes = ring.tuples_shared(0, "bestPathCost");
+    let to_opposite = routes.iter().find(|t| t.values[0] == Value::Node(3));
+    let opposite = Tuple::clone(to_opposite.expect("n0 reaches n3"));
+
+    for (mut deployment, target, derivations) in [(joined, twice, 4), (ring, opposite, 2)] {
+        let mut counts = Vec::new();
+        for traversal in [
+            Traversal::Bfs,
+            Traversal::Dfs,
+            Traversal::DfsThreshold(1_000),
+            Traversal::RandomMoonwalk { fanout: 8, seed: 7 },
+        ] {
+            // Twice per cached session, so the second run meets a warm cache.
+            for cached in [false, true, true] {
+                let outcome = deployment
+                    .query(&target)
+                    .issuer(3)
+                    .traversal(traversal)
+                    .cached(cached)
+                    .execute();
+                assert!(outcome.is_complete(), "{traversal:?} cached={cached}");
+                let polynomial = outcome.annotation.expect("complete");
+                counts.push(polynomial.as_expr().expect("polynomial").num_derivations());
+            }
+        }
+        assert!(
+            counts.iter().all(|&c| c == derivations),
+            "every traversal order finds {derivations} derivation(s) of {target}: {counts:?}"
         );
     }
 }

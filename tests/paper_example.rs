@@ -216,3 +216,23 @@ fn reference_mode_overhead_is_small_on_the_example() {
         "value-based must cost more than reference-based"
     );
 }
+
+/// The exact traffic of a fixed query sequence — once uncached, then twice in
+/// a caching session — so that a change in what the query protocol sends or
+/// caches fails here, not only in the benchmark's exact counts.
+#[test]
+fn query_traffic_of_a_fixed_sequence_is_pinned() {
+    let mut system = reference_system();
+    let target = tuple("bestPathCost", A, C, 5);
+    let mut handles = Vec::new();
+    for cached in [false, true, true] {
+        handles.push(system.query(&target).issuer(3).cached(cached).submit());
+        system.run_to_fixpoint();
+    }
+    let observed = [handles[0], handles[2]].map(|handle| {
+        let session = system.session(handle);
+        let s = session.stats();
+        (s.bytes, s.messages, s.cache_hits, s.cache_misses)
+    });
+    assert_eq!(observed, [(562, 4, 0, 12), (859, 6, 1, 12)]);
+}
