@@ -55,19 +55,19 @@
 //! ```
 
 use crate::mode::ProvenanceMode;
-use crate::query::{QueryError, QueryFabric, QueryOutcome, Session, SessionStats, TraversalOrder};
+use crate::query::{QueryFabric, QueryOutcome, Session, SessionStats, TraversalOrder};
 use crate::repr::{Annotation, Repr};
 use crate::rewrite::{provenance_rewrite, RewriteOptions};
 use crate::value_policy::ValueBddPolicy;
 use exspan_ndlog::ast::Program;
 use exspan_ndlog::diag::{Diagnostic, Severity};
 use exspan_netsim::{ChurnEvent, LinkProps, Topology};
-use exspan_runtime::{Engine, EngineConfig, FixpointStats, SharedPolicy};
+use exspan_runtime::{Engine, EngineConfig, FixpointStats};
 use exspan_store::{DiskBackend, StorageBackend, StorageStats, StoreConfig};
 use exspan_types::{NodeId, Tuple, Value, Vid};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Entry point for building a [`Deployment`].
 ///
@@ -185,8 +185,12 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Number of worker shards executing the protocol (default 1).  Results
-    /// are bit-identical for every shard count.
+    /// At most how many worker shards execute the protocol (default 1).
+    /// Results are bit-identical for every shard count.  An upper bound, not
+    /// a promise: [`ProvenanceMode::ValueBdd`] runs one shard whatever is
+    /// asked for here, because one annotation policy has to see every
+    /// arrival, derivation and send in event order
+    /// ([`Deployment::num_shards`] reports what was built).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -277,27 +281,20 @@ impl DeploymentBuilder {
             .cloned()
             .collect();
 
-        let mut engine_config = EngineConfig {
-            aggregate_provenance: false,
+        let engine_config = EngineConfig {
             shards: self.shards,
             track_compressed: self.track_compressed,
             ..EngineConfig::default()
         };
         let executed = match self.mode {
             ProvenanceMode::None | ProvenanceMode::ValueBdd => program.clone(),
-            ProvenanceMode::Reference => {
-                engine_config.aggregate_provenance = true;
-                provenance_rewrite(&program, RewriteOptions::default())
-            }
-            ProvenanceMode::Centralized { server } => {
-                engine_config.aggregate_provenance = true;
-                provenance_rewrite(
-                    &program,
-                    RewriteOptions {
-                        centralize_at: Some(server),
-                    },
-                )
-            }
+            ProvenanceMode::Reference => provenance_rewrite(&program, RewriteOptions::default()),
+            ProvenanceMode::Centralized { server } => provenance_rewrite(
+                &program,
+                RewriteOptions {
+                    centralize_at: Some(server),
+                },
+            ),
         };
         // The provenance rewrite must preserve the analysis verdict: a
         // program accepted above must stay error-free after rewriting.  This
@@ -313,13 +310,12 @@ impl DeploymentBuilder {
             ));
         }
 
-        let mut engine = Engine::new(executed, topology, engine_config);
-        let mut value_policy = None;
-        if self.mode == ProvenanceMode::ValueBdd {
-            let shared = Arc::new(Mutex::new(ValueBddPolicy::new()));
-            value_policy = Some(Arc::clone(&shared));
-            engine.set_annotation_policy(shared as SharedPolicy);
-        }
+        let mut engine = if self.mode == ProvenanceMode::ValueBdd {
+            let policy = Box::new(ValueBddPolicy::new());
+            Engine::with_policy(executed, topology, engine_config, policy)
+        } else {
+            Engine::new(executed, topology, engine_config)
+        };
 
         // Open the persistent store (if configured) and recover whatever
         // committed state it holds *before* journaling is attached, so the
@@ -332,8 +328,17 @@ impl DeploymentBuilder {
             };
             let (backend, state) = DiskBackend::open(dir, store_config)
                 .map_err(|e| BuildError::Storage(e.to_string()))?;
-            let mut start_seq = 0;
             if let Some(state) = state {
+                // The policy's annotations are not persisted: resumed, every
+                // recovered derived tuple would pass for a fresh base
+                // variable and value-mode answers would be silently wrong.
+                if self.mode == ProvenanceMode::ValueBdd {
+                    return Err(BuildError::Storage(format!(
+                        "store at {} holds committed state, which value-based \
+                         provenance cannot resume (annotations are not persisted)",
+                        dir.display()
+                    )));
+                }
                 if let Some(snap) = &state.snapshot {
                     let nodes = engine.topology().num_nodes() as u32;
                     if snap.node_count != nodes {
@@ -344,24 +349,8 @@ impl DeploymentBuilder {
                             snap.node_count
                         )));
                     }
-                    engine.restore_links(&snap.links);
-                    for dump in &snap.tables {
-                        for (tuple, count) in &dump.rows {
-                            engine.restore_table_row(dump.node, Arc::clone(tuple), *count);
-                        }
-                    }
-                    for entry in &snap.agg {
-                        engine.restore_agg(entry);
-                    }
                 }
-                for batch in &state.batches {
-                    for op in &batch.ops {
-                        engine.apply_wal_op(op);
-                    }
-                }
-                let (seq, time_bits) = state.watermark();
-                start_seq = seq;
-                engine.restore_clock(f64::from_bits(time_bits));
+                engine.recover(&state);
                 recovered = true;
             }
             let spill = self.memory_budget_rows.map(|rows| {
@@ -370,13 +359,12 @@ impl DeploymentBuilder {
                     rows,
                 )
             });
-            engine.attach_storage(Box::new(backend), start_seq, spill);
+            engine.attach_storage(Box::new(backend), spill);
         }
 
         let mut deployment = Deployment {
             engine,
             mode: self.mode,
-            value_policy,
             program_name: program.name.clone(),
             warnings,
             fabric: QueryFabric::default(),
@@ -398,7 +386,6 @@ impl DeploymentBuilder {
 pub struct Deployment {
     engine: Engine,
     mode: ProvenanceMode,
-    value_policy: Option<Arc<Mutex<ValueBddPolicy>>>,
     program_name: String,
     warnings: Vec<Diagnostic>,
     fabric: QueryFabric,
@@ -902,28 +889,6 @@ impl Deployment {
         self.fabric.outcomes.get(handle.index)
     }
 
-    /// The outcome of a submitted query, *only* once it has completed.
-    ///
-    /// The fallible counterpart of [`Deployment::outcome`] for callers that
-    /// need to distinguish "no such query" from "still in flight" —
-    /// `exspan-serve` maps the two [`QueryError`] variants onto distinct
-    /// protocol error codes.
-    pub fn completed_outcome(&self, handle: QueryHandle) -> Result<&QueryOutcome, QueryError> {
-        let outcome = self
-            .fabric
-            .outcomes
-            .get(handle.index)
-            .ok_or(QueryError::UnknownHandle {
-                index: handle.index,
-            })?;
-        if outcome.completed_at.is_none() {
-            return Err(QueryError::NotComplete {
-                index: handle.index,
-            });
-        }
-        Ok(outcome)
-    }
-
     /// Outcomes of all queries submitted so far, in issue order.
     pub fn outcomes(&self) -> &[QueryOutcome] {
         &self.fabric.outcomes
@@ -1004,12 +969,10 @@ impl Deployment {
     // ------------------------------------------------------------------
 
     /// Runs `f` against the value-based provenance policy (only in
-    /// [`ProvenanceMode::ValueBdd`]).  The policy lock is held exactly for
-    /// the duration of the closure — nothing leaks a `MutexGuard`.
+    /// [`ProvenanceMode::ValueBdd`]; the engine owns it).
     pub fn with_value_provenance<T>(&self, f: impl FnOnce(&ValueBddPolicy) -> T) -> Option<T> {
-        self.value_policy
-            .as_ref()
-            .map(|p| f(&p.lock().expect("value policy poisoned")))
+        let policy = self.engine.policy()?.as_any().downcast_ref()?;
+        Some(f(policy))
     }
 
     /// For value-based provenance: returns the locally available annotation

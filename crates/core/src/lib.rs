@@ -46,7 +46,7 @@ pub use deployment::{
     BuildError, Deployment, DeploymentBuilder, Exspan, QueryBuilder, QueryHandle, QuerySession,
 };
 pub use mode::ProvenanceMode;
-pub use query::{QueryError, QueryOutcome, SessionStats, Traversal, TraversalOrder};
+pub use query::{QueryOutcome, SessionStats, Traversal, TraversalOrder};
 pub use repr::{
     Annotation, BddRepr, DerivabilityRepr, DerivationCountRepr, NodeSetRepr, PolynomialRepr,
     ProvExpr, ProvenanceRepr, Repr, TrustDomainRepr,

@@ -780,58 +780,6 @@ impl ExternalSink for QueryFabric {
     }
 }
 
-/// Why polling a query result failed.
-///
-/// Returned by [`crate::deployment::Deployment::completed_outcome`] — the
-/// fallible counterpart of the `Option`-returning
-/// [`crate::deployment::Deployment::outcome`] — and wrapped by the top-level
-/// `exspan::Error`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum QueryError {
-    /// The handle's index does not name a query of this deployment.
-    UnknownHandle {
-        /// The handle's global issue-order index.
-        index: usize,
-    },
-    /// The query has not completed yet — advance the deployment's clock and
-    /// poll again.  Queries whose protocol messages the simulator dropped
-    /// (e.g. churn partitioned the issuer from the target) stay in this
-    /// state permanently and honestly.
-    NotComplete {
-        /// The handle's global issue-order index.
-        index: usize,
-    },
-    /// The query's session is not backed by the requested concrete
-    /// representation (e.g. asking for BDD trust evaluation on a
-    /// polynomial session).
-    ReprMismatch {
-        /// Name of the representation the session actually uses.
-        actual: &'static str,
-    },
-}
-
-impl std::fmt::Display for QueryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QueryError::UnknownHandle { index } => {
-                write!(
-                    f,
-                    "query handle #{index} does not belong to this deployment"
-                )
-            }
-            QueryError::NotComplete { index } => {
-                write!(f, "query #{index} has not completed yet")
-            }
-            QueryError::ReprMismatch { actual } => {
-                write!(f, "query session uses the {actual} representation")
-            }
-        }
-    }
-}
-
-impl std::error::Error for QueryError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,8 +18,9 @@
 //! * Per base relation, a rule installs the `prov` entry with a `null` RID,
 //!   marking base tuples as EDB leaves of the provenance graph (Table 1).
 //! * Aggregate (MIN/MAX) rules are left untouched: their provenance — the
-//!   winning input tuple (§4.2.2) — is maintained natively by the engine
-//!   when [`exspan_runtime::EngineConfig::aggregate_provenance`] is enabled.
+//!   winning input tuple (§4.2.2) — is maintained natively by the engine for
+//!   every program that declares the `prov` and `ruleExec` tables, as the
+//!   output of this rewrite does ([`exspan_runtime::Engine::new`]).
 //!
 //! The only change to messages exchanged by the original protocol is the
 //! extra `(RID, RLoc)` pair — 24 bytes — on each inter-node derivation, which

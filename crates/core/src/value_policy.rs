@@ -11,11 +11,11 @@
 //! the annotation stored for the tuple *at that node*.
 //!
 //! Keeping annotations per `(node, tuple)` mirrors the paper's distribution
-//! model (each node knows the provenance of the tuples it stores) and is
-//! load-bearing for the sharded runtime: every annotation is only read and
-//! written while processing events of its own node, which the runtime
-//! processes in a deterministic order regardless of shard count.  The BDD
-//! manager is shared, but hash-consing makes it canonical — the serialized
+//! model (each node knows the provenance of the tuples it stores) and is what
+//! the figures' value-mode bytes depend on: a delta leaving a node is charged
+//! the history stored *at that node* when the rule fires.  One policy sees
+//! every event, so the engine that carries it runs one shard and owns it
+//! (`Engine::with_policy`).  The BDD manager hash-conses, so the serialized
 //! size of a function does not depend on the order operations reached it.
 //!
 //! Because the annotation is carried with the data, queries in value-based
@@ -60,12 +60,6 @@ impl ValueBddPolicy {
             .copied()
     }
 
-    /// Serialized size (bytes) of a tuple's provenance annotation.
-    pub fn annotation_size(&self, tuple: &Tuple) -> usize {
-        self.annotation_of(tuple)
-            .map_or(0, |b| self.manager.serialized_size(b))
-    }
-
     /// Derivability test under a trust assignment over base tuples: is the
     /// tuple derivable using only trusted base tuples?
     pub fn derivable_under<F: Fn(Vid) -> bool>(&self, tuple: &Tuple, trusted: F) -> bool {
@@ -86,11 +80,6 @@ impl ValueBddPolicy {
         self.annotation_bytes_total
     }
 
-    /// Number of `(node, tuple)` entries with a tracked provenance annotation.
-    pub fn tracked_tuples(&self) -> usize {
-        self.annotations.len()
-    }
-
     /// The BDD manager (for inspection).
     pub fn manager(&self) -> &BddManager {
         &self.manager
@@ -98,6 +87,10 @@ impl ValueBddPolicy {
 }
 
 impl AnnotationPolicy for ValueBddPolicy {
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
     fn on_base(&mut self, node: NodeId, tuple: &Tuple, insert: bool) {
         let vid = tuple.vid();
         if insert {
@@ -128,8 +121,8 @@ impl AnnotationPolicy for ValueBddPolicy {
             let vid = input.vid();
             let b = match self.annotations.get(&(node, vid)) {
                 Some(b) => *b,
-                // Inputs we have never seen (e.g. base tuples seeded before
-                // the policy was installed) are treated as base variables.
+                // Inputs we have never seen (never reported through
+                // `on_base`) are treated as base variables.
                 None => {
                     let var = self.var_for(vid);
                     self.annotations.insert((node, vid), var);
@@ -228,8 +221,7 @@ mod tests {
         p.on_arrival(0, &pc, token, true, false);
         assert!(p.derivable_under(&pc, |v| v == l1.vid()));
         assert!(!p.derivable_under(&pc, |v| v == l2.vid()));
-        assert_eq!(p.tracked_tuples(), 3);
-        assert!(p.annotation_size(&pc) >= 4);
+        assert_eq!(p.annotations.len(), 3);
     }
 
     #[test]

@@ -112,6 +112,28 @@ fn checkpoint_makes_recovery_snapshot_only() {
 }
 
 #[test]
+fn value_mode_refuses_to_resume_a_store_with_committed_state() {
+    // The policy's annotations are not persisted; resumed, every recovered
+    // tuple would pass for a fresh base variable and `derivable_under` would
+    // answer wrongly without an error.  A fresh directory stays legal.
+    let scratch = Scratch::new("value-resume");
+    let value = || {
+        builder(1)
+            .mode(ProvenanceMode::ValueBdd)
+            .data_dir(scratch.path())
+            .build()
+    };
+    let mut d = value().expect("a fresh store opens in value mode");
+    d.run_to_fixpoint();
+    assert!(d.storage_stats().committed_batches > 0);
+    drop(d);
+    match value() {
+        Err(exspan_core::BuildError::Storage(msg)) => assert!(msg.contains("value-based")),
+        other => panic!("expected a storage error, got {other:?}"),
+    }
+}
+
+#[test]
 fn recovered_deployment_continues_identically_to_uninterrupted_run() {
     // Oracle: one uninterrupted run.  Subject: same run split by a restart
     // in the middle.  Both must land on the same digest.

@@ -42,8 +42,7 @@
 //! reads tables and the clock *at the event*, and the window has by then
 //! applied later deltas of the same node.
 
-use crate::plugin::ExternalSink;
-pub use crate::shard::SharedPolicy;
+use crate::plugin::{AnnotationPolicy, ExternalSink};
 use crate::shard::{RuleData, Shard};
 use exspan_ndlog::ast::{BodyItem, Program};
 use exspan_ndlog::eval::FuncRegistry;
@@ -52,7 +51,8 @@ use exspan_netsim::{
     LinkClass, LinkProps, RoutedEvent, ShardView, Simulator, Topology, TrafficStats,
 };
 use exspan_store::{
-    AggProvEntry, LinkRecord, MemoryBackend, SnapshotData, StorageBackend, StorageStats, WalOp,
+    AggProvEntry, LinkRecord, MemoryBackend, RecoveredState, SnapshotData, StorageBackend,
+    StorageStats, WalOp,
 };
 use exspan_types::{wire, NodeId, RelId, Symbol, Tuple, Value};
 use std::collections::HashMap;
@@ -125,14 +125,10 @@ const MAX_STEPS: u64 = 200_000_000;
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// When `true`, the engine natively maintains `prov` and `ruleExec`
-    /// entries for *aggregate* rule firings (tracing MIN/MAX outputs to the
-    /// winning input tuple, §4.2.2).  Non-aggregate rules maintain provenance
-    /// through the rewritten NDlog rules themselves; aggregates cannot be
-    /// expressed that way and are instrumented here instead.
-    pub aggregate_provenance: bool,
-    /// How many shards (worker threads) execute the protocol; 1 keeps
-    /// everything on the calling thread.
+    /// At most how many shards (worker threads) execute the protocol; 1
+    /// keeps everything on the calling thread.  An engine built with an
+    /// annotation policy ([`Engine::with_policy`]) runs one shard whatever
+    /// this says.
     pub shards: usize,
     /// When `true` (the default), rule bodies execute compiled join plans
     /// over maintained secondary indexes (see [`exspan_ndlog::plan`]).  When
@@ -154,7 +150,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            aggregate_provenance: false,
             shards: 1,
             join_planning: true,
             track_compressed: false,
@@ -175,7 +170,6 @@ pub struct Engine {
     /// Cross-shard mailboxes: `inboxes[s]` holds events routed to shard `s`
     /// that it has not yet pulled into its queue.
     inboxes: Vec<Mutex<Vec<RoutedEvent<Payload>>>>,
-    policy: Option<SharedPolicy>,
     /// Storage backend behind the persistence seam.  The in-memory default
     /// ([`MemoryBackend`]) accepts and discards everything; shard journaling
     /// stays off, so the hot path pays nothing.
@@ -232,7 +226,15 @@ fn link_props(record: &LinkRecord) -> LinkProps {
 
 impl Engine {
     /// Creates an engine executing `program` over `topology`.
+    ///
+    /// For a program that declares the `prov` and `ruleExec` tables (the
+    /// provenance rewrite's output) the engine maintains those entries
+    /// natively for *aggregate* rule firings, tracing MIN/MAX outputs to the
+    /// winning input tuple (§4.2.2); the rewritten rules cover the rest, but
+    /// cannot express an aggregate.
     pub fn new(program: Program, topology: Topology, config: EngineConfig) -> Self {
+        let aggregate_provenance =
+            program.table("prov").is_some() && program.table("ruleExec").is_some();
         let program = program.normalize();
         let mut triggers: HashMap<RelId, Vec<(usize, usize)>> = HashMap::new();
         for (ri, rule) in program.rules.iter().enumerate() {
@@ -271,6 +273,7 @@ impl Engine {
             agg_recompute: Symbol::intern(AGG_RECOMPUTE_EVENT),
             funcs: FuncRegistry::new(),
             config,
+            aggregate_provenance,
         });
         let topo_arc = Arc::new(topology.clone());
         let shards = (0..num_shards)
@@ -292,12 +295,30 @@ impl Engine {
             assignment,
             inboxes: (0..num_shards).map(|_| Mutex::new(Vec::new())).collect(),
             shards,
-            policy: None,
             backend: Box::new(MemoryBackend),
             commit_seq: 0,
             link_journal: Vec::new(),
             journaling: false,
         }
+    }
+
+    /// Creates an engine that reports every base change, rule firing, remote
+    /// send and arrival to `policy` (e.g. value-based provenance).  One
+    /// policy has to see all of them in event order, so the engine runs one
+    /// shard, which owns the policy, whatever [`EngineConfig::shards`] says.
+    pub fn with_policy(
+        program: Program,
+        topology: Topology,
+        config: EngineConfig,
+        policy: Box<dyn AnnotationPolicy + Send>,
+    ) -> Self {
+        let one_shard = EngineConfig {
+            shards: 1,
+            ..config
+        };
+        let mut engine = Self::new(program, topology, one_shard);
+        engine.shards[0].policy = Some(policy);
+        engine
     }
 
     /// Number of shards executing this engine.
@@ -314,14 +335,10 @@ impl Engine {
         self.shard_of(node) as usize
     }
 
-    /// Installs an [`crate::plugin::AnnotationPolicy`] (e.g. value-based
-    /// provenance).  The policy is shared by every shard behind a mutex;
-    /// install it before scheduling any base tuples.
-    pub fn set_annotation_policy(&mut self, policy: SharedPolicy) {
-        for shard in &mut self.shards {
-            shard.policy = Some(Arc::clone(&policy));
-        }
-        self.policy = Some(policy);
+    /// The annotation policy this engine was built with, if any.
+    pub fn policy(&self) -> Option<&dyn AnnotationPolicy> {
+        let policy = self.shards[0].policy.as_deref()?;
+        Some(policy)
     }
 
     /// Current simulated time.
@@ -438,15 +455,6 @@ impl Engine {
         self.shards.iter().map(|s| s.store.total_tuples()).sum()
     }
 
-    fn notify_base(&mut self, node: NodeId, tuple: &Tuple, insert: bool) {
-        if let Some(policy) = &self.policy {
-            policy
-                .lock()
-                .expect("annotation policy poisoned")
-                .on_base(node, tuple, insert);
-        }
-    }
-
     /// Inserts a base tuple at `node` now (processed when its event fires).
     pub fn insert_base(&mut self, node: NodeId, tuple: Tuple) {
         self.schedule_delta(self.now(), node, tuple, true);
@@ -460,10 +468,12 @@ impl Engine {
     /// Schedules a delta at an absolute simulated time (used by experiment
     /// drivers for churn and data-plane workloads).
     pub fn schedule_delta(&mut self, time: f64, node: NodeId, tuple: Tuple, insert: bool) {
+        let owner = self.owner(node);
         // Scheduled base-level changes are reported to the policy when
         // they are scheduled; derived deltas never go through here.
-        self.notify_base(node, &tuple, insert);
-        let owner = self.owner(node);
+        if let Some(policy) = &mut self.shards[owner].policy {
+            policy.on_base(node, &tuple, insert);
+        }
         self.shards[owner].sim.schedule_at(
             time,
             node,
@@ -597,8 +607,12 @@ impl Engine {
         let steps_before: u64 = self.shards.iter().map(|s| s.processed).sum();
         let ext_before: u64 = self.shards.iter().map(|s| s.externals_seen).sum();
         if self.shards.len() > 1 && sink.is_none() {
-            self.flush_outboxes();
-            self.run_parallel(time_limit);
+            // `next_event` delivers the in-flight cross-shard deltas; with
+            // nothing due by the limit (an idle server's every quantum) no
+            // worker thread is spawned for the empty window.
+            if self.next_event().is_some_and(|(_, t)| t <= time_limit) {
+                self.run_parallel(time_limit);
+            }
         } else {
             let mut steps = 0u64;
             while steps < MAX_STEPS {
@@ -736,19 +750,15 @@ impl Engine {
 
     /// Attaches a storage backend and turns on operation journaling.
     ///
-    /// `start_seq` seeds the commit sequence (the recovered watermark when
-    /// reopening an existing store, 0 for a fresh one).  `spill` optionally
-    /// enables cold-table eviction: `(directory, in-memory row budget)`.
-    /// Call after recovery replay, so the replayed operations are not
-    /// re-journaled.
+    /// `spill` optionally enables cold-table eviction: `(directory, in-memory
+    /// row budget)`.  Call after [`Engine::recover`], so the replayed
+    /// operations are not re-journaled.
     pub fn attach_storage(
         &mut self,
         backend: Box<dyn StorageBackend>,
-        start_seq: u64,
         spill: Option<(PathBuf, usize)>,
     ) {
         self.backend = backend;
-        self.commit_seq = start_seq;
         self.journaling = self.backend.is_persistent();
         for shard in &mut self.shards {
             shard.store.set_journaling(self.journaling);
@@ -892,39 +902,65 @@ impl Engine {
     // Recovery (applying a recovered store to a fresh engine)
     // ------------------------------------------------------------------
 
-    /// Replaces the topology's link set with `links` (snapshot restore).
-    /// The node count must already match; link changes journaled afterwards
-    /// are applied by [`Engine::apply_wal_op`].
-    pub fn restore_links(&mut self, links: &[LinkRecord]) {
-        let existing: Vec<(NodeId, NodeId)> =
-            self.topology.links().map(|(a, b, _)| (a, b)).collect();
-        let topo = self.topology_mut();
-        for (a, b) in existing {
-            topo.remove_link(a, b);
+    /// Applies a recovered store to this (fresh) engine: the snapshot's
+    /// links, table rows and aggregate-provenance entries, then the committed
+    /// WAL tail in commit order, then the clock and the commit sequence.  The
+    /// snapshot's node count must already match the topology's.
+    pub fn recover(&mut self, state: &RecoveredState) {
+        if let Some(snap) = &state.snapshot {
+            let existing: Vec<(NodeId, NodeId)> =
+                self.topology.links().map(|(a, b, _)| (a, b)).collect();
+            let topo = self.topology_mut();
+            for (a, b) in existing {
+                topo.remove_link(a, b);
+            }
+            for l in &snap.links {
+                topo.add_link(l.a, l.b, link_props(l));
+            }
+            for dump in &snap.tables {
+                let owner = self.owner(dump.node);
+                let store = &mut self.shards[owner].store;
+                for (tuple, count) in &dump.rows {
+                    store
+                        .table_mut(dump.node, tuple.relation)
+                        .restore(Arc::clone(tuple), *count);
+                }
+            }
+            for entry in &snap.agg {
+                let pair = (Arc::clone(&entry.prov), Arc::clone(&entry.exec));
+                self.set_agg_prov(entry.node, entry.relation, &entry.group, Some(pair));
+            }
         }
-        for l in links {
-            topo.add_link(l.a, l.b, link_props(l));
+        for op in state.batches.iter().flat_map(|batch| &batch.ops) {
+            self.replay_wal_op(op);
+        }
+        // Scheduling and commits continue from where the crashed run
+        // committed.
+        let (seq, time_bits) = state.watermark();
+        self.commit_seq = seq;
+        let time = f64::from_bits(time_bits);
+        for shard in &mut self.shards {
+            shard.sim.advance_to(time);
+            shard.last_delta_time = time;
         }
     }
 
-    /// Reinstates one snapshot table row (tuple with its derivation count)
-    /// at its owning shard, rebuilding secondary indexes as it goes.
-    pub fn restore_table_row(&mut self, node: NodeId, tuple: Arc<Tuple>, count: u64) {
+    /// Installs (`Some`) or removes the aggregate-provenance pair of one
+    /// group at its owning shard.
+    fn set_agg_prov(
+        &mut self,
+        node: NodeId,
+        relation: RelId,
+        group: &[Value],
+        pair: Option<(Arc<Tuple>, Arc<Tuple>)>,
+    ) {
         let owner = self.owner(node);
-        self.shards[owner]
-            .store
-            .table_mut(node, tuple.relation)
-            .restore(tuple, count);
-    }
-
-    /// Reinstates one snapshot aggregate-provenance entry at its owning
-    /// shard.
-    pub fn restore_agg(&mut self, entry: &AggProvEntry) {
-        let owner = self.owner(entry.node);
-        self.shards[owner].agg_prov.insert(
-            (entry.node, entry.relation, entry.group.clone()),
-            (Arc::clone(&entry.prov), Arc::clone(&entry.exec)),
-        );
+        let agg_prov = &mut self.shards[owner].agg_prov;
+        let key = (node, relation, group.to_vec());
+        match pair {
+            Some(pair) => agg_prov.insert(key, pair),
+            None => agg_prov.remove(&key),
+        };
     }
 
     /// Replays one journaled operation.  Tuple intents run through the
@@ -932,7 +968,7 @@ impl Engine {
     /// duplicate counts, keyed replacement and decrement-vs-remove outcomes
     /// exactly; rules are *not* re-fired (their derived deltas were
     /// journaled as their own operations).
-    pub fn apply_wal_op(&mut self, op: &WalOp) {
+    fn replay_wal_op(&mut self, op: &WalOp) {
         match op {
             WalOp::Tuple {
                 node,
@@ -962,28 +998,9 @@ impl Engine {
                 group,
                 tuples,
             } => {
-                let owner = self.owner(*node);
-                if let (true, Some((prov, exec))) = (install, tuples) {
-                    self.shards[owner].agg_prov.insert(
-                        (*node, *relation, group.clone()),
-                        (Arc::clone(prov), Arc::clone(exec)),
-                    );
-                } else {
-                    self.shards[owner]
-                        .agg_prov
-                        .remove(&(*node, *relation, group.clone()));
-                }
+                let pair = tuples.clone().filter(|_| *install);
+                self.set_agg_prov(*node, *relation, group, pair);
             }
-        }
-    }
-
-    /// Advances every shard's simulated clock (and last-activity marker) to
-    /// the recovered watermark, so post-recovery scheduling continues from
-    /// where the crashed run committed.
-    pub fn restore_clock(&mut self, time: f64) {
-        for shard in &mut self.shards {
-            shard.sim.advance_to(time);
-            shard.last_delta_time = time;
         }
     }
 }
@@ -1203,15 +1220,14 @@ mod tests {
 
     #[test]
     fn aggregate_provenance_creates_prov_and_rule_exec() {
+        use exspan_ndlog::ast::TableDecl;
         let topo = Topology::paper_example();
-        let mut engine = Engine::new(
-            programs::mincost(),
-            topo,
-            EngineConfig {
-                aggregate_provenance: true,
-                ..Default::default()
-            },
-        );
+        // Declaring the two provenance tables is what turns the native
+        // aggregate instrumentation on.
+        let mut program = programs::mincost();
+        program.tables.push(TableDecl::new("prov", 4));
+        program.tables.push(TableDecl::new("ruleExec", 4));
+        let mut engine = Engine::new(program, topo, EngineConfig::default());
         seed_links(&mut engine);
         engine.run_to_fixpoint();
         // bestPathCost(@a,c,5) must have a prov entry pointing at a ruleExec
@@ -1427,10 +1443,16 @@ mod tests {
                 engine.run_until(limit, sink)
             };
             let at_limit = advance(&mut engine, 0.0065);
+            // Nothing is due by the same limit a second time, and events
+            // remain queued: the empty window spawns no worker threads.
+            let idle = advance(&mut engine, 0.0065);
+            assert_eq!((idle.steps, idle.external), (0, 0));
+            assert_eq!(idle.fixpoint_time, at_limit.fixpoint_time);
             let next = engine.peek_time();
             let queued: usize = engine.shards.iter().map(|s| s.sim.pending()).sum();
             let rest = advance(&mut engine, f64::INFINITY);
             assert_eq!(engine.peek_time(), None);
+            assert_eq!(advance(&mut engine, f64::INFINITY).steps, 0, "drained");
             if with_sink {
                 assert_eq!(sink.0.len() as u64, at_limit.external + rest.external);
                 assert!(sink.0.windows(2).all(|w| w[0] <= w[1]), "{:?}", sink.0);

@@ -15,7 +15,8 @@
 //!   incremental insertion *and* deletion with cascades) over the subset of
 //!   nodes the shard owns.
 //! * [`engine`] — the [`engine::Engine`] coordinator: partitions the
-//!   topology's nodes over shards by rendezvous hashing.
+//!   topology's nodes over shards by rendezvous hashing (one shard when it
+//!   carries an annotation policy).
 //!   [`engine::Engine::run_until`] is the one way to advance simulated time:
 //!   all a caller says is how far.  It has two event loops — deterministic
 //!   barrier windows on worker threads, and a stepping loop in global event
@@ -24,7 +25,7 @@
 //! * [`plugin`] — the [`plugin::AnnotationPolicy`] hook through which the
 //!   provenance layer implements *value-based* provenance (annotations
 //!   attached to every transmitted tuple) without the engine knowing anything
-//!   about provenance.
+//!   about provenance; the engine's one shard owns it.
 //!
 //! The engine deliberately exposes low-level access (per-node tables, raw
 //! message injection, a [`engine::Step`] API that surfaces unknown event
@@ -38,5 +39,4 @@ pub mod table;
 
 pub use engine::{Engine, EngineConfig, FixpointStats, Payload, Step};
 pub use plugin::{AnnotationPolicy, AnnotationToken, ExternalSink};
-pub use shard::SharedPolicy;
 pub use table::{DeleteEffect, InsertEffect, Table};

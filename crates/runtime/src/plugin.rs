@@ -12,11 +12,12 @@
 //! distribution model: [`AnnotationPolicy::on_derivation`] returns an opaque
 //! [`AnnotationToken`] that the engine ships inside the delta message, and
 //! [`AnnotationPolicy::on_arrival`] merges it into the policy's state for the
-//! *receiving* node when the delta is applied there.  Keeping annotation
-//! state per `(node, tuple)` — rather than in one global map mutated in
-//! arbitrary firing order — is what makes value-based provenance
-//! deterministic under the sharded runtime: every update to a node's
-//! annotations happens in that node's (deterministic) event order.
+//! *receiving* node when the delta is applied there.  Annotation state is
+//! kept per `(node, tuple)` because a delta is charged on the wire the
+//! history held *at the sending node* when it fires — what the figures'
+//! value-mode bytes measure.  One policy must see every arrival, derivation
+//! and remote send, so an engine built with a policy
+//! ([`Engine::with_policy`]) runs one shard, which owns it.
 
 use crate::engine::Engine;
 use exspan_types::{NodeId, Tuple};
@@ -54,10 +55,13 @@ pub type AnnotationToken = u64;
 
 /// Observes derivations and charges per-message annotation bytes.
 ///
-/// All methods have empty default implementations so simple policies only
-/// override what they need.  Policies must be [`Send`]: the sharded runtime
-/// shares one policy between worker threads behind a mutex.
-pub trait AnnotationPolicy: Send {
+/// The hooks have empty default implementations so simple policies only
+/// override what they need.
+pub trait AnnotationPolicy {
+    /// Downcasting support: reads the concrete policy back out of
+    /// [`Engine::policy`].
+    fn as_any(&self) -> &dyn std::any::Any;
+
     /// Called when a base tuple is inserted (`insert = true`) or deleted at
     /// `node` by the experiment driver.
     fn on_base(&mut self, node: NodeId, tuple: &Tuple, insert: bool) {

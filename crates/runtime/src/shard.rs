@@ -33,9 +33,6 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// An annotation policy shared between the coordinator and every shard.
-pub type SharedPolicy = Arc<Mutex<dyn AnnotationPolicy>>;
-
 /// Leaf callback of the plan executor: receives the shard, the completed
 /// bindings and the grounded candidate tuples in body-atom slots.
 type PlanSink<'a> = dyn FnMut(&Shard, Bindings, &[Option<Arc<Tuple>>]) + 'a;
@@ -52,6 +49,9 @@ pub(crate) struct RuleData {
     pub agg_recompute: RelId,
     pub funcs: FuncRegistry,
     pub config: EngineConfig,
+    /// Whether aggregate rule firings maintain `prov`/`ruleExec` entries (the
+    /// program declares both tables).
+    pub aggregate_provenance: bool,
 }
 
 /// Identifies one aggregate group at one node: (node, relation, group key).
@@ -62,7 +62,10 @@ pub(crate) struct Shard {
     data: Arc<RuleData>,
     pub(crate) store: TableStore,
     pub(crate) sim: Simulator<Payload>,
-    pub(crate) policy: Option<SharedPolicy>,
+    /// The annotation policy of an engine built with one; such an engine has
+    /// this shard only.  `Send` is asked of the box, not of the trait: an
+    /// engine moves whole onto a service worker thread.
+    pub(crate) policy: Option<Box<dyn AnnotationPolicy + Send>>,
     /// Bookkeeping for aggregate provenance: the (prov tuple, ruleExec
     /// tuple) pair currently installed for each group.  Not derivable from
     /// the tables, so it is journaled/snapshotted and restored on recovery
@@ -215,12 +218,9 @@ impl Shard {
         // rules triggered by this delta see it; deletions drop the stored
         // annotation only *after* their cascade fired, because the cascade
         // ships the retracted derivation's history with its own deltas.
-        let policy = self.policy.clone();
         if insert {
-            if let Some(p) = &policy {
-                p.lock()
-                    .expect("annotation policy poisoned")
-                    .on_arrival(node, &tuple, token, true, false);
+            if let Some(p) = &mut self.policy {
+                p.on_arrival(node, &tuple, token, true, false);
             }
         }
         if fire {
@@ -228,19 +228,15 @@ impl Shard {
                 // Cascade the replaced row as a deletion before propagating
                 // the new insertion; it left the visible state for good.
                 self.fire_rules(node, &old, false);
-                if let Some(p) = &policy {
-                    p.lock()
-                        .expect("annotation policy poisoned")
-                        .on_arrival(node, &old, None, false, true);
+                if let Some(p) = &mut self.policy {
+                    p.on_arrival(node, &old, None, false, true);
                 }
             }
             self.fire_rules(node, &tuple, insert);
         }
         if !insert {
-            if let Some(p) = &policy {
-                p.lock()
-                    .expect("annotation policy poisoned")
-                    .on_arrival(node, &tuple, token, false, removed);
+            if let Some(p) = &mut self.policy {
+                p.on_arrival(node, &tuple, token, false, removed);
             }
         }
     }
@@ -553,14 +549,21 @@ impl Shard {
         insert: bool,
     ) {
         let head = Arc::new(head);
-        let token = match self.policy.clone() {
-            Some(policy) => policy
-                .lock()
-                .expect("annotation policy poisoned")
-                .on_derivation(node, rule.label.as_str(), inputs, &head, insert),
-            None => None,
-        };
+        let token = self.note_derivation(rule, node, inputs, &head, insert);
         self.dispatch_delta(node, head, insert, token);
+    }
+
+    /// Reports one rule firing to the annotation policy, if there is one.
+    fn note_derivation(
+        &mut self,
+        rule: &Rule,
+        node: NodeId,
+        inputs: &[Arc<Tuple>],
+        output: &Tuple,
+        insert: bool,
+    ) -> Option<AnnotationToken> {
+        let policy = self.policy.as_mut()?;
+        policy.on_derivation(node, rule.label.as_str(), inputs, output, insert)
     }
 
     /// Sends or locally enqueues a delta for `head` produced at `node`.
@@ -582,20 +585,20 @@ impl Shard {
                 },
             );
         } else {
-            let annotation_bytes = match self.policy.clone() {
-                Some(policy) => policy
-                    .lock()
-                    .expect("annotation policy poisoned")
-                    .annotation_bytes(node, dest, &head, token),
+            let annotation_bytes = match &mut self.policy {
+                Some(policy) => policy.annotation_bytes(node, dest, &head, token),
                 None => 0,
             };
             let bytes = wire::message_size(std::slice::from_ref(&*head), annotation_bytes);
             if self.data.config.track_compressed {
-                let compressed_annotation = match self.policy.clone() {
-                    Some(policy) => policy
-                        .lock()
-                        .expect("annotation policy poisoned")
-                        .annotation_bytes_compressed(node, dest, &head, token, annotation_bytes),
+                let compressed_annotation = match &mut self.policy {
+                    Some(policy) => policy.annotation_bytes_compressed(
+                        node,
+                        dest,
+                        &head,
+                        token,
+                        annotation_bytes,
+                    ),
                     None => 0,
                 };
                 self.compressed_bytes += exspan_types::compress::compressed_message_size(
@@ -902,7 +905,7 @@ impl Shard {
 
         // Retract the old output (and its aggregate-provenance entries).
         if let Some(old) = current {
-            if self.data.config.aggregate_provenance {
+            if self.data.aggregate_provenance {
                 if let Some((prov_t, exec_t)) =
                     self.agg_prov
                         .remove(&(node, rule.head.relation, group_key.to_vec()))
@@ -913,13 +916,7 @@ impl Shard {
                     self.dispatch_delta(node, exec_t, false, None);
                 }
             }
-            let token = match self.policy.clone() {
-                Some(policy) => policy
-                    .lock()
-                    .expect("annotation policy poisoned")
-                    .on_derivation(node, rule.label.as_str(), &[], &old, false),
-                None => None,
-            };
+            let token = self.note_derivation(rule, node, &[], &old, false);
             self.dispatch_delta(node, old, false, token);
         }
 
@@ -929,14 +926,8 @@ impl Shard {
                 .get(winner_idx)
                 .map(|(_, inputs)| inputs.clone())
                 .unwrap_or_default();
-            let token = match self.policy.clone() {
-                Some(policy) => policy
-                    .lock()
-                    .expect("annotation policy poisoned")
-                    .on_derivation(node, rule.label.as_str(), &winning_inputs, &new_t, true),
-                None => None,
-            };
-            if self.data.config.aggregate_provenance {
+            let token = self.note_derivation(rule, node, &winning_inputs, &new_t, true);
+            if self.data.aggregate_provenance {
                 let vids: Vec<_> = winning_inputs.iter().map(|t| t.vid()).collect();
                 let rid = exspan_types::tuple::rule_exec_id(rule.label.as_str(), node, &vids);
                 let exec_t = Arc::new(Tuple::new(

@@ -144,7 +144,7 @@ fn main() -> ExitCode {
         );
     }
 
-    let mut config = ServeConfig::default()
+    let config = ServeConfig::default()
         .addr(args.addr)
         .max_sessions(args.max_sessions)
         .max_inflight(args.max_inflight)
@@ -152,9 +152,6 @@ fn main() -> ExitCode {
         .clock_rate(args.clock_rate)
         .pipeline_depth(args.pipeline_depth)
         .write_queue_bytes(args.write_queue_kib * 1024);
-    if let Some(dir) = &args.data_dir {
-        config = config.data_dir(dir);
-    }
     let server = match Server::bind(deployment, config) {
         Ok(server) => server,
         Err(e) => {
@@ -174,7 +171,7 @@ fn main() -> ExitCode {
         }
     }
     eprintln!("exspan-serve: shutting down");
-    // shutdown() checkpoints the store when ServeConfig::data_dir was set.
+    // shutdown() checkpoints the deployment's store, if it has one.
     let deployment = server.shutdown();
     if args.data_dir.is_some() {
         eprintln!("exspan-serve: state checkpointed");

@@ -49,7 +49,6 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
@@ -94,7 +93,6 @@ pub struct ServeConfig {
     clock_rate: f64,
     pipeline_depth: u32,
     write_queue_bytes: usize,
-    data_dir: Option<PathBuf>,
 }
 
 impl Default for ServeConfig {
@@ -108,7 +106,6 @@ impl Default for ServeConfig {
             clock_rate: 50.0,
             pipeline_depth: 32,
             write_queue_bytes: 1024 * 1024,
-            data_dir: None,
         }
     }
 }
@@ -164,15 +161,6 @@ impl ServeConfig {
     /// connection is closed after flushing.
     pub fn write_queue_bytes(mut self, write_queue_bytes: usize) -> Self {
         self.write_queue_bytes = write_queue_bytes;
-        self
-    }
-
-    /// Directory the deployment's persistent store lives in.  When set,
-    /// [`ServerHandle::shutdown`] checkpoints the deployment so the next
-    /// boot recovers from the snapshot alone.  (Build the deployment with
-    /// the same directory via `Exspan::builder().data_dir(..)`.)
-    pub fn data_dir(mut self, data_dir: impl Into<PathBuf>) -> Self {
-        self.data_dir = Some(data_dir.into());
         self
     }
 }
@@ -232,7 +220,6 @@ pub struct ServerHandle {
     reactor: JoinHandle<()>,
     worker: JoinHandle<Deployment>,
     sessions: Arc<AtomicUsize>,
-    data_dir: Option<PathBuf>,
 }
 
 impl ServerHandle {
@@ -247,17 +234,16 @@ impl ServerHandle {
     }
 
     /// Stops accepting, closes every connection, joins both threads and
-    /// returns the deployment in its final state — checkpointed first when
-    /// [`ServeConfig::data_dir`] was set.
+    /// returns the deployment in its final state — checkpointed first, so a
+    /// deployment with a persistent store next boots from the snapshot alone
+    /// (a no-op for an in-memory one).
     pub fn shutdown(self) -> Deployment {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the poll loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         let _ = self.reactor.join();
         let mut deployment = self.worker.join().expect("worker thread panicked");
-        if self.data_dir.is_some() {
-            deployment.checkpoint();
-        }
+        deployment.checkpoint();
         deployment
     }
 }
@@ -316,7 +302,6 @@ impl Server {
             program: deployment.program_name().to_string(),
             nodes: deployment.topology().num_nodes() as u32,
         };
-        let data_dir = config.data_dir.clone();
 
         let worker = {
             let config = config.clone();
@@ -353,7 +338,6 @@ impl Server {
             reactor,
             worker,
             sessions,
-            data_dir,
         })
     }
 }

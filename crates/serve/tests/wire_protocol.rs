@@ -309,6 +309,33 @@ fn bind_refuses_rates_no_clock_or_bucket_can_run_on() {
 }
 
 #[test]
+fn shutdown_checkpoints_a_deployment_that_has_a_store() {
+    // Nothing tells the server about the store: the deployment knows.  After
+    // shutdown a reopen boots from the snapshot alone.
+    let dir = std::env::temp_dir().join(format!("exspan-serve-shutdown-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let builder = || {
+        Exspan::builder()
+            .program(exspan_ndlog::programs::mincost())
+            .topology(Topology::paper_example())
+            .mode(ProvenanceMode::Reference)
+            .data_dir(&dir)
+    };
+    let mut deployment = builder().build().expect("a fresh store");
+    deployment.run_to_fixpoint();
+    assert!(deployment.storage_stats().committed_batches > 0);
+    let server = Server::bind(deployment, ServeConfig::default()).expect("server boots");
+    let digest = server.shutdown().state_digest();
+
+    let reopened = builder().build().expect("the store reopens");
+    assert!(reopened.recovered_from_store());
+    assert_eq!(reopened.storage_stats().recovered_batches, 0);
+    assert_eq!(reopened.state_digest(), digest);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn unknown_query_ids_are_typed_errors() {
     let server = boot(ServeConfig::default());
     let mut client = ServeClient::connect(server.addr()).expect("handshake");

@@ -1,13 +1,13 @@
 //! The unified facade error type.
 //!
 //! Each workspace crate keeps its own precise error enum ([`BuildError`] for
-//! deployment construction, [`QueryError`] for handle lookups, [`ServeError`]
-//! for the wire service), but applications composing several layers want one
-//! type to `?` through.  [`Error`] wraps them all, implements
+//! deployment construction, [`ServeError`] for the wire service), but
+//! applications composing several layers want one type to `?` through.
+//! [`Error`] wraps them all, implements
 //! [`std::error::Error`] with `source()` chaining, and is `#[non_exhaustive]`
 //! so future subsystems can add variants without a major version bump.
 
-use crate::core::{BuildError, QueryError};
+use crate::core::BuildError;
 use crate::serve::ServeError;
 
 /// Any error the `exspan` facade can surface, one layer per variant.
@@ -32,9 +32,6 @@ use crate::serve::ServeError;
 pub enum Error {
     /// Deployment construction was rejected by `Exspan::builder()`.
     Build(BuildError),
-    /// A query handle lookup failed (unknown handle, still in flight, or a
-    /// representation mismatch).
-    Query(QueryError),
     /// The `exspan-serve` wire service failed: transport I/O, a wire-format
     /// violation, or a typed protocol error from the peer.
     Serve(ServeError),
@@ -44,7 +41,6 @@ impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Build(e) => write!(f, "deployment build failed: {e}"),
-            Self::Query(e) => write!(f, "query failed: {e}"),
             Self::Serve(e) => write!(f, "serve failed: {e}"),
         }
     }
@@ -54,7 +50,6 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Build(e) => Some(e),
-            Self::Query(e) => Some(e),
             Self::Serve(e) => Some(e),
         }
     }
@@ -63,12 +58,6 @@ impl std::error::Error for Error {
 impl From<BuildError> for Error {
     fn from(e: BuildError) -> Self {
         Self::Build(e)
-    }
-}
-
-impl From<QueryError> for Error {
-    fn from(e: QueryError) -> Self {
-        Self::Query(e)
     }
 }
 
@@ -86,7 +75,6 @@ mod tests {
     fn wraps_each_layer_with_a_source_chain() {
         let errors: Vec<Error> = vec![
             BuildError::MissingProgram.into(),
-            QueryError::UnknownHandle { index: 7 }.into(),
             ServeError::ConnectionClosed.into(),
         ];
         for err in &errors {
@@ -95,7 +83,6 @@ mod tests {
             assert!(std::error::Error::source(err).is_some());
         }
         assert!(matches!(errors[0], Error::Build(_)));
-        assert!(matches!(errors[1], Error::Query(_)));
-        assert!(matches!(errors[2], Error::Serve(_)));
+        assert!(matches!(errors[1], Error::Serve(_)));
     }
 }

@@ -27,7 +27,7 @@
 //! | [`serve`] | `exspan-serve` | wall-clock TCP service front-end, wire protocol, load generator |
 //!
 //! and defines one cross-layer type of its own: [`Error`], a
-//! `#[non_exhaustive]` enum unifying build, query and serve errors behind a
+//! `#[non_exhaustive]` enum unifying build and serve errors behind a
 //! single `std::error::Error` with `source()` chaining.
 //!
 //! ## Quick start

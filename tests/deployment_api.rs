@@ -166,6 +166,44 @@ fn churn_and_concurrent_queries_share_one_clock_in_every_mode() {
 }
 
 #[test]
+fn shards_is_an_upper_bound_that_value_mode_caps_at_one() {
+    // One annotation policy sees every event, so a value-mode engine runs
+    // one shard whatever is asked for — and answers as `.shards(1)` does.
+    let build = |mode: ProvenanceMode, shards: usize| {
+        let mut deployment = Exspan::builder()
+            .program(programs::mincost())
+            .topology(ring_topology())
+            .mode(mode)
+            .shards(shards)
+            .build()
+            .expect("valid deployment");
+        deployment.run_to_fixpoint();
+        deployment
+    };
+    let (one, four) = (
+        build(ProvenanceMode::ValueBdd, 1),
+        build(ProvenanceMode::ValueBdd, 4),
+    );
+    assert_eq!((one.num_shards(), four.num_shards()), (1, 1));
+    assert_eq!(one.state_digest(), four.state_digest());
+    assert_eq!(one.total_bytes(), four.total_bytes());
+    let target = one.tuples_shared(0, "bestPathCost").remove(0);
+    let links = one.tuples_shared(0, "link");
+    let trusts: [&dyn Fn(exspan::types::Vid) -> bool; 3] =
+        [&|_| true, &|_| false, &|vid| vid != links[0].vid()];
+    let answers = |deployment: &exspan::core::Deployment| {
+        trusts.map(|trusted| {
+            deployment
+                .with_value_provenance(|p| p.derivable_under(&target, trusted))
+                .expect("value mode")
+        })
+    };
+    assert_eq!(answers(&one), answers(&four));
+    assert_eq!(answers(&one)[..2], [true, false]);
+    assert_eq!(build(ProvenanceMode::Reference, 4).num_shards(), 4);
+}
+
+#[test]
 fn queries_survive_interleaved_route_withdrawal() {
     // Delete the link under a monitored route *between* two queries for it:
     // the second query must observe the updated provenance on the same clock.
