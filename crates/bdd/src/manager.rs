@@ -498,15 +498,6 @@ impl BddManager {
         cur == Bdd::TRUE
     }
 
-    /// Returns `true` iff the function is satisfiable (not constant false).
-    ///
-    /// For provenance this is the *derivability test*: the tuple is derivable
-    /// from some combination of trusted base tuples iff its absorption
-    /// provenance is satisfiable.
-    pub fn is_satisfiable(&self, b: Bdd) -> bool {
-        b != Bdd::FALSE
-    }
-
     /// Returns `true` iff `a` logically implies `b`.
     pub fn implies(&mut self, a: Bdd, b: Bdd) -> bool {
         let mut inner = self.store.lock();
@@ -717,10 +708,10 @@ mod tests {
         let ab = m.and(a, b);
         assert!(m.implies(ab, a));
         assert!(!m.implies(a, ab));
-        assert!(m.is_satisfiable(ab));
+        assert_ne!(ab, Bdd::FALSE);
         let na = m.not(a);
         let contradiction = m.and(a, na);
-        assert!(!m.is_satisfiable(contradiction));
+        assert_eq!(contradiction, Bdd::FALSE);
     }
 
     #[test]

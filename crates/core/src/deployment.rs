@@ -56,14 +56,14 @@
 
 use crate::mode::ProvenanceMode;
 use crate::query::{QueryFabric, QueryOutcome, Session, SessionStats, TraversalOrder};
-use crate::repr::{Annotation, Repr};
+use crate::repr::Repr;
 use crate::rewrite::{provenance_rewrite, RewriteOptions};
 use crate::value_policy::ValueBddPolicy;
 use exspan_ndlog::ast::Program;
 use exspan_ndlog::diag::{Diagnostic, Severity};
 use exspan_netsim::{ChurnEvent, LinkProps, Topology};
 use exspan_runtime::{Engine, EngineConfig, FixpointStats};
-use exspan_store::{DiskBackend, StorageBackend, StorageStats, StoreConfig};
+use exspan_store::{DiskBackend, StorageStats, StoreConfig};
 use exspan_types::{NodeId, Tuple, Value, Vid};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -147,7 +147,6 @@ pub struct DeploymentBuilder {
     shards: usize,
     data_dir: Option<PathBuf>,
     snapshot_every_bytes: u64,
-    memory_budget_rows: Option<usize>,
     track_compressed: bool,
 }
 
@@ -160,7 +159,6 @@ impl Default for DeploymentBuilder {
             shards: 1,
             data_dir: None,
             snapshot_every_bytes: StoreConfig::default().snapshot_wal_bytes,
-            memory_budget_rows: None,
             track_compressed: false,
         }
     }
@@ -224,15 +222,6 @@ impl DeploymentBuilder {
     /// [`Deployment::avg_comm_mb_compressed`].
     pub fn track_compressed(mut self, on: bool) -> Self {
         self.track_compressed = on;
-        self
-    }
-
-    /// In-memory row budget: when the stored rows exceed it at a barrier
-    /// boundary, the largest tables are spilled to disk in snapshot form
-    /// and transparently faulted back on access (requires
-    /// [`DeploymentBuilder::data_dir`]).
-    pub fn memory_budget_rows(mut self, rows: usize) -> Self {
-        self.memory_budget_rows = Some(rows);
         self
     }
 
@@ -353,13 +342,7 @@ impl DeploymentBuilder {
                 engine.recover(&state);
                 recovered = true;
             }
-            let spill = self.memory_budget_rows.map(|rows| {
-                (
-                    backend.spill_dir().expect("disk backend").to_path_buf(),
-                    rows,
-                )
-            });
-            engine.attach_storage(Box::new(backend), spill);
+            engine.attach_storage(Box::new(backend));
         }
 
         let mut deployment = Deployment {
@@ -440,11 +423,6 @@ impl QuerySession<'_> {
     /// Traffic statistics of this session's query protocol messages.
     pub fn stats(&self) -> &SessionStats {
         &self.0.stats
-    }
-
-    /// Bandwidth time-series of this session's query traffic (bytes/second).
-    pub fn bandwidth_samples(&self) -> Vec<(f64, f64)> {
-        self.0.series.samples()
     }
 
     /// Number of cache entries currently held across all nodes.
@@ -602,22 +580,23 @@ impl Deployment {
         self.recovered
     }
 
-    /// Counters of the storage backend (WAL batches/bytes, snapshots, spill
-    /// and fault activity).  All-zero for the in-memory default.
+    /// Counters of the storage backend (WAL batches/bytes, snapshots).
+    /// All-zero for the in-memory default.
     pub fn storage_stats(&self) -> StorageStats {
         self.engine.storage_stats()
     }
 
-    /// Flushes any pending journal entries and forces a snapshot (persistent
-    /// deployments only; a no-op for the in-memory default).  Call before a
-    /// graceful shutdown to make restart recovery snapshot-only.
+    /// Flushes any pending journal entries and, unless the log is then empty,
+    /// folds it into a snapshot (persistent deployments only; a no-op for the
+    /// in-memory default).  Call before a graceful shutdown to make restart
+    /// recovery snapshot-only.
     pub fn checkpoint(&mut self) {
         self.engine.checkpoint();
     }
 
     /// Hex digest of the canonical snapshot encoding of the current logical
     /// state.  Equal digests mean byte-identical persistent state; the digest
-    /// is independent of shard count, spill state, and execution history.
+    /// is independent of shard count and execution history.
     pub fn state_digest(&self) -> String {
         self.engine.state_digest().to_hex()
     }
@@ -974,14 +953,6 @@ impl Deployment {
         let policy = self.engine.policy()?.as_any().downcast_ref()?;
         Some(f(policy))
     }
-
-    /// For value-based provenance: returns the locally available annotation
-    /// of a tuple without any distributed traversal.
-    pub fn local_value_annotation(&self, tuple: &Tuple) -> Option<Annotation> {
-        self.with_value_provenance(|p| p.annotation_of(tuple))
-            .flatten()
-            .map(Annotation::Bdd)
-    }
 }
 
 impl std::fmt::Debug for Deployment {
@@ -1233,7 +1204,8 @@ mod tests {
             .with_value_provenance(|p| p.derivable_under(&target, |_| true))
             .expect("value mode exposes the policy");
         assert!(derivable);
-        assert!(d.local_value_annotation(&target).is_some());
+        let annotation = d.with_value_provenance(|p| p.annotation_of(&target));
+        assert!(annotation.flatten().is_some());
         // Reference mode has no value policy.
         let r = mincost_deployment(ProvenanceMode::Reference);
         assert!(r.with_value_provenance(|_| ()).is_none());

@@ -32,14 +32,6 @@ impl ProvenanceMode {
             ProvenanceMode::Centralized { .. } => "Centralized Prov.",
         }
     }
-
-    /// Whether this mode maintains the distributed `prov`/`ruleExec` tables.
-    pub fn maintains_provenance_tables(&self) -> bool {
-        matches!(
-            self,
-            ProvenanceMode::Reference | ProvenanceMode::Centralized { .. }
-        )
-    }
 }
 
 impl std::fmt::Display for ProvenanceMode {
@@ -61,13 +53,5 @@ mod tests {
             ProvenanceMode::Centralized { server: 0 }.to_string(),
             "Centralized Prov."
         );
-    }
-
-    #[test]
-    fn table_maintenance_classification() {
-        assert!(!ProvenanceMode::None.maintains_provenance_tables());
-        assert!(!ProvenanceMode::ValueBdd.maintains_provenance_tables());
-        assert!(ProvenanceMode::Reference.maintains_provenance_tables());
-        assert!(ProvenanceMode::Centralized { server: 3 }.maintains_provenance_tables());
     }
 }

@@ -122,9 +122,6 @@ impl RuleExecEntry {
 /// the query layer's results depend on: ascending `(RID, RLoc)`, i.e. the
 /// table sorted by content, then filtered — alternative derivations are
 /// combined, and DFS / moonwalk pick among them, in exactly this sequence.
-/// A query session always reads an in-memory table (`Shard::step` faults a
-/// node in before it surfaces a query message); the cold read of a spilled
-/// table serves inspection and API callers only.
 pub fn prov_entries(engine: &Engine, node: NodeId, vid: Vid) -> Vec<ProvEntry> {
     let key = [Value::Node(node), Value::from_digest(vid)];
     let rows = engine.tuples_with_prefix(node, "prov", &key);

@@ -1,18 +1,15 @@
-//! Deployment-level persistence: WAL recovery, snapshots, spill, and the
+//! Deployment-level persistence: WAL recovery, snapshots, and the
 //! determinism guarantees the store inherits from the runtime.
 //!
 //! The recovery oracle throughout is [`Deployment::state_digest`] — the SHA-1
 //! of the canonical snapshot encoding, a pure function of logical state that
-//! is independent of shard count, spill residency, and execution history.
+//! is independent of shard count and execution history.
 
-use exspan_core::storage::{prov_entries, rule_exec_entry};
-use exspan_core::{Annotation, Deployment, Exspan, ProvenanceMode, Repr};
+use exspan_core::{Deployment, Exspan, ProvenanceMode};
 use exspan_ndlog::programs;
 use exspan_netsim::{LinkClass, LinkProps, Topology};
-use exspan_types::Tuple;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 static DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
 
@@ -178,121 +175,57 @@ fn snapshot_bytes_identical_across_shard_counts() {
 }
 
 #[test]
-fn spill_budget_preserves_observable_state() {
+fn checkpoint_twice_writes_one_snapshot() {
+    // An empty log after the flush means the snapshot on disk is current.
+    let scratch = Scratch::new("checkpoint-twice");
+    let mut d = builder(1).data_dir(scratch.path()).build().unwrap();
+    d.run_to_fixpoint();
+    d.checkpoint();
+    let written = d.storage_stats().snapshots_written;
+    assert!(written >= 1);
+    d.checkpoint();
+    assert_eq!(d.storage_stats().snapshots_written, written);
+}
+
+#[test]
+fn checkpoint_before_any_run_leaves_a_store_that_boots_fresh() {
+    // A snapshot of the bare topology would make the reopen skip seeding and
+    // run to a fixpoint with no `link` tuples at all.
     let oracle = {
         let mut d = builder(1).build().unwrap();
         d.run_to_fixpoint();
-        churn(&mut d);
-        (
-            d.state_digest(),
-            d.tuples_everywhere_shared("bestPathCost"),
-            d.derivation_count(&d.tuples_everywhere_shared("bestPathCost")[0]),
-        )
-    };
-    let scratch = Scratch::new("spill");
-    let mut d = builder(1)
-        .data_dir(scratch.path())
-        .memory_budget_rows(32)
-        .build()
-        .unwrap();
-    d.run_to_fixpoint();
-    churn(&mut d);
-    let stats = d.storage_stats();
-    assert!(
-        stats.tables_spilled > 0,
-        "budget of 32 rows must force spill"
-    );
-    // Inspection APIs read spilled tables from disk without faulting them in.
-    assert_eq!(d.tuples_everywhere_shared("bestPathCost"), oracle.1);
-    assert_eq!(d.derivation_count(&oracle.1[0]), oracle.2);
-    assert!(d.storage_stats().cold_reads > 0);
-    // The digest is spill-independent.
-    assert_eq!(d.state_digest(), oracle.0);
-}
-
-/// The `prov` entries of each target and the rule executions behind them,
-/// read through the storage API the query layer uses.
-fn keyed_reads(d: &Deployment, targets: &[Arc<Tuple>]) -> Vec<String> {
-    let mut seen = Vec::new();
-    for t in targets {
-        for e in prov_entries(d.engine(), t.location, t.vid()) {
-            let exec = e
-                .rid
-                .and_then(|rid| rule_exec_entry(d.engine(), e.rloc, rid));
-            seen.push(format!("{e:?} {exec:?}"));
-        }
-    }
-    seen
-}
-
-fn polynomials(d: &mut Deployment, targets: &[Arc<Tuple>]) -> Vec<Annotation> {
-    targets
-        .iter()
-        .map(|t| {
-            let outcome = d.query(t).issuer(0).repr(Repr::Polynomial).execute();
-            outcome.annotation.expect("query completes")
-        })
-        .collect()
-}
-
-#[test]
-fn provenance_reads_and_queries_over_spilled_tables_match_the_in_memory_answers() {
-    let (targets, reads, answers) = {
-        let mut d = builder(1).build().unwrap();
-        d.run_to_fixpoint();
-        churn(&mut d);
-        let mut targets = d.tuples_everywhere_shared("bestPathCost");
-        targets.retain(|t| t.location % 5 == 3 && t.values[0].as_node().unwrap() % 4 == 0);
-        assert!(targets.len() >= 6);
-        let reads = keyed_reads(&d, &targets);
-        let answers = polynomials(&mut d, &targets);
-        (targets, reads, answers)
-    };
-    let scratch = Scratch::new("spill-query");
-    let mut d = builder(1)
-        .data_dir(scratch.path())
-        .memory_budget_rows(32)
-        .build()
-        .unwrap();
-    d.run_to_fixpoint();
-    churn(&mut d);
-    let spilled = d.storage_stats();
-    assert!(spilled.tables_spilled > 0, "budget must force spill");
-    // Reading by key leaves a spilled table on disk: a cold read, no fault.
-    assert_eq!(keyed_reads(&d, &targets), reads);
-    let read = d.storage_stats();
-    assert!(read.cold_reads > spilled.cold_reads);
-    assert_eq!(read.tables_faulted, spilled.tables_faulted);
-    // A query message faults its node's tables in before the session reads.
-    assert_eq!(polynomials(&mut d, &targets), answers);
-    assert!(d.storage_stats().tables_faulted > read.tables_faulted);
-}
-
-#[test]
-fn spilled_store_recovers_after_restart() {
-    let scratch = Scratch::new("spill-restart");
-    let digest = {
-        let mut d = builder(2)
-            .data_dir(scratch.path())
-            .memory_budget_rows(24)
-            .build()
-            .unwrap();
-        d.run_to_fixpoint();
-        churn(&mut d);
-        assert!(d.storage_stats().tables_spilled > 0);
         d.state_digest()
     };
-    // Spill files are a cache: recovery rebuilds from snapshot + WAL and the
-    // stale spill files are discarded, budget enforcement then re-spills.
-    let mut d = builder(2)
+    let scratch = Scratch::new("checkpoint-early");
+    builder(1)
         .data_dir(scratch.path())
-        .memory_budget_rows(24)
         .build()
-        .unwrap();
+        .unwrap()
+        .checkpoint();
+    let mut d = builder(1).data_dir(scratch.path()).build().unwrap();
+    assert!(!d.recovered_from_store());
+    d.run_to_fixpoint();
+    assert_eq!(d.state_digest(), oracle);
+}
+
+#[test]
+fn a_store_with_a_leftover_spill_directory_opens_and_recovers() {
+    // Stores written before cold-table spill was removed hold a `spill/`
+    // cache beside the log; the snapshot + WAL were always authoritative.
+    let scratch = Scratch::new("leftover-spill");
+    let digest = {
+        let mut d = builder(1).data_dir(scratch.path()).build().unwrap();
+        d.run_to_fixpoint();
+        churn(&mut d);
+        d.state_digest()
+    };
+    let spill = scratch.path().join("spill");
+    std::fs::create_dir_all(&spill).unwrap();
+    std::fs::write(spill.join("n0_link.tbl"), b"not a table").unwrap();
+    let d = builder(1).data_dir(scratch.path()).build().unwrap();
     assert!(d.recovered_from_store());
     assert_eq!(d.state_digest(), digest);
-    d.run_to_fixpoint();
-    assert_eq!(d.state_digest(), digest);
+    assert!(!spill.exists());
 }
 
 #[test]
@@ -322,7 +255,6 @@ fn in_memory_default_reports_zero_storage_activity() {
     assert_eq!(stats.committed_batches, 0);
     assert_eq!(stats.wal_bytes, 0);
     assert_eq!(stats.snapshots_written, 0);
-    assert_eq!(stats.tables_spilled, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -339,28 +271,23 @@ const CRASH_AFTER: usize = 10;
 const TAIL_FROM: usize = 6;
 
 /// How the store under test was written (what `recovery_smoke` called a
-/// scenario): writer shards, snapshot floor, spill budget.
+/// scenario): writer shards, snapshot floor.
 struct Writer {
     shards: usize,
     floor: u64,
-    budget: Option<usize>,
 }
 
-/// Who recovers: damage point `i` is reopened by `RECOVERERS[i % 3]`, so every
-/// kind of damage meets every configuration, whatever wrote the store.
-const RECOVERERS: [(usize, Option<usize>); 3] = [(1, None), (4, None), (1, Some(64))];
+/// Who recovers: damage point `i` is reopened by `RECOVERERS[i % 2]` shards, so
+/// every kind of damage meets both shard counts, whatever wrote the store.
+const RECOVERERS: [usize; 2] = [1, 4];
 
-fn ring(shards: usize, floor: u64, budget: Option<usize>) -> exspan_core::DeploymentBuilder {
-    let b = Exspan::builder()
+fn ring(shards: usize, floor: u64) -> exspan_core::DeploymentBuilder {
+    Exspan::builder()
         .program(programs::mincost())
         .topology(Topology::testbed_ring(5, 7))
         .mode(ProvenanceMode::Reference)
         .shards(shards)
-        .snapshot_every_bytes(floor);
-    match budget {
-        Some(rows) => b.memory_budget_rows(rows),
-        None => b,
-    }
+        .snapshot_every_bytes(floor)
 }
 
 /// Churn batch `index` (0 is the initial fixpoint): toggles one chord and
@@ -407,7 +334,7 @@ enum Damage {
 /// resumed runs must end where the uninterrupted run does.
 fn every_crash_point(writer: Writer) {
     let oracle: Vec<String> = {
-        let mut d = ring(1, 1, None).build().unwrap();
+        let mut d = ring(1, 1).build().unwrap();
         let digests = (0..=BATCHES).map(|i| {
             apply_batch(&mut d, i);
             d.state_digest()
@@ -424,7 +351,7 @@ fn every_crash_point(writer: Writer) {
     // `commits[k]`: the length of `wal.log` once batch `k` was committed.
     let mut commits = Vec::new();
     {
-        let mut d = ring(writer.shards, writer.floor, writer.budget)
+        let mut d = ring(writer.shards, writer.floor)
             .data_dir(&live)
             .build()
             .unwrap();
@@ -440,10 +367,7 @@ fn every_crash_point(writer: Writer) {
         d.checkpoint();
         copy_store(&crashed, &point);
         std::fs::copy(live.join("snapshot.bin"), point.join("snapshot.bin")).unwrap();
-        let mut d = ring(1, writer.floor, None)
-            .data_dir(&point)
-            .build()
-            .unwrap();
+        let mut d = ring(1, writer.floor).data_dir(&point).build().unwrap();
         assert_eq!(d.state_digest(), oracle[CRASH_AFTER], "stale log replayed");
         (CRASH_AFTER + 1..=BATCHES).for_each(|k| apply_batch(&mut d, k));
         assert_eq!(d.state_digest(), oracle[BATCHES]);
@@ -492,18 +416,15 @@ fn every_crash_point(writer: Writer) {
         // A temp file from a snapshot that never reached its rename.
         std::fs::write(point.join("snapshot.tmp"), &log[..log.len() / 3]).unwrap();
 
-        let (shards, budget) = RECOVERERS[i % RECOVERERS.len()];
-        let mut d = ring(shards, writer.floor, budget)
-            .data_dir(&point)
-            .build()
-            .unwrap();
+        let shards = RECOVERERS[i % RECOVERERS.len()];
+        let mut d = ring(shards, writer.floor).data_dir(&point).build().unwrap();
         assert!(d.recovered_from_store());
         assert!(!point.join("snapshot.tmp").exists());
         assert_eq!(
             d.state_digest(),
             oracle[*k],
-            "{damage:?} of a {}-byte log, reopened by {shards} shard(s) under budget \
-             {budget:?}: expected the state of batch {k}",
+            "{damage:?} of a {}-byte log, reopened by {shards} shard(s): expected the \
+             state of batch {k}",
             wal.len()
         );
         if resumed.contains(&i) {
@@ -518,16 +439,14 @@ fn every_crash_point_of_a_snapshot_plus_tail_store() {
     every_crash_point(Writer {
         shards: 1,
         floor: 1,
-        budget: None,
     });
 }
 
 #[test]
-fn every_crash_point_of_a_store_written_by_four_shards_under_a_spill_budget() {
+fn every_crash_point_of_a_store_written_by_four_shards() {
     every_crash_point(Writer {
         shards: 4,
         floor: 1,
-        budget: Some(64),
     });
 }
 
@@ -536,6 +455,5 @@ fn every_crash_point_of_a_wal_only_store() {
     every_crash_point(Writer {
         shards: 4,
         floor: u64::MAX,
-        budget: None,
     });
 }

@@ -56,7 +56,6 @@ use exspan_store::{
 };
 use exspan_types::{wire, NodeId, RelId, Symbol, Tuple, Value};
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -442,8 +441,7 @@ impl Engine {
         out
     }
 
-    /// Derivation count of an exact tuple at its own location (serving
-    /// spilled tables by cold read).
+    /// Derivation count of an exact tuple at its own location.
     pub fn derivation_count(&self, tuple: &Tuple) -> usize {
         self.shards[self.owner(tuple.location)]
             .store
@@ -748,25 +746,14 @@ impl Engine {
     // Persistence (the storage seam)
     // ------------------------------------------------------------------
 
-    /// Attaches a storage backend and turns on operation journaling.
-    ///
-    /// `spill` optionally enables cold-table eviction: `(directory, in-memory
-    /// row budget)`.  Call after [`Engine::recover`], so the replayed
-    /// operations are not re-journaled.
-    pub fn attach_storage(
-        &mut self,
-        backend: Box<dyn StorageBackend>,
-        spill: Option<(PathBuf, usize)>,
-    ) {
+    /// Attaches a storage backend and turns on operation journaling.  Call
+    /// after [`Engine::recover`], so the replayed operations are not
+    /// re-journaled.
+    pub fn attach_storage(&mut self, backend: Box<dyn StorageBackend>) {
         self.backend = backend;
         self.journaling = self.backend.is_persistent();
         for shard in &mut self.shards {
             shard.store.set_journaling(self.journaling);
-            // Node ownership is exclusive, so every shard can share one
-            // spill directory without file-name collisions.
-            if let Some((dir, budget)) = &spill {
-                shard.store.enable_spill(dir.clone(), *budget);
-            }
         }
     }
 
@@ -783,11 +770,10 @@ impl Engine {
     }
 
     /// Commits the operations journaled since the last flush as one WAL
-    /// batch, writes a snapshot if enough log accumulated, and enforces the
-    /// spill budget.  Called at the single-threaded end of every `run_*`
-    /// call — a quiescent barrier, so the batch captures a complete window.
+    /// batch and writes a snapshot if enough log accumulated.  Called at the
+    /// single-threaded end of every `run_*` call — a quiescent barrier, so
+    /// the batch captures a complete window.
     fn flush_storage(&mut self) {
-        let mut enforce = false;
         if self.journaling {
             let mut ops = std::mem::take(&mut self.link_journal);
             for shard in &mut self.shards {
@@ -805,23 +791,18 @@ impl Engine {
                         .write_snapshot(&snap)
                         .unwrap_or_else(|e| panic!("snapshot write failed: {e}"));
                 }
-                enforce = true;
-            }
-        }
-        // Spill outside the journaling borrow: eviction is budget-driven and
-        // only needs to run when tables may have grown.
-        if enforce {
-            for shard in &mut self.shards {
-                shard.store.enforce_budget();
             }
         }
     }
 
-    /// Flushes pending journal entries and forces a snapshot (graceful-
-    /// shutdown checkpoint; no-op without a persistent backend).
+    /// Flushes pending journal entries and folds the log into a snapshot
+    /// (graceful-shutdown checkpoint; no-op without a persistent backend).
+    /// An empty log after the flush means the snapshot on disk, if any, is
+    /// current — and no snapshot beside an empty log is a fresh store, which
+    /// a snapshot of the bare topology would turn into a recovered one.
     pub fn checkpoint(&mut self) {
         self.flush_storage();
-        if self.backend.is_persistent() {
+        if self.backend.stats().wal_bytes > 0 {
             let snap = self.collect_snapshot();
             self.backend
                 .write_snapshot(&snap)
@@ -833,7 +814,7 @@ impl Engine {
     /// endpoint pair, tables sorted by `(node, relation name)` with rows in
     /// `scan()` order, aggregate-provenance entries sorted by group.  The
     /// encoding of this value is a pure function of logical state — shard
-    /// count, spill status and execution interleaving do not affect a byte.
+    /// count and execution interleaving do not affect a byte.
     pub fn collect_snapshot(&self) -> SnapshotData {
         let mut links: Vec<LinkRecord> = self
             .topology
@@ -873,10 +854,10 @@ impl Engine {
     }
 
     /// SHA-1 over the canonical snapshot encoding: equal digests ⇔ equal
-    /// logical state, independent of shard count and spill status.  The
-    /// commit sequence number is zeroed first — it counts storage-layer
-    /// barrier flushes, so an in-memory deployment and a persistent one in
-    /// the same logical state would otherwise digest differently.
+    /// logical state, independent of shard count.  The commit sequence
+    /// number is zeroed first — it counts storage-layer barrier flushes, so
+    /// an in-memory deployment and a persistent one in the same logical
+    /// state would otherwise digest differently.
     pub fn state_digest(&self) -> exspan_types::Digest {
         let mut snap = self.collect_snapshot();
         snap.seq = 0;
@@ -885,17 +866,9 @@ impl Engine {
         exspan_types::sha1_digest(&bytes)
     }
 
-    /// Storage counters: backend-side (WAL/snapshot) merged with the
-    /// shard-side spill counters.
+    /// Storage counters of the backend (WAL and snapshots).
     pub fn storage_stats(&self) -> StorageStats {
-        let mut stats = self.backend.stats();
-        for shard in &self.shards {
-            let (spills, faults, cold) = shard.store.spill_counters();
-            stats.tables_spilled += spills;
-            stats.tables_faulted += faults;
-            stats.cold_reads += cold;
-        }
-        stats
+        self.backend.stats()
     }
 
     // ------------------------------------------------------------------

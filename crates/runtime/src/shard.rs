@@ -131,10 +131,6 @@ impl Shard {
                 token,
             } => {
                 let node = msg.to;
-                // Rule bodies are localized to `node`, so faulting in this
-                // node's spilled tables (no-op without a spill budget) makes
-                // every table evaluation can read resident before it runs.
-                self.store.fault_in_node(node);
                 if tuple.relation == self.data.agg_recompute {
                     self.last_delta_time = time;
                     self.handle_aggregate_recompute(node, &tuple);

@@ -23,8 +23,6 @@ use exspan_store::{TableDump, WalOp};
 use exspan_types::{NodeId, RelId, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Effect of an insertion on the visible state of the table.
@@ -305,7 +303,7 @@ impl Table {
     }
 
     /// Reinstates one row with an explicit derivation count, maintaining
-    /// the secondary indexes.  Used by snapshot/spill recovery, which hands
+    /// the secondary indexes.  Used by snapshot recovery, which hands
     /// rows back in the exact `(tuple, count)` form [`Table::rows_with_counts`]
     /// emitted them in — the rebuilt table is structurally identical to the
     /// one that was dumped.
@@ -377,12 +375,6 @@ impl Table {
         }))
     }
 
-    /// Whether a probe over exactly `cols` is answerable without a scan
-    /// (primary-key-served or via a maintained secondary index).
-    pub fn has_index(&self, cols: &[usize]) -> bool {
-        self.primary_serves(cols) || self.indexes.iter().any(|ix| ix.cols == cols)
-    }
-
     /// Collects the visible tuples as shared handles (sorted by tuple
     /// content for determinism), without deep-copying attribute vectors.
     pub fn tuples_shared(&self) -> Vec<Arc<Tuple>> {
@@ -403,6 +395,13 @@ impl Table {
         let rows = self.rows.range::<[Value], _>(from);
         let rows = rows.take_while(|(key, _)| key.starts_with(prefix));
         Some(rows.map(|(_, row)| Arc::clone(&row.tuple)).collect())
+    }
+
+    /// Whether a probe over exactly `cols` is answerable without a scan
+    /// (primary-key-served or via a maintained secondary index).
+    #[cfg(test)]
+    fn has_index(&self, cols: &[usize]) -> bool {
+        self.primary_serves(cols) || self.indexes.iter().any(|ix| ix.cols == cols)
     }
 
     #[cfg(test)]
@@ -462,51 +461,12 @@ impl<'a> Iterator for ProbeIter<'a> {
     }
 }
 
-/// Cold-table spill bookkeeping: which `(node, relation)` tables have been
-/// evicted to disk, and where.
-#[derive(Debug)]
-struct SpillState {
-    /// Directory holding `n<node>_<relation>.tbl` files.
-    dir: PathBuf,
-    /// In-memory row budget across this store's tables.
-    budget_rows: usize,
-    /// Evicted tables: key → (spill file, visible row count).
-    spilled: HashMap<(NodeId, RelId), (PathBuf, usize)>,
-    /// Tables evicted / faulted back in since spill was enabled.
-    spills: u64,
-    faults: u64,
-    /// Reads served straight from spill files by `&self` inspection APIs
-    /// (atomic because those APIs take shared references).
-    cold_reads: AtomicU64,
-}
-
-impl Clone for SpillState {
-    fn clone(&self) -> Self {
-        SpillState {
-            dir: self.dir.clone(),
-            budget_rows: self.budget_rows,
-            spilled: self.spilled.clone(),
-            spills: self.spills,
-            faults: self.faults,
-            cold_reads: AtomicU64::new(self.cold_reads.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-impl SpillState {
-    fn file_for(&self, node: NodeId, relation: RelId) -> PathBuf {
-        self.dir.join(format!("n{node}_{relation}.tbl"))
-    }
-}
-
 /// A helper collection mapping `(node, relation)` to its [`Table`], with
 /// lazily-created tables.
 ///
 /// When persistence is attached the store also carries the **journal** — the
 /// logical operations applied since the last barrier flush, which the engine
-/// drains into the WAL — and, when a memory budget is configured, the
-/// **spill state** tracking which cold tables currently live on disk in
-/// snapshot form rather than in memory.
+/// drains into the WAL.
 #[derive(Debug, Default, Clone)]
 pub struct TableStore {
     tables: HashMap<(NodeId, RelId), Table>,
@@ -519,7 +479,6 @@ pub struct TableStore {
     /// pushed to unless `journaling` is on).
     journal: Vec<WalOp>,
     journaling: bool,
-    spill: Option<SpillState>,
 }
 
 impl TableStore {
@@ -541,7 +500,6 @@ impl TableStore {
             index_demands,
             journal: Vec::new(),
             journaling: false,
-            spill: None,
         }
     }
 
@@ -552,18 +510,8 @@ impl TableStore {
         self.keys.get(&relation).map_or(&[], Vec::as_slice)
     }
 
-    /// Returns the table for `(node, relation)`, creating it if necessary
-    /// (and faulting it back in first if it was spilled — every mutation
-    /// path goes through here, so spilled tables can never be written
-    /// around).
+    /// Returns the table for `(node, relation)`, creating it if necessary.
     pub fn table_mut(&mut self, node: NodeId, relation: RelId) -> &mut Table {
-        if self
-            .spill
-            .as_ref()
-            .is_some_and(|s| s.spilled.contains_key(&(node, relation)))
-        {
-            self.fault_in(node, relation);
-        }
         match self.tables.entry((node, relation)) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => {
@@ -578,50 +526,28 @@ impl TableStore {
         }
     }
 
-    /// Returns the table for `(node, relation)` if it exists *in memory*.
-    ///
-    /// Evaluation reads go through here; a spilled table would silently look
-    /// empty, so the engine faults in every table at a delta's node before
-    /// processing it (NDlog localization guarantees rule bodies only read
-    /// tables at that node).  The debug assertion catches any evaluation
-    /// path that missed its fault-in.
+    /// Returns the table for `(node, relation)` if it exists.
     pub fn table(&self, node: NodeId, relation: RelId) -> Option<&Table> {
-        debug_assert!(
-            !self
-                .spill
-                .as_ref()
-                .is_some_and(|s| s.spilled.contains_key(&(node, relation))),
-            "evaluation read of spilled table ({node}, {relation}) without fault-in"
-        );
         self.tables.get(&(node, relation))
     }
 
-    /// All visible tuples of `relation` at `node` as shared handles.  Serves
-    /// spilled tables directly from their spill file without faulting them
-    /// back into memory (a *cold read*).
+    /// All visible tuples of `relation` at `node` as shared handles.
     pub fn tuples_shared(&self, node: NodeId, relation: RelId) -> Vec<Arc<Tuple>> {
-        if let Some(table) = self.tables.get(&(node, relation)) {
-            return table.tuples_shared();
-        }
-        if let Some(dump) = self.cold_dump(node, relation) {
-            let mut out: Vec<Arc<Tuple>> = dump.rows.into_iter().map(|(t, _)| t).collect();
-            out.sort();
-            return out;
-        }
-        Vec::new()
+        self.table(node, relation)
+            .map_or_else(Vec::new, Table::tuples_shared)
     }
 
     /// [`TableStore::tuples_shared`] restricted to the tuples whose leading
     /// attributes (0 = location) equal `prefix`, in the same order: a key-range
     /// walk ([`Table::prefix_rows`]), or the full read filtered for a keyed
-    /// table or a spilled one (a cold read; only inspection callers get there).
+    /// table.
     pub fn tuples_with_prefix(
         &self,
         node: NodeId,
         relation: RelId,
         prefix: &[Value],
     ) -> Vec<Arc<Tuple>> {
-        let table = self.tables.get(&(node, relation));
+        let table = self.table(node, relation);
         if let Some(rows) = table.and_then(|t| t.prefix_rows(prefix)) {
             return rows;
         }
@@ -633,8 +559,7 @@ impl TableStore {
     }
 
     /// All visible tuples of `relation` across every node, as shared handles
-    /// (sorted by tuple content for determinism).  Spilled tables are served
-    /// by cold reads.
+    /// (sorted by tuple content for determinism).
     pub fn tuples_everywhere_shared(&self, relation: RelId) -> Vec<Arc<Tuple>> {
         let mut out: Vec<Arc<Tuple>> = self
             .tables
@@ -642,44 +567,19 @@ impl TableStore {
             .filter(|((_, r), _)| *r == relation)
             .flat_map(|(_, t)| t.scan().cloned())
             .collect();
-        if let Some(spill) = &self.spill {
-            for &(node, rel) in spill.spilled.keys() {
-                if rel == relation {
-                    if let Some(dump) = self.cold_dump(node, rel) {
-                        out.extend(dump.rows.into_iter().map(|(t, _)| t));
-                    }
-                }
-            }
-        }
         out.sort();
         out
     }
 
-    /// The derivation count of `tuple` at `node` (0 if absent), serving
-    /// spilled tables by cold read.
+    /// The derivation count of `tuple` at `node` (0 if absent).
     pub fn derivation_count(&self, node: NodeId, tuple: &Tuple) -> usize {
-        if let Some(table) = self.tables.get(&(node, tuple.relation)) {
-            return table.count(tuple);
-        }
-        match self.cold_dump(node, tuple.relation) {
-            Some(dump) => dump
-                .rows
-                .iter()
-                .find(|(t, _)| **t == *tuple)
-                .map_or(0, |(_, c)| *c as usize),
-            None => 0,
-        }
+        self.table(node, tuple.relation)
+            .map_or(0, |table| table.count(tuple))
     }
 
-    /// Total number of visible tuples across all tables, including spilled
-    /// ones (their row counts are tracked without touching disk).
+    /// Total number of visible tuples across all tables.
     pub fn total_tuples(&self) -> usize {
-        let in_memory: usize = self.tables.values().map(Table::len).sum();
-        let spilled: usize = self
-            .spill
-            .as_ref()
-            .map_or(0, |s| s.spilled.values().map(|(_, rows)| rows).sum());
-        in_memory + spilled
+        self.tables.values().map(Table::len).sum()
     }
 
     // ------------------------------------------------------------------
@@ -731,138 +631,11 @@ impl TableStore {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Cold-table spill
-    // ------------------------------------------------------------------
-
-    /// Enables cold-table spill: when the total in-memory row count exceeds
-    /// `budget_rows` at a barrier boundary, the largest tables are evicted
-    /// to snapshot-format files under `dir`.
-    pub fn enable_spill(&mut self, dir: PathBuf, budget_rows: usize) {
-        self.spill = Some(SpillState {
-            dir,
-            budget_rows,
-            spilled: HashMap::new(),
-            spills: 0,
-            faults: 0,
-            cold_reads: AtomicU64::new(0),
-        });
-    }
-
-    /// `(tables spilled, tables faulted, cold reads)` since spill was
-    /// enabled.
-    pub fn spill_counters(&self) -> (u64, u64, u64) {
-        self.spill.as_ref().map_or((0, 0, 0), |s| {
-            (s.spills, s.faults, s.cold_reads.load(Ordering::Relaxed))
-        })
-    }
-
-    /// Faults every spilled table at `node` back into memory.  The engine
-    /// calls this before processing a delta at `node`; rule bodies are
-    /// localized, so this is the complete set of tables evaluation can read.
-    pub fn fault_in_node(&mut self, node: NodeId) {
-        let Some(spill) = &self.spill else {
-            return;
-        };
-        let keys: Vec<(NodeId, RelId)> = spill
-            .spilled
-            .keys()
-            .filter(|(n, _)| *n == node)
-            .copied()
-            .collect();
-        for (n, rel) in keys {
-            self.fault_in(n, rel);
-        }
-    }
-
-    /// Loads one spilled table back and deletes its spill file.  The rows
-    /// are restored in dump order with their original counts, so the
-    /// rebuilt table (rows and secondary indexes) is structurally identical
-    /// to the evicted one.  Storage failures here are fatal: the evicted
-    /// rows exist nowhere else in memory.
-    fn fault_in(&mut self, node: NodeId, relation: RelId) {
-        let Some(spill) = &mut self.spill else {
-            return;
-        };
-        let Some((path, _)) = spill.spilled.remove(&(node, relation)) else {
-            return;
-        };
-        let dump = exspan_store::snapshot::load_spill(&path)
-            .unwrap_or_else(|e| panic!("cannot fault in spilled table {path:?}: {e}"));
-        spill.faults += 1;
-        let _ = std::fs::remove_file(&path);
-        let table = self.table_mut(node, relation);
-        for (tuple, count) in dump.rows {
-            table.restore(tuple, count);
-        }
-    }
-
-    /// Serves a spilled table's contents directly from its file, without
-    /// mutating the store (inspection APIs only).
-    fn cold_dump(&self, node: NodeId, relation: RelId) -> Option<TableDump> {
-        let spill = self.spill.as_ref()?;
-        let (path, _) = spill.spilled.get(&(node, relation))?;
-        let dump = exspan_store::snapshot::load_spill(path)
-            .unwrap_or_else(|e| panic!("cannot read spilled table {path:?}: {e}"));
-        spill.cold_reads.fetch_add(1, Ordering::Relaxed);
-        Some(dump)
-    }
-
-    /// Evicts the largest tables until the in-memory row count fits the
-    /// budget (no-op without a configured budget).  Called by the engine at
-    /// barrier boundaries, when no evaluation is in flight.  Eviction order
-    /// is deterministic: largest first, ties by `(node, relation name)`.
-    pub fn enforce_budget(&mut self) {
-        let Some(spill) = &self.spill else {
-            return;
-        };
-        let budget = spill.budget_rows;
-        let mut in_memory: usize = self.tables.values().map(Table::len).sum();
-        while in_memory > budget {
-            let victim = self
-                .tables
-                .iter()
-                .filter(|(_, t)| !t.is_empty())
-                .max_by(|((n1, r1), t1), ((n2, r2), t2)| {
-                    t1.len()
-                        .cmp(&t2.len())
-                        // Reverse the key order so `max_by` picks the
-                        // *smallest* (node, name) among equally-large tables.
-                        .then_with(|| (n2, r2.as_str()).cmp(&(n1, r1.as_str())))
-                })
-                .map(|(k, _)| *k);
-            let Some((node, relation)) = victim else {
-                break;
-            };
-            let table = self
-                .tables
-                .remove(&(node, relation))
-                .expect("victim exists");
-            in_memory -= table.len();
-            let dump = TableDump {
-                node,
-                relation,
-                rows: table
-                    .rows_with_counts()
-                    .map(|(t, c)| (Arc::clone(t), c))
-                    .collect(),
-            };
-            let spill = self.spill.as_mut().expect("spill enabled");
-            let path = spill.file_for(node, relation);
-            exspan_store::snapshot::write_spill(&path, &dump)
-                .unwrap_or_else(|e| panic!("cannot spill table to {path:?}: {e}"));
-            spill
-                .spilled
-                .insert((node, relation), (path, dump.rows.len()));
-            spill.spills += 1;
-        }
-    }
-
-    /// Dumps every table — in memory or spilled — in canonical order:
-    /// sorted by `(node, relation name)`, rows in scan order with their
-    /// derivation counts.  This is the table section of a snapshot and the
-    /// input to the engine's state digest; its bytes are independent of
-    /// shard count, spill status, and execution interleaving.  Empty tables
+    /// Dumps every table in canonical order: sorted by `(node, relation
+    /// name)`, rows in scan order with their derivation counts.  This is the
+    /// table section of a snapshot and the input to the engine's state
+    /// digest; its bytes are independent of shard count and execution
+    /// interleaving.  Empty tables
     /// are skipped (a never-written and a written-then-emptied table are
     /// the same logical state).
     pub fn dump(&self) -> Vec<TableDump> {
@@ -879,15 +652,6 @@ impl TableStore {
                     .collect(),
             })
             .collect();
-        if let Some(spill) = &self.spill {
-            for &(node, rel) in spill.spilled.keys() {
-                if let Some(dump) = self.cold_dump(node, rel) {
-                    if !dump.rows.is_empty() {
-                        dumps.push(dump);
-                    }
-                }
-            }
-        }
         dumps.sort_by(|a, b| (a.node, a.relation.as_str()).cmp(&(b.node, b.relation.as_str())));
         dumps
     }

@@ -28,9 +28,7 @@ impl Default for StoreConfig {
     }
 }
 
-/// Counters surfaced through `Deployment::storage_stats()`.  The backend
-/// fills the log/snapshot counters; the engine merges in the spill
-/// counters, which live with the tables.
+/// Counters surfaced through `Deployment::storage_stats()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
     /// Committed barrier batches appended to the WAL.
@@ -43,13 +41,6 @@ pub struct StorageStats {
     pub snapshots_written: u64,
     /// Batches replayed during recovery.
     pub recovered_batches: u64,
-    /// Tables evicted to spill files.
-    pub tables_spilled: u64,
-    /// Tables faulted back into memory on access.
-    pub tables_faulted: u64,
-    /// Reads served directly from spill files without faulting the table
-    /// back in (inspection APIs only — evaluation always faults in).
-    pub cold_reads: u64,
 }
 
 /// State reconstructed from disk by [`DiskBackend::open`]: the latest valid
@@ -108,12 +99,7 @@ pub trait StorageBackend: Send {
         Ok(())
     }
 
-    /// Directory for spill files, when this backend supports spill.
-    fn spill_dir(&self) -> Option<&Path> {
-        None
-    }
-
-    /// Log/snapshot counters (spill counters are merged in by the engine).
+    /// Log/snapshot counters.
     fn stats(&self) -> StorageStats {
         StorageStats::default()
     }
@@ -130,11 +116,9 @@ impl StorageBackend for MemoryBackend {}
 /// ```text
 /// <dir>/wal.log       append-only delta log (committed batches)
 /// <dir>/snapshot.bin  latest canonical snapshot
-/// <dir>/spill/        evicted cold tables (transient; cleared on open)
 /// ```
 pub struct DiskBackend {
     dir: PathBuf,
-    spill_dir: PathBuf,
     wal: WalWriter,
     config: StoreConfig,
     /// Length of the `snapshot.bin` the next snapshot would replace (0 while
@@ -159,23 +143,23 @@ impl DiskBackend {
     /// Returns `None` for the recovered state when the directory holds no
     /// committed state at all (a fresh deployment).
     ///
-    /// Stale spill files are deleted: they are an in-process eviction
-    /// cache, and the snapshot + WAL are always the authoritative copy.  A
-    /// `snapshot.tmp` left by a crash before its rename is deleted too.
+    /// A `snapshot.tmp` left by a crash before its rename is deleted, and so
+    /// is the `spill/` directory a store written by an earlier version holds
+    /// (a cache of evicted tables; the snapshot + WAL were always the
+    /// authoritative copy).
     pub fn open(
         dir: &Path,
         config: StoreConfig,
     ) -> Result<(Self, Option<RecoveredState>), StoreError> {
         std::fs::create_dir_all(dir)?;
-        let spill_dir = dir.join("spill");
-        if spill_dir.exists() {
-            std::fs::remove_dir_all(&spill_dir)?;
-        }
-        std::fs::create_dir_all(&spill_dir)?;
-
-        match std::fs::remove_file(dir.join("snapshot.tmp")) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
-            _ => {}
+        for removed in [
+            std::fs::remove_dir_all(dir.join("spill")),
+            std::fs::remove_file(dir.join("snapshot.tmp")),
+        ] {
+            match removed {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+                _ => {}
+            }
         }
 
         let snapshot_path = dir.join("snapshot.bin");
@@ -204,7 +188,6 @@ impl DiskBackend {
         Ok((
             DiskBackend {
                 dir: dir.to_path_buf(),
-                spill_dir,
                 wal,
                 snapshot_bytes,
                 config,
@@ -249,10 +232,6 @@ impl StorageBackend for DiskBackend {
         self.wal.truncate()?;
         self.stats.snapshots_written += 1;
         Ok(())
-    }
-
-    fn spill_dir(&self) -> Option<&Path> {
-        Some(&self.spill_dir)
     }
 
     fn stats(&self) -> StorageStats {
@@ -513,9 +492,8 @@ mod tests {
         std::fs::create_dir_all(dir.join("spill")).unwrap();
         std::fs::write(dir.join("spill/n0_x.tbl"), b"stale").unwrap();
         std::fs::write(dir.join("snapshot.tmp"), b"half a snapshot").unwrap();
-        let (b, rec) = DiskBackend::open(&dir, StoreConfig::default()).unwrap();
-        let spill = b.spill_dir().unwrap();
-        assert!(std::fs::read_dir(spill).unwrap().next().is_none());
+        let (_, rec) = DiskBackend::open(&dir, StoreConfig::default()).unwrap();
+        assert!(!dir.join("spill").exists());
         assert!(rec.is_none(), "a temp file is not a snapshot");
         assert!(!dir.join("snapshot.tmp").exists());
     }

@@ -3,7 +3,7 @@
 //! Every engine table is an in-memory `BTreeMap`; this crate gives a
 //! deployment a durable second copy of that state behind the narrow
 //! [`StorageBackend`] seam, without the engine growing any knowledge of
-//! file formats.  Three mechanisms compose:
+//! file formats.  Two mechanisms compose:
 //!
 //! 1. **Append-only WAL** ([`wal`]).  During a run the engine journals
 //!    every logical table operation (insert/delete intents, topology link
@@ -26,12 +26,6 @@
 //!    (so replaying a tail is the normal recovery path), and the directory
 //!    holds at most about two snapshots' worth of bytes.  The ratio is the
 //!    constant 1, not an option.
-//! 3. **Cold-table spill** ([`snapshot::write_spill`]).  With a row budget
-//!    configured, the largest tables are evicted to their snapshot form
-//!    when the budget is exceeded and transparently faulted back in when
-//!    the engine next evaluates at their node.  Spill files are an
-//!    in-process cache: stale ones are deleted on open, because the
-//!    snapshot + WAL are always the authoritative copy.
 //!
 //! ## Recovery invariants
 //!
@@ -68,7 +62,6 @@
 //! ```text
 //! <data_dir>/wal.log       committed delta batches (framed, CRC-32)
 //! <data_dir>/snapshot.bin  latest canonical snapshot (atomic rename)
-//! <data_dir>/spill/        evicted cold tables (cleared on open)
 //! ```
 //!
 //! This crate depends only on `exspan-types`, and its value/tuple codec

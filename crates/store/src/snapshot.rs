@@ -1,4 +1,4 @@
-//! Canonical snapshots and per-table spill files.
+//! Canonical snapshots.
 //!
 //! # Snapshot format (`snapshot.bin`)
 //!
@@ -27,13 +27,6 @@
 //! itself is on disk, and only after that truncates the WAL — a crash at any
 //! point leaves either the old snapshot + full log or the new snapshot (+ a
 //! log whose stale prefix recovery filters by `seq`).
-//!
-//! # Spill files (`spill/n<node>_<relation>.tbl`)
-//!
-//! One table section (same encoding as a snapshot table entry) behind the
-//! magic `"XSPNSPIL"`, with the same trailing CRC.  A spilled table is
-//! byte-faithful: faulting it back in rebuilds exactly the rows (and
-//! duplicate counts) that were evicted.
 
 use crate::codec::{self, Reader};
 use crate::crc32::crc32;
@@ -47,7 +40,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"XSPNSNAP";
-const SPILL_MAGIC: &[u8; 8] = b"XSPNSPIL";
 const VERSION: u32 = 1;
 
 /// The full contents of one `(node, relation)` table: rows with their
@@ -204,10 +196,12 @@ fn decode_snapshot(data: &[u8]) -> Result<SnapshotData, StoreError> {
     })
 }
 
-/// Writes `body` + CRC to a temp file, fsyncs it and renames it to `path`;
-/// returns the file's length.
-fn write_checksummed(path: &Path, body: Vec<u8>) -> std::io::Result<u64> {
-    let mut bytes = body;
+/// Writes the snapshot atomically (temp file + fsync + rename) and returns
+/// the length of the file.  The rename itself is durable only once the
+/// directory is fsynced — the caller's job, before it truncates the log.
+pub fn write_snapshot(path: &Path, snap: &SnapshotData) -> std::io::Result<u64> {
+    let mut bytes = Vec::new();
+    encode_snapshot(snap, &mut bytes);
     let crc = crc32(&bytes);
     bytes.extend_from_slice(&crc.to_be_bytes());
     let tmp = path.with_extension("tmp");
@@ -220,57 +214,9 @@ fn write_checksummed(path: &Path, body: Vec<u8>) -> std::io::Result<u64> {
     Ok(bytes.len() as u64)
 }
 
-/// Writes the snapshot atomically (temp file + fsync + rename) and returns
-/// the length of the file.  The rename itself is durable only once the
-/// directory is fsynced — the caller's job, before it truncates the log.
-pub fn write_snapshot(path: &Path, snap: &SnapshotData) -> std::io::Result<u64> {
-    let mut body = Vec::new();
-    encode_snapshot(snap, &mut body);
-    write_checksummed(path, body)
-}
-
 /// Loads and validates a snapshot.
 pub fn load_snapshot(path: &Path) -> Result<SnapshotData, StoreError> {
     decode_snapshot(&std::fs::read(path)?)
-}
-
-/// Writes one evicted table as a spill file (atomic, checksummed).
-pub fn write_spill(path: &Path, dump: &TableDump) -> std::io::Result<()> {
-    let mut body = Vec::new();
-    body.extend_from_slice(SPILL_MAGIC);
-    body.extend_from_slice(&VERSION.to_be_bytes());
-    encode_table(dump, &mut body);
-    write_checksummed(path, body).map(drop)
-}
-
-/// Loads a spill file back into a [`TableDump`].
-pub fn load_spill(path: &Path) -> Result<TableDump, StoreError> {
-    let data = std::fs::read(path)?;
-    if data.len() < 4 {
-        return Err(StoreError::Corrupt(
-            "spill file shorter than its CRC".into(),
-        ));
-    }
-    let (body, crc_bytes) = data.split_at(data.len() - 4);
-    let stored = u32::from_be_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    if crc32(body) != stored {
-        return Err(StoreError::Corrupt("spill checksum mismatch".into()));
-    }
-    let mut r = Reader::new(body);
-    if r.bytes(8)? != SPILL_MAGIC {
-        return Err(StoreError::Corrupt("bad spill magic".into()));
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(StoreError::Corrupt(format!(
-            "unsupported spill version {version}"
-        )));
-    }
-    let dump = decode_table(&mut r)?;
-    if !r.is_empty() {
-        return Err(StoreError::Corrupt("trailing bytes in spill file".into()));
-    }
-    Ok(dump)
 }
 
 #[cfg(test)]
@@ -396,23 +342,6 @@ mod tests {
         // Truncation at every length is caught by the CRC.
         data.truncate(data.len() - 7);
         std::fs::write(&path, &data).unwrap();
-        assert!(load_snapshot(&path).is_err());
-    }
-
-    #[test]
-    fn spill_roundtrips() {
-        let dir = tmp("spill");
-        let path = dir.join("n0_bestPathCost.tbl");
-        let dump = sample().tables.remove(0);
-        write_spill(&path, &dump).unwrap();
-        let back = load_spill(&path).unwrap();
-        assert_eq!(back.node, dump.node);
-        assert_eq!(back.relation, dump.relation);
-        assert_eq!(back.rows.len(), dump.rows.len());
-        for ((t1, c1), (t2, c2)) in back.rows.iter().zip(&dump.rows) {
-            assert_eq!((&**t1, c1), (&**t2, c2));
-        }
-        // A spill file is never mistaken for a snapshot.
         assert!(load_snapshot(&path).is_err());
     }
 }

@@ -40,7 +40,7 @@ pub mod wire;
 
 pub use sha1::{sha1_digest, Digest};
 pub use symbol::{RelId, Symbol};
-pub use tuple::{NodeId, Rid, Schema, Tuple, TupleKey, Vid};
+pub use tuple::{NodeId, Rid, Tuple, Vid};
 pub use value::Value;
 
 /// Convenience result alias used across the workspace for fallible operations
@@ -57,10 +57,6 @@ pub enum Error {
         /// What it actually got, rendered for display.
         found: String,
     },
-    /// A tuple did not match the arity or shape its schema requires.
-    SchemaViolation(String),
-    /// A generic error with a message.
-    Other(String),
 }
 
 impl std::fmt::Display for Error {
@@ -69,8 +65,6 @@ impl std::fmt::Display for Error {
             Error::TypeMismatch { expected, found } => {
                 write!(f, "type mismatch: expected {expected}, found {found}")
             }
-            Error::SchemaViolation(msg) => write!(f, "schema violation: {msg}"),
-            Error::Other(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -88,9 +82,5 @@ mod tests {
             found: "string(\"x\")".into(),
         };
         assert!(e.to_string().contains("expected int"));
-        let e = Error::SchemaViolation("arity 3 != 2".into());
-        assert!(e.to_string().contains("schema violation"));
-        let e = Error::Other("boom".into());
-        assert_eq!(e.to_string(), "boom");
     }
 }

@@ -36,8 +36,7 @@
 use std::collections::HashSet;
 use std::sync::{OnceLock, RwLock};
 
-/// An interned relation identifier.  [`crate::Tuple::relation`],
-/// [`crate::Schema::name`] and [`crate::TupleKey::relation`] are keyed on
+/// An interned relation identifier.  [`crate::Tuple::relation`] is keyed on
 /// this type; resolve it with [`Symbol::as_str`] (or the
 /// [`crate::Tuple::relation_name`] convenience).
 pub type RelId = Symbol;
