@@ -17,7 +17,7 @@
 
 use crate::ast::{AggFunc, BodyItem, CmpOp, Expr, Program, Term};
 use crate::diag::{Diagnostic, Diagnostics, Severity, SourceMap};
-use crate::eval::{Bindings, FuncRegistry};
+use crate::eval::CExpr;
 use exspan_types::{RelId, Symbol, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -233,16 +233,14 @@ fn check_satisfiability(
     source: Option<&SourceMap>,
     out: &mut Diagnostics,
 ) {
-    let funcs = FuncRegistry::new();
-    let empty = Bindings::new();
     let mut bounds: BTreeMap<Symbol, IntBounds> = BTreeMap::new();
     for (bi, item) in rule.body.iter().enumerate() {
         let BodyItem::Constraint(op, lhs, rhs) = item else {
             continue;
         };
         let span = source.and_then(|m| m.body_item(ri, bi));
-        let l = fold(lhs, &funcs, &empty);
-        let r = fold(rhs, &funcs, &empty);
+        let l = fold(lhs);
+        let r = fold(rhs);
         match (l, r) {
             (Folded::Const(a), Folded::Const(b))
                 if crate::eval::eval_cmp(*op, &a, &b) == Ok(false) =>
@@ -279,12 +277,12 @@ enum Folded {
 }
 
 /// Folds an expression that references no variables down to its value.
-fn fold(e: &Expr, funcs: &FuncRegistry, empty: &Bindings) -> Folded {
+fn fold(e: &Expr) -> Folded {
     if let Expr::Term(Term::Var(v)) = e {
         return Folded::Var(*v);
     }
-    match crate::eval::eval_expr(e, empty, funcs) {
-        Ok(v) => Folded::Const(v),
+    match CExpr::lower(e, &|_| None).eval(&[]) {
+        Ok(v) => Folded::Const(v.into_owned()),
         Err(_) => Folded::Opaque,
     }
 }

@@ -18,6 +18,14 @@
 //! * The union of `(relation, key columns)` pairs appearing in any plan is
 //!   the program's [index demand](ProgramPlans::demands): the storage layer
 //!   maintains exactly those secondary indexes, nothing more.
+//! * Which variables are bound at each point of a plan is static, so the
+//!   rule's variables are numbered into dense **slots** and the plan carries
+//!   everything a firing does lowered onto them — atoms to
+//!   [bind/check operations](ArgOp), probe keys to [slot reads](KeyOp),
+//!   assignments and constraints to [guards](Guard) over
+//!   [lowered expressions](CExpr), the head to slot reads — for the runtime
+//!   to execute against one reusable frame of values instead of
+//!   interpreting the AST under a binding set cloned per candidate.
 //!
 //! Planning is purely syntactic — it looks only at the AST — so the executor
 //! still unifies every probed candidate: a probe narrows the candidate set
@@ -27,22 +35,140 @@
 //! restores body-atom enumeration order for reordered plans, so a planned run
 //! is bit-identical to the naïve scan evaluation.
 
-use crate::ast::{Atom, BodyItem, HeadArg, Program, Rule, Term};
+use crate::ast::{Atom, BodyItem, CmpOp, Expr, HeadArg, Program, Rule, Term};
+use crate::eval::{eval_cmp, CExpr, EvalError};
 use crate::is_event_predicate;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use exspan_types::{RelId, Symbol};
+use exspan_types::{NodeId, RelId, Symbol, Tuple, Value};
 
-/// How one probe-key value is obtained at execution time.
+/// What one atom position does with the candidate's value there.  Which
+/// variables are bound when an atom is reached is static, so each variable
+/// occurrence is lowered, once, to a write or a comparison on its **slot** in
+/// the rule's frame (one `Vec<Value>` per shard that candidates overwrite on
+/// backtrack).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KeySource {
-    /// Evaluate this term under the current bindings (a constant, or a
-    /// variable the plan proved is bound by the time this level runs).
-    Term(Term),
-    /// The location attribute equals the node the rule is evaluated at.
-    /// Used by the aggregate re-enumeration paths, which restrict every
-    /// candidate to the local node regardless of variable bindings.
-    CurrentNode,
+pub enum ArgOp {
+    /// Equal this constant (a location constant is stored node-valued).
+    Const(Value),
+    /// First occurrence of a variable: write the value into its slot.
+    Bind(usize),
+    /// A variable bound earlier — by the trigger, an outer level, or an
+    /// earlier position of this same atom: equal the slot.
+    Check(usize),
+}
+
+/// A body atom lowered to slot operations.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AtomOps {
+    relation: RelId,
+    /// Location first, then the arguments.
+    ops: Vec<ArgOp>,
+}
+
+impl AtomOps {
+    /// Lowers `atom` where `bound` is bound: location first, so that a
+    /// variable repeated inside the atom binds, then checks.
+    fn lower(atom: &Atom, bound: &BTreeSet<Symbol>, vars: &[Symbol]) -> Self {
+        let mut seen = bound.clone();
+        let terms = std::iter::once(&atom.location).chain(&atom.args);
+        let ops = terms.enumerate().map(|(i, term)| match term {
+            // Unification accepts an integer constant naming the location.
+            Term::Const(Value::Int(n)) if i == 0 && NodeId::try_from(*n).is_ok() => {
+                ArgOp::Const(Value::Node(*n as NodeId))
+            }
+            Term::Const(c) => ArgOp::Const(c.clone()),
+            Term::Var(v) if seen.insert(*v) => ArgOp::Bind(slot(vars, *v)),
+            Term::Var(v) => ArgOp::Check(slot(vars, *v)),
+        });
+        AtomOps {
+            relation: atom.relation,
+            ops: ops.collect(),
+        }
+    }
+
+    /// Unifies `tuple` against the atom under the bindings in `frame`,
+    /// writing the slots the atom binds.  A failed candidate may leave some
+    /// written; the next one overwrites them before anything reads them.
+    pub fn matches(&self, tuple: &Tuple, frame: &mut [Value]) -> bool {
+        if self.relation != tuple.relation || self.ops.len() != tuple.values.len() + 1 {
+            return false;
+        }
+        let location = Value::Node(tuple.location);
+        let values = std::iter::once(&location).chain(&tuple.values);
+        self.ops.iter().zip(values).all(|(op, value)| match op {
+            ArgOp::Const(c) => c == value,
+            ArgOp::Check(s) => frame[*s] == *value,
+            ArgOp::Bind(s) => {
+                frame[*s] = value.clone();
+                true
+            }
+        })
+    }
+}
+
+/// How one value is read out of a running firing: a probe-key column, or a
+/// component of an aggregate's group key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum KeyOp {
+    /// The node the rule is evaluated at (the location column of the
+    /// aggregate re-enumeration paths, which restrict every candidate to the
+    /// local node regardless of variable bindings).
+    Node,
+    /// A constant.
+    Const(Value),
+    /// The slot of a variable the plan proved is bound by then.
+    Slot(usize),
+}
+
+impl KeyOp {
+    /// The value, evaluating at `node` over `frame`.
+    pub fn read(&self, node: NodeId, frame: &[Value]) -> Value {
+        match self {
+            KeyOp::Node => Value::Node(node),
+            KeyOp::Const(c) => c.clone(),
+            KeyOp::Slot(s) => frame[*s].clone(),
+        }
+    }
+}
+
+/// The slot of `v` in a frame numbered by `vars` (see [`rule_vars`]).
+fn slot(vars: &[Symbol], v: Symbol) -> usize {
+    let found = vars.binary_search(&v);
+    found.expect("every variable a rule can bind has a slot")
+}
+
+/// The variables a firing of `rule` can bind, in slot order: those of its
+/// body atoms, its assignment targets, and the head variables a group
+/// recomputation pre-binds.
+fn rule_vars(rule: &Rule) -> Vec<Symbol> {
+    let mut vars = group_bound_vars(rule);
+    for item in &rule.body {
+        match item {
+            BodyItem::Atom(a) => vars.extend(a.variables()),
+            BodyItem::Assign(v, _) => {
+                vars.insert(*v);
+            }
+            BodyItem::Constraint(..) => {}
+        }
+    }
+    vars.into_iter().collect()
+}
+
+fn lower_expr(e: &Expr, bound: &BTreeSet<Symbol>, vars: &[Symbol]) -> CExpr {
+    CExpr::lower(e, &|v| bound.contains(&v).then(|| slot(vars, v)))
+}
+
+/// One assignment or constraint of a rule body, over the frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Guard {
+    /// `V = expr`, `V` unbound until here: write the slot.
+    Assign(usize, CExpr),
+    /// `V = expr`, `V` already bound: an equality test (standard Datalog
+    /// convention).
+    Test(usize, CExpr),
+    /// `lhs op rhs`.
+    Constraint(CmpOp, CExpr, CExpr),
 }
 
 /// One level of a join plan: the body atom joined at this depth and the
@@ -57,13 +183,27 @@ pub struct JoinLevel {
     /// selective position is bound: the executor falls back to a full scan.
     pub cols: Vec<usize>,
     /// How to compute each key value, parallel to `cols`.
-    pub sources: Vec<KeySource>,
+    pub key: Vec<KeyOp>,
+    /// The atom, lowered under the variables bound when this level runs.
+    pub atom: AtomOps,
 }
 
 impl JoinLevel {
     /// Whether this level probes an index (vs. scanning the table).
     pub fn probes(&self) -> bool {
         !self.cols.is_empty()
+    }
+
+    /// Builds the probe key of this level into `key`.  Returns `false` when
+    /// there is none — no probe columns, or a location column bound to a
+    /// value that is not a node, which can never match: the executor then
+    /// scans, where unification filters exactly as it always did.  A probe
+    /// key is only ever a *narrowing*: every candidate it yields is still
+    /// unified against the atom.
+    pub fn probe_key(&self, node: NodeId, frame: &[Value], key: &mut Vec<Value>) -> bool {
+        key.clear();
+        key.extend(self.key.iter().map(|op| op.read(node, frame)));
+        self.probes() && (self.cols[0] != 0 || matches!(key[0], Value::Node(_)))
     }
 }
 
@@ -79,6 +219,19 @@ pub struct JoinPlan {
     /// True when some joined atom is an event predicate: transient state is
     /// never materialized, so the join can produce no results at all.
     pub dead: bool,
+    /// The atom the delta is unified with before any level runs (`None` for
+    /// the aggregate re-enumerations, which start from the group key and
+    /// restrict every candidate to the evaluating node).
+    pub trigger: Option<AtomOps>,
+    /// The body's assignments and constraints in body order, lowered under
+    /// the variables bound once every level has matched.
+    pub guards: Vec<Guard>,
+    /// What a firing derives, read once the guards hold: the head location,
+    /// then its arguments (empty for an aggregate rule, whose head is
+    /// assembled from the group key).
+    pub head: Vec<CExpr>,
+    /// Number of slots in the rule's frame.
+    pub frame_len: usize,
 }
 
 impl JoinPlan {
@@ -89,98 +242,185 @@ impl JoinPlan {
             .filter(|l| l.probes())
             .map(|l| (l.relation, l.cols.as_slice()))
     }
+
+    /// The head tuple of `relation` that a frame the guards hold in derives;
+    /// `None` when the head location is not a node.
+    pub fn derive(&self, relation: RelId, frame: &[Value]) -> Result<Option<Tuple>, EvalError> {
+        let Ok(location) = self.head[0].eval(frame)?.as_node() else {
+            return Ok(None);
+        };
+        let mut values = Vec::with_capacity(self.head.len() - 1);
+        for arg in &self.head[1..] {
+            values.push(arg.eval(frame)?.into_owned());
+        }
+        Ok(Some(Tuple::new(relation, location, values)))
+    }
+
+    /// Applies the assignments and constraints to a frame every level has
+    /// matched into; `Ok(false)` rejects the candidate.  A comparison the
+    /// operand types do not support rejects too: it is data-dependent.
+    pub fn guards_hold(&self, frame: &mut [Value]) -> Result<bool, EvalError> {
+        for guard in &self.guards {
+            let holds = match guard {
+                Guard::Assign(s, e) => {
+                    frame[*s] = e.eval(frame)?.into_owned();
+                    true
+                }
+                Guard::Test(s, e) => *e.eval(frame)? == frame[*s],
+                Guard::Constraint(op, l, r) => {
+                    eval_cmp(*op, &*l.eval(frame)?, &*r.eval(frame)?).unwrap_or(false)
+                }
+            };
+            if !holds {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
 }
 
 /// Computes the probe columns of `atom` given the statically-bound variable
-/// set.  `loc_is_node` marks the aggregate evaluation contexts, where every
-/// candidate is filtered to the evaluating node before unification.
-fn bound_cols(atom: &Atom, bound: &BTreeSet<Symbol>, loc_is_node: bool) -> JoinLevel {
+/// set, and lowers it.  `loc_is_node` marks the aggregate evaluation
+/// contexts, where every candidate is filtered to the evaluating node before
+/// unification.
+fn bound_cols(
+    atom: &Atom,
+    bound: &BTreeSet<Symbol>,
+    loc_is_node: bool,
+    vars: &[Symbol],
+) -> JoinLevel {
     let mut cols = Vec::new();
-    let mut sources = Vec::new();
-    if loc_is_node {
-        cols.push(0);
-        sources.push(KeySource::CurrentNode);
-    } else {
-        let loc_bound = match &atom.location {
-            Term::Var(v) => bound.contains(v),
-            // Only node-valued constants can match a location; anything else
-            // never unifies, which the per-candidate check handles.
-            Term::Const(c) => c.as_node().is_ok() || c.as_int().is_ok(),
+    let mut key = Vec::new();
+    let terms = std::iter::once(&atom.location).chain(&atom.args);
+    for (col, term) in terms.enumerate() {
+        let op = match term {
+            _ if col == 0 && loc_is_node => KeyOp::Node,
+            Term::Var(v) if bound.contains(v) => KeyOp::Slot(slot(vars, *v)),
+            Term::Var(_) => continue,
+            // The location column stores `Value::Node`.  Only node-valued
+            // constants can match a location; anything else never unifies,
+            // which the per-candidate check handles.
+            Term::Const(Value::Int(n)) if col == 0 => KeyOp::Const(Value::Node(*n as NodeId)),
+            Term::Const(c) if col == 0 && c.as_node().is_err() => continue,
+            Term::Const(c) => KeyOp::Const(c.clone()),
         };
-        if loc_bound {
-            cols.push(0);
-            sources.push(KeySource::Term(atom.location.clone()));
-        }
-    }
-    for (i, term) in atom.args.iter().enumerate() {
-        let is_bound = match term {
-            Term::Var(v) => bound.contains(v),
-            Term::Const(_) => true,
-        };
-        if is_bound {
-            cols.push(i + 1);
-            sources.push(KeySource::Term(term.clone()));
-        }
+        cols.push(col);
+        key.push(op);
     }
     // A location-only key is not selective: tables are already partitioned
     // per (node, relation), so probing on the location alone would win
     // nothing over a scan while still costing index maintenance.
     if cols == [0] {
         cols.clear();
-        sources.clear();
+        key.clear();
     }
     JoinLevel {
         body_idx: 0, // caller fills in
         relation: atom.relation,
         cols,
-        sources,
+        key,
+        atom: AtomOps::lower(atom, bound, vars),
     }
 }
 
-/// Greedily orders `atoms` (pairs of body index and atom), starting from the
-/// `bound` variable set, and compiles the probe spec of every level.
-fn greedy_levels(
-    atoms: &[(usize, &Atom)],
-    mut bound: BTreeSet<Symbol>,
-    loc_is_node: bool,
-) -> Vec<JoinLevel> {
-    let mut remaining: Vec<(usize, &Atom)> = atoms.to_vec();
+/// Compiles one evaluation context of `rule`: the delta unified with body
+/// atom `trigger_idx`, or (`None`) an aggregate re-enumeration of the whole
+/// body, with `pre_bound` bound beforehand.  The remaining atoms are ordered
+/// greedily when `planned`, taken in body order with no probe otherwise.
+fn compile_plan(
+    rule: &Rule,
+    trigger_idx: Option<usize>,
+    pre_bound: &BTreeSet<Symbol>,
+    planned: bool,
+) -> JoinPlan {
+    let vars = rule_vars(rule);
+    let loc_is_node = trigger_idx.is_none();
+    let mut bound = pre_bound.clone();
+    let trigger = trigger_idx.and_then(|i| match &rule.body[i] {
+        BodyItem::Atom(a) => {
+            bound.extend(a.variables());
+            Some(AtomOps::lower(a, pre_bound, &vars))
+        }
+        _ => None,
+    });
+    let atoms = rule
+        .body
+        .iter()
+        .enumerate()
+        .filter_map(|(i, item)| match item {
+            BodyItem::Atom(a) if Some(i) != trigger_idx => Some((i, a)),
+            _ => None,
+        });
+    let mut remaining: Vec<(usize, &Atom)> = atoms.collect();
+    let dead = remaining
+        .iter()
+        .any(|(_, a)| is_event_predicate(a.relation.as_str()));
     let mut levels = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
         // Score = number of bound non-location positions; ties resolve to the
         // earliest body atom so planning is deterministic.
-        let mut best = 0usize;
-        let mut best_score: Option<usize> = None;
-        for (i, (_, atom)) in remaining.iter().enumerate() {
-            let level = bound_cols(atom, &bound, loc_is_node);
-            let score = level.cols.iter().filter(|&&c| c > 0).count();
-            let improves = match best_score {
-                None => true,
-                Some(b) => score > b,
+        let score = |atom: &Atom| {
+            let is_bound = |t: &&Term| match t {
+                Term::Var(v) => bound.contains(v),
+                Term::Const(_) => true,
             };
-            if improves {
+            atom.args.iter().filter(is_bound).count()
+        };
+        let mut best = 0usize;
+        for (i, (_, atom)) in remaining.iter().enumerate().filter(|_| planned) {
+            if score(atom) > score(remaining[best].1) {
                 best = i;
-                best_score = Some(score);
             }
         }
         let (body_idx, atom) = remaining.remove(best);
-        let mut level = bound_cols(atom, &bound, loc_is_node);
+        let mut level = bound_cols(atom, &bound, loc_is_node, &vars);
         level.body_idx = body_idx;
+        if !planned {
+            level.cols.clear();
+            level.key.clear();
+        }
         bound.extend(atom.variables());
         levels.push(level);
     }
-    levels
-}
-
-fn finish_plan(levels: Vec<JoinLevel>, atoms: &[(usize, &Atom)]) -> JoinPlan {
-    let in_body_order = levels.windows(2).all(|w| w[0].body_idx < w[1].body_idx);
-    let dead = atoms
-        .iter()
-        .any(|(_, a)| is_event_predicate(a.relation.as_str()));
+    let mut guards = Vec::new();
+    for item in &rule.body {
+        guards.push(match item {
+            BodyItem::Atom(_) => continue,
+            BodyItem::Constraint(op, l, r) => Guard::Constraint(
+                *op,
+                lower_expr(l, &bound, &vars),
+                lower_expr(r, &bound, &vars),
+            ),
+            BodyItem::Assign(v, e) => {
+                let e = lower_expr(e, &bound, &vars);
+                match bound.insert(*v) {
+                    true => Guard::Assign(slot(&vars, *v), e),
+                    false => Guard::Test(slot(&vars, *v), e),
+                }
+            }
+        });
+    }
+    let head_term = |t: &Term| lower_expr(&Expr::Term(t.clone()), &bound, &vars);
+    let head_args = rule.head.args.iter().filter_map(|arg| match arg {
+        HeadArg::Term(t) => Some(head_term(t)),
+        HeadArg::Expr(e) => Some(lower_expr(e, &bound, &vars)),
+        HeadArg::Aggregate(..) => None,
+    });
+    let head_location = match &rule.head.location {
+        Term::Const(Value::Int(n)) => CExpr::Const(Value::Node(*n as NodeId)),
+        term => head_term(term),
+    };
     JoinPlan {
+        in_body_order: levels.windows(2).all(|w| w[0].body_idx < w[1].body_idx),
         levels,
-        in_body_order,
         dead,
+        trigger,
+        guards,
+        head: match rule.is_aggregate() {
+            true => Vec::new(),
+            false => std::iter::once(head_location).chain(head_args).collect(),
+        },
+        frame_len: vars.len(),
     }
 }
 
@@ -188,21 +428,7 @@ fn finish_plan(levels: Vec<JoinLevel>, atoms: &[(usize, &Atom)]) -> JoinPlan {
 /// `trigger_idx`: the trigger's variables (location included) are bound by
 /// unification before any stored table is touched.
 pub fn compile_trigger_plan(rule: &Rule, trigger_idx: usize) -> JoinPlan {
-    let bound = match &rule.body[trigger_idx] {
-        BodyItem::Atom(a) => a.variables(),
-        _ => BTreeSet::new(),
-    };
-    let atoms: Vec<(usize, &Atom)> = rule
-        .body
-        .iter()
-        .enumerate()
-        .filter_map(|(i, item)| match item {
-            BodyItem::Atom(a) if i != trigger_idx => Some((i, a)),
-            _ => None,
-        })
-        .collect();
-    let levels = greedy_levels(&atoms, bound, false);
-    finish_plan(levels, &atoms)
+    compile_plan(rule, Some(trigger_idx), &BTreeSet::new(), true)
 }
 
 /// Compiles the full-body evaluation plan used by the aggregate paths, with
@@ -211,39 +437,43 @@ pub fn compile_trigger_plan(rule: &Rule, trigger_idx: usize) -> JoinPlan {
 /// in these contexts is restricted to the evaluating node, so the location
 /// column is always probeable.
 pub fn compile_body_plan(rule: &Rule, initially_bound: &BTreeSet<Symbol>) -> JoinPlan {
-    let atoms: Vec<(usize, &Atom)> = rule
-        .body
-        .iter()
-        .enumerate()
-        .filter_map(|(i, item)| match item {
-            BodyItem::Atom(a) => Some((i, a)),
-            _ => None,
-        })
-        .collect();
-    let levels = greedy_levels(&atoms, initially_bound.clone(), true);
-    finish_plan(levels, &atoms)
+    compile_plan(rule, None, initially_bound, true)
+}
+
+/// The terms an aggregate rule's group key is read from: the head location,
+/// then every non-aggregate head argument (`None` for one that is not a
+/// term).
+fn group_terms(rule: &Rule) -> impl Iterator<Item = Option<&Term>> {
+    let args = rule.head.args.iter().filter_map(|arg| match arg {
+        HeadArg::Aggregate(..) => None,
+        HeadArg::Term(t) => Some(Some(t)),
+        HeadArg::Expr(_) => Some(None),
+    });
+    std::iter::once(Some(&rule.head.location)).chain(args)
 }
 
 /// The variables an aggregate rule's group key binds before re-enumeration:
 /// the head location variable plus every non-aggregate head argument
-/// variable (see the runtime's `group_bindings`).
+/// variable.
 pub fn group_bound_vars(rule: &Rule) -> BTreeSet<Symbol> {
-    let mut bound = BTreeSet::new();
-    let Some((_, _, agg_pos)) = rule.head.aggregate() else {
-        return bound;
-    };
-    if let Term::Var(v) = &rule.head.location {
-        bound.insert(*v);
+    if !rule.is_aggregate() {
+        return BTreeSet::new();
     }
-    for (i, arg) in rule.head.args.iter().enumerate() {
-        if i == agg_pos {
-            continue;
-        }
-        if let HeadArg::Term(Term::Var(v)) = arg {
-            bound.insert(*v);
-        }
-    }
-    bound
+    let vars = group_terms(rule).filter_map(|t| match t {
+        Some(Term::Var(v)) => Some(*v),
+        _ => None,
+    });
+    vars.collect()
+}
+
+/// How the group key is read out of a frame in which `bound` is bound:
+/// `None` when a component is a variable not bound there (or not a term).
+fn group_key_ops(rule: &Rule, bound: &BTreeSet<Symbol>, vars: &[Symbol]) -> Option<Vec<KeyOp>> {
+    let ops = group_terms(rule).map(|t| match t? {
+        Term::Const(c) => Some(KeyOp::Const(c.clone())),
+        Term::Var(v) => bound.contains(v).then(|| KeyOp::Slot(slot(vars, *v))),
+    });
+    ops.collect()
 }
 
 /// The head-table columns identifying one aggregate group's output row: the
@@ -273,6 +503,52 @@ pub struct AggRulePlans {
     /// (empty when the head has no non-aggregate structure beyond the
     /// location, in which case the executor scans).
     pub output_cols: Vec<usize>,
+    /// Body-atom index → that atom lowered as a trigger, and how the group
+    /// key of the affected group is read once it matched (`None` when the
+    /// atom does not bind all of it: every group is then recomputed).
+    pub triggers: HashMap<usize, (AtomOps, Option<Vec<KeyOp>>)>,
+    /// The slot each component of a group key pre-binds in `group`'s frame
+    /// (`None` for a constant).
+    pub group_slots: Vec<Option<usize>>,
+    /// How `all_groups` reads a group key once the whole body matched.
+    pub body_key: Option<Vec<KeyOp>>,
+    /// The slot of the aggregated variable, when the rule binds it.
+    pub agg_slot: Option<usize>,
+}
+
+impl AggRulePlans {
+    fn compile(rule: &Rule, planned: bool) -> Self {
+        let vars = rule_vars(rule);
+        let mut body_bound = BTreeSet::new();
+        let mut triggers = HashMap::new();
+        for (i, item) in rule.body.iter().enumerate() {
+            match item {
+                BodyItem::Atom(a) => {
+                    let ops = AtomOps::lower(a, &BTreeSet::new(), &vars);
+                    triggers.insert(i, (ops, group_key_ops(rule, &a.variables(), &vars)));
+                    body_bound.extend(a.variables());
+                }
+                BodyItem::Assign(v, _) => {
+                    body_bound.insert(*v);
+                }
+                BodyItem::Constraint(..) => {}
+            }
+        }
+        let group_slots = group_terms(rule).map(|t| match t {
+            Some(Term::Var(v)) => Some(slot(&vars, *v)),
+            _ => None,
+        });
+        let agg_var = rule.head.aggregate().and_then(|(_, var, _)| var);
+        AggRulePlans {
+            group: compile_plan(rule, None, &group_bound_vars(rule), planned),
+            all_groups: compile_plan(rule, None, &BTreeSet::new(), planned),
+            output_cols: Vec::new(),
+            triggers,
+            group_slots: group_slots.collect(),
+            body_key: group_key_ops(rule, &body_bound, &vars),
+            agg_slot: agg_var.and_then(|v| vars.binary_search(&v).ok()),
+        }
+    }
 }
 
 /// Every compiled plan of a program, plus the union of index demands.
@@ -291,66 +567,39 @@ impl ProgramPlans {
     /// Compiles plans for every `(rule, trigger atom)` pair and every
     /// aggregate rule of `program`, collecting the index demands.
     pub fn compile(program: &Program) -> Self {
-        let mut out = ProgramPlans::default();
-        for (ri, rule) in program.rules.iter().enumerate() {
-            if rule.is_aggregate() {
-                let group = compile_body_plan(rule, &group_bound_vars(rule));
-                let all_groups = compile_body_plan(rule, &BTreeSet::new());
-                let output_cols = group_output_cols(rule);
-                // A location-only output key degenerates to a scan (cf.
-                // `bound_cols`).
-                let output_cols = if output_cols.len() > 1 {
-                    out.demand(rule.head.relation, output_cols.clone());
-                    output_cols
-                } else {
-                    Vec::new()
-                };
-                out.collect_demands(&group);
-                out.collect_demands(&all_groups);
-                out.aggregates.insert(
-                    ri,
-                    AggRulePlans {
-                        group,
-                        all_groups,
-                        output_cols,
-                    },
-                );
-            } else {
-                for (ai, item) in rule.body.iter().enumerate() {
-                    if !matches!(item, BodyItem::Atom(_)) {
-                        continue;
-                    }
-                    let plan = compile_trigger_plan(rule, ai);
-                    out.collect_demands(&plan);
-                    out.triggers.insert((ri, ai), plan);
-                }
-            }
-        }
-        out
+        Self::build(program, true)
     }
 
     /// Builds scan-only plans in body-atom order: execution is byte-identical
     /// to the historical nested-loop evaluation, and no index is maintained.
     /// This is the oracle side of the differential tests.
     pub fn disabled(program: &Program) -> Self {
+        Self::build(program, false)
+    }
+
+    fn build(program: &Program, planned: bool) -> Self {
         let mut out = ProgramPlans::default();
         for (ri, rule) in program.rules.iter().enumerate() {
             if rule.is_aggregate() {
-                out.aggregates.insert(
-                    ri,
-                    AggRulePlans {
-                        group: scan_only_body_plan(rule),
-                        all_groups: scan_only_body_plan(rule),
-                        output_cols: Vec::new(),
-                    },
-                );
+                let mut plans = AggRulePlans::compile(rule, planned);
+                // A location-only output key degenerates to a scan (cf.
+                // `bound_cols`).
+                let output_cols = group_output_cols(rule);
+                if planned && output_cols.len() > 1 {
+                    out.demand(rule.head.relation, output_cols.clone());
+                    plans.output_cols = output_cols;
+                }
+                out.collect_demands(&plans.group);
+                out.collect_demands(&plans.all_groups);
+                out.aggregates.insert(ri, plans);
             } else {
                 for (ai, item) in rule.body.iter().enumerate() {
                     if !matches!(item, BodyItem::Atom(_)) {
                         continue;
                     }
-                    out.triggers
-                        .insert((ri, ai), scan_only_trigger_plan(rule, ai));
+                    let plan = compile_plan(rule, Some(ai), &BTreeSet::new(), planned);
+                    out.collect_demands(&plan);
+                    out.triggers.insert((ri, ai), plan);
                 }
             }
         }
@@ -371,24 +620,6 @@ impl ProgramPlans {
             self.demand(relation, cols);
         }
     }
-}
-
-fn strip_probes(mut plan: JoinPlan) -> JoinPlan {
-    for level in &mut plan.levels {
-        level.cols.clear();
-        level.sources.clear();
-    }
-    plan.levels.sort_by_key(|l| l.body_idx);
-    plan.in_body_order = true;
-    plan
-}
-
-fn scan_only_trigger_plan(rule: &Rule, trigger_idx: usize) -> JoinPlan {
-    strip_probes(compile_trigger_plan(rule, trigger_idx))
-}
-
-fn scan_only_body_plan(rule: &Rule) -> JoinPlan {
-    strip_probes(compile_body_plan(rule, &BTreeSet::new()))
 }
 
 #[cfg(test)]
@@ -443,7 +674,7 @@ mod tests {
         assert!(bound.contains("S") && bound.contains("D"));
         let plan = compile_body_plan(pv3, &bound);
         assert_eq!(plan.levels[0].cols, vec![0, 1]);
-        assert_eq!(plan.levels[0].sources[0], KeySource::CurrentNode);
+        assert_eq!(plan.levels[0].key[0], KeyOp::Node);
         // With nothing pre-bound the location-only key degenerates to a scan.
         let all = compile_body_plan(pv3, &BTreeSet::new());
         assert!(!all.levels[0].probes());

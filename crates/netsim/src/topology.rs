@@ -83,6 +83,23 @@ pub struct Topology {
     adjacency: BTreeMap<NodeId, BTreeSet<NodeId>>,
 }
 
+/// A node reached by [`Topology::path_latency`]'s search: (latency,
+/// bottleneck bandwidth, node), ordered for a min-heap on latency.
+#[derive(PartialEq)]
+struct Entry(f64, f64, NodeId);
+impl Eq for Entry {}
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let reversed = other.0.partial_cmp(&self.0);
+        reversed.unwrap_or(std::cmp::Ordering::Equal)
+    }
+}
+
 impl Topology {
     /// Creates an empty topology with `num_nodes` nodes (ids `0..num_nodes`).
     pub fn empty(num_nodes: usize) -> Self {
@@ -213,40 +230,24 @@ impl Topology {
         if from == to {
             return Some((0.0, f64::INFINITY));
         }
-        use std::cmp::Ordering;
-        #[derive(PartialEq)]
-        struct Entry(f64, f64, NodeId); // (latency, bottleneck bw, node)
-        impl Eq for Entry {}
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Min-heap on latency via reversed comparison.
-                other.0.partial_cmp(&self.0).unwrap_or(Ordering::Equal)
-            }
-        }
-        let mut dist: BTreeMap<NodeId, f64> = BTreeMap::new();
+        // Best latency found so far per node: a dense array, since this runs
+        // on every remote send.
+        let mut dist = vec![f64::INFINITY; self.num_nodes.max(from as usize + 1)];
         let mut heap = std::collections::BinaryHeap::new();
         heap.push(Entry(0.0, f64::INFINITY, from));
         while let Some(Entry(lat, bw, node)) = heap.pop() {
             if node == to {
                 return Some((lat, bw));
             }
-            if let Some(&best) = dist.get(&node) {
-                if lat > best {
-                    continue;
-                }
+            if lat > dist[node as usize] {
+                continue;
             }
-            for m in self.neighbors(node) {
+            for &m in self.adjacency.get(&node).into_iter().flatten() {
                 let props = self.link(node, m).expect("adjacency implies link");
                 let nlat = lat + props.latency;
-                let nbw = bw.min(props.bandwidth);
-                if dist.get(&m).map_or(true, |&d| nlat < d) {
-                    dist.insert(m, nlat);
-                    heap.push(Entry(nlat, nbw, m));
+                if nlat < dist[m as usize] {
+                    dist[m as usize] = nlat;
+                    heap.push(Entry(nlat, bw.min(props.bandwidth), m));
                 }
             }
         }
@@ -549,8 +550,43 @@ mod tests {
         }
     }
 
+    /// The routine `path_latency` replaced, kept as its oracle: the same
+    /// search over a sparse distance map and a copied neighbour list.
+    fn path_latency_by_map(t: &Topology, from: NodeId, to: NodeId) -> Option<(f64, f64)> {
+        let mut dist: BTreeMap<NodeId, f64> = BTreeMap::new();
+        let mut heap = std::collections::BinaryHeap::new();
+        heap.push(Entry(0.0, f64::INFINITY, from));
+        while let Some(Entry(lat, bw, node)) = heap.pop() {
+            if node == to {
+                return Some((lat, bw));
+            }
+            if dist.get(&node).is_some_and(|&best| lat > best) {
+                continue;
+            }
+            for m in t.neighbors(node) {
+                let props = t.link(node, m).unwrap();
+                let nlat = lat + props.latency;
+                if dist.get(&m).map_or(true, |&d| nlat < d) {
+                    dist.insert(m, nlat);
+                    heap.push(Entry(nlat, bw.min(props.bandwidth), m));
+                }
+            }
+        }
+        None
+    }
+
     #[test]
     fn path_latency_follows_shortest_path() {
+        for t in [Topology::transit_stub(1, 42), Topology::line(4)] {
+            for (a, b) in t.nodes().flat_map(|a| t.nodes().map(move |b| (a, b))) {
+                let expected = if a == b {
+                    Some((0.0, f64::INFINITY))
+                } else {
+                    path_latency_by_map(&t, a, b)
+                };
+                assert_eq!(t.path_latency(a, b), expected, "{a}->{b}");
+            }
+        }
         let t = Topology::line(4); // 0-1-2-3, each 1 ms
         let (lat, bw) = t.path_latency(0, 3).unwrap();
         assert!((lat - 0.003).abs() < 1e-9);

@@ -45,7 +45,6 @@
 use crate::plugin::{AnnotationPolicy, ExternalSink};
 use crate::shard::{RuleData, Shard};
 use exspan_ndlog::ast::{BodyItem, Program};
-use exspan_ndlog::eval::FuncRegistry;
 use exspan_ndlog::plan::ProgramPlans;
 use exspan_netsim::{
     LinkClass, LinkProps, RoutedEvent, ShardView, Simulator, Topology, TrafficStats,
@@ -265,12 +264,16 @@ impl Engine {
             .collect();
         let num_shards = config.shards.max(1);
         let assignment = Arc::new(topology.partition_rendezvous(num_shards));
+        let mut rule_by_label = HashMap::new();
+        for (ri, rule) in program.rules.iter().enumerate() {
+            rule_by_label.entry(rule.label).or_insert(ri);
+        }
         let data = Arc::new(RuleData {
+            rule_by_label,
             rules: program.rules,
             triggers,
             plans,
             agg_recompute: Symbol::intern(AGG_RECOMPUTE_EVENT),
-            funcs: FuncRegistry::new(),
             config,
             aggregate_provenance,
         });

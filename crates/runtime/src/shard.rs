@@ -23,19 +23,72 @@
 use crate::engine::{EngineConfig, Payload, Step};
 use crate::plugin::{AnnotationPolicy, AnnotationToken};
 use crate::table::{DeleteEffect, InsertEffect, TableStore};
-use exspan_ndlog::ast::{AggFunc, Atom, BodyItem, Expr, HeadArg, Rule, Term};
-use exspan_ndlog::eval::{eval_cmp, eval_expr, Bindings, EvalError, FuncRegistry};
+use exspan_ndlog::ast::{AggFunc, Rule};
+use exspan_ndlog::eval::EvalError;
 use exspan_ndlog::is_event_predicate;
-use exspan_ndlog::plan::{JoinLevel, JoinPlan, KeySource, ProgramPlans};
+use exspan_ndlog::plan::{AggRulePlans, JoinPlan, KeyOp, ProgramPlans};
 use exspan_netsim::{RoutedEvent, Simulator};
 use exspan_types::{wire, NodeId, RelId, Symbol, Tuple, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Leaf callback of the plan executor: receives the shard, the completed
-/// bindings and the grounded candidate tuples in body-atom slots.
-type PlanSink<'a> = dyn FnMut(&Shard, Bindings, &[Option<Arc<Tuple>>]) + 'a;
+/// Leaf callback of the plan executor: receives the buffers, whose frame
+/// holds a satisfying assignment.
+type PlanSink<'a> = dyn FnMut(&mut Scratch) + 'a;
+
+/// A finished evaluation: the grounded inputs in body-atom order (left empty
+/// when nothing reads them) and what the assignment derived.
+type Derived<T> = (Vec<Arc<Tuple>>, T);
+
+/// The executor's reusable buffers, so that a firing allocates only what it
+/// derives.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// The rule's variable slots; candidates overwrite them on backtrack.
+    frame: Vec<Value>,
+    /// The probe key of the level being entered.
+    key: Vec<Value>,
+    /// The candidate grounded at each body position — tracked only for an
+    /// annotation policy, aggregate provenance or a reordered plan.
+    inputs: Vec<Option<Arc<Tuple>>>,
+    /// The triggers of the delta being fired, copied out of the shared rule
+    /// data so that firing them can borrow the shard mutably.
+    triggers: Vec<(usize, usize)>,
+    /// The heads one rule firing derived, awaiting emission.
+    fired: Vec<Derived<Tuple>>,
+}
+
+impl Scratch {
+    /// Makes room for `len` slots.  Old values stay: which slots are bound
+    /// at each point of a rule is static, so none is read before it is
+    /// written.
+    fn size_frame(&mut self, len: usize) {
+        if self.frame.len() < len {
+            self.frame.resize(len, Value::Bool(false));
+        }
+    }
+
+    /// Sizes the buffers for one run of `plan` over a body of `body_len`
+    /// items; returns whether the grounded inputs are tracked: when `wanted`,
+    /// or when a reordered plan must restore the canonical order by them.
+    fn begin(&mut self, plan: &JoinPlan, body_len: usize, wanted: bool) -> bool {
+        self.size_frame(plan.frame_len);
+        let track = wanted || !plan.in_body_order;
+        self.inputs.clear();
+        self.inputs.resize(if track { body_len } else { 0 }, None);
+        track
+    }
+
+    /// The tracked inputs, in body-atom order.
+    fn grounded(&self) -> Vec<Arc<Tuple>> {
+        self.inputs.iter().flatten().cloned().collect()
+    }
+}
+
+fn read_key(ops: &[KeyOp], node: NodeId, frame: &[Value]) -> Vec<Value> {
+    ops.iter().map(|op| op.read(node, frame)).collect()
+}
 
 /// Rule program data shared (read-only) by all shards.
 pub(crate) struct RuleData {
@@ -45,9 +98,11 @@ pub(crate) struct RuleData {
     /// Compiled join plans for every (rule, trigger) pair and aggregate rule,
     /// plus the secondary-index demands the table stores maintain.
     pub plans: ProgramPlans,
+    /// Rule label → index of the first rule carrying it (what an
+    /// aggregate-recompute event names its rule by).
+    pub rule_by_label: HashMap<Symbol, usize>,
     /// Interned name of the internal aggregate-recompute event.
     pub agg_recompute: RelId,
-    pub funcs: FuncRegistry,
     pub config: EngineConfig,
     /// Whether aggregate rule firings maintain `prov`/`ruleExec` entries (the
     /// program declares both tables).
@@ -86,6 +141,7 @@ pub(crate) struct Shard {
     /// `EngineConfig::track_compressed` is on; never feeds the flat
     /// `TrafficStats` the figures are built on.
     pub(crate) compressed_bytes: u64,
+    scratch: Scratch,
 }
 
 impl Shard {
@@ -106,6 +162,7 @@ impl Shard {
             processed: 0,
             eval_errors: std::cell::Cell::new(0),
             compressed_bytes: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -238,158 +295,133 @@ impl Shard {
     }
 
     fn fire_rules(&mut self, node: NodeId, tuple: &Arc<Tuple>, insert: bool) {
-        // Borrow the trigger list out of a cloned `Arc` handle rather than
-        // cloning the Vec itself: this runs once per delta.
-        let data = Arc::clone(&self.data);
-        let Some(trigger_list) = data.triggers.get(&tuple.relation) else {
-            return;
-        };
-        for &(rule_idx, atom_idx) in trigger_list {
-            let rule = &data.rules[rule_idx];
-            if rule.is_aggregate() {
-                self.schedule_aggregate_recompute(rule, node, tuple, atom_idx);
-            } else {
-                self.fire_rule(rule, rule_idx, node, tuple, atom_idx, insert);
+        let mut s = std::mem::take(&mut self.scratch);
+        s.triggers.clear();
+        if let Some(list) = self.data.triggers.get(&tuple.relation) {
+            s.triggers.extend_from_slice(list);
+        }
+        for i in 0..s.triggers.len() {
+            let (rule_idx, atom_idx) = s.triggers[i];
+            let rule = &self.data.rules[rule_idx];
+            let label = rule.label;
+            let recompute = match self.data.plans.aggregates.get(&rule_idx) {
+                Some(plans) => self.recompute_event(rule, plans, node, tuple, atom_idx, &mut s),
+                None => {
+                    self.evaluate_trigger(rule, rule_idx, node, tuple, atom_idx, &mut s);
+                    None
+                }
+            };
+            if let Some(event) = recompute {
+                let tuple = Arc::new(event);
+                self.sim.schedule_local(
+                    node,
+                    Payload::Delta {
+                        tuple,
+                        insert: true,
+                        token: None,
+                    },
+                );
+            }
+            // One head delta per satisfying assignment.
+            for (inputs, head) in s.fired.drain(..) {
+                let head = Arc::new(head);
+                let token = self.note_derivation(label, node, &inputs, &head, insert);
+                self.dispatch_delta(node, head, insert, token);
             }
         }
+        self.scratch = s;
     }
 
-    /// Fires a non-aggregate rule triggered by `tuple` bound at body atom
-    /// `atom_idx`, emitting one head delta per satisfying assignment.
-    fn fire_rule(
-        &mut self,
-        rule: &Rule,
-        rule_idx: usize,
-        node: NodeId,
-        tuple: &Arc<Tuple>,
-        atom_idx: usize,
-        insert: bool,
-    ) {
-        let derivations = self.evaluate_rule_with_trigger(rule, rule_idx, node, tuple, atom_idx);
-        for (inputs, head) in derivations {
-            self.emit_derivation(rule, node, &inputs, head, insert);
-        }
-    }
-
-    /// Evaluates a rule body with `tuple` bound at `atom_idx` by executing
-    /// the compiled join plan, returning the grounded input tuples (in
-    /// body-atom order) and the head tuple for each satisfying assignment —
-    /// in the exact sequence the historical nested-loop scan produced.
-    fn evaluate_rule_with_trigger(
+    /// Evaluates a non-aggregate rule body with `tuple` bound at `atom_idx`
+    /// by executing the compiled join plan, leaving in `s.fired` the head
+    /// tuple of each satisfying assignment (with the grounded input tuples
+    /// in body-atom order, when tracked) — in the exact sequence the
+    /// historical nested-loop scan produced.
+    fn evaluate_trigger(
         &self,
         rule: &Rule,
         rule_idx: usize,
         node: NodeId,
         tuple: &Arc<Tuple>,
         atom_idx: usize,
-    ) -> Vec<(Vec<Arc<Tuple>>, Tuple)> {
-        let BodyItem::Atom(trigger_atom) = &rule.body[atom_idx] else {
-            return Vec::new();
-        };
-        let Some(mut bindings) = unify_atom(trigger_atom, tuple, &Bindings::new()) else {
-            return Vec::new();
-        };
-        // The body is localized: the trigger's location must be this node.
-        if tuple.location != node {
-            return Vec::new();
-        }
-        // Ensure the location variable is bound to this node.
-        if let Term::Var(v) = &trigger_atom.location {
-            bindings.insert(*v, Value::Node(node));
-        }
-
+        s: &mut Scratch,
+    ) {
         let Some(plan) = self.data.plans.triggers.get(&(rule_idx, atom_idx)) else {
-            return Vec::new();
+            return;
         };
         // Transient event atoms are never materialized: nothing to join.
-        if plan.dead {
-            return Vec::new();
+        // The body is localized: the trigger's location must be this node.
+        if plan.dead || tuple.location != node {
+            return;
         }
-
-        let mut results: Vec<(Vec<Arc<Tuple>>, Tuple)> = Vec::new();
-        let mut slots: Vec<Option<Arc<Tuple>>> = vec![None; rule.body.len()];
-        slots[atom_idx] = Some(Arc::clone(tuple));
-        self.run_plan(
-            rule,
-            plan,
-            node,
-            0,
-            bindings,
-            &mut slots,
-            false,
-            &mut |shard, bindings, slots| {
-                if let Some((inputs, head)) = shard.finish_rule(rule, bindings, slots) {
-                    results.push((inputs, head));
-                }
-            },
-        );
+        let track = s.begin(plan, rule.body.len(), self.policy.is_some());
+        let Some(trigger) = &plan.trigger else {
+            return;
+        };
+        if !trigger.matches(tuple, &mut s.frame) {
+            return;
+        }
+        if track {
+            s.inputs[atom_idx] = Some(Arc::clone(tuple));
+        }
+        self.run_levels(rule, plan, node, 0, s, &mut |s| {
+            let head = plan.derive(rule.head.relation, &s.frame);
+            if let Some(head) = self.noted(rule, head).flatten() {
+                s.fired.push((s.grounded(), head));
+            }
+        });
         if !plan.in_body_order {
-            self.restore_canonical_order(&mut results, |r| &r.0);
+            self.restore_canonical_order(&mut s.fired);
         }
-        results
     }
 
-    /// Executes one level of a compiled join plan: probes the demanded index
-    /// when every key column is bound (falling back to a canonical scan
-    /// otherwise) and unifies each candidate, recursing per match.
-    ///
-    /// `local_only` marks the aggregate evaluation contexts, which restrict
-    /// every candidate to the evaluating node.  The sink receives the
-    /// completed bindings and the grounded tuples in body-atom slots.
-    #[allow(clippy::too_many_arguments)]
-    fn run_plan(
+    /// Executes the levels of a compiled join plan from `depth` down: probes
+    /// the demanded index when the key can be built (falling back to a
+    /// canonical scan otherwise) and unifies each candidate into the frame,
+    /// recursing per match; past the last level, applies the guards and
+    /// hands the frame to `sink`.  A plan without a trigger is one of the
+    /// aggregate evaluation contexts, which restrict every candidate to the
+    /// evaluating node.
+    fn run_levels(
         &self,
         rule: &Rule,
         plan: &JoinPlan,
         node: NodeId,
         depth: usize,
-        bindings: Bindings,
-        slots: &mut Vec<Option<Arc<Tuple>>>,
-        local_only: bool,
+        s: &mut Scratch,
         sink: &mut PlanSink<'_>,
     ) {
-        if depth == plan.levels.len() {
-            sink(self, bindings, slots);
-            return;
-        }
-        let level = &plan.levels[depth];
-        let BodyItem::Atom(atom) = &rule.body[level.body_idx] else {
+        let Some(level) = plan.levels.get(depth) else {
+            if self.noted(rule, plan.guards_hold(&mut s.frame)) == Some(true) {
+                sink(s);
+            }
             return;
         };
         let Some(table) = self.store.table(node, level.relation) else {
             return;
         };
+        let probe = match level.probe_key(node, &s.frame, &mut s.key) {
+            true => table.probe(&level.cols, &s.key),
+            false => None,
+        };
+        let local_only = plan.trigger.is_none();
         let mut visit = |candidate: &Arc<Tuple>| {
             if local_only && candidate.location != node {
                 return;
             }
-            if let Some(new_bindings) = unify_atom(atom, candidate, &bindings) {
-                slots[level.body_idx] = Some(Arc::clone(candidate));
-                self.run_plan(
-                    rule,
-                    plan,
-                    node,
-                    depth + 1,
-                    new_bindings,
-                    slots,
-                    local_only,
-                    sink,
-                );
-                slots[level.body_idx] = None;
+            if level.atom.matches(candidate, &mut s.frame) {
+                if let Some(input) = s.inputs.get_mut(level.body_idx) {
+                    *input = Some(Arc::clone(candidate));
+                }
+                self.run_levels(rule, plan, node, depth + 1, s, sink);
             }
         };
-        match probe_key(level, node, &bindings) {
-            Some(key) => match table.probe(&level.cols, &key) {
-                Some(iter) => iter.for_each(&mut visit),
-                None => table.scan().for_each(&mut visit),
-            },
+        match probe {
+            Some(iter) => iter.for_each(&mut visit),
             None => table.scan().for_each(&mut visit),
         }
     }
 
-    /// Applies assignments and constraints over completed bindings,
-    /// returning the fully-bound set (the shared leaf step of both the
-    /// trigger-join and aggregate evaluation paths).
     /// Records an evaluation error observed while pruning a candidate
     /// binding.  `TypeError`/`ArityError` are data-dependent and legitimately
     /// reject candidates; `UnboundVariable`/`UnknownFunction` are statically
@@ -410,59 +442,9 @@ impl Shard {
         }
     }
 
-    fn eval_or_note(&self, rule: &Rule, expr: &Expr, bindings: &Bindings) -> Option<Value> {
-        match eval_expr(expr, bindings, &self.data.funcs) {
-            Ok(v) => Some(v),
-            Err(e) => {
-                self.note_eval_error(rule, &e);
-                None
-            }
-        }
-    }
-
-    fn apply_guards(&self, rule: &Rule, mut bindings: Bindings) -> Option<Bindings> {
-        for item in &rule.body {
-            match item {
-                BodyItem::Assign(var, expr) => {
-                    let value = self.eval_or_note(rule, expr, &bindings)?;
-                    // An assignment to an already-bound variable acts as an
-                    // equality constraint (standard Datalog convention).
-                    if let Some(existing) = bindings.get(*var) {
-                        if *existing != value {
-                            return None;
-                        }
-                    } else {
-                        bindings.insert(*var, value);
-                    }
-                }
-                BodyItem::Constraint(op, lhs, rhs) => {
-                    let l = self.eval_or_note(rule, lhs, &bindings)?;
-                    let r = self.eval_or_note(rule, rhs, &bindings)?;
-                    // A comparison failure here is always type-driven
-                    // (`eval_cmp` cannot see unbound variables), so it is a
-                    // legitimate data-dependent rejection, not counted.
-                    if !eval_cmp(*op, &l, &r).ok()? {
-                        return None;
-                    }
-                }
-                BodyItem::Atom(_) => {}
-            }
-        }
-        Some(bindings)
-    }
-
-    /// Applies assignments and constraints, then constructs the head tuple.
-    /// The grounded inputs are read out of the body-ordered slots directly —
-    /// no per-derivation copy-and-sort.
-    fn finish_rule(
-        &self,
-        rule: &Rule,
-        bindings: Bindings,
-        slots: &[Option<Arc<Tuple>>],
-    ) -> Option<(Vec<Arc<Tuple>>, Tuple)> {
-        let bindings = self.apply_guards(rule, bindings)?;
-        let head = self.build_head(rule, &bindings)?;
-        Some((slots.iter().flatten().cloned().collect(), head))
+    /// Unwraps an evaluation result, noting the error of a failed one.
+    fn noted<T>(&self, rule: &Rule, result: Result<T, EvalError>) -> Option<T> {
+        result.map_err(|e| self.note_eval_error(rule, &e)).ok()
     }
 
     /// Restores the canonical (body-atom-ordered nested-loop) result
@@ -472,94 +454,34 @@ impl Shard {
     /// comparing grounded inputs row-key-wise reconstructs — so emitted
     /// deltas keep their execution-independent sequence numbers and every
     /// figure stays byte-identical.
-    fn restore_canonical_order<T>(
+    fn restore_canonical_order<T>(&self, results: &mut [Derived<T>]) {
+        results.sort_by(|a, b| self.canonical_cmp(a.0.iter(), b.0.iter()));
+    }
+
+    /// Compares two assignments of one plan by their grounded inputs, in the
+    /// order the body-ordered nested-loop scan enumerates them.
+    fn canonical_cmp<'a>(
         &self,
-        results: &mut [T],
-        inputs_of: impl Fn(&T) -> &Vec<Arc<Tuple>>,
-    ) {
-        if results.len() < 2 {
-            return;
-        }
-        // Every result grounds the same relation at each body slot, so the
-        // per-slot key specs can be resolved once, not per comparison.
-        let specs: Vec<&[usize]> = inputs_of(&results[0])
-            .iter()
-            .map(|t| self.store.key_spec(t.relation))
-            .collect();
-        results.sort_by(|a, b| {
-            let (a, b) = (inputs_of(a), inputs_of(b));
-            for ((x, y), spec) in a.iter().zip(b.iter()).zip(&specs) {
-                match row_key_cmp(spec, x, y) {
-                    Ordering::Equal => {}
-                    other => return other,
-                }
-            }
-            a.len().cmp(&b.len())
-        });
-    }
-
-    /// Looks up a head variable, counting the (statically impossible)
-    /// unbound case via [`Shard::note_eval_error`].
-    fn head_binding<'b>(
-        &self,
-        rule: &Rule,
-        bindings: &'b Bindings,
-        v: Symbol,
-    ) -> Option<&'b Value> {
-        let value = bindings.get(v);
-        if value.is_none() {
-            self.note_eval_error(rule, &EvalError::UnboundVariable(v.as_str().to_string()));
-        }
-        value
-    }
-
-    fn build_head(&self, rule: &Rule, bindings: &Bindings) -> Option<Tuple> {
-        let loc = match &rule.head.location {
-            Term::Var(v) => self.head_binding(rule, bindings, *v)?.as_node().ok()?,
-            Term::Const(Value::Node(n)) => *n,
-            Term::Const(Value::Int(n)) => *n as NodeId,
-            Term::Const(_) => return None,
-        };
-        let mut values = Vec::with_capacity(rule.head.args.len());
-        for arg in &rule.head.args {
-            match arg {
-                HeadArg::Term(Term::Var(v)) => {
-                    values.push(self.head_binding(rule, bindings, *v)?.clone());
-                }
-                HeadArg::Term(Term::Const(c)) => values.push(c.clone()),
-                HeadArg::Expr(e) => values.push(self.eval_or_note(rule, e, bindings)?),
-                HeadArg::Aggregate(_, _) => return None,
-            }
-        }
-        Some(Tuple::new(rule.head.relation, loc, values))
-    }
-
-    /// Emits the head delta of a (non-aggregate) rule firing: notifies the
-    /// annotation policy, then enqueues locally or ships to the head node.
-    fn emit_derivation(
-        &mut self,
-        rule: &Rule,
-        node: NodeId,
-        inputs: &[Arc<Tuple>],
-        head: Tuple,
-        insert: bool,
-    ) {
-        let head = Arc::new(head);
-        let token = self.note_derivation(rule, node, inputs, &head, insert);
-        self.dispatch_delta(node, head, insert, token);
+        a: impl Iterator<Item = &'a Arc<Tuple>>,
+        b: impl Iterator<Item = &'a Arc<Tuple>>,
+    ) -> Ordering {
+        let mut keys = a
+            .zip(b)
+            .map(|(x, y)| row_key_cmp(self.store.key_spec(x.relation), x, y));
+        keys.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
     }
 
     /// Reports one rule firing to the annotation policy, if there is one.
     fn note_derivation(
         &mut self,
-        rule: &Rule,
+        label: Symbol,
         node: NodeId,
         inputs: &[Arc<Tuple>],
         output: &Tuple,
         insert: bool,
     ) -> Option<AnnotationToken> {
         let policy = self.policy.as_mut()?;
-        policy.on_derivation(node, rule.label.as_str(), inputs, output, insert)
+        policy.on_derivation(node, label.as_str(), inputs, output, insert)
     }
 
     /// Sends or locally enqueues a delta for `head` produced at `node`.
@@ -619,8 +541,8 @@ impl Shard {
     // Aggregates
     // ------------------------------------------------------------------
 
-    /// Schedules a (local) recomputation of the aggregate group(s) affected
-    /// by a delta.
+    /// The event that schedules a (local) recomputation of the aggregate
+    /// group(s) affected by a delta at body atom `atom_idx`.
     ///
     /// The recomputation itself runs as a separate queued event
     /// ([`crate::engine::AGG_RECOMPUTE_EVENT`]) rather than synchronously:
@@ -629,40 +551,27 @@ impl Shard {
     /// table when the comparison against the currently stored output is made.
     /// A synchronous recomputation could read a stale output value and emit
     /// contradictory retractions, which prevents convergence.
-    fn schedule_aggregate_recompute(
-        &mut self,
+    fn recompute_event(
+        &self,
         rule: &Rule,
+        plans: &AggRulePlans,
         node: NodeId,
         tuple: &Tuple,
         atom_idx: usize,
-    ) {
-        let Some((_, _, agg_pos)) = rule.head.aggregate() else {
-            return;
-        };
-        let BodyItem::Atom(trigger_atom) = &rule.body[atom_idx] else {
-            return;
-        };
-        let Some(bindings) = unify_atom(trigger_atom, tuple, &Bindings::new()) else {
-            return;
-        };
-        if tuple.location != node {
-            return;
+        s: &mut Scratch,
+    ) -> Option<Tuple> {
+        let (atom, key) = plans.triggers.get(&atom_idx)?;
+        s.size_frame(plans.group.frame_len);
+        if !atom.matches(tuple, &mut s.frame) || tuple.location != node {
+            return None;
         }
         // An empty group key means "recompute every group of this rule".
-        let group_key = self.group_key(rule, &bindings, agg_pos).unwrap_or_default();
-        let event = Tuple::new(
-            self.data.agg_recompute,
-            node,
-            vec![Value::Str(rule.label), Value::list(group_key)],
-        );
-        self.sim.schedule_local(
-            node,
-            Payload::Delta {
-                tuple: Arc::new(event),
-                insert: true,
-                token: None,
-            },
-        );
+        let group_key = key.as_ref().map(|ops| read_key(ops, node, &s.frame));
+        let values = vec![
+            Value::Str(rule.label),
+            Value::list(group_key.unwrap_or_default()),
+        ];
+        Some(Tuple::new(self.data.agg_recompute, node, values))
     }
 
     /// Handles a queued aggregate-recomputation event.
@@ -670,204 +579,121 @@ impl Shard {
         let Ok(label) = event.values[0].as_symbol() else {
             return;
         };
-        let Ok(group_key) = event.values[1].as_list().map(<[Value]>::to_vec) else {
+        let Ok(group_key) = event.values[1].as_list() else {
             return;
         };
         let data = Arc::clone(&self.data);
-        let Some((rule_idx, rule)) = data
-            .rules
-            .iter()
-            .enumerate()
-            .find(|(_, r)| r.label == label)
-        else {
+        let Some(&rule_idx) = data.rule_by_label.get(&label) else {
             return;
         };
-        let Some((func, agg_var, agg_pos)) = rule.head.aggregate() else {
+        let Some(plans) = data.plans.aggregates.get(&rule_idx) else {
             return;
         };
+        let rule = &data.rules[rule_idx];
+        let mut s = std::mem::take(&mut self.scratch);
         if group_key.is_empty() {
-            let groups = self.all_groups(rule, rule_idx, node, agg_pos);
-            for g in groups {
-                self.recompute_group(rule, rule_idx, node, func, agg_var, agg_pos, &g);
+            for g in self.all_groups(rule, plans, node, &mut s) {
+                self.recompute_group(rule, plans, node, &g, &mut s);
             }
         } else {
-            self.recompute_group(rule, rule_idx, node, func, agg_var, agg_pos, &group_key);
+            self.recompute_group(rule, plans, node, group_key, &mut s);
         }
+        self.scratch = s;
     }
 
-    /// The group key is the head location plus every non-aggregate head
-    /// argument, evaluated under `bindings`.
-    fn group_key(&self, rule: &Rule, bindings: &Bindings, agg_pos: usize) -> Option<Vec<Value>> {
-        let mut key = Vec::new();
-        match &rule.head.location {
-            Term::Var(v) => key.push(bindings.get(*v)?.clone()),
-            Term::Const(c) => key.push(c.clone()),
-        }
-        for (i, arg) in rule.head.args.iter().enumerate() {
-            if i == agg_pos {
-                continue;
-            }
-            match arg {
-                HeadArg::Term(Term::Var(v)) => key.push(bindings.get(*v)?.clone()),
-                HeadArg::Term(Term::Const(c)) => key.push(c.clone()),
-                _ => return None,
-            }
-        }
-        Some(key)
-    }
-
-    /// Enumerates all group keys derivable at `node` for an aggregate rule.
+    /// Enumerates all group keys derivable at `node` for an aggregate rule —
+    /// the head location plus every non-aggregate head argument, read out of
+    /// each assignment of the whole body.
     fn all_groups(
         &self,
         rule: &Rule,
-        rule_idx: usize,
+        plans: &AggRulePlans,
         node: NodeId,
-        agg_pos: usize,
+        s: &mut Scratch,
     ) -> Vec<Vec<Value>> {
-        let plan = self
-            .data
-            .plans
-            .aggregates
-            .get(&rule_idx)
-            .map(|p| &p.all_groups);
-        let mut groups: Vec<Vec<Value>> = Vec::new();
-        for (bindings, _inputs) in self.evaluate_rule_body(rule, plan, node, &Bindings::new()) {
-            if let Some(k) = self.group_key(rule, &bindings, agg_pos) {
-                if !groups.contains(&k) {
-                    groups.push(k);
+        let plan = &plans.all_groups;
+        let mut found: Vec<Derived<Vec<Value>>> = Vec::new();
+        if !plan.dead {
+            s.begin(plan, rule.body.len(), false);
+            self.run_levels(rule, plan, node, 0, s, &mut |s| {
+                if let Some(ops) = &plans.body_key {
+                    found.push((s.grounded(), read_key(ops, node, &s.frame)));
                 }
+            });
+        }
+        if !plan.in_body_order {
+            self.restore_canonical_order(&mut found);
+        }
+        let mut groups: Vec<Vec<Value>> = Vec::new();
+        for (_, k) in found {
+            if !groups.contains(&k) {
+                groups.push(k);
             }
         }
         groups
     }
 
-    /// Pre-binds the head variables that form a group key, so aggregate
-    /// recomputation only enumerates the affected group rather than the whole
-    /// table (essential for performance: one delta must not trigger a scan of
-    /// every group at the node).
-    fn group_bindings(&self, rule: &Rule, group_key: &[Value], agg_pos: usize) -> Bindings {
-        let mut bindings = Bindings::new();
-        if let Term::Var(v) = &rule.head.location {
-            bindings.insert(*v, group_key[0].clone());
-        }
-        let mut key_iter = group_key.iter().skip(1);
-        for (i, arg) in rule.head.args.iter().enumerate() {
-            if i == agg_pos {
-                continue;
-            }
-            let key_val = key_iter.next();
-            if let (HeadArg::Term(Term::Var(v)), Some(value)) = (arg, key_val) {
-                bindings.insert(*v, value.clone());
-            }
-        }
-        bindings
-    }
-
-    /// Evaluates the whole rule body at `node` under `initial` bindings by
-    /// executing `plan`, returning every satisfying assignment with its
-    /// grounded input tuples (in body-atom order, in the canonical scan
-    /// enumeration sequence).
-    fn evaluate_rule_body(
-        &self,
-        rule: &Rule,
-        plan: Option<&JoinPlan>,
-        node: NodeId,
-        initial: &Bindings,
-    ) -> Vec<(Bindings, Vec<Arc<Tuple>>)> {
-        let Some(plan) = plan else {
-            return Vec::new();
-        };
-        if plan.dead {
-            return Vec::new();
-        }
-        let mut results: Vec<(Bindings, Vec<Arc<Tuple>>)> = Vec::new();
-        let mut slots: Vec<Option<Arc<Tuple>>> = vec![None; rule.body.len()];
-        self.run_plan(
-            rule,
-            plan,
-            node,
-            0,
-            initial.clone(),
-            &mut slots,
-            true,
-            &mut |shard, bindings, slots| {
-                if let Some(complete) = shard.apply_guards(rule, bindings) {
-                    results.push((complete, slots.iter().flatten().cloned().collect()));
-                }
-            },
-        );
-        if !plan.in_body_order {
-            self.restore_canonical_order(&mut results, |r| &r.1);
-        }
-        results
-    }
-
     /// Recomputes one aggregate group and reconciles its output tuple.
-    #[allow(clippy::too_many_arguments)]
     fn recompute_group(
         &mut self,
         rule: &Rule,
-        rule_idx: usize,
+        plans: &AggRulePlans,
         node: NodeId,
-        func: AggFunc,
-        agg_var: Option<Symbol>,
-        agg_pos: usize,
         group_key: &[Value],
+        s: &mut Scratch,
     ) {
-        // Gather all bindings for this group.  Pre-binding the group-key
-        // variables restricts the enumeration to the affected group, and the
-        // compiled group plan turns the restriction into index probes.
-        let initial = self.group_bindings(rule, group_key, agg_pos);
-        let plan = self.data.plans.aggregates.get(&rule_idx).map(|p| &p.group);
-        let all = self.evaluate_rule_body(rule, plan, node, &initial);
-        let mut in_group: Vec<(Bindings, Vec<Arc<Tuple>>)> = Vec::new();
-        for (b, inputs) in all {
-            if let Some(k) = self.group_key(rule, &b, agg_pos) {
-                if k == group_key {
-                    in_group.push((b, inputs));
-                }
-            }
-        }
-
-        // Compute the aggregate value and the winning binding (for MIN/MAX
-        // provenance, the winning tuple is the provenance child; for COUNT the
-        // first binding is used as a representative).
-        let new_output: Option<(Value, usize)> = match func {
-            AggFunc::Count => {
-                if in_group.is_empty() {
-                    None
-                } else {
-                    Some((Value::Int(in_group.len() as i64), 0))
-                }
-            }
-            AggFunc::Min | AggFunc::Max => {
-                let Some(var) = agg_var else {
-                    return;
-                };
-                let mut best: Option<(i64, usize)> = None;
-                for (i, (b, _)) in in_group.iter().enumerate() {
-                    let Some(Value::Int(v)) = b.get(var).cloned() else {
-                        continue;
-                    };
-                    best = match best {
-                        None => Some((v, i)),
-                        Some((cur, ci)) => {
-                            let better = match func {
-                                AggFunc::Min => v < cur,
-                                AggFunc::Max => v > cur,
-                                AggFunc::Count => false,
-                            };
-                            if better {
-                                Some((v, i))
-                            } else {
-                                Some((cur, ci))
-                            }
-                        }
-                    };
-                }
-                best.map(|(v, i)| (Value::Int(v), i))
-            }
+        let Some((func, agg_var, agg_pos)) = rule.head.aggregate() else {
+            return;
         };
+        if func != AggFunc::Count && agg_var.is_none() {
+            return;
+        }
+        // Enumerate this group's assignments.  Pre-binding the group-key
+        // variables restricts the enumeration to the affected group
+        // (essential for performance: one delta must not trigger a scan of
+        // every group at the node), and the compiled group plan turns the
+        // restriction into index probes.  The fold keeps the aggregate value
+        // and the inputs of the winning assignment (for MIN/MAX provenance,
+        // the winning tuple is the provenance child; for COUNT the first
+        // assignment is used as a representative) — first in canonical
+        // order among equals, whatever order the plan enumerates in.
+        let plan = &plans.group;
+        let mut count = 0i64;
+        let mut best: Option<(i64, Vec<Arc<Tuple>>)> = None;
+        if !plan.dead {
+            let wanted = self.policy.is_some() || self.data.aggregate_provenance;
+            s.begin(plan, rule.body.len(), wanted);
+            for (slot, value) in plans.group_slots.iter().zip(group_key) {
+                if let Some(slot) = slot {
+                    s.frame[*slot] = value.clone();
+                }
+            }
+            self.run_levels(rule, plan, node, 0, s, &mut |s| {
+                count += 1;
+                let value = match (func, plans.agg_slot.map(|slot| &s.frame[slot])) {
+                    (AggFunc::Count, _) => 0,
+                    (_, Some(Value::Int(v))) => *v,
+                    _ => return,
+                };
+                let better = best
+                    .as_ref()
+                    .map_or(true, |(cur, inputs)| match value.cmp(cur) {
+                        Ordering::Equal if plan.in_body_order => false,
+                        Ordering::Equal => self
+                            .canonical_cmp(s.inputs.iter().flatten(), inputs.iter())
+                            .is_lt(),
+                        ord => ord.is_gt() == (func == AggFunc::Max),
+                    });
+                if better {
+                    best = Some((value, s.grounded()));
+                }
+            });
+        }
+        let new_output = match func {
+            AggFunc::Count => (count > 0).then_some(Value::Int(count)),
+            AggFunc::Min | AggFunc::Max => best.as_ref().map(|(v, _)| Value::Int(*v)),
+        };
+        let winning_inputs = best.map_or_else(Vec::new, |(_, inputs)| inputs);
 
         // Current output for this group, if any.
         let loc = match &group_key[0] {
@@ -875,9 +701,9 @@ impl Shard {
             Value::Int(n) => *n as NodeId,
             _ => return,
         };
-        let current = self.find_group_output(rule, rule_idx, node, group_key, agg_pos);
+        let current = self.find_group_output(rule, plans, node, group_key, agg_pos);
 
-        let new_tuple = new_output.as_ref().map(|(value, _)| {
+        let new_tuple = new_output.map(|value| {
             let mut values = Vec::with_capacity(rule.head.args.len());
             let mut key_iter = group_key.iter().skip(1);
             for (i, _) in rule.head.args.iter().enumerate() {
@@ -912,17 +738,13 @@ impl Shard {
                     self.dispatch_delta(node, exec_t, false, None);
                 }
             }
-            let token = self.note_derivation(rule, node, &[], &old, false);
+            let token = self.note_derivation(rule.label, node, &[], &old, false);
             self.dispatch_delta(node, old, false, token);
         }
 
         // Assert the new output.
-        if let (Some(new_t), Some((_, winner_idx))) = (new_tuple, new_output) {
-            let winning_inputs = in_group
-                .get(winner_idx)
-                .map(|(_, inputs)| inputs.clone())
-                .unwrap_or_default();
-            let token = self.note_derivation(rule, node, &winning_inputs, &new_t, true);
+        if let Some(new_t) = new_tuple {
+            let token = self.note_derivation(rule.label, node, &winning_inputs, &new_t, true);
             if self.data.aggregate_provenance {
                 let vids: Vec<_> = winning_inputs.iter().map(|t| t.vid()).collect();
                 let rid = exspan_types::tuple::rule_exec_id(rule.label.as_str(), node, &vids);
@@ -968,7 +790,7 @@ impl Shard {
     fn find_group_output(
         &self,
         rule: &Rule,
-        rule_idx: usize,
+        plans: &AggRulePlans,
         node: NodeId,
         group_key: &[Value],
         agg_pos: usize,
@@ -995,12 +817,7 @@ impl Shard {
             }
             true
         };
-        let output_cols = self
-            .data
-            .plans
-            .aggregates
-            .get(&rule_idx)
-            .map_or(&[][..], |p| p.output_cols.as_slice());
+        let output_cols = plans.output_cols.as_slice();
         if !output_cols.is_empty() {
             let mut key = Vec::with_capacity(output_cols.len());
             key.push(Value::Node(loc));
@@ -1033,124 +850,4 @@ fn row_key_cmp(spec: &[usize], a: &Tuple, b: &Tuple) -> Ordering {
         }
     }
     Ordering::Equal
-}
-
-/// Builds the probe-key values of one join level under the current bindings.
-///
-/// Returns `None` when the level has no probe columns or a key value cannot
-/// be produced (an unbound variable, or a location constant that is not
-/// node-valued) — the executor then falls back to a scan, where unification
-/// filters exactly as it always did.  A probe key is only ever a *narrowing*:
-/// every candidate it yields is still unified against the atom.
-fn probe_key(level: &JoinLevel, node: NodeId, bindings: &Bindings) -> Option<Vec<Value>> {
-    if level.cols.is_empty() {
-        return None;
-    }
-    let mut key = Vec::with_capacity(level.cols.len());
-    for (&col, source) in level.cols.iter().zip(&level.sources) {
-        let value = match source {
-            KeySource::CurrentNode => Value::Node(node),
-            KeySource::Term(Term::Const(c)) => {
-                if col == 0 {
-                    // The location column stores `Value::Node`; unification
-                    // accepts an integer constant naming the same node.
-                    match c {
-                        Value::Node(n) => Value::Node(*n),
-                        Value::Int(n) => Value::Node(*n as NodeId),
-                        _ => return None,
-                    }
-                } else {
-                    c.clone()
-                }
-            }
-            KeySource::Term(Term::Var(v)) => {
-                let bound = bindings.get(*v)?.clone();
-                if col == 0 && !matches!(bound, Value::Node(_)) {
-                    // A non-node binding can never match a location; let the
-                    // scan + unification path reject every candidate.
-                    return None;
-                }
-                bound
-            }
-        };
-        key.push(value);
-    }
-    Some(key)
-}
-
-/// Unifies an atom against a tuple under existing bindings, returning the
-/// extended bindings on success.
-pub(crate) fn unify_atom(atom: &Atom, tuple: &Tuple, bindings: &Bindings) -> Option<Bindings> {
-    if atom.relation != tuple.relation || atom.args.len() != tuple.values.len() {
-        return None;
-    }
-    let mut out = bindings.clone();
-    // Location.
-    match &atom.location {
-        Term::Var(v) => match out.get(*v) {
-            Some(existing) => {
-                if *existing != Value::Node(tuple.location) {
-                    return None;
-                }
-            }
-            None => {
-                out.insert(*v, Value::Node(tuple.location));
-            }
-        },
-        Term::Const(c) => {
-            if *c != Value::Node(tuple.location) && *c != Value::Int(tuple.location as i64) {
-                return None;
-            }
-        }
-    }
-    // Arguments.
-    for (term, value) in atom.args.iter().zip(tuple.values.iter()) {
-        match term {
-            Term::Var(v) => match out.get(*v) {
-                Some(existing) => {
-                    if existing != value {
-                        return None;
-                    }
-                }
-                None => {
-                    out.insert(*v, value.clone());
-                }
-            },
-            Term::Const(c) => {
-                if c != value {
-                    return None;
-                }
-            }
-        }
-    }
-    Some(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unify_binds_and_checks_consistency() {
-        let atom = Atom::new("link", Term::var("Z"), vec![Term::var("S"), Term::var("C")]);
-        let t = Tuple::new("link", 1, vec![Value::Node(2), Value::Int(3)]);
-        let b = unify_atom(&atom, &t, &Bindings::new()).unwrap();
-        assert_eq!(b.get(Symbol::intern("Z")), Some(&Value::Node(1)));
-        assert_eq!(b.get(Symbol::intern("S")), Some(&Value::Node(2)));
-        assert_eq!(b.get(Symbol::intern("C")), Some(&Value::Int(3)));
-        // Conflicting pre-binding fails.
-        let mut pre = Bindings::new();
-        pre.insert(Symbol::intern("S"), Value::Node(9));
-        assert!(unify_atom(&atom, &t, &pre).is_none());
-        // Constant mismatch fails.
-        let atom2 = Atom::new(
-            "link",
-            Term::var("Z"),
-            vec![Term::var("S"), Term::constant(4i64)],
-        );
-        assert!(unify_atom(&atom2, &t, &Bindings::new()).is_none());
-        // Relation mismatch fails.
-        let atom3 = Atom::new("path", Term::var("Z"), vec![Term::var("S"), Term::var("C")]);
-        assert!(unify_atom(&atom3, &t, &Bindings::new()).is_none());
-    }
 }

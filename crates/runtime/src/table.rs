@@ -21,7 +21,8 @@
 
 use exspan_store::{TableDump, WalOp};
 use exspan_types::{NodeId, RelId, Tuple, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -51,6 +52,10 @@ pub enum DeleteEffect {
     Missing,
 }
 
+/// A primary row key, shared between the primary map and every posting set
+/// that lists the row.
+type RowKey = Arc<[Value]>;
+
 #[derive(Debug, Clone)]
 struct Row {
     tuple: Arc<Tuple>,
@@ -60,18 +65,19 @@ struct Row {
 /// An order-preserving secondary index over one column set.
 ///
 /// The index maps a projection of the full attribute list (location = column
-/// 0) to the set of *primary row keys* holding that projection.  Because the
-/// entries are primary keys — the exact `BTreeMap` keys of [`Table::rows`] —
-/// iterating one posting set enumerates its rows in the same canonical order
+/// 0) to the rows holding that projection, by *primary row key* — the very
+/// `BTreeMap` keys of [`Table::rows`], one shared allocation per row — so
+/// iterating one posting map enumerates its rows in the same canonical order
 /// a full [`Table::scan`] would, which is what keeps indexed evaluation
 /// bit-identical to scan evaluation (the probe narrows the candidate set, it
-/// never reorders it).
+/// never reorders it).  Each posting carries its row's tuple: a probe walks
+/// one posting map and never descends the primary map per candidate.
 #[derive(Debug, Clone)]
 struct SecondaryIndex {
     /// Indexed columns over the full attribute list, ascending (0 = location).
     cols: Vec<usize>,
-    /// Projection value → primary keys of the rows carrying it.
-    postings: BTreeMap<Vec<Value>, BTreeSet<Vec<Value>>>,
+    /// Projection value → the rows carrying it.
+    postings: BTreeMap<Vec<Value>, BTreeMap<RowKey, Arc<Tuple>>>,
 }
 
 impl SecondaryIndex {
@@ -90,20 +96,18 @@ impl SecondaryIndex {
         Some(key)
     }
 
-    fn insert(&mut self, tuple: &Tuple, row_key: &[Value]) {
+    fn insert(&mut self, tuple: &Arc<Tuple>, row_key: &RowKey) {
         if let Some(key) = self.project(tuple) {
-            self.postings
-                .entry(key)
-                .or_default()
-                .insert(row_key.to_vec());
+            let rows = self.postings.entry(key).or_default();
+            rows.insert(Arc::clone(row_key), Arc::clone(tuple));
         }
     }
 
     fn remove(&mut self, tuple: &Tuple, row_key: &[Value]) {
         if let Some(key) = self.project(tuple) {
-            if let Some(set) = self.postings.get_mut(&key) {
-                set.remove(row_key);
-                if set.is_empty() {
+            if let Some(rows) = self.postings.get_mut(&key) {
+                rows.remove(row_key);
+                if rows.is_empty() {
                     self.postings.remove(&key);
                 }
             }
@@ -126,7 +130,7 @@ pub struct Table {
     /// Primary-key positions over the full attribute list (0 = location).
     /// Empty means whole-tuple (set) semantics.
     key: Vec<usize>,
-    rows: BTreeMap<Vec<Value>, Row>,
+    rows: BTreeMap<RowKey, Row>,
     /// Order-preserving secondary indexes, one per demanded column set
     /// (compiled from the program's join plans; see `exspan_ndlog::plan`).
     indexes: Vec<SecondaryIndex>,
@@ -194,14 +198,14 @@ impl Table {
         self.rows.is_empty()
     }
 
-    fn key_of(&self, tuple: &Tuple) -> Vec<Value> {
-        let full: Vec<Value> = std::iter::once(Value::Node(tuple.location))
-            .chain(tuple.values.iter().cloned())
-            .collect();
-        if self.key.is_empty() {
-            full
-        } else {
-            self.key.iter().map(|&i| full[i].clone()).collect()
+    fn key_of(&self, tuple: &Tuple) -> RowKey {
+        let attr = |i: usize| match i {
+            0 => Value::Node(tuple.location),
+            i => tuple.values[i - 1].clone(),
+        };
+        match self.key.is_empty() {
+            true => (0..tuple.arity()).map(attr).collect(),
+            false => self.key.iter().map(|&i| attr(i)).collect(),
         }
     }
 
@@ -209,47 +213,37 @@ impl Table {
     /// (the hot path: the delta's `Arc` becomes the stored row on 0→1).
     pub fn insert_shared(&mut self, tuple: &Arc<Tuple>) -> InsertEffect {
         debug_assert_eq!(tuple.relation, self.relation);
-        let key = self.key_of(tuple);
-        match self.rows.get_mut(&key) {
-            None => {
+        let row = || Row {
+            tuple: Arc::clone(tuple),
+            count: 1,
+        };
+        match self.rows.entry(self.key_of(tuple)) {
+            Entry::Vacant(e) => {
                 for ix in &mut self.indexes {
-                    ix.insert(tuple, &key);
+                    ix.insert(tuple, e.key());
                 }
-                self.rows.insert(
-                    key,
-                    Row {
-                        tuple: Arc::clone(tuple),
-                        count: 1,
-                    },
-                );
+                e.insert(row());
                 InsertEffect::Added
             }
-            Some(row) if *row.tuple == **tuple => {
+            Entry::Occupied(mut e) if *e.get().tuple == **tuple => {
                 // Tables keyed on a proper subset of their attributes hold
                 // *functional* state (one row per key, e.g. an aggregate
                 // output or a routing-table entry): re-asserting the same row
                 // is idempotent.  Whole-tuple (set semantics) tables count
                 // duplicate derivations instead.
                 if self.key.is_empty() || self.key.len() >= tuple.arity() {
-                    row.count += 1;
+                    e.get_mut().count += 1;
                 }
                 InsertEffect::Duplicate
             }
-            Some(row) => {
+            Entry::Occupied(mut e) => {
                 // Keyed update: replace the old version of this row.  The
                 // primary key is unchanged but non-key attributes (which
                 // secondary indexes may cover) are not.
-                let old = std::mem::replace(
-                    row,
-                    Row {
-                        tuple: Arc::clone(tuple),
-                        count: 1,
-                    },
-                )
-                .tuple;
+                let old = std::mem::replace(e.get_mut(), row()).tuple;
                 for ix in &mut self.indexes {
-                    ix.remove(&old, &key);
-                    ix.insert(tuple, &key);
+                    ix.remove(&old, e.key());
+                    ix.insert(tuple, e.key());
                 }
                 InsertEffect::Replaced(old)
             }
@@ -265,33 +259,28 @@ impl Table {
     /// Deletes one derivation of `tuple`.
     pub fn delete(&mut self, tuple: &Tuple) -> DeleteEffect {
         debug_assert_eq!(tuple.relation, self.relation);
-        let key = self.key_of(tuple);
-        match self.rows.get_mut(&key) {
-            None => DeleteEffect::Missing,
-            Some(row) if *row.tuple != *tuple => {
-                // A stale deletion for a version of the row that has already
-                // been replaced: ignore it.
-                DeleteEffect::Missing
+        match self.rows.entry(self.key_of(tuple)) {
+            Entry::Vacant(_) => DeleteEffect::Missing,
+            // A stale deletion for a version of the row that has already
+            // been replaced: ignore it.
+            Entry::Occupied(e) if *e.get().tuple != *tuple => DeleteEffect::Missing,
+            Entry::Occupied(mut e) if e.get().count > 1 => {
+                e.get_mut().count -= 1;
+                DeleteEffect::Decremented
             }
-            Some(row) => {
-                if row.count > 1 {
-                    row.count -= 1;
-                    DeleteEffect::Decremented
-                } else {
-                    let removed = self.rows.remove(&key).expect("row just matched");
-                    for ix in &mut self.indexes {
-                        ix.remove(&removed.tuple, &key);
-                    }
-                    DeleteEffect::Removed
+            Entry::Occupied(e) => {
+                let (key, removed) = e.remove_entry();
+                for ix in &mut self.indexes {
+                    ix.remove(&removed.tuple, &key);
                 }
+                DeleteEffect::Removed
             }
         }
     }
 
     /// Returns the current derivation count of `tuple` (0 if absent).
     pub fn count(&self, tuple: &Tuple) -> usize {
-        let key = self.key_of(tuple);
-        match self.rows.get(&key) {
+        match self.rows.get(&self.key_of(tuple)) {
             Some(row) if *row.tuple == *tuple => row.count,
             _ => 0,
         }
@@ -369,10 +358,8 @@ impl Table {
             return Some(ProbeIter(ProbeInner::One(row.map(|r| &r.tuple))));
         }
         let index = self.indexes.iter().find(|ix| ix.cols == cols)?;
-        Some(ProbeIter(ProbeInner::Postings {
-            rows: &self.rows,
-            keys: index.postings.get(key).map(|set| set.iter()),
-        }))
+        let rows = index.postings.get(key);
+        Some(ProbeIter(ProbeInner::Postings(rows.map(BTreeMap::values))))
     }
 
     /// Collects the visible tuples as shared handles (sorted by tuple
@@ -413,14 +400,20 @@ impl Table {
     fn index_is_consistent(&self) -> bool {
         self.indexes.iter().all(|ix| {
             // Every row appears under exactly its projection, and every
-            // posting points at a live row with that projection.
-            let mut expected: BTreeMap<Vec<Value>, BTreeSet<Vec<Value>>> = BTreeMap::new();
+            // posting points at a live row with that projection — by the
+            // primary map's own key allocation, not a copy of it.
+            let mut expected = BTreeMap::new();
             for (row_key, row) in &self.rows {
                 if let Some(p) = ix.project(&row.tuple) {
-                    expected.entry(p).or_default().insert(row_key.clone());
+                    let rows: &mut BTreeMap<_, _> = expected.entry(p).or_default();
+                    rows.insert(row_key.clone(), Arc::clone(&row.tuple));
                 }
             }
-            expected == ix.postings
+            let shared = |(k, t): (&RowKey, &Arc<Tuple>)| {
+                let (key, row) = self.rows.get_key_value(k).expect("live");
+                Arc::ptr_eq(k, key) && Arc::ptr_eq(t, &row.tuple)
+            };
+            expected == ix.postings && ix.postings.values().flatten().all(shared)
         })
     }
 }
@@ -433,13 +426,9 @@ pub struct ProbeIter<'a>(ProbeInner<'a>);
 enum ProbeInner<'a> {
     /// A primary-key-served probe: at most one row, already verified.
     One(Option<&'a Arc<Tuple>>),
-    /// A secondary-index probe: walk the posting set's primary row keys.
-    Postings {
-        /// The table's primary row map.
-        rows: &'a BTreeMap<Vec<Value>, Row>,
-        /// The matching posting set (`None` when the key has no postings).
-        keys: Option<std::collections::btree_set::Iter<'a, Vec<Value>>>,
-    },
+    /// A secondary-index probe: walk the matching postings in primary row
+    /// key order (`None` when the key has none).
+    Postings(Option<std::collections::btree_map::Values<'a, RowKey, Arc<Tuple>>>),
 }
 
 impl<'a> Iterator for ProbeIter<'a> {
@@ -448,15 +437,7 @@ impl<'a> Iterator for ProbeIter<'a> {
     fn next(&mut self) -> Option<Self::Item> {
         match &mut self.0 {
             ProbeInner::One(row) => row.take(),
-            ProbeInner::Postings { rows, keys } => {
-                let keys = keys.as_mut()?;
-                for key in keys {
-                    if let Some(row) = rows.get(key) {
-                        return Some(&row.tuple);
-                    }
-                }
-                None
-            }
+            ProbeInner::Postings(rows) => rows.as_mut()?.next(),
         }
     }
 }

@@ -1,0 +1,220 @@
+//! Pins of the rule evaluator's candidate-matching semantics, through the
+//! public `Engine` API only — each case is decided by one branch of the
+//! evaluator that neither the built-in programs nor the randomized shapes of
+//! `join_differential.rs` reach on purpose.  Every program runs planned and
+//! scan-only; the two must agree with each other and with the expectation.
+
+use exspan_ndlog::ast::{BodyItem, Program, Term};
+use exspan_ndlog::parse_program;
+use exspan_netsim::Topology;
+use exspan_runtime::{Engine, EngineConfig};
+use exspan_types::{NodeId, Tuple, Value};
+
+fn t(relation: &str, loc: NodeId, values: Vec<Value>) -> Tuple {
+    Tuple::new(relation, loc, values)
+}
+
+fn int(i: i64) -> Value {
+    Value::Int(i)
+}
+
+/// Runs `program` over a 3-node line to fixpoint after inserting `base` in
+/// order, with compiled plans and scan-only, and returns the planned engine.
+fn run(program: &Program, base: &[Tuple]) -> Engine {
+    let build = |join_planning| {
+        let config = EngineConfig {
+            join_planning,
+            ..EngineConfig::default()
+        };
+        let mut engine = Engine::new(program.clone(), Topology::line(3), config);
+        for tuple in base {
+            engine.insert_base(tuple.location, tuple.clone());
+            engine.run_to_fixpoint();
+        }
+        engine
+    };
+    let (planned, scanned) = (build(true), build(false));
+    assert_eq!(planned.state_digest(), scanned.state_digest());
+    assert_eq!(planned.eval_errors(), scanned.eval_errors());
+    planned
+}
+
+/// The attribute lists of `relation` at `node`, sorted.
+fn rows(engine: &Engine, node: NodeId, relation: &str) -> Vec<Vec<Value>> {
+    let tuples = engine.tuples_shared(node, relation);
+    tuples.iter().map(|t| t.values.clone()).collect()
+}
+
+fn parse(text: &str) -> Program {
+    parse_program("pin", text).expect("test program parses")
+}
+
+#[test]
+fn a_variable_repeated_inside_one_atom_binds_then_checks() {
+    let program = parse(
+        r#"
+        materialize(pair, 3, keys(0,1,2)).
+        materialize(seed, 1, keys(0)).
+        r1 same(@S,A) :- pair(@S,A,A).
+        r2 joined(@S,A) :- seed(@S), pair(@S,A,A).
+        r3 located(@S,A) :- pair(@S,S,A).
+        "#,
+    );
+    let pair = |a, b| t("pair", 0, vec![a, b]);
+    let base = [
+        pair(int(1), int(1)),
+        pair(int(1), int(2)),
+        t("seed", 0, vec![]),
+        pair(int(2), int(2)),
+        pair(Value::Node(0), int(7)),
+        pair(Value::Node(1), int(8)),
+        pair(int(0), int(9)),
+    ];
+    let engine = run(&program, &base);
+    let matched = vec![vec![int(1)], vec![int(2)]];
+    // As the trigger atom, and as a join level on either side of its trigger.
+    assert_eq!(rows(&engine, 0, "same"), matched);
+    assert_eq!(rows(&engine, 0, "joined"), matched);
+    // The location variable repeated as an argument: only `Node(0)` equals it.
+    assert_eq!(rows(&engine, 0, "located"), vec![vec![int(7)]]);
+}
+
+/// `r1` joins a body atom whose location is a constant; `r2` and `r3` ship to
+/// constant head locations.  The parser reads `@1` as `Int(1)`; `as_node`
+/// rewrites every such constant to `Node` to pin the other spelling.
+fn location_constant_program(as_node: bool) -> Program {
+    let mut program = parse(
+        r#"
+        materialize(t, 2, keys(0,1)).
+        materialize(cfg, 2, keys(0,1)).
+        r1 atOne(@S,X) :- t(@S,X), cfg(@1,X).
+        r2 toTwo(@2,X) :- t(@S,X).
+        r3 toText(@"two",X) :- t(@S,X).
+        "#,
+    );
+    if as_node {
+        let nodeify = |term: &mut Term| {
+            if let Term::Const(Value::Int(n)) = term {
+                *term = Term::Const(Value::Node(*n as NodeId));
+            }
+        };
+        for rule in &mut program.rules {
+            nodeify(&mut rule.head.location);
+            for item in &mut rule.body {
+                if let BodyItem::Atom(atom) = item {
+                    nodeify(&mut atom.location);
+                }
+            }
+        }
+    }
+    program
+}
+
+#[test]
+fn a_location_constant_matches_as_int_and_as_node() {
+    let base = [
+        t("cfg", 0, vec![int(5)]),
+        t("t", 0, vec![int(5)]),
+        t("cfg", 1, vec![int(5)]),
+        t("t", 1, vec![int(5)]),
+        t("t", 1, vec![int(6)]),
+        t("cfg", 1, vec![int(6)]),
+    ];
+    for as_node in [false, true] {
+        let engine = run(&location_constant_program(as_node), &base);
+        // Only node 1's `cfg` rows are located at the constant, whichever
+        // side of the join arrived last.
+        assert!(rows(&engine, 0, "atOne").is_empty(), "as_node={as_node}");
+        assert_eq!(
+            rows(&engine, 1, "atOne"),
+            vec![vec![int(5)], vec![int(6)]],
+            "as_node={as_node}"
+        );
+        // A constant head location ships there; one that names no node
+        // derives nothing, and is data, not an evaluation error.
+        assert_eq!(rows(&engine, 2, "toTwo"), vec![vec![int(5)], vec![int(6)]]);
+        assert!(engine.tuples_everywhere_shared("toText").is_empty());
+        assert_eq!(engine.eval_errors(), 0);
+    }
+}
+
+#[test]
+fn an_assignment_to_a_bound_variable_is_an_equality_test() {
+    let program = parse(
+        r#"
+        materialize(t, 3, keys(0,1,2)).
+        r1 out(@S,A,B) :- t(@S,A,B), A = B + 1.
+        r2 twice(@S,C) :- t(@S,A,B), C = A + B, C = 5.
+        "#,
+    );
+    let base = [
+        t("t", 0, vec![int(3), int(2)]),
+        t("t", 0, vec![int(3), int(3)]),
+        t("t", 0, vec![int(1), int(0)]),
+    ];
+    let engine = run(&program, &base);
+    assert_eq!(
+        rows(&engine, 0, "out"),
+        vec![vec![int(1), int(0)], vec![int(3), int(2)]]
+    );
+    // The second assignment to `C` tests the value the first one bound.
+    assert_eq!(rows(&engine, 0, "twice"), vec![vec![int(5)]]);
+}
+
+#[test]
+fn a_location_probe_column_bound_to_a_non_node_value_derives_nothing() {
+    let program = parse(
+        r#"
+        materialize(t, 3, keys(0,1,2)).
+        materialize(u, 2, keys(0,1)).
+        r1 out(@S,X) :- t(@S,X,A), u(@X,A).
+        "#,
+    );
+    // `u`'s location column is probed with `X`.  `Int(0)` names node 0 but is
+    // not a location value: no probe is built, and the scan unifies nothing.
+    for order in [[0usize, 1, 2], [1, 2, 0]] {
+        let all = [
+            t("u", 0, vec![int(7)]),
+            t("t", 0, vec![int(0), int(7)]),
+            t("t", 0, vec![Value::Node(0), int(7)]),
+        ];
+        let base: Vec<Tuple> = order.iter().map(|&i| all[i].clone()).collect();
+        let engine = run(&program, &base);
+        assert_eq!(rows(&engine, 0, "out"), vec![vec![Value::Node(0)]]);
+        assert_eq!(engine.eval_errors(), 0);
+    }
+}
+
+/// Statically impossible evaluation errors drop the candidate and are
+/// counted once each; `note_eval_error` debug-asserts, so release only.
+#[cfg(not(debug_assertions))]
+#[test]
+fn a_never_bound_variable_derives_nothing_and_counts_once_per_candidate() {
+    let base = [
+        t("t", 0, vec![int(1)]),
+        t("t", 0, vec![int(2)]),
+        t("t", 0, vec![int(3)]),
+        t("u", 0, vec![int(3)]),
+        t("u", 0, vec![int(2)]),
+    ];
+    // (program, evaluation errors over `base`): one per candidate that
+    // reaches the faulty item — an earlier guard or a data-dependent type
+    // error that rejects the candidate first is not an evaluation error.
+    let cases = [
+        ("r1 out(@S,Z) :- t(@S,X).", 3),
+        ("r1 out(@Q,X) :- t(@S,X).", 3),
+        ("r1 out(@S,Z) :- t(@S,X), X > 1.", 2),
+        ("r1 out(@S,Y) :- t(@S,X), Y = Z + 1.", 3),
+        ("r1 out(@S,Y) :- t(@S,X), Y = f_bogus(X).", 3),
+        ("r1 out(@S,Y) :- t(@S,X), Y = f_bogus(Z).", 3),
+        ("r1 out(@S,Y) :- t(@S,X), Y = f_size(X) + Z.", 0),
+        ("r1 out(@S,X) :- t(@S,X), Z < 2.", 3),
+        ("r1 out(@S,Z) :- t(@S,X), u(@S,X).", 2),
+    ];
+    for (rule, errors) in cases {
+        let text = format!("materialize(t, 2, keys(0,1)).\nmaterialize(u, 2, keys(0,1)).\n{rule}");
+        let engine = run(&parse(&text), &base);
+        assert!(engine.tuples_everywhere_shared("out").is_empty(), "{rule}");
+        assert_eq!(engine.eval_errors(), errors, "{rule}");
+    }
+}

@@ -108,16 +108,18 @@ impl Sha1 {
 
     /// Finishes the computation and returns the digest.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Append the 0x80 terminator then zero-pad to 56 mod 64.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
+        // The 0x80 terminator, zeros up to 56 mod 64, then the bit length:
+        // all within the buffered block when those nine bytes fit in it, the
+        // length in one more block otherwise.
+        let mut block = [0u8; 64];
+        let buffered = &self.buffer[..self.buffer_len];
+        block[..buffered.len()].copy_from_slice(buffered);
+        block[buffered.len()] = 0x80;
+        if buffered.len() >= 56 {
+            self.process_block(&block);
+            block = [0u8; 64];
         }
-        // The length update above must not count toward the message length;
-        // total_len is no longer read, so this is fine.
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
         self.process_block(&block);
 
         let mut out = [0u8; 20];
@@ -128,40 +130,49 @@ impl Sha1 {
     }
 
     fn process_block(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let mut w = [0u32; 16];
+        for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        let mut s = self.state;
+        rounds(&mut w, &mut s, 0..20, 0x5A827999, |b, c, d| {
+            (b & c) | (!b & d)
+        });
+        rounds(&mut w, &mut s, 20..40, 0x6ED9EBA1, |b, c, d| b ^ c ^ d);
+        rounds(&mut w, &mut s, 40..60, 0x8F1BBCDC, |b, c, d| {
+            (b & c) | (b & d) | (c & d)
+        });
+        rounds(&mut w, &mut s, 60..80, 0xCA62C1D6, |b, c, d| b ^ c ^ d);
+        for (state, word) in self.state.iter_mut().zip(s) {
+            *state = state.wrapping_add(word);
         }
+    }
+}
 
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
+/// One run of rounds sharing a function `f` and a constant `k`, over the
+/// 16-word rolling message schedule `w`.
+#[inline(always)]
+fn rounds(
+    w: &mut [u32; 16],
+    s: &mut [u32; 5],
+    range: std::ops::Range<usize>,
+    k: u32,
+    f: impl Fn(u32, u32, u32) -> u32,
+) {
+    for i in range {
+        if i >= 16 {
+            let next = w[(i + 13) & 15] ^ w[(i + 8) & 15] ^ w[(i + 2) & 15] ^ w[i & 15];
+            w[i & 15] = next.rotate_left(1);
         }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        let [a, b, c, d, e] = *s;
+        let temp = a.rotate_left(5).wrapping_add(f(b, c, d)).wrapping_add(e);
+        *s = [
+            temp.wrapping_add(k).wrapping_add(w[i & 15]),
+            a,
+            b.rotate_left(30),
+            c,
+            d,
+        ];
     }
 }
 
@@ -208,6 +219,24 @@ mod tests {
             sha1_digest(&data).to_hex(),
             "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
         );
+    }
+
+    #[test]
+    fn padding_boundaries() {
+        // Lengths either side of where the terminator and the bit length
+        // stop fitting in the last block (digests from the reference
+        // implementation, over bytes i mod 251).
+        for (len, hex) in [
+            (55, "8ae2d46729cfe68ff927af5eec9c7d1b66d65ac2"),
+            (56, "636e2ec698dac903498e648bd2f3af641d3c88cb"),
+            (63, "6d942da0c4392b123528f2905c713a3ce28364bd"),
+            (64, "c6138d514ffa2135bfce0ed0b8fac65669917ec7"),
+            (119, "41c89d06001bab4ab78736b44efe7ce18ce6ae08"),
+            (120, "d3dbd653bd8597b7475321b60a36891278e6a04a"),
+        ] {
+            let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            assert_eq!(sha1_digest(&data).to_hex(), hex, "length {len}");
+        }
     }
 
     #[test]
