@@ -14,9 +14,12 @@
 //! *shared* node store:
 //!
 //! * [`SharedBddStore`] owns the interned node table (hash-consing) and a
-//!   bounded, epoch-cleared apply memo.  One process-global store backs every
-//!   `BddManager::new()`, so structurally identical provenance BDDs built by
-//!   different sessions or policies are stored once and share memo hits.
+//!   bounded, epoch-cleared apply memo, both hashed by
+//!   [`exspan_types::fxhash`] (the keys are content-keyed node ids the store
+//!   chose, so SipHash's keyed resistance buys nothing).  One process-global
+//!   store backs every `BddManager::new()`, so structurally identical
+//!   provenance BDDs built by different sessions or policies are stored once
+//!   and share memo hits.
 //! * [`BddManager`] is a cloneable handle onto a store; use
 //!   [`BddManager::with_store`] with a fresh store for isolation.
 //! * [`Bdd`] is a lightweight handle whose `u64` id is *content-keyed* — a
@@ -24,11 +27,13 @@
 //!   deterministic regardless of construction order or interleaving.
 //! * Boolean connectives are provided via [`BddManager::and`],
 //!   [`BddManager::or`], [`BddManager::not`] plus variable creation and
-//!   evaluation/restriction helpers.
+//!   evaluation helpers.
 //! * [`BddManager::serialized_size`] estimates the number of bytes required
 //!   to ship a BDD over the network, which is what the evaluation's
 //!   bandwidth accounting uses for value-based (BDD) provenance and for the
-//!   BDD query representation (Figures 6, 7, 15).
+//!   BDD query representation (Figures 6, 7, 15).  It runs once per remote
+//!   send in value mode, so its walk reuses a visited set and stack held in
+//!   the store instead of allocating.
 //!   [`BddManager::compressed_serialized_size`] is the varint-encoded
 //!   counterpart used by the opt-in compressed accounting mode (Figure 18).
 

@@ -27,7 +27,7 @@
 //! nodes are permanent — repeating a workload allocates nothing new, which
 //! is what keeps long churn runs at steady-state memory.
 
-use std::collections::HashMap;
+use exspan_types::fxhash::{FxHashMap, FxHashSet};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Identifier of a boolean variable.  In ExSPAN each variable stands for one
@@ -137,12 +137,16 @@ fn varint_len(x: u64) -> usize {
 
 #[derive(Debug, Default)]
 struct StoreInner {
-    nodes: HashMap<u64, Node>,
-    apply_memo: HashMap<(Op, Bdd, Bdd), Bdd>,
-    not_memo: HashMap<Bdd, Bdd>,
+    nodes: FxHashMap<u64, Node>,
+    apply_memo: FxHashMap<(Op, Bdd, Bdd), Bdd>,
+    not_memo: FxHashMap<Bdd, Bdd>,
     hits: u64,
     misses: u64,
     clears: u64,
+    /// The size walk's visited set and stack, kept between walks so that
+    /// charging a remote send allocates nothing.
+    walk_seen: FxHashSet<Bdd>,
+    walk_stack: Vec<Bdd>,
 }
 
 impl StoreInner {
@@ -259,37 +263,22 @@ impl StoreInner {
         r
     }
 
-    fn restrict(&mut self, b: Bdd, v: VarId, value: bool) -> Bdd {
-        if b.is_terminal() {
-            return b;
-        }
-        let n = self.node(b);
-        if n.var > v {
-            // Ordered: variable v does not occur below.
-            return b;
-        }
-        if n.var == v {
-            return if value { n.high } else { n.low };
-        }
-        let low = self.restrict(n.low, v, value);
-        let high = self.restrict(n.high, v, value);
-        self.mk_node(n.var, low, high)
-    }
-
-    fn reachable_internal_count(&self, b: Bdd) -> usize {
-        let mut visited = std::collections::HashSet::new();
-        let mut count = 0usize;
-        let mut stack = vec![b];
+    fn reachable_internal_count(&mut self, b: Bdd) -> usize {
+        let StoreInner {
+            nodes,
+            walk_seen: seen,
+            walk_stack: stack,
+            ..
+        } = self;
+        seen.clear();
+        stack.push(b);
         while let Some(cur) = stack.pop() {
-            if cur.is_terminal() || !visited.insert(cur) {
-                continue;
+            if !cur.is_terminal() && seen.insert(cur) {
+                let n = nodes[&cur.0];
+                stack.extend([n.low, n.high]);
             }
-            count += 1;
-            let n = self.node(cur);
-            stack.push(n.low);
-            stack.push(n.high);
         }
-        count
+        seen.len()
     }
 
     /// Varint-serialized size: nodes are numbered 0..n in a deterministic
@@ -297,14 +286,14 @@ impl StoreInner {
     /// for terminals, local index + 2 otherwise), each node costs
     /// `varint(var) + varint(low ref) + varint(high ref)`, and the root
     /// reference closes the encoding.
-    fn compressed_size_walk(&self, b: Bdd, local: &mut HashMap<u64, u64>, size: &mut usize) {
+    fn compressed_size_walk(&self, b: Bdd, local: &mut FxHashMap<u64, u64>, size: &mut usize) {
         if b.is_terminal() || local.contains_key(&b.0) {
             return;
         }
         let n = self.node(b);
         self.compressed_size_walk(n.low, local, size);
         self.compressed_size_walk(n.high, local, size);
-        let child_ref = |x: Bdd, local: &HashMap<u64, u64>| {
+        let child_ref = |x: Bdd, local: &FxHashMap<u64, u64>| {
             if x.is_terminal() {
                 x.0
             } else {
@@ -321,7 +310,7 @@ impl StoreInner {
         if b.is_terminal() {
             return varint_len(b.0);
         }
-        let mut local = HashMap::new();
+        let mut local = FxHashMap::default();
         let mut size = 0usize;
         self.compressed_size_walk(b, &mut local, &mut size);
         size + varint_len(local[&b.0] + 2)
@@ -381,7 +370,6 @@ impl SharedBddStore {
 /// let ab = m.and(a, b);
 /// let f = m.or(a, ab);
 /// assert_eq!(f, a); // absorption
-/// assert!(m.implies(f, a));
 /// ```
 ///
 /// `Clone` shares the store, and [`BddManager::node_count`] reports the
@@ -409,11 +397,6 @@ impl BddManager {
     /// Creates a handle onto a specific (e.g. isolated) store.
     pub fn with_store(store: SharedBddStore) -> Self {
         BddManager { store }
-    }
-
-    /// The store this handle operates on.
-    pub fn store(&self) -> &SharedBddStore {
-        &self.store
     }
 
     /// Number of nodes in the underlying store, including the two terminals.
@@ -481,11 +464,6 @@ impl BddManager {
         acc
     }
 
-    /// Restricts variable `v` to `value` in `b` (Shannon cofactor).
-    pub fn restrict(&mut self, b: Bdd, v: VarId, value: bool) -> Bdd {
-        self.store.lock().restrict(b, v, value)
-    }
-
     /// Evaluates the function under a total assignment: `assignment(v)` gives
     /// the truth value of variable `v`.
     pub fn evaluate<F: Fn(VarId) -> bool>(&self, b: Bdd, assignment: F) -> bool {
@@ -498,13 +476,6 @@ impl BddManager {
         cur == Bdd::TRUE
     }
 
-    /// Returns `true` iff `a` logically implies `b`.
-    pub fn implies(&mut self, a: Bdd, b: Bdd) -> bool {
-        let mut inner = self.store.lock();
-        let nb = inner.not(b);
-        inner.apply(Op::And, a, nb) == Bdd::FALSE
-    }
-
     /// The set of variables the function actually depends on.
     ///
     /// Absorption can make a function independent of variables that appear in
@@ -512,7 +483,7 @@ impl BddManager {
     pub fn support(&self, b: Bdd) -> Vec<VarId> {
         let inner = self.store.lock();
         let mut seen = std::collections::BTreeSet::new();
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = FxHashSet::default();
         let mut stack = vec![b];
         while let Some(cur) = stack.pop() {
             if cur.is_terminal() || !visited.insert(cur) {
@@ -524,11 +495,6 @@ impl BddManager {
             stack.push(n.high);
         }
         seen.into_iter().collect()
-    }
-
-    /// Number of non-terminal nodes reachable from `b`.
-    pub fn reachable_internal_count(&self, b: Bdd) -> usize {
-        self.store.lock().reachable_internal_count(b)
     }
 
     /// Estimated number of bytes needed to ship this BDD over the network:
@@ -556,7 +522,7 @@ impl BddManager {
             inner: &StoreInner,
             b: Bdd,
             num_vars: u32,
-            memo: &mut HashMap<Bdd, u64>,
+            memo: &mut FxHashMap<Bdd, u64>,
         ) -> (u64, u32) {
             // Returns (count below this node assuming node's var is the next
             // unassigned one, var index of this node or num_vars for terminals).
@@ -579,7 +545,7 @@ impl BddManager {
             (total, n.var)
         }
         let inner = self.store.lock();
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         let (c, v) = go(&inner, b, num_vars, &mut memo);
         c << v
     }
@@ -688,26 +654,11 @@ mod tests {
     }
 
     #[test]
-    fn restrict_and_evaluate() {
-        let mut m = BddManager::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.and(a, b);
-        assert_eq!(m.restrict(f, 0, true), b);
-        assert_eq!(m.restrict(f, 0, false), Bdd::FALSE);
-        assert_eq!(m.restrict(f, 5, true), f); // untouched variable
-        assert!(m.evaluate(f, |_| true));
-        assert!(!m.evaluate(f, |v| v == 0));
-    }
-
-    #[test]
-    fn implication_and_satisfiability() {
+    fn satisfiability() {
         let mut m = BddManager::new();
         let a = m.var(0);
         let b = m.var(1);
         let ab = m.and(a, b);
-        assert!(m.implies(ab, a));
-        assert!(!m.implies(a, ab));
         assert_ne!(ab, Bdd::FALSE);
         let na = m.not(a);
         let contradiction = m.and(a, na);

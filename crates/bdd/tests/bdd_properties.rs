@@ -115,21 +115,6 @@ proptest! {
         prop_assert_eq!(m.sat_count(b, NUM_VARS), brute);
     }
 
-    /// Restricting a variable and evaluating equals evaluating with that
-    /// variable fixed.
-    #[test]
-    fn restrict_consistent_with_evaluate(e in arb_expr(NUM_VARS), var in 0..NUM_VARS, val: bool) {
-        let mut m = BddManager::new();
-        let b = build_bdd(&mut m, &e);
-        let restricted = m.restrict(b, var, val);
-        for assignment in 0u32..(1 << NUM_VARS) {
-            let forced = if val { assignment | (1 << var) } else { assignment & !(1 << var) };
-            let lhs = m.evaluate(restricted, |v| assignment & (1 << v) != 0 && v != var || (v == var && val));
-            let rhs = m.evaluate(b, |v| forced & (1 << v) != 0);
-            prop_assert_eq!(lhs, rhs);
-        }
-    }
-
     /// The support of a BDD never contains variables the expression does not
     /// mention, and evaluation only depends on support variables.
     #[test]

@@ -18,6 +18,12 @@
 //! (`Engine::with_policy`).  The BDD manager hash-conses, so the serialized
 //! size of a function does not depend on the order operations reached it.
 //!
+//! Annotations and variables are keyed by the engine's shared `Arc<Tuple>`
+//! (compared by content, Fx-hashed), so no §4.1 VID is computed on the
+//! maintenance path: a variable's VID is taken once, when it is created, for
+//! the trust callbacks of [`ValueBddPolicy::derivable_under`].  Variables are
+//! numbered in first-seen order, as when they were keyed by VID.
+//!
 //! Because the annotation is carried with the data, queries in value-based
 //! mode are answered locally ([`ValueBddPolicy::annotation_of`]) without any
 //! distributed traversal — the trade-off the paper explores: high maintenance
@@ -25,18 +31,33 @@
 
 use exspan_bdd::{Bdd, BddManager};
 use exspan_runtime::{AnnotationPolicy, AnnotationToken};
+use exspan_types::fxhash::FxHashMap;
 use exspan_types::{NodeId, Tuple, Vid};
-use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The provenance stored at one node, by tuple.
+type Annotations = FxHashMap<Arc<Tuple>, Bdd>;
+
+/// The annotations stored at `node`, grown on first use (the policy is built
+/// before it sees the topology).
+fn stored_at(annotations: &mut Vec<Annotations>, node: NodeId) -> &mut Annotations {
+    let i = node as usize;
+    if annotations.len() <= i {
+        annotations.resize_with(i + 1, Annotations::default);
+    }
+    &mut annotations[i]
+}
 
 /// Annotation policy implementing value-based (BDD) provenance.
 #[derive(Debug, Default)]
 pub struct ValueBddPolicy {
     manager: BddManager,
-    /// Boolean variable assigned to each base tuple.
-    vars: HashMap<Vid, u32>,
-    /// Provenance stored for each tuple at each node.
-    annotations: HashMap<(NodeId, Vid), Bdd>,
+    /// Boolean variable assigned to each base tuple, in first-seen order.
+    vars: FxHashMap<Arc<Tuple>, u32>,
+    /// Each variable's VID, indexed by variable.
+    var_vids: Vec<Vid>,
+    /// Provenance stored for each tuple, by the node storing it.
+    annotations: Vec<Annotations>,
     /// Bytes of annotation attached to messages so far.
     annotation_bytes_total: u64,
 }
@@ -47,17 +68,19 @@ impl ValueBddPolicy {
         Self::default()
     }
 
-    fn var_for(&mut self, vid: Vid) -> Bdd {
-        let next = self.vars.len() as u32;
-        let id = *self.vars.entry(vid).or_insert(next);
+    fn var_for(&mut self, tuple: &Arc<Tuple>) -> Bdd {
+        let (next, vids) = (self.var_vids.len() as u32, &mut self.var_vids);
+        let id = *self.vars.entry(Arc::clone(tuple)).or_insert_with(|| {
+            vids.push(tuple.vid());
+            next
+        });
         self.manager.var(id)
     }
 
     /// The provenance BDD stored for a tuple at its own location, if any.
     pub fn annotation_of(&self, tuple: &Tuple) -> Option<Bdd> {
-        self.annotations
-            .get(&(tuple.location, tuple.vid()))
-            .copied()
+        let stored = self.annotations.get(tuple.location as usize)?;
+        stored.get(tuple).copied()
     }
 
     /// Derivability test under a trust assignment over base tuples: is the
@@ -66,13 +89,8 @@ impl ValueBddPolicy {
         let Some(b) = self.annotation_of(tuple) else {
             return false;
         };
-        let by_var: HashMap<u32, bool> = self
-            .vars
-            .iter()
-            .map(|(vid, var)| (*var, trusted(*vid)))
-            .collect();
-        self.manager
-            .evaluate(b, |v| by_var.get(&v).copied().unwrap_or(false))
+        let vid = |v: u32| self.var_vids.get(v as usize).copied();
+        self.manager.evaluate(b, |v| vid(v).is_some_and(&trusted))
     }
 
     /// Total annotation bytes attached to transmitted tuples so far.
@@ -91,25 +109,16 @@ impl AnnotationPolicy for ValueBddPolicy {
         self
     }
 
-    fn on_base(&mut self, node: NodeId, tuple: &Tuple, insert: bool) {
-        let vid = tuple.vid();
+    fn on_base(&mut self, node: NodeId, tuple: &Arc<Tuple>, insert: bool) {
         if insert {
-            let var = self.var_for(vid);
-            self.annotations.insert((node, vid), var);
+            let var = self.var_for(tuple);
+            stored_at(&mut self.annotations, node).insert(Arc::clone(tuple), var);
         } else {
-            self.annotations.remove(&(node, vid));
+            stored_at(&mut self.annotations, node).remove(&**tuple);
         }
     }
 
-    fn on_derivation(
-        &mut self,
-        node: NodeId,
-        _rule: &str,
-        inputs: &[Arc<Tuple>],
-        _output: &Tuple,
-        insert: bool,
-    ) -> Option<AnnotationToken> {
-        let _ = insert;
+    fn on_derivation(&mut self, node: NodeId, inputs: &[Arc<Tuple>]) -> Option<AnnotationToken> {
         // AND over the inputs' locally stored provenance.  Rule bodies are
         // localized, so every input lives at the firing node.  Deletion
         // deltas ship the same conjunction: a value-based retraction must
@@ -118,14 +127,13 @@ impl AnnotationPolicy for ValueBddPolicy {
         // that established it.
         let mut conj = Bdd::TRUE;
         for input in inputs {
-            let vid = input.vid();
-            let b = match self.annotations.get(&(node, vid)) {
-                Some(b) => *b,
+            let b = match stored_at(&mut self.annotations, node).get(&**input) {
+                Some(&b) => b,
                 // Inputs we have never seen (never reported through
                 // `on_base`) are treated as base variables.
                 None => {
-                    let var = self.var_for(vid);
-                    self.annotations.insert((node, vid), var);
+                    let var = self.var_for(input);
+                    stored_at(&mut self.annotations, node).insert(Arc::clone(input), var);
                     var
                 }
             };
@@ -134,26 +142,13 @@ impl AnnotationPolicy for ValueBddPolicy {
         Some(conj.index())
     }
 
-    fn annotation_bytes(
-        &mut self,
-        _from: NodeId,
-        _to: NodeId,
-        _tuple: &Tuple,
-        token: Option<AnnotationToken>,
-    ) -> usize {
+    fn annotation_bytes(&mut self, token: Option<AnnotationToken>) -> usize {
         let bytes = token.map_or(0, |t| self.manager.serialized_size(Bdd::from_raw(t)));
         self.annotation_bytes_total += bytes as u64;
         bytes
     }
 
-    fn annotation_bytes_compressed(
-        &mut self,
-        _from: NodeId,
-        _to: NodeId,
-        _tuple: &Tuple,
-        token: Option<AnnotationToken>,
-        _uncompressed: usize,
-    ) -> usize {
+    fn annotation_bytes_compressed(&mut self, token: Option<AnnotationToken>) -> usize {
         // Varint node encoding of the shipped BDD.  Deliberately does NOT
         // touch `annotation_bytes_total`: the flat accounting behind the
         // existing figures already charged this delta.
@@ -165,28 +160,29 @@ impl AnnotationPolicy for ValueBddPolicy {
     fn on_arrival(
         &mut self,
         node: NodeId,
-        tuple: &Tuple,
+        tuple: &Arc<Tuple>,
         token: Option<AnnotationToken>,
         insert: bool,
         removed: bool,
     ) {
-        let vid = tuple.vid();
         if insert {
             // OR the shipped derivation history into the annotation stored
             // for this tuple at this node (alternative derivations).
             if let Some(t) = token {
                 let shipped = Bdd::from_raw(t);
-                let combined = match self.annotations.get(&(node, vid)) {
-                    Some(existing) => self.manager.or(*existing, shipped),
-                    None => shipped,
-                };
-                self.annotations.insert((node, vid), combined);
+                let stored = stored_at(&mut self.annotations, node);
+                match stored.get_mut(&**tuple) {
+                    Some(existing) => *existing = self.manager.or(*existing, shipped),
+                    None => {
+                        stored.insert(Arc::clone(tuple), shipped);
+                    }
+                }
             }
         } else if removed {
             // Last derivation gone: the stale history must not keep
             // contributing bytes.  Tuples that stay visible through other
             // derivations keep their annotation.
-            self.annotations.remove(&(node, vid));
+            stored_at(&mut self.annotations, node).remove(&**tuple);
         }
     }
 }
@@ -196,16 +192,16 @@ mod tests {
     use super::*;
     use exspan_types::Value;
 
-    fn link(s: NodeId, d: NodeId, c: i64) -> Tuple {
-        Tuple::new("link", s, vec![Value::Node(d), Value::Int(c)])
+    fn link(s: NodeId, d: NodeId, c: i64) -> Arc<Tuple> {
+        Arc::new(Tuple::new("link", s, vec![Value::Node(d), Value::Int(c)]))
     }
 
-    fn shared(t: &Tuple) -> [Arc<Tuple>; 1] {
-        [Arc::new(t.clone())]
-    }
-
-    fn path_cost(s: NodeId, d: NodeId, c: i64) -> Tuple {
-        Tuple::new("pathCost", s, vec![Value::Node(d), Value::Int(c)])
+    fn path_cost(s: NodeId, d: NodeId, c: i64) -> Arc<Tuple> {
+        Arc::new(Tuple::new(
+            "pathCost",
+            s,
+            vec![Value::Node(d), Value::Int(c)],
+        ))
     }
 
     #[test]
@@ -216,12 +212,12 @@ mod tests {
         p.on_base(0, &l1, true);
         p.on_base(1, &l2, true);
         let pc = path_cost(0, 2, 5);
-        let token = p.on_derivation(0, "sp1", &shared(&l1), &pc, true);
+        let token = p.on_derivation(0, &[Arc::clone(&l1)]);
         assert!(token.is_some());
         p.on_arrival(0, &pc, token, true, false);
         assert!(p.derivable_under(&pc, |v| v == l1.vid()));
         assert!(!p.derivable_under(&pc, |v| v == l2.vid()));
-        assert_eq!(p.annotations.len(), 3);
+        assert_eq!(p.annotations.iter().map(Annotations::len).sum::<usize>(), 3);
     }
 
     #[test]
@@ -229,21 +225,19 @@ mod tests {
         let mut p = ValueBddPolicy::new();
         let l1 = link(0, 2, 5);
         let l2 = link(1, 0, 3);
-        let bpc = Tuple::new("bestPathCost", 1, vec![Value::Node(2), Value::Int(2)]);
+        let bpc = Arc::new(Tuple::new(
+            "bestPathCost",
+            1,
+            vec![Value::Node(2), Value::Int(2)],
+        ));
         p.on_base(0, &l1, true);
         p.on_base(1, &l2, true);
         p.on_base(1, &bpc, true); // treat as base for the test
         let pc = path_cost(0, 2, 5);
         // One derivation computed at node 0, an alternative shipped from 1.
-        let t1 = p.on_derivation(0, "sp1", &shared(&l1), &pc, true);
+        let t1 = p.on_derivation(0, &[Arc::clone(&l1)]);
         p.on_arrival(0, &pc, t1, true, false);
-        let t2 = p.on_derivation(
-            1,
-            "sp2",
-            &[Arc::new(l2.clone()), Arc::new(bpc.clone())],
-            &pc,
-            true,
-        );
+        let t2 = p.on_derivation(1, &[Arc::clone(&l2), Arc::clone(&bpc)]);
         p.on_arrival(0, &pc, t2, true, false);
         // Either derivation suffices.
         assert!(p.derivable_under(&pc, |v| v == l1.vid()));
@@ -257,7 +251,7 @@ mod tests {
         let l1 = link(0, 2, 5);
         let pc = path_cost(0, 2, 5);
         // on_base was never called for l1.
-        let token = p.on_derivation(0, "sp1", &shared(&l1), &pc, true);
+        let token = p.on_derivation(0, &[Arc::clone(&l1)]);
         p.on_arrival(0, &pc, token, true, false);
         assert!(p.derivable_under(&pc, |v| v == l1.vid()));
     }
@@ -267,13 +261,12 @@ mod tests {
         let mut p = ValueBddPolicy::new();
         let l1 = link(0, 2, 5);
         p.on_base(0, &l1, true);
-        let pc = path_cost(0, 2, 5);
-        let token = p.on_derivation(0, "sp1", &shared(&l1), &pc, true);
-        let b1 = p.annotation_bytes(0, 2, &pc, token);
+        let token = p.on_derivation(0, &[Arc::clone(&l1)]);
+        let b1 = p.annotation_bytes(token);
         assert!(b1 > 0);
         assert_eq!(p.total_annotation_bytes(), b1 as u64);
         // Deltas without a token carry no annotation.
-        assert_eq!(p.annotation_bytes(0, 2, &path_cost(7, 8, 9), None), 0);
+        assert_eq!(p.annotation_bytes(None), 0);
         // Deleting the base tuple clears its annotation.
         p.on_base(0, &l1, false);
         assert!(p.annotation_of(&l1).is_none());
@@ -285,7 +278,7 @@ mod tests {
         let l1 = link(0, 2, 5);
         p.on_base(0, &l1, true);
         let pc = path_cost(0, 2, 5);
-        let token = p.on_derivation(0, "sp1", &shared(&l1), &pc, true);
+        let token = p.on_derivation(0, &[Arc::clone(&l1)]);
         p.on_arrival(0, &pc, token, true, false);
         assert!(p.annotation_of(&pc).is_some());
         // A deletion that leaves other derivations keeps the annotation.
@@ -293,6 +286,27 @@ mod tests {
         assert!(p.annotation_of(&pc).is_some());
         // The final deletion drops it.
         p.on_arrival(0, &pc, None, false, true);
+        assert!(p.annotation_of(&pc).is_none());
+    }
+
+    #[test]
+    fn a_content_equal_tuple_in_another_allocation_finds_the_annotation() {
+        // Keys compare by content: a pointer-keyed map would split one
+        // tuple's history over duplicate inserts and keyed replacements.
+        let mut p = ValueBddPolicy::new();
+        let l1 = link(0, 2, 5);
+        p.on_base(0, &l1, true);
+        let pc = path_cost(0, 2, 5);
+        let token = p.on_derivation(0, &[Arc::clone(&l1)]);
+        p.on_arrival(0, &pc, token, true, false);
+        let pc_copy = path_cost(0, 2, 5);
+        assert!(!Arc::ptr_eq(&pc, &pc_copy));
+        assert_eq!(p.annotation_of(&pc_copy), token.map(Bdd::from_raw));
+        // An input in a fresh allocation conjoins the stored variable rather
+        // than minting a new one.
+        let again = p.on_derivation(0, &[link(0, 2, 5)]);
+        assert_eq!(again, token);
+        p.on_arrival(0, &pc_copy, None, false, true);
         assert!(p.annotation_of(&pc).is_none());
     }
 }

@@ -38,8 +38,9 @@
 use crate::ast::{Atom, BodyItem, CmpOp, Expr, HeadArg, Program, Rule, Term};
 use crate::eval::{eval_cmp, CExpr, EvalError};
 use crate::is_event_predicate;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
+use exspan_types::fxhash::FxHashMap;
 use exspan_types::{NodeId, RelId, Symbol, Tuple, Value};
 
 /// What one atom position does with the candidate's value there.  Which
@@ -506,7 +507,7 @@ pub struct AggRulePlans {
     /// Body-atom index → that atom lowered as a trigger, and how the group
     /// key of the affected group is read once it matched (`None` when the
     /// atom does not bind all of it: every group is then recomputed).
-    pub triggers: HashMap<usize, (AtomOps, Option<Vec<KeyOp>>)>,
+    pub triggers: FxHashMap<usize, (AtomOps, Option<Vec<KeyOp>>)>,
     /// The slot each component of a group key pre-binds in `group`'s frame
     /// (`None` for a constant).
     pub group_slots: Vec<Option<usize>>,
@@ -520,7 +521,7 @@ impl AggRulePlans {
     fn compile(rule: &Rule, planned: bool) -> Self {
         let vars = rule_vars(rule);
         let mut body_bound = BTreeSet::new();
-        let mut triggers = HashMap::new();
+        let mut triggers = FxHashMap::default();
         for (i, item) in rule.body.iter().enumerate() {
             match item {
                 BodyItem::Atom(a) => {
@@ -556,9 +557,9 @@ impl AggRulePlans {
 pub struct ProgramPlans {
     /// `(rule index, trigger body-atom index)` → plan, for non-aggregate
     /// rules.
-    pub triggers: HashMap<(usize, usize), JoinPlan>,
+    pub triggers: FxHashMap<(usize, usize), JoinPlan>,
     /// Rule index → aggregate plans, for aggregate rules.
-    pub aggregates: HashMap<usize, AggRulePlans>,
+    pub aggregates: FxHashMap<usize, AggRulePlans>,
     /// Relation → set of demanded secondary-index column lists.
     pub demands: BTreeMap<RelId, BTreeSet<Vec<usize>>>,
 }

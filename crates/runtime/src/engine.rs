@@ -53,8 +53,8 @@ use exspan_store::{
     AggProvEntry, LinkRecord, MemoryBackend, RecoveredState, SnapshotData, StorageBackend,
     StorageStats, WalOp,
 };
+use exspan_types::fxhash::FxHashMap;
 use exspan_types::{wire, NodeId, RelId, Symbol, Tuple, Value};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -234,7 +234,7 @@ impl Engine {
         let aggregate_provenance =
             program.table("prov").is_some() && program.table("ruleExec").is_some();
         let program = program.normalize();
-        let mut triggers: HashMap<RelId, Vec<(usize, usize)>> = HashMap::new();
+        let mut triggers: FxHashMap<RelId, Vec<(usize, usize)>> = FxHashMap::default();
         for (ri, rule) in program.rules.iter().enumerate() {
             for (ai, item) in rule.body.iter().enumerate() {
                 if let BodyItem::Atom(a) = item {
@@ -244,7 +244,7 @@ impl Engine {
                 }
             }
         }
-        let keys: HashMap<RelId, Vec<usize>> = program
+        let keys: FxHashMap<RelId, Vec<usize>> = program
             .tables
             .iter()
             .map(|t| (t.relation, t.keys.clone()))
@@ -257,14 +257,14 @@ impl Engine {
         } else {
             ProgramPlans::disabled(&program)
         };
-        let index_demands: HashMap<RelId, Vec<Vec<usize>>> = plans
+        let index_demands: FxHashMap<RelId, Vec<Vec<usize>>> = plans
             .demands
             .iter()
             .map(|(rel, cols)| (*rel, cols.iter().cloned().collect()))
             .collect();
         let num_shards = config.shards.max(1);
         let assignment = Arc::new(topology.partition_rendezvous(num_shards));
-        let mut rule_by_label = HashMap::new();
+        let mut rule_by_label = FxHashMap::default();
         for (ri, rule) in program.rules.iter().enumerate() {
             rule_by_label.entry(rule.label).or_insert(ri);
         }
@@ -470,6 +470,7 @@ impl Engine {
     /// drivers for churn and data-plane workloads).
     pub fn schedule_delta(&mut self, time: f64, node: NodeId, tuple: Tuple, insert: bool) {
         let owner = self.owner(node);
+        let tuple = Arc::new(tuple);
         // Scheduled base-level changes are reported to the policy when
         // they are scheduled; derived deltas never go through here.
         if let Some(policy) = &mut self.shards[owner].policy {
@@ -479,7 +480,7 @@ impl Engine {
             time,
             node,
             Payload::Delta {
-                tuple: Arc::new(tuple),
+                tuple,
                 insert,
                 token: None,
             },

@@ -15,9 +15,13 @@
 //! *receiving* node when the delta is applied there.  Annotation state is
 //! kept per `(node, tuple)` because a delta is charged on the wire the
 //! history held *at the sending node* when it fires — what the figures'
-//! value-mode bytes measure.  One policy must see every arrival, derivation
-//! and remote send, so an engine built with a policy
-//! ([`Engine::with_policy`]) runs one shard, which owns it.
+//! value-mode bytes measure.  Every hook hands the policy the engine's shared
+//! `Arc<Tuple>` (the delta's, or the table row's), so that state can be keyed
+//! by the tuple itself: no hook computes a VID.  One policy must see every
+//! arrival, derivation and remote send, so an engine built with a policy
+//! ([`Engine::with_policy`]) runs one shard, which owns it.  The hooks take
+//! only what their one implementor, `exspan_core`'s value-based policy,
+//! reads.
 
 use crate::engine::Engine;
 use exspan_types::{NodeId, Tuple};
@@ -54,9 +58,6 @@ pub trait ExternalSink {
 pub type AnnotationToken = u64;
 
 /// Observes derivations and charges per-message annotation bytes.
-///
-/// The hooks have empty default implementations so simple policies only
-/// override what they need.
 pub trait AnnotationPolicy {
     /// Downcasting support: reads the concrete policy back out of
     /// [`Engine::policy`].
@@ -64,64 +65,27 @@ pub trait AnnotationPolicy {
 
     /// Called when a base tuple is inserted (`insert = true`) or deleted at
     /// `node` by the experiment driver.
-    fn on_base(&mut self, node: NodeId, tuple: &Tuple, insert: bool) {
-        let _ = (node, tuple, insert);
-    }
+    fn on_base(&mut self, node: NodeId, tuple: &Arc<Tuple>, insert: bool);
 
-    /// Called on every rule firing: `rule` fired at `node` with the grounded
-    /// `inputs` producing `output`.  `insert` is `false` for deletion deltas
-    /// cascading through the rule.  The inputs are the engine's shared table
-    /// rows — policies read them without cloning tuple contents.
+    /// Called on every rule firing at `node` with the grounded `inputs` (the
+    /// engine's shared table rows), for insertion and deletion deltas alike.
     ///
     /// The returned token is attached to the emitted delta and handed back to
     /// the policy at [`AnnotationPolicy::annotation_bytes`] (if the delta
     /// leaves the node) and [`AnnotationPolicy::on_arrival`] (when it is
     /// applied at its destination).
-    fn on_derivation(
-        &mut self,
-        node: NodeId,
-        rule: &str,
-        inputs: &[Arc<Tuple>],
-        output: &Tuple,
-        insert: bool,
-    ) -> Option<AnnotationToken> {
-        let _ = (node, rule, inputs, output, insert);
-        None
-    }
+    fn on_derivation(&mut self, node: NodeId, inputs: &[Arc<Tuple>]) -> Option<AnnotationToken>;
 
-    /// Returns the number of extra annotation bytes to attach to `tuple` when
-    /// it is transmitted from `from` to `to` carrying `token`.
-    fn annotation_bytes(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        tuple: &Tuple,
-        token: Option<AnnotationToken>,
-    ) -> usize {
-        let _ = (from, to, tuple, token);
-        0
-    }
+    /// Returns the number of extra annotation bytes a transmitted delta
+    /// carrying `token` costs.
+    fn annotation_bytes(&mut self, token: Option<AnnotationToken>) -> usize;
 
     /// Returns the annotation bytes for the same transmission under the
     /// *compressed* accounting model ([`exspan_types::compress`]).  Only
     /// consulted when the engine runs with
     /// [`crate::engine::EngineConfig::track_compressed`] enabled, and always
-    /// *after* [`AnnotationPolicy::annotation_bytes`] for the same delta —
-    /// `uncompressed` hands the already-charged flat size over so neither
-    /// method is invoked twice.  The default charges the uncompressed size:
-    /// a policy without a compressed encoding reports zero savings rather
-    /// than wrong bytes.
-    fn annotation_bytes_compressed(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        tuple: &Tuple,
-        token: Option<AnnotationToken>,
-        uncompressed: usize,
-    ) -> usize {
-        let _ = (from, to, tuple, token);
-        uncompressed
-    }
+    /// *after* [`AnnotationPolicy::annotation_bytes`] for the same delta.
+    fn annotation_bytes_compressed(&mut self, token: Option<AnnotationToken>) -> usize;
 
     /// Called when a delta for `tuple` is applied at `node`.  For insertions
     /// `token` is the annotation shipped with the delta (if any).  For
@@ -132,11 +96,9 @@ pub trait AnnotationPolicy {
     fn on_arrival(
         &mut self,
         node: NodeId,
-        tuple: &Tuple,
+        tuple: &Arc<Tuple>,
         token: Option<AnnotationToken>,
         insert: bool,
         removed: bool,
-    ) {
-        let _ = (node, tuple, token, insert, removed);
-    }
+    );
 }

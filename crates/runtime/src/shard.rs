@@ -28,9 +28,9 @@ use exspan_ndlog::eval::EvalError;
 use exspan_ndlog::is_event_predicate;
 use exspan_ndlog::plan::{AggRulePlans, JoinPlan, KeyOp, ProgramPlans};
 use exspan_netsim::{RoutedEvent, Simulator};
+use exspan_types::fxhash::FxHashMap;
 use exspan_types::{wire, NodeId, RelId, Symbol, Tuple, Value};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Leaf callback of the plan executor: receives the buffers, whose frame
@@ -94,13 +94,13 @@ fn read_key(ops: &[KeyOp], node: NodeId, frame: &[Value]) -> Vec<Value> {
 pub(crate) struct RuleData {
     pub rules: Vec<Rule>,
     /// relation -> list of (rule index, trigger atom index)
-    pub triggers: HashMap<RelId, Vec<(usize, usize)>>,
+    pub triggers: FxHashMap<RelId, Vec<(usize, usize)>>,
     /// Compiled join plans for every (rule, trigger) pair and aggregate rule,
     /// plus the secondary-index demands the table stores maintain.
     pub plans: ProgramPlans,
     /// Rule label → index of the first rule carrying it (what an
     /// aggregate-recompute event names its rule by).
-    pub rule_by_label: HashMap<Symbol, usize>,
+    pub rule_by_label: FxHashMap<Symbol, usize>,
     /// Interned name of the internal aggregate-recompute event.
     pub agg_recompute: RelId,
     pub config: EngineConfig,
@@ -125,7 +125,7 @@ pub(crate) struct Shard {
     /// tuple) pair currently installed for each group.  Not derivable from
     /// the tables, so it is journaled/snapshotted and restored on recovery
     /// (`pub(crate)` for the engine's recovery path).
-    pub(crate) agg_prov: HashMap<AggGroupKey, (Arc<Tuple>, Arc<Tuple>)>,
+    pub(crate) agg_prov: FxHashMap<AggGroupKey, (Arc<Tuple>, Arc<Tuple>)>,
     pub(crate) last_delta_time: f64,
     pub(crate) externals_seen: u64,
     pub(crate) processed: u64,
@@ -147,8 +147,8 @@ pub(crate) struct Shard {
 impl Shard {
     pub(crate) fn new(
         data: Arc<RuleData>,
-        keys: HashMap<RelId, Vec<usize>>,
-        index_demands: HashMap<RelId, Vec<Vec<usize>>>,
+        keys: FxHashMap<RelId, Vec<usize>>,
+        index_demands: FxHashMap<RelId, Vec<Vec<usize>>>,
         sim: Simulator<Payload>,
     ) -> Self {
         Shard {
@@ -156,7 +156,7 @@ impl Shard {
             store: TableStore::with_indexes(keys, index_demands),
             sim,
             policy: None,
-            agg_prov: HashMap::new(),
+            agg_prov: FxHashMap::default(),
             last_delta_time: 0.0,
             externals_seen: 0,
             processed: 0,
@@ -303,7 +303,6 @@ impl Shard {
         for i in 0..s.triggers.len() {
             let (rule_idx, atom_idx) = s.triggers[i];
             let rule = &self.data.rules[rule_idx];
-            let label = rule.label;
             let recompute = match self.data.plans.aggregates.get(&rule_idx) {
                 Some(plans) => self.recompute_event(rule, plans, node, tuple, atom_idx, &mut s),
                 None => {
@@ -325,7 +324,7 @@ impl Shard {
             // One head delta per satisfying assignment.
             for (inputs, head) in s.fired.drain(..) {
                 let head = Arc::new(head);
-                let token = self.note_derivation(label, node, &inputs, &head, insert);
+                let token = self.note_derivation(node, &inputs);
                 self.dispatch_delta(node, head, insert, token);
             }
         }
@@ -472,16 +471,8 @@ impl Shard {
     }
 
     /// Reports one rule firing to the annotation policy, if there is one.
-    fn note_derivation(
-        &mut self,
-        label: Symbol,
-        node: NodeId,
-        inputs: &[Arc<Tuple>],
-        output: &Tuple,
-        insert: bool,
-    ) -> Option<AnnotationToken> {
-        let policy = self.policy.as_mut()?;
-        policy.on_derivation(node, label.as_str(), inputs, output, insert)
+    fn note_derivation(&mut self, node: NodeId, inputs: &[Arc<Tuple>]) -> Option<AnnotationToken> {
+        self.policy.as_mut()?.on_derivation(node, inputs)
     }
 
     /// Sends or locally enqueues a delta for `head` produced at `node`.
@@ -504,19 +495,13 @@ impl Shard {
             );
         } else {
             let annotation_bytes = match &mut self.policy {
-                Some(policy) => policy.annotation_bytes(node, dest, &head, token),
+                Some(policy) => policy.annotation_bytes(token),
                 None => 0,
             };
             let bytes = wire::message_size(std::slice::from_ref(&*head), annotation_bytes);
             if self.data.config.track_compressed {
                 let compressed_annotation = match &mut self.policy {
-                    Some(policy) => policy.annotation_bytes_compressed(
-                        node,
-                        dest,
-                        &head,
-                        token,
-                        annotation_bytes,
-                    ),
+                    Some(policy) => policy.annotation_bytes_compressed(token),
                     None => 0,
                 };
                 self.compressed_bytes += exspan_types::compress::compressed_message_size(
@@ -738,13 +723,13 @@ impl Shard {
                     self.dispatch_delta(node, exec_t, false, None);
                 }
             }
-            let token = self.note_derivation(rule.label, node, &[], &old, false);
+            let token = self.note_derivation(node, &[]);
             self.dispatch_delta(node, old, false, token);
         }
 
         // Assert the new output.
         if let Some(new_t) = new_tuple {
-            let token = self.note_derivation(rule.label, node, &winning_inputs, &new_t, true);
+            let token = self.note_derivation(node, &winning_inputs);
             if self.data.aggregate_provenance {
                 let vids: Vec<_> = winning_inputs.iter().map(|t| t.vid()).collect();
                 let rid = exspan_types::tuple::rule_exec_id(rule.label.as_str(), node, &vids);

@@ -20,9 +20,10 @@
 //! `(node, relation)` store lookups allocation-free.
 
 use exspan_store::{TableDump, WalOp};
+use exspan_types::fxhash::FxHashMap;
 use exspan_types::{NodeId, RelId, Tuple, Value};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -450,12 +451,12 @@ impl<'a> Iterator for ProbeIter<'a> {
 /// drains into the WAL.
 #[derive(Debug, Default, Clone)]
 pub struct TableStore {
-    tables: HashMap<(NodeId, RelId), Table>,
+    tables: FxHashMap<(NodeId, RelId), Table>,
     /// Key declarations by relation.
-    keys: HashMap<RelId, Vec<usize>>,
+    keys: FxHashMap<RelId, Vec<usize>>,
     /// Secondary-index demands by relation (from the compiled join plans);
     /// every lazily-created table of that relation maintains them.
-    index_demands: HashMap<RelId, Vec<Vec<usize>>>,
+    index_demands: FxHashMap<RelId, Vec<Vec<usize>>>,
     /// Operations journaled since the last barrier flush (empty and never
     /// pushed to unless `journaling` is on).
     journal: Vec<WalOp>,
@@ -465,18 +466,18 @@ pub struct TableStore {
 impl TableStore {
     /// Creates an empty store with the given key declarations and no
     /// secondary indexes.
-    pub fn new(keys: HashMap<RelId, Vec<usize>>) -> Self {
-        Self::with_indexes(keys, HashMap::new())
+    pub fn new(keys: FxHashMap<RelId, Vec<usize>>) -> Self {
+        Self::with_indexes(keys, FxHashMap::default())
     }
 
     /// Creates an empty store with key declarations and per-relation
     /// secondary-index demands.
     pub fn with_indexes(
-        keys: HashMap<RelId, Vec<usize>>,
-        index_demands: HashMap<RelId, Vec<Vec<usize>>>,
+        keys: FxHashMap<RelId, Vec<usize>>,
+        index_demands: FxHashMap<RelId, Vec<Vec<usize>>>,
     ) -> Self {
         TableStore {
-            tables: HashMap::new(),
+            tables: FxHashMap::default(),
             keys,
             index_demands,
             journal: Vec::new(),
@@ -936,7 +937,7 @@ mod tests {
     #[test]
     fn keyed_and_unwritten_tables_answer_prefix_reads_by_filtering() {
         let best_rel = Symbol::intern("bestPathCost");
-        let mut store = TableStore::new(HashMap::from([(best_rel, vec![0usize, 1])]));
+        let mut store = TableStore::new(FxHashMap::from_iter([(best_rel, vec![0usize, 1])]));
         for (d, c) in [(3, 9), (2, 5), (4, 2), (2, 4)] {
             store.table_mut(0, best_rel).insert(&best(0, d, c));
         }
@@ -961,7 +962,7 @@ mod tests {
     fn table_store_lazily_creates_with_declared_keys() {
         let best_rel = Symbol::intern("bestPathCost");
         let pc_rel = Symbol::intern("pathCost");
-        let mut keys = HashMap::new();
+        let mut keys = FxHashMap::default();
         keys.insert(best_rel, vec![0usize, 1]);
         let mut store = TableStore::new(keys);
         store.table_mut(0, best_rel).insert(&best(0, 2, 5));

@@ -29,9 +29,12 @@
 //!   accounting mode and the serve protocol's compressed result bodies:
 //!   first occurrence of a string/VID in a message is sent inline and
 //!   assigned a varint id, repeats cost the id alone.
+//! * [`fxhash`] — the Fx hasher of the maps whose keys the program, topology
+//!   or BDD store chose (SipHash stays where keys come off a socket).
 
 pub mod codec;
 pub mod compress;
+pub mod fxhash;
 pub mod sha1;
 pub mod symbol;
 pub mod tuple;
