@@ -104,9 +104,6 @@ pub enum BuildError {
         /// Number of nodes in the topology.
         nodes: usize,
     },
-    /// A multi-shard deployment needs strictly positive link latencies (the
-    /// parallel runtime's lookahead would otherwise be zero).
-    NonPositiveLinkLatency,
     /// Opening or recovering the persistent store failed (I/O error,
     /// corruption past the committed prefix, or a store whose topology does
     /// not fit the configured one).
@@ -126,10 +123,6 @@ impl std::fmt::Display for BuildError {
             BuildError::CentralizedServerOutOfRange { server, nodes } => write!(
                 f,
                 "centralized provenance server n{server} is outside the {nodes}-node topology"
-            ),
-            BuildError::NonPositiveLinkLatency => write!(
-                f,
-                "multi-shard deployments need strictly positive link latencies"
             ),
             BuildError::Storage(msg) => write!(f, "persistent store: {msg}"),
         }
@@ -243,13 +236,6 @@ impl DeploymentBuilder {
                 });
             }
         }
-        if self.shards > 1 {
-            if let Some(latency) = topology.min_link_latency() {
-                if latency <= 0.0 {
-                    return Err(BuildError::NonPositiveLinkLatency);
-                }
-            }
-        }
         // Full static analysis (validation, type inference, safety,
         // liveness, distribution).  Errors refuse the deployment; warnings
         // and notes are retained on the deployment for inspection via
@@ -273,7 +259,6 @@ impl DeploymentBuilder {
         let engine_config = EngineConfig {
             shards: self.shards,
             track_compressed: self.track_compressed,
-            ..EngineConfig::default()
         };
         let executed = match self.mode {
             ProvenanceMode::None | ProvenanceMode::ValueBdd => program.clone(),

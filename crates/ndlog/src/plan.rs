@@ -32,8 +32,8 @@
 //! (always to a superset of the matching rows), it never replaces the match.
 //! Determinism contract: the storage layer guarantees `probe()` yields
 //! candidates in the same canonical order as `scan()`, and the executor
-//! restores body-atom enumeration order for reordered plans, so a planned run
-//! is bit-identical to the naïve scan evaluation.
+//! restores body-atom order for reordered plans, so every emitted delta keeps
+//! the sequence number a body-ordered enumeration would give it.
 
 use crate::ast::{Atom, BodyItem, CmpOp, Expr, HeadArg, Program, Rule, Term};
 use crate::eval::{eval_cmp, CExpr, EvalError};
@@ -327,13 +327,8 @@ fn bound_cols(
 /// Compiles one evaluation context of `rule`: the delta unified with body
 /// atom `trigger_idx`, or (`None`) an aggregate re-enumeration of the whole
 /// body, with `pre_bound` bound beforehand.  The remaining atoms are ordered
-/// greedily when `planned`, taken in body order with no probe otherwise.
-fn compile_plan(
-    rule: &Rule,
-    trigger_idx: Option<usize>,
-    pre_bound: &BTreeSet<Symbol>,
-    planned: bool,
-) -> JoinPlan {
+/// greedily.
+fn compile_plan(rule: &Rule, trigger_idx: Option<usize>, pre_bound: &BTreeSet<Symbol>) -> JoinPlan {
     let vars = rule_vars(rule);
     let loc_is_node = trigger_idx.is_none();
     let mut bound = pre_bound.clone();
@@ -368,7 +363,7 @@ fn compile_plan(
             atom.args.iter().filter(is_bound).count()
         };
         let mut best = 0usize;
-        for (i, (_, atom)) in remaining.iter().enumerate().filter(|_| planned) {
+        for (i, (_, atom)) in remaining.iter().enumerate() {
             if score(atom) > score(remaining[best].1) {
                 best = i;
             }
@@ -376,10 +371,6 @@ fn compile_plan(
         let (body_idx, atom) = remaining.remove(best);
         let mut level = bound_cols(atom, &bound, loc_is_node, &vars);
         level.body_idx = body_idx;
-        if !planned {
-            level.cols.clear();
-            level.key.clear();
-        }
         bound.extend(atom.variables());
         levels.push(level);
     }
@@ -429,7 +420,7 @@ fn compile_plan(
 /// `trigger_idx`: the trigger's variables (location included) are bound by
 /// unification before any stored table is touched.
 pub fn compile_trigger_plan(rule: &Rule, trigger_idx: usize) -> JoinPlan {
-    compile_plan(rule, Some(trigger_idx), &BTreeSet::new(), true)
+    compile_plan(rule, Some(trigger_idx), &BTreeSet::new())
 }
 
 /// Compiles the full-body evaluation plan used by the aggregate paths, with
@@ -438,7 +429,7 @@ pub fn compile_trigger_plan(rule: &Rule, trigger_idx: usize) -> JoinPlan {
 /// in these contexts is restricted to the evaluating node, so the location
 /// column is always probeable.
 pub fn compile_body_plan(rule: &Rule, initially_bound: &BTreeSet<Symbol>) -> JoinPlan {
-    compile_plan(rule, None, initially_bound, true)
+    compile_plan(rule, None, initially_bound)
 }
 
 /// The terms an aggregate rule's group key is read from: the head location,
@@ -518,7 +509,7 @@ pub struct AggRulePlans {
 }
 
 impl AggRulePlans {
-    fn compile(rule: &Rule, planned: bool) -> Self {
+    fn compile(rule: &Rule) -> Self {
         let vars = rule_vars(rule);
         let mut body_bound = BTreeSet::new();
         let mut triggers = FxHashMap::default();
@@ -541,8 +532,8 @@ impl AggRulePlans {
         });
         let agg_var = rule.head.aggregate().and_then(|(_, var, _)| var);
         AggRulePlans {
-            group: compile_plan(rule, None, &group_bound_vars(rule), planned),
-            all_groups: compile_plan(rule, None, &BTreeSet::new(), planned),
+            group: compile_plan(rule, None, &group_bound_vars(rule)),
+            all_groups: compile_plan(rule, None, &BTreeSet::new()),
             output_cols: Vec::new(),
             triggers,
             group_slots: group_slots.collect(),
@@ -568,25 +559,14 @@ impl ProgramPlans {
     /// Compiles plans for every `(rule, trigger atom)` pair and every
     /// aggregate rule of `program`, collecting the index demands.
     pub fn compile(program: &Program) -> Self {
-        Self::build(program, true)
-    }
-
-    /// Builds scan-only plans in body-atom order: execution is byte-identical
-    /// to the historical nested-loop evaluation, and no index is maintained.
-    /// This is the oracle side of the differential tests.
-    pub fn disabled(program: &Program) -> Self {
-        Self::build(program, false)
-    }
-
-    fn build(program: &Program, planned: bool) -> Self {
         let mut out = ProgramPlans::default();
         for (ri, rule) in program.rules.iter().enumerate() {
             if rule.is_aggregate() {
-                let mut plans = AggRulePlans::compile(rule, planned);
+                let mut plans = AggRulePlans::compile(rule);
                 // A location-only output key degenerates to a scan (cf.
                 // `bound_cols`).
                 let output_cols = group_output_cols(rule);
-                if planned && output_cols.len() > 1 {
+                if output_cols.len() > 1 {
                     out.demand(rule.head.relation, output_cols.clone());
                     plans.output_cols = output_cols;
                 }
@@ -598,7 +578,7 @@ impl ProgramPlans {
                     if !matches!(item, BodyItem::Atom(_)) {
                         continue;
                     }
-                    let plan = compile_plan(rule, Some(ai), &BTreeSet::new(), planned);
+                    let plan = compile_plan(rule, Some(ai), &BTreeSet::new());
                     out.collect_demands(&plan);
                     out.triggers.insert((ri, ai), plan);
                 }
@@ -701,20 +681,6 @@ mod tests {
             .map(|(i, r)| (i, r.clone()))
             .unwrap();
         assert!(plans.aggregates.contains_key(&pv3_idx));
-    }
-
-    #[test]
-    fn disabled_plans_are_scan_only_in_body_order() {
-        let p = programs::path_vector();
-        let plans = ProgramPlans::disabled(&p);
-        assert!(plans.demands.is_empty());
-        for plan in plans.triggers.values() {
-            assert!(plan.in_body_order);
-            assert!(plan.levels.iter().all(|l| !l.probes()));
-        }
-        for agg in plans.aggregates.values() {
-            assert!(agg.group.in_body_order && agg.output_cols.is_empty());
-        }
     }
 
     #[test]

@@ -22,25 +22,27 @@
 //! simulated time — has two event loops and picks between them from what it
 //! can observe.
 //!
-//! With more than one shard and no [`ExternalSink`] it runs the shards on
-//! worker threads in *barrier windows*: at each barrier the coordinator finds
-//! the earliest pending event time `t_min` across all shards and releases
-//! every shard to process its events strictly before `t_min + L`, where `L`
-//! is the smallest link latency of the topology (the *lookahead*).  A
-//! cross-shard delta produced inside the window is due no earlier than the
-//! window's end, so delivering the per-shard outboxes into the destination
-//! inboxes at the barrier never reorders anything.  Every event carries an
-//! execution-independent ordering key (`(time, source node, per-source
-//! sequence)`), per-node state is only ever touched by the owning shard, and
-//! the traffic counters are integral — which together make the sharded run
-//! *bit-identical* to the one-shard run, as the determinism tests assert.
+//! With more than one shard, no [`ExternalSink`] and a positive latency on
+//! every current link, it runs the shards on worker threads in *barrier
+//! windows*: at each barrier the coordinator finds the earliest pending event
+//! time `t_min` across all shards and releases every shard to process its
+//! events strictly before `t_min + L`, where `L` is the smallest link latency
+//! of the topology (the *lookahead*).  A cross-shard delta produced inside
+//! the window is due no earlier than the window's end, so delivering the
+//! per-shard outboxes into the destination inboxes at the barrier never
+//! reorders anything.  Every event carries an execution-independent ordering
+//! key (`(time, source node, per-source sequence)`), per-node state is only
+//! ever touched by the owning shard, and the traffic counters are integral —
+//! which together make the sharded run *bit-identical* to the one-shard run,
+//! as the determinism tests assert.
 //!
-//! Otherwise — one shard, or a sink listening — it steps through the events
-//! one at a time in global key order on the calling thread (at one shard
-//! simply the shard's own queue), handing each external tuple to the sink as
-//! it arrives.  A sink cannot be served from inside a barrier window: it
-//! reads tables and the clock *at the event*, and the window has by then
-//! applied later deltas of the same node.
+//! Otherwise — one shard, a sink listening, or a zero-latency link, which
+//! leaves a window no lookahead — it steps through the events one at a time
+//! in global key order on the calling thread (at one shard simply the shard's
+//! own queue), handing each external tuple to the sink as it arrives.  A sink
+//! cannot be served from inside a barrier window: it reads tables and the
+//! clock *at the event*, and the window has by then applied later deltas of
+//! the same node.
 
 use crate::plugin::{AnnotationPolicy, ExternalSink};
 use crate::shard::{RuleData, Shard};
@@ -128,12 +130,6 @@ pub struct EngineConfig {
     /// annotation policy ([`Engine::with_policy`]) runs one shard whatever
     /// this says.
     pub shards: usize,
-    /// When `true` (the default), rule bodies execute compiled join plans
-    /// over maintained secondary indexes (see [`exspan_ndlog::plan`]).  When
-    /// `false`, evaluation falls back to body-ordered full-table scans — the
-    /// historical nested-loop path, kept as the oracle for the differential
-    /// tests.  Both modes are bit-identical by construction.
-    pub join_planning: bool,
     /// When `true`, the engine additionally accounts every transmitted
     /// message under the dictionary wire codec ([`exspan_types::compress`]):
     /// tuple contents dictionary-encoded, annotations charged at the size
@@ -149,7 +145,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             shards: 1,
-            join_planning: true,
             track_compressed: false,
         }
     }
@@ -252,11 +247,7 @@ impl Engine {
         // Compile the per-(rule, trigger) join plans and collect the
         // secondary indexes they demand; every shard's table store maintains
         // exactly those indexes.
-        let plans = if config.join_planning {
-            ProgramPlans::compile(&program)
-        } else {
-            ProgramPlans::disabled(&program)
-        };
+        let plans = ProgramPlans::compile(&program);
         let index_demands: FxHashMap<RelId, Vec<Vec<usize>>> = plans
             .demands
             .iter()
@@ -608,7 +599,11 @@ impl Engine {
         self.sync_topology();
         let steps_before: u64 = self.shards.iter().map(|s| s.processed).sum();
         let ext_before: u64 = self.shards.iter().map(|s| s.externals_seen).sum();
-        if self.shards.len() > 1 && sink.is_none() {
+        // A zero-latency link leaves a barrier window no lookahead: step.
+        let windowed = self.shards.len() > 1
+            && sink.is_none()
+            && self.topology.min_link_latency().map_or(true, |l| l > 0.0);
+        if windowed {
             // `next_event` delivers the in-flight cross-shard deltas; with
             // nothing due by the limit (an idle server's every quantum) no
             // worker thread is spawned for the empty window.
@@ -664,10 +659,6 @@ impl Engine {
     /// events strictly before the horizon in parallel.
     fn run_parallel(&mut self, time_limit: f64) {
         let lookahead = self.topology.min_link_latency().unwrap_or(f64::INFINITY);
-        assert!(
-            lookahead > 0.0,
-            "links must have positive latency for the parallel runtime"
-        );
         let num_shards = self.shards.len();
         let barrier = Barrier::new(num_shards + 1);
         let next_times: Vec<AtomicU64> = (0..num_shards)

@@ -333,9 +333,8 @@ impl Shard {
 
     /// Evaluates a non-aggregate rule body with `tuple` bound at `atom_idx`
     /// by executing the compiled join plan, leaving in `s.fired` the head
-    /// tuple of each satisfying assignment (with the grounded input tuples
-    /// in body-atom order, when tracked) — in the exact sequence the
-    /// historical nested-loop scan produced.
+    /// tuple of each satisfying assignment in body-atom order, with its
+    /// grounded input tuples when they are tracked.
     fn evaluate_trigger(
         &self,
         rule: &Rule,
@@ -446,19 +445,19 @@ impl Shard {
         result.map_err(|e| self.note_eval_error(rule, &e)).ok()
     }
 
-    /// Restores the canonical (body-atom-ordered nested-loop) result
-    /// sequence after a reordered plan enumerated the same satisfying
-    /// assignments in greedy order.  The historical order is lexicographic
-    /// by the candidates' primary row keys per body atom — exactly what
-    /// comparing grounded inputs row-key-wise reconstructs — so emitted
-    /// deltas keep their execution-independent sequence numbers and every
-    /// figure stays byte-identical.
+    /// Restores the canonical (body-atom order) result sequence after a
+    /// reordered plan enumerated the same satisfying assignments in greedy
+    /// order.  Body-atom order is lexicographic by the candidates' primary
+    /// row keys per body atom — exactly what comparing grounded inputs
+    /// row-key-wise reconstructs — so emitted deltas keep their
+    /// execution-independent sequence numbers and every figure stays
+    /// byte-identical.
     fn restore_canonical_order<T>(&self, results: &mut [Derived<T>]) {
         results.sort_by(|a, b| self.canonical_cmp(a.0.iter(), b.0.iter()));
     }
 
-    /// Compares two assignments of one plan by their grounded inputs, in the
-    /// order the body-ordered nested-loop scan enumerates them.
+    /// Compares two assignments of one plan by their grounded inputs, in
+    /// body-atom order.
     fn canonical_cmp<'a>(
         &self,
         a: impl Iterator<Item = &'a Arc<Tuple>>,
@@ -586,9 +585,11 @@ impl Shard {
         self.scratch = s;
     }
 
-    /// Enumerates all group keys derivable at `node` for an aggregate rule —
-    /// the head location plus every non-aggregate head argument, read out of
-    /// each assignment of the whole body.
+    /// Enumerates every group key of an aggregate rule at `node` — the head
+    /// location plus every non-aggregate head argument — read out of each
+    /// assignment of the whole body, then out of each stored output: a group
+    /// whose last assignment left through an atom that does not bind the
+    /// whole key has only its output left, which its recomputation retracts.
     fn all_groups(
         &self,
         rule: &Rule,
@@ -613,6 +614,22 @@ impl Shard {
         for (_, k) in found {
             if !groups.contains(&k) {
                 groups.push(k);
+            }
+        }
+        let (Some((_, _, agg_pos)), Some(table)) = (
+            rule.head.aggregate(),
+            self.store.table(node, rule.head.relation),
+        ) else {
+            return groups;
+        };
+        for output in table.scan() {
+            let args = output.values.iter().enumerate();
+            let rest = args.filter(|(i, _)| *i != agg_pos).map(|(_, v)| v.clone());
+            let key: Vec<Value> = std::iter::once(Value::Node(output.location))
+                .chain(rest)
+                .collect();
+            if !groups.contains(&key) {
+                groups.push(key);
             }
         }
         groups

@@ -1,8 +1,10 @@
 //! Pins of the rule evaluator's candidate-matching semantics, through the
 //! public `Engine` API only — each case is decided by one branch of the
 //! evaluator that neither the built-in programs nor the randomized shapes of
-//! `join_differential.rs` reach on purpose.  Every program runs planned and
-//! scan-only; the two must agree with each other and with the expectation.
+//! `join_differential.rs` reach on purpose.  Every case also checks every
+//! relation against the reference evaluator in `oracle/`.
+
+mod oracle;
 
 use exspan_ndlog::ast::{BodyItem, Program, Term};
 use exspan_ndlog::parse_program;
@@ -18,25 +20,36 @@ fn int(i: i64) -> Value {
     Value::Int(i)
 }
 
-/// Runs `program` over a 3-node line to fixpoint after inserting `base` in
-/// order, with compiled plans and scan-only, and returns the planned engine.
-fn run(program: &Program, base: &[Tuple]) -> Engine {
-    let build = |join_planning| {
-        let config = EngineConfig {
-            join_planning,
-            ..EngineConfig::default()
-        };
-        let mut engine = Engine::new(program.clone(), Topology::line(3), config);
-        for tuple in base {
-            engine.insert_base(tuple.location, tuple.clone());
-            engine.run_to_fixpoint();
+const NODES: usize = 3;
+
+/// Runs `program` over a 3-node line, applying each base-tuple change
+/// (`tuple`, insert) in order and running to fixpoint after it, checks every
+/// relation and every changed base tuple's derivation count against the
+/// reference evaluator, and returns the engine.
+fn run_changes(program: &Program, changes: &[(Tuple, bool)]) -> Engine {
+    let config = EngineConfig::default();
+    let mut engine = Engine::new(program.clone(), Topology::line(NODES), config);
+    for (tuple, insert) in changes {
+        match insert {
+            true => engine.insert_base(tuple.location, tuple.clone()),
+            false => engine.delete_base(tuple.location, tuple.clone()),
         }
-        engine
-    };
-    let (planned, scanned) = (build(true), build(false));
-    assert_eq!(planned.state_digest(), scanned.state_digest());
-    assert_eq!(planned.eval_errors(), scanned.eval_errors());
-    planned
+        engine.run_to_fixpoint();
+    }
+    let model = oracle::evaluate(program, NODES, changes.iter().cloned());
+    let case = program.to_string();
+    model.assert_visible(|rel| engine.tuples_everywhere_shared(rel), &case);
+    for (tuple, _) in changes {
+        let count = engine.derivation_count(tuple);
+        assert_eq!(count, model.derivation_count(tuple), "{tuple} in {case}");
+    }
+    engine
+}
+
+/// [`run_changes`] inserting `base` in order.
+fn run(program: &Program, base: &[Tuple]) -> Engine {
+    let inserts: Vec<(Tuple, bool)> = base.iter().map(|t| (t.clone(), true)).collect();
+    run_changes(program, &inserts)
 }
 
 /// The attribute lists of `relation` at `node`, sorted.
@@ -183,6 +196,28 @@ fn a_location_probe_column_bound_to_a_non_node_value_derives_nothing() {
         assert_eq!(rows(&engine, 0, "out"), vec![vec![Value::Node(0)]]);
         assert_eq!(engine.eval_errors(), 0);
     }
+}
+
+#[test]
+fn an_aggregate_group_emptied_through_an_atom_not_binding_its_key_is_retracted() {
+    // `a` binds `L` but not `N`, so its deletion recomputes every group at
+    // the node — including one with no assignment left, only an output.
+    let program = parse(
+        r#"
+        materialize(kv, 3, keys(0,1)).
+        r1 kv(@L,N,min<S>) :- a(@L,X), b(@L,N,Y), S = X + Y.
+        "#,
+    );
+    let a = t("a", 0, vec![int(0)]);
+    let changes = [
+        (a.clone(), true),
+        (t("b", 0, vec![Value::Node(1), int(1)]), true),
+        (a, false),
+    ];
+    let inserted = run_changes(&program, &changes[..2]);
+    assert_eq!(rows(&inserted, 0, "kv"), vec![vec![Value::Node(1), int(1)]]);
+    let deleted = run_changes(&program, &changes);
+    assert!(deleted.tuples_everywhere_shared("kv").is_empty());
 }
 
 /// Statically impossible evaluation errors drop the candidate and are

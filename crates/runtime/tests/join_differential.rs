@@ -1,17 +1,20 @@
-//! Differential property tests for the indexed join subsystem.
+//! Differential property tests of the engine against the reference
+//! evaluator in `oracle/`.
 //!
-//! The compiled-plan evaluator (greedy atom ordering + secondary-index
-//! probes) must be **observably identical** to the historical body-ordered
-//! nested-loop scan evaluation — same visible tuples, same traffic, same
-//! event counts — on randomized programs, randomized delta schedules
-//! (including deletions, duplicate derivations and keyed-row replacement),
-//! at one shard and at four.  `EngineConfig::join_planning = false` keeps
-//! the scan path alive as the oracle.
+//! On randomized programs and randomized delta schedules (deletions,
+//! duplicate derivations, aggregate groups that empty and refill), the
+//! engine's visible tuples and the scheduled base tuples' derivation counts
+//! must equal the evaluator's fixpoint, and the engine at four shards must
+//! equal itself at one — same tuples, counts, traffic and event counts.
+//! MINCOST under link churn is checked the same way.
+
+mod oracle;
 
 use exspan_ndlog::ast::{
     AggFunc, ArithOp, Atom, BodyItem, CmpOp, Expr, HeadArg, Program, Rule, RuleHead, TableDecl,
     Term,
 };
+use exspan_ndlog::programs;
 use exspan_netsim::{LinkClass, LinkProps, Topology};
 use exspan_runtime::{Engine, EngineConfig};
 use exspan_types::{NodeId, Tuple, Value};
@@ -77,7 +80,7 @@ fn arb_shape() -> impl Strategy<Value = ProgramShape> {
 /// Builds a localized program over:
 ///   base(@L, N, V)  — set semantics (derivation counting)
 ///   mid(@L, N, V)   — set semantics
-///   kv(@L, N, V)    — keyed on (L, N): replacement semantics
+///   kv(@L, N, min<S>) — aggregate output, keyed on (L, N)
 ///   best(@L, N, min<V>) — aggregate output, keyed on (L, N)
 fn build_program(shape: &ProgramShape) -> Program {
     let var = Term::var;
@@ -108,7 +111,10 @@ fn build_program(shape: &ProgramShape) -> Program {
         ))],
     ));
 
-    // r2: kv(@L, N?, V1+V2) :- base(@L, N1, V1), mid(@L, N?, V2), V1+V2 < bound.
+    // r2: kv(@L, N?, min<S>) :- base(@L, N1, V1), mid(@L, N?, V2),
+    //                            S = V1+V2, S < bound.
+    // With N2, the `base` atom does not bind the group key: a `base` delta
+    // recomputes every group at the node.
     let mid_n = if shape.r2_shared_neighbor { "N1" } else { "N2" };
     p = p.with_rule(Rule::new(
         "r2",
@@ -117,25 +123,21 @@ fn build_program(shape: &ProgramShape) -> Program {
             var("L"),
             vec![
                 HeadArg::Term(var(mid_n)),
-                HeadArg::Expr(Expr::Arith(
-                    ArithOp::Add,
-                    Box::new(Expr::var("V1")),
-                    Box::new(Expr::var("V2")),
-                )),
+                HeadArg::Aggregate(AggFunc::Min, Some("S".into())),
             ],
         ),
         vec![
             BodyItem::Atom(Atom::new("base", var("L"), vec![var("N1"), var("V1")])),
             BodyItem::Atom(Atom::new("mid", var("L"), vec![var(mid_n), var("V2")])),
-            BodyItem::Constraint(
-                CmpOp::Lt,
+            BodyItem::Assign(
+                "S".into(),
                 Expr::Arith(
                     ArithOp::Add,
                     Box::new(Expr::var("V1")),
                     Box::new(Expr::var("V2")),
                 ),
-                Expr::constant(shape.r2_bound),
             ),
+            BodyItem::Constraint(CmpOp::Lt, Expr::var("S"), Expr::constant(shape.r2_bound)),
         ],
     ));
 
@@ -254,63 +256,90 @@ fn base_tuple(ev: &DeltaEvent) -> Tuple {
 
 const RELATIONS: &[&str] = &["base", "mid", "kv", "best", "out"];
 
-/// Runs the schedule to fixpoint and snapshots every observable: visible
-/// tuples per relation, derivation counts of the scheduled base tuples,
-/// per-node traffic and processed-event counts.
-fn run(
-    shape: &ProgramShape,
-    schedule: &[DeltaEvent],
-    shards: usize,
-    join_planning: bool,
-) -> (Vec<std::sync::Arc<Tuple>>, Vec<usize>, Vec<u64>, u64) {
-    run_program(build_program(shape), schedule, shards, join_planning)
-}
-
-fn run_program(
-    program: Program,
-    schedule: &[DeltaEvent],
-    shards: usize,
-    join_planning: bool,
-) -> (Vec<std::sync::Arc<Tuple>>, Vec<usize>, Vec<u64>, u64) {
-    let mut engine = Engine::new(
-        program,
-        ring(),
-        EngineConfig {
-            shards,
-            join_planning,
-            ..Default::default()
-        },
-    );
+/// The schedule's base-tuple changes in time order: `(time, tuple, insert)`.
+fn changes(schedule: &[DeltaEvent]) -> Vec<(f64, Tuple, bool)> {
+    let mut changes = Vec::new();
     for ev in schedule {
         let t = 0.1 + ev.t_slot as f64;
-        engine.schedule_delta(t, ev.node as NodeId, base_tuple(ev), true);
+        changes.push((t, base_tuple(ev), true));
         if ev.duplicate {
-            engine.schedule_delta(t + 0.25, ev.node as NodeId, base_tuple(ev), true);
+            changes.push((t + 0.25, base_tuple(ev), true));
         }
         if ev.delete_later {
-            engine.schedule_delta(t + 0.5, ev.node as NodeId, base_tuple(ev), false);
+            changes.push((t + 0.5, base_tuple(ev), false));
         }
     }
-    let stats = engine.run_to_fixpoint();
-    let mut tuples = Vec::new();
-    for rel in RELATIONS {
-        tuples.extend(engine.tuples_everywhere_shared(rel));
+    changes.sort_by(|a, b| a.0.total_cmp(&b.0));
+    changes
+}
+
+/// Everything observable about one run to fixpoint: visible tuples per
+/// relation, derivation counts of the scheduled base tuples, per-node
+/// traffic and processed-event counts.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    tuples: Vec<Vec<Tuple>>,
+    counts: Vec<usize>,
+    bytes: Vec<u64>,
+    steps: u64,
+}
+
+fn run_program(program: Program, schedule: &[DeltaEvent], shards: usize) -> Observed {
+    let config = EngineConfig {
+        shards,
+        ..Default::default()
+    };
+    let mut engine = Engine::new(program, ring(), config);
+    for (t, tuple, insert) in changes(schedule) {
+        engine.schedule_delta(t, tuple.location, tuple, insert);
     }
-    let counts = schedule
-        .iter()
-        .map(|ev| engine.derivation_count(&base_tuple(ev)))
-        .collect();
+    let steps = engine.run_to_fixpoint().steps;
     assert_eq!(
         engine.eval_errors(),
         0,
         "analyzer-accepted program produced statically-impossible eval errors"
     );
-    (
-        tuples,
-        counts,
-        engine.stats().bytes_sent.clone(),
-        stats.steps,
-    )
+    let visible = |rel: &str| {
+        engine
+            .tuples_everywhere_shared(rel)
+            .iter()
+            .map(|t| (**t).clone())
+            .collect()
+    };
+    Observed {
+        tuples: RELATIONS.iter().map(|rel| visible(rel)).collect(),
+        counts: schedule
+            .iter()
+            .map(|ev| engine.derivation_count(&base_tuple(ev)))
+            .collect(),
+        bytes: engine.stats().bytes_sent.clone(),
+        steps,
+    }
+}
+
+/// Runs the generated program at one shard and at four, asserts the two
+/// runs equal each other and the reference evaluator, and returns the first.
+fn check(shape: &ProgramShape, schedule: &[DeltaEvent]) -> Observed {
+    let case = (shape, schedule);
+    let one = run_program(build_program(shape), schedule, 1);
+    let four = run_program(build_program(shape), schedule, 4);
+    assert_eq!(one, four, "4 shards diverged from 1 in {case:?}");
+    let base = changes(schedule)
+        .into_iter()
+        .map(|(_, t, insert)| (t, insert));
+    let model = oracle::evaluate(&build_program(shape), NODES, base);
+    let tuples: Vec<Vec<Tuple>> = RELATIONS.iter().map(|rel| model.rows(rel)).collect();
+    for ((rel, seen), expected) in RELATIONS.iter().zip(&one.tuples).zip(&tuples) {
+        assert_eq!(
+            seen, expected,
+            "{rel} differs from the evaluator's in {case:?}"
+        );
+    }
+    let counts = schedule
+        .iter()
+        .map(|ev| model.derivation_count(&base_tuple(ev)));
+    assert_eq!(one.counts, counts.collect::<Vec<_>>(), "counts in {case:?}");
+    one
 }
 
 /// A mutation applied to an otherwise-valid generated program.  The first
@@ -362,19 +391,13 @@ fn mutate(mut program: Program, mutation: Mutation) -> Program {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Indexed evaluation (1 and 4 shards) is observably identical to the
-    /// scan-path oracle on randomized programs, deltas and deletions.
+    /// The engine at 1 and 4 shards reaches the reference evaluator's
+    /// fixpoint on randomized programs, deltas and deletions.
     #[test]
-    fn indexed_joins_match_scan_oracle(shape in arb_shape(), schedule in arb_schedule()) {
-        let oracle = run(&shape, &schedule, 1, false);
-        let planned = run(&shape, &schedule, 1, true);
-        prop_assert_eq!(&oracle, &planned, "planned run diverged at 1 shard");
-        let planned4 = run(&shape, &schedule, 4, true);
-        prop_assert_eq!(&oracle, &planned4, "planned run diverged at 4 shards");
-        let oracle4 = run(&shape, &schedule, 4, false);
-        prop_assert_eq!(&oracle, &oracle4, "scan oracle diverged at 4 shards");
+    fn engine_matches_the_reference_evaluator(shape in arb_shape(), schedule in arb_schedule()) {
+        check(&shape, &schedule);
     }
 
     /// The static analyzer's acceptance is sound for execution: any
@@ -413,8 +436,8 @@ proptest! {
             Mutation::SwappedHeadCols => {}
         }
         if !analysis.has_errors() {
-            let one = run_program(program.clone(), &schedule, 1, true);
-            let four = run_program(program, &schedule, 4, true);
+            let one = run_program(program.clone(), &schedule, 1);
+            let four = run_program(program, &schedule, 4);
             prop_assert_eq!(one, four, "accepted program diverged across shard counts");
         }
     }
@@ -423,7 +446,7 @@ proptest! {
 /// A deterministic smoke case pinning the exact shape the proptest explores,
 /// so a regression reproduces without a proptest seed.
 #[test]
-fn indexed_joins_match_scan_oracle_smoke() {
+fn engine_matches_the_reference_evaluator_smoke() {
     let shape = ProgramShape {
         r1_remote: true,
         r2_shared_neighbor: true,
@@ -441,8 +464,51 @@ fn indexed_joins_match_scan_oracle_smoke() {
             duplicate: i % 3 == 0,
         })
         .collect();
-    let oracle = run(&shape, &schedule, 1, false);
-    assert!(!oracle.0.is_empty(), "smoke case must derive something");
-    assert_eq!(oracle, run(&shape, &schedule, 1, true));
-    assert_eq!(oracle, run(&shape, &schedule, 4, true));
+    let observed = check(&shape, &schedule);
+    assert!(
+        observed.tuples.iter().any(|rows| !rows.is_empty()),
+        "smoke case must derive something"
+    );
+}
+
+/// MINCOST over a 24-node testbed ring, every 7th link then deleted: at 1
+/// and 4 shards the engine ends at the evaluator's fixpoint over the links
+/// left.  MINCOST has no `S != D` guard, so every node also derives its
+/// cheapest round trip `bestPathCost(@S,S,C)`, as the e2e benchmark's
+/// Dijkstra oracle expects.
+#[test]
+fn mincost_under_churn_matches_the_reference_evaluator() {
+    let topology = Topology::testbed_ring(24, 7);
+    let links: Vec<(NodeId, NodeId, i64)> =
+        topology.links().map(|(a, b, p)| (a, b, p.cost)).collect();
+    let deleted: Vec<_> = links.iter().copied().step_by(7).collect();
+    let link = |a, b, cost| Tuple::new("link", a, vec![Value::Node(b), Value::Int(cost)]);
+    let both = |&(a, b, cost): &(NodeId, NodeId, i64)| [link(a, b, cost), link(b, a, cost)];
+    let inserts = links.iter().flat_map(both).map(|t| (t, true));
+    let deletes = deleted.iter().flat_map(both).map(|t| (t, false));
+    let model = oracle::evaluate(&programs::mincost(), 24, inserts.chain(deletes));
+    for shards in [1, 4] {
+        let config = EngineConfig {
+            shards,
+            ..Default::default()
+        };
+        let mut engine = Engine::new(programs::mincost(), topology.clone(), config);
+        for tuple in links.iter().flat_map(both) {
+            engine.insert_base(tuple.location, tuple);
+        }
+        engine.run_to_fixpoint();
+        for &(a, b, cost) in &deleted {
+            engine.topology_mut().remove_link(a, b);
+            for tuple in both(&(a, b, cost)) {
+                engine.delete_base(tuple.location, tuple);
+            }
+        }
+        engine.run_to_fixpoint();
+        model.assert_visible(|rel| engine.tuples_everywhere_shared(rel), &shards);
+    }
+    let sizes = ["link", "pathCost", "bestPathCost"].map(|rel| model.rows(rel).len());
+    assert_eq!(sizes, [60, 1_134, 576]);
+    let round_trips = model.rows("bestPathCost").into_iter();
+    let round_trips = round_trips.filter(|t| t.values[0] == Value::Node(t.location));
+    assert_eq!(round_trips.count(), 24);
 }

@@ -9,7 +9,7 @@
 use exspan::core::{BuildError, Exspan, ProvenanceMode, QueryOutcome, Repr, Traversal};
 use exspan::ndlog::programs;
 use exspan::netsim::{ChurnModel, LinkClass, LinkProps, Topology};
-use exspan::types::Tuple;
+use exspan::types::{Tuple, Value};
 use std::sync::Arc;
 
 /// A 12-node ring of stub-stub links (the link class the churn model
@@ -201,6 +201,47 @@ fn shards_is_an_upper_bound_that_value_mode_caps_at_one() {
     assert_eq!(answers(&one), answers(&four));
     assert_eq!(answers(&one)[..2], [true, false]);
     assert_eq!(build(ProvenanceMode::Reference, 4).num_shards(), 4);
+}
+
+#[test]
+fn a_zero_latency_link_is_stepped_through_not_refused() {
+    // A barrier window has no lookahead over a zero-latency link, so a
+    // multi-shard engine steps through the events while one exists — here
+    // one added at runtime, after the build saw positive latencies only.
+    let instant = LinkProps {
+        latency: 0.0,
+        ..LinkProps::from_class(LinkClass::Custom)
+    };
+    let digest = |shards: usize| {
+        let mut deployment = Exspan::builder()
+            .program(programs::mincost())
+            .topology(Topology::line(4))
+            .shards(shards)
+            .build()
+            .expect("valid deployment");
+        deployment.run_to_fixpoint();
+        deployment.add_link(0, 3, instant);
+        deployment.run_to_fixpoint();
+        assert_eq!(deployment.num_shards(), shards);
+        let best = deployment.tuples_shared(0, "bestPathCost");
+        assert!(best
+            .iter()
+            .any(|t| t.values == [Value::Node(3), Value::Int(1)]));
+        deployment.state_digest()
+    };
+    assert_eq!(digest(1), digest(2));
+    // Value mode builds one shard whatever is asked for, so a zero-latency
+    // link is no reason to refuse four.
+    let mut topology = Topology::line(4);
+    topology.add_link(0, 3, instant);
+    let value = Exspan::builder()
+        .program(programs::mincost())
+        .topology(topology)
+        .mode(ProvenanceMode::ValueBdd)
+        .shards(4)
+        .build()
+        .expect("value mode builds one shard");
+    assert_eq!(value.num_shards(), 1);
 }
 
 #[test]
