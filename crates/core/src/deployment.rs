@@ -877,7 +877,7 @@ impl Deployment {
 
     /// Query-traffic statistics summed over every session.
     pub fn query_traffic_stats(&self) -> SessionStats {
-        let mut total = SessionStats::zero();
+        let mut total = SessionStats::default();
         for s in &self.fabric.sessions {
             total.merge_from(&s.stats);
         }

@@ -60,8 +60,9 @@
 use crate::repr::{Annotation, ProvenanceRepr, Repr};
 use crate::storage::{prov_entries, rule_exec_entry};
 use exspan_runtime::{Engine, ExternalSink};
-use exspan_types::wire::{message_size, BandwidthSeries};
-use exspan_types::{sha1_digest, Digest, NodeId, Rid, Tuple, Value, Vid};
+use exspan_types::sha1::Sha1;
+use exspan_types::wire::BandwidthSeries;
+use exspan_types::{Digest, NodeId, Rid, Tuple, Value, Vid};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
@@ -120,7 +121,7 @@ impl QueryOutcome {
 }
 
 /// Per-session statistics: query traffic plus cache behavior.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SessionStats {
     /// Total bytes of query-protocol messages (requests + responses).
     pub bytes: u64,
@@ -135,16 +136,6 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    pub(crate) fn zero() -> Self {
-        SessionStats {
-            bytes: 0,
-            messages: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            invalidations: 0,
-        }
-    }
-
     pub(crate) fn merge_from(&mut self, other: &SessionStats) {
         self.bytes += other.bytes;
         self.messages += other.messages;
@@ -212,7 +203,9 @@ enum State {
 
 /// `f_sha1` over the concatenation of `parts`: how §5.1 derives every id.
 fn derive_id(parts: &[&[u8]]) -> Digest {
-    sha1_digest(&parts.concat())
+    let mut h = Sha1::new();
+    parts.iter().for_each(|part| h.update(part));
+    h.finalize()
 }
 
 /// The id of query number `index`.
@@ -374,7 +367,7 @@ impl QueryFabric {
                 cache: HashMap::new(),
                 dependents: HashMap::new(),
                 series: BandwidthSeries::new(0.1),
-                stats: SessionStats::zero(),
+                stats: SessionStats::default(),
                 rng: SmallRng::seed_from_u64(seed),
             });
             self.sessions.len() - 1
@@ -465,14 +458,12 @@ impl QueryFabric {
     ) {
         let session = &mut self.sessions[sid];
         let extra = ann.as_ref().map_or(0, |a| session.repr.wire_size(a));
-        let tuple = msg.to_tuple(to);
-        let bytes = message_size(std::slice::from_ref(&tuple), extra);
+        let bytes = engine.send_tuple(from, to, msg.to_tuple(to), extra);
         session.stats.bytes += bytes as u64;
         session.stats.messages += 1;
         session.series.record(engine.now(), bytes);
         let state = ann.map_or(State::QuerySent, State::ResultSent);
         self.enter(msg.id(), sid, state);
-        engine.send_tuple(from, to, tuple, extra);
     }
 
     /// `edb1`: asks the target node of query `index` for the tuple's
@@ -580,7 +571,7 @@ impl QueryFabric {
         let Some(exec) = rule_exec_entry(engine, rloc, rid) else {
             // Dangling pointer (e.g. the entry was deleted concurrently):
             // answer with an empty combination.
-            let ann = session.repr.p_rule("?", rloc, &[]);
+            let ann = session.repr.p_rule("?", rloc, Vec::new());
             return self.reply_rule(engine, sid, rloc, rqid, rid, parent, ann, time);
         };
         let children = exec.vids.iter().enumerate().map(|(position, vid)| Child {
@@ -651,14 +642,14 @@ impl QueryFabric {
         let node = pending.node;
         match pending.vertex {
             Vertex::Tuple { vid, reply } => {
-                let ann = session.repr.p_idb(node, &pending.results);
+                let ann = session.repr.p_idb(node, pending.results);
                 if session.caching {
                     session.cache.insert(vid, ann.clone());
                 }
                 self.reply_tuple(engine, sid, node, id, vid, ann, reply, time);
             }
             Vertex::Rule { rid, rule, parent } => {
-                let ann = session.repr.p_rule(&rule, node, &pending.results);
+                let ann = session.repr.p_rule(&rule, node, pending.results);
                 if session.caching {
                     session.cache.insert(rid, ann.clone());
                     // Record dependencies for invalidation: the rule result
@@ -686,7 +677,7 @@ impl QueryFabric {
         if let (Vertex::Tuple { .. }, TraversalOrder::DfsThreshold(threshold)) =
             (&pending.vertex, session.traversal)
         {
-            let partial = session.repr.p_idb(pending.node, &pending.results);
+            let partial = session.repr.p_idb(pending.node, pending.results.clone());
             if session.repr.exceeds_threshold(&partial, threshold) {
                 pending.remaining.clear();
             }
@@ -786,6 +777,7 @@ mod tests {
     use crate::Exspan;
     use exspan_ndlog::programs;
     use exspan_netsim::Topology;
+    use exspan_types::sha1_digest;
 
     /// A query tuple from outside the module that is short, long or
     /// wrong-typed parses to `None` and is dropped, also when it names a live

@@ -254,11 +254,14 @@ pub trait ProvenanceRepr: Send {
     /// Annotation of a base (EDB) tuple identified by `vid` stored at `loc`.
     fn p_edb(&mut self, vid: Vid, loc: NodeId) -> Annotation;
 
-    /// Combines the annotations of the inputs of one rule execution.
-    fn p_rule(&mut self, rule: &str, rloc: NodeId, children: &[Annotation]) -> Annotation;
+    /// Combines the annotations of the inputs of one rule execution.  The
+    /// children are moved in, so a representation that nests them (the
+    /// polynomial) builds its result without copying a subtree.
+    fn p_rule(&mut self, rule: &str, rloc: NodeId, children: Vec<Annotation>) -> Annotation;
 
-    /// Combines the annotations of a tuple's alternative derivations.
-    fn p_idb(&mut self, loc: NodeId, derivations: &[Annotation]) -> Annotation;
+    /// Combines the annotations of a tuple's alternative derivations, moved
+    /// in as in [`ProvenanceRepr::p_rule`].
+    fn p_idb(&mut self, loc: NodeId, derivations: Vec<Annotation>) -> Annotation;
 
     /// Number of bytes the annotation occupies when shipped in a query
     /// response message.
@@ -282,6 +285,18 @@ pub trait ProvenanceRepr: Send {
 #[derive(Debug, Default, Clone)]
 pub struct PolynomialRepr;
 
+/// The polynomials among `annotations`, moved out in order into a vector of
+/// their own length: collecting would reuse the larger buffer of
+/// `annotations`, and a cached polynomial would keep its slack.
+fn exprs(annotations: Vec<Annotation>) -> Vec<ProvExpr> {
+    let mut out = Vec::with_capacity(annotations.len());
+    out.extend(annotations.into_iter().filter_map(|a| match a {
+        Annotation::Expr(e) => Some(e),
+        _ => None,
+    }));
+    out
+}
+
 impl ProvenanceRepr for PolynomialRepr {
     fn name(&self) -> &'static str {
         "POLYNOMIAL"
@@ -295,25 +310,18 @@ impl ProvenanceRepr for PolynomialRepr {
         Annotation::Expr(ProvExpr::Base(vid))
     }
 
-    fn p_rule(&mut self, rule: &str, rloc: NodeId, children: &[Annotation]) -> Annotation {
-        let factors = children
-            .iter()
-            .filter_map(|a| a.as_expr().cloned())
-            .collect();
+    fn p_rule(&mut self, rule: &str, rloc: NodeId, children: Vec<Annotation>) -> Annotation {
         Annotation::Expr(ProvExpr::Product {
             rule: rule.to_string(),
             loc: rloc,
-            factors,
+            factors: exprs(children),
         })
     }
 
-    fn p_idb(&mut self, loc: NodeId, derivations: &[Annotation]) -> Annotation {
-        let terms: Vec<ProvExpr> = derivations
-            .iter()
-            .filter_map(|a| a.as_expr().cloned())
-            .collect();
+    fn p_idb(&mut self, loc: NodeId, derivations: Vec<Annotation>) -> Annotation {
+        let mut terms = exprs(derivations);
         if terms.len() == 1 {
-            Annotation::Expr(terms.into_iter().next().expect("one term"))
+            Annotation::Expr(terms.pop().expect("one term"))
         } else {
             Annotation::Expr(ProvExpr::Sum { loc, terms })
         }
@@ -358,14 +366,14 @@ impl ProvenanceRepr for NodeSetRepr {
         Annotation::Nodes(std::iter::once(loc).collect())
     }
 
-    fn p_rule(&mut self, _rule: &str, rloc: NodeId, children: &[Annotation]) -> Annotation {
-        let mut s = union_sets(children);
+    fn p_rule(&mut self, _rule: &str, rloc: NodeId, children: Vec<Annotation>) -> Annotation {
+        let mut s = union_sets(&children);
         s.insert(rloc);
         Annotation::Nodes(s)
     }
 
-    fn p_idb(&mut self, _loc: NodeId, derivations: &[Annotation]) -> Annotation {
-        Annotation::Nodes(union_sets(derivations))
+    fn p_idb(&mut self, _loc: NodeId, derivations: Vec<Annotation>) -> Annotation {
+        Annotation::Nodes(union_sets(&derivations))
     }
 
     fn wire_size(&self, annotation: &Annotation) -> usize {
@@ -430,7 +438,7 @@ impl ProvenanceRepr for TrustDomainRepr {
         Annotation::Domains(std::iter::once(self.domain(loc)).collect())
     }
 
-    fn p_rule(&mut self, _rule: &str, rloc: NodeId, children: &[Annotation]) -> Annotation {
+    fn p_rule(&mut self, _rule: &str, rloc: NodeId, children: Vec<Annotation>) -> Annotation {
         let mut out: BTreeSet<u32> = BTreeSet::new();
         for a in children {
             if let Annotation::Domains(s) = a {
@@ -441,7 +449,7 @@ impl ProvenanceRepr for TrustDomainRepr {
         Annotation::Domains(out)
     }
 
-    fn p_idb(&mut self, _loc: NodeId, derivations: &[Annotation]) -> Annotation {
+    fn p_idb(&mut self, _loc: NodeId, derivations: Vec<Annotation>) -> Annotation {
         let mut out: BTreeSet<u32> = BTreeSet::new();
         for a in derivations {
             if let Annotation::Domains(s) = a {
@@ -480,11 +488,11 @@ impl ProvenanceRepr for DerivationCountRepr {
         Annotation::Count(1)
     }
 
-    fn p_rule(&mut self, _rule: &str, _rloc: NodeId, children: &[Annotation]) -> Annotation {
+    fn p_rule(&mut self, _rule: &str, _rloc: NodeId, children: Vec<Annotation>) -> Annotation {
         Annotation::Count(children.iter().map(|a| a.as_count().unwrap_or(0)).product())
     }
 
-    fn p_idb(&mut self, _loc: NodeId, derivations: &[Annotation]) -> Annotation {
+    fn p_idb(&mut self, _loc: NodeId, derivations: Vec<Annotation>) -> Annotation {
         Annotation::Count(derivations.iter().map(|a| a.as_count().unwrap_or(0)).sum())
     }
 
@@ -537,11 +545,11 @@ impl ProvenanceRepr for DerivabilityRepr {
         Annotation::Bool((self.trust)(vid, loc))
     }
 
-    fn p_rule(&mut self, _rule: &str, _rloc: NodeId, children: &[Annotation]) -> Annotation {
+    fn p_rule(&mut self, _rule: &str, _rloc: NodeId, children: Vec<Annotation>) -> Annotation {
         Annotation::Bool(children.iter().all(|a| a.as_bool().unwrap_or(false)))
     }
 
-    fn p_idb(&mut self, _loc: NodeId, derivations: &[Annotation]) -> Annotation {
+    fn p_idb(&mut self, _loc: NodeId, derivations: Vec<Annotation>) -> Annotation {
         Annotation::Bool(derivations.iter().any(|a| a.as_bool().unwrap_or(false)))
     }
 
@@ -614,7 +622,7 @@ impl ProvenanceRepr for BddRepr {
         Annotation::Bdd(b)
     }
 
-    fn p_rule(&mut self, _rule: &str, _rloc: NodeId, children: &[Annotation]) -> Annotation {
+    fn p_rule(&mut self, _rule: &str, _rloc: NodeId, children: Vec<Annotation>) -> Annotation {
         let handles: Vec<Bdd> = children
             .iter()
             .filter_map(|a| match a {
@@ -625,7 +633,7 @@ impl ProvenanceRepr for BddRepr {
         Annotation::Bdd(self.manager.and_all(handles))
     }
 
-    fn p_idb(&mut self, _loc: NodeId, derivations: &[Annotation]) -> Annotation {
+    fn p_idb(&mut self, _loc: NodeId, derivations: Vec<Annotation>) -> Annotation {
         let handles: Vec<Bdd> = derivations
             .iter()
             .filter_map(|a| match a {
@@ -666,21 +674,21 @@ mod tests {
 
         // bestPathCost(@b,c,2) <- sp3@b <- pathCost(@b,c,2) <- sp1@b <- link(@b,c,2)
         let e_bc = repr.p_edb(link_bc, b);
-        let r_sp1b = repr.p_rule("sp1", b, &[e_bc]);
-        let pc_b = repr.p_idb(b, &[r_sp1b]);
-        let r_sp3b = repr.p_rule("sp3", b, &[pc_b]);
-        let bpc_b = repr.p_idb(b, &[r_sp3b]);
+        let r_sp1b = repr.p_rule("sp1", b, vec![e_bc]);
+        let pc_b = repr.p_idb(b, vec![r_sp1b]);
+        let r_sp3b = repr.p_rule("sp3", b, vec![pc_b]);
+        let bpc_b = repr.p_idb(b, vec![r_sp3b]);
 
         // pathCost(@a,c,5): two derivations.
         let e_ac = repr.p_edb(link_ac, a);
-        let d1 = repr.p_rule("sp1", a, &[e_ac]);
+        let d1 = repr.p_rule("sp1", a, vec![e_ac]);
         let e_ba = repr.p_edb(link_ba, b);
-        let d2 = repr.p_rule("sp2", b, &[e_ba, bpc_b]);
-        let pc_a = repr.p_idb(a, &[d1, d2]);
+        let d2 = repr.p_rule("sp2", b, vec![e_ba, bpc_b]);
+        let pc_a = repr.p_idb(a, vec![d1, d2]);
 
         // bestPathCost(@a,c,5).
-        let r_sp3a = repr.p_rule("sp3", a, &[pc_a]);
-        let bpc_a = repr.p_idb(a, &[r_sp3a]);
+        let r_sp3a = repr.p_rule("sp3", a, vec![pc_a]);
+        let bpc_a = repr.p_idb(a, vec![r_sp3a]);
         (bpc_a, [link_ac, link_ba, link_bc])
     }
 
@@ -771,8 +779,8 @@ mod tests {
         let vb = vid("b", 1);
         let ea = repr.p_edb(va, 0);
         let eb = repr.p_edb(vb, 1);
-        let prod = repr.p_rule("r", 0, &[ea.clone(), eb]);
-        let sum = repr.p_idb(0, &[ea.clone(), prod]);
+        let prod = repr.p_rule("r", 0, vec![ea.clone(), eb]);
+        let sum = repr.p_idb(0, vec![ea.clone(), prod]);
         assert_eq!(sum, ea, "BDD canonicity applies absorption");
 
         // The equivalent polynomial keeps both derivations (no information
@@ -780,8 +788,8 @@ mod tests {
         let mut poly = PolynomialRepr;
         let pa = poly.p_edb(va, 0);
         let pb = poly.p_edb(vb, 1);
-        let pprod = poly.p_rule("r", 0, &[pa.clone(), pb]);
-        let psum = poly.p_idb(0, &[pa, pprod]);
+        let pprod = poly.p_rule("r", 0, vec![pa.clone(), pb]);
+        let psum = poly.p_idb(0, vec![pa, pprod]);
         assert_eq!(psum.as_expr().unwrap().num_derivations(), 2);
         assert!(poly.wire_size(&psum) > repr.wire_size(&sum));
     }
@@ -792,8 +800,8 @@ mod tests {
         let mut repr = TrustDomainRepr::contiguous(100);
         let e1 = repr.p_edb(vid("x", 5), 5);
         let e2 = repr.p_edb(vid("y", 150), 150);
-        let r = repr.p_rule("sp2", 7, &[e1, e2]);
-        let ann = repr.p_idb(5, &[r]);
+        let r = repr.p_rule("sp2", 7, vec![e1, e2]);
+        let ann = repr.p_idb(5, vec![r]);
         match &ann {
             Annotation::Domains(d) => {
                 assert_eq!(d.iter().copied().collect::<Vec<_>>(), vec![0, 1]);
@@ -814,8 +822,8 @@ mod tests {
     fn polynomial_single_derivation_is_not_wrapped_in_sum() {
         let mut repr = PolynomialRepr;
         let e = repr.p_edb(vid("a", 0), 0);
-        let r = repr.p_rule("sp1", 0, &[e]);
-        let idb = repr.p_idb(0, std::slice::from_ref(&r));
+        let r = repr.p_rule("sp1", 0, vec![e]);
+        let idb = repr.p_idb(0, vec![r.clone()]);
         assert_eq!(idb, r);
     }
 

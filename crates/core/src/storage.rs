@@ -14,7 +14,8 @@
 //! entries for the query layer and re-creates the paper's Tables 1 and 2.
 
 use exspan_runtime::Engine;
-use exspan_types::{Digest, NodeId, Rid, Tuple, Value, Vid};
+use exspan_types::{Digest, NodeId, RelId, Rid, Tuple, Value, Vid};
+use std::sync::OnceLock;
 
 /// A typed `prov` entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,19 +45,6 @@ impl ProvEntry {
             rid: if rid == Digest::ZERO { None } else { Some(rid) },
             rloc,
         })
-    }
-
-    /// Renders this entry as a `prov` tuple.
-    pub fn to_tuple(&self) -> Tuple {
-        Tuple::new(
-            "prov",
-            self.loc,
-            vec![
-                Value::from_digest(self.vid),
-                Value::from_digest(self.rid.unwrap_or(Digest::ZERO)),
-                Value::Node(self.rloc),
-            ],
-        )
     }
 
     /// Whether this entry marks a base (EDB) tuple.
@@ -100,19 +88,12 @@ impl RuleExecEntry {
             vids,
         })
     }
+}
 
-    /// Renders this entry as a `ruleExec` tuple.
-    pub fn to_tuple(&self) -> Tuple {
-        Tuple::new(
-            "ruleExec",
-            self.rloc,
-            vec![
-                Value::from_digest(self.rid),
-                Value::from(self.rule.clone()),
-                Value::list(self.vids.iter().map(|v| Value::Digest(v.0)).collect()),
-            ],
-        )
-    }
+/// `prov` and `ruleExec`, interned once: a read takes no interner lock.
+fn relations() -> (RelId, RelId) {
+    static RELATIONS: OnceLock<(RelId, RelId)> = OnceLock::new();
+    *RELATIONS.get_or_init(|| (RelId::intern("prov"), RelId::intern("ruleExec")))
 }
 
 /// Returns all `prov` entries for `vid` stored at `node`.
@@ -124,7 +105,7 @@ impl RuleExecEntry {
 /// combined, and DFS / moonwalk pick among them, in exactly this sequence.
 pub fn prov_entries(engine: &Engine, node: NodeId, vid: Vid) -> Vec<ProvEntry> {
     let key = [Value::Node(node), Value::from_digest(vid)];
-    let rows = engine.tuples_with_prefix(node, "prov", &key);
+    let rows = engine.tuples_with_prefix(node, relations().0, &key);
     rows.iter()
         .filter_map(|t| ProvEntry::from_tuple(t))
         .collect()
@@ -134,7 +115,7 @@ pub fn prov_entries(engine: &Engine, node: NodeId, vid: Vid) -> Vec<ProvEntry> {
 /// first row of the key range `[node, rid, ..]`.
 pub fn rule_exec_entry(engine: &Engine, node: NodeId, rid: Rid) -> Option<RuleExecEntry> {
     let key = [Value::Node(node), Value::from_digest(rid)];
-    let rows = engine.tuples_with_prefix(node, "ruleExec", &key);
+    let rows = engine.tuples_with_prefix(node, relations().1, &key);
     rows.iter().find_map(|t| RuleExecEntry::from_tuple(t))
 }
 
@@ -161,43 +142,42 @@ pub fn all_rule_exec_entries(engine: &Engine) -> Vec<RuleExecEntry> {
 mod tests {
     use super::*;
 
+    /// Every `prov` and `ruleExec` row a MINCOST deployment on Figure 3's
+    /// network wrote parses to an entry with the row's fields: one base entry
+    /// per link, and a derived entry names a `ruleExec` row at its `RLoc`
+    /// whose RID is the digest of its rule, location and inputs.
     #[test]
-    fn prov_entry_round_trips_and_detects_base() {
-        let t = Tuple::new("link", 1, vec![Value::Node(2), Value::Int(3)]);
-        let base = ProvEntry {
-            loc: 1,
-            vid: t.vid(),
-            rid: None,
-            rloc: 1,
-        };
-        let parsed = ProvEntry::from_tuple(&base.to_tuple()).unwrap();
-        assert_eq!(parsed, base);
-        assert!(parsed.is_base());
+    fn rows_a_deployment_wrote_parse() {
+        let mut d = crate::Exspan::builder()
+            .program(exspan_ndlog::programs::mincost())
+            .topology(exspan_netsim::Topology::paper_example())
+            .build()
+            .expect("valid deployment");
+        d.run_to_fixpoint();
+        let engine = d.engine();
+        let rows = engine.tuples_everywhere_shared("prov");
+        let prov = all_prov_entries(engine);
+        assert_eq!(prov.len(), rows.len());
+        for (row, e) in rows.iter().zip(&prov) {
+            let rid = Value::from_digest(e.rid.unwrap_or(Digest::ZERO));
+            let fields = vec![Value::from_digest(e.vid), rid, Value::Node(e.rloc)];
+            assert_eq!((row.location, &row.values), (e.loc, &fields));
+            if let Some(rid) = e.rid {
+                assert!(rule_exec_entry(engine, e.rloc, rid).is_some(), "{e:?}");
+            }
+        }
+        let links = engine.tuples_everywhere_shared("link").len();
+        assert_eq!(prov.iter().filter(|e| e.is_base()).count(), links);
 
-        let derived = ProvEntry {
-            loc: 0,
-            vid: t.vid(),
-            rid: Some(exspan_types::tuple::rule_exec_id("sp1", 1, &[t.vid()])),
-            rloc: 1,
-        };
-        let parsed = ProvEntry::from_tuple(&derived.to_tuple()).unwrap();
-        assert_eq!(parsed, derived);
-        assert!(!parsed.is_base());
-    }
-
-    #[test]
-    fn rule_exec_entry_round_trips() {
-        let vids = vec![
-            Tuple::new("link", 1, vec![Value::Node(2), Value::Int(3)]).vid(),
-            Tuple::new("bestPathCost", 1, vec![Value::Node(2), Value::Int(3)]).vid(),
-        ];
-        let e = RuleExecEntry {
-            rloc: 1,
-            rid: exspan_types::tuple::rule_exec_id("sp2", 1, &vids),
-            rule: "sp2".into(),
-            vids,
-        };
-        assert_eq!(RuleExecEntry::from_tuple(&e.to_tuple()).unwrap(), e);
+        let rows = engine.tuples_everywhere_shared("ruleExec");
+        let execs = all_rule_exec_entries(engine);
+        assert_eq!(execs.len(), rows.len());
+        for (row, exec) in rows.iter().zip(&execs) {
+            assert_eq!(row.location, exec.rloc);
+            let rid = exspan_types::tuple::rule_exec_id(&exec.rule, exec.rloc, &exec.vids);
+            assert_eq!(exec.rid, rid, "{exec:?}");
+        }
+        assert!(execs.iter().any(|e| e.rule == "sp2" && e.vids.len() == 2));
     }
 
     #[test]

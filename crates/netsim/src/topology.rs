@@ -1,4 +1,5 @@
-//! Network topologies and generators.
+//! Network topologies, their one shortest-path search
+//! ([`Topology::routes_from`]) and generators.
 
 use exspan_types::NodeId;
 use rand::rngs::SmallRng;
@@ -76,6 +77,11 @@ impl LinkProps {
 ///
 /// Links are stored once per unordered pair; all query methods treat them as
 /// bidirectional (the paper assumes symmetric links).
+///
+/// A [`crate::Simulator`] routes over an immutable snapshot and keeps the
+/// [`Topology::routes_from`] rows it computed on it, so a changed topology
+/// reaches a simulator as a new snapshot through
+/// [`crate::Simulator::set_topology`], which drops those rows.
 #[derive(Debug, Clone)]
 pub struct Topology {
     num_nodes: usize,
@@ -83,7 +89,7 @@ pub struct Topology {
     adjacency: BTreeMap<NodeId, BTreeSet<NodeId>>,
 }
 
-/// A node reached by [`Topology::path_latency`]'s search: (latency,
+/// A node reached by [`Topology::routes_from`]'s search: (latency,
 /// bottleneck bandwidth, node), ordered for a min-heap on latency.
 #[derive(PartialEq)]
 struct Entry(f64, f64, NodeId);
@@ -219,26 +225,26 @@ impl Topology {
         count == self.num_nodes
     }
 
-    /// Computes the lowest-latency path delay from `from` to `to` (Dijkstra
-    /// over link latencies), and the bottleneck bandwidth along that path.
+    /// The lowest-latency route from `from` to every node (Dijkstra over link
+    /// latencies): `routes[to]` is the path delay and the bottleneck bandwidth
+    /// along that path, or `None` if `to` is unreachable.  `routes[from]` is
+    /// `(0.0, f64::INFINITY)`.
     ///
-    /// Returns `None` if `to` is unreachable.  Used by the simulator to model
-    /// communication between nodes that are not directly adjacent (e.g. the
-    /// provenance query protocol, which contacts arbitrary `RLoc` nodes over
-    /// the underlying IP network).
-    pub fn path_latency(&self, from: NodeId, to: NodeId) -> Option<(f64, f64)> {
-        if from == to {
-            return Some((0.0, f64::INFINITY));
-        }
-        // Best latency found so far per node: a dense array, since this runs
-        // on every remote send.
-        let mut dist = vec![f64::INFINITY; self.num_nodes.max(from as usize + 1)];
+    /// Used by the simulator to model communication between nodes that are
+    /// not directly adjacent (e.g. the provenance query protocol, which
+    /// contacts arbitrary `RLoc` nodes over the underlying IP network).  Each
+    /// node's route is recorded when the search first pops it, which is where
+    /// a search for that node alone would stop: the pushes and pops up to
+    /// there are the same, so ties between equal-latency paths resolve the
+    /// same way in both.
+    pub fn routes_from(&self, from: NodeId) -> Vec<Option<(f64, f64)>> {
+        let n = self.num_nodes.max(from as usize + 1);
+        let mut routes = vec![None; n];
+        let mut dist = vec![f64::INFINITY; n];
         let mut heap = std::collections::BinaryHeap::new();
         heap.push(Entry(0.0, f64::INFINITY, from));
         while let Some(Entry(lat, bw, node)) = heap.pop() {
-            if node == to {
-                return Some((lat, bw));
-            }
+            routes[node as usize].get_or_insert((lat, bw));
             if lat > dist[node as usize] {
                 continue;
             }
@@ -251,7 +257,7 @@ impl Topology {
                 }
             }
         }
-        None
+        routes
     }
 
     /// Smallest one-way propagation latency over all current links, or `None`
@@ -447,15 +453,6 @@ impl Topology {
         }
         t
     }
-
-    /// A star topology centered on node 0 (useful in unit tests).
-    pub fn star(num_nodes: usize) -> Topology {
-        let mut t = Topology::empty(num_nodes);
-        for i in 1..num_nodes {
-            t.add_link(0, i as NodeId, LinkProps::from_class(LinkClass::Custom));
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -550,52 +547,20 @@ mod tests {
         }
     }
 
-    /// The routine `path_latency` replaced, kept as its oracle: the same
-    /// search over a sparse distance map and a copied neighbour list.
-    fn path_latency_by_map(t: &Topology, from: NodeId, to: NodeId) -> Option<(f64, f64)> {
-        let mut dist: BTreeMap<NodeId, f64> = BTreeMap::new();
-        let mut heap = std::collections::BinaryHeap::new();
-        heap.push(Entry(0.0, f64::INFINITY, from));
-        while let Some(Entry(lat, bw, node)) = heap.pop() {
-            if node == to {
-                return Some((lat, bw));
-            }
-            if dist.get(&node).is_some_and(|&best| lat > best) {
-                continue;
-            }
-            for m in t.neighbors(node) {
-                let props = t.link(node, m).unwrap();
-                let nlat = lat + props.latency;
-                if dist.get(&m).map_or(true, |&d| nlat < d) {
-                    dist.insert(m, nlat);
-                    heap.push(Entry(nlat, bw.min(props.bandwidth), m));
-                }
-            }
-        }
-        None
-    }
-
     #[test]
-    fn path_latency_follows_shortest_path() {
-        for t in [Topology::transit_stub(1, 42), Topology::line(4)] {
-            for (a, b) in t.nodes().flat_map(|a| t.nodes().map(move |b| (a, b))) {
-                let expected = if a == b {
-                    Some((0.0, f64::INFINITY))
-                } else {
-                    path_latency_by_map(&t, a, b)
-                };
-                assert_eq!(t.path_latency(a, b), expected, "{a}->{b}");
-            }
-        }
+    fn routes_follow_shortest_paths() {
         let t = Topology::line(4); // 0-1-2-3, each 1 ms
-        let (lat, bw) = t.path_latency(0, 3).unwrap();
+        assert!(t.num_links() == 3 && t.is_connected());
+        let routes = t.routes_from(0);
+        assert_eq!(routes.len(), 4);
+        let (lat, bw) = routes[3].unwrap();
         assert!((lat - 0.003).abs() < 1e-9);
         assert_eq!(bw, 100e6);
-        assert_eq!(t.path_latency(0, 0).unwrap().0, 0.0);
+        assert_eq!(routes[0], Some((0.0, f64::INFINITY)));
         // Unreachable node.
         let mut t2 = Topology::empty(3);
         t2.add_link(0, 1, LinkProps::from_class(LinkClass::Custom));
-        assert!(t2.path_latency(0, 2).is_none());
+        assert!(t2.routes_from(0)[2].is_none());
         assert!(!t2.is_connected());
     }
 
@@ -632,15 +597,5 @@ mod tests {
         // ones between surviving shards (the rendezvous property is hard to
         // check directly; at minimum the assignment changes deterministically).
         assert_eq!(t.partition_rendezvous(3), t.partition_rendezvous(3));
-    }
-
-    #[test]
-    fn star_and_line_helpers() {
-        let s = Topology::star(5);
-        assert_eq!(s.degree(0), 4);
-        assert_eq!(s.num_links(), 4);
-        let l = Topology::line(5);
-        assert_eq!(l.num_links(), 4);
-        assert!(l.is_connected());
     }
 }

@@ -415,11 +415,11 @@ impl Engine {
     pub fn tuples_with_prefix(
         &self,
         node: NodeId,
-        relation: &str,
+        relation: RelId,
         prefix: &[Value],
     ) -> Vec<Arc<Tuple>> {
         let store = &self.shards[self.owner(node)].store;
-        store.tuples_with_prefix(node, RelId::intern(relation), prefix)
+        store.tuples_with_prefix(node, relation, prefix)
     }
 
     /// Visible tuples of `relation` across all nodes, as shared handles
@@ -480,8 +480,14 @@ impl Engine {
 
     /// Sends a tuple from `from` to `to` on behalf of a higher layer (the
     /// provenance query protocol), charging `extra_bytes` of annotation in
-    /// addition to the tuple's wire size.
-    pub fn send_tuple(&mut self, from: NodeId, to: NodeId, tuple: Tuple, extra_bytes: usize) {
+    /// addition to the tuple's wire size.  Returns the bytes charged.
+    pub fn send_tuple(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        tuple: Tuple,
+        extra_bytes: usize,
+    ) -> usize {
         self.sync_topology();
         let bytes = wire::message_size(std::slice::from_ref(&tuple), extra_bytes);
         let owner = self.owner(from);
@@ -504,6 +510,7 @@ impl Engine {
             },
         );
         self.flush_outboxes();
+        bytes
     }
 
     /// Moves events diverted to foreign shards into the destination inboxes,
