@@ -6,25 +6,14 @@
 //! cargo run -p exspan-bench --release --bin figures -- --scale paper
 //! cargo run -p exspan-bench --release --bin figures -- --shards 4
 //! cargo run -p exspan-bench --release --bin figures -- --json out/   # one BENCH_figN.json per figure
-//! cargo run -p exspan-bench --release --bin figures -- --data-dir store/
 //! ```
 //!
 //! `--json DIR` writes one machine-readable `BENCH_<figure>.json` record per
 //! figure (series means/maxes, wall clock, shard count) — the format the CI
 //! perf gate (`scripts/check_bench.sh`) compares against the committed
 //! `benchmarks/baseline` files.
-//!
-//! `--data-dir DIR` makes the run restartable: every protocol deployment is
-//! backed by a persistent store under `DIR/active`, and each finished
-//! figure's record is saved under `DIR/reports`.  If the process is killed
-//! mid-run, rerunning the same command recovers the already-finished figures
-//! from the store and recomputes only the interrupted one, so the final
-//! output set is byte-identical to an uninterrupted run (the figures report
-//! deliberately transient traffic counters, so the in-progress figure is
-//! recomputed from scratch rather than resumed mid-workload).
 
-use exspan_bench::{all_figure_ids, run_figure, set_data_dir, BenchReport, Scale};
-use std::path::PathBuf;
+use exspan_bench::{all_figure_ids, run_figure, BenchReport, Scale};
 use std::time::Instant;
 
 fn main() {
@@ -32,7 +21,6 @@ fn main() {
     let mut scale_name = String::from("small");
     let mut only: Vec<String> = Vec::new();
     let mut json_dir: Option<String> = None;
-    let mut data_dir: Option<PathBuf> = None;
     let mut shards: usize = 1;
 
     let mut i = 0;
@@ -71,14 +59,10 @@ fn main() {
                 i += 1;
                 json_dir = args.get(i).cloned();
             }
-            "--data-dir" => {
-                i += 1;
-                data_dir = args.get(i).map(PathBuf::from);
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: figures [--scale tiny|small|paper] [--shards N] [--only figN...] \
-                     [--json DIR] [--data-dir DIR]\n\
+                     [--json DIR]\n\
                      figures: {}",
                     all_figure_ids().join(", ")
                 );
@@ -115,47 +99,8 @@ fn main() {
         }
     }
 
-    // Restartable mode: stores keyed by scale + shard count so a rerun with
-    // different parameters never reuses a stale report.
-    let reports_dir = data_dir.as_ref().map(|base| {
-        let dir = base
-            .join("reports")
-            .join(format!("{scale_name}-{shards}shard"));
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("failed to create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-        set_data_dir(Some(base.join("active")));
-        dir
-    });
-
     let total = Instant::now();
-    let mut written = 0usize;
     for id in &ids {
-        let stored = reports_dir.as_ref().map(|d| d.join(format!("{id}.json")));
-        if let Some(bench) = stored.as_ref().and_then(|p| {
-            let json = std::fs::read_to_string(p).ok()?;
-            serde_json::from_str::<BenchReport>(&json).ok()
-        }) {
-            println!("{id}: recovered finished figure from the store\n");
-            if let Some(dir) = &json_dir {
-                let path = format!("{dir}/{}", bench.file_name());
-                match serde_json::to_string_pretty(&bench) {
-                    Ok(json) => {
-                        if let Err(e) = std::fs::write(&path, json) {
-                            eprintln!("failed to write {path}: {e}");
-                            std::process::exit(1);
-                        }
-                        written += 1;
-                    }
-                    Err(e) => {
-                        eprintln!("failed to serialize {id}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            continue;
-        }
         let start = Instant::now();
         match run_figure(id, &scale) {
             Some(report) => {
@@ -163,28 +108,19 @@ fn main() {
                 println!("{}", report.to_text());
                 println!("   (regenerated in {elapsed:.1}s)\n");
                 let bench = BenchReport::from_figure(&report, &scale_name, shards, elapsed);
-                let json = match serde_json::to_string_pretty(&bench) {
-                    Ok(json) => json,
-                    Err(e) => {
-                        eprintln!("failed to serialize {id}: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                // Persist the finished figure first, so a kill between the
-                // two writes re-derives the --json record from the store.
-                if let Some(path) = &stored {
-                    if let Err(e) = std::fs::write(path, &json) {
-                        eprintln!("failed to write {}: {e}", path.display());
-                        std::process::exit(1);
-                    }
-                }
                 if let Some(dir) = &json_dir {
+                    let json = match serde_json::to_string_pretty(&bench) {
+                        Ok(json) => json,
+                        Err(e) => {
+                            eprintln!("failed to serialize {id}: {e}");
+                            std::process::exit(1);
+                        }
+                    };
                     let path = format!("{dir}/{}", bench.file_name());
-                    if let Err(e) = std::fs::write(&path, &json) {
+                    if let Err(e) = std::fs::write(&path, json) {
                         eprintln!("failed to write {path}: {e}");
                         std::process::exit(1);
                     }
-                    written += 1;
                 }
             }
             None => {
@@ -203,6 +139,6 @@ fn main() {
         shards
     );
     if let Some(dir) = &json_dir {
-        println!("wrote {written} BENCH_*.json record(s) to {dir}");
+        println!("wrote {} BENCH_*.json record(s) to {dir}", ids.len());
     }
 }

@@ -122,21 +122,6 @@ pub fn evaluation_modes() -> Vec<ProvenanceMode> {
     ]
 }
 
-static DATA_DIR: std::sync::Mutex<Option<std::path::PathBuf>> = std::sync::Mutex::new(None);
-static RUN_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Routes every subsequent [`run_protocol`] deployment through a persistent
-/// store under `dir` (the `figures --data-dir` flag).  Each protocol run gets
-/// its own fresh subdirectory: figure workloads (churn, queries, packets) are
-/// driven by the experiment code rather than replayed from the journal, and
-/// the traffic counters the figures report are deliberately transient, so a
-/// half-finished store is never resumed *within* a figure — restart recovery
-/// happens at figure granularity in the `figures` driver instead.
-pub fn set_data_dir(dir: Option<std::path::PathBuf>) {
-    *DATA_DIR.lock().unwrap() = dir;
-    RUN_COUNTER.store(0, std::sync::atomic::Ordering::SeqCst);
-}
-
 /// Builds a deployment (links auto-seeded) and runs the protocol to fixpoint
 /// on `shards` worker threads (results are identical for every shard count).
 pub fn run_protocol(
@@ -145,41 +130,13 @@ pub fn run_protocol(
     mode: ProvenanceMode,
     shards: usize,
 ) -> Deployment {
-    run_protocol_with(program, topology, mode, shards, false)
-}
-
-/// [`run_protocol`] with the parallel compressed-wire accounting enabled
-/// (Figure 18).  A separate entry point so every pre-existing figure keeps
-/// running with the accounting off, exactly as before.
-fn run_protocol_compressed(
-    program: &Program,
-    topology: Topology,
-    mode: ProvenanceMode,
-    shards: usize,
-) -> Deployment {
-    run_protocol_with(program, topology, mode, shards, true)
-}
-
-fn run_protocol_with(
-    program: &Program,
-    topology: Topology,
-    mode: ProvenanceMode,
-    shards: usize,
-    track_compressed: bool,
-) -> Deployment {
-    let mut builder = Exspan::builder()
+    let mut deployment = Exspan::builder()
         .program(program.clone())
         .topology(topology)
         .mode(mode)
         .shards(shards)
-        .track_compressed(track_compressed);
-    if let Some(base) = DATA_DIR.lock().unwrap().clone() {
-        let run = RUN_COUNTER.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let dir = base.join(format!("run{run:04}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        builder = builder.data_dir(dir);
-    }
-    let mut deployment = builder.build().expect("experiment configuration is valid");
+        .build()
+        .expect("experiment configuration is valid");
     deployment.run_to_fixpoint();
     deployment
 }
@@ -641,8 +598,15 @@ pub fn figure18(scale: &Scale) -> FigureReport {
         let nodes = domains * 100;
         for (i, (name, program)) in programs.iter().enumerate() {
             let topology = Topology::transit_stub(domains, scale.seed);
-            let mut system =
-                run_protocol_compressed(program, topology, ProvenanceMode::ValueBdd, scale.shards);
+            let mut system = Exspan::builder()
+                .program(program.clone())
+                .topology(topology)
+                .mode(ProvenanceMode::ValueBdd)
+                .shards(scale.shards)
+                .track_compressed(true)
+                .build()
+                .expect("experiment configuration is valid");
+            system.run_to_fixpoint();
             if *name == "PACKETFORWARD" {
                 drive_packet_workload(&mut system, scale, nodes);
             }

@@ -5,10 +5,11 @@
 //! of the canonical snapshot encoding, a pure function of logical state that
 //! is independent of shard count and execution history.
 
-use exspan_core::{Deployment, Exspan, ProvenanceMode};
+use exspan_core::{Annotation, Deployment, Exspan, ProvenanceMode};
+use exspan_ndlog::ast::Program;
 use exspan_ndlog::programs;
 use exspan_netsim::{LinkClass, LinkProps, Topology};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -255,6 +256,64 @@ fn in_memory_default_reports_zero_storage_activity() {
     assert_eq!(stats.committed_batches, 0);
     assert_eq!(stats.wal_bytes, 0);
     assert_eq!(stats.snapshots_written, 0);
+}
+
+/// What the figures and the query layer read off a finished run.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    total_bytes: u64,
+    bandwidth: Vec<(f64, f64)>,
+    /// `SessionStats` in its `Debug` form (the type has no `PartialEq`).
+    query_traffic: String,
+    annotations: Vec<Option<Annotation>>,
+    digest: String,
+}
+
+/// Fixpoint, one churn batch, and in reference mode one cached and one
+/// uncached query.
+fn observe(program: &Program, mode: ProvenanceMode, data_dir: Option<&Path>) -> Observed {
+    let mut b = builder(1).program(program.clone()).mode(mode);
+    if let Some(dir) = data_dir {
+        b = b.data_dir(dir);
+    }
+    let mut d = b.build().unwrap();
+    d.run_to_fixpoint();
+    churn(&mut d);
+    if mode == ProvenanceMode::Reference {
+        let targets = d.tuples_shared(0, "bestPathCost");
+        d.query(&targets[0]).issuer(3).cached(true).execute();
+        d.query(targets.last().unwrap()).cached(false).execute();
+    }
+    Observed {
+        total_bytes: d.total_bytes(),
+        bandwidth: d.avg_bandwidth_mbps(),
+        query_traffic: format!("{:?}", d.query_traffic_stats()),
+        annotations: d.outcomes().iter().map(|o| o.annotation.clone()).collect(),
+        digest: d.state_digest(),
+    }
+}
+
+#[test]
+fn a_store_never_changes_what_a_deployment_observes() {
+    let programs = [
+        programs::mincost(),
+        programs::path_vector(),
+        programs::packet_forward(),
+    ];
+    let modes = [
+        ProvenanceMode::ValueBdd,
+        ProvenanceMode::Reference,
+        ProvenanceMode::None,
+    ];
+    for program in &programs {
+        for mode in modes {
+            let memory = observe(program, mode, None);
+            assert!(memory.annotations.iter().all(Option::is_some));
+            let scratch = Scratch::new("observe");
+            let durable = observe(program, mode, Some(scratch.path()));
+            assert_eq!(memory, durable, "{} under {mode:?}", program.name);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

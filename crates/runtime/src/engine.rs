@@ -87,7 +87,7 @@ pub enum Payload {
 
 /// Result of processing one simulator event.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Step {
+pub(crate) enum Step {
     /// The event was consumed by the engine.
     Handled,
     /// An event tuple arrived for which the engine has no rules.  Higher
@@ -563,16 +563,6 @@ impl Engine {
             .filter_map(|(i, s)| s.sim.peek_key().map(|k| (i, k)))
             .min_by(|(_, a), (_, b)| a.order(b))
             .map(|(i, k)| (i, k.time))
-    }
-
-    /// Processes the next event in global deterministic order, so callers
-    /// that need single-step control behave identically at any shard count.
-    pub fn step(&mut self) -> Step {
-        self.sync_topology();
-        match self.next_event() {
-            Some((idx, _)) => self.shards[idx].step(),
-            None => Step::Idle,
-        }
     }
 
     /// Simulated time of the earliest pending event across all shards (after
@@ -1163,27 +1153,6 @@ mod tests {
     }
 
     #[test]
-    fn external_event_tuples_are_surfaced() {
-        let topo = Topology::paper_example();
-        let mut engine = Engine::new(programs::mincost(), topo, EngineConfig::default());
-        seed_links(&mut engine);
-        engine.run_to_fixpoint();
-        let q = Tuple::new("eProvQuery", 2, vec![Value::Int(42)]);
-        engine.send_tuple(0, 2, q.clone(), 0);
-        loop {
-            match engine.step() {
-                Step::External { node, tuple, .. } => {
-                    assert_eq!(node, 2);
-                    assert_eq!(*tuple, q);
-                    break;
-                }
-                Step::Handled => {}
-                Step::Idle => panic!("external tuple was never surfaced"),
-            }
-        }
-    }
-
-    #[test]
     fn run_until_respects_time_limit() {
         let topo = Topology::transit_stub(1, 5);
         let mut engine = Engine::new(programs::mincost(), topo, EngineConfig::default());
@@ -1357,8 +1326,9 @@ mod tests {
         assert_eq!(externals, 5);
         assert_eq!(seq.len(), 5);
         assert!(seq.iter().any(|(_, t, _)| t.relation == "eProvResults"));
-        // And the stepping loop is shard-count independent like step().
+        // And the stepping loop is shard-count independent.
         assert_eq!(seq, run(3).0);
+        assert_eq!(seq, run(4).0);
     }
 
     #[test]
@@ -1449,41 +1419,5 @@ mod tests {
         assert_eq!(reference, run(1, true), "1 shard, sink");
         assert_eq!(reference, run(3, false), "3 shards, run_parallel");
         assert_eq!(reference, run(3, true), "3 shards, sink");
-    }
-
-    #[test]
-    fn sharded_step_merges_queues_in_sequential_order() {
-        // Drive two engines purely through step() and compare the surfaced
-        // external events (the query layer depends on this order).
-        let run = |shards: usize| {
-            let topo = Topology::paper_example();
-            let mut engine = Engine::new(
-                programs::mincost(),
-                topo,
-                EngineConfig {
-                    shards,
-                    ..Default::default()
-                },
-            );
-            seed_links(&mut engine);
-            engine.run_to_fixpoint();
-            for n in 0..4u32 {
-                let q = Tuple::new("eProvQuery", n, vec![Value::Int(n as i64)]);
-                engine.send_tuple(n, (n + 1) % 4, q, 0);
-            }
-            let mut surfaced = Vec::new();
-            loop {
-                match engine.step() {
-                    Step::Idle => break,
-                    Step::Handled => {}
-                    Step::External {
-                        node, tuple, time, ..
-                    } => surfaced.push((node, tuple, time)),
-                }
-            }
-            surfaced
-        };
-        assert_eq!(run(1), run(2));
-        assert_eq!(run(1), run(4));
     }
 }

@@ -28,15 +28,15 @@
 //!   about provenance; the engine's one shard owns it.
 //!
 //! The engine deliberately exposes low-level access (per-node tables, raw
-//! message injection, a [`engine::Step`] API that surfaces unknown event
-//! tuples to the caller) so that the provenance query protocol of
-//! `exspan-core` can be layered on top as plain message traffic.
+//! message injection, an [`plugin::ExternalSink`] that receives unknown event
+//! tuples) so that the provenance query protocol of `exspan-core` can be
+//! layered on top as plain message traffic.
 
 pub mod engine;
 pub mod plugin;
 pub mod shard;
 pub mod table;
 
-pub use engine::{Engine, EngineConfig, FixpointStats, Payload, Step};
+pub use engine::{Engine, EngineConfig, FixpointStats, Payload};
 pub use plugin::{AnnotationPolicy, AnnotationToken, ExternalSink};
 pub use table::{DeleteEffect, InsertEffect, Table};

@@ -27,8 +27,7 @@ use crate::engine::Engine;
 use exspan_types::{NodeId, Tuple};
 use std::sync::Arc;
 
-/// Receives event tuples the engine has no rules for (the engine's
-/// [`crate::engine::Step::External`] events) during a driven run.
+/// Receives event tuples the engine has no rules for during a driven run.
 ///
 /// This is the hook through which higher protocol layers — the distributed
 /// provenance *query* protocol of `exspan-core` — participate in the

@@ -5,9 +5,6 @@
 #   scripts/check_bench.sh                  # regenerate (1 shard) + gate
 #   scripts/check_bench.sh --shards 4       # regenerate with 4 shards + gate
 #   scripts/check_bench.sh --fresh DIR      # gate an existing output directory
-#   scripts/check_bench.sh --data-dir DIR   # regenerate through a persistent
-#                                           # store (restartable; see figures
-#                                           # --data-dir)
 #
 # The gate (crates/bench/src/bin/check_bench.rs) fails if any series statistic
 # is not bit-equal to benchmarks/baseline, if the paper's value >= reference
@@ -20,7 +17,6 @@ cd "$(dirname "$0")/.."
 BASELINE_DIR=benchmarks/baseline
 FRESH_DIR=""
 SHARDS=1
-DATA_DIR_ARGS=()
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -32,12 +28,8 @@ while [[ $# -gt 0 ]]; do
       FRESH_DIR="$2"
       shift 2
       ;;
-    --data-dir)
-      DATA_DIR_ARGS=(--data-dir "$2")
-      shift 2
-      ;;
     *)
-      echo "usage: $0 [--shards N] [--fresh DIR] [--data-dir DIR]" >&2
+      echo "usage: $0 [--shards N] [--fresh DIR]" >&2
       exit 2
       ;;
   esac
@@ -54,8 +46,7 @@ if [[ -z "$FRESH_DIR" ]]; then
   FRESH_DIR="$(mktemp -d)"
   trap 'rm -rf "$FRESH_DIR"' EXIT
   echo "== regenerating tiny-scale figures (${SHARDS} shard(s)) into $FRESH_DIR"
-  ./target/release/figures --scale tiny --shards "$SHARDS" --json "$FRESH_DIR" \
-    ${DATA_DIR_ARGS[@]+"${DATA_DIR_ARGS[@]}"} >/dev/null
+  ./target/release/figures --scale tiny --shards "$SHARDS" --json "$FRESH_DIR" >/dev/null
 fi
 
 echo "== comparing $FRESH_DIR against $BASELINE_DIR"
