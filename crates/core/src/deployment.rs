@@ -528,6 +528,13 @@ impl Deployment {
         self.engine.now()
     }
 
+    /// Simulated time of the earliest pending event, or `None` when nothing
+    /// is scheduled — how long a wall-clock front-end may sleep before
+    /// [`Self::run_until`] has work to do.
+    pub fn next_event_time(&mut self) -> Option<f64> {
+        self.engine.peek_time()
+    }
+
     /// Number of shards executing this deployment.
     pub fn num_shards(&self) -> usize {
         self.engine.num_shards()

@@ -602,7 +602,7 @@ impl Engine {
             && self.topology.min_link_latency().map_or(true, |l| l > 0.0);
         if windowed {
             // `next_event` delivers the in-flight cross-shard deltas; with
-            // nothing due by the limit (an idle server's every quantum) no
+            // nothing due by the limit (an idle server's every loop turn) no
             // worker thread is spawned for the empty window.
             if self.next_event().is_some_and(|(_, t)| t <= time_limit) {
                 self.run_parallel(time_limit);

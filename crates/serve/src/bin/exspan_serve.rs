@@ -4,12 +4,15 @@
 //! exspan-serve [--addr 127.0.0.1:0] [--domains 1] [--seed 42]
 //!              [--clock-rate 50] [--rate 500] [--burst 64]
 //!              [--max-sessions 256] [--max-inflight 4096]
-//!              [--pipeline-depth 32] [--write-queue-kib 1024]
-//!              [--churn-duration 30] [--no-churn] [--data-dir DIR]
+//!              [--write-queue-kib 1024] [--churn-duration 30] [--no-churn]
+//!              [--data-dir DIR]
 //! ```
 //!
 //! Prints the bound address on stdout, serves until stdin reaches EOF
-//! (Ctrl-D, or the parent process closing the pipe), then shuts down.
+//! (Ctrl-D, or the parent process closing the pipe), then shuts down.  One
+//! server thread runs the deployment and every session: it advances
+//! simulated time at `--clock-rate` simulated seconds per wall second, and
+//! answers each request in the loop turn that reads it.
 //!
 //! With `--data-dir` the deployment state is persisted (write-ahead log +
 //! snapshots): an empty directory boots fresh, an existing store boots from
@@ -31,7 +34,6 @@ struct Args {
     burst: u32,
     max_sessions: usize,
     max_inflight: usize,
-    pipeline_depth: u32,
     write_queue_kib: usize,
     churn_duration: f64,
     churn: bool,
@@ -48,7 +50,6 @@ fn parse_args() -> Result<Args, String> {
         burst: 64,
         max_sessions: 256,
         max_inflight: 4096,
-        pipeline_depth: 32,
         write_queue_kib: 1024,
         churn_duration: 30.0,
         churn: true,
@@ -69,9 +70,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--max-inflight" => {
                 args.max_inflight = parse(&value("--max-inflight")?, "--max-inflight")?;
-            }
-            "--pipeline-depth" => {
-                args.pipeline_depth = parse(&value("--pipeline-depth")?, "--pipeline-depth")?;
             }
             "--write-queue-kib" => {
                 args.write_queue_kib = parse(&value("--write-queue-kib")?, "--write-queue-kib")?;
@@ -150,7 +148,6 @@ fn main() -> ExitCode {
         .max_inflight(args.max_inflight)
         .rate_limit(args.rate, args.burst)
         .clock_rate(args.clock_rate)
-        .pipeline_depth(args.pipeline_depth)
         .write_queue_bytes(args.write_queue_kib * 1024);
     let server = match Server::bind(deployment, config) {
         Ok(server) => server,

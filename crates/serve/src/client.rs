@@ -40,7 +40,7 @@ pub struct SessionInfo {
     pub burst: u32,
     /// The session's protocol version.
     pub version: u16,
-    /// Requests this connection may keep in flight.
+    /// Requests the server advises keeping in flight (a hint, not a limit).
     pub pipeline_depth: u32,
     /// Data bytes per result chunk the server streams.
     pub chunk_bytes: u32,

@@ -4,22 +4,23 @@
 //! `Deployment` that regenerates the paper's figures, served over TCP to
 //! concurrent client sessions while the deployment keeps churning.
 //!
-//! ## Architecture: a poll(2) reactor plus one worker thread
+//! ## Architecture: one poll(2) reactor thread
 //!
-//! The server is two threads, no async runtime:
+//! The server is one thread, no async runtime.  It owns the listen socket,
+//! every connection and the [`exspan_core::Deployment`].  All sockets are
+//! nonblocking; one `poll(2)` loop (via the vendored `pollshim`) drives
+//! per-connection state machines — an incremental [`proto::FrameBuffer`] on
+//! the read side, a bounded write queue plus pending
+//! [`proto::ResultStream`]s on the write side.  A connection that requests
+//! more response bytes than [`ServeConfig::write_queue_bytes`] while not
+//! reading them is answered with a typed `Overloaded` error and closed —
+//! slow readers cannot pin server memory.
 //!
-//! * the **reactor** owns the listen socket and every connection.  All
-//!   sockets are nonblocking; one `poll(2)` loop (via the vendored
-//!   `pollshim`) drives per-connection state machines — an incremental
-//!   [`proto::FrameBuffer`] on the read side, a bounded write queue plus
-//!   pending [`proto::ResultStream`]s on the write side.  A connection that
-//!   requests more response bytes than [`ServeConfig::write_queue_bytes`]
-//!   while not reading them is answered with a typed `Overloaded` error and
-//!   closed — slow readers cannot pin server memory.
-//! * the **worker** owns the [`exspan_core::Deployment`]: it executes the
-//!   submits/polls it receives over a channel, advances the deployment to
-//!   `origin + elapsed × clock_rate` once per wake-up, and wakes the reactor
-//!   through a loopback socket pair.  It holds no per-query state.
+//! The loop sleeps until a socket is ready or the next simulated event is
+//! due, advances the deployment to `origin + elapsed × clock_rate`, then
+//! answers the frames it read: submits and polls run inline, against the
+//! deployment, so no request waits on another thread.  It holds no
+//! per-query state, and serves no socket while a `run_until` runs.
 //!
 //! ## Wire protocol
 //!
@@ -33,25 +34,26 @@
 //!
 //! A session is `Hello → HelloAckV2` (there is one protocol version; an
 //! older `Hello` is refused with a typed `HandshakeRejected`), then any
-//! number of **pipelined** requests: up to [`ServeConfig::pipeline_depth`]
-//! `SubmitQuery`/`Poll` frames may be in flight at once, each answered by a
-//! response carrying its request id — possibly **out of order**, in
-//! whatever order the worker finishes them.  Completed polls stream the
-//! rendered result as `ResultChunk` frames
+//! number of **pipelined** `SubmitQuery`/`Poll` frames, each answered by a
+//! response carrying its request id — possibly **out of order**: a short
+//! response overtakes the tail of a long result stream.  Completed polls
+//! stream the rendered result as `ResultChunk` frames
 //! ([`proto::MAX_FRAME_LEN`] bounds *frames*, not results) and reassembled
 //! transparently by [`ServeClient`].  A session ends with `Bye ↔ Bye`.
 //! Bodies travel as rendered: the handshake's `codec` flag and the two
-//! trailing `QueryStatusV2` counters are reserved (see [`proto`]).
+//! trailing `QueryStatusV2` counters are reserved, and its `pipeline_depth`
+//! is a constant window hint (see [`proto`]).
 //!
 //! Every violation — malformed body, oversized frame, pre-handshake
-//! request, admission-control overflow, rate-limit exhaustion, pipeline
-//! overrun, write-queue overflow, unknown query id — is answered with a
-//! typed [`proto::ErrorCode`]; only `Overloaded` closes the connection.
+//! request, admission-control overflow, rate-limit exhaustion, a relation
+//! name no program defines, write-queue overflow, unknown query id — is
+//! answered with a typed [`proto::ErrorCode`]; only `Overloaded` closes the
+//! connection.
 //!
 //! Server-side limits are consolidated in the [`ServeConfig`] builder: a
 //! bounded accept queue (`max_sessions`), a global in-flight query cap
-//! (`max_inflight`), a per-session token bucket ([`limiter::TokenBucket`]),
-//! a per-connection pipeline depth and write-queue byte bound.
+//! (`max_inflight`), a per-session token bucket ([`limiter::TokenBucket`])
+//! and a per-connection write-queue byte bound.
 //!
 //! ## Running it
 //!

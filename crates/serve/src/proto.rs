@@ -43,10 +43,12 @@
 //!
 //! # Pipelining
 //!
-//! A client may keep up to `pipeline_depth` requests in flight on one
-//! connection.  Responses are matched by the echoed `request` id and may
-//! complete **out of order** — a fast query's status can arrive while an
-//! earlier query's result is still streaming.
+//! A client may keep any number of requests in flight on one connection;
+//! the server answers each in the loop turn that reads it, so the
+//! handshake's `pipeline_depth` (always 32) is a window hint, not a limit.
+//! Responses are matched by the echoed `request` id and may complete **out
+//! of order** — a fast query's status can arrive while an earlier query's
+//! result is still streaming.
 //!
 //! # Result streaming
 //!
@@ -254,7 +256,8 @@ pub enum Frame {
         burst: u32,
         /// The session's protocol version ([`PROTOCOL_VERSION`]).
         version: u16,
-        /// Maximum requests this connection may keep in flight.
+        /// Requests a client is advised to keep in flight (always 32; the
+        /// server refuses none for depth).
         pipeline_depth: u32,
         /// Data bytes per [`Frame::ResultChunk`] the server will send.
         chunk_bytes: u32,

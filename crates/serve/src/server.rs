@@ -1,26 +1,32 @@
 //! The wall-clock server: a [`Deployment`] behind TCP.
 //!
-//! Threading model (tokio-free, two threads total regardless of session
-//! count):
+//! Threading model: one thread, no async runtime, whatever the session
+//! count.  A single `poll(2)` loop owns the nonblocking listener, every
+//! nonblocking connection and the [`Deployment`].  Each connection is a
+//! small state machine: an incremental [`FrameBuffer`] on the read side, a
+//! bounded write queue plus pending [`ResultStream`]s on the write side, and
+//! the per-session [`TokenBucket`].  Each turn of the loop:
 //!
-//! * **Reactor thread** — a single `poll(2)` loop over the nonblocking
-//!   listener and every nonblocking connection.  Each connection is a small
-//!   state machine: an incremental [`FrameBuffer`] on the read side, a
-//!   bounded write queue plus pending [`ResultStream`]s on the write side,
-//!   and the per-session [`TokenBucket`].
-//!   The reactor performs the handshake, rate limiting, pipeline-depth
-//!   accounting and result chunking itself; only submits and polls cross to
-//!   the worker (tagged with a connection id so responses find their way
-//!   back and may complete out of order).
-//! * **Worker thread** — owns the [`Deployment`].  Each wake-up (a command
-//!   arrived, or a millisecond passed) drains pending commands (submits,
-//!   polls), then advances the deployment once, to the simulated time real
-//!   time has paid for: `origin + elapsed × clock_rate`
-//!   ([`Deployment::run_until`], the same call every other front-end makes).
-//!   It keeps no per-query state: a query id is the index of its outcome in
-//!   the deployment, and a completed poll renders that outcome's body, which
-//!   the reactor streams back in [`Frame::ResultChunk`] frames.  The worker
-//!   wakes the reactor through a loopback byte after posting replies.
+//! 1. sleeps in `poll(2)` until a socket is ready or the next simulated event
+//!    is due in wall time ([`Deployment::next_event_time`] mapped back
+//!    through `origin` and `clock_rate`, rounded up to whole milliseconds,
+//!    never longer than `POLL_TIMEOUT_MS`);
+//! 2. advances the deployment to the simulated time real time has paid for,
+//!    `origin + elapsed × clock_rate` ([`Deployment::run_until`], the same
+//!    call every other front-end makes);
+//! 3. accepts, reads and answers frames — handshake, rate limit, query
+//!    admission and polls all run inline, so a request is answered in the
+//!    turn that reads it;
+//! 4. flushes every connection with pending output.
+//!
+//! Running due events before answering frames means a poll sees every query
+//! event real time has already paid for.  The cost of one thread: no socket
+//! is served while a `run_until` runs, so a long churn batch delays every
+//! session's next reply by its own duration.
+//!
+//! The server keeps no per-query state: a query id is the index of its
+//! outcome in the deployment, and a completed poll renders that outcome's
+//! body, which is streamed back in [`Frame::ResultChunk`] frames.
 //!
 //! # Backpressure
 //!
@@ -43,35 +49,36 @@ use crate::proto::{
     CHUNK_HEADER_LEN, MAX_CHUNK_DATA, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use exspan_core::{Annotation, Deployment};
-use exspan_types::Tuple;
+use exspan_types::{Symbol, Tuple};
 use pollshim::{PollFd, POLLIN, POLLOUT};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Reactor poll timeout: bounds shutdown latency when no fd turns ready.
+/// Longest `poll(2)` sleep: bounds shutdown latency when no fd turns ready
+/// and no simulated event is due sooner.
 const POLL_TIMEOUT_MS: i32 = 25;
 
 /// Low-water mark for refilling a connection's write queue from its pending
 /// result streams: chunks are pulled while fewer bytes than this are queued.
 const REFILL_BYTES: usize = 128 * 1024;
 
-/// Upper bound on bytes written to one connection per reactor tick.  A
-/// single long result stream therefore cannot monopolize the loop: other
+/// Upper bound on bytes written to one connection per loop turn.  A single
+/// long result stream therefore cannot monopolize the loop: other
 /// connections get served between its slices, and responses committed on
 /// the *same* connection while a stream drains go out ahead of the stream's
 /// tail — which is what makes pipelined completion genuinely out-of-order.
-const FLUSH_QUANTUM: usize = 128 * 1024;
+const FLUSH_BYTES_PER_TURN: usize = 128 * 1024;
 
-/// How long the worker blocks waiting for a command before it advances the
-/// simulated clock anyway: short enough to keep pace with real time, long
-/// enough not to busy-spin.
-const QUANTUM: Duration = Duration::from_millis(1);
+/// The `pipeline_depth` every handshake ack advertises: a window size for
+/// clients.  Requests are answered in the turn that reads them, so none is
+/// ever refused for depth.
+const ADVERTISED_PIPELINE_DEPTH: u32 = 32;
 
 /// Tuning knobs of a [`Server`], built fluently:
 ///
@@ -80,8 +87,7 @@ const QUANTUM: Duration = Duration::from_millis(1);
 /// let config = ServeConfig::default()
 ///     .addr("127.0.0.1:0")
 ///     .max_sessions(10_000)
-///     .rate_limit(500.0, 64)
-///     .pipeline_depth(32);
+///     .rate_limit(500.0, 64);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -91,7 +97,6 @@ pub struct ServeConfig {
     rate: f64,
     burst: u32,
     clock_rate: f64,
-    pipeline_depth: u32,
     write_queue_bytes: usize,
 }
 
@@ -104,7 +109,6 @@ impl Default for ServeConfig {
             rate: 500.0,
             burst: 64,
             clock_rate: 50.0,
-            pipeline_depth: 32,
             write_queue_bytes: 1024 * 1024,
         }
     }
@@ -148,13 +152,6 @@ impl ServeConfig {
         self
     }
 
-    /// Requests one connection may keep in flight before further requests
-    /// are refused with [`ErrorCode::Admission`].
-    pub fn pipeline_depth(mut self, pipeline_depth: u32) -> Self {
-        self.pipeline_depth = pipeline_depth.max(1);
-        self
-    }
-
     /// Per-connection write budget in bytes, covering queued frames plus
     /// committed-but-unsent result stream remainders.  A response that would
     /// exceed it is answered with [`ErrorCode::Overloaded`] and the
@@ -165,60 +162,12 @@ impl ServeConfig {
     }
 }
 
-/// What the worker tells the reactor about a submit.
-enum SubmitVerdict {
-    Admitted { query: u64 },
-    Refused { code: ErrorCode, message: String },
-}
-
-/// What the worker tells the reactor about a poll.
-enum PollVerdict {
-    Status {
-        state: QueryState,
-        latency: f64,
-        summary: String,
-        /// Rendered result body (polls of completed queries only).
-        result: Option<Arc<Vec<u8>>>,
-    },
-    Unknown,
-}
-
-/// Reactor → worker, tagged with the originating connection.
-enum Command {
-    Submit {
-        conn: usize,
-        request: u64,
-        spec: QuerySpec,
-    },
-    Poll {
-        conn: usize,
-        request: u64,
-        query: u64,
-    },
-}
-
-/// Worker → reactor.
-enum Reply {
-    Submit {
-        conn: usize,
-        request: u64,
-        verdict: SubmitVerdict,
-    },
-    Poll {
-        conn: usize,
-        request: u64,
-        query: u64,
-        verdict: PollVerdict,
-    },
-}
-
-/// A running server.  Dropping the handle leaks the threads; call
-/// [`ServerHandle::shutdown`] to stop them and take the deployment back.
+/// A running server.  Dropping the handle leaks the thread; call
+/// [`ServerHandle::shutdown`] to stop it and take the deployment back.
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    reactor: JoinHandle<()>,
-    worker: JoinHandle<Deployment>,
+    thread: JoinHandle<Deployment>,
     sessions: Arc<AtomicUsize>,
 }
 
@@ -233,7 +182,7 @@ impl ServerHandle {
         self.sessions.load(Ordering::Relaxed)
     }
 
-    /// Stops accepting, closes every connection, joins both threads and
+    /// Stops accepting, closes every connection, joins the server thread and
     /// returns the deployment in its final state — checkpointed first, so a
     /// deployment with a persistent store next boots from the snapshot alone
     /// (a no-op for an in-memory one).
@@ -241,20 +190,19 @@ impl ServerHandle {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the poll loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        let _ = self.reactor.join();
-        let mut deployment = self.worker.join().expect("worker thread panicked");
+        let mut deployment = self.thread.join().expect("server thread panicked");
         deployment.checkpoint();
         deployment
     }
 }
 
 /// The service front-end: owns nothing after [`Server::bind`], which moves
-/// the deployment onto the worker thread.
+/// the deployment onto the server thread.
 pub struct Server;
 
 impl Server {
-    /// Boots the server: binds the listen socket, spawns the worker and the
-    /// reactor, and returns immediately.
+    /// Boots the server: binds the listen socket, spawns the one server
+    /// thread, and returns immediately.
     ///
     /// Churn or other future work should be scheduled on the deployment
     /// (e.g. [`Deployment::schedule_churn_event`]) *before* binding: the
@@ -265,8 +213,8 @@ impl Server {
     ///
     /// [`io::ErrorKind::InvalidInput`], before anything is bound or spawned,
     /// when `clock_rate` or the token-bucket `rate` is not finite and
-    /// positive or `burst` is 0; otherwise whatever binding the sockets or
-    /// spawning the threads returns.
+    /// positive or `burst` is 0; otherwise whatever binding the socket or
+    /// spawning the thread returns.
     pub fn bind(deployment: Deployment, config: ServeConfig) -> io::Result<ServerHandle> {
         let positive = |x: f64| x.is_finite() && x > 0.0;
         if !positive(config.clock_rate) || !positive(config.rate) || config.burst == 0 {
@@ -286,64 +234,42 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
-        // Loopback wake pair: the worker writes a byte after posting
-        // replies, turning the reactor's poll ready.
-        let wake_listener = TcpListener::bind("127.0.0.1:0")?;
-        let wake_tx = TcpStream::connect(wake_listener.local_addr()?)?;
-        let (wake_rx, _) = wake_listener.accept()?;
-        wake_rx.set_nonblocking(true)?;
-        drop(wake_listener);
-
         let stop = Arc::new(AtomicBool::new(false));
         let sessions = Arc::new(AtomicUsize::new(0));
-        let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
-        let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-        let greeting = SessionGreeting {
-            program: deployment.program_name().to_string(),
-            nodes: deployment.topology().num_nodes() as u32,
-        };
-
-        let worker = {
-            let config = config.clone();
-            let stop = Arc::clone(&stop);
-            thread::Builder::new()
-                .name("exspan-serve-worker".into())
-                .spawn(move || {
-                    worker_loop(deployment, &config, &cmd_rx, &reply_tx, wake_tx, &stop)
-                })?
-        };
-
-        let reactor = {
+        let thread = {
             let stop = Arc::clone(&stop);
             let sessions = Arc::clone(&sessions);
             thread::Builder::new()
-                .name("exspan-serve-reactor".into())
+                .name("exspan-serve".into())
                 .spawn(move || {
                     Reactor {
+                        // Simulated time is `origin + elapsed × clock_rate`:
+                        // real time pays for it, so maintenance, churn and
+                        // queries run at an observable pace.
+                        origin: deployment.now(),
+                        epoch: Instant::now(),
+                        deployment,
                         config,
-                        greeting,
-                        cmds: cmd_tx,
                         conns: HashMap::new(),
                         next_conn: 0,
                         next_session: 1,
                         sessions,
                     }
-                    .run(&listener, &wake_rx, &reply_rx, &stop);
+                    .run(&listener, &stop)
                 })?
         };
 
         Ok(ServerHandle {
             addr,
             stop,
-            reactor,
-            worker,
+            thread,
             sessions,
         })
     }
 }
 
 // ---------------------------------------------------------------------------
-// Worker
+// Queries
 // ---------------------------------------------------------------------------
 
 fn summarize(annotation: Option<&Annotation>) -> String {
@@ -377,120 +303,39 @@ fn render_result(annotation: Option<&Annotation>) -> Vec<u8> {
     }
 }
 
-fn worker_loop(
-    mut deployment: Deployment,
-    config: &ServeConfig,
-    rx: &mpsc::Receiver<Command>,
-    replies: &mpsc::Sender<Reply>,
-    mut wake: TcpStream,
-    stop: &AtomicBool,
-) -> Deployment {
-    // Simulated time is `origin + elapsed × clock_rate`: real time pays for
-    // it, so maintenance, churn and queries run at an observable pace.
-    let origin = deployment.now();
-    let epoch = Instant::now();
-
-    let handle_command = |deployment: &mut Deployment, cmd: Command| match cmd {
-        Command::Submit {
-            conn,
-            request,
-            spec,
-        } => {
-            let verdict = admit(deployment, spec, config.max_inflight);
-            let _ = replies.send(Reply::Submit {
-                conn,
-                request,
-                verdict,
-            });
-        }
-        Command::Poll {
-            conn,
-            request,
-            query,
-        } => {
-            // A query id is the index of its outcome, whichever session
-            // submitted it.
-            let outcome = usize::try_from(query)
-                .ok()
-                .and_then(|index| deployment.outcomes().get(index));
-            let verdict = match outcome {
-                None => PollVerdict::Unknown,
-                Some(outcome) => match outcome.completed_at {
-                    Some(completed_at) => PollVerdict::Status {
-                        state: QueryState::Complete,
-                        latency: completed_at - outcome.issued_at,
-                        summary: summarize(outcome.annotation.as_ref()),
-                        result: Some(Arc::new(render_result(outcome.annotation.as_ref()))),
-                    },
-                    None => PollVerdict::Status {
-                        state: QueryState::Pending,
-                        latency: 0.0,
-                        summary: String::new(),
-                        result: None,
-                    },
-                },
-            };
-            let _ = replies.send(Reply::Poll {
-                conn,
-                request,
-                query,
-                verdict,
-            });
-        }
+/// Admits a submitted query: its `SubmitAck`, or the typed error refusing it.
+fn admit(deployment: &mut Deployment, request: u64, spec: QuerySpec, max_inflight: usize) -> Frame {
+    let refuse = |code, message| Frame::Error {
+        code,
+        request,
+        message,
     };
-
-    loop {
-        let mut replied = false;
-        while let Ok(cmd) = rx.try_recv() {
-            handle_command(&mut deployment, cmd);
-            replied = true;
-        }
-        if replied {
-            let _ = wake.write(&[1]);
-        }
-        deployment.run_until(origin + epoch.elapsed().as_secs_f64() * config.clock_rate);
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        // Block for at most one quantum so the simulated clock keeps pace
-        // even when no commands arrive.  On wakeup, drain whatever else is
-        // already queued before writing the wake byte: commands the reactor
-        // forwarded in one tick (e.g. a pipelined batch from one client)
-        // then commit their replies together, ahead of the first flush.
-        match rx.recv_timeout(QUANTUM) {
-            Ok(cmd) => {
-                handle_command(&mut deployment, cmd);
-                while let Ok(cmd) = rx.try_recv() {
-                    handle_command(&mut deployment, cmd);
-                }
-                let _ = wake.write(&[1]);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    deployment
-}
-
-fn admit(deployment: &mut Deployment, spec: QuerySpec, max_inflight: usize) -> SubmitVerdict {
     let inflight = deployment.incomplete_queries();
     if inflight >= max_inflight {
-        return SubmitVerdict::Refused {
-            code: ErrorCode::Admission,
-            message: format!("{inflight} queries in flight (limit {max_inflight})"),
-        };
+        return refuse(
+            ErrorCode::Admission,
+            format!("{inflight} queries in flight (limit {max_inflight})"),
+        );
     }
     let nodes = deployment.topology().num_nodes();
     if spec.issuer as usize >= nodes || spec.location as usize >= nodes {
-        return SubmitVerdict::Refused {
-            code: ErrorCode::Malformed,
-            message: format!(
+        return refuse(
+            ErrorCode::Malformed,
+            format!(
                 "issuer n{} / location n{} outside the {nodes}-node topology",
                 spec.issuer, spec.location
             ),
-        };
+        );
     }
-    let target = Tuple::new(spec.relation.as_str(), spec.location, spec.values);
+    // A name no program interned names no tuple; looking it up never
+    // interns, so a client cannot grow the interner with relation names.
+    let Some(relation) = Symbol::get(&spec.relation) else {
+        return refuse(
+            ErrorCode::Malformed,
+            format!("no relation named {:?}", spec.relation),
+        );
+    };
+    let target = Tuple::new(relation, spec.location, spec.values);
     let handle = deployment
         .query(&target)
         .issuer(spec.issuer)
@@ -498,21 +343,58 @@ fn admit(deployment: &mut Deployment, spec: QuerySpec, max_inflight: usize) -> S
         .traversal(spec.traversal)
         .cached(spec.cached)
         .submit();
-    SubmitVerdict::Admitted {
+    Frame::SubmitAck {
+        request,
         query: handle.index() as u64,
     }
+}
+
+/// Answers a poll: the status frame, plus the rendered body to stream when
+/// the query has completed with one.
+fn status(deployment: &Deployment, request: u64, query: u64) -> (Frame, Option<Arc<Vec<u8>>>) {
+    // A query id is the index of its outcome, whichever session submitted it.
+    let outcome = usize::try_from(query)
+        .ok()
+        .and_then(|index| deployment.outcomes().get(index));
+    let Some(outcome) = outcome else {
+        let unknown = Frame::Error {
+            code: ErrorCode::UnknownQuery,
+            request,
+            message: format!("no query #{query} in this deployment"),
+        };
+        return (unknown, None);
+    };
+    let (state, latency, summary, body) = match outcome.completed_at {
+        Some(completed_at) => {
+            let annotation = outcome.annotation.as_ref();
+            let body = render_result(annotation);
+            let body = (!body.is_empty()).then(|| Arc::new(body));
+            (
+                QueryState::Complete,
+                completed_at - outcome.issued_at,
+                summarize(annotation),
+                body,
+            )
+        }
+        None => (QueryState::Pending, 0.0, String::new(), None),
+    };
+    let frame = Frame::QueryStatusV2 {
+        request,
+        query,
+        state,
+        latency,
+        summary,
+        result_total: body.as_ref().map_or(0, |b| b.len() as u64),
+        // Reserved counters, always zero.
+        cache_maintained: 0,
+        compressed_bytes_saved: 0,
+    };
+    (frame, body)
 }
 
 // ---------------------------------------------------------------------------
 // Reactor
 // ---------------------------------------------------------------------------
-
-/// Deployment metadata echoed in every handshake ack — captured before the
-/// deployment moves onto the worker thread.
-struct SessionGreeting {
-    program: String,
-    nodes: u32,
-}
 
 /// One connection's state machine.
 struct Conn {
@@ -532,8 +414,6 @@ struct Conn {
     session: u64,
     /// Whether a `Hello` has been accepted on this connection.
     greeted: bool,
-    /// Requests currently at the worker (pipeline-depth accounting).
-    inflight: u32,
     /// Close once the write queue fully flushes (after `Bye` or a fatal
     /// error frame); reads are ignored from then on.
     draining: bool,
@@ -552,7 +432,6 @@ impl Conn {
             bucket: TokenBucket::new(config.rate, config.burst),
             session,
             greeted: false,
-            inflight: 0,
             draining: false,
         }
     }
@@ -585,7 +464,8 @@ impl Conn {
     }
 
     /// Commits an obligatory response: the status/ack frame plus an optional
-    /// result body to stream.  Over-budget commits become `Overloaded`.
+    /// non-empty result body to stream.  Over-budget commits become
+    /// `Overloaded`.
     fn respond(&mut self, frame: &Frame, body: Option<(u64, Arc<Vec<u8>>)>, config: &ServeConfig) {
         let bytes = proto::encode_frame(frame).expect("server response frames always encode");
         let body_cost = body.as_ref().map_or(0, |(_, b)| Self::stream_cost(b.len()));
@@ -598,11 +478,9 @@ impl Conn {
         self.queued_bytes += bytes.len();
         self.out.push_back(bytes);
         if let Some((request, body)) = body {
-            if !body.is_empty() {
-                self.streams
-                    .push_back(ResultStream::new(request, body, MAX_CHUNK_DATA));
-                self.stream_bytes += body_cost;
-            }
+            self.streams
+                .push_back(ResultStream::new(request, body, MAX_CHUNK_DATA));
+            self.stream_bytes += body_cost;
         }
     }
 
@@ -628,12 +506,12 @@ impl Conn {
     }
 
     /// Writes as much queued output as the socket accepts, up to
-    /// [`FLUSH_QUANTUM`] bytes per call.  Returns `true` when the
+    /// [`FLUSH_BYTES_PER_TURN`] bytes per call.  Returns `true` when the
     /// connection is finished (drained or broken).
     fn flush(&mut self) -> bool {
         let mut written = 0usize;
         loop {
-            if written >= FLUSH_QUANTUM {
+            if written >= FLUSH_BYTES_PER_TURN {
                 break;
             }
             if self.out.is_empty() {
@@ -669,9 +547,12 @@ impl Conn {
 }
 
 struct Reactor {
+    deployment: Deployment,
+    /// Simulated time at [`Server::bind`].
+    origin: f64,
+    /// Wall time at [`Server::bind`].
+    epoch: Instant,
     config: ServeConfig,
-    greeting: SessionGreeting,
-    cmds: mpsc::Sender<Command>,
     conns: HashMap<usize, Conn>,
     next_conn: usize,
     next_session: u64,
@@ -679,13 +560,7 @@ struct Reactor {
 }
 
 impl Reactor {
-    fn run(
-        mut self,
-        listener: &TcpListener,
-        wake_rx: &TcpStream,
-        replies: &mpsc::Receiver<Reply>,
-        stop: &AtomicBool,
-    ) {
+    fn run(mut self, listener: &TcpListener, stop: &AtomicBool) -> Deployment {
         let mut scratch = vec![0u8; 16 * 1024];
         let mut fds: Vec<PollFd> = Vec::new();
         let mut order: Vec<usize> = Vec::new();
@@ -695,7 +570,6 @@ impl Reactor {
             fds.clear();
             order.clear();
             fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-            fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
             for (&id, conn) in &self.conns {
                 let mut events = 0i16;
                 if !conn.draining {
@@ -707,22 +581,17 @@ impl Reactor {
                 fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
                 order.push(id);
             }
-            if pollshim::poll(&mut fds, POLL_TIMEOUT_MS).is_err() {
+            let timeout = self.poll_timeout_ms();
+            if pollshim::poll(&mut fds, timeout).is_err() {
                 break;
             }
             if stop.load(Ordering::SeqCst) {
                 break;
             }
 
-            // Worker replies (drain the wake bytes, then the channel — the
-            // channel is drained unconditionally so a missed byte is
-            // harmless).
-            if fds[1].readable() {
-                drain_wake(wake_rx, &mut scratch);
-            }
-            while let Ok(reply) = replies.try_recv() {
-                self.route_reply(reply);
-            }
+            // Due events first, so the frames answered below see them.
+            let now = self.origin + self.epoch.elapsed().as_secs_f64() * self.config.clock_rate;
+            self.deployment.run_until(now);
 
             if fds[0].readable() {
                 self.accept_new(listener, stop);
@@ -731,7 +600,7 @@ impl Reactor {
             // Connection reads (frame processing may queue output).
             finished.clear();
             for (i, &id) in order.iter().enumerate() {
-                if fds[i + 2].readable() {
+                if fds[i + 1].readable() {
                     let done = self.read_conn(id, &mut scratch);
                     if done {
                         finished.push(id);
@@ -744,7 +613,7 @@ impl Reactor {
 
             // Flush every connection with pending output — whether the
             // readiness came from POLLOUT or the output was queued this
-            // iteration (fresh sockets are almost always writable).
+            // turn (fresh sockets are almost always writable).
             finished.clear();
             for (&id, conn) in &mut self.conns {
                 if conn.wants_write() && conn.flush() {
@@ -754,6 +623,22 @@ impl Reactor {
             for id in finished.drain(..) {
                 self.drop_conn(id);
             }
+        }
+        self.deployment
+    }
+
+    /// Wall milliseconds until the next simulated event is due: rounded up,
+    /// 0 when it already is, at most [`POLL_TIMEOUT_MS`].
+    fn poll_timeout_ms(&mut self) -> i32 {
+        let Some(due) = self.deployment.next_event_time() else {
+            return POLL_TIMEOUT_MS;
+        };
+        let wall_due_s = (due - self.origin) / self.config.clock_rate;
+        let wait_ms = (wall_due_s - self.epoch.elapsed().as_secs_f64()) * 1e3;
+        if wait_ms <= 0.0 {
+            0
+        } else {
+            wait_ms.ceil().min(f64::from(POLL_TIMEOUT_MS)) as i32
         }
     }
 
@@ -896,13 +781,13 @@ impl Reactor {
                 conn.greeted = true;
                 let ack = Frame::HelloAckV2 {
                     session: conn.session,
-                    program: self.greeting.program.clone(),
-                    nodes: self.greeting.nodes,
+                    program: self.deployment.program_name().to_string(),
+                    nodes: self.deployment.topology().num_nodes() as u32,
                     max_inflight: config.max_inflight as u32,
                     rate: config.rate,
                     burst: config.burst,
                     version: PROTOCOL_VERSION,
-                    pipeline_depth: config.pipeline_depth,
+                    pipeline_depth: ADVERTISED_PIPELINE_DEPTH,
                     chunk_bytes: MAX_CHUNK_DATA as u32,
                     // Reserved: an offered result codec is declined.
                     codec: false,
@@ -915,22 +800,14 @@ impl Reactor {
             }
             Frame::SubmitQuery { request, spec } => {
                 if Self::gate_request(conn, request, config) {
-                    let sent = self.cmds.send(Command::Submit {
-                        conn: id,
-                        request,
-                        spec,
-                    });
-                    Self::track_sent(conn, request, sent.is_ok(), config);
+                    let reply = admit(&mut self.deployment, request, spec, config.max_inflight);
+                    conn.respond(&reply, None, config);
                 }
             }
             Frame::Poll { request, query } => {
                 if Self::gate_request(conn, request, config) {
-                    let sent = self.cmds.send(Command::Poll {
-                        conn: id,
-                        request,
-                        query,
-                    });
-                    Self::track_sent(conn, request, sent.is_ok(), config);
+                    let (reply, body) = status(&self.deployment, request, query);
+                    conn.respond(&reply, body.map(|b| (request, b)), config);
                 }
             }
             // Server-to-client frames arriving at the server are protocol
@@ -953,8 +830,8 @@ impl Reactor {
         }
     }
 
-    /// Handshake, rate-limit and pipeline-depth gate shared by submits and
-    /// polls.  `false` means a typed error was already queued.
+    /// Handshake and rate-limit gate shared by submits and polls.  `false`
+    /// means a typed error was already queued.
     fn gate_request(conn: &mut Conn, request: u64, config: &ServeConfig) -> bool {
         if !conn.greeted {
             conn.respond(
@@ -983,131 +860,6 @@ impl Reactor {
             );
             return false;
         }
-        if conn.inflight >= config.pipeline_depth {
-            conn.respond(
-                &Frame::Error {
-                    code: ErrorCode::Admission,
-                    request,
-                    message: format!(
-                        "pipeline depth {} reached on this connection",
-                        config.pipeline_depth
-                    ),
-                },
-                None,
-                config,
-            );
-            return false;
-        }
         true
-    }
-
-    /// Accounts for a command handed to the worker (or reports the worker
-    /// gone, if the channel is closed).
-    fn track_sent(conn: &mut Conn, request: u64, sent: bool, config: &ServeConfig) {
-        if sent {
-            conn.inflight += 1;
-        } else {
-            conn.respond(
-                &Frame::Error {
-                    code: ErrorCode::Shutdown,
-                    request,
-                    message: "worker is gone".into(),
-                },
-                None,
-                config,
-            );
-            conn.draining = true;
-        }
-    }
-
-    fn route_reply(&mut self, reply: Reply) {
-        let config = &self.config;
-        match reply {
-            Reply::Submit {
-                conn,
-                request,
-                verdict,
-            } => {
-                let Some(conn) = self.conns.get_mut(&conn) else {
-                    return; // connection died while the submit was in flight
-                };
-                conn.inflight = conn.inflight.saturating_sub(1);
-                match verdict {
-                    SubmitVerdict::Admitted { query } => {
-                        conn.respond(&Frame::SubmitAck { request, query }, None, config);
-                    }
-                    SubmitVerdict::Refused { code, message } => {
-                        conn.respond(
-                            &Frame::Error {
-                                code,
-                                request,
-                                message,
-                            },
-                            None,
-                            config,
-                        );
-                    }
-                }
-            }
-            Reply::Poll {
-                conn,
-                request,
-                query,
-                verdict,
-            } => {
-                let Some(conn) = self.conns.get_mut(&conn) else {
-                    return;
-                };
-                conn.inflight = conn.inflight.saturating_sub(1);
-                match verdict {
-                    PollVerdict::Status {
-                        state,
-                        latency,
-                        summary,
-                        result,
-                    } => {
-                        let body = result.filter(|b| !b.is_empty());
-                        let result_total = body.as_ref().map_or(0, |b| b.len() as u64);
-                        conn.respond(
-                            &Frame::QueryStatusV2 {
-                                request,
-                                query,
-                                state,
-                                latency,
-                                summary,
-                                result_total,
-                                // Reserved counters, always zero.
-                                cache_maintained: 0,
-                                compressed_bytes_saved: 0,
-                            },
-                            body.map(|b| (request, b)),
-                            config,
-                        );
-                    }
-                    PollVerdict::Unknown => {
-                        conn.respond(
-                            &Frame::Error {
-                                code: ErrorCode::UnknownQuery,
-                                request,
-                                message: format!("no query #{query} in this deployment"),
-                            },
-                            None,
-                            config,
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn drain_wake(mut wake_rx: &TcpStream, scratch: &mut [u8]) {
-    loop {
-        match wake_rx.read(scratch) {
-            Ok(0) => return, // worker gone; replies channel will drain dry
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return, // includes WouldBlock: fully drained
-        }
     }
 }

@@ -4,16 +4,17 @@
 //! backpressure — each answered with a *typed* protocol error on a
 //! connection that stays open — plus chunked result streaming past
 //! [`MAX_FRAME_LEN`], pipelined out-of-order completion, slow-reader
-//! write-queue overflow, canonical values on the wire, and a reactor
-//! holding ten thousand idle sessions.
+//! write-queue overflow, canonical values on the wire, unknown relation
+//! names refused without interning them, simulated time advancing with no
+//! client attached, and a reactor holding ten thousand idle sessions.
 
-use exspan_core::{Exspan, ProvenanceMode, Repr, Traversal};
-use exspan_netsim::{LinkClass, LinkProps, Topology};
+use exspan_core::{Deployment, Exspan, ProvenanceMode, Repr, Traversal};
+use exspan_netsim::{ChurnEvent, LinkClass, LinkProps, Topology};
 use exspan_serve::proto::{
     self, ErrorCode, Frame, FrameRead, QuerySpec, QueryState, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use exspan_serve::{Response, ResultAssembler, ServeClient, ServeConfig, Server, ServerHandle};
-use exspan_types::{Tuple, Value};
+use exspan_types::{Symbol, Tuple, Value};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -402,14 +403,13 @@ fn large_results_stream_chunked_and_pipelined_polls_complete_out_of_order() {
         .expect("completes");
 
     // Pipeline a poll of the big query then a poll of the small one and
-    // hold off reading: the worker commits the small response while the
-    // reactor is still flushing the big stream one quantum per tick, so
-    // the small response overtakes the stream's tail — genuine
-    // out-of-order completion.  Both polls are idempotent reads of completed
-    // outcomes, so on a loaded runner (where the scheduler can let the
-    // reactor drain the whole stream before the worker commits the small
-    // reply) the pair is simply retried; one interleaved attempt proves
-    // the protocol property.
+    // hold off reading: the server commits the small response while it is
+    // still flushing the big stream one slice per loop turn, so the small
+    // response overtakes the stream's tail — genuine out-of-order
+    // completion.  Both polls are idempotent reads of completed outcomes,
+    // so should the two polls arrive far enough apart for the whole stream
+    // to drain in between, the pair is simply retried; one interleaved
+    // attempt proves the protocol property.
     let mut interleaved = false;
     for attempt in 0..5 {
         let r_big = client.poll_pipelined(big).expect("pipelined");
@@ -535,7 +535,7 @@ fn offered_codec_is_declined_and_bodies_travel_plain() {
 
 #[test]
 fn repeated_polls_from_any_session_render_the_same_body() {
-    // The worker keeps nothing per query or per session: a query id is the
+    // The server keeps nothing per query or per session: a query id is the
     // index of its outcome, and every poll renders that outcome again.
     let server = boot(ServeConfig::default().clock_rate(1000.0));
     let mut stream = raw_connect(&server);
@@ -587,7 +587,8 @@ fn submitted_values_travel_in_the_canonical_form() {
     // The target tuple's values cross the wire in the canonical encoding of
     // `exspan_types::codec`, so the VID the server queries — SHA-1 over that
     // same encoding — must equal the one computed client-side, whatever the
-    // value types (here a string, a nested list, a digest).
+    // value types (here a string, a nested list, a digest).  The relation is
+    // one the program defines: an unknown name is refused at admission.
     let server = boot(ServeConfig::default().clock_rate(1000.0));
     let values = vec![
         Value::from("pröv"),
@@ -602,7 +603,6 @@ fn submitted_values_travel_in_the_canonical_form() {
     let query = client
         .submit(QuerySpec {
             values: values.clone(),
-            relation: "noSuchRelation".into(),
             ..bestpath_spec()
         })
         .expect("admitted");
@@ -615,8 +615,70 @@ fn submitted_values_travel_in_the_canonical_form() {
     let deployment = server.shutdown();
     assert_eq!(
         deployment.outcomes()[0].vid,
-        Tuple::new("noSuchRelation", 0, values).vid()
+        Tuple::new("bestPathCost", 0, values).vid()
     );
+}
+
+#[test]
+fn an_unknown_relation_is_malformed_and_never_interned() {
+    // A relation name is client input: the server looks it up and does not
+    // intern it, since an interned name is never freed.
+    let server = boot(ServeConfig::default().clock_rate(1000.0));
+    let mut client = ServeClient::connect(server.addr()).expect("handshake");
+    let err = client
+        .submit(QuerySpec {
+            relation: "noSuchRelation".into(),
+            ..bestpath_spec()
+        })
+        .expect_err("no program defines the relation");
+    assert_eq!(err.code(), Some(ErrorCode::Malformed));
+    // The session stays usable.
+    let query = client.submit(bestpath_spec()).expect("admitted");
+    let status = client
+        .wait_for(query, Duration::from_secs(30))
+        .expect("no protocol error")
+        .expect("completes");
+    assert_eq!(status.summary, "2 derivations");
+    client.bye().expect("clean goodbye");
+    assert_eq!(server.shutdown().outcomes().len(), 1);
+    assert_eq!(Symbol::get("noSuchRelation"), None);
+}
+
+#[test]
+fn simulated_time_advances_with_no_client_attached() {
+    // A link deletion falls due one simulated second after bind; at 1000
+    // simulated seconds per wall second it is long past after 200 ms, though
+    // no socket ever turned ready.
+    let mut deployment = Exspan::builder()
+        .program(exspan_ndlog::programs::mincost())
+        .topology(Topology::paper_example())
+        .mode(ProvenanceMode::Reference)
+        .build()
+        .expect("valid deployment");
+    deployment.run_to_fixpoint();
+    let has_link_0_1 = |deployment: &Deployment| {
+        deployment
+            .tuples_shared(0, "link")
+            .iter()
+            .any(|t| t.values[0] == Value::Node(1))
+    };
+    assert!(has_link_0_1(&deployment));
+    let props = *deployment.topology().link(0, 1).expect("link 0-1");
+    let at = deployment.now() + 1.0;
+    let event = ChurnEvent {
+        time: at,
+        add: false,
+        a: 0,
+        b: 1,
+        props,
+    };
+    deployment.schedule_churn_event(&event, at);
+    let server =
+        Server::bind(deployment, ServeConfig::default().clock_rate(1000.0)).expect("server boots");
+    std::thread::sleep(Duration::from_millis(200));
+    let deployment = server.shutdown();
+    assert!(deployment.now() >= at);
+    assert!(!has_link_0_1(&deployment), "the deletion was applied");
 }
 
 #[test]

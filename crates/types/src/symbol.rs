@@ -55,11 +55,8 @@ impl Symbol {
     /// first interning of a distinct string leaks one copy of it; every
     /// subsequent call is a shared-lock lookup.
     pub fn intern(s: &str) -> Symbol {
-        {
-            let set = interner().read().expect("symbol interner poisoned");
-            if let Some(&interned) = set.get(s) {
-                return Symbol(interned);
-            }
+        if let Some(symbol) = Symbol::get(s) {
+            return symbol;
         }
         let mut set = interner().write().expect("symbol interner poisoned");
         match set.get(s) {
@@ -70,6 +67,13 @@ impl Symbol {
                 Symbol(leaked)
             }
         }
+    }
+
+    /// The handle for `s` if it has been interned, without interning it: a
+    /// shared-lock lookup, safe to call on untrusted input.
+    pub fn get(s: &str) -> Option<Symbol> {
+        let set = interner().read().expect("symbol interner poisoned");
+        set.get(s).map(|&interned| Symbol(interned))
     }
 
     /// The interned string.  Free: no lock or table lookup is involved.
@@ -218,6 +222,14 @@ mod tests {
         assert!(std::ptr::eq(a.as_str(), b.as_str()));
         assert_eq!(a.as_str(), "pathCost");
         assert_eq!(String::from(a), "pathCost");
+    }
+
+    #[test]
+    fn get_finds_only_what_was_interned() {
+        assert_eq!(Symbol::get("symbolGetNeverInterned"), None);
+        assert_eq!(Symbol::get("symbolGetNeverInterned"), None);
+        let s = Symbol::intern("symbolGetInterned");
+        assert_eq!(Symbol::get("symbolGetInterned"), Some(s));
     }
 
     #[test]
