@@ -162,7 +162,7 @@ impl ProvExpr {
 impl fmt::Display for ProvExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProvExpr::Base(v) => write!(f, "{}", v.short()),
+            ProvExpr::Base(v) => write!(f, "{v:.8}"),
             ProvExpr::Sum { loc, terms } => {
                 write!(f, "(")?;
                 for (i, t) in terms.iter().enumerate() {
@@ -241,7 +241,8 @@ impl Annotation {
 /// The `(f_pEDB, f_pIDB, f_pRULE)` customization triple plus sizing.
 ///
 /// `Send` is a supertrait so whole deployments (which own one boxed
-/// representation per query session) can move onto a service worker thread.
+/// representation per query session) can move onto the `exspan-serve`
+/// server thread.
 pub trait ProvenanceRepr: Send {
     /// Human-readable name (used in experiment output).
     fn name(&self) -> &'static str;
@@ -514,7 +515,7 @@ impl ProvenanceRepr for DerivationCountRepr {
 pub struct DerivabilityRepr {
     /// Predicate deciding whether a base tuple (by VID, at a location) is
     /// trusted.  Untrusted base tuples evaluate to `false`.  `Send` because
-    /// the representation travels with its deployment onto worker threads.
+    /// the representation travels with its deployment onto the server thread.
     pub trust: Box<dyn Fn(Vid, NodeId) -> bool + Send>,
 }
 
@@ -706,6 +707,7 @@ mod tests {
         let s = expr.to_string();
         assert!(s.contains("sp2@n1"));
         assert!(s.contains("sp3@n0"));
+        assert!(s.contains(&format!("<sp1@n0>({})", link_ac.short())));
         assert!(expr.wire_size() > 60, "three base literals plus operators");
     }
 

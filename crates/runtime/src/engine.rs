@@ -379,7 +379,7 @@ impl Engine {
     }
 
     /// The network topology (mutable, for churn).  Shards receive the updated
-    /// snapshot before the next run or step.
+    /// snapshot before the next run.
     pub fn topology_mut(&mut self) -> &mut Topology {
         self.topo_dirty = true;
         &mut self.topology

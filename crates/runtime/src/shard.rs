@@ -119,7 +119,7 @@ pub(crate) struct Shard {
     pub(crate) sim: Simulator<Payload>,
     /// The annotation policy of an engine built with one; such an engine has
     /// this shard only.  `Send` is asked of the box, not of the trait: an
-    /// engine moves whole onto a service worker thread.
+    /// engine moves whole onto the `exspan-serve` server thread.
     pub(crate) policy: Option<Box<dyn AnnotationPolicy + Send>>,
     /// Bookkeeping for aggregate provenance: the (prov tuple, ruleExec
     /// tuple) pair currently installed for each group.  Not derivable from

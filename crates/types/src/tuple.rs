@@ -10,7 +10,7 @@
 
 use crate::sha1::{Digest, Sha1};
 use crate::symbol::RelId;
-use crate::value::{encode_str_for_hash, Value};
+use crate::value::{encode_list_header_for_hash, encode_str_for_hash, Value};
 
 /// The address of a node in the network.  Location specifiers (`@X`) resolve
 /// to `NodeId`s at runtime.
@@ -92,11 +92,6 @@ impl Tuple {
         // 2 bytes relation id, 4 bytes location, 1 byte attribute count.
         7 + self.values.iter().map(Value::wire_size).sum::<usize>()
     }
-
-    /// Convenience accessor: the `i`-th non-location attribute.
-    pub fn value(&self, i: usize) -> &Value {
-        &self.values[i]
-    }
 }
 
 impl std::fmt::Display for Tuple {
@@ -114,13 +109,17 @@ impl std::fmt::Display for Tuple {
 ///
 /// As with [`Tuple::vid`], the digest is computed over the canonical value
 /// encoding of `[Str(rule_label), Node(location), List(vids)]`, matching the
-/// `RID = f_sha1(R, RLoc, List)` computation in the rewritten rules.
+/// `RID = f_sha1(R, RLoc, List)` computation in the rewritten rules.  The
+/// list is encoded element by element, without building it.
 pub fn rule_exec_id(rule_label: &str, location: NodeId, input_vids: &[Vid]) -> Rid {
     let mut h = Sha1::new();
-    let mut buf = Vec::with_capacity(32 + 24 * input_vids.len());
+    let mut buf = Vec::with_capacity(32 + 21 * input_vids.len());
     encode_str_for_hash(rule_label, &mut buf);
     Value::Node(location).encode_for_hash(&mut buf);
-    Value::list(input_vids.iter().map(|v| Value::Digest(v.0)).collect()).encode_for_hash(&mut buf);
+    encode_list_header_for_hash(input_vids.len(), &mut buf);
+    for vid in input_vids {
+        Value::Digest(vid.0).encode_for_hash(&mut buf);
+    }
     h.update(&buf);
     h.finalize()
 }

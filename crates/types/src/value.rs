@@ -177,8 +177,7 @@ impl Value {
                 out.push(*b as u8);
             }
             Value::List(l) => {
-                out.push(0x05);
-                out.extend_from_slice(&(l.len() as u32).to_be_bytes());
+                encode_list_header_for_hash(l.len(), out);
                 for v in l.iter() {
                     v.encode_for_hash(out);
                 }
@@ -204,6 +203,14 @@ pub fn encode_str_for_hash(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Appends the head of a list value's canonical hash encoding, its tag and
+/// length; the elements' encodings follow it.  `rule_exec_id` encodes its
+/// VID list this way without building the list.
+pub(crate) fn encode_list_header_for_hash(len: usize, out: &mut Vec<u8>) {
+    out.push(0x05);
+    out.extend_from_slice(&(len as u32).to_be_bytes());
+}
+
 impl std::fmt::Display for Value {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -221,7 +228,7 @@ impl std::fmt::Display for Value {
                 }
                 write!(f, "]")
             }
-            Value::Digest(d) => write!(f, "#{}", Digest(*d).short()),
+            Value::Digest(d) => write!(f, "#{:.8}", Digest(*d)),
             Value::Payload(sz) => write!(f, "<payload:{sz}B>"),
         }
     }
@@ -343,6 +350,8 @@ mod tests {
             "[n1,n2]"
         );
         assert!(Value::Payload(9).to_string().contains("9B"));
+        let d = sha1_digest(b"t");
+        assert_eq!(Value::from_digest(d).to_string(), format!("#{}", d.short()));
     }
 
     #[test]

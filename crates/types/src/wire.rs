@@ -86,11 +86,6 @@ impl BandwidthSeries {
             *a += b;
         }
     }
-
-    /// Width of each bucket in seconds.
-    pub fn bucket_width(&self) -> f64 {
-        self.bucket_width
-    }
 }
 
 #[cfg(test)]
