@@ -10,8 +10,7 @@
 //!   of panicking later) and produces a [`Deployment`].
 //! * **Mutate** — base tuples and topology churn are injected through typed
 //!   methods ([`Deployment::insert_base`], [`Deployment::schedule_churn_event`],
-//!   …); cached query results that depend on a changed base tuple are
-//!   invalidated transitively and automatically (§6.1).
+//!   …) and applied by the engine as the clock passes their time.
 //! * **Query** — [`Deployment::query`] starts a builder-style query
 //!   (`.issuer(n).repr(Repr::Polynomial).traversal(Traversal::Bfs)
 //!   .cached(true).submit()`) returning a lightweight [`QueryHandle`].
@@ -336,7 +335,6 @@ impl DeploymentBuilder {
             program_name: program.name.clone(),
             warnings,
             fabric: QueryFabric::default(),
-            pending_invalidations: BTreeMap::new(),
             recovered,
         };
         // A recovered store already contains the link tuples (and everything
@@ -357,13 +355,6 @@ pub struct Deployment {
     program_name: String,
     warnings: Vec<Diagnostic>,
     fabric: QueryFabric,
-    /// Cache invalidations for base-tuple deltas due in the simulated
-    /// future, keyed by the delta's application time (as `f64::to_bits`, so
-    /// the map orders by time).  [`Deployment::run_until`] applies each batch
-    /// when the clock passes its time — invalidating at *scheduling* time
-    /// would let queries completing before the delta cache results that then
-    /// silently go stale.
-    pending_invalidations: BTreeMap<u64, Vec<Vid>>,
     /// True when [`DeploymentBuilder::data_dir`] pointed at an existing store
     /// and the deployment booted from its recovered state instead of seeding.
     recovered: bool,
@@ -412,7 +403,7 @@ impl QuerySession<'_> {
 
     /// Number of cache entries currently held across all nodes.
     pub fn cache_entries(&self) -> usize {
-        self.0.cache.len()
+        self.0.cache_entries()
     }
 }
 
@@ -482,8 +473,8 @@ impl<'a> QueryBuilder<'a> {
     fn submit_on(self) -> (&'a mut Deployment, QueryHandle) {
         let deployment = self.deployment;
         let fabric = &mut deployment.fabric;
-        let session = fabric.session_for(&self.repr, self.traversal, self.cached);
         let engine = &mut deployment.engine;
+        let session = fabric.session_for(engine, &self.repr, self.traversal, self.cached);
         let index = fabric.submit(engine, session, self.issuer, &self.target, self.at);
         (deployment, QueryHandle { index, session })
     }
@@ -617,34 +608,22 @@ impl Deployment {
         }
     }
 
-    /// Inserts a base tuple at `node` now.  Cached query results depending
-    /// on it are invalidated.
+    /// Inserts a base tuple at `node` now (applied when the clock next
+    /// advances).
     pub fn insert_base(&mut self, node: NodeId, tuple: Tuple) {
-        self.fabric.invalidate(tuple.vid());
         self.engine.insert_base(node, tuple);
     }
 
-    /// Deletes a base tuple at `node` now.  Cached query results depending
-    /// on it are invalidated.
+    /// Deletes a base tuple at `node` now (applied when the clock next
+    /// advances).
     pub fn delete_base(&mut self, node: NodeId, tuple: Tuple) {
-        self.fabric.invalidate(tuple.vid());
         self.engine.delete_base(node, tuple);
     }
 
     /// Schedules a base-tuple delta at an absolute simulated time (churn
-    /// schedules, data-plane workloads).  Cached query results depending on
-    /// the tuple are invalidated when the delta is *applied*: immediately for
-    /// deltas due now, otherwise when the clock passes `time` — so a query
-    /// completing before the delta does not leave a stale cache entry behind.
+    /// schedules, data-plane workloads), applied when the clock passes
+    /// `time`.
     pub fn schedule_delta(&mut self, time: f64, node: NodeId, tuple: Tuple, insert: bool) {
-        if time <= self.engine.now() {
-            self.fabric.invalidate(tuple.vid());
-        } else {
-            self.pending_invalidations
-                .entry(time.to_bits())
-                .or_default()
-                .push(tuple.vid());
-        }
         self.engine.schedule_delta(time, node, tuple, insert);
     }
 
@@ -706,14 +685,6 @@ impl Deployment {
         }
     }
 
-    /// Invalidates every cached query result that (transitively) depends on
-    /// the base tuple `vid`, across all sessions.  The deployment does this
-    /// automatically for its own mutation methods; this entry point is for
-    /// base-tuple changes injected through other channels.
-    pub fn invalidate(&mut self, vid: Vid) {
-        self.fabric.invalidate(vid);
-    }
-
     // ------------------------------------------------------------------
     // The unified clock
     // ------------------------------------------------------------------
@@ -735,63 +706,19 @@ impl Deployment {
     /// [`exspan_runtime::ExternalSink`], so query-protocol messages are
     /// handled between maintenance deltas in global event order; with an
     /// empty id table the engine is free to run its shards in parallel.
-    ///
-    /// Pending cache invalidations of base-tuple deltas due in the future are
-    /// applied exactly when the clock passes the delta's time, so results
-    /// cached before such a change never survive it.
     pub fn run_until(&mut self, time: f64) -> FixpointStats {
-        let mut total = FixpointStats {
-            fixpoint_time: self.engine.last_activity(),
-            steps: 0,
-            external: 0,
+        let stats = if self.fabric.is_idle() {
+            self.engine.run_until(time, None)
+        } else {
+            self.engine.run_until(time, Some(&mut self.fabric))
         };
-        let merge = |total: &mut FixpointStats, stats: FixpointStats| {
-            total.steps += stats.steps;
-            total.external += stats.external;
-            total.fixpoint_time = stats.fixpoint_time;
-        };
-        loop {
-            let next_due = self
-                .pending_invalidations
-                .keys()
-                .next()
-                .copied()
-                .filter(|bits| f64::from_bits(*bits) <= time);
-            let Some(bits) = next_due else {
-                merge(&mut total, self.advance(time));
-                break;
-            };
-            // Advance to the delta's application time before invalidating;
-            // with no caching session nothing can go stale, so the entry is
-            // simply retired without splitting the run.
-            if self.fabric.any_caching() {
-                merge(&mut total, self.advance(f64::from_bits(bits)));
-            }
-            let vids = self
-                .pending_invalidations
-                .remove(&bits)
-                .expect("key observed above");
-            for vid in vids {
-                self.fabric.invalidate(vid);
-            }
-        }
         // A fully drained event queue means any still-unresolved query state
         // belongs to messages the simulator dropped; write it off so future
         // runs regain the parallel path.
         if !self.fabric.is_idle() && self.engine.peek_time().is_none() {
             self.fabric.clear();
         }
-        total
-    }
-
-    /// One segment of [`Deployment::run_until`]: the fabric listens while
-    /// query activity is pending.
-    fn advance(&mut self, time: f64) -> FixpointStats {
-        if self.fabric.is_idle() {
-            self.engine.run_until(time, None)
-        } else {
-            self.engine.run_until(time, Some(&mut self.fabric))
-        }
+        stats
     }
 
     // ------------------------------------------------------------------
@@ -1093,56 +1020,6 @@ mod tests {
             .as_nodes()
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn scheduled_delta_invalidates_cache_at_application_time() {
-        use exspan_netsim::{ChurnEvent, LinkClass, LinkProps};
-
-        let mut d = mincost_deployment(ProvenanceMode::Reference);
-        let target = Tuple::new(
-            "bestPathCost",
-            0,
-            vec![exspan_types::Value::Node(2), exspan_types::Value::Int(5)],
-        );
-
-        // Schedule deletion of the direct a-c link half a simulated second
-        // ahead — *before* anything is cached, so an invalidation performed
-        // at scheduling time would be a no-op.
-        let event = ChurnEvent {
-            time: 0.0,
-            add: false,
-            a: 0,
-            b: 2,
-            props: LinkProps::from_class(LinkClass::Custom),
-        };
-        let at = d.now() + 0.5;
-        d.schedule_churn_event(&event, at);
-
-        // A cached query issued now completes (and populates the cache) well
-        // before the delta applies: two derivations, direct link and via b.
-        let before = d
-            .query(&target)
-            .issuer(3)
-            .repr(Repr::DerivationCount)
-            .cached(true)
-            .execute();
-        assert_eq!(before.annotation.unwrap().as_count(), Some(2));
-        assert!(
-            before.completed_at.unwrap() < at,
-            "query completed pre-churn"
-        );
-
-        // The cached result must have been invalidated when the delta was
-        // *applied*, so the re-query sees the single surviving derivation
-        // instead of the stale cached 2.
-        let after = d
-            .query(&target)
-            .issuer(3)
-            .repr(Repr::DerivationCount)
-            .cached(true)
-            .execute();
-        assert_eq!(after.annotation.unwrap().as_count(), Some(1));
     }
 
     #[test]

@@ -48,8 +48,15 @@
 //!
 //! * **Result caching** (§6.1) — completed sub-results are cached at the node
 //!   that computed them (tuple results keyed by VID, rule results keyed by
-//!   RID); later queries reaching that node reuse them.  Caches are
-//!   invalidated transitively when a base tuple changes.
+//!   RID); later queries reaching that node reuse them.  One rule keeps them
+//!   exact: a cached result dies when the engine changes a `prov` or
+//!   `ruleExec` row of its vertex, and so does every result computed from it.
+//!   Once a caching session exists the engine records those vertices
+//!   ([`Engine::record_vertex_changes`]); the fabric drains them before it
+//!   handles each query message, the only time it reads a cache, and walks
+//!   each one up the dependency edges registered when a parent dispatched a
+//!   child.  A vertex such a walk reaches while it is being computed
+//!   completes uncached.
 //! * **Traversal orders** (§6.2) — BFS explores all alternative derivations
 //!   at once; DFS explores them sequentially; DFS-with-threshold stops as
 //!   soon as the partial result satisfies the query's threshold; random
@@ -131,7 +138,8 @@ pub struct SessionStats {
     pub cache_hits: u64,
     /// Number of cache misses (sub-queries actually executed).
     pub cache_misses: u64,
-    /// Number of cache entries invalidated.
+    /// Number of cached results dropped because the provenance graph beneath
+    /// them changed; counted when the next query message is handled.
     pub invalidations: u64,
 }
 
@@ -288,22 +296,35 @@ pub(crate) struct Session {
     pub(crate) traversal: TraversalOrder,
     pub(crate) caching: bool,
     pub(crate) repr: Box<dyn ProvenanceRepr>,
-    /// Cached results by vertex — tuple results under their VID, rule results
-    /// under their RID — so invalidation reaches an entry by lookup.  The node
-    /// is not part of the key: a VID or RID digest covers its location, and a
-    /// vertex is only ever queried at that node.
-    pub(crate) cache: HashMap<Digest, Annotation>,
-    /// child digest -> vertices whose cached results were computed from it.
-    dependents: HashMap<Digest, HashSet<Digest>>,
+    /// What a caching session knows of each vertex, under its VID or RID
+    /// (empty in a session that does not cache).  The node is not part of
+    /// the key: a VID or RID digest covers its location, and a vertex is only
+    /// ever queried at that node.
+    vertices: HashMap<Digest, CacheEntry>,
     pub(crate) series: BandwidthSeries,
     pub(crate) stats: SessionStats,
     rng: SmallRng,
 }
 
+/// One vertex in a caching session.
+#[derive(Default)]
+struct CacheEntry {
+    /// The vertex's completed result (§6.1), negative and partial ones too.
+    result: Option<Annotation>,
+    /// Vertices that dispatched this one as a child: their results are, or
+    /// will be, computed from it.
+    dependents: HashSet<Digest>,
+    /// Computations of the vertex pending right now.
+    in_flight: usize,
+    /// The graph changed beneath the vertex while it was in flight: what is
+    /// pending now completes uncached.
+    doomed: bool,
+}
+
 impl Session {
     /// Looks `vertex` up in the result cache (§6.1), counting the hit or miss.
     fn lookup(&mut self, vertex: Digest) -> Option<Annotation> {
-        let hit = self.cache.get(&vertex).filter(|_| self.caching).cloned();
+        let hit = self.vertices.get(&vertex).and_then(|e| e.result.clone());
         match hit {
             Some(_) => self.stats.cache_hits += 1,
             None => self.stats.cache_misses += 1,
@@ -311,18 +332,61 @@ impl Session {
         hit
     }
 
-    /// Invalidates every cached result that (transitively) depends on the
-    /// tuple vertex `vid` — called when a base tuple is inserted or deleted.
-    fn invalidate(&mut self, vid: Vid) {
-        let mut frontier: Vec<Digest> = vec![vid];
+    /// Number of cached results.
+    pub(crate) fn cache_entries(&self) -> usize {
+        self.vertices
+            .values()
+            .filter(|e| e.result.is_some())
+            .count()
+    }
+
+    /// Records that `parent` dispatched `child`, whose change must reach it.
+    fn depend(&mut self, child: Digest, parent: Digest) {
+        if self.caching {
+            let entry = self.vertices.entry(child).or_default();
+            entry.dependents.insert(parent);
+        }
+    }
+
+    /// A computation of `vertex` starts.
+    fn begin(&mut self, vertex: Digest) {
+        if self.caching {
+            self.vertices.entry(vertex).or_default().in_flight += 1;
+        }
+    }
+
+    /// A computation of `vertex` completes with `ann`: cached unless a change
+    /// reached the vertex while it was pending.
+    fn finish(&mut self, vertex: Digest, ann: &Annotation) {
+        let Some(entry) = self.vertices.get_mut(&vertex) else {
+            return;
+        };
+        entry.in_flight -= 1;
+        if !entry.doomed {
+            entry.result = Some(ann.clone());
+        }
+        entry.doomed &= entry.in_flight > 0;
+    }
+
+    /// The `prov` or `ruleExec` rows of `vertex` changed: drops its cached
+    /// result and every result computed from it, and dooms whatever of them
+    /// is in flight.
+    fn invalidate(&mut self, vertex: Digest) {
+        let mut frontier = vec![vertex];
         while let Some(d) = frontier.pop() {
-            // Remove the cache entry for the digest itself.
-            if self.cache.remove(&d).is_some() {
+            let Some(entry) = self.vertices.get_mut(&d) else {
+                continue;
+            };
+            if entry.result.take().is_some() {
                 self.stats.invalidations += 1;
             }
-            // Propagate to dependents: each loses its entries when popped, and
-            // a digest reached a second time finds nothing left to remove.
-            frontier.extend(self.dependents.remove(&d).into_iter().flatten());
+            // A dependent reached a second time has none left to pass on.
+            frontier.extend(entry.dependents.drain());
+            if entry.in_flight > 0 {
+                entry.doomed = true;
+            } else {
+                self.vertices.remove(&d);
+            }
         }
     }
 }
@@ -343,8 +407,11 @@ pub(crate) struct QueryFabric {
 
 impl QueryFabric {
     /// Finds the session matching the configuration, creating it on demand.
+    /// A caching session's cache is only sound if it hears of every change to
+    /// the provenance graph, so creating one starts the engine recording them.
     pub(crate) fn session_for(
         &mut self,
+        engine: &mut Engine,
         repr: &Repr,
         traversal: TraversalOrder,
         caching: bool,
@@ -354,6 +421,9 @@ impl QueryFabric {
             .iter()
             .position(|s| s.spec == *repr && s.traversal == traversal && s.caching == caching);
         found.unwrap_or_else(|| {
+            if caching {
+                engine.record_vertex_changes();
+            }
             // Only a moonwalk draws from the generator.
             let seed = match traversal {
                 TraversalOrder::RandomMoonwalk { seed, .. } => seed,
@@ -364,8 +434,7 @@ impl QueryFabric {
                 traversal,
                 caching,
                 repr: repr.instantiate(),
-                cache: HashMap::new(),
-                dependents: HashMap::new(),
+                vertices: HashMap::new(),
                 series: BandwidthSeries::new(0.1),
                 stats: SessionStats::default(),
                 rng: SmallRng::seed_from_u64(seed),
@@ -386,23 +455,16 @@ impl QueryFabric {
     /// a message the simulator dropped (e.g. churn partitioned the issuer
     /// from the target) and can never progress.  Such outcomes keep
     /// `completed_at: None`, honestly reporting that no result arrived; the
-    /// result caches are kept — completed results stay valid.
+    /// result caches are kept — completed results stay valid — and no vertex
+    /// is in flight any more.
     pub(crate) fn clear(&mut self) {
         self.ids.clear();
         self.incomplete = 0;
-    }
-
-    /// Whether any session caches query results (and could therefore go
-    /// stale when a base-tuple delta due later is applied).
-    pub(crate) fn any_caching(&self) -> bool {
-        self.sessions.iter().any(|s| s.caching)
-    }
-
-    /// Invalidates, in every caching session, the results that depend on
-    /// the base tuple `vid`.
-    pub(crate) fn invalidate(&mut self, vid: Vid) {
-        for session in self.sessions.iter_mut().filter(|s| s.caching) {
-            session.invalidate(vid);
+        for session in &mut self.sessions {
+            session.vertices.retain(|_, entry| {
+                (entry.in_flight, entry.doomed) = (0, false);
+                entry.result.is_some() || !entry.dependents.is_empty()
+            });
         }
     }
 
@@ -521,6 +583,7 @@ impl QueryFabric {
         if let Some(ann) = session.lookup(vid) {
             return self.reply_tuple(engine, sid, node, qid, vid, ann, reply, time);
         }
+        session.begin(vid);
         let mut results = Vec::new();
         let mut remaining = Vec::new();
         for e in prov_entries(engine, node, vid) {
@@ -566,19 +629,21 @@ impl QueryFabric {
     ) {
         let session = &mut self.sessions[sid];
         if let Some(ann) = session.lookup(rid) {
-            return self.reply_rule(engine, sid, rloc, rqid, rid, parent, ann, time);
+            return self.reply_rule(engine, sid, rloc, rqid, parent, ann, time);
         }
         let Some(exec) = rule_exec_entry(engine, rloc, rid) else {
             // Dangling pointer (e.g. the entry was deleted concurrently):
-            // answer with an empty combination.
+            // answer with an empty combination, uncached.  The row's return
+            // reaches the parent's cached result through its dependency edge.
             let ann = session.repr.p_rule("?", rloc, Vec::new());
-            return self.reply_rule(engine, sid, rloc, rqid, rid, parent, ann, time);
+            return self.reply_rule(engine, sid, rloc, rqid, parent, ann, time);
         };
         let children = exec.vids.iter().enumerate().map(|(position, vid)| Child {
             id: derive_id(&[&rqid.0, &(position as u64).to_be_bytes(), &vid.0]),
             vertex: *vid,
             node: rloc,
         });
+        session.begin(rid);
         let rule = exec.rule;
         let pending = Pending {
             vertex: Vertex::Rule { rid, rule, parent },
@@ -610,8 +675,12 @@ impl QueryFabric {
             }
         };
         pending.outstanding += batch.len();
-        let of_rule = matches!(pending.vertex, Vertex::Rule { .. });
+        let (of_rule, parent) = match pending.vertex {
+            Vertex::Tuple { vid, .. } => (false, vid),
+            Vertex::Rule { rid, .. } => (true, rid),
+        };
         for child in batch {
+            self.sessions[sid].depend(child.vertex, parent);
             if of_rule {
                 // Inputs of a rule execution are resolved at its own node.
                 let reply = ReplyTo::Rule { rqid: id };
@@ -643,23 +712,13 @@ impl QueryFabric {
         match pending.vertex {
             Vertex::Tuple { vid, reply } => {
                 let ann = session.repr.p_idb(node, pending.results);
-                if session.caching {
-                    session.cache.insert(vid, ann.clone());
-                }
+                session.finish(vid, &ann);
                 self.reply_tuple(engine, sid, node, id, vid, ann, reply, time);
             }
             Vertex::Rule { rid, rule, parent } => {
                 let ann = session.repr.p_rule(&rule, node, pending.results);
-                if session.caching {
-                    session.cache.insert(rid, ann.clone());
-                    // Record dependencies for invalidation: the rule result
-                    // depends on each of its current inputs.
-                    let exec = rule_exec_entry(engine, node, rid);
-                    for child in exec.into_iter().flat_map(|e| e.vids) {
-                        session.dependents.entry(child).or_default().insert(rid);
-                    }
-                }
-                self.reply_rule(engine, sid, node, id, rid, parent, ann, time);
+                session.finish(rid, &ann);
+                self.reply_rule(engine, sid, node, id, parent, ann, time);
             }
         }
     }
@@ -720,21 +779,10 @@ impl QueryFabric {
         sid: usize,
         rloc: NodeId,
         rqid: Digest,
-        rid: Rid,
         (parent_qid, parent_node): (Digest, NodeId),
         ann: Annotation,
         time: f64,
     ) {
-        let session = &mut self.sessions[sid];
-        if session.caching {
-            // The parent tuple's cached result (once it completes at
-            // parent_node) depends on this rule execution.
-            if let Some((_, State::Pending(parent))) = self.ids.get(&parent_qid) {
-                if let Vertex::Tuple { vid, .. } = parent.vertex {
-                    session.dependents.entry(rid).or_default().insert(vid);
-                }
-            }
-        }
         if parent_node == rloc {
             self.child_result(engine, parent_qid, ann, time);
         } else {
@@ -766,6 +814,14 @@ impl ExternalSink for QueryFabric {
         _insert: bool,
     ) {
         if let Some(msg) = QueryMsg::from_tuple(&tuple) {
+            // A message is the only time a cache is read while the engine
+            // advances: every provenance change applied so far reaches the
+            // caches first.
+            for vertex in engine.drain_vertex_changes() {
+                for session in self.sessions.iter_mut().filter(|s| s.caching) {
+                    session.invalidate(vertex);
+                }
+            }
             self.on_message(engine, node, msg, time);
         }
     }

@@ -56,7 +56,7 @@ use exspan_store::{
     StorageStats, WalOp,
 };
 use exspan_types::fxhash::FxHashMap;
-use exspan_types::{wire, NodeId, RelId, Symbol, Tuple, Value};
+use exspan_types::{wire, Digest, NodeId, RelId, Symbol, Tuple, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -267,6 +267,7 @@ impl Engine {
             agg_recompute: Symbol::intern(AGG_RECOMPUTE_EVENT),
             config,
             aggregate_provenance,
+            provenance_relations: [Symbol::intern("prov"), Symbol::intern("ruleExec")],
         });
         let topo_arc = Arc::new(topology.clone());
         let shards = (0..num_shards)
@@ -511,6 +512,26 @@ impl Engine {
         );
         self.flush_outboxes();
         bytes
+    }
+
+    /// From now on, every shard records the vertex (`values[0]`: a VID or
+    /// RID) of each `prov`/`ruleExec` row it inserts or deletes visibly, for
+    /// [`Engine::drain_vertex_changes`].  Every change to the provenance
+    /// graph is such a row change, so this is what a higher layer caching
+    /// results computed from the graph (the query layer) needs to hear of.
+    pub fn record_vertex_changes(&mut self) {
+        for shard in &mut self.shards {
+            shard.vertex_changes.get_or_insert_with(Vec::new);
+        }
+    }
+
+    /// Takes every vertex recorded since the last drain, shard by shard
+    /// (nothing before [`Engine::record_vertex_changes`]).
+    pub fn drain_vertex_changes(&mut self) -> impl Iterator<Item = Digest> + '_ {
+        self.shards
+            .iter_mut()
+            .filter_map(|s| s.vertex_changes.as_mut())
+            .flat_map(|changes| changes.drain(..))
     }
 
     /// Moves events diverted to foreign shards into the destination inboxes,

@@ -29,7 +29,7 @@ use exspan_ndlog::is_event_predicate;
 use exspan_ndlog::plan::{AggRulePlans, JoinPlan, KeyOp, ProgramPlans};
 use exspan_netsim::{RoutedEvent, Simulator};
 use exspan_types::fxhash::FxHashMap;
-use exspan_types::{wire, NodeId, RelId, Symbol, Tuple, Value};
+use exspan_types::{wire, Digest, NodeId, RelId, Symbol, Tuple, Value};
 use std::cmp::Ordering;
 use std::sync::{Arc, Mutex};
 
@@ -107,6 +107,9 @@ pub(crate) struct RuleData {
     /// Whether aggregate rule firings maintain `prov`/`ruleExec` entries (the
     /// program declares both tables).
     pub aggregate_provenance: bool,
+    /// `prov` and `ruleExec`, interned: the rows whose changes a shard records
+    /// in [`Shard::vertex_changes`].
+    pub provenance_relations: [RelId; 2],
 }
 
 /// Identifies one aggregate group at one node: (node, relation, group key).
@@ -141,6 +144,11 @@ pub(crate) struct Shard {
     /// `EngineConfig::track_compressed` is on; never feeds the flat
     /// `TrafficStats` the figures are built on.
     pub(crate) compressed_bytes: u64,
+    /// The vertex (`values[0]`: a VID or RID) of every `prov`/`ruleExec` row
+    /// this shard inserted or deleted visibly since the last
+    /// [`crate::Engine::drain_vertex_changes`]; `None` until
+    /// [`crate::Engine::record_vertex_changes`] asks for them.
+    pub(crate) vertex_changes: Option<Vec<Digest>>,
     scratch: Scratch,
 }
 
@@ -162,6 +170,7 @@ impl Shard {
             processed: 0,
             eval_errors: std::cell::Cell::new(0),
             compressed_bytes: 0,
+            vertex_changes: None,
             scratch: Scratch::default(),
         }
     }
@@ -266,6 +275,9 @@ impl Shard {
                     DeleteEffect::Decremented | DeleteEffect::Missing => fire = false,
                 }
             }
+            if fire {
+                self.note_vertex_change(&tuple);
+            }
         }
         // Insertions merge their shipped annotation *before* firing, so the
         // rules triggered by this delta see it; deletions drop the stored
@@ -291,6 +303,19 @@ impl Shard {
             if let Some(p) = &mut self.policy {
                 p.on_arrival(node, &tuple, token, false, removed);
             }
+        }
+    }
+
+    /// Records the vertex of a `prov`/`ruleExec` row that just entered or
+    /// left the visible state, if vertex changes are being recorded.  The
+    /// provenance rewrite keys both tables by the whole row, so no such row
+    /// is ever replaced.
+    fn note_vertex_change(&mut self, row: &Tuple) {
+        let Some(changes) = &mut self.vertex_changes else {
+            return;
+        };
+        if self.data.provenance_relations.contains(&row.relation) {
+            changes.extend(row.values.first().and_then(|v| v.as_digest().ok()));
         }
     }
 

@@ -3,9 +3,9 @@
 //! Scenario: a 100-node network experiences link churn (the workload of
 //! §7.2).  The operator keeps issuing provenance queries for routes while the
 //! network changes underneath.  Reference-based provenance keeps maintenance
-//! traffic close to the no-provenance baseline; the deployment invalidates
-//! the query-result cache (§6.1) transitively and automatically whenever a
-//! churned link contributed to a cached result; and — because maintenance,
+//! traffic close to the no-provenance baseline; a cached query result (§6.1)
+//! dies whenever maintenance changes the provenance graph beneath it, so a
+//! cached answer is never stale; and — because maintenance,
 //! churn and queries share one simulated clock — the monitoring queries
 //! travel the network *while* the churn cascades are still being processed.
 //!
@@ -64,10 +64,10 @@ fn main() {
         first.latency().unwrap_or_default() * 1e3
     );
 
-    // Apply churn in 0.5 s slices.  Each batch's cache invalidation happens
-    // automatically inside apply_churn_event; the re-query is *scheduled*
-    // shortly after the batch and progresses on the same clock as the
-    // maintenance cascades the batch triggers.
+    // Apply churn in 0.5 s slices.  The re-query is *scheduled* shortly after
+    // the batch and progresses on the same clock as the maintenance cascades
+    // the batch triggers; before each of its messages, the cached results
+    // those cascades changed the provenance of are dropped.
     let mut applied = 0usize;
     for batch_end in [0.5f64, 1.0, 1.5, 2.0] {
         for event in schedule

@@ -287,10 +287,13 @@ fn caching_reduces_traffic_and_is_invalidated_correctly() {
         })
         .collect();
 
-    // Invalidate everything that depends on one link and re-query: results
-    // must still be correct (recomputed where needed).
-    let some_link = deployment.tuples_shared(0, "link").remove(0);
-    deployment.invalidate(some_link.vid());
+    // Delete one link tuple, insert it back and re-query: every cached result
+    // computed from it has died, and the answers are recomputed where needed.
+    let some_link = (*deployment.tuples_shared(0, "link").remove(0)).clone();
+    deployment.delete_base(0, some_link.clone());
+    deployment.run_to_fixpoint();
+    deployment.insert_base(0, some_link);
+    deployment.run_to_fixpoint();
     for (t, expected) in targets.iter().zip(baseline_counts) {
         let ann = deployment
             .query(t)
@@ -302,6 +305,10 @@ fn caching_reduces_traffic_and_is_invalidated_correctly() {
             .unwrap();
         assert_eq!(ann.as_expr().unwrap().num_derivations(), expected);
     }
+    assert!(
+        deployment.session(h_cached).stats().invalidations > 0,
+        "the link's deletion reached cached results"
+    );
 }
 
 #[test]

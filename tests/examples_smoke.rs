@@ -119,9 +119,8 @@ fn network_debugging_smoke() {
     assert_sharding_invariant("network_debugging", network_debugging_core_path);
 }
 
-/// `examples/churn_diagnostics.rs`: cached derivation-count queries with
-/// automatic transitive invalidation while churn events are applied, all on
-/// the deployment's one clock.
+/// `examples/churn_diagnostics.rs`: cached derivation-count queries while
+/// churn events are applied, all on the deployment's one clock.
 fn churn_diagnostics_core_path(shards: usize) -> (Option<u64>, Vec<Arc<Tuple>>, u64, u64) {
     // The churn model only churns stub-stub links, so build a small ring of
     // them (the example's 100-node transit-stub network is too slow for a
@@ -159,12 +158,12 @@ fn churn_diagnostics_core_path(shards: usize) -> (Option<u64>, Vec<Arc<Tuple>>, 
         .and_then(exspan::core::Annotation::as_count);
     assert!(first_count.is_some());
 
-    // Churn invalidates the affected cached results automatically.
+    // Churn changes the provenance beneath the cached result; the next
+    // query's messages find it dropped.
     for event in &schedule {
         deployment.apply_churn_event(event);
     }
     deployment.run_to_fixpoint();
-    let invalidations = deployment.session(handle).stats().invalidations;
 
     let dest = monitored.values[0].clone();
     let surviving = deployment.tuples_shared(0, "bestPathCost");
@@ -179,6 +178,7 @@ fn churn_diagnostics_core_path(shards: usize) -> (Option<u64>, Vec<Arc<Tuple>>, 
         deployment.run_to_fixpoint();
         assert!(deployment.outcome(h).unwrap().annotation.is_some());
     }
+    let invalidations = deployment.session(handle).stats().invalidations;
     let messages = deployment.query_traffic_stats().messages;
     assert!(messages > 0);
     (first_count, surviving, messages, invalidations)
