@@ -60,9 +60,9 @@ use crate::rewrite::{provenance_rewrite, RewriteOptions};
 use crate::value_policy::ValueBddPolicy;
 use exspan_ndlog::ast::Program;
 use exspan_ndlog::diag::{Diagnostic, Severity};
-use exspan_netsim::{ChurnEvent, LinkProps, Topology};
-use exspan_runtime::{Engine, EngineConfig, FixpointStats};
-use exspan_store::{DiskBackend, StorageStats, StoreConfig};
+use exspan_netsim::{ChurnEvent, LinkClass, LinkProps, Topology};
+use exspan_runtime::{AnnotationPolicy, Engine, EngineConfig, FixpointStats};
+use exspan_store::{DiskBackend, MemoryBackend, StorageBackend, StorageStats, StoreConfig};
 use exspan_types::{NodeId, Tuple, Value, Vid};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -179,8 +179,9 @@ impl DeploymentBuilder {
     /// Results are bit-identical for every shard count.  An upper bound, not
     /// a promise: [`ProvenanceMode::ValueBdd`] runs one shard whatever is
     /// asked for here, because one annotation policy has to see every
-    /// arrival, derivation and send in event order
-    /// ([`Deployment::num_shards`] reports what was built).
+    /// arrival, derivation and send in event order, and so does a deployment
+    /// with a [`DeploymentBuilder::data_dir`], whose one shard keeps the
+    /// journal ([`Deployment::num_shards`] reports what was built).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -191,7 +192,9 @@ impl DeploymentBuilder {
     /// latest snapshot is loaded, the committed WAL tail replayed, and the
     /// deployment resumes from the last committed barrier (link seeding is
     /// skipped — the recovered state already contains the links).  Check
-    /// [`Deployment::recovered_from_store`] to distinguish the two.
+    /// [`Deployment::recovered_from_store`] to distinguish the two.  A
+    /// durable deployment runs one shard, whatever
+    /// [`DeploymentBuilder::shards`] asks for.
     pub fn data_dir(mut self, path: impl Into<PathBuf>) -> Self {
         self.data_dir = Some(path.into());
         self
@@ -283,25 +286,19 @@ impl DeploymentBuilder {
             ));
         }
 
-        let mut engine = if self.mode == ProvenanceMode::ValueBdd {
-            let policy = Box::new(ValueBddPolicy::new());
-            Engine::with_policy(executed, topology, engine_config, policy)
-        } else {
-            Engine::new(executed, topology, engine_config)
-        };
-
-        // Open the persistent store (if configured) and recover whatever
-        // committed state it holds *before* journaling is attached, so the
-        // replayed operations are not re-journaled.
-        let mut recovered = false;
+        // Open the persistent store, if configured.  The engine journals
+        // into it from its first event; the committed state it holds, if
+        // any, is recovered into the fresh engine, which journals none of it.
+        let mut backend: Box<dyn StorageBackend> = Box::new(MemoryBackend);
+        let mut recovered_state = None;
         if let Some(dir) = &self.data_dir {
             let store_config = StoreConfig {
                 snapshot_wal_bytes: self.snapshot_every_bytes,
                 ..StoreConfig::default()
             };
-            let (backend, state) = DiskBackend::open(dir, store_config)
+            let (disk, state) = DiskBackend::open(dir, store_config)
                 .map_err(|e| BuildError::Storage(e.to_string()))?;
-            if let Some(state) = state {
+            if let Some(state) = &state {
                 // The policy's annotations are not persisted: resumed, every
                 // recovered derived tuple would pass for a fresh base
                 // variable and value-mode answers would be silently wrong.
@@ -313,7 +310,7 @@ impl DeploymentBuilder {
                     )));
                 }
                 if let Some(snap) = &state.snapshot {
-                    let nodes = engine.topology().num_nodes() as u32;
+                    let nodes = topology.num_nodes() as u32;
                     if snap.node_count != nodes {
                         return Err(BuildError::Storage(format!(
                             "store at {} was written for a {}-node topology, \
@@ -323,11 +320,19 @@ impl DeploymentBuilder {
                         )));
                     }
                 }
-                engine.recover(&state);
-                recovered = true;
             }
-            engine.attach_storage(Box::new(backend));
+            backend = Box::new(disk);
+            recovered_state = state;
         }
+        let policy: Option<Box<dyn AnnotationPolicy + Send>> = match self.mode {
+            ProvenanceMode::ValueBdd => Some(Box::new(ValueBddPolicy::new())),
+            _ => None,
+        };
+        let mut engine = Engine::with_parts(executed, topology, engine_config, policy, backend);
+        if let Some(state) = &recovered_state {
+            engine.recover(state);
+        }
+        let recovered = recovered_state.is_some();
 
         let mut deployment = Deployment {
             engine,
@@ -630,22 +635,14 @@ impl Deployment {
     /// Adds a link to the topology and inserts its base tuples (both
     /// directions) at the current simulated time.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, props: LinkProps) {
-        self.engine.topology_mut().add_link(a, b, props);
-        self.engine.journal_link(true, a, b, &props);
-        self.insert_base(a, Self::link_tuple(a, b, props.cost));
-        self.insert_base(b, Self::link_tuple(b, a, props.cost));
+        self.change_link(true, a, b, props, self.now());
     }
 
-    /// Removes a link from the topology and deletes its base tuples.
+    /// Removes a link from the topology and deletes its base tuples (of
+    /// cost 1 when there is no such link).
     pub fn remove_link(&mut self, a: NodeId, b: NodeId) {
-        let props = self.engine.topology().link(a, b).copied();
-        let cost = props.map_or(1, |p| p.cost);
-        if let Some(props) = props {
-            self.engine.journal_link(false, a, b, &props);
-        }
-        self.engine.topology_mut().remove_link(a, b);
-        self.delete_base(a, Self::link_tuple(a, b, cost));
-        self.delete_base(b, Self::link_tuple(b, a, cost));
+        let cost_one = LinkProps::from_class(LinkClass::Custom);
+        self.change_link(false, a, b, cost_one, self.now());
     }
 
     /// Applies one churn event (link addition or deletion) now.
@@ -661,28 +658,22 @@ impl Deployment {
     /// current topology — which is at most one churn interval early.  For
     /// immediate application use [`Self::apply_churn_event`].
     pub fn schedule_churn_event(&mut self, event: &ChurnEvent, at: f64) {
-        if event.add {
-            self.engine
-                .topology_mut()
-                .add_link(event.a, event.b, event.props);
-            self.engine
-                .journal_link(true, event.a, event.b, &event.props);
-            let cost = event.props.cost;
-            self.schedule_delta(at, event.a, Self::link_tuple(event.a, event.b, cost), true);
-            self.schedule_delta(at, event.b, Self::link_tuple(event.b, event.a, cost), true);
+        self.change_link(event.add, event.a, event.b, event.props, at);
+    }
+
+    /// Adds (`add`) or removes the link `a`–`b` now, through the engine,
+    /// which journals the change, and schedules the delta of its two `link`
+    /// tuples at `at`.  The removed link's cost names the deleted tuples;
+    /// with no such link, `props.cost` does.
+    fn change_link(&mut self, add: bool, a: NodeId, b: NodeId, props: LinkProps, at: f64) {
+        let cost = if add {
+            self.engine.add_link(a, b, props);
+            props.cost
         } else {
-            let props = self
-                .engine
-                .topology()
-                .link(event.a, event.b)
-                .copied()
-                .unwrap_or(event.props);
-            self.engine.journal_link(false, event.a, event.b, &props);
-            self.engine.topology_mut().remove_link(event.a, event.b);
-            let cost = props.cost;
-            self.schedule_delta(at, event.a, Self::link_tuple(event.a, event.b, cost), false);
-            self.schedule_delta(at, event.b, Self::link_tuple(event.b, event.a, cost), false);
-        }
+            self.engine.remove_link(a, b).unwrap_or(props).cost
+        };
+        self.schedule_delta(at, a, Self::link_tuple(a, b, cost), add);
+        self.schedule_delta(at, b, Self::link_tuple(b, a, cost), add);
     }
 
     // ------------------------------------------------------------------

@@ -15,7 +15,7 @@
 //! the figures' value-mode bytes depend on: a delta leaving a node is charged
 //! the history stored *at that node* when the rule fires.  One policy sees
 //! every event, so the engine that carries it runs one shard and owns it
-//! (`Engine::with_policy`).  The BDD manager hash-conses, so the serialized
+//! (`Engine::with_parts`).  The BDD manager hash-conses, so the serialized
 //! size of a function does not depend on the order operations reached it.
 //!
 //! Annotations and variables are keyed by the engine's shared `Arc<Tuple>`

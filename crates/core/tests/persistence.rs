@@ -41,12 +41,11 @@ impl Drop for Scratch {
     }
 }
 
-fn builder(shards: usize) -> exspan_core::DeploymentBuilder {
+fn builder() -> exspan_core::DeploymentBuilder {
     Exspan::builder()
         .program(programs::mincost())
         .topology(Topology::testbed_ring(16, 7))
         .mode(ProvenanceMode::Reference)
-        .shards(shards)
 }
 
 fn churn(d: &mut Deployment) {
@@ -71,7 +70,7 @@ fn churn(d: &mut Deployment) {
 fn reopen_recovers_identical_state_from_wal_only() {
     let scratch = Scratch::new("wal-only");
     let digest = {
-        let mut d = builder(1).data_dir(scratch.path()).build().unwrap();
+        let mut d = builder().data_dir(scratch.path()).build().unwrap();
         assert!(!d.recovered_from_store());
         d.run_to_fixpoint();
         churn(&mut d);
@@ -81,7 +80,7 @@ fn reopen_recovers_identical_state_from_wal_only() {
         d.state_digest()
         // Dropped without checkpoint: recovery must come from the log alone.
     };
-    let mut d = builder(1).data_dir(scratch.path()).build().unwrap();
+    let mut d = builder().data_dir(scratch.path()).build().unwrap();
     assert!(d.recovered_from_store());
     assert!(d.storage_stats().recovered_batches > 0);
     assert_eq!(d.state_digest(), digest, "WAL replay diverged");
@@ -94,7 +93,7 @@ fn reopen_recovers_identical_state_from_wal_only() {
 fn checkpoint_makes_recovery_snapshot_only() {
     let scratch = Scratch::new("checkpoint");
     let digest = {
-        let mut d = builder(2).data_dir(scratch.path()).build().unwrap();
+        let mut d = builder().data_dir(scratch.path()).build().unwrap();
         d.run_to_fixpoint();
         churn(&mut d);
         d.checkpoint();
@@ -103,7 +102,7 @@ fn checkpoint_makes_recovery_snapshot_only() {
     };
     // After a checkpoint the log is truncated at the snapshot watermark, so
     // a reopen replays zero batches.
-    let d = builder(2).data_dir(scratch.path()).build().unwrap();
+    let d = builder().data_dir(scratch.path()).build().unwrap();
     assert!(d.recovered_from_store());
     assert_eq!(d.storage_stats().recovered_batches, 0);
     assert_eq!(d.state_digest(), digest);
@@ -116,7 +115,7 @@ fn value_mode_refuses_to_resume_a_store_with_committed_state() {
     // answer wrongly without an error.  A fresh directory stays legal.
     let scratch = Scratch::new("value-resume");
     let value = || {
-        builder(1)
+        builder()
             .mode(ProvenanceMode::ValueBdd)
             .data_dir(scratch.path())
             .build()
@@ -136,7 +135,7 @@ fn recovered_deployment_continues_identically_to_uninterrupted_run() {
     // Oracle: one uninterrupted run.  Subject: same run split by a restart
     // in the middle.  Both must land on the same digest.
     let oracle = {
-        let mut d = builder(1).build().unwrap();
+        let mut d = builder().build().unwrap();
         d.run_to_fixpoint();
         churn(&mut d);
         d.remove_link(4, 5);
@@ -145,11 +144,11 @@ fn recovered_deployment_continues_identically_to_uninterrupted_run() {
     };
     let scratch = Scratch::new("resume");
     {
-        let mut d = builder(1).data_dir(scratch.path()).build().unwrap();
+        let mut d = builder().data_dir(scratch.path()).build().unwrap();
         d.run_to_fixpoint();
         churn(&mut d);
     }
-    let mut d = builder(1).data_dir(scratch.path()).build().unwrap();
+    let mut d = builder().data_dir(scratch.path()).build().unwrap();
     assert!(d.recovered_from_store());
     d.remove_link(4, 5);
     d.run_to_fixpoint();
@@ -157,29 +156,10 @@ fn recovered_deployment_continues_identically_to_uninterrupted_run() {
 }
 
 #[test]
-fn snapshot_bytes_identical_across_shard_counts() {
-    // Canonical snapshots are execution-independent *bytes*: the file a
-    // 4-shard deployment writes is identical to the sequential engine's.
-    let mut snapshots = Vec::new();
-    for shards in [1usize, 4] {
-        let scratch = Scratch::new("shardbytes");
-        let mut d = builder(shards).data_dir(scratch.path()).build().unwrap();
-        d.run_to_fixpoint();
-        churn(&mut d);
-        d.checkpoint();
-        snapshots.push(std::fs::read(scratch.path().join("snapshot.bin")).unwrap());
-    }
-    assert_eq!(
-        snapshots[0], snapshots[1],
-        "snapshot bytes depend on shard count"
-    );
-}
-
-#[test]
 fn checkpoint_twice_writes_one_snapshot() {
     // An empty log after the flush means the snapshot on disk is current.
     let scratch = Scratch::new("checkpoint-twice");
-    let mut d = builder(1).data_dir(scratch.path()).build().unwrap();
+    let mut d = builder().data_dir(scratch.path()).build().unwrap();
     d.run_to_fixpoint();
     d.checkpoint();
     let written = d.storage_stats().snapshots_written;
@@ -193,17 +173,17 @@ fn checkpoint_before_any_run_leaves_a_store_that_boots_fresh() {
     // A snapshot of the bare topology would make the reopen skip seeding and
     // run to a fixpoint with no `link` tuples at all.
     let oracle = {
-        let mut d = builder(1).build().unwrap();
+        let mut d = builder().build().unwrap();
         d.run_to_fixpoint();
         d.state_digest()
     };
     let scratch = Scratch::new("checkpoint-early");
-    builder(1)
+    builder()
         .data_dir(scratch.path())
         .build()
         .unwrap()
         .checkpoint();
-    let mut d = builder(1).data_dir(scratch.path()).build().unwrap();
+    let mut d = builder().data_dir(scratch.path()).build().unwrap();
     assert!(!d.recovered_from_store());
     d.run_to_fixpoint();
     assert_eq!(d.state_digest(), oracle);
@@ -215,7 +195,7 @@ fn a_store_with_a_leftover_spill_directory_opens_and_recovers() {
     // cache beside the log; the snapshot + WAL were always authoritative.
     let scratch = Scratch::new("leftover-spill");
     let digest = {
-        let mut d = builder(1).data_dir(scratch.path()).build().unwrap();
+        let mut d = builder().data_dir(scratch.path()).build().unwrap();
         d.run_to_fixpoint();
         churn(&mut d);
         d.state_digest()
@@ -223,7 +203,7 @@ fn a_store_with_a_leftover_spill_directory_opens_and_recovers() {
     let spill = scratch.path().join("spill");
     std::fs::create_dir_all(&spill).unwrap();
     std::fs::write(spill.join("n0_link.tbl"), b"not a table").unwrap();
-    let d = builder(1).data_dir(scratch.path()).build().unwrap();
+    let d = builder().data_dir(scratch.path()).build().unwrap();
     assert!(d.recovered_from_store());
     assert_eq!(d.state_digest(), digest);
     assert!(!spill.exists());
@@ -233,7 +213,7 @@ fn a_store_with_a_leftover_spill_directory_opens_and_recovers() {
 fn node_count_mismatch_is_a_build_error() {
     let scratch = Scratch::new("mismatch");
     {
-        let mut d = builder(1).data_dir(scratch.path()).build().unwrap();
+        let mut d = builder().data_dir(scratch.path()).build().unwrap();
         d.run_to_fixpoint();
         d.checkpoint();
     }
@@ -250,7 +230,7 @@ fn node_count_mismatch_is_a_build_error() {
 
 #[test]
 fn in_memory_default_reports_zero_storage_activity() {
-    let mut d = builder(1).build().unwrap();
+    let mut d = builder().build().unwrap();
     d.run_to_fixpoint();
     let stats = d.storage_stats();
     assert_eq!(stats.committed_batches, 0);
@@ -272,7 +252,7 @@ struct Observed {
 /// Fixpoint, one churn batch, and in reference mode one cached and one
 /// uncached query.
 fn observe(program: &Program, mode: ProvenanceMode, data_dir: Option<&Path>) -> Observed {
-    let mut b = builder(1).program(program.clone()).mode(mode);
+    let mut b = builder().program(program.clone()).mode(mode);
     if let Some(dir) = data_dir {
         b = b.data_dir(dir);
     }
@@ -329,23 +309,13 @@ const BATCHES: usize = 12;
 const CRASH_AFTER: usize = 10;
 const TAIL_FROM: usize = 6;
 
-/// How the store under test was written (what `recovery_smoke` called a
-/// scenario): writer shards, snapshot floor.
-struct Writer {
-    shards: usize,
-    floor: u64,
-}
-
-/// Who recovers: damage point `i` is reopened by `RECOVERERS[i % 2]` shards, so
-/// every kind of damage meets both shard counts, whatever wrote the store.
-const RECOVERERS: [usize; 2] = [1, 4];
-
-fn ring(shards: usize, floor: u64) -> exspan_core::DeploymentBuilder {
+/// The crash workload's deployment, snapshotting at `floor` (`u64::MAX`:
+/// never).
+fn ring(floor: u64) -> exspan_core::DeploymentBuilder {
     Exspan::builder()
         .program(programs::mincost())
         .topology(Topology::testbed_ring(5, 7))
         .mode(ProvenanceMode::Reference)
-        .shards(shards)
         .snapshot_every_bytes(floor)
 }
 
@@ -386,14 +356,14 @@ enum Damage {
     Garbage,
 }
 
-/// Kills `writer` after batch [`CRASH_AFTER`], then damages a copy of its
-/// store at every record boundary of the tail and four ways inside every
-/// record, and in the two windows of a snapshot write; every reopen must
+/// Kills a writer snapshotting at `floor` after batch [`CRASH_AFTER`], then
+/// damages a copy of its store at every record boundary of the tail and four
+/// ways inside every record, and in the two windows of a snapshot write; every reopen must
 /// land on the digest of the last commit wholly before the damage, and
 /// resumed runs must end where the uninterrupted run does.
-fn every_crash_point(writer: Writer) {
+fn every_crash_point(floor: u64) {
     let oracle: Vec<String> = {
-        let mut d = ring(1, 1).build().unwrap();
+        let mut d = ring(1).build().unwrap();
         let digests = (0..=BATCHES).map(|i| {
             apply_batch(&mut d, i);
             d.state_digest()
@@ -410,10 +380,7 @@ fn every_crash_point(writer: Writer) {
     // `commits[k]`: the length of `wal.log` once batch `k` was committed.
     let mut commits = Vec::new();
     {
-        let mut d = ring(writer.shards, writer.floor)
-            .data_dir(&live)
-            .build()
-            .unwrap();
+        let mut d = ring(floor).data_dir(&live).build().unwrap();
         for (k, digest) in oracle.iter().enumerate().take(CRASH_AFTER + 1) {
             apply_batch(&mut d, k);
             assert_eq!(&d.state_digest(), digest, "writer diverged at batch {k}");
@@ -426,13 +393,13 @@ fn every_crash_point(writer: Writer) {
         d.checkpoint();
         copy_store(&crashed, &point);
         std::fs::copy(live.join("snapshot.bin"), point.join("snapshot.bin")).unwrap();
-        let mut d = ring(1, writer.floor).data_dir(&point).build().unwrap();
+        let mut d = ring(floor).data_dir(&point).build().unwrap();
         assert_eq!(d.state_digest(), oracle[CRASH_AFTER], "stale log replayed");
         (CRASH_AFTER + 1..=BATCHES).for_each(|k| apply_batch(&mut d, k));
         assert_eq!(d.state_digest(), oracle[BATCHES]);
     }
     let wal = std::fs::read(crashed.join("wal.log")).unwrap();
-    let snapshotting = writer.floor != u64::MAX;
+    let snapshotting = floor != u64::MAX;
     assert_eq!(crashed.join("snapshot.bin").exists(), snapshotting);
     if snapshotting {
         assert_eq!(commits[TAIL_FROM], 0, "batch {TAIL_FROM} should snapshot");
@@ -475,15 +442,13 @@ fn every_crash_point(writer: Writer) {
         // A temp file from a snapshot that never reached its rename.
         std::fs::write(point.join("snapshot.tmp"), &log[..log.len() / 3]).unwrap();
 
-        let shards = RECOVERERS[i % RECOVERERS.len()];
-        let mut d = ring(shards, writer.floor).data_dir(&point).build().unwrap();
+        let mut d = ring(floor).data_dir(&point).build().unwrap();
         assert!(d.recovered_from_store());
         assert!(!point.join("snapshot.tmp").exists());
         assert_eq!(
             d.state_digest(),
             oracle[*k],
-            "{damage:?} of a {}-byte log, reopened by {shards} shard(s): expected the \
-             state of batch {k}",
+            "{damage:?} of a {}-byte log: expected the state of batch {k}",
             wal.len()
         );
         if resumed.contains(&i) {
@@ -495,24 +460,10 @@ fn every_crash_point(writer: Writer) {
 
 #[test]
 fn every_crash_point_of_a_snapshot_plus_tail_store() {
-    every_crash_point(Writer {
-        shards: 1,
-        floor: 1,
-    });
-}
-
-#[test]
-fn every_crash_point_of_a_store_written_by_four_shards() {
-    every_crash_point(Writer {
-        shards: 4,
-        floor: 1,
-    });
+    every_crash_point(1);
 }
 
 #[test]
 fn every_crash_point_of_a_wal_only_store() {
-    every_crash_point(Writer {
-        shards: 4,
-        floor: u64::MAX,
-    });
+    every_crash_point(u64::MAX);
 }

@@ -127,8 +127,8 @@ const MAX_STEPS: u64 = 200_000_000;
 pub struct EngineConfig {
     /// At most how many shards (worker threads) execute the protocol; 1
     /// keeps everything on the calling thread.  An engine built with an
-    /// annotation policy ([`Engine::with_policy`]) runs one shard whatever
-    /// this says.
+    /// annotation policy or a persistent storage backend
+    /// ([`Engine::with_parts`]) runs one shard whatever this says.
     pub shards: usize,
     /// When `true`, the engine additionally accounts every transmitted
     /// message under the dictionary wire codec ([`exspan_types::compress`]):
@@ -164,16 +164,11 @@ pub struct Engine {
     /// that it has not yet pulled into its queue.
     inboxes: Vec<Mutex<Vec<RoutedEvent<Payload>>>>,
     /// Storage backend behind the persistence seam.  The in-memory default
-    /// ([`MemoryBackend`]) accepts and discards everything; shard journaling
-    /// stays off, so the hot path pays nothing.
+    /// ([`MemoryBackend`]) accepts and discards everything; the shard keeps
+    /// no journal then, so the hot path pays one branch.
     backend: Box<dyn StorageBackend>,
     /// Sequence number of the last committed WAL batch.
     commit_seq: u64,
-    /// Topology link changes journaled since the last barrier flush (links
-    /// live on the coordinator, not in any shard's table store).
-    link_journal: Vec<WalOp>,
-    /// Whether journaling is active (persistent backend attached).
-    journaling: bool,
 }
 
 /// On-wire encoding of a [`LinkClass`] inside a [`LinkRecord`].
@@ -226,6 +221,22 @@ impl Engine {
     /// winning input tuple (§4.2.2); the rewritten rules cover the rest, but
     /// cannot express an aggregate.
     pub fn new(program: Program, topology: Topology, config: EngineConfig) -> Self {
+        Self::with_parts(program, topology, config, None, Box::new(MemoryBackend))
+    }
+
+    /// Creates an engine that reports every base change, rule firing, remote
+    /// send and arrival to `policy` (e.g. value-based provenance), if given,
+    /// and journals every change to its state into `backend`, if that is
+    /// persistent.  One policy has to see all of those events in event order,
+    /// and one journal is one shard's record, so either runs one shard
+    /// whatever [`EngineConfig::shards`] says.
+    pub fn with_parts(
+        program: Program,
+        topology: Topology,
+        config: EngineConfig,
+        policy: Option<Box<dyn AnnotationPolicy + Send>>,
+        backend: Box<dyn StorageBackend>,
+    ) -> Self {
         let aggregate_provenance =
             program.table("prov").is_some() && program.table("ruleExec").is_some();
         let program = program.normalize();
@@ -253,7 +264,11 @@ impl Engine {
             .iter()
             .map(|(rel, cols)| (*rel, cols.iter().cloned().collect()))
             .collect();
-        let num_shards = config.shards.max(1);
+        let num_shards = if policy.is_some() || backend.is_persistent() {
+            1
+        } else {
+            config.shards.max(1)
+        };
         let assignment = Arc::new(topology.partition_rendezvous(num_shards));
         let mut rule_by_label = FxHashMap::default();
         for (ri, rule) in program.rules.iter().enumerate() {
@@ -270,7 +285,7 @@ impl Engine {
             provenance_relations: [Symbol::intern("prov"), Symbol::intern("ruleExec")],
         });
         let topo_arc = Arc::new(topology.clone());
-        let shards = (0..num_shards)
+        let mut shards: Vec<Shard> = (0..num_shards)
             .map(|i| {
                 let mut sim = Simulator::with_bucket_width(Arc::clone(&topo_arc), 0.1);
                 if num_shards > 1 {
@@ -282,6 +297,8 @@ impl Engine {
                 Shard::new(Arc::clone(&data), keys.clone(), index_demands.clone(), sim)
             })
             .collect();
+        shards[0].policy = policy;
+        shards[0].journal = backend.is_persistent().then(Vec::new);
         Engine {
             data,
             topology,
@@ -289,30 +306,9 @@ impl Engine {
             assignment,
             inboxes: (0..num_shards).map(|_| Mutex::new(Vec::new())).collect(),
             shards,
-            backend: Box::new(MemoryBackend),
+            backend,
             commit_seq: 0,
-            link_journal: Vec::new(),
-            journaling: false,
         }
-    }
-
-    /// Creates an engine that reports every base change, rule firing, remote
-    /// send and arrival to `policy` (e.g. value-based provenance).  One
-    /// policy has to see all of them in event order, so the engine runs one
-    /// shard, which owns the policy, whatever [`EngineConfig::shards`] says.
-    pub fn with_policy(
-        program: Program,
-        topology: Topology,
-        config: EngineConfig,
-        policy: Box<dyn AnnotationPolicy + Send>,
-    ) -> Self {
-        let one_shard = EngineConfig {
-            shards: 1,
-            ..config
-        };
-        let mut engine = Self::new(program, topology, one_shard);
-        engine.shards[0].policy = Some(policy);
-        engine
     }
 
     /// Number of shards executing this engine.
@@ -379,11 +375,35 @@ impl Engine {
         self.shards.iter().map(|s| s.eval_errors.get()).sum()
     }
 
-    /// The network topology (mutable, for churn).  Shards receive the updated
-    /// snapshot before the next run.
-    pub fn topology_mut(&mut self) -> &mut Topology {
+    /// The network topology, mutably and unjournaled (recovery writes it
+    /// directly).  Shards receive the updated snapshot before the next run.
+    fn topology_mut(&mut self) -> &mut Topology {
         self.topo_dirty = true;
         &mut self.topology
+    }
+
+    /// Adds (or replaces) a link of the topology and journals the change.
+    pub fn add_link(&mut self, a: NodeId, b: NodeId, props: LinkProps) {
+        self.topology_mut().add_link(a, b, props);
+        self.record_link(true, a, b, &props);
+    }
+
+    /// Removes the link between `a` and `b` and journals the removal, if
+    /// there is such a link; returns its properties.
+    pub fn remove_link(&mut self, a: NodeId, b: NodeId) -> Option<LinkProps> {
+        let props = self.topology.link(a, b).copied()?;
+        self.topology_mut().remove_link(a, b);
+        self.record_link(false, a, b, &props);
+        Some(props)
+    }
+
+    /// Journals a link change the engine applied (a persistent engine has
+    /// one shard, whose journal takes it).
+    fn record_link(&mut self, add: bool, a: NodeId, b: NodeId, props: &LinkProps) {
+        self.shards[0].journal_op(|| WalOp::Link {
+            add,
+            link: link_record(a, b, props),
+        });
     }
 
     /// The network topology.
@@ -759,52 +779,26 @@ impl Engine {
     // Persistence (the storage seam)
     // ------------------------------------------------------------------
 
-    /// Attaches a storage backend and turns on operation journaling.  Call
-    /// after [`Engine::recover`], so the replayed operations are not
-    /// re-journaled.
-    pub fn attach_storage(&mut self, backend: Box<dyn StorageBackend>) {
-        self.backend = backend;
-        self.journaling = self.backend.is_persistent();
-        for shard in &mut self.shards {
-            shard.store.set_journaling(self.journaling);
-        }
-    }
-
-    /// Journals a topology link change (call alongside the
-    /// `topology_mut().add_link/remove_link` that applies it; no-op without
-    /// a persistent backend).
-    pub fn journal_link(&mut self, add: bool, a: NodeId, b: NodeId, props: &LinkProps) {
-        if self.journaling {
-            self.link_journal.push(WalOp::Link {
-                add,
-                link: link_record(a, b, props),
-            });
-        }
-    }
-
     /// Commits the operations journaled since the last flush as one WAL
     /// batch and writes a snapshot if enough log accumulated.  Called at the
     /// single-threaded end of every `run_*` call — a quiescent barrier, so
     /// the batch captures a complete window.
     fn flush_storage(&mut self) {
-        if self.journaling {
-            let mut ops = std::mem::take(&mut self.link_journal);
-            for shard in &mut self.shards {
-                ops.extend(shard.store.take_journal());
-            }
-            if !ops.is_empty() {
-                self.commit_seq += 1;
-                let time_bits = self.last_activity().to_bits();
-                self.backend
-                    .commit_batch(&ops, self.commit_seq, time_bits)
-                    .unwrap_or_else(|e| panic!("WAL commit failed: {e}"));
-                if self.backend.snapshot_due() {
-                    let snap = self.collect_snapshot();
-                    self.backend
-                        .write_snapshot(&snap)
-                        .unwrap_or_else(|e| panic!("snapshot write failed: {e}"));
-                }
-            }
+        let journal = self.shards[0].journal.as_mut();
+        let Some(journal) = journal.filter(|ops| !ops.is_empty()) else {
+            return;
+        };
+        let ops = std::mem::take(journal);
+        self.commit_seq += 1;
+        let time_bits = self.last_activity().to_bits();
+        self.backend
+            .commit_batch(&ops, self.commit_seq, time_bits)
+            .unwrap_or_else(|e| panic!("WAL commit failed: {e}"));
+        if self.backend.snapshot_due() {
+            let snap = self.collect_snapshot();
+            self.backend
+                .write_snapshot(&snap)
+                .unwrap_or_else(|e| panic!("snapshot write failed: {e}"));
         }
     }
 
@@ -1099,7 +1093,7 @@ mod tests {
             &best(0, 2, 20)
         ));
         // New cheap direct link 0-2.
-        engine.topology_mut().add_link(0, 2, props(3));
+        engine.add_link(0, 2, props(3));
         engine.insert_base(0, link(0, 2, 3));
         engine.insert_base(2, link(2, 0, 3));
         engine.run_to_fixpoint();
@@ -1280,8 +1274,7 @@ mod tests {
             engine.run_to_fixpoint();
             // Delete a few links and re-run, exercising cross-shard retraction.
             for (a, b) in [(0u32, 1u32), (5, 6), (10, 11)] {
-                let cost = engine.topology().link(a, b).map_or(1, |p| p.cost);
-                engine.topology_mut().remove_link(a, b);
+                let cost = engine.remove_link(a, b).map_or(1, |p| p.cost);
                 engine.delete_base(a, link(a, b, cost));
                 engine.delete_base(b, link(b, a, cost));
             }

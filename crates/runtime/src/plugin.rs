@@ -19,7 +19,7 @@
 //! `Arc<Tuple>` (the delta's, or the table row's), so that state can be keyed
 //! by the tuple itself: no hook computes a VID.  One policy must see every
 //! arrival, derivation and remote send, so an engine built with a policy
-//! ([`Engine::with_policy`]) runs one shard, which owns it.  The hooks take
+//! ([`Engine::with_parts`]) runs one shard, which owns it.  The hooks take
 //! only what their one implementor, `exspan_core`'s value-based policy,
 //! reads.
 

@@ -28,6 +28,7 @@ use exspan_ndlog::eval::EvalError;
 use exspan_ndlog::is_event_predicate;
 use exspan_ndlog::plan::{AggRulePlans, JoinPlan, KeyOp, ProgramPlans};
 use exspan_netsim::{RoutedEvent, Simulator};
+use exspan_store::WalOp;
 use exspan_types::fxhash::FxHashMap;
 use exspan_types::{wire, Digest, NodeId, RelId, Symbol, Tuple, Value};
 use std::cmp::Ordering;
@@ -149,6 +150,11 @@ pub(crate) struct Shard {
     /// [`crate::Engine::drain_vertex_changes`]; `None` until
     /// [`crate::Engine::record_vertex_changes`] asks for them.
     pub(crate) vertex_changes: Option<Vec<Digest>>,
+    /// The operations applied since the last barrier flush, which the engine
+    /// commits as one WAL batch; `None` for an in-memory engine.  Tuple
+    /// intents and aggregate-provenance changes are pushed here as the shard
+    /// applies them, link changes by the engine.
+    pub(crate) journal: Option<Vec<WalOp>>,
     scratch: Scratch,
 }
 
@@ -171,6 +177,7 @@ impl Shard {
             eval_errors: std::cell::Cell::new(0),
             compressed_bytes: 0,
             vertex_changes: None,
+            journal: None,
             scratch: Scratch::default(),
         }
     }
@@ -261,7 +268,11 @@ impl Shard {
             // same arguments through this identical code path reproduces
             // duplicate counts, keyed replacement and decrement-vs-remove
             // outcomes deterministically.
-            self.store.journal_tuple(node, insert, &tuple);
+            self.journal_op(|| WalOp::Tuple {
+                node,
+                insert,
+                tuple: Arc::clone(&tuple),
+            });
             let table = self.store.table_mut(node, tuple.relation);
             if insert {
                 match table.insert_shared(&tuple) {
@@ -303,6 +314,14 @@ impl Shard {
             if let Some(p) = &mut self.policy {
                 p.on_arrival(node, &tuple, token, false, removed);
             }
+        }
+    }
+
+    /// Appends the operation `op` builds to the journal, if this shard keeps
+    /// one.
+    pub(crate) fn journal_op(&mut self, op: impl FnOnce() -> WalOp) {
+        if let Some(journal) = &mut self.journal {
+            journal.push(op());
         }
     }
 
@@ -759,8 +778,13 @@ impl Shard {
                     self.agg_prov
                         .remove(&(node, rule.head.relation, group_key.to_vec()))
                 {
-                    self.store
-                        .journal_agg(false, node, rule.head.relation, group_key, None);
+                    self.journal_op(|| WalOp::AggProv {
+                        install: false,
+                        node,
+                        relation: rule.head.relation,
+                        group: group_key.to_vec(),
+                        tuples: None,
+                    });
                     self.dispatch_delta(node, prov_t, false, None);
                     self.dispatch_delta(node, exec_t, false, None);
                 }
@@ -797,13 +821,13 @@ impl Shard {
                     (node, rule.head.relation, group_key.to_vec()),
                     (Arc::clone(&prov_t), Arc::clone(&exec_t)),
                 );
-                self.store.journal_agg(
-                    true,
+                self.journal_op(|| WalOp::AggProv {
+                    install: true,
                     node,
-                    rule.head.relation,
-                    group_key,
-                    Some((&prov_t, &exec_t)),
-                );
+                    relation: rule.head.relation,
+                    group: group_key.to_vec(),
+                    tuples: Some((Arc::clone(&prov_t), Arc::clone(&exec_t))),
+                });
                 self.dispatch_delta(node, exec_t, true, None);
                 self.dispatch_delta(node, prov_t, true, None);
             }

@@ -19,7 +19,7 @@
 //! attribute vectors.  Tables are keyed by interned [`RelId`]s, making the
 //! `(node, relation)` store lookups allocation-free.
 
-use exspan_store::{TableDump, WalOp};
+use exspan_store::TableDump;
 use exspan_types::fxhash::FxHashMap;
 use exspan_types::{NodeId, RelId, Tuple, Value};
 use std::collections::btree_map::Entry;
@@ -444,11 +444,8 @@ impl<'a> Iterator for ProbeIter<'a> {
 }
 
 /// A helper collection mapping `(node, relation)` to its [`Table`], with
-/// lazily-created tables.
-///
-/// When persistence is attached the store also carries the **journal** — the
-/// logical operations applied since the last barrier flush, which the engine
-/// drains into the WAL.
+/// lazily-created tables.  It stores tables only; the shard that applies a
+/// change also records it for the store.
 #[derive(Debug, Default, Clone)]
 pub struct TableStore {
     tables: FxHashMap<(NodeId, RelId), Table>,
@@ -457,10 +454,6 @@ pub struct TableStore {
     /// Secondary-index demands by relation (from the compiled join plans);
     /// every lazily-created table of that relation maintains them.
     index_demands: FxHashMap<RelId, Vec<Vec<usize>>>,
-    /// Operations journaled since the last barrier flush (empty and never
-    /// pushed to unless `journaling` is on).
-    journal: Vec<WalOp>,
-    journaling: bool,
 }
 
 impl TableStore {
@@ -480,8 +473,6 @@ impl TableStore {
             tables: FxHashMap::default(),
             keys,
             index_demands,
-            journal: Vec::new(),
-            journaling: false,
         }
     }
 
@@ -562,55 +553,6 @@ impl TableStore {
     /// Total number of visible tuples across all tables.
     pub fn total_tuples(&self) -> usize {
         self.tables.values().map(Table::len).sum()
-    }
-
-    // ------------------------------------------------------------------
-    // Journal (persistence)
-    // ------------------------------------------------------------------
-
-    /// Turns operation journaling on or off.  Off (the default) makes every
-    /// `journal_*` call a no-op, so the in-memory path pays one branch.
-    pub fn set_journaling(&mut self, on: bool) {
-        self.journaling = on;
-    }
-
-    /// Drains the operations journaled since the last call.
-    pub fn take_journal(&mut self) -> Vec<WalOp> {
-        std::mem::take(&mut self.journal)
-    }
-
-    /// Journals one table-mutation intent (the arguments of
-    /// `insert_shared`/`delete`, recorded *before* the mutation — replaying
-    /// intents through identical table code reproduces every effect).
-    pub fn journal_tuple(&mut self, node: NodeId, insert: bool, tuple: &Arc<Tuple>) {
-        if self.journaling {
-            self.journal.push(WalOp::Tuple {
-                node,
-                insert,
-                tuple: Arc::clone(tuple),
-            });
-        }
-    }
-
-    /// Journals one aggregate-provenance map mutation (see
-    /// [`WalOp::AggProv`]).
-    pub fn journal_agg(
-        &mut self,
-        install: bool,
-        node: NodeId,
-        relation: RelId,
-        group: &[Value],
-        tuples: Option<(&Arc<Tuple>, &Arc<Tuple>)>,
-    ) {
-        if self.journaling {
-            self.journal.push(WalOp::AggProv {
-                install,
-                node,
-                relation,
-                group: group.to_vec(),
-                tuples: tuples.map(|(p, e)| (Arc::clone(p), Arc::clone(e))),
-            });
-        }
     }
 
     /// Dumps every table in canonical order: sorted by `(node, relation

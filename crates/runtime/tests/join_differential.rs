@@ -498,7 +498,7 @@ fn mincost_under_churn_matches_the_reference_evaluator() {
         }
         engine.run_to_fixpoint();
         for &(a, b, cost) in &deleted {
-            engine.topology_mut().remove_link(a, b);
+            engine.remove_link(a, b);
             for tuple in both(&(a, b, cost)) {
                 engine.delete_base(tuple.location, tuple);
             }

@@ -73,7 +73,8 @@ impl RecoveredState {
 /// call per barrier window and nothing else.
 pub trait StorageBackend: Send {
     /// Whether commits actually persist (false for [`MemoryBackend`]; the
-    /// engine skips journaling entirely when this is false).
+    /// engine keeps no journal when this is false, and one shard when it is
+    /// true).
     fn is_persistent(&self) -> bool {
         false
     }

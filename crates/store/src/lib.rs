@@ -7,7 +7,8 @@
 //!
 //! 1. **Append-only WAL** ([`wal`]).  During a run the engine journals
 //!    every logical table operation (insert/delete intents, topology link
-//!    changes, aggregate-provenance bookkeeping) and appends them once per
+//!    changes, aggregate-provenance bookkeeping) in one list — an engine
+//!    with a persistent backend runs one shard — and appends them once per
 //!    barrier window as a checksummed, length-prefixed batch closed by a
 //!    commit record.  The [`Durability`] knob controls fsync cadence:
 //!    `None` (OS decides) or `Barrier` (default: one fsync per committed
@@ -18,9 +19,8 @@
 //!    `StoreConfig::snapshot_wal_bytes` — the engine hands the backend a
 //!    full dump — tables in `(node, relation)` order with rows in `scan()`
 //!    order, the link set, and the aggregate-provenance map, all sorted
-//!    canonically — so snapshot bytes are a pure function of logical state:
-//!    a 1-shard and a 4-shard run of the same workload write *identical*
-//!    files.  Every snapshot byte is paid for by a logged byte: a store
+//!    canonically — so snapshot bytes are a pure function of logical state,
+//!    the same whichever order execution reached it in.  Every snapshot byte is paid for by a logged byte: a store
 //!    writes at most twice what it logs plus one snapshot, recovery reads
 //!    at most one snapshot plus a log of that length and one barrier batch
 //!    (so replaying a tail is the normal recovery path), and the directory

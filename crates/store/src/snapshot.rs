@@ -17,10 +17,9 @@
 //! `(node, relation name)` and rows in primary-key (`scan()`) order, and the
 //! engine hands it link/aggregate sections in canonical sort order too — so
 //! snapshot bytes are a pure function of logical state, independent of shard
-//! count or execution interleaving.  That is what lets tests assert that a
-//! 1-shard and a 4-shard run of the same workload write *identical* snapshot
-//! files, and lets a state digest be defined as the SHA-1 of the encoded
-//! snapshot body.
+//! count or execution interleaving.  That is what lets a state digest be
+//! defined as the SHA-1 of the encoded snapshot body, and lets tests compare
+//! a store's state with that of an in-memory run at any shard count.
 //!
 //! Snapshots are written to a temporary file, fsynced, and atomically
 //! renamed into place; the backend then fsyncs the directory, so the rename

@@ -6,7 +6,7 @@
 //! No `engine_mut()` escape hatch is used anywhere: everything goes through
 //! the typed deployment surface.
 
-use exspan::core::{BuildError, Exspan, ProvenanceMode, QueryOutcome, Repr, Traversal};
+use exspan::core::{BuildError, Deployment, Exspan, ProvenanceMode, QueryOutcome, Repr, Traversal};
 use exspan::ndlog::programs;
 use exspan::netsim::{ChurnModel, LinkClass, LinkProps, Topology};
 use exspan::types::{Tuple, Value};
@@ -201,6 +201,49 @@ fn shards_is_an_upper_bound_that_value_mode_caps_at_one() {
     assert_eq!(answers(&one), answers(&four));
     assert_eq!(answers(&one)[..2], [true, false]);
     assert_eq!(build(ProvenanceMode::Reference, 4).num_shards(), 4);
+}
+
+#[test]
+fn a_durable_deployment_runs_one_shard() {
+    // A store's journal is one shard's record, so a durable deployment runs
+    // one shard whatever is asked for.  What it stores is still what a
+    // four-shard engine computes, and a reopen recovers exactly that.
+    let dir = std::env::temp_dir().join(format!("exspan-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let build = |data_dir: Option<&std::path::Path>| {
+        let mut builder = Exspan::builder()
+            .program(programs::mincost())
+            .topology(ring_topology())
+            .shards(4);
+        if let Some(dir) = data_dir {
+            builder = builder.data_dir(dir);
+        }
+        builder.build().expect("valid deployment")
+    };
+    let churn = |deployment: &mut Deployment| {
+        deployment.run_to_fixpoint();
+        let start = deployment.now();
+        let model = ChurnModel {
+            interval: 0.25,
+            changes_per_batch: 1,
+            seed: 5,
+        };
+        for event in &model.schedule(deployment.topology(), 1.0) {
+            deployment.schedule_churn_event(event, start + event.time);
+        }
+        deployment.run_to_fixpoint();
+        deployment.state_digest()
+    };
+    let (mut memory, mut durable) = (build(None), build(Some(&dir)));
+    assert_eq!((memory.num_shards(), durable.num_shards()), (4, 1));
+    let digest = churn(&mut durable);
+    assert_eq!(digest, churn(&mut memory));
+    drop(durable);
+    let reopened = build(Some(&dir));
+    assert!(reopened.recovered_from_store());
+    assert_eq!(reopened.num_shards(), 1);
+    assert_eq!(reopened.state_digest(), digest);
+    std::fs::remove_dir_all(&dir).expect("remove the store");
 }
 
 #[test]
