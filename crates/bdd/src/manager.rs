@@ -27,6 +27,7 @@
 //! nodes are permanent — repeating a workload allocates nothing new, which
 //! is what keeps long churn runs at steady-state memory.
 
+use exspan_types::codec::varint_len;
 use exspan_types::fxhash::{FxHashMap, FxHashSet};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -122,17 +123,6 @@ fn node_id(var: VarId, low: u64, high: u64) -> u64 {
     h = mix(h ^ low);
     h = mix(h ^ high);
     h | NODE_ID_TAG
-}
-
-/// Number of bytes the LEB128 varint encoding of `x` takes.
-fn varint_len(x: u64) -> usize {
-    let mut x = x;
-    let mut n = 1;
-    while x >= 0x80 {
-        x >>= 7;
-        n += 1;
-    }
-    n
 }
 
 #[derive(Debug, Default)]

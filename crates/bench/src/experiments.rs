@@ -123,7 +123,8 @@ pub fn evaluation_modes() -> Vec<ProvenanceMode> {
 }
 
 /// Builds a deployment (links auto-seeded) and runs the protocol to fixpoint
-/// on `shards` worker threads (results are identical for every shard count).
+/// on at most `shards` worker threads (results are identical for every shard
+/// count).
 pub fn run_protocol(
     program: &Program,
     topology: Topology,
@@ -578,10 +579,10 @@ pub fn figure17(scale: &Scale) -> FigureReport {
 /// Figure 18: compressed vs flat provenance communication cost.
 ///
 /// Every other figure charges the flat wire model; this one additionally runs
-/// the dictionary codec's accounting ([`exspan_types::compress`]) over the
+/// the dictionary size model ([`exspan_types::compress`]) over the
 /// *same* value-based provenance runs of MINCOST, PATHVECTOR and
 /// PACKETFORWARD, so each program gets a flat and a compressed curve over
-/// identical message streams.  The codec accounting is a parallel counter —
+/// identical message streams.  The compressed charge is a parallel counter —
 /// the messages themselves, and therefore Figures 6–17, are untouched.
 pub fn figure18(scale: &Scale) -> FigureReport {
     let programs: [(&str, Program); 3] = [

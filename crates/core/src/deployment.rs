@@ -212,7 +212,7 @@ impl DeploymentBuilder {
     }
 
     /// Additionally account every transmitted message under the dictionary
-    /// wire codec (default `false`).  The flat byte model behind the
+    /// size model (default `false`).  The flat byte model behind the
     /// existing figures is untouched; compressed totals surface through
     /// [`Deployment::avg_comm_mb_compressed`].
     pub fn track_compressed(mut self, on: bool) -> Self {
@@ -726,13 +726,6 @@ impl Deployment {
     /// Figures 6 and 7).
     pub fn avg_comm_mb(&self) -> f64 {
         self.engine.stats().avg_bytes_per_node() / 1e6
-    }
-
-    /// Total bytes the transmitted messages would have cost under the
-    /// dictionary wire codec.  Zero unless the deployment was built with
-    /// [`DeploymentBuilder::track_compressed`].
-    pub fn compressed_bytes(&self) -> u64 {
-        self.engine.compressed_bytes()
     }
 
     /// Average *compressed* bytes transmitted per node, in megabytes — the

@@ -131,8 +131,8 @@ pub struct EngineConfig {
     /// ([`Engine::with_parts`]) runs one shard whatever this says.
     pub shards: usize,
     /// When `true`, the engine additionally accounts every transmitted
-    /// message under the dictionary wire codec ([`exspan_types::compress`]):
-    /// tuple contents dictionary-encoded, annotations charged at the size
+    /// message under the dictionary size model ([`exspan_types::compress`]):
+    /// tuple contents dictionary-charged, annotations charged at the size
     /// the policy reports through
     /// [`crate::AnnotationPolicy::annotation_bytes_compressed`].  Off by
     /// default — the flat model behind every existing figure is untouched;
@@ -357,7 +357,7 @@ impl Engine {
     }
 
     /// Total bytes every transmitted message would have cost under the
-    /// dictionary wire codec, summed across shards.  Only accumulates when
+    /// dictionary size model, summed across shards.  Only accumulates when
     /// [`EngineConfig::track_compressed`] is set; the merge is a sum of
     /// integral per-shard counters, so — like [`Engine::stats`] — the result
     /// is identical at any shard count.
@@ -513,8 +513,8 @@ impl Engine {
         let bytes = wire::message_size(std::slice::from_ref(&tuple), extra_bytes);
         let owner = self.owner(from);
         if self.data.config.track_compressed {
-            // Query-layer annotations are opaque to the codec: the tuple
-            // contents compress, the annotation is charged as-is.
+            // Query-layer annotations are opaque to the size model: the
+            // tuple contents compress, the annotation is charged as-is.
             self.shards[owner].compressed_bytes += exspan_types::compress::compressed_message_size(
                 std::slice::from_ref(&tuple),
                 extra_bytes,

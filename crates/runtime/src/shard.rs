@@ -141,7 +141,7 @@ pub(crate) struct Shard {
     /// analyzer's acceptance actually implies error-free evaluation.
     pub(crate) eval_errors: std::cell::Cell<u64>,
     /// Bytes this shard's transmitted messages would cost under the
-    /// dictionary wire codec.  Only accumulated when
+    /// dictionary size model.  Only accumulated when
     /// `EngineConfig::track_compressed` is on; never feeds the flat
     /// `TrafficStats` the figures are built on.
     pub(crate) compressed_bytes: u64,

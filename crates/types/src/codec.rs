@@ -19,10 +19,11 @@
 //!
 //! This module adds the decoder, and the bounds-checked [`Reader`] every
 //! other binary decoder in the workspace is built on: the store's record and
-//! snapshot framing, the serve protocol's frames, and the dictionary layer of
-//! [`crate::compress`] (which is where the varint form is used).  All of
-//! them report the same positioned [`DecodeError`]; none of them panics on
-//! torn, truncated or hostile input.
+//! snapshot framing, the serve protocol's frames, and
+//! [`crate::compress::decompress_bytes`].  All of them report the same
+//! positioned [`DecodeError`]; none of them panics on torn, truncated or
+//! hostile input.  LEB128 varints ([`put_varint`], [`Reader::varint`],
+//! [`varint_len`]) serve that byte codec and the compressed size models.
 
 use crate::tuple::Tuple;
 use crate::value::{encode_str_for_hash, Value};
@@ -191,6 +192,16 @@ pub fn put_varint(out: &mut Vec<u8>, mut x: u64) {
     out.push(x as u8);
 }
 
+/// Number of bytes [`put_varint`] writes for `x` (1..=10).
+pub fn varint_len(mut x: u64) -> usize {
+    let mut n = 1;
+    while x >= 0x80 {
+        x >>= 7;
+        n += 1;
+    }
+    n
+}
+
 /// Appends the canonical encoding of `v`.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
     v.encode_for_hash(out);
@@ -357,6 +368,7 @@ mod tests {
         for x in [0u64, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
             put_varint(&mut buf, x);
+            assert_eq!(buf.len(), varint_len(x));
             let mut r = Reader::new(&buf);
             assert_eq!(r.varint().unwrap(), x);
             assert!(r.is_empty());

@@ -24,11 +24,11 @@
 //! * [`codec`] — the one binary codec: the canonical (VID) encoding of values
 //!   and tuples, its decoder, and the bounds-checked [`codec::Reader`] and
 //!   [`codec::DecodeError`] that the store's records, the serve protocol's
-//!   frames and the dictionary layer below are all decoded with.
-//! * [`compress`] — the dictionary wire codec behind the opt-in compressed
-//!   accounting mode and the serve protocol's compressed result bodies:
-//!   first occurrence of a string/VID in a message is sent inline and
-//!   assigned a varint id, repeats cost the id alone.
+//!   frames and the byte codec below are all decoded with.
+//! * [`compress`] — the dictionary size model behind the opt-in compressed
+//!   accounting mode (Figure 18): the first occurrence of a string/VID in a
+//!   message is charged inline and assigned a varint id, repeats cost the id
+//!   alone; beside it, a byte codec for rendered text.
 //! * [`fxhash`] — the Fx hasher of the maps whose keys the program, topology
 //!   or BDD store chose (SipHash stays where keys come off a socket).
 
