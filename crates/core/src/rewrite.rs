@@ -444,36 +444,36 @@ mod tests {
     }
 
     #[test]
-    fn rewritten_programs_compile_join_plans_with_index_demands() {
+    fn rewritten_programs_probe_what_the_originals_probe_with_no_secondary_index() {
         // The derivation rules carry the original multi-atom bodies, so the
-        // rewritten program must demand the same hot-path indexes as the
-        // original — the provenance overhead must not reintroduce scans.
-        use exspan_ndlog::plan::ProgramPlans;
-        let original = ProgramPlans::compile(&programs::path_vector().normalize());
-        let rewritten = ProgramPlans::compile(
-            &provenance_rewrite(&programs::path_vector(), RewriteOptions::default()).normalize(),
-        );
-        let path = RelId::intern("path");
-        let original_path = original.demands.get(&path).expect("path indexed");
-        let rewritten_path = rewritten.demands.get(&path).expect("path still indexed");
-        assert!(
-            original_path.is_subset(rewritten_path),
-            "rewrite lost index demands: {original_path:?} vs {rewritten_path:?}"
-        );
-        // The aggregate rules survive the rewrite untouched, so their group
-        // re-enumeration plans are compiled for the rewritten program too.
-        assert!(!rewritten.aggregates.is_empty());
-        // And the same holds under centralized mirroring.
-        let centralized = ProgramPlans::compile(
-            &provenance_rewrite(
-                &programs::path_vector(),
-                RewriteOptions {
-                    centralize_at: Some(0),
-                },
-            )
-            .normalize(),
-        );
-        assert!(centralized.demands.contains_key(&path));
+        // rewritten program must probe every (relation, columns) pair the
+        // original does — the provenance overhead must not reintroduce
+        // scans — and, like the original, every probe begins with its
+        // table's primary key, so no secondary index is demanded.
+        use exspan_ndlog::plan::{JoinPlan, ProgramPlans};
+        use std::collections::BTreeSet;
+        fn probed(plans: &ProgramPlans) -> BTreeSet<(RelId, Vec<usize>)> {
+            let groups = plans.aggregates.values().map(|a| &a.group);
+            let all: Vec<&JoinPlan> = plans.triggers.values().chain(groups).collect();
+            let pairs = all.into_iter().flat_map(JoinPlan::index_demands);
+            pairs.map(|(r, c)| (r, c.to_vec())).collect()
+        }
+        for program in [
+            programs::path_vector(),
+            programs::mincost(),
+            programs::packet_forward(),
+        ] {
+            let original = ProgramPlans::compile(&program.normalize());
+            for centralize_at in [None, Some(0)] {
+                let rewritten = provenance_rewrite(&program, RewriteOptions { centralize_at });
+                let rewritten = ProgramPlans::compile(&rewritten.normalize());
+                assert!(probed(&original).is_subset(&probed(&rewritten)));
+                assert!(rewritten.demands.is_empty(), "{:?}", rewritten.demands);
+                // The aggregate rules survive the rewrite untouched, so their
+                // group re-enumeration plans are compiled for it too.
+                assert_eq!(original.aggregates.len(), rewritten.aggregates.len());
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   derivation crosses the network just to lose the `min`/`max`/`count`
 //!   race at the destination.  (This is the per-derivation traffic the
 //!   paper's MINCOST evaluation measures.)
-//! * `N002` — a secondary index the delta-join planner maintains.
+//! * `N002` — a secondary index the delta-join planner maintains: one per
+//!   entry of [`ProgramPlans::demands`], a probed column set that no prefix
+//!   of the table's primary key serves.
 //! * `N003` — a (rule, trigger) join level that probes no index and falls
 //!   back to a full table scan.
 //! * `N004` — a trigger whose plan joins a transient event predicate:
@@ -141,11 +143,30 @@ mod tests {
     }
 
     #[test]
-    fn mincost_reports_remote_feed_and_index_demands() {
+    fn mincost_reports_n001_and_no_n002() {
         let a = analyze(&crate::programs::mincost());
         let notes: Vec<_> = a.notes().map(|d| d.code).collect();
         assert!(notes.contains(&"N001"), "{notes:?}");
-        assert!(notes.contains(&"N002"), "{notes:?}");
+        assert!(!notes.contains(&"N002"), "{notes:?}");
+    }
+
+    #[test]
+    fn a_probe_no_primary_prefix_serves_is_an_index() {
+        // Triggered by a, t is probed on (loc, C) = [0,2] under key [0,1]:
+        // that is the program's one demand.
+        let p = parse_program(
+            "t",
+            "materialize(t, 3, keys(0,1)).\n\
+             r1 out(@S,C) :- a(@S,C), t(@S,D,C).\n",
+        )
+        .unwrap();
+        let a = analyze(&p);
+        let n002: Vec<_> = a.notes().filter(|d| d.code == "N002").collect();
+        let msgs: Vec<_> = n002.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(
+            msgs,
+            ["the delta-join planner maintains a secondary index on t(col0, col2)"]
+        );
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! * Atoms are ordered **greedily**: at each level the planner picks the atom
 //!   with the most bound positions, so the most selective probes run first
 //!   and the intermediate result stays small.
-//! * The union of `(relation, key columns)` pairs appearing in any plan is
-//!   the program's [index demand](ProgramPlans::demands): the storage layer
+//! * A probe whose columns begin with the declared primary key's leading
+//!   columns ([`primary_prefix`]) is one key range of the table's primary
+//!   map.  The `(relation, key columns)` pairs no such prefix serves are the
+//!   program's [index demand](ProgramPlans::demands): the storage layer
 //!   maintains exactly those secondary indexes, nothing more.
 //! * Which variables are bound at each point of a plan is static, so the
 //!   rule's variables are numbered into dense **slots** and the plan carries
@@ -235,8 +237,27 @@ pub struct JoinPlan {
     pub frame_len: usize,
 }
 
+/// How many leading columns of a probe over `cols` the primary map of a table
+/// keyed on `key` serves as one key range: the longest common prefix of
+/// `cols` and the key order (an empty `key` means whole-tuple order
+/// `0, 1, 2, …`), provided it holds a non-location column — a table is
+/// already one node's rows, so a location-only range is a scan.  `None`
+/// means no primary prefix serves the probe and a secondary index must.
+/// This one rule decides what [`ProgramPlans::demands`] asks for, what the
+/// `N002` lint reports and which indexes the runtime's `Table` builds.
+pub fn primary_prefix(key: &[usize], cols: &[usize]) -> Option<usize> {
+    let key_col = |i: usize| match key.is_empty() {
+        true => Some(i),
+        false => key.get(i).copied(),
+    };
+    let p = (0..cols.len())
+        .take_while(|&i| key_col(i) == Some(cols[i]))
+        .count();
+    cols[..p].iter().any(|&c| c != 0).then_some(p)
+}
+
 impl JoinPlan {
-    /// The `(relation, key columns)` secondary indexes this plan probes.
+    /// The `(relation, key columns)` pairs this plan probes.
     pub fn index_demands(&self) -> impl Iterator<Item = (RelId, &[usize])> {
         self.levels
             .iter()
@@ -543,7 +564,7 @@ impl AggRulePlans {
     }
 }
 
-/// Every compiled plan of a program, plus the union of index demands.
+/// Every compiled plan of a program, plus the secondary indexes they need.
 #[derive(Debug, Clone, Default)]
 pub struct ProgramPlans {
     /// `(rule index, trigger body-atom index)` → plan, for non-aggregate
@@ -551,7 +572,8 @@ pub struct ProgramPlans {
     pub triggers: FxHashMap<(usize, usize), JoinPlan>,
     /// Rule index → aggregate plans, for aggregate rules.
     pub aggregates: FxHashMap<usize, AggRulePlans>,
-    /// Relation → set of demanded secondary-index column lists.
+    /// Relation → the probed column lists no [`primary_prefix`] of its
+    /// declared key serves: the secondary indexes its tables maintain.
     pub demands: BTreeMap<RelId, BTreeSet<Vec<usize>>>,
 }
 
@@ -567,11 +589,11 @@ impl ProgramPlans {
                 // `bound_cols`).
                 let output_cols = group_output_cols(rule);
                 if output_cols.len() > 1 {
-                    out.demand(rule.head.relation, output_cols.clone());
+                    out.demand(program, rule.head.relation, &output_cols);
                     plans.output_cols = output_cols;
                 }
-                out.collect_demands(&plans.group);
-                out.collect_demands(&plans.all_groups);
+                out.collect_demands(program, &plans.group);
+                out.collect_demands(program, &plans.all_groups);
                 out.aggregates.insert(ri, plans);
             } else {
                 for (ai, item) in rule.body.iter().enumerate() {
@@ -579,7 +601,7 @@ impl ProgramPlans {
                         continue;
                     }
                     let plan = compile_plan(rule, Some(ai), &BTreeSet::new());
-                    out.collect_demands(&plan);
+                    out.collect_demands(program, &plan);
                     out.triggers.insert((ri, ai), plan);
                 }
             }
@@ -587,18 +609,25 @@ impl ProgramPlans {
         out
     }
 
-    fn demand(&mut self, relation: RelId, cols: Vec<usize>) {
-        self.demands.entry(relation).or_default().insert(cols);
+    /// Records a probe of `relation` over `cols`, unless its declared key
+    /// serves it as a primary prefix.
+    fn demand(&mut self, program: &Program, relation: RelId, cols: &[usize]) {
+        let decl = program.tables.iter().find(|t| t.relation == relation);
+        let key = decl.map_or(&[][..], |t| t.keys.as_slice());
+        if primary_prefix(key, cols).is_none() {
+            self.demands
+                .entry(relation)
+                .or_default()
+                .insert(cols.to_vec());
+        }
     }
 
-    fn collect_demands(&mut self, plan: &JoinPlan) {
+    fn collect_demands(&mut self, program: &Program, plan: &JoinPlan) {
         if plan.dead {
             return;
         }
-        let demands: Vec<(RelId, Vec<usize>)> =
-            plan.index_demands().map(|(r, c)| (r, c.to_vec())).collect();
-        for (relation, cols) in demands {
-            self.demand(relation, cols);
+        for (relation, cols) in plan.index_demands() {
+            self.demand(program, relation, cols);
         }
     }
 }
@@ -650,7 +679,11 @@ mod tests {
         // pv3 bestPathCost(@S,D,min<C>) :- path(@S,D,P,C): the group key binds
         // S and D, so re-enumeration probes path on (location, D).
         let p = programs::path_vector();
-        let (_, pv3) = rule(&p, "pv3");
+        let (pv3_idx, pv3) = rule(&p, "pv3");
+        // Aggregate rules appear in `aggregates`, not `triggers`.
+        let plans = ProgramPlans::compile(&p);
+        assert!(plans.aggregates.contains_key(&pv3_idx));
+        assert!(!plans.triggers.keys().any(|&(ri, _)| ri == pv3_idx));
         let bound = group_bound_vars(pv3);
         assert!(bound.contains("S") && bound.contains("D"));
         let plan = compile_body_plan(pv3, &bound);
@@ -664,23 +697,35 @@ mod tests {
     }
 
     #[test]
-    fn program_plans_collect_demands() {
-        let plans = ProgramPlans::compile(&programs::path_vector());
-        let path = RelId::intern("path");
-        let demands = plans.demands.get(&path).expect("path must be indexed");
-        assert!(demands.contains(&vec![0, 1])); // pv3 group re-enumeration
-        assert!(demands.contains(&vec![0, 1, 3])); // pv4 probe from bestPathCost
-        let best = RelId::intern("bestPathCost");
-        assert!(plans.demands.contains_key(&best));
-        // Aggregate rules appear in `aggregates`, not `triggers`.
-        let (pv3_idx, _) = programs::path_vector()
-            .rules
-            .iter()
-            .enumerate()
-            .find(|(_, r)| r.label == "pv3")
-            .map(|(i, r)| (i, r.clone()))
-            .unwrap();
-        assert!(plans.aggregates.contains_key(&pv3_idx));
+    fn primary_prefixes_need_a_non_location_column() {
+        // Whole-tuple order 0, 1, 2, …
+        assert_eq!(primary_prefix(&[], &[0, 1]), Some(2));
+        assert_eq!(primary_prefix(&[], &[0, 1, 3]), Some(2));
+        assert_eq!(primary_prefix(&[], &[1, 2]), None);
+        // A declared key, covered whole or in part.
+        assert_eq!(primary_prefix(&[0, 1], &[0, 1, 2]), Some(2));
+        assert_eq!(primary_prefix(&[0, 1, 2, 3], &[0, 1]), Some(2));
+        assert_eq!(primary_prefix(&[1], &[1, 2]), Some(1));
+        // The location alone is the whole per-node table.
+        assert_eq!(primary_prefix(&[0, 1], &[0, 2]), None);
+        assert_eq!(primary_prefix(&[], &[0]), None);
+        assert_eq!(primary_prefix(&[0, 1], &[]), None);
+    }
+
+    #[test]
+    fn built_in_programs_demand_no_secondary_index() {
+        // Their probes — path[0,1] (pv3's group), path[0,1,3] (pv4),
+        // pathCost[0,1], bestPathCost[0,1], bestPathCost[0,1,2] and
+        // bestHop[0,1] — all begin with their table's key.  The
+        // provenance-rewritten forms are pinned in `exspan_core::rewrite`.
+        for program in [
+            programs::path_vector(),
+            programs::mincost(),
+            programs::packet_forward(),
+        ] {
+            let demands = ProgramPlans::compile(&program.normalize()).demands;
+            assert!(demands.is_empty(), "{}: {demands:?}", program.name);
+        }
     }
 
     #[test]

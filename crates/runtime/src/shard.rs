@@ -48,8 +48,9 @@ type Derived<T> = (Vec<Arc<Tuple>>, T);
 pub(crate) struct Scratch {
     /// The rule's variable slots; candidates overwrite them on backtrack.
     frame: Vec<Value>,
-    /// The probe key of the level being entered.
-    key: Vec<Value>,
+    /// One probe-key buffer per join level: a level's probe borrows its key
+    /// while the levels below it build theirs.
+    keys: Vec<Vec<Value>>,
     /// The candidate grounded at each body position — tracked only for an
     /// annotation policy, aggregate provenance or a reordered plan.
     inputs: Vec<Option<Arc<Tuple>>>,
@@ -97,7 +98,9 @@ pub(crate) struct RuleData {
     /// relation -> list of (rule index, trigger atom index)
     pub triggers: FxHashMap<RelId, Vec<(usize, usize)>>,
     /// Compiled join plans for every (rule, trigger) pair and aggregate rule,
-    /// plus the secondary-index demands the table stores maintain.
+    /// plus the secondary-index demands the table stores maintain: only the
+    /// probed column sets no primary-key prefix serves (none for the
+    /// built-in programs), since every other probe is a primary key range.
     pub plans: ProgramPlans,
     /// Rule label → index of the first rule carrying it (what an
     /// aggregate-recompute event names its rule by).
@@ -442,8 +445,14 @@ impl Shard {
         let Some(table) = self.store.table(node, level.relation) else {
             return;
         };
-        let probe = match level.probe_key(node, &s.frame, &mut s.key) {
-            true => table.probe(&level.cols, &s.key),
+        if s.keys.len() <= depth {
+            s.keys.resize_with(depth + 1, Vec::new);
+        }
+        // Taken out for the duration of this level, so that its probe can
+        // borrow it while the recursion below uses the rest of `s`.
+        let mut key = std::mem::take(&mut s.keys[depth]);
+        let probe = match level.probe_key(node, &s.frame, &mut key) {
+            true => table.probe(&level.cols, &key),
             false => None,
         };
         let local_only = plan.trigger.is_none();
@@ -462,6 +471,7 @@ impl Shard {
             Some(iter) => iter.for_each(&mut visit),
             None => table.scan().for_each(&mut visit),
         }
+        s.keys[depth] = key;
     }
 
     /// Records an evaluation error observed while pruning a candidate
@@ -835,9 +845,9 @@ impl Shard {
         }
     }
 
-    /// Finds the currently stored output tuple of an aggregate group, by
-    /// keyed probe of the head table when the group columns are indexed
-    /// (falling back to the canonical scan otherwise).
+    /// Finds the currently stored output tuple of an aggregate group, by a
+    /// probe of the head table over the group's output columns (falling back
+    /// to the canonical scan when it has none or its location is not a node).
     fn find_group_output(
         &self,
         rule: &Rule,
@@ -868,18 +878,16 @@ impl Shard {
             }
             true
         };
+        // The group key is the probe key once its location is node-valued.
         let output_cols = plans.output_cols.as_slice();
-        if !output_cols.is_empty() {
-            let mut key = Vec::with_capacity(output_cols.len());
-            key.push(Value::Node(loc));
-            key.extend(group_key.iter().skip(1).cloned());
-            if key.len() == output_cols.len() {
-                if let Some(mut iter) = table.probe(output_cols, &key) {
-                    return iter.find(matches).cloned();
-                }
-            }
+        let probe = match group_key[0] {
+            Value::Node(_) if !output_cols.is_empty() => table.probe(output_cols, group_key),
+            _ => None,
+        };
+        match probe {
+            Some(mut iter) => iter.find(matches).cloned(),
+            None => table.scan().find(matches).cloned(),
         }
-        table.scan().find(matches).cloned()
     }
 }
 

@@ -18,11 +18,20 @@
 //! allocation, so the hot path bumps reference counts instead of deep-copying
 //! attribute vectors.  Tables are keyed by interned [`RelId`]s, making the
 //! `(node, relation)` store lookups allocation-free.
+//!
+//! A [`Table::probe`] has two access paths.  Columns that begin with the
+//! declared key's leading columns (whole-tuple order `0, 1, 2, …` for an
+//! empty key) and hold a non-location column are one key range of the
+//! primary map, whatever the rest of the probe binds; that rule is
+//! `exspan_ndlog::plan::primary_prefix`, which also decides the program's
+//! index demands.  Only a column set no such prefix serves gets a maintained
+//! secondary index.
 
+use exspan_ndlog::plan::primary_prefix;
 use exspan_store::TableDump;
 use exspan_types::fxhash::FxHashMap;
 use exspan_types::{NodeId, RelId, Tuple, Value};
-use std::collections::btree_map::Entry;
+use std::collections::btree_map::{self, Entry};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -158,13 +167,13 @@ impl Table {
     }
 
     /// Adds (and backfills) one maintained secondary index.  Adding a column
-    /// set twice is a no-op, as is a column set the primary `rows` map can
-    /// already serve point lookups for (the declared key as a prefix) — a
-    /// secondary index there would duplicate the primary map and double the
-    /// write cost for nothing.
+    /// set twice is a no-op, as is a column set the primary `rows` map
+    /// already serves as a key range ([`primary_prefix`]) — a secondary
+    /// index there would copy the primary map and double the write cost for
+    /// nothing.
     pub fn add_index(&mut self, cols: Vec<usize>) {
         if cols.is_empty()
-            || self.primary_serves(&cols)
+            || primary_prefix(&self.key, &cols).is_some()
             || self.indexes.iter().any(|ix| ix.cols == cols)
         {
             return;
@@ -323,44 +332,45 @@ impl Table {
         self.rows.values().map(|r| &r.tuple)
     }
 
-    /// Whether the table's declared primary key is a prefix of `cols`, in
-    /// which case a probe over `cols` identifies at most one row and can be
-    /// served from the primary `rows` map with no secondary index at all.
-    fn primary_serves(&self, cols: &[usize]) -> bool {
-        !self.key.is_empty()
-            && cols.len() >= self.key.len()
-            && cols[..self.key.len()] == self.key[..]
-    }
-
     /// Probes for the rows whose projection at `cols` equals `key`, yielding
     /// them in the **same canonical order** as [`Table::scan`] (the
-    /// determinism contract of indexed evaluation).  Served from the primary
-    /// map when the declared key is a prefix of `cols` (at most one match),
-    /// from the maintained secondary index over exactly `cols` otherwise.
-    /// Returns `None` when neither can serve — the caller falls back to a
-    /// scan.
-    pub fn probe(&self, cols: &[usize], key: &[Value]) -> Option<ProbeIter<'_>> {
+    /// determinism contract of indexed evaluation).  When the columns begin
+    /// with the declared key's leading columns ([`primary_prefix`]), the probe
+    /// is one key range of the primary map, each row checked against the
+    /// remaining columns; otherwise it walks the maintained secondary index
+    /// over exactly `cols`.  Returns `None` when neither can serve — the
+    /// caller falls back to a scan.  The iterator borrows `cols` and `key`
+    /// and allocates nothing.
+    pub fn probe<'a>(&'a self, cols: &'a [usize], key: &'a [Value]) -> Option<ProbeIter<'a>> {
         if key.len() != cols.len() {
             // A malformed key can never have been built from these columns;
             // make the misuse a defined scan fallback rather than a panic.
             return None;
         }
-        if self.primary_serves(cols) {
-            let row = self.rows.get(&key[..self.key.len()]).filter(|row| {
-                // Verify the probed columns beyond the primary key.
-                cols[self.key.len()..]
-                    .iter()
-                    .zip(&key[self.key.len()..])
-                    .all(|(&c, v)| match c {
-                        0 => Value::Node(row.tuple.location) == *v,
-                        c => row.tuple.values.get(c - 1) == Some(v),
-                    })
-            });
-            return Some(ProbeIter(ProbeInner::One(row.map(|r| &r.tuple))));
+        if let Some(p) = primary_prefix(&self.key, cols) {
+            let (prefix, rest) = key.split_at(p);
+            return Some(self.range(prefix, &cols[p..], rest));
         }
         let index = self.indexes.iter().find(|ix| ix.cols == cols)?;
         let rows = index.postings.get(key);
         Some(ProbeIter(ProbeInner::Postings(rows.map(BTreeMap::values))))
+    }
+
+    /// The rows whose primary row key starts with `prefix` and that hold
+    /// `key` at `cols`, in scan order.
+    fn range<'a>(
+        &'a self,
+        prefix: &'a [Value],
+        cols: &'a [usize],
+        key: &'a [Value],
+    ) -> ProbeIter<'a> {
+        let from = (Bound::Included(prefix), Bound::Unbounded);
+        ProbeIter(ProbeInner::Range {
+            rows: Some(self.rows.range::<[Value], _>(from)),
+            prefix,
+            cols,
+            key,
+        })
     }
 
     /// Collects the visible tuples as shared handles (sorted by tuple
@@ -369,27 +379,6 @@ impl Table {
         let mut out: Vec<Arc<Tuple>> = self.scan().cloned().collect();
         out.sort();
         out
-    }
-
-    /// The rows whose leading attributes (0 = location) equal `prefix`, read as
-    /// one key range — `None` unless the table is whole-tuple-keyed: only then
-    /// is the row key the attribute list, so that the matches are contiguous
-    /// and in the content order [`Table::tuples_shared`] sorts into.
-    pub fn prefix_rows(&self, prefix: &[Value]) -> Option<Vec<Arc<Tuple>>> {
-        if !self.key.is_empty() {
-            return None;
-        }
-        let from = (Bound::Included(prefix), Bound::Unbounded);
-        let rows = self.rows.range::<[Value], _>(from);
-        let rows = rows.take_while(|(key, _)| key.starts_with(prefix));
-        Some(rows.map(|(_, row)| Arc::clone(&row.tuple)).collect())
-    }
-
-    /// Whether a probe over exactly `cols` is answerable without a scan
-    /// (primary-key-served or via a maintained secondary index).
-    #[cfg(test)]
-    fn has_index(&self, cols: &[usize]) -> bool {
-        self.primary_serves(cols) || self.indexes.iter().any(|ix| ix.cols == cols)
     }
 
     #[cfg(test)]
@@ -419,17 +408,33 @@ impl Table {
     }
 }
 
+/// Whether `tuple` holds `key` at `cols` (over the full attribute list,
+/// 0 = location).
+fn holds(tuple: &Tuple, cols: &[usize], key: &[Value]) -> bool {
+    cols.iter().zip(key).all(|(&c, v)| match c {
+        0 => Value::Node(tuple.location) == *v,
+        c => tuple.values.get(c - 1) == Some(v),
+    })
+}
+
 /// Iterator over the rows matching one probe, in canonical scan order.
 #[derive(Debug)]
 pub struct ProbeIter<'a>(ProbeInner<'a>);
 
 #[derive(Debug)]
 enum ProbeInner<'a> {
-    /// A primary-key-served probe: at most one row, already verified.
-    One(Option<&'a Arc<Tuple>>),
+    /// A walk of the primary rows whose key starts with `prefix`, yielding
+    /// those that hold `key` at `cols` (`rows` is `None` once the walk left
+    /// the range).
+    Range {
+        rows: Option<btree_map::Range<'a, RowKey, Row>>,
+        prefix: &'a [Value],
+        cols: &'a [usize],
+        key: &'a [Value],
+    },
     /// A secondary-index probe: walk the matching postings in primary row
     /// key order (`None` when the key has none).
-    Postings(Option<std::collections::btree_map::Values<'a, RowKey, Arc<Tuple>>>),
+    Postings(Option<btree_map::Values<'a, RowKey, Arc<Tuple>>>),
 }
 
 impl<'a> Iterator for ProbeIter<'a> {
@@ -437,7 +442,21 @@ impl<'a> Iterator for ProbeIter<'a> {
 
     fn next(&mut self) -> Option<Self::Item> {
         match &mut self.0 {
-            ProbeInner::One(row) => row.take(),
+            ProbeInner::Range {
+                rows,
+                prefix,
+                cols,
+                key,
+            } => loop {
+                let (row_key, row) = rows.as_mut()?.next()?;
+                if !row_key.starts_with(prefix) {
+                    *rows = None;
+                    return None;
+                }
+                if holds(&row.tuple, cols, key) {
+                    return Some(&row.tuple);
+                }
+            },
             ProbeInner::Postings(rows) => rows.as_mut()?.next(),
         }
     }
@@ -511,20 +530,23 @@ impl TableStore {
     }
 
     /// [`TableStore::tuples_shared`] restricted to the tuples whose leading
-    /// attributes (0 = location) equal `prefix`, in the same order: a key-range
-    /// walk ([`Table::prefix_rows`]), or the full read filtered for a keyed
-    /// table.
+    /// attributes (0 = location) equal `prefix`, in the same order.  Under a
+    /// whole-tuple key the row key is the attribute list, so the matches are
+    /// the primary key range [`Table::probe`] walks, already in content
+    /// order; a keyed table's full read is filtered instead.
     pub fn tuples_with_prefix(
         &self,
         node: NodeId,
         relation: RelId,
         prefix: &[Value],
     ) -> Vec<Arc<Tuple>> {
-        let table = self.table(node, relation);
-        if let Some(rows) = table.and_then(|t| t.prefix_rows(prefix)) {
-            return rows;
+        let Some(table) = self.table(node, relation) else {
+            return Vec::new();
+        };
+        if table.key.is_empty() {
+            return table.range(prefix, &[], &[]).cloned().collect();
         }
-        let mut out = self.tuples_shared(node, relation);
+        let mut out = table.tuples_shared();
         if let Some((loc, rest)) = prefix.split_first() {
             out.retain(|t| *loc == Value::Node(t.location) && t.values.starts_with(rest));
         }
@@ -669,163 +691,26 @@ mod tests {
     }
 
     #[test]
-    fn scan_and_tuples_are_deterministic() {
-        let mut t = Table::set_semantics("pathCost");
-        t.insert(&path_cost(0, 3, 1));
-        t.insert(&path_cost(0, 2, 5));
-        let tuples = t.tuples_shared();
-        assert_eq!(tuples.len(), 2);
-        let mut again = t.tuples_shared();
-        again.sort();
-        assert_eq!(tuples, again);
-    }
-
-    #[test]
-    fn probe_yields_candidates_in_scan_order() {
-        let mut t = Table::set_semantics("pathCost").with_indexes(vec![vec![0, 1]]);
-        // Insert destinations out of order, two costs per destination.
-        for (d, c) in [(3, 9), (2, 5), (3, 1), (2, 7), (4, 2)] {
-            t.insert(&path_cost(0, d, c));
-        }
-        let probed: Vec<Tuple> = t
-            .probe(&[0, 1], &[Value::Node(0), Value::Node(3)])
-            .expect("index exists")
-            .map(|a| (**a).clone())
-            .collect();
-        // Exactly the rows a scan-and-filter would yield, in scan order.
-        let scanned: Vec<Tuple> = t
-            .scan()
-            .filter(|a| a.values[0] == Value::Node(3))
-            .map(|a| (**a).clone())
-            .collect();
-        assert_eq!(probed, scanned);
-        assert_eq!(probed.len(), 2);
-        // Missing keys and missing indexes behave distinctly.
-        assert_eq!(
-            t.probe(&[0, 1], &[Value::Node(0), Value::Node(9)])
-                .expect("index exists")
-                .count(),
-            0
-        );
-        assert!(t.probe(&[0, 2], &[Value::Node(0), Value::Int(5)]).is_none());
-        assert!(t.has_index(&[0, 1]) && !t.has_index(&[0, 2]));
-    }
-
-    #[test]
-    fn primary_key_prefix_probes_are_served_without_an_index() {
-        // bestPathCost keyed on (loc, D): probes over (loc, D) and
-        // (loc, D, C) resolve through the primary map — demanding an index
-        // there must be a no-op.
-        let mut t =
-            Table::new("bestPathCost", vec![0, 1]).with_indexes(vec![vec![0, 1], vec![0, 1, 2]]);
-        t.insert(&best(0, 2, 5));
-        t.insert(&best(0, 3, 9));
-        assert!(t.has_index(&[0, 1]) && t.has_index(&[0, 1, 2]));
-        let hit: Vec<_> = t
-            .probe(&[0, 1], &[Value::Node(0), Value::Node(2)])
-            .unwrap()
-            .collect();
-        assert_eq!(hit.len(), 1);
-        assert_eq!(*hit[0].as_ref(), best(0, 2, 5));
-        // The extended columns beyond the key are verified, not assumed.
-        assert_eq!(
-            t.probe(&[0, 1, 2], &[Value::Node(0), Value::Node(2), Value::Int(5)])
-                .unwrap()
-                .count(),
-            1
-        );
-        assert_eq!(
-            t.probe(&[0, 1, 2], &[Value::Node(0), Value::Node(2), Value::Int(7)])
-                .unwrap()
-                .count(),
-            0
-        );
-        assert_eq!(
-            t.probe(&[0, 1], &[Value::Node(0), Value::Node(9)])
-                .unwrap()
-                .count(),
-            0
-        );
-        // No secondary index was materialized for either demand.
-        assert!(t.index_is_consistent());
-        assert_eq!(t.secondary_index_count(), 0);
-    }
-
-    #[test]
-    fn index_stays_consistent_under_keyed_replacement() {
-        // bestPathCost keyed on (loc, D); index over the non-key cost column.
-        let mut t = Table::new("bestPathCost", vec![0, 1]).with_indexes(vec![vec![0, 2]]);
-        t.insert(&best(0, 2, 5));
-        t.insert(&best(0, 3, 5));
-        assert!(t.index_is_consistent());
-        assert_eq!(
-            t.probe(&[0, 2], &[Value::Node(0), Value::Int(5)])
-                .unwrap()
-                .count(),
-            2
-        );
-        // Replacing the keyed row must move it to the new cost's posting.
-        assert!(matches!(
-            t.insert(&best(0, 2, 4)),
-            InsertEffect::Replaced(_)
-        ));
-        assert!(t.index_is_consistent());
-        assert_eq!(
-            t.probe(&[0, 2], &[Value::Node(0), Value::Int(5)])
-                .unwrap()
-                .count(),
-            1
-        );
-        assert_eq!(
-            t.probe(&[0, 2], &[Value::Node(0), Value::Int(4)])
-                .unwrap()
-                .count(),
-            1
-        );
-    }
-
-    #[test]
-    fn index_stays_consistent_under_set_semantics_deletion() {
-        let mut t = Table::set_semantics("pathCost").with_indexes(vec![vec![0, 1]]);
-        let p = path_cost(0, 2, 5);
-        t.insert(&p);
-        t.insert(&p); // second derivation
-        assert_eq!(t.delete(&p), DeleteEffect::Decremented);
-        // Still visible: the posting must survive the decrement.
-        assert!(t.index_is_consistent());
-        assert_eq!(
-            t.probe(&[0, 1], &[Value::Node(0), Value::Node(2)])
-                .unwrap()
-                .count(),
-            1
-        );
-        assert_eq!(t.delete(&p), DeleteEffect::Removed);
-        assert!(t.index_is_consistent());
-        assert_eq!(
-            t.probe(&[0, 1], &[Value::Node(0), Value::Node(2)])
-                .unwrap()
-                .count(),
-            0
-        );
-    }
-
-    #[test]
     fn add_index_backfills_existing_rows() {
         let mut t = Table::set_semantics("pathCost");
         t.insert(&path_cost(0, 2, 5));
         t.insert(&path_cost(0, 3, 1));
-        t.add_index(vec![0, 1]);
+        // No primary prefix serves (loc, C): unindexed, the caller must scan.
+        // So must it for a key whose length is not the column count.
+        let loc_cost = [Value::Node(0), Value::Int(1)];
+        assert!(t.probe(&[0, 2], &loc_cost).is_none());
+        assert!(t.probe(&[0, 1], &loc_cost[..1]).is_none());
+        t.add_index(vec![0, 2]);
         assert!(t.index_is_consistent());
-        assert_eq!(
-            t.probe(&[0, 1], &[Value::Node(0), Value::Node(3)])
-                .unwrap()
-                .count(),
-            1
-        );
-        // Re-adding the same column set is a no-op; empty sets are rejected.
-        t.add_index(vec![0, 1]);
+        assert!(t.probe(&[0, 2], &loc_cost[..1]).is_none());
+        let hit: Vec<_> = t.probe(&[0, 2], &loc_cost).unwrap().collect();
+        assert_eq!(hit, vec![&Arc::new(path_cost(0, 3, 1))]);
+        // Re-adding the same column set is a no-op; empty sets and primary
+        // prefixes are rejected.
+        t.add_index(vec![0, 2]);
         t.add_index(vec![]);
-        assert!(t.index_is_consistent());
+        t.add_index(vec![0, 1]);
+        assert_eq!(t.secondary_index_count(), 1);
     }
 
     #[test]
@@ -849,55 +734,83 @@ mod tests {
         all
     }
 
+    /// The probe's oracle: the scan, filtered to the rows holding `key` at
+    /// `cols`.
+    fn scanned_then_filtered(t: &Table, cols: &[usize], key: &[Value]) -> Vec<Arc<Tuple>> {
+        let attrs_at = |row: &Tuple| {
+            cols.iter()
+                .map(|&c| attrs(row)[c].clone())
+                .collect::<Vec<_>>()
+        };
+        let rows = t.scan().filter(|row| attrs_at(row) == key);
+        rows.cloned().collect()
+    }
+
+    /// Every non-empty column set over four attributes, ascending.
+    fn every_column_set() -> Vec<Vec<usize>> {
+        let set = |bits: usize| (0..4).filter(|c| bits & (1 << c) != 0).collect();
+        (1..16).map(set).collect()
+    }
+
     proptest::proptest! {
-        /// Under random inserts, duplicate derivations and deletes the range
-        /// walk equals sort-then-filter in content and order, for the empty
-        /// prefix, an absent one, and every prefix of every tuple touched
-        /// (so of rows present, deleted and never inserted alike).
+        /// Under random inserts, duplicate derivations, keyed replacements
+        /// and deletes, a probe over every column set — a primary key range,
+        /// a point read of the whole key, or a secondary index — equals the
+        /// filtered scan in content and order, and the store's prefix read
+        /// equals sort-then-filter.  Keys: every attribute of every tuple
+        /// touched (rows present, deleted and never inserted alike), and one
+        /// absent node.
         #[test]
-        fn prefix_rows_equal_the_sorted_filtered_read(
+        fn probes_equal_the_filtered_scan(
+            spec in 0usize..3,
             ops in proptest::collection::vec((0u8..3, 0u32..2, 0u32..3, 0i64..3, 0i64..2), 0..48),
         ) {
-            let mut t = Table::set_semantics("r");
-            let mut prefixes = vec![Vec::new(), vec![Value::Node(9)]];
+            let key_spec = [vec![], vec![0, 1], vec![0, 1, 2]][spec].clone();
+            let r = Symbol::intern("r");
+            let mut store = TableStore::with_indexes(
+                FxHashMap::from_iter([(r, key_spec)]),
+                FxHashMap::from_iter([(r, every_column_set())]),
+            );
+            let mut touched = vec![vec![Value::Node(9); 4]];
             for (op, loc, a, b, c) in ops {
                 let row = Tuple::new("r", loc, vec![Value::Node(a), Value::Int(b), Value::Int(c)]);
+                let t = store.table_mut(loc, r);
                 if op < 2 {
                     t.insert(&row);
                 } else {
                     t.delete(&row);
                 }
-                prefixes.extend((1..=4).map(|n| attrs(&row)[..n].to_vec()));
+                touched.push(attrs(&row));
             }
-            for prefix in prefixes {
-                let ranged = t.prefix_rows(&prefix).expect("whole-tuple key");
-                proptest::prop_assert_eq!(ranged, sorted_then_filtered(t.tuples_shared(), &prefix));
+            for node in [0, 1] {
+                let t = store.table_mut(node, r);
+                proptest::prop_assert!(t.index_is_consistent());
+                for cols in every_column_set() {
+                    for row in &touched {
+                        let key: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
+                        let probed: Vec<Arc<Tuple>> =
+                            t.probe(&cols, &key).expect("every column set served").cloned().collect();
+                        proptest::prop_assert_eq!(probed, scanned_then_filtered(t, &cols, &key));
+                    }
+                }
+                for row in &touched {
+                    for prefix in (0..=4).map(|n| &row[..n]) {
+                        proptest::prop_assert_eq!(
+                            store.tuples_with_prefix(node, r, prefix),
+                            sorted_then_filtered(store.tuples_shared(node, r), prefix)
+                        );
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn keyed_and_unwritten_tables_answer_prefix_reads_by_filtering() {
-        let best_rel = Symbol::intern("bestPathCost");
-        let mut store = TableStore::new(FxHashMap::from_iter([(best_rel, vec![0usize, 1])]));
-        for (d, c) in [(3, 9), (2, 5), (4, 2), (2, 4)] {
-            store.table_mut(0, best_rel).insert(&best(0, d, c));
-        }
-        let keyed = store.table(0, best_rel).expect("just written");
-        assert!(keyed.prefix_rows(&[Value::Node(0)]).is_none());
-        for n in 0..=3 {
-            for prefix in [&attrs(&best(0, 2, 4))[..n], &attrs(&best(1, 3, 5))[..n]] {
-                assert_eq!(
-                    store.tuples_with_prefix(0, best_rel, prefix),
-                    sorted_then_filtered(store.tuples_shared(0, best_rel), prefix),
-                    "{prefix:?}"
-                );
-            }
-        }
-        let to_2 = [Value::Node(0), Value::Node(2)];
-        let hit = store.tuples_with_prefix(0, best_rel, &to_2);
-        assert_eq!(hit, vec![Arc::new(best(0, 2, 4))]);
-        assert!(store.tuples_with_prefix(7, best_rel, &[]).is_empty());
+    fn only_column_sets_no_primary_prefix_serves_are_indexed() {
+        // Keyed on (loc, D): the four sets beginning with it are key ranges
+        // of the primary map, the other eleven get a secondary index.
+        let t = Table::new("bestPathCost", vec![0, 1]).with_indexes(every_column_set());
+        assert_eq!(t.secondary_index_count(), 11);
     }
 
     #[test]
@@ -921,5 +834,6 @@ mod tests {
         assert_eq!(store.tuples_everywhere_shared(pc_rel).len(), 2);
         assert!(store.table(9, pc_rel).is_none());
         assert!(store.tuples_shared(9, pc_rel).is_empty());
+        assert!(store.tuples_with_prefix(9, pc_rel, &[]).is_empty());
     }
 }
