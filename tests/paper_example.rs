@@ -3,7 +3,7 @@
 //! of the `prov` / `ruleExec` tables of Tables 1 and 2.
 
 use exspan::core::storage::{all_prov_entries, prov_entries, rule_exec_entry};
-use exspan::core::{Deployment, ProvenanceMode, Repr};
+use exspan::core::{Annotation, Deployment, ProvenanceMode, Repr};
 use exspan::ndlog::programs;
 use exspan::netsim::Topology;
 use exspan::setup;
@@ -218,21 +218,90 @@ fn reference_mode_overhead_is_small_on_the_example() {
 }
 
 /// The exact traffic of a fixed query sequence — once uncached, then twice in
-/// a caching session — so that a change in what the query protocol sends or
-/// caches fails here, not only in the benchmark's exact counts.
+/// a caching session — under every representation, so that a change in what
+/// the query protocol sends, caches or answers fails here, not only in the
+/// benchmark's exact counts.  Only a BDD session evaluates trust assignments.
+/// The trust-domain map leaves b unmapped, so b is its own domain, 1 — the
+/// domain a is mapped to as well.
 #[test]
 fn query_traffic_of_a_fixed_sequence_is_pinned() {
-    let mut system = reference_system();
+    let polynomial =
+        "<sp3@n0>((<sp1@n0>(e374ded6) + <sp2@n1>(b1528719*<sp3@n1>(<sp1@n1>(eae52576))))@n0)";
+    // Per representation: the answer, then bytes, messages, cache hits and
+    // misses of the uncached session and of the caching one, then what
+    // `derivable_under` says when every base tuple is trusted.
+    let pinned = [
+        (
+            Repr::Polynomial,
+            polynomial,
+            [(562, 4, 0, 12), (859, 6, 1, 12)],
+            None,
+        ),
+        (
+            Repr::NodeSet,
+            "Nodes({0, 1})",
+            [(400, 4, 0, 12), (596, 6, 1, 12)],
+            None,
+        ),
+        (
+            Repr::DerivationCount,
+            "Count(2)",
+            [(392, 4, 0, 12), (582, 6, 1, 12)],
+            None,
+        ),
+        (
+            Repr::Derivability,
+            "Bool(true)",
+            [(386, 4, 0, 12), (573, 6, 1, 12)],
+            None,
+        ),
+        (
+            Repr::Bdd,
+            "bdd",
+            [(452, 4, 0, 12), (678, 6, 1, 12)],
+            Some(true),
+        ),
+        (
+            Repr::TrustDomain([(A, B)].into()),
+            "Domains({1})",
+            [(396, 4, 0, 12), (588, 6, 1, 12)],
+            None,
+        ),
+        (
+            Repr::ContiguousTrustDomains(2),
+            "Domains({0})",
+            [(396, 4, 0, 12), (588, 6, 1, 12)],
+            None,
+        ),
+    ];
     let target = tuple("bestPathCost", A, C, 5);
-    let mut handles = Vec::new();
-    for cached in [false, true, true] {
-        handles.push(system.query(&target).issuer(3).cached(cached).submit());
-        system.run_to_fixpoint();
+    for (repr, answer, traffic, trusted) in pinned {
+        let mut system = reference_system();
+        let mut handles = Vec::new();
+        for cached in [false, true, true] {
+            let query = system.query(&target).issuer(3).repr(repr.clone());
+            handles.push(query.cached(cached).submit());
+            system.run_to_fixpoint();
+        }
+        for (handle, traffic) in [handles[0], handles[2]].into_iter().zip(traffic) {
+            let outcome = system.outcome(handle).expect("submitted");
+            let observed = match outcome.annotation.as_ref().expect("completed") {
+                // A handle into the process-global BDD store: its number
+                // depends on what else the process built.
+                Annotation::Bdd(_) => "bdd".to_string(),
+                Annotation::Expr(e) => e.to_string(),
+                other => format!("{other:?}"),
+            };
+            assert_eq!(observed, answer, "{repr:?}");
+            let session = system.session(handle);
+            let s = session.stats();
+            let observed = (s.bytes, s.messages, s.cache_hits, s.cache_misses);
+            assert_eq!(observed, traffic, "{repr:?}");
+            assert_eq!(
+                system.derivable_under(handle, |_| true),
+                trusted,
+                "{repr:?}"
+            );
+        }
     }
-    let observed = [handles[0], handles[2]].map(|handle| {
-        let session = system.session(handle);
-        let s = session.stats();
-        (s.bytes, s.messages, s.cache_hits, s.cache_misses)
-    });
-    assert_eq!(observed, [(562, 4, 0, 12), (859, 6, 1, 12)]);
 }
