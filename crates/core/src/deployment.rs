@@ -54,7 +54,9 @@
 //! ```
 
 use crate::mode::ProvenanceMode;
-use crate::query::{QueryFabric, QueryOutcome, Session, SessionStats, TraversalOrder};
+use crate::query::{
+    QueryFabric, QueryOutcome, Session, SessionStats, TraversalOrder, SERIES_BUCKET_S,
+};
 use crate::repr::Repr;
 use crate::rewrite::{provenance_rewrite, RewriteOptions};
 use crate::value_policy::ValueBddPolicy;
@@ -63,8 +65,8 @@ use exspan_ndlog::diag::{Diagnostic, Severity};
 use exspan_netsim::{ChurnEvent, LinkClass, LinkProps, Topology};
 use exspan_runtime::{AnnotationPolicy, Engine, EngineConfig, FixpointStats};
 use exspan_store::{DiskBackend, MemoryBackend, StorageBackend, StorageStats, StoreConfig};
+use exspan_types::wire::BandwidthSeries;
 use exspan_types::{NodeId, Tuple, Value, Vid};
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -388,7 +390,7 @@ pub struct QuerySession<'a>(&'a Session);
 impl QuerySession<'_> {
     /// The representation queries of this session use.
     pub fn repr(&self) -> &Repr {
-        &self.0.spec
+        &self.0.repr.repr
     }
 
     /// The traversal order queries of this session use.
@@ -805,31 +807,11 @@ impl Deployment {
     /// Bandwidth time-series of query traffic (bytes per second), merged
     /// across every session by sample bucket.
     pub fn query_bandwidth_samples(&self) -> Vec<(f64, f64)> {
-        let mut merged: BTreeMap<u64, f64> = BTreeMap::new();
+        let mut merged = BandwidthSeries::new(SERIES_BUCKET_S);
         for s in &self.fabric.sessions {
-            for (t, v) in s.series.samples() {
-                *merged.entry(t.to_bits()).or_insert(0.0) += v;
-            }
+            merged.merge_from(&s.series);
         }
-        merged
-            .into_iter()
-            .map(|(bits, v)| (f64::from_bits(bits), v))
-            .collect()
-    }
-
-    /// Runs `f` against the concrete representation of the query's session,
-    /// if it is of type `R` — e.g. to evaluate a [`crate::repr::BddRepr`]
-    /// result under a trust assignment without re-querying.
-    pub fn with_session_repr<R: 'static, T>(
-        &self,
-        handle: QueryHandle,
-        f: impl FnOnce(&R) -> T,
-    ) -> Option<T> {
-        self.fabric
-            .sessions
-            .get(handle.session)
-            .and_then(|s| s.repr.as_any().downcast_ref::<R>())
-            .map(f)
+        merged.samples()
     }
 
     /// For a [`Repr::Bdd`] query: evaluates the completed result under a
@@ -840,10 +822,9 @@ impl Deployment {
         handle: QueryHandle,
         trusted: impl Fn(Vid) -> bool,
     ) -> Option<bool> {
-        let annotation = self.outcome(handle)?.annotation.clone()?;
-        self.with_session_repr(handle, |repr: &crate::repr::BddRepr| {
-            repr.derivable_under(&annotation, trusted)
-        })
+        let annotation = self.outcome(handle)?.annotation.as_ref()?;
+        let session = self.fabric.sessions.get(handle.session)?;
+        session.repr.derivable_under(annotation, trusted)
     }
 
     // ------------------------------------------------------------------

@@ -21,10 +21,11 @@
 //!   queries returning [`deployment::QueryHandle`]s, and one unified
 //!   simulated clock advancing maintenance, churn and in-flight queries
 //!   together.
-//! * [`repr`] — the customizable representations of §5.2: provenance
-//!   polynomials, node sets, derivation counts, derivability tests, BDD
-//!   (absorption) provenance and trust-domain granularity, all expressed
-//!   through the `f_pEDB` / `f_pIDB` / `f_pRULE` user-defined-function triple.
+//! * [`repr`] — the customizable representations of §5.2, one [`Repr`]
+//!   variant each: provenance polynomials, node sets, derivation counts,
+//!   derivability tests, BDD (absorption) provenance and trust-domain
+//!   granularity.  The module's table gives each variant's `f_pEDB` /
+//!   `f_pRULE` / `f_pIDB` user-defined-function triple.
 //! * [`query`] — the distributed recursive query protocol of §5.1 as one
 //!   table of query ids, derived as the paper derives them
 //!   (`RQID = f_sha1(QID+RID)`), and typed messages; with the optimizations
@@ -47,10 +48,7 @@ pub use deployment::{
 };
 pub use mode::ProvenanceMode;
 pub use query::{QueryOutcome, SessionStats, Traversal, TraversalOrder};
-pub use repr::{
-    Annotation, BddRepr, DerivabilityRepr, DerivationCountRepr, NodeSetRepr, PolynomialRepr,
-    ProvExpr, ProvenanceRepr, Repr, TrustDomainRepr,
-};
+pub use repr::{Annotation, ProvExpr, Repr};
 pub use rewrite::{provenance_rewrite, RewriteOptions};
 pub use storage::{ProvEntry, RuleExecEntry};
 pub use value_policy::ValueBddPolicy;

@@ -64,7 +64,7 @@
 //!   rule-execution vertices share one children-dispatch routine, so the
 //!   choice is made in one place.
 
-use crate::repr::{Annotation, ProvenanceRepr, Repr};
+use crate::repr::{Annotation, Repr, Representation};
 use crate::storage::{prov_entries, rule_exec_entry};
 use exspan_runtime::{Engine, ExternalSink};
 use exspan_types::sha1::Sha1;
@@ -74,6 +74,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+
+/// Bucket width, in simulated seconds, of every session's bandwidth series.
+pub(crate) const SERIES_BUCKET_S: f64 = 0.1;
 
 /// How the provenance graph is traversed (§6.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -292,10 +295,9 @@ impl QueryMsg {
 /// caching choice, its result cache and its traffic counters.  Queries with
 /// equal configuration share a session.
 pub(crate) struct Session {
-    pub(crate) spec: Repr,
+    pub(crate) repr: Representation,
     pub(crate) traversal: TraversalOrder,
     pub(crate) caching: bool,
-    pub(crate) repr: Box<dyn ProvenanceRepr>,
     /// What a caching session knows of each vertex, under its VID or RID
     /// (empty in a session that does not cache).  The node is not part of
     /// the key: a VID or RID digest covers its location, and a vertex is only
@@ -419,7 +421,7 @@ impl QueryFabric {
         let found = self
             .sessions
             .iter()
-            .position(|s| s.spec == *repr && s.traversal == traversal && s.caching == caching);
+            .position(|s| s.repr.repr == *repr && s.traversal == traversal && s.caching == caching);
         found.unwrap_or_else(|| {
             if caching {
                 engine.record_vertex_changes();
@@ -430,12 +432,11 @@ impl QueryFabric {
                 _ => 0,
             };
             self.sessions.push(Session {
-                spec: repr.clone(),
+                repr: Representation::new(repr.clone()),
                 traversal,
                 caching,
-                repr: repr.instantiate(),
                 vertices: HashMap::new(),
-                series: BandwidthSeries::new(0.1),
+                series: BandwidthSeries::new(SERIES_BUCKET_S),
                 stats: SessionStats::default(),
                 rng: SmallRng::seed_from_u64(seed),
             });
@@ -737,7 +738,7 @@ impl QueryFabric {
             (&pending.vertex, session.traversal)
         {
             let partial = session.repr.p_idb(pending.node, pending.results.clone());
-            if session.repr.exceeds_threshold(&partial, threshold) {
+            if partial.exceeds_threshold(threshold) {
                 pending.remaining.clear();
             }
         }

@@ -4,6 +4,15 @@
 //! count of bytes handed to the network layer.  This module centralizes the
 //! byte model so that the runtime, the provenance layer and the query engine
 //! all account identically.
+//!
+//! The byte model is the paper's, not the bytes [`crate::codec`] writes, and
+//! cannot be derived from them.  A tuple costs a 7-byte header (2-byte
+//! relation id, 4-byte location, 1-byte attribute count); an int or a node
+//! costs 4 bytes; a string or a list has a 2-byte header
+//! ([`crate::tuple::Tuple::wire_size`], [`crate::value::Value::wire_size`]).
+//! The codec writes a tag before every value, ints as 8 bytes, string and
+//! list lengths as 4 bytes and the relation by name.  Deriving either from
+//! the other would move every figure.
 
 use crate::tuple::Tuple;
 
