@@ -209,7 +209,9 @@ fn drive_packet_workload(system: &mut Deployment, scale: &Scale, nodes: usize) -
                 node,
                 vec![Value::Node(node), Value::Node(dest), Value::Payload(1024)],
             );
-            system.schedule_delta(t, node, packet, true);
+            system
+                .schedule_delta(t, node, packet, true)
+                .expect("ePacket is an event, not a materialized relation");
             t += interval;
         }
     }

@@ -65,8 +65,9 @@ use exspan_ndlog::diag::{Diagnostic, Severity};
 use exspan_netsim::{ChurnEvent, LinkClass, LinkProps, Topology};
 use exspan_runtime::{AnnotationPolicy, Engine, EngineConfig, FixpointStats};
 use exspan_store::{DiskBackend, MemoryBackend, StorageBackend, StorageStats, StoreConfig};
+use exspan_types::fxhash::FxHashMap;
 use exspan_types::wire::BandwidthSeries;
-use exspan_types::{NodeId, Tuple, Value, Vid};
+use exspan_types::{NodeId, RelId, Tuple, Value, Vid};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -131,6 +132,30 @@ impl std::fmt::Display for BuildError {
 }
 
 impl std::error::Error for BuildError {}
+
+/// Why a deployment refused a base-tuple delta: the tuple's arity is not the
+/// one its relation's `materialize(rel, arity, …)` declaration states.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArityError {
+    /// The tuple's relation.
+    pub relation: RelId,
+    /// The declared arity (including the location attribute).
+    pub declared: usize,
+    /// The tuple's arity.
+    pub found: usize,
+}
+
+impl std::fmt::Display for ArityError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (relation, declared, found) = (self.relation, self.declared, self.found);
+        write!(
+            f,
+            "{relation} is declared with {declared} attributes, not {found}"
+        )
+    }
+}
+
+impl std::error::Error for ArityError {}
 
 /// Builder for a [`Deployment`]; obtained from [`Exspan::builder`].
 #[derive(Debug, Clone)]
@@ -330,6 +355,11 @@ impl DeploymentBuilder {
             ProvenanceMode::ValueBdd => Some(Box::new(ValueBddPolicy::new())),
             _ => None,
         };
+        let arities = executed
+            .tables
+            .iter()
+            .map(|t| (t.relation, t.arity))
+            .collect();
         let mut engine = Engine::with_parts(executed, topology, engine_config, policy, backend);
         if let Some(state) = &recovered_state {
             engine.recover(state);
@@ -338,6 +368,7 @@ impl DeploymentBuilder {
 
         let mut deployment = Deployment {
             engine,
+            arities,
             mode: self.mode,
             program_name: program.name.clone(),
             warnings,
@@ -358,6 +389,8 @@ impl DeploymentBuilder {
 /// clock.  Built with [`Exspan::builder`].
 pub struct Deployment {
     engine: Engine,
+    /// Declared arity of every materialized relation of the executed program.
+    arities: FxHashMap<RelId, usize>,
     mode: ProvenanceMode,
     program_name: String,
     warnings: Vec<Diagnostic>,
@@ -610,28 +643,53 @@ impl Deployment {
             .map(|(a, b, p)| (a, b, p.cost))
             .collect();
         for (a, b, cost) in links {
-            self.insert_base(a, Self::link_tuple(a, b, cost));
-            self.insert_base(b, Self::link_tuple(b, a, cost));
+            self.engine.insert_base(a, Self::link_tuple(a, b, cost));
+            self.engine.insert_base(b, Self::link_tuple(b, a, cost));
+        }
+    }
+
+    /// Refuses a tuple of a materialized relation whose arity is not the
+    /// declared one, before it can reach a table.
+    fn check_arity(&self, tuple: &Tuple) -> Result<(), ArityError> {
+        match self.arities.get(&tuple.relation) {
+            Some(&declared) if declared != tuple.arity() => Err(ArityError {
+                relation: tuple.relation,
+                declared,
+                found: tuple.arity(),
+            }),
+            _ => Ok(()),
         }
     }
 
     /// Inserts a base tuple at `node` now (applied when the clock next
     /// advances).
-    pub fn insert_base(&mut self, node: NodeId, tuple: Tuple) {
+    pub fn insert_base(&mut self, node: NodeId, tuple: Tuple) -> Result<(), ArityError> {
+        self.check_arity(&tuple)?;
         self.engine.insert_base(node, tuple);
+        Ok(())
     }
 
     /// Deletes a base tuple at `node` now (applied when the clock next
     /// advances).
-    pub fn delete_base(&mut self, node: NodeId, tuple: Tuple) {
+    pub fn delete_base(&mut self, node: NodeId, tuple: Tuple) -> Result<(), ArityError> {
+        self.check_arity(&tuple)?;
         self.engine.delete_base(node, tuple);
+        Ok(())
     }
 
     /// Schedules a base-tuple delta at an absolute simulated time (churn
     /// schedules, data-plane workloads), applied when the clock passes
     /// `time`.
-    pub fn schedule_delta(&mut self, time: f64, node: NodeId, tuple: Tuple, insert: bool) {
+    pub fn schedule_delta(
+        &mut self,
+        time: f64,
+        node: NodeId,
+        tuple: Tuple,
+        insert: bool,
+    ) -> Result<(), ArityError> {
+        self.check_arity(&tuple)?;
         self.engine.schedule_delta(time, node, tuple, insert);
+        Ok(())
     }
 
     /// Adds a link to the topology and inserts its base tuples (both
@@ -674,8 +732,10 @@ impl Deployment {
         } else {
             self.engine.remove_link(a, b).unwrap_or(props).cost
         };
-        self.schedule_delta(at, a, Self::link_tuple(a, b, cost), add);
-        self.schedule_delta(at, b, Self::link_tuple(b, a, cost), add);
+        self.engine
+            .schedule_delta(at, a, Self::link_tuple(a, b, cost), add);
+        self.engine
+            .schedule_delta(at, b, Self::link_tuple(b, a, cost), add);
     }
 
     // ------------------------------------------------------------------

@@ -44,7 +44,8 @@ pub mod storage;
 pub mod value_policy;
 
 pub use deployment::{
-    BuildError, Deployment, DeploymentBuilder, Exspan, QueryBuilder, QueryHandle, QuerySession,
+    ArityError, BuildError, Deployment, DeploymentBuilder, Exspan, QueryBuilder, QueryHandle,
+    QuerySession,
 };
 pub use mode::ProvenanceMode;
 pub use query::{QueryOutcome, SessionStats, Traversal, TraversalOrder};

@@ -879,13 +879,17 @@ mod tests {
         let (now, later) = (d.now(), d.now() + 0.5);
         let handle = d.query(&target).issuer(3).at(later).submit();
         let live = Value::from_digest(root_qid(handle.index()));
+        let event = "query events are not materialized relations";
         for relation in ["eProvQuery", "eRuleQuery", "eProvResults", "eRuleResults"] {
-            d.schedule_delta(now, 0, Tuple::new(relation, 0, vec![live.clone()]), true);
+            let truncated = Tuple::new(relation, 0, vec![live.clone()]);
+            d.schedule_delta(now, 0, truncated, true).expect(event);
         }
-        d.schedule_delta(now, 3, Tuple::new("eQueryIssue", 3, vec![]), true);
+        let truncated = Tuple::new("eQueryIssue", 3, vec![]);
+        d.schedule_delta(now, 3, truncated, true).expect(event);
         // Nor does a well-formed result arriving while the id is still a request.
         let early = QueryMsg::ProvResults(root_qid(handle.index()), target.vid(), handle.index());
-        d.schedule_delta(now, 3, early.to_tuple(3), true);
+        d.schedule_delta(now, 3, early.to_tuple(3), true)
+            .expect(event);
         d.run_to_fixpoint();
         assert!(d.outcome(handle).expect("submitted").is_complete());
     }

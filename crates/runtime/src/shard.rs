@@ -517,9 +517,7 @@ impl Shard {
         a: impl Iterator<Item = &'a Arc<Tuple>>,
         b: impl Iterator<Item = &'a Arc<Tuple>>,
     ) -> Ordering {
-        let mut keys = a
-            .zip(b)
-            .map(|(x, y)| row_key_cmp(self.store.key_spec(x.relation), x, y));
+        let mut keys = a.zip(b).map(|(x, y)| self.store.row_order(x, y));
         keys.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
     }
 
@@ -889,24 +887,4 @@ impl Shard {
             None => table.scan().find(matches).cloned(),
         }
     }
-}
-
-/// Compares two tuples of the same relation by their primary row key under
-/// `spec` — the order `scan()` enumerates them in.
-fn row_key_cmp(spec: &[usize], a: &Tuple, b: &Tuple) -> Ordering {
-    debug_assert_eq!(a.relation, b.relation);
-    if spec.is_empty() {
-        return (a.location, &a.values).cmp(&(b.location, &b.values));
-    }
-    for &i in spec {
-        let ord = if i == 0 {
-            a.location.cmp(&b.location)
-        } else {
-            a.values[i - 1].cmp(&b.values[i - 1])
-        };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
 }

@@ -13,10 +13,16 @@
 //!   key already exists with different non-key attributes *replaces* the old
 //!   tuple, and the replaced tuple must be cascaded as a deletion.
 //!
-//! Rows hold their tuple behind an [`Arc`]: the delta that inserted a tuple,
-//! the stored row, and every join candidate cloned out of a scan share one
-//! allocation, so the hot path bumps reference counts instead of deep-copying
-//! attribute vectors.  Tables are keyed by interned [`RelId`]s, making the
+//! A row is its own key.  The primary map is keyed by a `RowKey`: the
+//! row's tuple behind an [`Arc`] — the one allocation the delta that
+//! inserted it, every join candidate cloned out of a scan and every posting
+//! share — the table's interned key spec, and an inline order-preserving
+//! abbreviation of the first two key columns.  It orders exactly as the
+//! tuple's projection on the key compares as a `[Value]` slice, and most
+//! comparisons are decided by the abbreviations without dereferencing the
+//! tuple.  A lookup by a borrowed tuple or probe prefix goes through the
+//! same order (`KeyView`), so no insert, delete, count or probe
+//! allocates.  Tables are keyed by interned [`RelId`]s, making the
 //! `(node, relation)` store lookups allocation-free.
 //!
 //! A [`Table::probe`] has two access paths.  Columns that begin with the
@@ -31,10 +37,12 @@ use exspan_ndlog::plan::primary_prefix;
 use exspan_store::TableDump;
 use exspan_types::fxhash::FxHashMap;
 use exspan_types::{NodeId, RelId, Tuple, Value};
+use std::borrow::{Borrow, Cow};
+use std::cmp::Ordering;
 use std::collections::btree_map::{self, Entry};
-use std::collections::BTreeMap;
+use std::collections::{btree_set, BTreeMap, BTreeSet};
 use std::ops::Bound;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Effect of an insertion on the visible state of the table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,32 +70,248 @@ pub enum DeleteEffect {
     Missing,
 }
 
-/// A primary row key, shared between the primary map and every posting set
-/// that lists the row.
-type RowKey = Arc<[Value]>;
+/// Primary-key positions over the full attribute list (0 = location), empty
+/// for whole-tuple order.  Interned once per distinct spec, so a row key
+/// carries its spec as one pointer, with no per-row allocation and no
+/// reference count to bump.
+type Spec = &'static Vec<usize>;
 
+fn intern_spec(cols: Vec<usize>) -> Spec {
+    static SPECS: Mutex<Vec<Spec>> = Mutex::new(Vec::new());
+    let mut specs = SPECS
+        .lock()
+        .expect("no thread panics holding the spec list");
+    if let Some(&spec) = specs.iter().find(|s| ***s == cols) {
+        return spec;
+    }
+    let spec: Spec = Box::leak(Box::new(cols));
+    specs.push(spec);
+    spec
+}
+
+/// Bit 0 of an abbreviation: set when equal abbreviations mean equal values.
+const EXACT: u64 = 1;
+
+/// An order-preserving 64-bit abbreviation of one key column: the `Value`
+/// case's rank in its derived order in the top three bits (counted from 1,
+/// so that an absent column, [`EXACT`] alone, sorts before every value), 60
+/// bits of the value, and [`EXACT`].  `a < b` implies `abbreviate(a) <=
+/// abbreviate(b)`, and whether an abbreviation is exact depends on the
+/// abbreviation alone, so equal exact abbreviations are equal values.
+fn abbreviate(v: &Value) -> u64 {
+    const LIM: i64 = 1 << 59;
+    let lead = |bytes: &[u8]| {
+        let mut b = [0u8; 8];
+        let n = bytes.len().min(8);
+        b[..n].copy_from_slice(&bytes[..n]);
+        u64::from_be_bytes(b) >> 4
+    };
+    let (rank, body, exact) = match v {
+        Value::Node(n) => (1, u64::from(*n), true),
+        // A 60-bit integer with its sign bit flipped; the ints beyond that
+        // range clamp onto its two ends, which are therefore inexact.
+        Value::Int(i) => {
+            let c = (*i).clamp(-LIM, LIM - 1);
+            (2, (c + LIM) as u64, -LIM < c && c < LIM - 1)
+        }
+        Value::Str(s) => (3, lead(s.as_str().as_bytes()), false),
+        Value::Bool(b) => (4, u64::from(*b), true),
+        Value::List(_) => (5, 0, false),
+        Value::Digest(d) => (6, lead(d), false),
+        Value::Payload(p) => (7, u64::from(*p), true),
+    };
+    rank << 61 | body << 1 | u64::from(exact)
+}
+
+/// The columns one key compares: a tuple's projection on a spec, or a
+/// borrowed probe prefix.
+#[derive(Debug, Clone, Copy)]
+enum Cols<'a> {
+    Row(&'a Tuple, &'a [usize]),
+    Prefix(&'a [Value]),
+}
+
+impl<'a> Cols<'a> {
+    fn len(self) -> usize {
+        match self {
+            Cols::Row(t, []) => t.arity(),
+            Cols::Row(_, spec) => spec.len(),
+            Cols::Prefix(p) => p.len(),
+        }
+    }
+
+    fn get(self, i: usize) -> Cow<'a, Value> {
+        match self {
+            Cols::Prefix(p) => Cow::Borrowed(&p[i]),
+            Cols::Row(t, spec) => match if spec.is_empty() { i } else { spec[i] } {
+                0 => Cow::Owned(Value::Node(t.location)),
+                c => Cow::Borrowed(&t.values[c - 1]),
+            },
+        }
+    }
+
+    /// The abbreviations of the first two columns.
+    fn abbreviations(self) -> [u64; 2] {
+        [0, 1].map(|i| match i < self.len() {
+            true => abbreviate(&self.get(i)),
+            false => EXACT,
+        })
+    }
+
+    /// Compares two column lists as `[Value]` slices (a proper prefix
+    /// first), deciding by their abbreviations `a` and `b` where they can.
+    fn cmp_abbreviated(self, a: &[u64; 2], other: Self, b: &[u64; 2]) -> Ordering {
+        for i in 0..2 {
+            if a[i] != b[i] {
+                return a[i].cmp(&b[i]);
+            }
+            if a[i] & EXACT == 0 {
+                return self.cmp_from(other, i);
+            }
+        }
+        self.cmp_from(other, 2)
+    }
+
+    /// Compares the columns from `from` on, then the lengths.
+    fn cmp_from(self, other: Self, from: usize) -> Ordering {
+        let (m, n) = (self.len(), other.len());
+        let mut cols = (from..m.min(n)).map(|i| self.get(i).cmp(&other.get(i)));
+        cols.find(|o| o.is_ne()).unwrap_or(m.cmp(&n))
+    }
+}
+
+/// A key the primary map is searched by: a stored [`RowKey`], or a borrowed
+/// [`Probe`], which builds none.
+trait KeyView {
+    fn parts(&self) -> (&[u64; 2], Cols<'_>);
+}
+
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let ((a, ac), (b, bc)) = (self.parts(), other.parts());
+        ac.cmp_abbreviated(a, bc, b)
+    }
+}
+
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+/// A row's key in the primary map and in every posting set that lists it:
+/// the row's own tuple, the table's key spec, and the abbreviations of the
+/// first two key columns.  A keyed replacement re-keys the row, so a key
+/// never keeps a replaced tuple alive.
 #[derive(Debug, Clone)]
-struct Row {
+struct RowKey {
     tuple: Arc<Tuple>,
-    count: usize,
+    spec: Spec,
+    abbr: [u64; 2],
+}
+
+impl RowKey {
+    fn new(tuple: Arc<Tuple>, spec: Spec) -> Self {
+        let abbr = Cols::Row(&tuple, spec).abbreviations();
+        RowKey { tuple, spec, abbr }
+    }
+
+    fn cols(&self) -> Cols<'_> {
+        Cols::Row(&self.tuple, self.spec)
+    }
+
+    /// Whether the key's columns begin with `prefix`'s, decided by an
+    /// exact abbreviation where the prefix has one (so the walk that leaves
+    /// a key range stops without reading the next row's tuple).
+    fn starts_with(&self, prefix: &Probe) -> bool {
+        let (cols, n) = (self.cols(), prefix.cols.len());
+        cols.len() >= n
+            && (0..n).all(|i| match i < 2 && prefix.abbr[i] & EXACT != 0 {
+                true => self.abbr[i] == prefix.abbr[i],
+                false => cols.get(i) == prefix.cols.get(i),
+            })
+    }
+}
+
+impl KeyView for RowKey {
+    fn parts(&self) -> (&[u64; 2], Cols<'_>) {
+        (&self.abbr, self.cols())
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for RowKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl Ord for RowKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.cols()
+            .cmp_abbreviated(&self.abbr, other.cols(), &other.abbr)
+    }
+}
+
+impl PartialOrd for RowKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for RowKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for RowKey {}
+
+/// A borrowed key: a tuple projected on a spec, or a probe prefix.
+#[derive(Debug)]
+struct Probe<'a> {
+    abbr: [u64; 2],
+    cols: Cols<'a>,
+}
+
+impl<'a> Probe<'a> {
+    fn new(cols: Cols<'a>) -> Self {
+        Probe {
+            abbr: cols.abbreviations(),
+            cols,
+        }
+    }
+}
+
+impl KeyView for Probe<'_> {
+    fn parts(&self) -> (&[u64; 2], Cols<'_>) {
+        (&self.abbr, self.cols)
+    }
 }
 
 /// An order-preserving secondary index over one column set.
 ///
 /// The index maps a projection of the full attribute list (location = column
-/// 0) to the rows holding that projection, by *primary row key* — the very
-/// `BTreeMap` keys of [`Table::rows`], one shared allocation per row — so
-/// iterating one posting map enumerates its rows in the same canonical order
-/// a full [`Table::scan`] would, which is what keeps indexed evaluation
+/// 0) to the set of [`RowKey`]s of the rows holding that projection — clones
+/// of the primary map's keys, sharing each row's tuple — so iterating one
+/// posting set enumerates its rows in the same canonical order a full
+/// [`Table::scan`] would, which is what keeps indexed evaluation
 /// bit-identical to scan evaluation (the probe narrows the candidate set, it
-/// never reorders it).  Each posting carries its row's tuple: a probe walks
-/// one posting map and never descends the primary map per candidate.
+/// never reorders it).  A probe walks one posting set and never descends the
+/// primary map per candidate.
 #[derive(Debug, Clone)]
 struct SecondaryIndex {
     /// Indexed columns over the full attribute list, ascending (0 = location).
     cols: Vec<usize>,
     /// Projection value → the rows carrying it.
-    postings: BTreeMap<Vec<Value>, BTreeMap<RowKey, Arc<Tuple>>>,
+    postings: BTreeMap<Vec<Value>, BTreeSet<RowKey>>,
 }
 
 impl SecondaryIndex {
@@ -106,17 +330,16 @@ impl SecondaryIndex {
         Some(key)
     }
 
-    fn insert(&mut self, tuple: &Arc<Tuple>, row_key: &RowKey) {
-        if let Some(key) = self.project(tuple) {
-            let rows = self.postings.entry(key).or_default();
-            rows.insert(Arc::clone(row_key), Arc::clone(tuple));
+    fn insert(&mut self, row: &RowKey) {
+        if let Some(key) = self.project(&row.tuple) {
+            self.postings.entry(key).or_default().insert(row.clone());
         }
     }
 
-    fn remove(&mut self, tuple: &Tuple, row_key: &[Value]) {
-        if let Some(key) = self.project(tuple) {
+    fn remove(&mut self, row: &RowKey) {
+        if let Some(key) = self.project(&row.tuple) {
             if let Some(rows) = self.postings.get_mut(&key) {
-                rows.remove(row_key);
+                rows.remove(row);
                 if rows.is_empty() {
                     self.postings.remove(&key);
                 }
@@ -139,8 +362,9 @@ pub struct Table {
     relation: RelId,
     /// Primary-key positions over the full attribute list (0 = location).
     /// Empty means whole-tuple (set) semantics.
-    key: Vec<usize>,
-    rows: BTreeMap<RowKey, Row>,
+    key: Spec,
+    /// Each row, keyed by itself, with its derivation count.
+    rows: BTreeMap<RowKey, usize>,
     /// Order-preserving secondary indexes, one per demanded column set
     /// (compiled from the program's join plans; see `exspan_ndlog::plan`).
     indexes: Vec<SecondaryIndex>,
@@ -151,7 +375,7 @@ impl Table {
     pub fn new(relation: impl Into<RelId>, key: Vec<usize>) -> Self {
         Table {
             relation: relation.into(),
-            key,
+            key: intern_spec(key),
             rows: BTreeMap::new(),
             indexes: Vec::new(),
         }
@@ -173,7 +397,7 @@ impl Table {
     /// nothing.
     pub fn add_index(&mut self, cols: Vec<usize>) {
         if cols.is_empty()
-            || primary_prefix(&self.key, &cols).is_some()
+            || primary_prefix(self.key, &cols).is_some()
             || self.indexes.iter().any(|ix| ix.cols == cols)
         {
             return;
@@ -182,8 +406,8 @@ impl Table {
             cols,
             postings: BTreeMap::new(),
         };
-        for (row_key, row) in &self.rows {
-            index.insert(&row.tuple, row_key);
+        for row in self.rows.keys() {
+            index.insert(row);
         }
         self.indexes.push(index);
     }
@@ -208,80 +432,65 @@ impl Table {
         self.rows.is_empty()
     }
 
-    fn key_of(&self, tuple: &Tuple) -> RowKey {
-        let attr = |i: usize| match i {
-            0 => Value::Node(tuple.location),
-            i => tuple.values[i - 1].clone(),
-        };
-        match self.key.is_empty() {
-            true => (0..tuple.arity()).map(attr).collect(),
-            false => self.key.iter().map(|&i| attr(i)).collect(),
-        }
-    }
-
     /// Inserts one derivation of `tuple`, sharing the caller's allocation
-    /// (the hot path: the delta's `Arc` becomes the stored row on 0→1).
+    /// (the delta's `Arc` becomes the stored row on 0→1).
     pub fn insert_shared(&mut self, tuple: &Arc<Tuple>) -> InsertEffect {
         debug_assert_eq!(tuple.relation, self.relation);
-        let row = || Row {
-            tuple: Arc::clone(tuple),
-            count: 1,
-        };
-        match self.rows.entry(self.key_of(tuple)) {
+        match self.rows.entry(RowKey::new(Arc::clone(tuple), self.key)) {
             Entry::Vacant(e) => {
                 for ix in &mut self.indexes {
-                    ix.insert(tuple, e.key());
+                    ix.insert(e.key());
                 }
-                e.insert(row());
+                e.insert(1);
                 InsertEffect::Added
             }
-            Entry::Occupied(mut e) if *e.get().tuple == **tuple => {
+            Entry::Occupied(mut e) if e.key().tuple == *tuple => {
                 // Tables keyed on a proper subset of their attributes hold
                 // *functional* state (one row per key, e.g. an aggregate
                 // output or a routing-table entry): re-asserting the same row
                 // is idempotent.  Whole-tuple (set semantics) tables count
                 // duplicate derivations instead.
                 if self.key.is_empty() || self.key.len() >= tuple.arity() {
-                    e.get_mut().count += 1;
+                    *e.get_mut() += 1;
                 }
                 InsertEffect::Duplicate
             }
-            Entry::Occupied(mut e) => {
-                // Keyed update: replace the old version of this row.  The
-                // primary key is unchanged but non-key attributes (which
-                // secondary indexes may cover) are not.
-                let old = std::mem::replace(e.get_mut(), row()).tuple;
+            Entry::Occupied(e) => {
+                // Keyed update: the row is re-keyed by its new version (the
+                // key columns, hence the abbreviations, are unchanged; the
+                // non-key attributes secondary indexes may cover are not).
+                let (old, _) = e.remove_entry();
+                let row = RowKey {
+                    tuple: Arc::clone(tuple),
+                    ..old
+                };
                 for ix in &mut self.indexes {
-                    ix.remove(&old, e.key());
-                    ix.insert(tuple, e.key());
+                    ix.remove(&old);
+                    ix.insert(&row);
                 }
-                InsertEffect::Replaced(old)
+                self.rows.insert(row, 1);
+                InsertEffect::Replaced(old.tuple)
             }
         }
     }
 
-    /// Inserts one derivation of `tuple` (convenience wrapper for callers
-    /// that do not already hold the tuple behind an `Arc`).
-    pub fn insert(&mut self, tuple: &Tuple) -> InsertEffect {
-        self.insert_shared(&Arc::new(tuple.clone()))
-    }
-
-    /// Deletes one derivation of `tuple`.
-    pub fn delete(&mut self, tuple: &Tuple) -> DeleteEffect {
+    /// Deletes one derivation of `tuple`, found in one descent of the
+    /// primary map.
+    pub fn delete(&mut self, tuple: &Arc<Tuple>) -> DeleteEffect {
         debug_assert_eq!(tuple.relation, self.relation);
-        match self.rows.entry(self.key_of(tuple)) {
+        match self.rows.entry(RowKey::new(Arc::clone(tuple), self.key)) {
             Entry::Vacant(_) => DeleteEffect::Missing,
             // A stale deletion for a version of the row that has already
             // been replaced: ignore it.
-            Entry::Occupied(e) if *e.get().tuple != *tuple => DeleteEffect::Missing,
-            Entry::Occupied(mut e) if e.get().count > 1 => {
-                e.get_mut().count -= 1;
+            Entry::Occupied(e) if e.key().tuple != *tuple => DeleteEffect::Missing,
+            Entry::Occupied(mut e) if *e.get() > 1 => {
+                *e.get_mut() -= 1;
                 DeleteEffect::Decremented
             }
             Entry::Occupied(e) => {
-                let (key, removed) = e.remove_entry();
+                let (row, _) = e.remove_entry();
                 for ix in &mut self.indexes {
-                    ix.remove(&removed.tuple, &key);
+                    ix.remove(&row);
                 }
                 DeleteEffect::Removed
             }
@@ -290,8 +499,9 @@ impl Table {
 
     /// Returns the current derivation count of `tuple` (0 if absent).
     pub fn count(&self, tuple: &Tuple) -> usize {
-        match self.rows.get(&self.key_of(tuple)) {
-            Some(row) if *row.tuple == *tuple => row.count,
+        let probe = Probe::new(Cols::Row(tuple, self.key));
+        match self.rows.get_key_value(&probe as &dyn KeyView) {
+            Some((row, &count)) if *row.tuple == *tuple => count,
             _ => 0,
         }
     }
@@ -308,28 +518,22 @@ impl Table {
     /// one that was dumped.
     pub fn restore(&mut self, tuple: Arc<Tuple>, count: u64) {
         debug_assert_eq!(tuple.relation, self.relation);
-        let key = self.key_of(&tuple);
+        let row = RowKey::new(tuple, self.key);
         for ix in &mut self.indexes {
-            ix.insert(&tuple, &key);
+            ix.insert(&row);
         }
-        self.rows.insert(
-            key,
-            Row {
-                tuple,
-                count: count as usize,
-            },
-        );
+        self.rows.insert(row, count as usize);
     }
 
     /// Iterates the visible rows with their derivation counts, in canonical
     /// scan order (the persistence dump format).
     pub fn rows_with_counts(&self) -> impl Iterator<Item = (&Arc<Tuple>, u64)> {
-        self.rows.values().map(|r| (&r.tuple, r.count as u64))
+        self.rows.iter().map(|(row, &c)| (&row.tuple, c as u64))
     }
 
     /// Iterates over the visible tuples (shared rows, in canonical order).
     pub fn scan(&self) -> impl Iterator<Item = &Arc<Tuple>> {
-        self.rows.values().map(|r| &r.tuple)
+        self.rows.keys().map(|row| &row.tuple)
     }
 
     /// Probes for the rows whose projection at `cols` equals `key`, yielding
@@ -337,7 +541,8 @@ impl Table {
     /// determinism contract of indexed evaluation).  When the columns begin
     /// with the declared key's leading columns ([`primary_prefix`]), the probe
     /// is one key range of the primary map, each row checked against the
-    /// remaining columns; otherwise it walks the maintained secondary index
+    /// remaining columns;
+    /// otherwise it walks the maintained secondary index
     /// over exactly `cols`.  Returns `None` when neither can serve — the
     /// caller falls back to a scan.  The iterator borrows `cols` and `key`
     /// and allocates nothing.
@@ -347,13 +552,13 @@ impl Table {
             // make the misuse a defined scan fallback rather than a panic.
             return None;
         }
-        if let Some(p) = primary_prefix(&self.key, cols) {
+        if let Some(p) = primary_prefix(self.key, cols) {
             let (prefix, rest) = key.split_at(p);
             return Some(self.range(prefix, &cols[p..], rest));
         }
         let index = self.indexes.iter().find(|ix| ix.cols == cols)?;
         let rows = index.postings.get(key);
-        Some(ProbeIter(ProbeInner::Postings(rows.map(BTreeMap::values))))
+        Some(ProbeIter(ProbeInner::Postings(rows.map(BTreeSet::iter))))
     }
 
     /// The rows whose primary row key starts with `prefix` and that hold
@@ -364,9 +569,10 @@ impl Table {
         cols: &'a [usize],
         key: &'a [Value],
     ) -> ProbeIter<'a> {
-        let from = (Bound::Included(prefix), Bound::Unbounded);
+        let prefix = Probe::new(Cols::Prefix(prefix));
+        let from = (Bound::Included(&prefix as &dyn KeyView), Bound::Unbounded);
         ProbeIter(ProbeInner::Range {
-            rows: Some(self.rows.range::<[Value], _>(from)),
+            rows: Some(self.rows.range::<dyn KeyView, _>(from)),
             prefix,
             cols,
             key,
@@ -390,18 +596,17 @@ impl Table {
     fn index_is_consistent(&self) -> bool {
         self.indexes.iter().all(|ix| {
             // Every row appears under exactly its projection, and every
-            // posting points at a live row with that projection — by the
-            // primary map's own key allocation, not a copy of it.
+            // posting shares a live row's tuple.
             let mut expected = BTreeMap::new();
-            for (row_key, row) in &self.rows {
+            for row in self.rows.keys() {
                 if let Some(p) = ix.project(&row.tuple) {
-                    let rows: &mut BTreeMap<_, _> = expected.entry(p).or_default();
-                    rows.insert(row_key.clone(), Arc::clone(&row.tuple));
+                    let rows: &mut BTreeSet<_> = expected.entry(p).or_default();
+                    rows.insert(row.clone());
                 }
             }
-            let shared = |(k, t): (&RowKey, &Arc<Tuple>)| {
-                let (key, row) = self.rows.get_key_value(k).expect("live");
-                Arc::ptr_eq(k, key) && Arc::ptr_eq(t, &row.tuple)
+            let shared = |row: &RowKey| {
+                let (live, _) = self.rows.get_key_value(row).expect("live");
+                Arc::ptr_eq(&row.tuple, &live.tuple)
             };
             expected == ix.postings && ix.postings.values().flatten().all(shared)
         })
@@ -427,14 +632,14 @@ enum ProbeInner<'a> {
     /// those that hold `key` at `cols` (`rows` is `None` once the walk left
     /// the range).
     Range {
-        rows: Option<btree_map::Range<'a, RowKey, Row>>,
-        prefix: &'a [Value],
+        rows: Option<btree_map::Range<'a, RowKey, usize>>,
+        prefix: Probe<'a>,
         cols: &'a [usize],
         key: &'a [Value],
     },
     /// A secondary-index probe: walk the matching postings in primary row
     /// key order (`None` when the key has none).
-    Postings(Option<btree_map::Values<'a, RowKey, Arc<Tuple>>>),
+    Postings(Option<btree_set::Iter<'a, RowKey>>),
 }
 
 impl<'a> Iterator for ProbeIter<'a> {
@@ -448,8 +653,8 @@ impl<'a> Iterator for ProbeIter<'a> {
                 cols,
                 key,
             } => loop {
-                let (row_key, row) = rows.as_mut()?.next()?;
-                if !row_key.starts_with(prefix) {
+                let (row, _) = rows.as_mut()?.next()?;
+                if !row.starts_with(prefix) {
                     *rows = None;
                     return None;
                 }
@@ -457,7 +662,7 @@ impl<'a> Iterator for ProbeIter<'a> {
                     return Some(&row.tuple);
                 }
             },
-            ProbeInner::Postings(rows) => rows.as_mut()?.next(),
+            ProbeInner::Postings(rows) => rows.as_mut()?.next().map(|row| &row.tuple),
         }
     }
 }
@@ -495,11 +700,12 @@ impl TableStore {
         }
     }
 
-    /// The declared primary-key positions of `relation` (empty = whole-tuple
-    /// set semantics).  This is the order `scan()` — and therefore `probe()`
-    /// — enumerates rows in.
-    pub fn key_spec(&self, relation: RelId) -> &[usize] {
-        self.keys.get(&relation).map_or(&[], Vec::as_slice)
+    /// Orders two tuples of one relation as its tables' primary maps do:
+    /// the order `scan()` — and therefore `probe()` — enumerates rows in.
+    pub fn row_order(&self, a: &Tuple, b: &Tuple) -> Ordering {
+        debug_assert_eq!(a.relation, b.relation);
+        let spec = self.keys.get(&a.relation).map_or(&[][..], Vec::as_slice);
+        Cols::Row(a, spec).cmp_from(Cols::Row(b, spec), 0)
     }
 
     /// Returns the table for `(node, relation)`, creating it if necessary.
@@ -608,20 +814,28 @@ mod tests {
     use super::*;
     use exspan_types::Symbol;
 
-    fn path_cost(loc: NodeId, d: NodeId, c: i64) -> Tuple {
-        Tuple::new("pathCost", loc, vec![Value::Node(d), Value::Int(c)])
+    fn path_cost(loc: NodeId, d: NodeId, c: i64) -> Arc<Tuple> {
+        Arc::new(Tuple::new(
+            "pathCost",
+            loc,
+            vec![Value::Node(d), Value::Int(c)],
+        ))
     }
 
-    fn best(loc: NodeId, d: NodeId, c: i64) -> Tuple {
-        Tuple::new("bestPathCost", loc, vec![Value::Node(d), Value::Int(c)])
+    fn best(loc: NodeId, d: NodeId, c: i64) -> Arc<Tuple> {
+        Arc::new(Tuple::new(
+            "bestPathCost",
+            loc,
+            vec![Value::Node(d), Value::Int(c)],
+        ))
     }
 
     #[test]
     fn set_semantics_counts_derivations() {
         let mut t = Table::set_semantics("pathCost");
         let p = path_cost(0, 2, 5);
-        assert_eq!(t.insert(&p), InsertEffect::Added);
-        assert_eq!(t.insert(&p), InsertEffect::Duplicate);
+        assert_eq!(t.insert_shared(&p), InsertEffect::Added);
+        assert_eq!(t.insert_shared(&p), InsertEffect::Duplicate);
         assert_eq!(t.count(&p), 2);
         assert_eq!(t.len(), 1);
         assert_eq!(t.delete(&p), DeleteEffect::Decremented);
@@ -634,7 +848,7 @@ mod tests {
     #[test]
     fn shared_insert_shares_the_allocation() {
         let mut t = Table::set_semantics("pathCost");
-        let p = Arc::new(path_cost(0, 2, 5));
+        let p = path_cost(0, 2, 5);
         assert_eq!(t.insert_shared(&p), InsertEffect::Added);
         // The stored row is the same allocation, not a deep copy.
         let stored = t.scan().next().unwrap();
@@ -644,8 +858,8 @@ mod tests {
     #[test]
     fn distinct_tuples_coexist_under_set_semantics() {
         let mut t = Table::set_semantics("pathCost");
-        t.insert(&path_cost(0, 2, 5));
-        t.insert(&path_cost(0, 2, 7));
+        t.insert_shared(&path_cost(0, 2, 5));
+        t.insert_shared(&path_cost(0, 2, 7));
         assert_eq!(t.len(), 2);
         assert!(t.contains(&path_cost(0, 2, 5)));
         assert!(t.contains(&path_cost(0, 2, 7)));
@@ -655,22 +869,22 @@ mod tests {
     fn keyed_table_replaces_row_with_same_key() {
         // bestPathCost(@S,D,C) keyed on (S, D) = positions (0, 1).
         let mut t = Table::new("bestPathCost", vec![0, 1]);
-        assert_eq!(t.insert(&best(0, 2, 5)), InsertEffect::Added);
-        let eff = t.insert(&best(0, 2, 4));
-        assert_eq!(eff, InsertEffect::Replaced(Arc::new(best(0, 2, 5))));
+        assert_eq!(t.insert_shared(&best(0, 2, 5)), InsertEffect::Added);
+        let eff = t.insert_shared(&best(0, 2, 4));
+        assert_eq!(eff, InsertEffect::Replaced(best(0, 2, 5)));
         assert_eq!(t.len(), 1);
         assert!(t.contains(&best(0, 2, 4)));
         assert!(!t.contains(&best(0, 2, 5)));
         // Different key coexists.
-        assert_eq!(t.insert(&best(0, 3, 9)), InsertEffect::Added);
+        assert_eq!(t.insert_shared(&best(0, 3, 9)), InsertEffect::Added);
         assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn keyed_rows_are_idempotent_under_reinsertion() {
         let mut t = Table::new("bestPathCost", vec![0, 1]);
-        t.insert(&best(0, 2, 5));
-        assert_eq!(t.insert(&best(0, 2, 5)), InsertEffect::Duplicate);
+        t.insert_shared(&best(0, 2, 5));
+        assert_eq!(t.insert_shared(&best(0, 2, 5)), InsertEffect::Duplicate);
         assert_eq!(
             t.count(&best(0, 2, 5)),
             1,
@@ -683,8 +897,8 @@ mod tests {
     #[test]
     fn stale_delete_of_replaced_row_is_ignored() {
         let mut t = Table::new("bestPathCost", vec![0, 1]);
-        t.insert(&best(0, 2, 5));
-        t.insert(&best(0, 2, 4));
+        t.insert_shared(&best(0, 2, 5));
+        t.insert_shared(&best(0, 2, 4));
         // A delayed cascade tries to delete the old version.
         assert_eq!(t.delete(&best(0, 2, 5)), DeleteEffect::Missing);
         assert!(t.contains(&best(0, 2, 4)));
@@ -693,8 +907,8 @@ mod tests {
     #[test]
     fn add_index_backfills_existing_rows() {
         let mut t = Table::set_semantics("pathCost");
-        t.insert(&path_cost(0, 2, 5));
-        t.insert(&path_cost(0, 3, 1));
+        t.insert_shared(&path_cost(0, 2, 5));
+        t.insert_shared(&path_cost(0, 3, 1));
         // No primary prefix serves (loc, C): unindexed, the caller must scan.
         // So must it for a key whose length is not the column count.
         let loc_cost = [Value::Node(0), Value::Int(1)];
@@ -704,7 +918,7 @@ mod tests {
         assert!(t.index_is_consistent());
         assert!(t.probe(&[0, 2], &loc_cost[..1]).is_none());
         let hit: Vec<_> = t.probe(&[0, 2], &loc_cost).unwrap().collect();
-        assert_eq!(hit, vec![&Arc::new(path_cost(0, 3, 1))]);
+        assert_eq!(hit, vec![&path_cost(0, 3, 1)]);
         // Re-adding the same column set is a no-op; empty sets and primary
         // prefixes are rejected.
         t.add_index(vec![0, 2]);
@@ -716,10 +930,12 @@ mod tests {
     #[test]
     fn tuples_shared_returns_sorted_visible_rows() {
         let mut t = Table::set_semantics("pathCost");
-        t.insert(&path_cost(0, 3, 1));
-        t.insert(&path_cost(0, 2, 5));
-        let rows: Vec<Tuple> = t.tuples_shared().iter().map(|a| (**a).clone()).collect();
-        assert_eq!(rows, vec![path_cost(0, 2, 5), path_cost(0, 3, 1)]);
+        t.insert_shared(&path_cost(0, 3, 1));
+        t.insert_shared(&path_cost(0, 2, 5));
+        assert_eq!(
+            t.tuples_shared(),
+            vec![path_cost(0, 2, 5), path_cost(0, 3, 1)]
+        );
     }
 
     fn attrs(t: &Tuple) -> Vec<Value> {
@@ -754,8 +970,8 @@ mod tests {
 
     proptest::proptest! {
         /// Under random inserts, duplicate derivations, keyed replacements
-        /// and deletes, a probe over every column set — a primary key range,
-        /// a point read of the whole key, or a secondary index — equals the
+        /// and deletes, a probe over every column set — a primary key range
+        /// (the whole key included) or a secondary index — equals the
         /// filtered scan in content and order, and the store's prefix read
         /// equals sort-then-filter.  Keys: every attribute of every tuple
         /// touched (rows present, deleted and never inserted alike), and one
@@ -773,10 +989,10 @@ mod tests {
             );
             let mut touched = vec![vec![Value::Node(9); 4]];
             for (op, loc, a, b, c) in ops {
-                let row = Tuple::new("r", loc, vec![Value::Node(a), Value::Int(b), Value::Int(c)]);
+                let row = Arc::new(Tuple::new("r", loc, vec![Value::Node(a), Value::Int(b), Value::Int(c)]));
                 let t = store.table_mut(loc, r);
                 if op < 2 {
-                    t.insert(&row);
+                    t.insert_shared(&row);
                 } else {
                     t.delete(&row);
                 }
@@ -805,6 +1021,100 @@ mod tests {
         }
     }
 
+    /// A value of every case, drawn to land on the abbreviation's edges:
+    /// ints on both sides of zero and of its 60-bit range, strings and
+    /// digests that share their abbreviated leading bytes, nested lists.
+    fn value() -> proptest::BoxedStrategy<Value> {
+        use proptest::prelude::*;
+        const LIM: i64 = 1 << 59;
+        const INTS: [i64; 9] = [
+            i64::MIN,
+            -LIM - 1,
+            -LIM,
+            -LIM + 1,
+            LIM - 2,
+            LIM - 1,
+            LIM,
+            LIM + 1,
+            i64::MAX,
+        ];
+        const STRS: [&str; 8] = [
+            "",
+            "a",
+            "ab",
+            "ab\0",
+            "abcdefg",
+            "abcdefgh",
+            "abcdefghi",
+            "abcdefghj",
+        ];
+        let digest = |(a, b, c): (u8, u8, u8)| {
+            let mut d = [0x5a; 20];
+            (d[0], d[7], d[19]) = (a, 0x70 | b, c);
+            Value::Digest(d)
+        };
+        let leaf = prop_oneof![
+            (0u32..3).prop_map(Value::Node),
+            (-2i64..3).prop_map(Value::Int),
+            (0..INTS.len()).prop_map(|i| Value::Int(INTS[i])),
+            (0..STRS.len()).prop_map(|i| Value::str(STRS[i])),
+            any::<bool>().prop_map(Value::Bool),
+            (0u8..2, 0u8..2, 0u8..2).prop_map(digest),
+            (0u32..3).prop_map(Value::Payload),
+        ];
+        leaf.prop_recursive(2, 8, 3, |inner| {
+            proptest::collection::vec(inner, 0..3).prop_map(Value::list)
+        })
+    }
+
+    /// The key the primary map was keyed by before rows keyed themselves:
+    /// the tuple's projection on the spec.
+    fn projection(t: &Tuple, spec: &[usize]) -> Vec<Value> {
+        match spec {
+            [] => attrs(t),
+            spec => spec.iter().map(|&c| attrs(t)[c].clone()).collect(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Under a whole-tuple key, `(0,1)`, `(0,1,2)` and the non-prefix
+        /// `(0,2)`, a row key orders and equals another exactly as their
+        /// projections compare as `[Value]` slices, and so does a tuple
+        /// looked up by reference; a borrowed probe prefix of every length
+        /// compares with every key as the slice prefix does.
+        #[test]
+        fn row_keys_order_as_their_projections(
+            rows in proptest::collection::vec(
+                (0u32..2, proptest::collection::vec(value(), 2..4)),
+                1..10,
+            ),
+        ) {
+            let rows: Vec<Arc<Tuple>> =
+                rows.into_iter().map(|(loc, vs)| Arc::new(Tuple::new("r", loc, vs))).collect();
+            for spec in [vec![], vec![0, 1], vec![0, 1, 2], vec![0, 2]] {
+                let spec = intern_spec(spec);
+                for a in &rows {
+                    let (ka, pa) = (RowKey::new(Arc::clone(a), spec), projection(a, spec));
+                    for b in &rows {
+                        let (kb, pb) = (RowKey::new(Arc::clone(b), spec), projection(b, spec));
+                        proptest::prop_assert_eq!(ka.cmp(&kb), pa.cmp(&pb));
+                        proptest::prop_assert_eq!(ka == kb, pa == pb);
+                        let by_ref = Probe::new(Cols::Row(a, spec));
+                        proptest::prop_assert_eq!((&by_ref as &dyn KeyView).cmp(&kb), pa.cmp(&pb));
+                        for n in 0..=pa.len() {
+                            let prefix = Probe::new(Cols::Prefix(&pa[..n]));
+                            let prefix = &prefix as &dyn KeyView;
+                            proptest::prop_assert_eq!(prefix.cmp(&kb), pa[..n].cmp(&pb));
+                            proptest::prop_assert_eq!((&kb as &dyn KeyView).cmp(prefix), pb[..].cmp(&pa[..n]));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn only_column_sets_no_primary_prefix_serves_are_indexed() {
         // Keyed on (loc, D): the four sets beginning with it are key ranges
@@ -820,15 +1130,16 @@ mod tests {
         let mut keys = FxHashMap::default();
         keys.insert(best_rel, vec![0usize, 1]);
         let mut store = TableStore::new(keys);
-        store.table_mut(0, best_rel).insert(&best(0, 2, 5));
-        store.table_mut(0, best_rel).insert(&best(0, 2, 3));
-        assert_eq!(
-            store.tuples_shared(0, best_rel),
-            vec![Arc::new(best(0, 2, 3))]
-        );
+        store.table_mut(0, best_rel).insert_shared(&best(0, 2, 5));
+        store.table_mut(0, best_rel).insert_shared(&best(0, 2, 3));
+        assert_eq!(store.tuples_shared(0, best_rel), vec![best(0, 2, 3)]);
         // Undeclared relations default to set semantics.
-        store.table_mut(1, pc_rel).insert(&path_cost(1, 2, 5));
-        store.table_mut(1, pc_rel).insert(&path_cost(1, 2, 7));
+        store
+            .table_mut(1, pc_rel)
+            .insert_shared(&path_cost(1, 2, 5));
+        store
+            .table_mut(1, pc_rel)
+            .insert_shared(&path_cost(1, 2, 7));
         assert_eq!(store.tuples_shared(1, pc_rel).len(), 2);
         assert_eq!(store.total_tuples(), 3);
         assert_eq!(store.tuples_everywhere_shared(pc_rel).len(), 2);

@@ -288,6 +288,32 @@ fn a_zero_latency_link_is_stepped_through_not_refused() {
 }
 
 #[test]
+fn a_malformed_base_tuple_is_refused_where_it_enters() {
+    // `link` is declared `materialize(link, 3, …)`: a tuple of another arity
+    // once reached the table and panicked there, far from the call.
+    let mut deployment = Exspan::builder()
+        .program(programs::mincost())
+        .topology(Topology::paper_example())
+        .build()
+        .expect("valid deployment");
+    let short = Tuple::new("link", 0, vec![]);
+    let err = deployment.insert_base(0, short.clone()).unwrap_err();
+    assert_eq!(
+        (err.relation.as_str(), err.declared, err.found),
+        ("link", 3, 1)
+    );
+    assert!(deployment.delete_base(0, short).is_err());
+    let long = vec![Value::Node(1), Value::Int(1), Value::Int(1)];
+    let long = Tuple::new("link", 0, long);
+    assert!(deployment.schedule_delta(1.0, 0, long, true).is_err());
+    deployment.run_to_fixpoint();
+    let best = deployment.tuples_shared(0, "bestPathCost");
+    assert!(best
+        .iter()
+        .any(|t| t.values == [Value::Node(2), Value::Int(5)]));
+}
+
+#[test]
 fn queries_survive_interleaved_route_withdrawal() {
     // Delete the link under a monitored route *between* two queries for it:
     // the second query must observe the updated provenance on the same clock.

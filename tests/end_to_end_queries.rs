@@ -290,9 +290,10 @@ fn caching_reduces_traffic_and_is_invalidated_correctly() {
     // Delete one link tuple, insert it back and re-query: every cached result
     // computed from it has died, and the answers are recomputed where needed.
     let some_link = (*deployment.tuples_shared(0, "link").remove(0)).clone();
-    deployment.delete_base(0, some_link.clone());
+    let stored = "a stored link tuple has its declared arity";
+    deployment.delete_base(0, some_link.clone()).expect(stored);
     deployment.run_to_fixpoint();
-    deployment.insert_base(0, some_link);
+    deployment.insert_base(0, some_link).expect(stored);
     deployment.run_to_fixpoint();
     for (t, expected) in targets.iter().zip(baseline_counts) {
         let ann = deployment
@@ -381,7 +382,9 @@ fn packet_forwarding_with_provenance_delivers_packets() {
             src,
             vec![Value::Node(src), Value::Node(dst), Value::Payload(1024)],
         );
-        deployment.insert_base(src, packet);
+        deployment
+            .insert_base(src, packet)
+            .expect("ePacket is an event, not a materialized relation");
     }
     deployment.run_to_fixpoint();
     for (src, dst) in [(0u32, 4u32), (1, 5), (7, 2)] {
