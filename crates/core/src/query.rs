@@ -39,6 +39,11 @@
 //!   `QID' = sha1(RQID ‖ p ‖ VID)` — position-qualified, because a rule may
 //!   join the same tuple twice.
 //!
+//! So no client can choose colliding ids, and the id table is hashed by Fx;
+//! a caching session's vertex map keeps SipHash, as a client names the
+//! target VIDs among its keys.  A vertex reads its `prov` or `ruleExec` rows
+//! in place, through the join's probe, and builds its children from them.
+//!
 //! The five message relations (`eQueryIssue`, `eProvQuery`, `eRuleQuery`,
 //! `eProvResults`, `eRuleResults`) travel through the engine, so their
 //! bandwidth and latency are accounted exactly like protocol traffic; their
@@ -65,15 +70,16 @@
 //!   choice is made in one place.
 
 use crate::repr::{Annotation, Repr, Representation};
-use crate::storage::{prov_entries, rule_exec_entry};
+use crate::storage::{prov_rows, rule_exec_row, vertex_key};
 use exspan_runtime::{Engine, ExternalSink};
+use exspan_types::fxhash::FxHashMap;
 use exspan_types::sha1::Sha1;
 use exspan_types::wire::BandwidthSeries;
-use exspan_types::{Digest, NodeId, Rid, Tuple, Value, Vid};
+use exspan_types::{Digest, NodeId, RelId, Rid, Symbol, Tuple, Value, Vid};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Bucket width, in simulated seconds, of every session's bandwidth series.
 pub(crate) const SERIES_BUCKET_S: f64 = 0.1;
@@ -174,7 +180,7 @@ enum Vertex {
     /// the node it buffers at).
     Rule {
         rid: Rid,
-        rule: String,
+        rule: Symbol,
         parent: (Digest, NodeId),
     },
 }
@@ -224,6 +230,20 @@ fn root_qid(index: usize) -> Digest {
     derive_id(&[b"q", &(index as u64).to_be_bytes()])
 }
 
+/// The five message relations, interned once, in [`QueryMsg`] variant order:
+/// a message is parsed and built without the interner's lock.
+fn message_relations() -> [RelId; 5] {
+    static RELATIONS: OnceLock<[RelId; 5]> = OnceLock::new();
+    let names = [
+        "eQueryIssue",
+        "eProvQuery",
+        "eRuleQuery",
+        "eProvResults",
+        "eRuleResults",
+    ];
+    *RELATIONS.get_or_init(|| names.map(RelId::intern))
+}
+
 /// A query-protocol message, fields in the order of its tuple: the one place
 /// that knows the layouts of the five event relations.
 #[derive(Debug, PartialEq)]
@@ -247,12 +267,14 @@ impl QueryMsg {
         let digest = |i: usize| tuple.values.get(i)?.as_digest().ok();
         let node = |i: usize| tuple.values.get(i)?.as_node().ok();
         let index = |i: usize| usize::try_from(tuple.values.get(i)?.as_int().ok()?).ok();
-        Some(match (tuple.relation.as_str(), tuple.values.len()) {
-            ("eQueryIssue", 1) => QueryMsg::Issue(index(0)?),
-            ("eProvQuery", 4) => QueryMsg::ProvQuery(digest(0)?, digest(1)?, node(2)?, index(3)?),
-            ("eRuleQuery", 4) => QueryMsg::RuleQuery(digest(0)?, digest(1)?, node(2)?, digest(3)?),
-            ("eProvResults", 3) => QueryMsg::ProvResults(digest(0)?, digest(1)?, index(2)?),
-            ("eRuleResults", 2) => QueryMsg::RuleResults(digest(0)?, digest(1)?),
+        let [issue, prov_q, rule_q, prov_r, rule_r] = message_relations();
+        let r = tuple.relation;
+        Some(match tuple.values.len() {
+            1 if r == issue => QueryMsg::Issue(index(0)?),
+            4 if r == prov_q => QueryMsg::ProvQuery(digest(0)?, digest(1)?, node(2)?, index(3)?),
+            4 if r == rule_q => QueryMsg::RuleQuery(digest(0)?, digest(1)?, node(2)?, digest(3)?),
+            3 if r == prov_r => QueryMsg::ProvResults(digest(0)?, digest(1)?, index(2)?),
+            2 if r == rule_r => QueryMsg::RuleResults(digest(0)?, digest(1)?),
             _ => return None,
         })
     }
@@ -261,20 +283,17 @@ impl QueryMsg {
     fn to_tuple(&self, to: NodeId) -> Tuple {
         let d = Value::from_digest;
         let int = |i: usize| Value::Int(i as i64);
+        let [issue, prov_q, rule_q, prov_r, rule_r] = message_relations();
         let (relation, values) = match *self {
-            QueryMsg::Issue(index) => ("eQueryIssue", vec![int(index)]),
-            QueryMsg::ProvQuery(qid, vid, ret, index) => (
-                "eProvQuery",
-                vec![d(qid), d(vid), Value::Node(ret), int(index)],
-            ),
-            QueryMsg::RuleQuery(rqid, rid, ret, qid) => (
-                "eRuleQuery",
-                vec![d(rqid), d(rid), Value::Node(ret), d(qid)],
-            ),
-            QueryMsg::ProvResults(qid, vid, index) => {
-                ("eProvResults", vec![d(qid), d(vid), int(index)])
+            QueryMsg::Issue(index) => (issue, vec![int(index)]),
+            QueryMsg::ProvQuery(qid, vid, ret, index) => {
+                (prov_q, vec![d(qid), d(vid), Value::Node(ret), int(index)])
             }
-            QueryMsg::RuleResults(rqid, qid) => ("eRuleResults", vec![d(rqid), d(qid)]),
+            QueryMsg::RuleQuery(rqid, rid, ret, qid) => {
+                (rule_q, vec![d(rqid), d(rid), Value::Node(ret), d(qid)])
+            }
+            QueryMsg::ProvResults(qid, vid, index) => (prov_r, vec![d(qid), d(vid), int(index)]),
+            QueryMsg::RuleResults(rqid, qid) => (rule_r, vec![d(rqid), d(qid)]),
         };
         Tuple::new(relation, to, values)
     }
@@ -299,9 +318,9 @@ pub(crate) struct Session {
     pub(crate) traversal: TraversalOrder,
     pub(crate) caching: bool,
     /// What a caching session knows of each vertex, under its VID or RID
-    /// (empty in a session that does not cache).  The node is not part of
-    /// the key: a VID or RID digest covers its location, and a vertex is only
-    /// ever queried at that node.
+    /// (untouched in a session that does not cache).  The node is not part
+    /// of the key: a VID or RID digest covers its location, and a vertex is
+    /// only ever queried at that node.
     vertices: HashMap<Digest, CacheEntry>,
     pub(crate) series: BandwidthSeries,
     pub(crate) stats: SessionStats,
@@ -326,7 +345,8 @@ struct CacheEntry {
 impl Session {
     /// Looks `vertex` up in the result cache (§6.1), counting the hit or miss.
     fn lookup(&mut self, vertex: Digest) -> Option<Annotation> {
-        let hit = self.vertices.get(&vertex).and_then(|e| e.result.clone());
+        let cache = Some(&self.vertices).filter(|_| self.caching);
+        let hit = cache.and_then(|v| v.get(&vertex)?.result.clone());
         match hit {
             Some(_) => self.stats.cache_hits += 1,
             None => self.stats.cache_misses += 1,
@@ -360,7 +380,8 @@ impl Session {
     /// A computation of `vertex` completes with `ann`: cached unless a change
     /// reached the vertex while it was pending.
     fn finish(&mut self, vertex: Digest, ann: &Annotation) {
-        let Some(entry) = self.vertices.get_mut(&vertex) else {
+        let cache = Some(&mut self.vertices).filter(|_| self.caching);
+        let Some(entry) = cache.and_then(|v| v.get_mut(&vertex)) else {
             return;
         };
         entry.in_flight -= 1;
@@ -401,7 +422,7 @@ pub(crate) struct QueryFabric {
     pub(crate) sessions: Vec<Session>,
     pub(crate) outcomes: Vec<QueryOutcome>,
     /// Every live protocol id, the session it belongs to and its state.
-    ids: HashMap<Digest, (usize, State)>,
+    ids: FxHashMap<Digest, (usize, State)>,
     /// Number of submitted queries whose outcome has not been delivered (and
     /// not been written off by [`QueryFabric::clear`]).
     pub(crate) incomplete: usize,
@@ -587,7 +608,7 @@ impl QueryFabric {
         session.begin(vid);
         let mut results = Vec::new();
         let mut remaining = Vec::new();
-        for e in prov_entries(engine, node, vid) {
+        for e in prov_rows(engine, node, &vertex_key(node, vid)) {
             match e.rid {
                 None => results.push(session.repr.p_edb(vid, node)),
                 Some(rid) => remaining.push(Child {
@@ -632,26 +653,27 @@ impl QueryFabric {
         if let Some(ann) = session.lookup(rid) {
             return self.reply_rule(engine, sid, rloc, rqid, parent, ann, time);
         }
-        let Some(exec) = rule_exec_entry(engine, rloc, rid) else {
-            // Dangling pointer (e.g. the entry was deleted concurrently):
-            // answer with an empty combination, uncached.  The row's return
+        let key = vertex_key(rloc, rid);
+        let Some((rule, inputs)) = rule_exec_row(engine, rloc, &key) else {
+            // Dangling pointer (mid deletion cascade): it derives nothing, so
+            // it answers the empty alternative, uncached.  The row's return
             // reaches the parent's cached result through its dependency edge.
-            let ann = session.repr.p_rule("?", rloc, Vec::new());
+            let ann = session.repr.p_idb(rloc, Vec::new());
             return self.reply_rule(engine, sid, rloc, rqid, parent, ann, time);
         };
-        let children = exec.vids.iter().enumerate().map(|(position, vid)| Child {
+        let children = inputs.enumerate().map(|(position, vid)| Child {
             id: derive_id(&[&rqid.0, &(position as u64).to_be_bytes(), &vid.0]),
-            vertex: *vid,
+            vertex: vid,
             node: rloc,
         });
+        let remaining: Vec<Child> = children.collect();
         session.begin(rid);
-        let rule = exec.rule;
         let pending = Pending {
             vertex: Vertex::Rule { rid, rule, parent },
             node: rloc,
-            remaining: children.collect(),
+            results: Vec::with_capacity(remaining.len()),
+            remaining,
             outstanding: 0,
-            results: Vec::new(),
         };
         self.enter(rqid, sid, State::Pending(pending));
         self.dispatch_children(engine, rqid, time);
@@ -717,7 +739,7 @@ impl QueryFabric {
                 self.reply_tuple(engine, sid, node, id, vid, ann, reply, time);
             }
             Vertex::Rule { rid, rule, parent } => {
-                let ann = session.repr.p_rule(&rule, node, pending.results);
+                let ann = session.repr.p_rule(rule, node, pending.results);
                 session.finish(rid, &ann);
                 self.reply_rule(engine, sid, node, id, parent, ann, time);
             }
@@ -733,12 +755,11 @@ impl QueryFabric {
         pending.results.push(ann);
         pending.outstanding = pending.outstanding.saturating_sub(1);
         // DFS-with-threshold: a tuple vertex stops exploring alternative
-        // derivations once its partial result satisfies the threshold.
+        // derivations once those found so far satisfy the threshold.
         if let (Vertex::Tuple { .. }, TraversalOrder::DfsThreshold(threshold)) =
             (&pending.vertex, session.traversal)
         {
-            let partial = session.repr.p_idb(pending.node, pending.results.clone());
-            if partial.exceeds_threshold(threshold) {
+            if session.repr.satisfies(&pending.results, threshold) {
                 pending.remaining.clear();
             }
         }

@@ -21,7 +21,7 @@
 //! | `TrustDomain`, `ContiguousTrustDomains` | `{domain(node)}` | set union | set union | §3 (granularity) |
 
 use exspan_bdd::{Bdd, BddManager};
-use exspan_types::{NodeId, Vid};
+use exspan_types::{NodeId, Symbol, Vid};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -78,8 +78,8 @@ pub enum ProvExpr {
     },
     /// Joined rule inputs combined with `·`, annotated with `rule@loc`.
     Product {
-        /// Rule label.
-        rule: String,
+        /// Rule label: the `ruleExec` row's own interned string.
+        rule: Symbol,
         /// Location at which the rule executed.
         loc: NodeId,
         /// Input annotations.
@@ -206,17 +206,6 @@ impl Annotation {
             _ => None,
         }
     }
-
-    /// Whether a *partial* result already satisfies the query's threshold, so
-    /// DFS-with-threshold traversal can stop early: more than `threshold`
-    /// derivations, or derivable at all.  Other annotations never stop it.
-    pub(crate) fn exceeds_threshold(&self, threshold: i64) -> bool {
-        match self {
-            Annotation::Count(c) => *c as i64 > threshold,
-            Annotation::Bool(b) => *b,
-            _ => false,
-        }
-    }
 }
 
 /// The `(f_pEDB, f_pRULE, f_pIDB)` triple of one query session's [`Repr`],
@@ -281,13 +270,13 @@ impl Representation {
     /// without copying a subtree.
     pub(crate) fn p_rule(
         &mut self,
-        rule: &str,
+        rule: Symbol,
         rloc: NodeId,
         children: Vec<Annotation>,
     ) -> Annotation {
         match self.repr {
             Repr::Polynomial => Annotation::Expr(ProvExpr::Product {
-                rule: rule.to_string(),
+                rule,
                 loc: rloc,
                 factors: exprs(children),
             }),
@@ -326,6 +315,21 @@ impl Representation {
             Repr::NodeSet | Repr::TrustDomain(_) | Repr::ContiguousTrustDomains(_) => {
                 self.union(derivations, None)
             }
+        }
+    }
+
+    /// Whether the alternative derivations of a tuple found so far satisfy
+    /// a DFS-with-threshold query (§6.2), so it can stop exploring: more
+    /// than `threshold` derivations in all, or any derivable one.  Read in
+    /// place, without combining them; nothing else ever satisfies it.
+    pub(crate) fn satisfies(&self, derivations: &[Annotation], threshold: i64) -> bool {
+        match self.repr {
+            Repr::DerivationCount => {
+                let count: u64 = derivations.iter().filter_map(Annotation::as_count).sum();
+                count as i64 > threshold
+            }
+            Repr::Derivability => derivations.iter().any(|a| a.as_bool() == Some(true)),
+            _ => false,
         }
     }
 
@@ -405,20 +409,20 @@ mod tests {
 
         // bestPathCost(@b,c,2) <- sp3@b <- pathCost(@b,c,2) <- sp1@b <- link(@b,c,2)
         let e_bc = repr.p_edb(link_bc, b);
-        let r_sp1b = repr.p_rule("sp1", b, vec![e_bc]);
+        let r_sp1b = repr.p_rule("sp1".into(), b, vec![e_bc]);
         let pc_b = repr.p_idb(b, vec![r_sp1b]);
-        let r_sp3b = repr.p_rule("sp3", b, vec![pc_b]);
+        let r_sp3b = repr.p_rule("sp3".into(), b, vec![pc_b]);
         let bpc_b = repr.p_idb(b, vec![r_sp3b]);
 
         // pathCost(@a,c,5): two derivations.
         let e_ac = repr.p_edb(link_ac, a);
-        let d1 = repr.p_rule("sp1", a, vec![e_ac]);
+        let d1 = repr.p_rule("sp1".into(), a, vec![e_ac]);
         let e_ba = repr.p_edb(link_ba, b);
-        let d2 = repr.p_rule("sp2", b, vec![e_ba, bpc_b]);
+        let d2 = repr.p_rule("sp2".into(), b, vec![e_ba, bpc_b]);
         let pc_a = repr.p_idb(a, vec![d1, d2]);
 
         // bestPathCost(@a,c,5).
-        let r_sp3a = repr.p_rule("sp3", a, vec![pc_a]);
+        let r_sp3a = repr.p_rule("sp3".into(), a, vec![pc_a]);
         let bpc_a = repr.p_idb(a, vec![r_sp3a]);
         (bpc_a, [link_ac, link_ba, link_bc])
     }
@@ -458,8 +462,9 @@ mod tests {
         let (ann, _) = build_example(&mut repr);
         assert_eq!(ann.as_count(), Some(2));
         assert_eq!(repr.wire_size(&ann), 4);
-        assert!(ann.exceeds_threshold(1));
-        assert!(!ann.exceeds_threshold(2));
+        assert!(repr.satisfies(std::slice::from_ref(&ann), 1));
+        assert!(!repr.satisfies(&[ann.clone(), Annotation::Count(0)], 2));
+        assert!(repr.satisfies(&[ann, Annotation::Count(1)], 2));
     }
 
     #[test]
@@ -468,7 +473,8 @@ mod tests {
         let (ann, [link_ac, ..]) = build_example(&mut repr);
         assert_eq!(ann.as_bool(), Some(true));
         assert_eq!(repr.wire_size(&ann), 1);
-        assert!(ann.exceeds_threshold(0), "derivability can stop early");
+        assert!(repr.satisfies(&[Annotation::Bool(false), ann.clone()], 0));
+        assert!(!repr.satisfies(&[Annotation::Bool(false)], 0));
         // A trust assignment is evaluated on a BDD session's result only.
         assert_eq!(repr.derivable_under(&ann, |v| v == link_ac), None);
     }
@@ -499,7 +505,7 @@ mod tests {
         let vb = vid("b", 1);
         let ea = repr.p_edb(va, 0);
         let eb = repr.p_edb(vb, 1);
-        let prod = repr.p_rule("r", 0, vec![ea.clone(), eb]);
+        let prod = repr.p_rule("r".into(), 0, vec![ea.clone(), eb]);
         let sum = repr.p_idb(0, vec![ea.clone(), prod]);
         assert_eq!(sum, ea, "BDD canonicity applies absorption");
 
@@ -508,7 +514,7 @@ mod tests {
         let mut poly = Representation::new(Repr::Polynomial);
         let pa = poly.p_edb(va, 0);
         let pb = poly.p_edb(vb, 1);
-        let pprod = poly.p_rule("r", 0, vec![pa.clone(), pb]);
+        let pprod = poly.p_rule("r".into(), 0, vec![pa.clone(), pb]);
         let psum = poly.p_idb(0, vec![pa, pprod]);
         assert_eq!(psum.as_expr().unwrap().num_derivations(), 2);
         assert!(poly.wire_size(&psum) > repr.wire_size(&sum));
@@ -520,7 +526,7 @@ mod tests {
         let mut repr = Representation::new(Repr::ContiguousTrustDomains(100));
         let e1 = repr.p_edb(vid("x", 5), 5);
         let e2 = repr.p_edb(vid("y", 150), 150);
-        let r = repr.p_rule("sp2", 7, vec![e1, e2]);
+        let r = repr.p_rule("sp2".into(), 7, vec![e1, e2]);
         let ann = repr.p_idb(5, vec![r]);
         let domains = |ids: &[u32]| Annotation::Domains(ids.iter().copied().collect());
         assert_eq!(ann, domains(&[0, 1]));
@@ -537,7 +543,7 @@ mod tests {
     fn polynomial_single_derivation_is_not_wrapped_in_sum() {
         let mut repr = Representation::new(Repr::Polynomial);
         let e = repr.p_edb(vid("a", 0), 0);
-        let r = repr.p_rule("sp1", 0, vec![e]);
+        let r = repr.p_rule("sp1".into(), 0, vec![e]);
         let idb = repr.p_idb(0, vec![r.clone()]);
         assert_eq!(idb, r);
     }

@@ -14,7 +14,7 @@
 //! entries for the query layer and re-creates the paper's Tables 1 and 2.
 
 use exspan_runtime::Engine;
-use exspan_types::{Digest, NodeId, RelId, Rid, Tuple, Value, Vid};
+use exspan_types::{Digest, NodeId, RelId, Rid, Symbol, Tuple, Value, Vid};
 use std::sync::OnceLock;
 
 /// A typed `prov` entry.
@@ -33,7 +33,7 @@ pub struct ProvEntry {
 impl ProvEntry {
     /// Parses a `prov` tuple.
     pub fn from_tuple(tuple: &Tuple) -> Option<ProvEntry> {
-        if tuple.relation != "prov" || tuple.values.len() != 3 {
+        if tuple.relation != relations().0 || tuple.values.len() != 3 {
             return None;
         }
         let vid = tuple.values[0].as_digest().ok()?;
@@ -60,8 +60,8 @@ pub struct RuleExecEntry {
     pub rloc: NodeId,
     /// Rule execution identifier.
     pub rid: Rid,
-    /// Rule label (e.g. `"sp2"`).
-    pub rule: String,
+    /// Rule label (e.g. `"sp2"`), the row's own interned string.
+    pub rule: Symbol,
     /// Vertex identifiers of the input tuples, in body order.
     pub vids: Vec<Vid>,
 }
@@ -69,25 +69,26 @@ pub struct RuleExecEntry {
 impl RuleExecEntry {
     /// Parses a `ruleExec` tuple.
     pub fn from_tuple(tuple: &Tuple) -> Option<RuleExecEntry> {
-        if tuple.relation != "ruleExec" || tuple.values.len() != 3 {
-            return None;
-        }
-        let rid = tuple.values[0].as_digest().ok()?;
-        let rule = tuple.values[1].as_str().ok()?.to_string();
-        let vids = tuple.values[2]
-            .as_list()
-            .ok()?
-            .iter()
-            .map(exspan_types::Value::as_digest)
-            .collect::<Result<Vec<_>, _>>()
-            .ok()?;
+        let (rid, rule, vids) = rule_exec_fields(tuple)?;
         Some(RuleExecEntry {
             rloc: tuple.location,
             rid,
             rule,
-            vids,
+            vids: vids.collect(),
         })
     }
+}
+
+/// A `ruleExec` tuple's RID, rule label and input VIDs, read in place.
+fn rule_exec_fields(tuple: &Tuple) -> Option<(Rid, Symbol, impl Iterator<Item = Vid> + '_)> {
+    if tuple.relation != relations().1 || tuple.values.len() != 3 {
+        return None;
+    }
+    let rid = tuple.values[0].as_digest().ok()?;
+    let rule = tuple.values[1].as_symbol().ok()?;
+    let inputs = tuple.values[2].as_list().ok()?;
+    inputs.iter().all(|v| v.as_digest().is_ok()).then_some(())?;
+    Some((rid, rule, inputs.iter().filter_map(|v| v.as_digest().ok())))
 }
 
 /// `prov` and `ruleExec`, interned once: a read takes no interner lock.
@@ -96,27 +97,52 @@ fn relations() -> (RelId, RelId) {
     *RELATIONS.get_or_init(|| (RelId::intern("prov"), RelId::intern("ruleExec")))
 }
 
-/// Returns all `prov` entries for `vid` stored at `node`.
-///
-/// `prov` is whole-tuple-keyed, so these are the key range `[node, vid, ..]`
-/// of the node's table and only those rows are read and parsed, in the order
-/// the query layer's results depend on: ascending `(RID, RLoc)`, i.e. the
-/// table sorted by content, then filtered — alternative derivations are
-/// combined, and DFS / moonwalk pick among them, in exactly this sequence.
-pub fn prov_entries(engine: &Engine, node: NodeId, vid: Vid) -> Vec<ProvEntry> {
-    let key = [Value::Node(node), Value::from_digest(vid)];
-    let rows = engine.tuples_with_prefix(node, relations().0, &key);
-    rows.iter()
-        .filter_map(|t| ProvEntry::from_tuple(t))
-        .collect()
+/// The leading columns `[loc, id]` of the `prov` rows of tuple vertex `id`,
+/// or of the `ruleExec` row of rule execution `id`, at `node`.
+pub(crate) fn vertex_key(node: NodeId, id: Digest) -> [Value; 2] {
+    [Value::Node(node), Value::from_digest(id)]
 }
 
-/// Returns the `ruleExec` entry for `rid` stored at `node`, if any: the
-/// first row of the key range `[node, rid, ..]`.
+/// The `prov` entries of the tuple vertex `key` names at `node`, read in
+/// place through the join's probe on columns `[0, 1]`.  `prov` is
+/// whole-tuple-keyed, so that is one key range of the node's table, in the
+/// order the query layer's results depend on: ascending `(RID, RLoc)`, i.e.
+/// the table sorted by content, then filtered — alternative derivations are
+/// combined, and DFS / moonwalk pick among them, in exactly this sequence.
+pub(crate) fn prov_rows<'a>(
+    engine: &'a Engine,
+    node: NodeId,
+    key: &'a [Value; 2],
+) -> impl Iterator<Item = ProvEntry> + 'a {
+    let rows = engine.probe(node, relations().0, &[0, 1], key);
+    rows.into_iter()
+        .flatten()
+        .filter_map(|t| ProvEntry::from_tuple(t))
+}
+
+/// The rule label and input VIDs of the `ruleExec` row `key` names at
+/// `node`, read in place: the first row of its key range.
+pub(crate) fn rule_exec_row<'a>(
+    engine: &'a Engine,
+    node: NodeId,
+    key: &'a [Value; 2],
+) -> Option<(Symbol, impl Iterator<Item = Vid> + 'a)> {
+    let mut rows = engine.probe(node, relations().1, &[0, 1], key)?;
+    let (_, rule, vids) = rows.find_map(|t| rule_exec_fields(t))?;
+    Some((rule, vids))
+}
+
+/// Returns all `prov` entries for `vid` stored at `node`, in ascending
+/// `(RID, RLoc)` order: the order a query combines them in.
+pub fn prov_entries(engine: &Engine, node: NodeId, vid: Vid) -> Vec<ProvEntry> {
+    prov_rows(engine, node, &vertex_key(node, vid)).collect()
+}
+
+/// Returns the `ruleExec` entry for `rid` stored at `node`, if any.
 pub fn rule_exec_entry(engine: &Engine, node: NodeId, rid: Rid) -> Option<RuleExecEntry> {
-    let key = [Value::Node(node), Value::from_digest(rid)];
-    let rows = engine.tuples_with_prefix(node, relations().1, &key);
-    rows.iter().find_map(|t| RuleExecEntry::from_tuple(t))
+    let key = vertex_key(node, rid);
+    let mut rows = engine.probe(node, relations().1, &[0, 1], &key)?;
+    rows.find_map(|t| RuleExecEntry::from_tuple(t))
 }
 
 /// Returns every `prov` entry stored anywhere in the network (used by tests
@@ -174,7 +200,7 @@ mod tests {
         assert_eq!(execs.len(), rows.len());
         for (row, exec) in rows.iter().zip(&execs) {
             assert_eq!(row.location, exec.rloc);
-            let rid = exspan_types::tuple::rule_exec_id(&exec.rule, exec.rloc, &exec.vids);
+            let rid = exspan_types::tuple::rule_exec_id(exec.rule.as_str(), exec.rloc, &exec.vids);
             assert_eq!(exec.rid, rid, "{exec:?}");
         }
         assert!(execs.iter().any(|e| e.rule == "sp2" && e.vids.len() == 2));

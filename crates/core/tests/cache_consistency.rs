@@ -55,7 +55,7 @@ fn canonical(expr: &ProvExpr) -> ProvExpr {
             terms: sorted(terms),
         },
         ProvExpr::Product { rule, loc, factors } => ProvExpr::Product {
-            rule: rule.clone(),
+            rule: *rule,
             loc: *loc,
             factors: sorted(factors),
         },

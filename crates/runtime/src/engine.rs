@@ -46,6 +46,7 @@
 
 use crate::plugin::{AnnotationPolicy, ExternalSink};
 use crate::shard::{RuleData, Shard};
+use crate::table::ProbeIter;
 use exspan_ndlog::ast::{BodyItem, Program};
 use exspan_ndlog::plan::ProgramPlans;
 use exspan_netsim::{
@@ -431,16 +432,19 @@ impl Engine {
             .tuples_shared(node, RelId::intern(relation))
     }
 
-    /// [`Engine::tuples_shared`] restricted to the tuples whose leading
-    /// attributes (0 = location) equal `prefix`: same order, read by key range.
-    pub fn tuples_with_prefix(
-        &self,
+    /// The join's own [`Table::probe`](crate::Table::probe) of `relation` at
+    /// `node`: its rows holding `key` at `cols` (0 = location), borrowed in
+    /// place, in scan order.  `None` when `node` has no such table, or when
+    /// neither a primary key range nor a secondary index serves `cols`.
+    pub fn probe<'a>(
+        &'a self,
         node: NodeId,
         relation: RelId,
-        prefix: &[Value],
-    ) -> Vec<Arc<Tuple>> {
-        let store = &self.shards[self.owner(node)].store;
-        store.tuples_with_prefix(node, relation, prefix)
+        cols: &'a [usize],
+        key: &'a [Value],
+    ) -> Option<ProbeIter<'a>> {
+        let table = self.shards[self.owner(node)].store.table(node, relation)?;
+        table.probe(cols, key)
     }
 
     /// Visible tuples of `relation` across all nodes, as shared handles

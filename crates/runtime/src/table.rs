@@ -553,30 +553,18 @@ impl Table {
             return None;
         }
         if let Some(p) = primary_prefix(self.key, cols) {
-            let (prefix, rest) = key.split_at(p);
-            return Some(self.range(prefix, &cols[p..], rest));
+            let prefix = Probe::new(Cols::Prefix(&key[..p]));
+            let from = (Bound::Included(&prefix as &dyn KeyView), Bound::Unbounded);
+            return Some(ProbeIter(ProbeInner::Range {
+                rows: Some(self.rows.range::<dyn KeyView, _>(from)),
+                prefix,
+                cols: &cols[p..],
+                key: &key[p..],
+            }));
         }
         let index = self.indexes.iter().find(|ix| ix.cols == cols)?;
         let rows = index.postings.get(key);
         Some(ProbeIter(ProbeInner::Postings(rows.map(BTreeSet::iter))))
-    }
-
-    /// The rows whose primary row key starts with `prefix` and that hold
-    /// `key` at `cols`, in scan order.
-    fn range<'a>(
-        &'a self,
-        prefix: &'a [Value],
-        cols: &'a [usize],
-        key: &'a [Value],
-    ) -> ProbeIter<'a> {
-        let prefix = Probe::new(Cols::Prefix(prefix));
-        let from = (Bound::Included(&prefix as &dyn KeyView), Bound::Unbounded);
-        ProbeIter(ProbeInner::Range {
-            rows: Some(self.rows.range::<dyn KeyView, _>(from)),
-            prefix,
-            cols,
-            key,
-        })
     }
 
     /// Collects the visible tuples as shared handles (sorted by tuple
@@ -733,30 +721,6 @@ impl TableStore {
     pub fn tuples_shared(&self, node: NodeId, relation: RelId) -> Vec<Arc<Tuple>> {
         self.table(node, relation)
             .map_or_else(Vec::new, Table::tuples_shared)
-    }
-
-    /// [`TableStore::tuples_shared`] restricted to the tuples whose leading
-    /// attributes (0 = location) equal `prefix`, in the same order.  Under a
-    /// whole-tuple key the row key is the attribute list, so the matches are
-    /// the primary key range [`Table::probe`] walks, already in content
-    /// order; a keyed table's full read is filtered instead.
-    pub fn tuples_with_prefix(
-        &self,
-        node: NodeId,
-        relation: RelId,
-        prefix: &[Value],
-    ) -> Vec<Arc<Tuple>> {
-        let Some(table) = self.table(node, relation) else {
-            return Vec::new();
-        };
-        if table.key.is_empty() {
-            return table.range(prefix, &[], &[]).cloned().collect();
-        }
-        let mut out = table.tuples_shared();
-        if let Some((loc, rest)) = prefix.split_first() {
-            out.retain(|t| *loc == Value::Node(t.location) && t.values.starts_with(rest));
-        }
-        out
     }
 
     /// All visible tuples of `relation` across every node, as shared handles
@@ -943,8 +907,8 @@ mod tests {
         loc.chain(t.values.iter().cloned()).collect()
     }
 
-    /// The reader the prefix read replaces, kept as its oracle: the table
-    /// copied and sorted by content, then the rows starting with `prefix`.
+    /// The whole-tuple prefix probe's oracle: the table copied and sorted by
+    /// content, then the rows starting with `prefix`.
     fn sorted_then_filtered(mut all: Vec<Arc<Tuple>>, prefix: &[Value]) -> Vec<Arc<Tuple>> {
         all.retain(|t| attrs(t).starts_with(prefix));
         all
@@ -972,8 +936,8 @@ mod tests {
         /// Under random inserts, duplicate derivations, keyed replacements
         /// and deletes, a probe over every column set — a primary key range
         /// (the whole key included) or a secondary index — equals the
-        /// filtered scan in content and order, and the store's prefix read
-        /// equals sort-then-filter.  Keys: every attribute of every tuple
+        /// filtered scan in content and order, and under a whole-tuple key a
+        /// probe on the leading columns equals sort-then-filter.  Keys: every attribute of every tuple
         /// touched (rows present, deleted and never inserted alike), and one
         /// absent node.
         #[test]
@@ -1006,15 +970,11 @@ mod tests {
                         let key: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
                         let probed: Vec<Arc<Tuple>> =
                             t.probe(&cols, &key).expect("every column set served").cloned().collect();
-                        proptest::prop_assert_eq!(probed, scanned_then_filtered(t, &cols, &key));
-                    }
-                }
-                for row in &touched {
-                    for prefix in (0..=4).map(|n| &row[..n]) {
-                        proptest::prop_assert_eq!(
-                            store.tuples_with_prefix(node, r, prefix),
-                            sorted_then_filtered(store.tuples_shared(node, r), prefix)
-                        );
+                        proptest::prop_assert_eq!(&probed, &scanned_then_filtered(t, &cols, &key));
+                        if spec == 0 && cols.iter().copied().eq(0..cols.len()) {
+                            let sorted = sorted_then_filtered(t.tuples_shared(), &key);
+                            proptest::prop_assert_eq!(probed, sorted);
+                        }
                     }
                 }
             }
@@ -1145,6 +1105,5 @@ mod tests {
         assert_eq!(store.tuples_everywhere_shared(pc_rel).len(), 2);
         assert!(store.table(9, pc_rel).is_none());
         assert!(store.tuples_shared(9, pc_rel).is_empty());
-        assert!(store.tuples_with_prefix(9, pc_rel, &[]).is_empty());
     }
 }

@@ -1,8 +1,9 @@
 //! The Fx hash (rustc's `FxHasher`): per word, one rotate, xor and multiply.
 //!
-//! It replaces SipHash in the maps whose keys the program, the topology or
-//! the BDD store chose, where resistance to chosen keys buys nothing; maps
-//! keyed by what comes off a socket keep SipHash.  No output reads either
+//! It replaces SipHash in the maps whose keys the program, the topology, the
+//! BDD store or SHA-1 chose (query ids hash a root the deployment numbers),
+//! where resistance to chosen keys buys nothing; maps keyed by what a client
+//! sends keep SipHash, a caching query session's target VIDs included.  No output reads either
 //! kind's iteration order: every dump, snapshot and listing sorts.
 
 use std::collections::{HashMap, HashSet};
