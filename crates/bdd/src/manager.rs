@@ -65,18 +65,6 @@ impl Bdd {
     pub fn is_terminal(self) -> bool {
         self.0 <= 1
     }
-
-    /// Raw content-keyed id, exposed for serialization and for shipping
-    /// handles as opaque annotation tokens.
-    pub fn index(self) -> u64 {
-        self.0
-    }
-
-    /// Reconstructs a handle from a raw id previously obtained through
-    /// [`Bdd::index`].  The id must refer to a node of the same store.
-    pub fn from_raw(index: u64) -> Bdd {
-        Bdd(index)
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -639,7 +627,7 @@ mod tests {
             let a = m2.var(0);
             m2.and(b, a)
         };
-        assert_eq!(f1.index(), f2.index());
+        assert_eq!(f1, f2);
         assert!(!f1.is_terminal());
     }
 

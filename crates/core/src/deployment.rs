@@ -59,11 +59,10 @@ use crate::query::{
 };
 use crate::repr::Repr;
 use crate::rewrite::{provenance_rewrite, RewriteOptions};
-use crate::value_policy::ValueBddPolicy;
 use exspan_ndlog::ast::Program;
 use exspan_ndlog::diag::{Diagnostic, Severity};
 use exspan_netsim::{ChurnEvent, LinkClass, LinkProps, Topology};
-use exspan_runtime::{AnnotationPolicy, Engine, EngineConfig, FixpointStats};
+use exspan_runtime::{Engine, EngineConfig, FixpointStats, ValueBddPolicy};
 use exspan_store::{DiskBackend, MemoryBackend, StorageBackend, StorageStats, StoreConfig};
 use exspan_types::fxhash::FxHashMap;
 use exspan_types::wire::BandwidthSeries;
@@ -133,29 +132,59 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Why a deployment refused a base-tuple delta: the tuple's arity is not the
-/// one its relation's `materialize(rel, arity, …)` declaration states.
+/// Why a deployment refused a base-tuple delta, before it could reach a
+/// table.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArityError {
-    /// The tuple's relation.
-    pub relation: RelId,
-    /// The declared arity (including the location attribute).
-    pub declared: usize,
-    /// The tuple's arity.
-    pub found: usize,
+pub enum BaseTupleError {
+    /// The node is outside the topology.
+    NoSuchNode {
+        /// The node the delta was addressed to.
+        node: NodeId,
+        /// The topology's node count.
+        nodes: usize,
+    },
+    /// The tuple's location specifier names another node: no rule would
+    /// ever fire on it where it was put.
+    Misplaced {
+        /// The node the delta was addressed to.
+        node: NodeId,
+        /// The tuple's location specifier.
+        location: NodeId,
+    },
+    /// The tuple's arity is not the one its relation's
+    /// `materialize(rel, arity, …)` declaration states.
+    Arity {
+        /// The tuple's relation.
+        relation: RelId,
+        /// The declared arity (including the location attribute).
+        declared: usize,
+        /// The tuple's arity.
+        found: usize,
+    },
 }
 
-impl std::fmt::Display for ArityError {
+impl std::fmt::Display for BaseTupleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (relation, declared, found) = (self.relation, self.declared, self.found);
-        write!(
-            f,
-            "{relation} is declared with {declared} attributes, not {found}"
-        )
+        match self {
+            BaseTupleError::NoSuchNode { node, nodes } => {
+                write!(f, "n{node} is outside the {nodes}-node topology")
+            }
+            BaseTupleError::Misplaced { node, location } => {
+                write!(f, "n{node} cannot store a tuple located at n{location}")
+            }
+            BaseTupleError::Arity {
+                relation,
+                declared,
+                found,
+            } => write!(
+                f,
+                "{relation} is declared with {declared} attributes, not {found}"
+            ),
+        }
     }
 }
 
-impl std::error::Error for ArityError {}
+impl std::error::Error for BaseTupleError {}
 
 /// Builder for a [`Deployment`]; obtained from [`Exspan::builder`].
 #[derive(Debug, Clone)]
@@ -205,7 +234,7 @@ impl DeploymentBuilder {
     /// At most how many worker shards execute the protocol (default 1).
     /// Results are bit-identical for every shard count.  An upper bound, not
     /// a promise: [`ProvenanceMode::ValueBdd`] runs one shard whatever is
-    /// asked for here, because one annotation policy has to see every
+    /// asked for here, because one value-based policy has to see every
     /// arrival, derivation and send in event order, and so does a deployment
     /// with a [`DeploymentBuilder::data_dir`], whose one shard keeps the
     /// journal ([`Deployment::num_shards`] reports what was built).
@@ -351,10 +380,7 @@ impl DeploymentBuilder {
             backend = Box::new(disk);
             recovered_state = state;
         }
-        let policy: Option<Box<dyn AnnotationPolicy + Send>> = match self.mode {
-            ProvenanceMode::ValueBdd => Some(Box::new(ValueBddPolicy::new())),
-            _ => None,
-        };
+        let policy = (self.mode == ProvenanceMode::ValueBdd).then(ValueBddPolicy::new);
         let arities = executed
             .tables
             .iter()
@@ -648,11 +674,20 @@ impl Deployment {
         }
     }
 
-    /// Refuses a tuple of a materialized relation whose arity is not the
-    /// declared one, before it can reach a table.
-    fn check_arity(&self, tuple: &Tuple) -> Result<(), ArityError> {
+    /// Refuses a delta addressed to a node outside the topology or other than
+    /// the tuple's location, and a tuple of a materialized relation whose
+    /// arity is not the declared one, before it can reach a table.
+    fn check_base(&self, node: NodeId, tuple: &Tuple) -> Result<(), BaseTupleError> {
+        let nodes = self.engine.topology().num_nodes();
+        if node as usize >= nodes {
+            return Err(BaseTupleError::NoSuchNode { node, nodes });
+        }
+        if tuple.location != node {
+            let location = tuple.location;
+            return Err(BaseTupleError::Misplaced { node, location });
+        }
         match self.arities.get(&tuple.relation) {
-            Some(&declared) if declared != tuple.arity() => Err(ArityError {
+            Some(&declared) if declared != tuple.arity() => Err(BaseTupleError::Arity {
                 relation: tuple.relation,
                 declared,
                 found: tuple.arity(),
@@ -663,16 +698,16 @@ impl Deployment {
 
     /// Inserts a base tuple at `node` now (applied when the clock next
     /// advances).
-    pub fn insert_base(&mut self, node: NodeId, tuple: Tuple) -> Result<(), ArityError> {
-        self.check_arity(&tuple)?;
+    pub fn insert_base(&mut self, node: NodeId, tuple: Tuple) -> Result<(), BaseTupleError> {
+        self.check_base(node, &tuple)?;
         self.engine.insert_base(node, tuple);
         Ok(())
     }
 
     /// Deletes a base tuple at `node` now (applied when the clock next
     /// advances).
-    pub fn delete_base(&mut self, node: NodeId, tuple: Tuple) -> Result<(), ArityError> {
-        self.check_arity(&tuple)?;
+    pub fn delete_base(&mut self, node: NodeId, tuple: Tuple) -> Result<(), BaseTupleError> {
+        self.check_base(node, &tuple)?;
         self.engine.delete_base(node, tuple);
         Ok(())
     }
@@ -686,8 +721,8 @@ impl Deployment {
         node: NodeId,
         tuple: Tuple,
         insert: bool,
-    ) -> Result<(), ArityError> {
-        self.check_arity(&tuple)?;
+    ) -> Result<(), BaseTupleError> {
+        self.check_base(node, &tuple)?;
         self.engine.schedule_delta(time, node, tuple, insert);
         Ok(())
     }
@@ -723,8 +758,9 @@ impl Deployment {
 
     /// Adds (`add`) or removes the link `a`–`b` now, through the engine,
     /// which journals the change, and schedules the delta of its two `link`
-    /// tuples at `at`.  The removed link's cost names the deleted tuples;
-    /// with no such link, `props.cost` does.
+    /// tuples at `at`, at each endpoint inside the topology.  The removed
+    /// link's cost names the deleted tuples; with no such link, `props.cost`
+    /// does.
     fn change_link(&mut self, add: bool, a: NodeId, b: NodeId, props: LinkProps, at: f64) {
         let cost = if add {
             self.engine.add_link(a, b, props);
@@ -732,10 +768,13 @@ impl Deployment {
         } else {
             self.engine.remove_link(a, b).unwrap_or(props).cost
         };
-        self.engine
-            .schedule_delta(at, a, Self::link_tuple(a, b, cost), add);
-        self.engine
-            .schedule_delta(at, b, Self::link_tuple(b, a, cost), add);
+        let nodes = self.engine.topology().num_nodes();
+        for (from, to) in [(a, b), (b, a)] {
+            if (from as usize) < nodes {
+                let tuple = Self::link_tuple(from, to, cost);
+                self.engine.schedule_delta(at, from, tuple, add);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -894,8 +933,7 @@ impl Deployment {
     /// Runs `f` against the value-based provenance policy (only in
     /// [`ProvenanceMode::ValueBdd`]; the engine owns it).
     pub fn with_value_provenance<T>(&self, f: impl FnOnce(&ValueBddPolicy) -> T) -> Option<T> {
-        let policy = self.engine.policy()?.as_any().downcast_ref()?;
-        Some(f(policy))
+        self.engine.policy().map(f)
     }
 }
 

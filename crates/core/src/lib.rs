@@ -31,9 +31,10 @@
 //!   (`RQID = f_sha1(QID+RID)`), and typed messages; with the optimizations
 //!   of §6: result caching along the reverse path with transitive
 //!   invalidation, BFS / DFS / DFS-with-threshold / random moonwalk orders.
-//! * [`value_policy`] — value-based provenance as an engine annotation
-//!   policy: every transmitted tuple carries its full (BDD-condensed)
-//!   derivation history.
+//!
+//! Value-based provenance — every transmitted tuple carries its full
+//! (BDD-condensed) derivation history — is maintained by the engine itself;
+//! [`ValueBddPolicy`] is re-exported from `exspan-runtime`.
 
 pub mod deployment;
 pub mod mode;
@@ -41,15 +42,14 @@ pub mod query;
 pub mod repr;
 pub mod rewrite;
 pub mod storage;
-pub mod value_policy;
 
 pub use deployment::{
-    ArityError, BuildError, Deployment, DeploymentBuilder, Exspan, QueryBuilder, QueryHandle,
+    BaseTupleError, BuildError, Deployment, DeploymentBuilder, Exspan, QueryBuilder, QueryHandle,
     QuerySession,
 };
+pub use exspan_runtime::ValueBddPolicy;
 pub use mode::ProvenanceMode;
 pub use query::{QueryOutcome, SessionStats, Traversal, TraversalOrder};
 pub use repr::{Annotation, ProvExpr, Repr};
 pub use rewrite::{provenance_rewrite, RewriteOptions};
 pub use storage::{ProvEntry, RuleExecEntry};
-pub use value_policy::ValueBddPolicy;

@@ -44,9 +44,10 @@
 //! clock *at the event*, and the window has by then applied later deltas of
 //! the same node.
 
-use crate::plugin::{AnnotationPolicy, ExternalSink};
 use crate::shard::{RuleData, Shard};
 use crate::table::ProbeIter;
+use crate::value_policy::ValueBddPolicy;
+use exspan_bdd::Bdd;
 use exspan_ndlog::ast::{BodyItem, Program};
 use exspan_ndlog::plan::ProgramPlans;
 use exspan_netsim::{
@@ -65,46 +66,36 @@ use std::sync::{Arc, Barrier, Mutex};
 /// The `$` prefix keeps it out of the namespace of user-defined relations.
 pub(crate) const AGG_RECOMPUTE_EVENT: &str = "$aggRecompute";
 
-/// Message payload exchanged between nodes (and enqueued locally).
+/// Message payload exchanged between nodes (and enqueued locally): a tuple
+/// delta, the insertion (`insert = true`) or deletion of `tuple` at the
+/// destination node.
 ///
 /// Deltas carry their tuple behind an [`Arc`]: the queue entry, the table row
 /// it becomes on arrival and every join input cloned from it all share one
 /// allocation.
 #[derive(Debug, Clone)]
-pub enum Payload {
-    /// A tuple delta: insertion (`insert = true`) or deletion of `tuple` at
-    /// the destination node.
-    Delta {
-        /// The tuple being inserted or deleted (shared, never mutated).
-        tuple: Arc<Tuple>,
-        /// Polarity of the delta.
-        insert: bool,
-        /// Opaque annotation shipped with the delta (value-based provenance
-        /// carries the derivation history here; see
-        /// [`crate::plugin::AnnotationPolicy`]).
-        token: Option<crate::plugin::AnnotationToken>,
-    },
+pub struct Payload {
+    /// The tuple being inserted or deleted (shared, never mutated).
+    pub tuple: Arc<Tuple>,
+    /// Polarity of the delta.
+    pub insert: bool,
+    /// The derivation history value-based provenance ships with the delta
+    /// ([`ValueBddPolicy`]); `None` in every other mode.
+    pub token: Option<Bdd>,
 }
 
-/// Result of processing one simulator event.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Step {
-    /// The event was consumed by the engine.
-    Handled,
-    /// An event tuple arrived for which the engine has no rules.  Higher
-    /// layers (the provenance query protocol) handle these.
-    External {
-        /// Node at which the tuple arrived.
-        node: NodeId,
-        /// The tuple itself (shared with the delta that carried it).
-        tuple: Arc<Tuple>,
-        /// Simulated arrival time.
-        time: f64,
-        /// Polarity of the delta.
-        insert: bool,
-    },
-    /// The event queue is empty.
-    Idle,
+/// An event tuple that arrived for which the engine has no rules.  Higher
+/// layers (the provenance query protocol) handle these.
+#[derive(Debug)]
+pub(crate) struct External {
+    /// Node at which the tuple arrived.
+    pub(crate) node: NodeId,
+    /// The tuple itself (shared with the delta that carried it).
+    pub(crate) tuple: Arc<Tuple>,
+    /// Simulated arrival time.
+    pub(crate) time: f64,
+    /// Polarity of the delta.
+    pub(crate) insert: bool,
 }
 
 /// Statistics about a fixpoint computation.
@@ -118,6 +109,30 @@ pub struct FixpointStats {
     pub external: u64,
 }
 
+/// Receives event tuples the engine has no rules for during a driven run.
+///
+/// This is the hook through which higher protocol layers — the distributed
+/// provenance *query* protocol of `exspan-core` — participate in the
+/// engine's single simulated clock: [`Engine::run_until`] calls
+/// the sink for every external tuple *in deterministic event order*, with the
+/// engine handed back mutably so the sink can reply (send tuples, schedule
+/// deltas) at the exact simulated time the event occurred.  Protocol
+/// maintenance deltas, churn deltas and query messages therefore interleave
+/// on one event queue instead of the query layer monopolizing the engine.
+pub trait ExternalSink {
+    /// Called for every surfaced external tuple.  `time` is the simulated
+    /// arrival time; `insert` is the delta's polarity.  The tuple is shared
+    /// with the delta that carried it (clone the `Arc` to retain it).
+    fn on_external(
+        &mut self,
+        engine: &mut Engine,
+        node: NodeId,
+        tuple: Arc<Tuple>,
+        time: f64,
+        insert: bool,
+    );
+}
+
 /// Runaway guard: the most events one `run_until` call processes.  The
 /// parallel loop checks it once per barrier window, so it may process
 /// slightly more.
@@ -127,15 +142,15 @@ const MAX_STEPS: u64 = 200_000_000;
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// At most how many shards (worker threads) execute the protocol; 1
-    /// keeps everything on the calling thread.  An engine built with an
-    /// annotation policy or a persistent storage backend
+    /// keeps everything on the calling thread.  An engine built with
+    /// value-based provenance or a persistent storage backend
     /// ([`Engine::with_parts`]) runs one shard whatever this says.
     pub shards: usize,
     /// When `true`, the engine additionally accounts every transmitted
     /// message under the dictionary size model ([`exspan_types::compress`]):
-    /// tuple contents dictionary-charged, annotations charged at the size
-    /// the policy reports through
-    /// [`crate::AnnotationPolicy::annotation_bytes_compressed`].  Off by
+    /// tuple contents dictionary-charged, a value-based annotation at its
+    /// BDD's compressed size
+    /// ([`exspan_bdd::BddManager::compressed_serialized_size`]).  Off by
     /// default — the flat model behind every existing figure is untouched;
     /// the compressed totals surface through [`Engine::compressed_bytes`]
     /// and never feed back into [`Engine::stats`].
@@ -225,8 +240,8 @@ impl Engine {
         Self::with_parts(program, topology, config, None, Box::new(MemoryBackend))
     }
 
-    /// Creates an engine that reports every base change, rule firing, remote
-    /// send and arrival to `policy` (e.g. value-based provenance), if given,
+    /// Creates an engine that maintains value-based provenance in `policy`,
+    /// if given, on every base change, rule firing, remote send and arrival,
     /// and journals every change to its state into `backend`, if that is
     /// persistent.  One policy has to see all of those events in event order,
     /// and one journal is one shard's record, so either runs one shard
@@ -235,7 +250,7 @@ impl Engine {
         program: Program,
         topology: Topology,
         config: EngineConfig,
-        policy: Option<Box<dyn AnnotationPolicy + Send>>,
+        policy: Option<ValueBddPolicy>,
         backend: Box<dyn StorageBackend>,
     ) -> Self {
         let aggregate_provenance =
@@ -326,10 +341,9 @@ impl Engine {
         self.shard_of(node) as usize
     }
 
-    /// The annotation policy this engine was built with, if any.
-    pub fn policy(&self) -> Option<&dyn AnnotationPolicy> {
-        let policy = self.shards[0].policy.as_deref()?;
-        Some(policy)
+    /// The value-based provenance this engine was built with, if any.
+    pub fn policy(&self) -> Option<&ValueBddPolicy> {
+        self.shards[0].policy.as_ref()
     }
 
     /// Current simulated time.
@@ -495,7 +509,7 @@ impl Engine {
         self.shards[owner].sim.schedule_at(
             time,
             node,
-            Payload::Delta {
+            Payload {
                 tuple,
                 insert,
                 token: None,
@@ -528,7 +542,7 @@ impl Engine {
             from,
             to,
             bytes,
-            Payload::Delta {
+            Payload {
                 tuple: Arc::new(tuple),
                 insert: true,
                 token: None,
@@ -662,18 +676,9 @@ impl Engine {
                     break;
                 }
                 steps += 1;
-                let step = self.shards[idx].step();
-                if let (
-                    Step::External {
-                        node,
-                        tuple,
-                        time,
-                        insert,
-                    },
-                    Some(sink),
-                ) = (step, sink.as_deref_mut())
-                {
-                    sink.on_external(self, node, tuple, time, insert);
+                let external = self.shards[idx].step();
+                if let (Some(ext), Some(sink)) = (external, sink.as_deref_mut()) {
+                    sink.on_external(self, ext.node, ext.tuple, ext.time, ext.insert);
                     // The sink held the engine mutably: pick up a topology
                     // change before the next event routes.
                     self.sync_topology();

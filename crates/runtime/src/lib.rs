@@ -16,27 +16,27 @@
 //!   nodes the shard owns.
 //! * [`engine`] — the [`engine::Engine`] coordinator: partitions the
 //!   topology's nodes over shards by rendezvous hashing (one shard when it
-//!   carries an annotation policy).
+//!   maintains value-based provenance or journals into a persistent store).
 //!   [`engine::Engine::run_until`] is the one way to advance simulated time:
 //!   all a caller says is how far.  It has two event loops — deterministic
 //!   barrier windows on worker threads, and a stepping loop in global event
-//!   order for one shard or while an [`plugin::ExternalSink`] is listening —
+//!   order for one shard or while an [`engine::ExternalSink`] is listening —
 //!   with bit-identical results.
-//! * [`plugin`] — the [`plugin::AnnotationPolicy`] hook through which the
-//!   provenance layer implements *value-based* provenance (annotations
-//!   attached to every transmitted tuple) without the engine knowing anything
-//!   about provenance; the engine's one shard owns it.
+//! * [`value_policy`] — *value-based* provenance (paper §3: every
+//!   transmitted tuple carries its BDD-condensed derivation history), which
+//!   the shard maintains on every base change, rule firing, send and arrival
+//!   of an engine built with it; that engine's one shard owns it.
 //!
 //! The engine deliberately exposes low-level access (per-node tables, raw
-//! message injection, an [`plugin::ExternalSink`] that receives unknown event
+//! message injection, an [`engine::ExternalSink`] that receives unknown event
 //! tuples) so that the provenance query protocol of `exspan-core` can be
 //! layered on top as plain message traffic.
 
 pub mod engine;
-pub mod plugin;
 pub mod shard;
 pub mod table;
+pub mod value_policy;
 
-pub use engine::{Engine, EngineConfig, FixpointStats, Payload};
-pub use plugin::{AnnotationPolicy, AnnotationToken, ExternalSink};
+pub use engine::{Engine, EngineConfig, ExternalSink, FixpointStats, Payload};
 pub use table::{DeleteEffect, InsertEffect, Table};
+pub use value_policy::ValueBddPolicy;

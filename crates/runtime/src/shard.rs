@@ -20,9 +20,10 @@
 //! [`RelId`]s, so the per-delta path allocates no strings and deep-copies no
 //! attribute vectors.
 
-use crate::engine::{EngineConfig, Payload, Step};
-use crate::plugin::{AnnotationPolicy, AnnotationToken};
+use crate::engine::{EngineConfig, External, Payload};
 use crate::table::{DeleteEffect, InsertEffect, TableStore};
+use crate::value_policy::ValueBddPolicy;
+use exspan_bdd::Bdd;
 use exspan_ndlog::ast::{AggFunc, Rule};
 use exspan_ndlog::eval::EvalError;
 use exspan_ndlog::is_event_predicate;
@@ -51,8 +52,8 @@ pub(crate) struct Scratch {
     /// One probe-key buffer per join level: a level's probe borrows its key
     /// while the levels below it build theirs.
     keys: Vec<Vec<Value>>,
-    /// The candidate grounded at each body position — tracked only for an
-    /// annotation policy, aggregate provenance or a reordered plan.
+    /// The candidate grounded at each body position — tracked only for
+    /// value-based provenance, aggregate provenance or a reordered plan.
     inputs: Vec<Option<Arc<Tuple>>>,
     /// The triggers of the delta being fired, copied out of the shared rule
     /// data so that firing them can borrow the shard mutably.
@@ -124,10 +125,9 @@ pub(crate) struct Shard {
     data: Arc<RuleData>,
     pub(crate) store: TableStore,
     pub(crate) sim: Simulator<Payload>,
-    /// The annotation policy of an engine built with one; such an engine has
-    /// this shard only.  `Send` is asked of the box, not of the trait: an
-    /// engine moves whole onto the `exspan-serve` server thread.
-    pub(crate) policy: Option<Box<dyn AnnotationPolicy + Send>>,
+    /// The value-based provenance of an engine built with it; such an engine
+    /// has this shard only.
+    pub(crate) policy: Option<ValueBddPolicy>,
     /// Bookkeeping for aggregate provenance: the (prov tuple, ruleExec
     /// tuple) pair currently installed for each group.  Not derivable from
     /// the tables, so it is journaled/snapshotted and restored on recovery
@@ -193,39 +193,34 @@ impl Shard {
         }
     }
 
-    /// Processes the next queued event.
-    pub(crate) fn step(&mut self) -> Step {
-        let Some(msg) = self.sim.pop() else {
-            return Step::Idle;
-        };
+    /// Processes the next queued event, returning the external tuple it
+    /// carried, if any.
+    pub(crate) fn step(&mut self) -> Option<External> {
+        let msg = self.sim.pop()?;
         self.processed += 1;
-        let time = msg.time;
-        match msg.payload {
-            Payload::Delta {
-                tuple,
-                insert,
-                token,
-            } => {
-                let node = msg.to;
-                if tuple.relation == self.data.agg_recompute {
-                    self.last_delta_time = time;
-                    self.handle_aggregate_recompute(node, &tuple);
-                    return Step::Handled;
-                }
-                if self.is_external(tuple.relation) {
-                    self.externals_seen += 1;
-                    return Step::External {
-                        node,
-                        tuple,
-                        time,
-                        insert,
-                    };
-                }
-                self.last_delta_time = time;
-                self.process_delta(node, tuple, insert, token);
-                Step::Handled
-            }
+        let (node, time) = (msg.to, msg.time);
+        let Payload {
+            tuple,
+            insert,
+            token,
+        } = msg.payload;
+        if tuple.relation == self.data.agg_recompute {
+            self.last_delta_time = time;
+            self.handle_aggregate_recompute(node, &tuple);
+            return None;
         }
+        if self.is_external(tuple.relation) {
+            self.externals_seen += 1;
+            return Some(External {
+                node,
+                tuple,
+                time,
+                insert,
+            });
+        }
+        self.last_delta_time = time;
+        self.process_delta(node, tuple, insert, token);
+        None
     }
 
     /// Processes every queued event strictly before `horizon` (and no later
@@ -255,13 +250,7 @@ impl Shard {
     // Delta processing
     // ------------------------------------------------------------------
 
-    fn process_delta(
-        &mut self,
-        node: NodeId,
-        tuple: Arc<Tuple>,
-        insert: bool,
-        token: Option<AnnotationToken>,
-    ) {
+    fn process_delta(&mut self, node: NodeId, tuple: Arc<Tuple>, insert: bool, token: Option<Bdd>) {
         let is_event = is_event_predicate(tuple.relation.as_str());
         let mut fire = true;
         let mut removed = false;
@@ -361,7 +350,7 @@ impl Shard {
                 let tuple = Arc::new(event);
                 self.sim.schedule_local(
                     node,
-                    Payload::Delta {
+                    Payload {
                         tuple,
                         insert: true,
                         token: None,
@@ -521,24 +510,20 @@ impl Shard {
         keys.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
     }
 
-    /// Reports one rule firing to the annotation policy, if there is one.
-    fn note_derivation(&mut self, node: NodeId, inputs: &[Arc<Tuple>]) -> Option<AnnotationToken> {
-        self.policy.as_mut()?.on_derivation(node, inputs)
+    /// The history value-based provenance ships with one rule firing's
+    /// delta, if this shard maintains it.
+    fn note_derivation(&mut self, node: NodeId, inputs: &[Arc<Tuple>]) -> Option<Bdd> {
+        let policy = self.policy.as_mut()?;
+        Some(policy.on_derivation(node, inputs))
     }
 
     /// Sends or locally enqueues a delta for `head` produced at `node`.
-    fn dispatch_delta(
-        &mut self,
-        node: NodeId,
-        head: Arc<Tuple>,
-        insert: bool,
-        token: Option<AnnotationToken>,
-    ) {
+    fn dispatch_delta(&mut self, node: NodeId, head: Arc<Tuple>, insert: bool, token: Option<Bdd>) {
         let dest = head.location;
         if dest == node {
             self.sim.schedule_local(
                 node,
-                Payload::Delta {
+                Payload {
                     tuple: head,
                     insert,
                     token,
@@ -551,9 +536,11 @@ impl Shard {
             };
             let bytes = wire::message_size(std::slice::from_ref(&*head), annotation_bytes);
             if self.data.config.track_compressed {
-                let compressed_annotation = match &mut self.policy {
-                    Some(policy) => policy.annotation_bytes_compressed(token),
-                    None => 0,
+                // The shipped BDD's varint node encoding; the flat charge
+                // above already counted this delta's annotation bytes.
+                let compressed_annotation = match (&self.policy, token) {
+                    (Some(policy), Some(bdd)) => policy.manager().compressed_serialized_size(bdd),
+                    _ => 0,
                 };
                 self.compressed_bytes += exspan_types::compress::compressed_message_size(
                     std::slice::from_ref(&*head),
@@ -564,7 +551,7 @@ impl Shard {
                 node,
                 dest,
                 bytes,
-                Payload::Delta {
+                Payload {
                     tuple: head,
                     insert,
                     token,

@@ -6,7 +6,9 @@
 //! No `engine_mut()` escape hatch is used anywhere: everything goes through
 //! the typed deployment surface.
 
-use exspan::core::{BuildError, Deployment, Exspan, ProvenanceMode, QueryOutcome, Repr, Traversal};
+use exspan::core::{
+    BaseTupleError, BuildError, Deployment, Exspan, ProvenanceMode, QueryOutcome, Repr, Traversal,
+};
 use exspan::ndlog::programs;
 use exspan::netsim::{ChurnModel, LinkClass, LinkProps, Topology};
 use exspan::types::{Tuple, Value};
@@ -167,7 +169,7 @@ fn churn_and_concurrent_queries_share_one_clock_in_every_mode() {
 
 #[test]
 fn shards_is_an_upper_bound_that_value_mode_caps_at_one() {
-    // One annotation policy sees every event, so a value-mode engine runs
+    // One value-based policy sees every event, so a value-mode engine runs
     // one shard whatever is asked for — and answers as `.shards(1)` does.
     let build = |mode: ProvenanceMode, shards: usize| {
         let mut deployment = Exspan::builder()
@@ -298,10 +300,15 @@ fn a_malformed_base_tuple_is_refused_where_it_enters() {
         .expect("valid deployment");
     let short = Tuple::new("link", 0, vec![]);
     let err = deployment.insert_base(0, short.clone()).unwrap_err();
-    assert_eq!(
-        (err.relation.as_str(), err.declared, err.found),
-        ("link", 3, 1)
-    );
+    let BaseTupleError::Arity {
+        relation,
+        declared,
+        found,
+    } = err
+    else {
+        panic!("refused for its arity, not {err:?}");
+    };
+    assert_eq!((relation.as_str(), declared, found), ("link", 3, 1));
     assert!(deployment.delete_base(0, short).is_err());
     let long = vec![Value::Node(1), Value::Int(1), Value::Int(1)];
     let long = Tuple::new("link", 0, long);
@@ -311,6 +318,52 @@ fn a_malformed_base_tuple_is_refused_where_it_enters() {
     assert!(best
         .iter()
         .any(|t| t.values == [Value::Node(2), Value::Int(5)]));
+}
+
+#[test]
+fn a_base_tuple_is_refused_at_a_node_that_is_not_its_own() {
+    // n99 is outside the 4-node topology: each entry point once panicked in
+    // the simulator's queue.  A tuple located at n0 once entered n1's table,
+    // where no rule ever fires on it.
+    let mut deployment = Exspan::builder()
+        .program(programs::mincost())
+        .topology(Topology::paper_example())
+        .build()
+        .expect("valid deployment");
+    deployment.run_to_fixpoint();
+    let digest = deployment.state_digest();
+    let settled = |d: &mut Deployment| {
+        d.run_to_fixpoint();
+        d.state_digest()
+    };
+    for (node, tuple, refusal) in [
+        (
+            99,
+            Deployment::link_tuple(99, 0, 1),
+            BaseTupleError::NoSuchNode { node: 99, nodes: 4 },
+        ),
+        (
+            1,
+            Deployment::link_tuple(0, 2, 1),
+            BaseTupleError::Misplaced {
+                node: 1,
+                location: 0,
+            },
+        ),
+    ] {
+        let inserted = deployment.insert_base(node, tuple.clone());
+        assert_eq!(inserted, Err(refusal.clone()));
+        assert_eq!(settled(&mut deployment), digest);
+        let deleted = deployment.delete_base(node, tuple.clone());
+        assert_eq!(deleted, Err(refusal.clone()));
+        assert_eq!(settled(&mut deployment), digest);
+        let scheduled = deployment.schedule_delta(deployment.now(), node, tuple, true);
+        assert_eq!(scheduled, Err(refusal));
+        assert_eq!(settled(&mut deployment), digest);
+    }
+    // `link(@99,0,1)` has nowhere to go; `link(@0,99,1)` was never stored.
+    deployment.remove_link(0, 99);
+    assert_eq!(settled(&mut deployment), digest);
 }
 
 #[test]
