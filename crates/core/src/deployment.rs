@@ -63,7 +63,7 @@ use exspan_ndlog::ast::Program;
 use exspan_ndlog::diag::{Diagnostic, Severity};
 use exspan_netsim::{ChurnEvent, LinkClass, LinkProps, Topology};
 use exspan_runtime::{Engine, EngineConfig, FixpointStats, ValueBddPolicy};
-use exspan_store::{DiskBackend, MemoryBackend, StorageBackend, StorageStats, StoreConfig};
+use exspan_store::{DiskBackend, StorageStats, WalOp};
 use exspan_types::fxhash::FxHashMap;
 use exspan_types::wire::BandwidthSeries;
 use exspan_types::{NodeId, RelId, Tuple, Value, Vid};
@@ -107,7 +107,11 @@ pub enum BuildError {
     },
     /// Opening or recovering the persistent store failed (I/O error,
     /// corruption past the committed prefix, or a store whose topology does
-    /// not fit the configured one).
+    /// not fit the configured one).  A snapshot records its node count, so a
+    /// store with one is refused by any other topology size; a WAL-only store
+    /// is refused when a logged operation names a node outside the topology,
+    /// but a log carries no node count, so it cannot detect a *larger*
+    /// topology.
     Storage(String),
 }
 
@@ -206,7 +210,7 @@ impl Default for DeploymentBuilder {
             mode: ProvenanceMode::Reference,
             shards: 1,
             data_dir: None,
-            snapshot_every_bytes: StoreConfig::default().snapshot_wal_bytes,
+            snapshot_every_bytes: 256 * 1024,
             track_compressed: false,
         }
     }
@@ -248,20 +252,23 @@ impl DeploymentBuilder {
     /// latest snapshot is loaded, the committed WAL tail replayed, and the
     /// deployment resumes from the last committed barrier (link seeding is
     /// skipped — the recovered state already contains the links).  Check
-    /// [`Deployment::recovered_from_store`] to distinguish the two.  A
-    /// durable deployment runs one shard, whatever
-    /// [`DeploymentBuilder::shards`] asks for.
+    /// [`Deployment::recovered_from_store`] to distinguish the two.  The
+    /// deployment owns the store: its engine journals, and every
+    /// [`Deployment::run_until`] that journaled something commits one batch,
+    /// fsynced, before it returns.  A durable deployment runs one shard,
+    /// whatever [`DeploymentBuilder::shards`] asks for.
     pub fn data_dir(mut self, path: impl Into<PathBuf>) -> Self {
         self.data_dir = Some(path.into());
         self
     }
 
-    /// The floor of the snapshot trigger: a snapshot is taken and the log
-    /// truncated at the first barrier where the WAL is at least `bytes` long
-    /// *and* at least as long as the snapshot it would replace, so a store
-    /// writes at most twice what it logs plus one snapshot and a reopen
-    /// replays at most about one snapshot's length of log.  `u64::MAX`
-    /// means never (only meaningful with [`DeploymentBuilder::data_dir`]).
+    /// The floor of the snapshot trigger (default 256 KiB): a snapshot is
+    /// taken and the log truncated at the first commit after which the WAL
+    /// is at least `bytes` long *and* at least as long as the snapshot it
+    /// would replace, so a store writes at most twice what it logs plus one
+    /// snapshot and a reopen replays at most about one snapshot's length of
+    /// log.  `u64::MAX` means never (only meaningful with
+    /// [`DeploymentBuilder::data_dir`]).
     pub fn snapshot_every_bytes(mut self, bytes: u64) -> Self {
         self.snapshot_every_bytes = bytes;
         self
@@ -343,16 +350,12 @@ impl DeploymentBuilder {
         }
 
         // Open the persistent store, if configured.  The engine journals
-        // into it from its first event; the committed state it holds, if
+        // from its first event; the committed state the store holds, if
         // any, is recovered into the fresh engine, which journals none of it.
-        let mut backend: Box<dyn StorageBackend> = Box::new(MemoryBackend);
+        let mut store = None;
         let mut recovered_state = None;
         if let Some(dir) = &self.data_dir {
-            let store_config = StoreConfig {
-                snapshot_wal_bytes: self.snapshot_every_bytes,
-                ..StoreConfig::default()
-            };
-            let (disk, state) = DiskBackend::open(dir, store_config)
+            let (disk, state) = DiskBackend::open(dir, self.snapshot_every_bytes)
                 .map_err(|e| BuildError::Storage(e.to_string()))?;
             if let Some(state) = &state {
                 // The policy's annotations are not persisted: resumed, every
@@ -365,8 +368,8 @@ impl DeploymentBuilder {
                         dir.display()
                     )));
                 }
+                let nodes = topology.num_nodes() as u32;
                 if let Some(snap) = &state.snapshot {
-                    let nodes = topology.num_nodes() as u32;
                     if snap.node_count != nodes {
                         return Err(BuildError::Storage(format!(
                             "store at {} was written for a {}-node topology, \
@@ -376,8 +379,24 @@ impl DeploymentBuilder {
                         )));
                     }
                 }
+                // A log carries no node count: the highest node its
+                // operations name is all it says about the topology.
+                let logged = state.batches.iter().flat_map(|batch| &batch.ops);
+                let highest = logged
+                    .map(|op| match op {
+                        WalOp::Tuple { node, .. } | WalOp::AggProv { node, .. } => *node,
+                        WalOp::Link { link, .. } => link.a.max(link.b),
+                    })
+                    .max();
+                if let Some(node) = highest.filter(|&node| node >= nodes) {
+                    return Err(BuildError::Storage(format!(
+                        "store at {} logs an operation at n{node}, outside the \
+                         configured {nodes}-node topology",
+                        dir.display()
+                    )));
+                }
             }
-            backend = Box::new(disk);
+            store = Some(disk);
             recovered_state = state;
         }
         let policy = (self.mode == ProvenanceMode::ValueBdd).then(ValueBddPolicy::new);
@@ -386,7 +405,8 @@ impl DeploymentBuilder {
             .iter()
             .map(|t| (t.relation, t.arity))
             .collect();
-        let mut engine = Engine::with_parts(executed, topology, engine_config, policy, backend);
+        let journal = store.is_some();
+        let mut engine = Engine::with_parts(executed, topology, engine_config, policy, journal);
         if let Some(state) = &recovered_state {
             engine.recover(state);
         }
@@ -400,6 +420,7 @@ impl DeploymentBuilder {
             warnings,
             fabric: QueryFabric::default(),
             recovered,
+            store,
         };
         // A recovered store already contains the link tuples (and everything
         // derived from them); re-seeding would double their derivations.
@@ -424,6 +445,9 @@ pub struct Deployment {
     /// True when [`DeploymentBuilder::data_dir`] pointed at an existing store
     /// and the deployment booted from its recovered state instead of seeding.
     recovered: bool,
+    /// The durable store of a deployment built with a
+    /// [`DeploymentBuilder::data_dir`]: the engine journals, this commits.
+    store: Option<DiskBackend>,
 }
 
 /// Lightweight, copyable reference to one submitted query.  Poll the result
@@ -629,18 +653,54 @@ impl Deployment {
         self.recovered
     }
 
-    /// Counters of the storage backend (WAL batches/bytes, snapshots).
+    /// Counters of the durable store (WAL batches/bytes, snapshots).
     /// All-zero for the in-memory default.
     pub fn storage_stats(&self) -> StorageStats {
-        self.engine.storage_stats()
+        self.store
+            .as_ref()
+            .map(DiskBackend::stats)
+            .unwrap_or_default()
     }
 
-    /// Flushes any pending journal entries and, unless the log is then empty,
+    /// Commits any pending journal entries and, unless the log is then empty,
     /// folds it into a snapshot (persistent deployments only; a no-op for the
     /// in-memory default).  Call before a graceful shutdown to make restart
-    /// recovery snapshot-only.
+    /// recovery snapshot-only.  An empty log after the commit means the
+    /// snapshot on disk, if any, is current — and no snapshot beside an
+    /// empty log is a fresh store, which a snapshot of the bare topology
+    /// would turn into a recovered one.
     pub fn checkpoint(&mut self) {
-        self.engine.checkpoint();
+        self.commit();
+        if let Some(store) = &mut self.store {
+            if store.stats().wal_bytes > 0 {
+                store
+                    .write_snapshot(self.engine.collect_snapshot())
+                    .unwrap_or_else(|e| panic!("checkpoint snapshot failed: {e}"));
+            }
+        }
+    }
+
+    /// Commits the operations the engine journaled since the last commit as
+    /// one WAL batch, stamped with the engine's last activity, and writes a
+    /// snapshot if enough log accumulated.  Nothing is committed while the
+    /// journal is empty.
+    fn commit(&mut self) {
+        let Some(store) = &mut self.store else {
+            return;
+        };
+        let ops = self.engine.take_journal();
+        if ops.is_empty() {
+            return;
+        }
+        let time_bits = self.engine.last_activity().to_bits();
+        store
+            .commit_batch(&ops, time_bits)
+            .unwrap_or_else(|e| panic!("WAL commit failed: {e}"));
+        if store.snapshot_due() {
+            store
+                .write_snapshot(self.engine.collect_snapshot())
+                .unwrap_or_else(|e| panic!("snapshot write failed: {e}"));
+        }
     }
 
     /// Hex digest of the canonical snapshot encoding of the current logical
@@ -798,12 +858,17 @@ impl Deployment {
     /// [`exspan_runtime::ExternalSink`], so query-protocol messages are
     /// handled between maintenance deltas in global event order; with an
     /// empty id table the engine is free to run its shards in parallel.
+    ///
+    /// A durable deployment commits what the run journaled — and any link
+    /// change made since the last commit — as one WAL batch before
+    /// returning; a run that journaled nothing commits nothing.
     pub fn run_until(&mut self, time: f64) -> FixpointStats {
         let stats = if self.fabric.is_idle() {
             self.engine.run_until(time, None)
         } else {
             self.engine.run_until(time, Some(&mut self.fabric))
         };
+        self.commit();
         // A fully drained event queue means any still-unresolved query state
         // belongs to messages the simulator dropped; write it off so future
         // runs regain the parallel path.

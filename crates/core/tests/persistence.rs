@@ -229,6 +229,88 @@ fn node_count_mismatch_is_a_build_error() {
 }
 
 #[test]
+fn a_wal_only_store_is_refused_by_a_smaller_topology() {
+    // A log carries no node count; the nodes its operations name are what a
+    // smaller topology cannot hold.
+    let stores = [
+        (Topology::paper_example(), Topology::line(2), 256 * 1024),
+        (
+            Topology::testbed_ring(5, 7),
+            Topology::testbed_ring(3, 7),
+            u64::MAX,
+        ),
+    ];
+    for (written, reopened, floor) in stores {
+        let scratch = Scratch::new("wal-only-smaller");
+        let with = |topology: Topology| {
+            Exspan::builder()
+                .program(programs::mincost())
+                .topology(topology)
+                .mode(ProvenanceMode::Reference)
+                .snapshot_every_bytes(floor)
+                .data_dir(scratch.path())
+                .build()
+        };
+        let mut d = with(written.clone()).unwrap();
+        d.run_to_fixpoint();
+        assert_eq!(d.storage_stats().snapshots_written, 0);
+        drop(d);
+        assert!(!scratch.path().join("snapshot.bin").exists());
+        match with(reopened) {
+            Err(exspan_core::BuildError::Storage(msg)) => {
+                assert!(msg.contains("topology"), "unexpected error: {msg}");
+            }
+            other => panic!("expected a storage error, got {:?}", other.map(|_| ())),
+        }
+        // The topology it was written for still reopens it.
+        assert!(with(written).unwrap().recovered_from_store());
+    }
+}
+
+#[test]
+fn each_run_that_journaled_commits_one_batch_and_nothing_else_commits() {
+    let scratch = Scratch::new("cadence");
+    let mut d = builder()
+        .snapshot_every_bytes(u64::MAX)
+        .data_dir(scratch.path())
+        .build()
+        .unwrap();
+    let batches = |d: &Deployment| d.storage_stats().committed_batches;
+    d.run_to_fixpoint();
+    assert_eq!(batches(&d), 1);
+
+    // An idle run journals nothing and commits nothing.
+    d.run_to_fixpoint();
+    let now = d.now();
+    d.run_until(now + 5.0);
+    assert_eq!(batches(&d), 1);
+
+    // A link change is journaled at once but committed with the next run.
+    let before = d.storage_stats();
+    d.remove_link(0, 1);
+    assert_eq!(d.storage_stats(), before);
+    d.run_to_fixpoint();
+    let after = d.storage_stats();
+    assert_eq!(after.committed_batches, 2);
+    assert!(after.committed_ops > before.committed_ops + 1);
+
+    // ... or with the next checkpoint, which commits it alone: its link
+    // tuples' deltas are still scheduled, and commit with the run after.
+    let props = LinkProps::from_class(LinkClass::Custom);
+    d.add_link(0, 1, props);
+    assert_eq!(d.storage_stats(), after);
+    d.checkpoint();
+    let stats = d.storage_stats();
+    assert_eq!(stats.committed_batches, 3);
+    assert_eq!(stats.committed_ops, after.committed_ops + 1);
+    assert_eq!(stats.snapshots_written, 1);
+    d.run_to_fixpoint();
+    assert_eq!(batches(&d), 4);
+    d.run_to_fixpoint();
+    assert_eq!(batches(&d), 4);
+}
+
+#[test]
 fn in_memory_default_reports_zero_storage_activity() {
     let mut d = builder().build().unwrap();
     d.run_to_fixpoint();

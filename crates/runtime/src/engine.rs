@@ -53,10 +53,7 @@ use exspan_ndlog::plan::ProgramPlans;
 use exspan_netsim::{
     LinkClass, LinkProps, RoutedEvent, ShardView, Simulator, Topology, TrafficStats,
 };
-use exspan_store::{
-    AggProvEntry, LinkRecord, MemoryBackend, RecoveredState, SnapshotData, StorageBackend,
-    StorageStats, WalOp,
-};
+use exspan_store::{AggProvEntry, LinkRecord, RecoveredState, SnapshotData, WalOp};
 use exspan_types::fxhash::FxHashMap;
 use exspan_types::{wire, Digest, NodeId, RelId, Symbol, Tuple, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -143,8 +140,8 @@ const MAX_STEPS: u64 = 200_000_000;
 pub struct EngineConfig {
     /// At most how many shards (worker threads) execute the protocol; 1
     /// keeps everything on the calling thread.  An engine built with
-    /// value-based provenance or a persistent storage backend
-    /// ([`Engine::with_parts`]) runs one shard whatever this says.
+    /// value-based provenance or a journal ([`Engine::with_parts`]) runs one
+    /// shard whatever this says.
     pub shards: usize,
     /// When `true`, the engine additionally accounts every transmitted
     /// message under the dictionary size model ([`exspan_types::compress`]):
@@ -179,12 +176,6 @@ pub struct Engine {
     /// Cross-shard mailboxes: `inboxes[s]` holds events routed to shard `s`
     /// that it has not yet pulled into its queue.
     inboxes: Vec<Mutex<Vec<RoutedEvent<Payload>>>>,
-    /// Storage backend behind the persistence seam.  The in-memory default
-    /// ([`MemoryBackend`]) accepts and discards everything; the shard keeps
-    /// no journal then, so the hot path pays one branch.
-    backend: Box<dyn StorageBackend>,
-    /// Sequence number of the last committed WAL batch.
-    commit_seq: u64,
 }
 
 /// On-wire encoding of a [`LinkClass`] inside a [`LinkRecord`].
@@ -237,13 +228,14 @@ impl Engine {
     /// winning input tuple (§4.2.2); the rewritten rules cover the rest, but
     /// cannot express an aggregate.
     pub fn new(program: Program, topology: Topology, config: EngineConfig) -> Self {
-        Self::with_parts(program, topology, config, None, Box::new(MemoryBackend))
+        Self::with_parts(program, topology, config, None, false)
     }
 
     /// Creates an engine that maintains value-based provenance in `policy`,
     /// if given, on every base change, rule firing, remote send and arrival,
-    /// and journals every change to its state into `backend`, if that is
-    /// persistent.  One policy has to see all of those events in event order,
+    /// and, if `journal` is set, journals every change to its state as a
+    /// [`WalOp`] for its owner to take ([`Engine::take_journal`]) and make
+    /// durable.  One policy has to see all of those events in event order,
     /// and one journal is one shard's record, so either runs one shard
     /// whatever [`EngineConfig::shards`] says.
     pub fn with_parts(
@@ -251,7 +243,7 @@ impl Engine {
         topology: Topology,
         config: EngineConfig,
         policy: Option<ValueBddPolicy>,
-        backend: Box<dyn StorageBackend>,
+        journal: bool,
     ) -> Self {
         let aggregate_provenance =
             program.table("prov").is_some() && program.table("ruleExec").is_some();
@@ -280,7 +272,7 @@ impl Engine {
             .iter()
             .map(|(rel, cols)| (*rel, cols.iter().cloned().collect()))
             .collect();
-        let num_shards = if policy.is_some() || backend.is_persistent() {
+        let num_shards = if policy.is_some() || journal {
             1
         } else {
             config.shards.max(1)
@@ -314,7 +306,7 @@ impl Engine {
             })
             .collect();
         shards[0].policy = policy;
-        shards[0].journal = backend.is_persistent().then(Vec::new);
+        shards[0].journal = journal.then(Vec::new);
         Engine {
             data,
             topology,
@@ -322,8 +314,6 @@ impl Engine {
             assignment,
             inboxes: (0..num_shards).map(|_| Mutex::new(Vec::new())).collect(),
             shards,
-            backend,
-            commit_seq: 0,
         }
     }
 
@@ -412,7 +402,7 @@ impl Engine {
         Some(props)
     }
 
-    /// Journals a link change the engine applied (a persistent engine has
+    /// Journals a link change the engine applied (a journaling engine has
     /// one shard, whose journal takes it).
     fn record_link(&mut self, add: bool, a: NodeId, b: NodeId, props: &LinkProps) {
         self.shards[0].journal_op(|| WalOp::Link {
@@ -685,9 +675,6 @@ impl Engine {
                 }
             }
         }
-        // The run just closed and every worker thread has joined: commit
-        // the journaled operations as one quiescent WAL batch.
-        self.flush_storage();
         let steps_after: u64 = self.shards.iter().map(|s| s.processed).sum();
         let ext_after: u64 = self.shards.iter().map(|s| s.externals_seen).sum();
         FixpointStats {
@@ -785,52 +772,27 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Persistence (the storage seam)
+    // Persistence (the journal and the canonical state)
     // ------------------------------------------------------------------
 
-    /// Commits the operations journaled since the last flush as one WAL
-    /// batch and writes a snapshot if enough log accumulated.  Called at the
-    /// single-threaded end of every `run_*` call — a quiescent barrier, so
-    /// the batch captures a complete window.
-    fn flush_storage(&mut self) {
-        let journal = self.shards[0].journal.as_mut();
-        let Some(journal) = journal.filter(|ops| !ops.is_empty()) else {
-            return;
-        };
-        let ops = std::mem::take(journal);
-        self.commit_seq += 1;
-        let time_bits = self.last_activity().to_bits();
-        self.backend
-            .commit_batch(&ops, self.commit_seq, time_bits)
-            .unwrap_or_else(|e| panic!("WAL commit failed: {e}"));
-        if self.backend.snapshot_due() {
-            let snap = self.collect_snapshot();
-            self.backend
-                .write_snapshot(&snap)
-                .unwrap_or_else(|e| panic!("snapshot write failed: {e}"));
-        }
-    }
-
-    /// Flushes pending journal entries and folds the log into a snapshot
-    /// (graceful-shutdown checkpoint; no-op without a persistent backend).
-    /// An empty log after the flush means the snapshot on disk, if any, is
-    /// current — and no snapshot beside an empty log is a fresh store, which
-    /// a snapshot of the bare topology would turn into a recovered one.
-    pub fn checkpoint(&mut self) {
-        self.flush_storage();
-        if self.backend.stats().wal_bytes > 0 {
-            let snap = self.collect_snapshot();
-            self.backend
-                .write_snapshot(&snap)
-                .unwrap_or_else(|e| panic!("checkpoint snapshot failed: {e}"));
-        }
+    /// Hands over the operations journaled since the last call, in the order
+    /// they changed the state (empty for an engine built without a journal).
+    /// Taken after a `run_until` returns — every worker thread has joined —
+    /// they are one quiescent batch.
+    pub fn take_journal(&mut self) -> Vec<WalOp> {
+        self.shards[0]
+            .journal
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Collects the full logical state in canonical form: links sorted by
     /// endpoint pair, tables sorted by `(node, relation name)` with rows in
     /// `scan()` order, aggregate-provenance entries sorted by group.  The
     /// encoding of this value is a pure function of logical state — shard
-    /// count and execution interleaving do not affect a byte.
+    /// count and execution interleaving do not affect a byte.  Its `seq` is
+    /// 0: the store that writes it stamps its own commit watermark.
     pub fn collect_snapshot(&self) -> SnapshotData {
         let mut links: Vec<LinkRecord> = self
             .topology
@@ -860,7 +822,7 @@ impl Engine {
             (x.node, x.relation.as_str(), &x.group).cmp(&(y.node, y.relation.as_str(), &y.group))
         });
         SnapshotData {
-            seq: self.commit_seq,
+            seq: 0,
             time_bits: self.last_activity().to_bits(),
             node_count: self.topology.num_nodes() as u32,
             links,
@@ -870,21 +832,12 @@ impl Engine {
     }
 
     /// SHA-1 over the canonical snapshot encoding: equal digests ⇔ equal
-    /// logical state, independent of shard count.  The commit sequence
-    /// number is zeroed first — it counts storage-layer barrier flushes, so
-    /// an in-memory deployment and a persistent one in the same logical
-    /// state would otherwise digest differently.
+    /// logical state, independent of shard count.
     pub fn state_digest(&self) -> exspan_types::Digest {
-        let mut snap = self.collect_snapshot();
-        snap.seq = 0;
+        let snap = self.collect_snapshot();
         let mut bytes = Vec::new();
         exspan_store::snapshot::encode_snapshot(&snap, &mut bytes);
         exspan_types::sha1_digest(&bytes)
-    }
-
-    /// Storage counters of the backend (WAL and snapshots).
-    pub fn storage_stats(&self) -> StorageStats {
-        self.backend.stats()
     }
 
     // ------------------------------------------------------------------
@@ -893,8 +846,8 @@ impl Engine {
 
     /// Applies a recovered store to this (fresh) engine: the snapshot's
     /// links, table rows and aggregate-provenance entries, then the committed
-    /// WAL tail in commit order, then the clock and the commit sequence.  The
-    /// snapshot's node count must already match the topology's.
+    /// WAL tail in commit order, then the clock.  Every node the store names
+    /// must already be inside the topology.
     pub fn recover(&mut self, state: &RecoveredState) {
         if let Some(snap) = &state.snapshot {
             let existing: Vec<(NodeId, NodeId)> =
@@ -923,10 +876,8 @@ impl Engine {
         for op in state.batches.iter().flat_map(|batch| &batch.ops) {
             self.replay_wal_op(op);
         }
-        // Scheduling and commits continue from where the crashed run
-        // committed.
-        let (seq, time_bits) = state.watermark();
-        self.commit_seq = seq;
+        // Scheduling continues from where the crashed run committed.
+        let (_, time_bits) = state.watermark();
         let time = f64::from_bits(time_bits);
         for shard in &mut self.shards {
             shard.sim.advance_to(time);

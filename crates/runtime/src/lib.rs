@@ -16,7 +16,8 @@
 //!   nodes the shard owns.
 //! * [`engine`] — the [`engine::Engine`] coordinator: partitions the
 //!   topology's nodes over shards by rendezvous hashing (one shard when it
-//!   maintains value-based provenance or journals into a persistent store).
+//!   maintains value-based provenance or keeps a journal for a durable store,
+//!   which the engine's owner commits: the engine does no I/O).
 //!   [`engine::Engine::run_until`] is the one way to advance simulated time:
 //!   all a caller says is how far.  It has two event loops — deterministic
 //!   barrier windows on worker threads, and a stepping loop in global event

@@ -153,10 +153,10 @@ pub(crate) struct Shard {
     /// [`crate::Engine::drain_vertex_changes`]; `None` until
     /// [`crate::Engine::record_vertex_changes`] asks for them.
     pub(crate) vertex_changes: Option<Vec<Digest>>,
-    /// The operations applied since the last barrier flush, which the engine
-    /// commits as one WAL batch; `None` for an in-memory engine.  Tuple
-    /// intents and aggregate-provenance changes are pushed here as the shard
-    /// applies them, link changes by the engine.
+    /// The operations applied since the engine's owner last took them
+    /// ([`crate::Engine::take_journal`]); `None` for an engine built without
+    /// a journal.  Tuple intents and aggregate-provenance changes are pushed
+    /// here as the shard applies them, link changes by the engine.
     pub(crate) journal: Option<Vec<WalOp>>,
     scratch: Scratch,
 }

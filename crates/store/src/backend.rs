@@ -1,32 +1,10 @@
-//! The storage seam: [`StorageBackend`] with an in-memory no-op
-//! implementation (the default — zero overhead, nothing touches disk) and
-//! the log-structured [`DiskBackend`].
+//! The durable store: the log-structured [`DiskBackend`] a deployment with a
+//! data directory owns and commits its engine's journal to.
 
 use crate::snapshot::{self, SnapshotData};
 use crate::wal::{self, Durability, WalBatch, WalOp, WalWriter};
 use crate::StoreError;
 use std::path::{Path, PathBuf};
-
-/// Configuration of a persistent store.
-#[derive(Debug, Clone)]
-pub struct StoreConfig {
-    /// When the WAL is fsynced (see [`Durability`]).
-    pub durability: Durability,
-    /// The floor of the snapshot trigger: a snapshot is taken (and the log
-    /// truncated) once the WAL is at least this long *and* at least as long
-    /// as the snapshot it would replace, so every snapshot byte written is
-    /// paid for by a logged byte.  `u64::MAX` means never.
-    pub snapshot_wal_bytes: u64,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            durability: Durability::Barrier,
-            snapshot_wal_bytes: 256 * 1024,
-        }
-    }
-}
 
 /// Counters surfaced through `Deployment::storage_stats()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,7 +30,8 @@ pub struct RecoveredState {
 }
 
 impl RecoveredState {
-    /// The commit watermark `(seq, time bits)` the engine resumes from.
+    /// The commit watermark `(seq, time bits)`: the store numbers its next
+    /// batch past `seq`, and the engine's clock resumes at the time.
     pub fn watermark(&self) -> (u64, u64) {
         let mut seq = 0;
         let mut time_bits = 0;
@@ -68,50 +47,6 @@ impl RecoveredState {
     }
 }
 
-/// The persistence seam the engine writes through.  All methods are no-ops
-/// on the in-memory default, so the non-persistent path costs one virtual
-/// call per barrier window and nothing else.
-pub trait StorageBackend: Send {
-    /// Whether commits actually persist (false for [`MemoryBackend`]; the
-    /// engine keeps no journal when this is false, and one shard when it is
-    /// true).
-    fn is_persistent(&self) -> bool {
-        false
-    }
-
-    /// Appends one barrier window's operations as a committed batch.
-    fn commit_batch(
-        &mut self,
-        _ops: &[WalOp],
-        _seq: u64,
-        _time_bits: u64,
-    ) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    /// Whether enough WAL has accumulated that the engine should hand over
-    /// a snapshot.
-    fn snapshot_due(&self) -> bool {
-        false
-    }
-
-    /// Writes a canonical snapshot and truncates the log to its watermark.
-    fn write_snapshot(&mut self, _snap: &SnapshotData) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    /// Log/snapshot counters.
-    fn stats(&self) -> StorageStats {
-        StorageStats::default()
-    }
-}
-
-/// The default backend: everything stays in memory, nothing is written.
-#[derive(Debug, Default)]
-pub struct MemoryBackend;
-
-impl StorageBackend for MemoryBackend {}
-
 /// Log-structured persistence in a data directory:
 ///
 /// ```text
@@ -121,18 +56,26 @@ impl StorageBackend for MemoryBackend {}
 pub struct DiskBackend {
     dir: PathBuf,
     wal: WalWriter,
-    config: StoreConfig,
+    /// The floor of the snapshot trigger, in bytes of log; `u64::MAX` means
+    /// never.
+    snapshot_floor: u64,
     /// Length of the `snapshot.bin` the next snapshot would replace (0 while
     /// there is none).  The log since that snapshot is all of `wal.log`:
     /// every snapshot truncates it.
     snapshot_bytes: u64,
+    /// Sequence number of the last committed batch: the recovered watermark
+    /// until this store commits one of its own.
+    seq: u64,
     /// Everything but `wal_bytes`, which is the writer's length.
     stats: StorageStats,
 }
 
 impl DiskBackend {
-    /// Opens (creating if needed) the store at `dir` and recovers whatever
-    /// committed state it holds.
+    /// Opens (creating if needed) the store at `dir`, snapshotting once the
+    /// log is at least `snapshot_floor` bytes long (see
+    /// [`DiskBackend::snapshot_due`]), and recovers whatever committed state
+    /// it holds.  The log is fsynced once per committed batch
+    /// ([`Durability::Barrier`]).
     ///
     /// Recovery loads the latest valid snapshot, then replays the WAL's
     /// committed batches *newer than the snapshot watermark* (a crash
@@ -150,7 +93,7 @@ impl DiskBackend {
     /// authoritative copy).
     pub fn open(
         dir: &Path,
-        config: StoreConfig,
+        snapshot_floor: u64,
     ) -> Result<(Self, Option<RecoveredState>), StoreError> {
         std::fs::create_dir_all(dir)?;
         for removed in [
@@ -175,7 +118,7 @@ impl DiskBackend {
             let watermark = snap.seq;
             batches.retain(|b| b.seq > watermark);
         }
-        let wal = WalWriter::open(&wal_path, valid, config.durability)?;
+        let wal = WalWriter::open(&wal_path, valid, Durability::Barrier)?;
 
         let recovered = if snapshot.is_some() || !batches.is_empty() {
             Some(RecoveredState { snapshot, batches })
@@ -183,15 +126,18 @@ impl DiskBackend {
             None
         };
         let mut stats = StorageStats::default();
+        let mut seq = 0;
         if let Some(rec) = &recovered {
             stats.recovered_batches = rec.batches.len() as u64;
+            seq = rec.watermark().0;
         }
         Ok((
             DiskBackend {
                 dir: dir.to_path_buf(),
                 wal,
+                snapshot_floor,
                 snapshot_bytes,
-                config,
+                seq,
                 stats,
             },
             recovered,
@@ -202,30 +148,30 @@ impl DiskBackend {
     pub fn dir(&self) -> &Path {
         &self.dir
     }
-}
 
-impl StorageBackend for DiskBackend {
-    fn is_persistent(&self) -> bool {
-        true
-    }
-
-    fn commit_batch(&mut self, ops: &[WalOp], seq: u64, time_bits: u64) -> Result<(), StoreError> {
-        self.wal.append_batch(ops, seq, time_bits)?;
+    /// Appends `ops` as the next committed batch, stamped with `time_bits`
+    /// (the clock at the commit) and numbered one past the last.
+    pub fn commit_batch(&mut self, ops: &[WalOp], time_bits: u64) -> Result<(), StoreError> {
+        self.wal.append_batch(ops, self.seq + 1, time_bits)?;
+        self.seq += 1;
         self.stats.committed_batches += 1;
         self.stats.committed_ops += ops.len() as u64;
         Ok(())
     }
 
     /// Due when the log has outgrown the snapshot it would replace (and the
-    /// configured floor): writes stay within twice the bytes logged plus one
-    /// snapshot, and recovery reads at most one snapshot plus a log of that
-    /// length and one barrier batch.
-    fn snapshot_due(&self) -> bool {
-        self.wal.len >= self.config.snapshot_wal_bytes.max(self.snapshot_bytes)
+    /// floor): writes stay within twice the bytes logged plus one snapshot,
+    /// and recovery reads at most one snapshot plus a log of that length and
+    /// one barrier batch.
+    pub fn snapshot_due(&self) -> bool {
+        self.wal.len >= self.snapshot_floor.max(self.snapshot_bytes)
     }
 
-    fn write_snapshot(&mut self, snap: &SnapshotData) -> Result<(), StoreError> {
-        self.snapshot_bytes = snapshot::write_snapshot(&self.dir.join("snapshot.bin"), snap)?;
+    /// Writes `snap`, stamped with the last committed sequence number as its
+    /// watermark, and truncates the log it supersedes.
+    pub fn write_snapshot(&mut self, mut snap: SnapshotData) -> Result<(), StoreError> {
+        snap.seq = self.seq;
+        self.snapshot_bytes = snapshot::write_snapshot(&self.dir.join("snapshot.bin"), &snap)?;
         // The rename must be on disk before the truncation can be: after a
         // power cut, the old snapshot beside an empty log would have lost
         // every batch in between.
@@ -235,7 +181,8 @@ impl StorageBackend for DiskBackend {
         Ok(())
     }
 
-    fn stats(&self) -> StorageStats {
+    /// Log/snapshot counters.
+    pub fn stats(&self) -> StorageStats {
         StorageStats {
             wal_bytes: self.wal.len,
             ..self.stats
@@ -249,6 +196,9 @@ mod tests {
     use exspan_types::tuple::Tuple;
     use exspan_types::value::Value;
     use std::sync::Arc;
+
+    /// A floor no test's log reaches.
+    const FLOOR: u64 = 256 * 1024;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -274,9 +224,8 @@ mod tests {
     #[test]
     fn fresh_open_recovers_nothing() {
         let dir = tmp("fresh");
-        let (backend, recovered) = DiskBackend::open(&dir, StoreConfig::default()).unwrap();
+        let (backend, recovered) = DiskBackend::open(&dir, FLOOR).unwrap();
         assert!(recovered.is_none());
-        assert!(backend.is_persistent());
         assert_eq!(backend.stats(), StorageStats::default());
     }
 
@@ -284,69 +233,83 @@ mod tests {
     fn commits_recover_across_reopen() {
         let dir = tmp("reopen");
         {
-            let (mut b, rec) = DiskBackend::open(&dir, StoreConfig::default()).unwrap();
+            let (mut b, rec) = DiskBackend::open(&dir, FLOOR).unwrap();
             assert!(rec.is_none());
-            b.commit_batch(&[op(1, 5), op(2, 6)], 1, 1.0f64.to_bits())
+            b.commit_batch(&[op(1, 5), op(2, 6)], 1.0f64.to_bits())
                 .unwrap();
-            b.commit_batch(&[op(3, 7)], 2, 2.0f64.to_bits()).unwrap();
+            b.commit_batch(&[op(3, 7)], 2.0f64.to_bits()).unwrap();
         }
-        let (_, rec) = DiskBackend::open(&dir, StoreConfig::default()).unwrap();
+        let (mut b, rec) = DiskBackend::open(&dir, FLOOR).unwrap();
         let rec = rec.expect("state recovered");
         assert!(rec.snapshot.is_none());
         assert_eq!(rec.batches.len(), 2);
         assert_eq!(rec.watermark(), (2, 2.0f64.to_bits()));
+        // Numbering resumes from the recovered watermark.
+        b.commit_batch(&[op(4, 8)], 3.0f64.to_bits()).unwrap();
+        drop(b);
+        let (_, rec) = DiskBackend::open(&dir, FLOOR).unwrap();
+        assert_eq!(rec.unwrap().watermark(), (3, 3.0f64.to_bits()));
     }
 
     #[test]
     fn snapshot_truncates_log_and_filters_stale_batches() {
         let dir = tmp("snapshot");
-        let (mut b, _) = DiskBackend::open(&dir, StoreConfig::default()).unwrap();
-        b.commit_batch(&[op(1, 5)], 1, 1.0f64.to_bits()).unwrap();
+        let (mut b, _) = DiskBackend::open(&dir, FLOOR).unwrap();
+        b.commit_batch(&[op(1, 5)], 1.0f64.to_bits()).unwrap();
         let snap = SnapshotData {
-            seq: 1,
+            seq: 0,
             time_bits: 1.0f64.to_bits(),
             node_count: 4,
             links: vec![],
             tables: vec![],
             agg: vec![],
         };
-        b.write_snapshot(&snap).unwrap();
+        b.write_snapshot(snap).unwrap();
         assert_eq!(b.stats().wal_bytes, 0);
-        b.commit_batch(&[op(2, 6)], 2, 2.0f64.to_bits()).unwrap();
+        b.commit_batch(&[op(2, 6)], 2.0f64.to_bits()).unwrap();
         drop(b);
 
-        let (_, rec) = DiskBackend::open(&dir, StoreConfig::default()).unwrap();
+        let (_, rec) = DiskBackend::open(&dir, FLOOR).unwrap();
         let rec = rec.unwrap();
-        assert_eq!(rec.snapshot.as_ref().unwrap().seq, 1);
+        assert_eq!(
+            rec.snapshot.as_ref().unwrap().seq,
+            1,
+            "stamped by the store"
+        );
         // Only the post-snapshot batch replays.
         assert_eq!(rec.batches.len(), 1);
         assert_eq!(rec.batches[0].seq, 2);
         assert_eq!(rec.watermark(), (2, 2.0f64.to_bits()));
 
         // Simulate a crash between snapshot rename and log truncation: put
-        // batch 1 back in front of the log — recovery must filter it out.
+        // a batch 1 back into the log — recovery must filter it out.  The
+        // store numbers its own commits, so the stale batch goes through the
+        // log writer.
         drop(rec);
-        let (mut b, _) = DiskBackend::open(&dir, StoreConfig::default()).unwrap();
-        b.commit_batch(&[op(9, 1)], 1, 0.5f64.to_bits()).unwrap();
-        drop(b);
-        let (_, rec) = DiskBackend::open(&dir, StoreConfig::default()).unwrap();
-        let rec = rec.unwrap();
-        assert!(rec.batches.iter().all(|bt| bt.seq > 1));
+        let wal_path = dir.join("wal.log");
+        let len = std::fs::metadata(&wal_path).unwrap().len();
+        let mut w = WalWriter::open(&wal_path, len, Durability::Barrier).unwrap();
+        w.append_batch(&[op(9, 1)], 1, 0.5f64.to_bits()).unwrap();
+        drop(w);
+        assert_eq!(wal::read_wal(&wal_path).unwrap().0.len(), 2);
+        let (_, rec) = DiskBackend::open(&dir, FLOOR).unwrap();
+        let seqs: Vec<u64> = rec.unwrap().batches.iter().map(|bt| bt.seq).collect();
+        assert_eq!(seqs, [2]);
     }
 
     #[test]
     fn torn_tail_is_dropped_and_truncated_on_open() {
         let dir = tmp("torn");
         {
-            let (mut b, _) = DiskBackend::open(&dir, StoreConfig::default()).unwrap();
-            b.commit_batch(&[op(1, 5)], 1, 1.0f64.to_bits()).unwrap();
+            let (mut b, _) = DiskBackend::open(&dir, FLOOR).unwrap();
+            b.commit_batch(&[op(1, 5)], 1.0f64.to_bits()).unwrap();
         }
         let wal = dir.join("wal.log");
         let committed = std::fs::metadata(&wal).unwrap().len();
         let mut data = std::fs::read(&wal).unwrap();
         data.extend_from_slice(&[0xAB; 23]);
         std::fs::write(&wal, &data).unwrap();
-        let (b, rec) = DiskBackend::open(&dir, StoreConfig::default()).unwrap();
+        let (b, rec) = DiskBackend::open(&dir, FLOOR).unwrap();
         assert_eq!(rec.unwrap().batches.len(), 1);
         drop(b);
         assert_eq!(std::fs::metadata(&wal).unwrap().len(), committed);
@@ -354,19 +317,15 @@ mod tests {
 
     /// A store whose snapshot floor is `floor` bytes of log.
     fn open_with_floor(dir: &Path, floor: u64) -> DiskBackend {
-        let config = StoreConfig {
-            snapshot_wal_bytes: floor,
-            ..StoreConfig::default()
-        };
-        DiskBackend::open(dir, config).unwrap().0
+        DiskBackend::open(dir, floor).unwrap().0
     }
 
-    /// Commits one batch of `ops` fixed-width operations and returns the
-    /// bytes it appended (the same for every batch of that many).
-    fn commit(b: &mut DiskBackend, seq: u64, ops: u32) -> u64 {
+    /// Commits one batch of `ops` fixed-width operations of cost `cost` and
+    /// returns the bytes it appended (the same for every batch of that many).
+    fn commit(b: &mut DiskBackend, cost: i64, ops: u32) -> u64 {
         let before = b.stats().wal_bytes;
-        let ops: Vec<WalOp> = (0..ops).map(|i| op(i, seq as i64)).collect();
-        b.commit_batch(&ops, seq, 0).unwrap();
+        let ops: Vec<WalOp> = (0..ops).map(|i| op(i, cost)).collect();
+        b.commit_batch(&ops, 0).unwrap();
         b.stats().wal_bytes - before
     }
 
@@ -395,7 +354,7 @@ mod tests {
         let mut body = Vec::new();
         snapshot::encode_snapshot(&with_pad(0), &mut body);
         let unpadded = body.len() as u64 + 4; // + the trailing CRC
-        b.write_snapshot(&with_pad(file_len - unpadded)).unwrap();
+        b.write_snapshot(with_pad(file_len - unpadded)).unwrap();
         let written = std::fs::metadata(b.dir().join("snapshot.bin")).unwrap();
         assert_eq!(written.len(), file_len);
     }
@@ -468,12 +427,12 @@ mod tests {
         let mut b = open_with_floor(&tmp("amortised-bound"), 1024);
         let state = commit(&mut b, 1, 400);
         let (mut logged, mut batch, mut snapshots) = (state, 0, 0);
-        for seq in 2..=400 {
+        for cost in 2..=400 {
             if b.snapshot_due() {
                 write_snapshot_of_len(&mut b, state);
                 snapshots += 1;
             }
-            batch = commit(&mut b, seq, 20);
+            batch = commit(&mut b, cost, 20);
             logged += batch;
         }
         assert!(snapshots >= 5, "only {snapshots} checkpoint cycles");
@@ -493,7 +452,7 @@ mod tests {
         std::fs::create_dir_all(dir.join("spill")).unwrap();
         std::fs::write(dir.join("spill/n0_x.tbl"), b"stale").unwrap();
         std::fs::write(dir.join("snapshot.tmp"), b"half a snapshot").unwrap();
-        let (_, rec) = DiskBackend::open(&dir, StoreConfig::default()).unwrap();
+        let (_, rec) = DiskBackend::open(&dir, FLOOR).unwrap();
         assert!(!dir.join("spill").exists());
         assert!(rec.is_none(), "a temp file is not a snapshot");
         assert!(!dir.join("snapshot.tmp").exists());

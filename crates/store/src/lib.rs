@@ -1,44 +1,43 @@
 //! # `exspan-store` — log-structured persistence for ExSPAN deployments
 //!
 //! Every engine table is an in-memory `BTreeMap`; this crate gives a
-//! deployment a durable second copy of that state behind the narrow
-//! [`StorageBackend`] seam, without the engine growing any knowledge of
-//! file formats.  Two mechanisms compose:
+//! deployment a durable second copy of that state in [`DiskBackend`], which
+//! the deployment owns: the engine only journals, and does no I/O.  Two
+//! mechanisms compose:
 //!
 //! 1. **Append-only WAL** ([`wal`]).  During a run the engine journals
 //!    every logical table operation (insert/delete intents, topology link
-//!    changes, aggregate-provenance bookkeeping) in one list — an engine
-//!    with a persistent backend runs one shard — and appends them once per
-//!    barrier window as a checksummed, length-prefixed batch closed by a
-//!    commit record.  The [`Durability`] knob controls fsync cadence:
-//!    `None` (OS decides) or `Barrier` (default: one fsync per committed
-//!    window).
+//!    changes, aggregate-provenance bookkeeping) in one list — a journaling
+//!    engine runs one shard — and after each run that journaled something
+//!    the deployment appends the list as one checksummed, length-prefixed
+//!    batch closed by a commit record, fsynced before the run returns.
 //! 2. **Canonical snapshots, amortised** ([`snapshot`]).  Once the log has
 //!    outgrown the state — `wal.log` is at least as long as the
 //!    `snapshot.bin` it would replace, and at least the floor
-//!    `StoreConfig::snapshot_wal_bytes` — the engine hands the backend a
+//!    [`DiskBackend::open`] was given — the deployment hands the store a
 //!    full dump — tables in `(node, relation)` order with rows in `scan()`
 //!    order, the link set, and the aggregate-provenance map, all sorted
 //!    canonically — so snapshot bytes are a pure function of logical state,
-//!    the same whichever order execution reached it in.  Every snapshot byte is paid for by a logged byte: a store
-//!    writes at most twice what it logs plus one snapshot, recovery reads
-//!    at most one snapshot plus a log of that length and one barrier batch
-//!    (so replaying a tail is the normal recovery path), and the directory
-//!    holds at most about two snapshots' worth of bytes.  The ratio is the
-//!    constant 1, not an option.
+//!    the same whichever order execution reached it in.  Every snapshot
+//!    byte is paid for by a logged byte: a store writes at most twice what
+//!    it logs plus one snapshot, recovery reads at most one snapshot plus a
+//!    log of that length and one barrier batch (so replaying a tail is the
+//!    normal recovery path), and the directory holds at most about two
+//!    snapshots' worth of bytes.  The ratio is the constant 1, not an
+//!    option.
 //!
 //! ## Recovery invariants
 //!
-//! A commit is one `write` of a whole batch to `wal.log` followed (under
-//! [`Durability::Barrier`]) by an fsync, before the engine's `run_*` call
-//! returns.  A snapshot is, in this order: write `snapshot.tmp`, fsync it,
-//! rename it over `snapshot.bin`, **fsync the directory**, truncate
-//! `wal.log`, fsync that.  The directory fsync is what makes the rename
-//! durable before the truncation can be; without it a power cut could leave
-//! the old snapshot beside an empty log, losing every batch in between.  A
-//! crash therefore leaves one of: the old snapshot + the full log (a
-//! leftover `snapshot.tmp` is deleted on open); the new snapshot + the full
-//! log, whose batches it already contains; the new snapshot + an empty log.
+//! A commit is one `write` of a whole batch to `wal.log` followed by an
+//! fsync, before the deployment's `run_until` returns.  A snapshot is, in
+//! this order: write `snapshot.tmp`, fsync it, rename it over
+//! `snapshot.bin`, **fsync the directory**, truncate `wal.log`, fsync that.
+//! The directory fsync is what makes the rename durable before the
+//! truncation can be; without it a power cut could leave the old snapshot
+//! beside an empty log, losing every batch in between.  A crash therefore
+//! leaves one of: the old snapshot + the full log (a leftover
+//! `snapshot.tmp` is deleted on open); the new snapshot + the full log,
+//! whose batches it already contains; the new snapshot + an empty log.
 //!
 //! Opening a data directory ([`DiskBackend::open`]) loads the latest valid
 //! snapshot, replays committed WAL batches newer than the snapshot's
@@ -75,9 +74,7 @@ pub mod crc32;
 pub mod snapshot;
 pub mod wal;
 
-pub use backend::{
-    DiskBackend, MemoryBackend, RecoveredState, StorageBackend, StorageStats, StoreConfig,
-};
+pub use backend::{DiskBackend, RecoveredState, StorageStats};
 use codec::DecodeError;
 pub use snapshot::{AggProvEntry, SnapshotData, TableDump};
 pub use wal::{Durability, LinkRecord, WalBatch, WalOp};

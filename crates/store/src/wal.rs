@@ -23,13 +23,14 @@
 //!
 //! # Batching and durability
 //!
-//! The engine buffers operations per barrier window and appends them as one
-//! batch closed by a commit record.  Replay applies only batches closed by
-//! a commit; a crash mid-write leaves a torn tail that [`read_wal`] detects
-//! (short record, checksum mismatch, undecodable payload, or trailing
-//! operations with no commit) and cleanly ignores.  Reopening truncates the
-//! file back to the last committed byte.  The [`Durability`] knob decides
-//! when `fsync` runs: never, or once per committed batch (the default).
+//! The engine journals operations and the store appends each run's journal
+//! as one batch closed by a commit record.  Replay applies only batches
+//! closed by a commit; a crash mid-write leaves a torn tail that [`read_wal`]
+//! detects (short record, checksum mismatch, undecodable payload, or
+//! trailing operations with no commit) and cleanly ignores.  Reopening
+//! truncates the file back to the last committed byte.  [`Durability`]
+//! decides when `fsync` runs: never, or once per committed batch (the
+//! default, and what a store opens its log with).
 
 use crate::codec::{self, DecodeError, Reader};
 use crate::crc32::crc32;

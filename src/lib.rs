@@ -26,10 +26,6 @@
 //! | [`core`] | `exspan-core` | the `Deployment` API, provenance rewrite, modes, queries |
 //! | [`serve`] | `exspan-serve` | wall-clock TCP service front-end, wire protocol, load generator |
 //!
-//! and defines one cross-layer type of its own: [`Error`], a
-//! `#[non_exhaustive]` enum unifying build and serve errors behind a
-//! single `std::error::Error` with `source()` chaining.
-//!
 //! ## Quick start
 //!
 //! A deployment is built with `Exspan::builder()` (the program / topology /
@@ -108,9 +104,6 @@ pub use exspan_serve as serve;
 pub use exspan_types as types;
 
 pub use exspan_serve::{ServeClient, ServeConfig};
-
-mod error;
-pub use error::Error;
 
 /// Shared deployment prologues used by the `examples/` binaries and the
 /// integration tests — one builder-based helper instead of each call site
