@@ -138,7 +138,7 @@ impl std::error::Error for BuildError {}
 
 /// Why a deployment refused a base-tuple delta, before it could reach a
 /// table.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BaseTupleError {
     /// The node is outside the topology.
     NoSuchNode {
@@ -165,6 +165,14 @@ pub enum BaseTupleError {
         /// The tuple's arity.
         found: usize,
     },
+    /// The delta was scheduled before the deployment's current simulated
+    /// time (or at a time that is not a number).
+    Past {
+        /// The time the delta was scheduled at.
+        time: f64,
+        /// The deployment's simulated time.
+        now: f64,
+    },
 }
 
 impl std::fmt::Display for BaseTupleError {
@@ -184,6 +192,9 @@ impl std::fmt::Display for BaseTupleError {
                 f,
                 "{relation} is declared with {declared} attributes, not {found}"
             ),
+            BaseTupleError::Past { time, now } => {
+                write!(f, "t={time} is before now (t={now})")
+            }
         }
     }
 }
@@ -511,6 +522,9 @@ pub struct QueryBuilder<'a> {
 
 impl<'a> QueryBuilder<'a> {
     /// Node issuing the query (default: the target tuple's own location).
+    /// A query issued by or for a node outside the topology is refused: it
+    /// sends nothing, is not counted in [`Deployment::incomplete_queries`],
+    /// and its outcome keeps `completed_at: None`.
     pub fn issuer(mut self, issuer: NodeId) -> Self {
         self.issuer = issuer;
         self
@@ -534,7 +548,9 @@ impl<'a> QueryBuilder<'a> {
         self
     }
 
-    /// Schedules issuance at an absolute simulated time instead of now.
+    /// Schedules issuance at an absolute simulated time instead of now.  A
+    /// time before [`Deployment::now`] (or one that is not a number) is
+    /// refused as an issuer outside the topology is (see [`Self::issuer`]).
     pub fn at(mut self, time: f64) -> Self {
         self.at = Some(time);
         self
@@ -774,7 +790,8 @@ impl Deployment {
 
     /// Schedules a base-tuple delta at an absolute simulated time (churn
     /// schedules, data-plane workloads), applied when the clock passes
-    /// `time`.
+    /// `time`.  A `time` before [`Self::now`] is refused
+    /// ([`BaseTupleError::Past`]), as is what [`Self::insert_base`] refuses.
     pub fn schedule_delta(
         &mut self,
         time: f64,
@@ -783,6 +800,10 @@ impl Deployment {
         insert: bool,
     ) -> Result<(), BaseTupleError> {
         self.check_base(node, &tuple)?;
+        let now = self.now();
+        if time < now || time.is_nan() {
+            return Err(BaseTupleError::Past { time, now });
+        }
         self.engine.schedule_delta(time, node, tuple, insert);
         Ok(())
     }
@@ -812,6 +833,10 @@ impl Deployment {
     /// change itself takes effect immediately — the simulator routes by
     /// current topology — which is at most one churn interval early.  For
     /// immediate application use [`Self::apply_churn_event`].
+    ///
+    /// # Panics
+    ///
+    /// If `at` is before [`Self::now`] (or is not a number).
     pub fn schedule_churn_event(&mut self, event: &ChurnEvent, at: f64) {
         self.change_link(event.add, event.a, event.b, event.props, at);
     }

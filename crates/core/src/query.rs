@@ -491,7 +491,10 @@ impl QueryFabric {
     }
 
     /// Submits a provenance query for `target` from `issuer` in session
-    /// `sid`, now or at simulated time `at`.  Returns the outcome index.
+    /// `sid`, now or at simulated time `at`.  Returns the outcome index.  A
+    /// query whose issuer or target node is outside the topology, or whose
+    /// `at` is before now, is refused: its outcome never completes, it is not
+    /// counted as incomplete, and nothing is sent.
     pub(crate) fn submit(
         &mut self,
         engine: &mut Engine,
@@ -501,14 +504,20 @@ impl QueryFabric {
         at: Option<f64>,
     ) -> usize {
         let index = self.outcomes.len();
+        let now = engine.now();
         self.outcomes.push(QueryOutcome {
             issuer,
             target_node: target.location,
             vid: target.vid(),
-            issued_at: at.unwrap_or_else(|| engine.now()),
+            issued_at: at.unwrap_or(now),
             completed_at: None,
             annotation: None,
         });
+        let outside = |node: NodeId| node as usize >= engine.topology().num_nodes();
+        let past = at.is_some_and(|t| t < now || t.is_nan());
+        if outside(issuer) || outside(target.location) || past {
+            return index;
+        }
         self.incomplete += 1;
         match at {
             None => self.send_prov_query(engine, sid, index),

@@ -444,18 +444,18 @@ mod tests {
     }
 
     #[test]
-    fn rewritten_programs_probe_what_the_originals_probe_with_no_secondary_index() {
+    fn rewritten_programs_probe_what_the_originals_probe_with_no_scan() {
         // The derivation rules carry the original multi-atom bodies, so the
         // rewritten program must probe every (relation, columns) pair the
         // original does — the provenance overhead must not reintroduce
         // scans — and, like the original, every probe begins with its
-        // table's primary key, so no secondary index is demanded.
+        // table's primary key, so none is left to a scan.
         use exspan_ndlog::plan::{JoinPlan, ProgramPlans};
         use std::collections::BTreeSet;
         fn probed(plans: &ProgramPlans) -> BTreeSet<(RelId, Vec<usize>)> {
             let groups = plans.aggregates.values().map(|a| &a.group);
             let all: Vec<&JoinPlan> = plans.triggers.values().chain(groups).collect();
-            let pairs = all.into_iter().flat_map(JoinPlan::index_demands);
+            let pairs = all.into_iter().flat_map(JoinPlan::probed);
             pairs.map(|(r, c)| (r, c.to_vec())).collect()
         }
         for program in [

@@ -10,10 +10,10 @@
 //!   derivation crosses the network just to lose the `min`/`max`/`count`
 //!   race at the destination.  (This is the per-derivation traffic the
 //!   paper's MINCOST evaluation measures.)
-//! * `N002` — a secondary index the delta-join planner maintains: one per
-//!   entry of [`ProgramPlans::demands`], a probed column set that no prefix
-//!   of the table's primary key serves.
-//! * `N003` — a (rule, trigger) join level that probes no index and falls
+//! * `N002` — a probe the runtime answers with a table scan: one per entry
+//!   of [`ProgramPlans::demands`], a probed column set that no prefix of the
+//!   table's primary key serves.
+//! * `N003` — a (rule, trigger) join level with no probe key, which falls
 //!   back to a full table scan.
 //! * `N004` — a trigger whose plan joins a transient event predicate:
 //!   transient state is never materialized, so the trigger is dead weight.
@@ -38,7 +38,8 @@ pub(crate) fn check(program: &Program, source: Option<&SourceMap>, out: &mut Dia
         for key in keys {
             let cols: Vec<String> = key.iter().map(|c| format!("col{c}")).collect();
             let msg = format!(
-                "the delta-join planner maintains a secondary index on {rel}({})",
+                "the delta-join planner scans {rel} at each probe on ({}): \
+                 no prefix of its primary key serves them",
                 cols.join(", ")
             );
             out.push(Diagnostic::new("N002", Severity::Note, None, msg).with_span(span));
@@ -151,7 +152,7 @@ mod tests {
     }
 
     #[test]
-    fn a_probe_no_primary_prefix_serves_is_an_index() {
+    fn a_probe_no_primary_prefix_serves_is_a_scan() {
         // Triggered by a, t is probed on (loc, C) = [0,2] under key [0,1]:
         // that is the program's one demand.
         let p = parse_program(
@@ -165,7 +166,10 @@ mod tests {
         let msgs: Vec<_> = n002.iter().map(|d| d.message.as_str()).collect();
         assert_eq!(
             msgs,
-            ["the delta-join planner maintains a secondary index on t(col0, col2)"]
+            [
+                "the delta-join planner scans t at each probe on (col0, col2): \
+              no prefix of its primary key serves them"
+            ]
         );
     }
 

@@ -21,10 +21,10 @@
 //!    base tables or events, rules that can never fire, and declared tables
 //!    no rule reads or writes.
 //! 4. [`distribution`] — deployment-shape notes: rules that ship every
-//!    derivation across the network into an aggregate group, plus an
-//!    index-demand report explaining which secondary indexes the join
-//!    planner ([`crate::plan`]) materializes and which joins fall back to
-//!    scans.
+//!    derivation across the network into an aggregate group, plus a report
+//!    of the join planner's ([`crate::plan`]) probes that no primary-key
+//!    prefix serves and of the join levels with no probe key: both fall
+//!    back to scans.
 //!
 //! Severities gate differently: [`Severity::Error`] fails
 //! `Exspan::builder().build()`; [`Severity::Warning`] additionally fails

@@ -19,6 +19,7 @@
 
 use crate::ast::{BodyItem, CmpOp, Expr, HeadArg, Program, Rule, Term};
 use crate::diag::{Diagnostic, Diagnostics, Severity, SourceMap, Span};
+use crate::eval::Builtin;
 use exspan_types::{RelId, Symbol, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -156,22 +157,21 @@ struct FuncSig {
 
 fn func_sig(name: &str) -> Option<FuncSig> {
     use ColType::*;
-    let sig = |exact_arity, args, ret| FuncSig {
-        exact_arity,
+    let builtin = Builtin::resolve(name)?;
+    let (args, ret): (&'static [ColType], _) = match builtin {
+        Builtin::Sha1 => (&[], Digest),
+        Builtin::Append | Builtin::Empty => (&[], List),
+        Builtin::Size => (&[List], Int),
+        Builtin::Init => (&[Unknown, Unknown], List),
+        Builtin::Prepend => (&[Unknown, List], List),
+        Builtin::InPath => (&[List, Unknown], Bool),
+        Builtin::First | Builtin::Last | Builtin::NextHop => (&[List], Unknown),
+        Builtin::Item => (&[List, Int], Unknown),
+    };
+    Some(FuncSig {
+        exact_arity: builtin.arity(),
         args,
         ret,
-    };
-    Some(match name {
-        "f_sha1" => sig(None, &[], Digest),
-        "f_append" | "f_concat" => sig(None, &[], List),
-        "f_empty" => sig(Some(0), &[], List),
-        "f_size" => sig(Some(1), &[List], Int),
-        "f_init" => sig(Some(2), &[Unknown, Unknown], List),
-        "f_prepend" | "f_concatPath" => sig(Some(2), &[Unknown, List], List),
-        "f_inPath" => sig(Some(2), &[List, Unknown], Bool),
-        "f_first" | "f_last" | "f_nextHop" => sig(Some(1), &[List], Unknown),
-        "f_item" => sig(Some(2), &[List, Int], Unknown),
-        _ => return None,
     })
 }
 

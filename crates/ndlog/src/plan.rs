@@ -17,9 +17,9 @@
 //!   and the intermediate result stays small.
 //! * A probe whose columns begin with the declared primary key's leading
 //!   columns ([`primary_prefix`]) is one key range of the table's primary
-//!   map.  The `(relation, key columns)` pairs no such prefix serves are the
-//!   program's [index demand](ProgramPlans::demands): the storage layer
-//!   maintains exactly those secondary indexes, nothing more.
+//!   map, the only index a table keeps.  The `(relation, key columns)` pairs
+//!   no such prefix serves are the program's [demands](ProgramPlans::demands):
+//!   the runtime scans the table at each of those probes.
 //! * Which variables are bound at each point of a plan is static, so the
 //!   rule's variables are numbered into dense **slots** and the plan carries
 //!   everything a firing does lowered onto them — atoms to
@@ -192,7 +192,7 @@ pub struct JoinLevel {
 }
 
 impl JoinLevel {
-    /// Whether this level probes an index (vs. scanning the table).
+    /// Whether this level has a probe key (vs. scanning the table).
     pub fn probes(&self) -> bool {
         !self.cols.is_empty()
     }
@@ -242,9 +242,10 @@ pub struct JoinPlan {
 /// `cols` and the key order (an empty `key` means whole-tuple order
 /// `0, 1, 2, …`), provided it holds a non-location column — a table is
 /// already one node's rows, so a location-only range is a scan.  `None`
-/// means no primary prefix serves the probe and a secondary index must.
-/// This one rule decides what [`ProgramPlans::demands`] asks for, what the
-/// `N002` lint reports and which indexes the runtime's `Table` builds.
+/// means no primary prefix serves the probe, and the runtime's `Table`
+/// leaves it to a scan.  This one rule decides what
+/// [`ProgramPlans::demands`] lists, what the `N002` lint reports and which
+/// probes the runtime's `Table` serves.
 pub fn primary_prefix(key: &[usize], cols: &[usize]) -> Option<usize> {
     let key_col = |i: usize| match key.is_empty() {
         true => Some(i),
@@ -258,7 +259,7 @@ pub fn primary_prefix(key: &[usize], cols: &[usize]) -> Option<usize> {
 
 impl JoinPlan {
     /// The `(relation, key columns)` pairs this plan probes.
-    pub fn index_demands(&self) -> impl Iterator<Item = (RelId, &[usize])> {
+    pub fn probed(&self) -> impl Iterator<Item = (RelId, &[usize])> {
         self.levels
             .iter()
             .filter(|l| l.probes())
@@ -564,7 +565,8 @@ impl AggRulePlans {
     }
 }
 
-/// Every compiled plan of a program, plus the secondary indexes they need.
+/// Every compiled plan of a program, plus the probes its tables' primary
+/// maps cannot serve.
 #[derive(Debug, Clone, Default)]
 pub struct ProgramPlans {
     /// `(rule index, trigger body-atom index)` → plan, for non-aggregate
@@ -573,13 +575,13 @@ pub struct ProgramPlans {
     /// Rule index → aggregate plans, for aggregate rules.
     pub aggregates: FxHashMap<usize, AggRulePlans>,
     /// Relation → the probed column lists no [`primary_prefix`] of its
-    /// declared key serves: the secondary indexes its tables maintain.
+    /// declared key serves: the probes the runtime answers with a scan.
     pub demands: BTreeMap<RelId, BTreeSet<Vec<usize>>>,
 }
 
 impl ProgramPlans {
     /// Compiles plans for every `(rule, trigger atom)` pair and every
-    /// aggregate rule of `program`, collecting the index demands.
+    /// aggregate rule of `program`, collecting the demands.
     pub fn compile(program: &Program) -> Self {
         let mut out = ProgramPlans::default();
         for (ri, rule) in program.rules.iter().enumerate() {
@@ -626,7 +628,7 @@ impl ProgramPlans {
         if plan.dead {
             return;
         }
-        for (relation, cols) in plan.index_demands() {
+        for (relation, cols) in plan.probed() {
             self.demand(program, relation, cols);
         }
     }
@@ -713,7 +715,7 @@ mod tests {
     }
 
     #[test]
-    fn built_in_programs_demand_no_secondary_index() {
+    fn built_in_programs_demand_no_scan() {
         // Their probes — path[0,1] (pv3's group), path[0,1,3] (pv4),
         // pathCost[0,1], bestPathCost[0,1], bestPathCost[0,1,2] and
         // bestHop[0,1] — all begin with their table's key.  The

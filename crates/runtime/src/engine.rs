@@ -263,15 +263,7 @@ impl Engine {
             .iter()
             .map(|t| (t.relation, t.keys.clone()))
             .collect();
-        // Compile the per-(rule, trigger) join plans and collect the
-        // secondary indexes they demand; every shard's table store maintains
-        // exactly those indexes.
         let plans = ProgramPlans::compile(&program);
-        let index_demands: FxHashMap<RelId, Vec<Vec<usize>>> = plans
-            .demands
-            .iter()
-            .map(|(rel, cols)| (*rel, cols.iter().cloned().collect()))
-            .collect();
         let num_shards = if policy.is_some() || journal {
             1
         } else {
@@ -302,7 +294,7 @@ impl Engine {
                         shard_id: i as u16,
                     });
                 }
-                Shard::new(Arc::clone(&data), keys.clone(), index_demands.clone(), sim)
+                Shard::new(Arc::clone(&data), keys.clone(), sim)
             })
             .collect();
         shards[0].policy = policy;
@@ -439,7 +431,7 @@ impl Engine {
     /// The join's own [`Table::probe`](crate::Table::probe) of `relation` at
     /// `node`: its rows holding `key` at `cols` (0 = location), borrowed in
     /// place, in scan order.  `None` when `node` has no such table, or when
-    /// neither a primary key range nor a secondary index serves `cols`.
+    /// no prefix of its primary key serves `cols`.
     pub fn probe<'a>(
         &'a self,
         node: NodeId,

@@ -98,10 +98,10 @@ pub(crate) struct RuleData {
     pub rules: Vec<Rule>,
     /// relation -> list of (rule index, trigger atom index)
     pub triggers: FxHashMap<RelId, Vec<(usize, usize)>>,
-    /// Compiled join plans for every (rule, trigger) pair and aggregate rule,
-    /// plus the secondary-index demands the table stores maintain: only the
-    /// probed column sets no primary-key prefix serves (none for the
-    /// built-in programs), since every other probe is a primary key range.
+    /// Compiled join plans for every (rule, trigger) pair and aggregate rule.
+    /// A probe is a primary key range where a prefix of the table's key
+    /// serves its columns (every probe of the built-in programs) and a scan
+    /// elsewhere.
     pub plans: ProgramPlans,
     /// Rule label → index of the first rule carrying it (what an
     /// aggregate-recompute event names its rule by).
@@ -165,12 +165,11 @@ impl Shard {
     pub(crate) fn new(
         data: Arc<RuleData>,
         keys: FxHashMap<RelId, Vec<usize>>,
-        index_demands: FxHashMap<RelId, Vec<Vec<usize>>>,
         sim: Simulator<Payload>,
     ) -> Self {
         Shard {
             data,
-            store: TableStore::with_indexes(keys, index_demands),
+            store: TableStore::new(keys),
             sim,
             policy: None,
             agg_prov: FxHashMap::default(),
@@ -410,8 +409,8 @@ impl Shard {
     }
 
     /// Executes the levels of a compiled join plan from `depth` down: probes
-    /// the demanded index when the key can be built (falling back to a
-    /// canonical scan otherwise) and unifies each candidate into the frame,
+    /// the table's primary map when the key can be built and a prefix of the
+    /// table's key serves it (falling back to a canonical scan otherwise) and unifies each candidate into the frame,
     /// recursing per match; past the last level, applies the guards and
     /// hands the frame to `sink`.  A plan without a trigger is one of the
     /// aggregate evaluation contexts, which restrict every candidate to the
@@ -693,7 +692,7 @@ impl Shard {
         // variables restricts the enumeration to the affected group
         // (essential for performance: one delta must not trigger a scan of
         // every group at the node), and the compiled group plan turns the
-        // restriction into index probes.  The fold keeps the aggregate value
+        // restriction into key-range probes.  The fold keeps the aggregate value
         // and the inputs of the winning assignment (for MIN/MAX provenance,
         // the winning tuple is the provenance child; for COUNT the first
         // assignment is used as a representative) — first in canonical

@@ -49,7 +49,7 @@
 //! logical intents and replay drives them through the identical table
 //! code, the recovered tables are **byte-identical** to the state at the
 //! last committed barrier: same rows, same duplicate counts, same keyed-
-//! replacement outcomes, same secondary indexes.
+//! replacement outcomes.
 //!
 //! What recovery restores is the state as of the last committed barrier —
 //! a quiescent point when commits happen at fixpoints.  In-flight

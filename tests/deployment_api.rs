@@ -367,6 +367,74 @@ fn a_base_tuple_is_refused_at_a_node_that_is_not_its_own() {
 }
 
 #[test]
+fn a_query_outside_the_topology_or_the_past_is_refused() {
+    // Each of these once panicked in the simulator: an issuer or a target
+    // node outside the 4-node topology indexed past its per-node tables, and
+    // an issue time before now was scheduled in the past.
+    let mut deployment = Exspan::builder()
+        .program(programs::mincost())
+        .topology(Topology::paper_example())
+        .mode(ProvenanceMode::Reference)
+        .build()
+        .expect("valid deployment");
+    deployment.run_to_fixpoint();
+    let quiet = |d: &Deployment| (d.state_digest(), d.total_bytes());
+    let before = quiet(&deployment);
+    let best = Tuple::new("bestPathCost", 0, vec![Value::Node(2), Value::Int(5)]);
+    let elsewhere = Tuple::new("bestPathCost", 99, vec![Value::Node(2), Value::Int(5)]);
+    let now = deployment.now();
+    let outcomes = [
+        deployment.query(&best).issuer(99).execute(),
+        deployment.query(&elsewhere).execute(),
+    ];
+    let handles = [
+        deployment.query(&best).issuer(99).at(now + 1.0).submit(),
+        deployment.query(&best).at(now - 1.0).submit(),
+    ];
+    assert_eq!(deployment.incomplete_queries(), 0);
+    deployment.run_to_fixpoint();
+    let submitted = handles.map(|h| deployment.outcome(h).cloned().expect("valid handle"));
+    for outcome in outcomes.iter().chain(&submitted) {
+        assert_eq!(outcome.completed_at, None, "{outcome:?}");
+    }
+    assert_eq!(quiet(&deployment), before);
+    // The refusals leave the deployment answering as before.
+    let answered = deployment.query(&best).execute();
+    assert!(answered.completed_at.is_some());
+}
+
+#[test]
+fn a_delta_scheduled_in_the_past_is_refused() {
+    let mut deployment = Exspan::builder()
+        .program(programs::mincost())
+        .topology(Topology::paper_example())
+        .build()
+        .expect("valid deployment");
+    deployment.run_to_fixpoint();
+    let digest = deployment.state_digest();
+    let now = deployment.now();
+    let tuple = Deployment::link_tuple(0, 2, 1);
+    for time in [now - 1.0, f64::NAN] {
+        let err = deployment
+            .schedule_delta(time, 0, tuple.clone(), true)
+            .unwrap_err();
+        let BaseTupleError::Past {
+            time: at,
+            now: at_now,
+        } = err
+        else {
+            panic!("refused for its time, not {err:?}");
+        };
+        assert!(at.to_bits() == time.to_bits() && at_now == now);
+        deployment.run_to_fixpoint();
+        assert_eq!(deployment.state_digest(), digest);
+    }
+    assert!(deployment.schedule_delta(now, 0, tuple, true).is_ok());
+    deployment.run_to_fixpoint();
+    assert_ne!(deployment.state_digest(), digest);
+}
+
+#[test]
 fn queries_survive_interleaved_route_withdrawal() {
     // Delete the link under a monitored route *between* two queries for it:
     // the second query must observe the updated provenance on the same clock.
