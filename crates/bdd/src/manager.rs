@@ -121,7 +121,7 @@ struct StoreInner {
     hits: u64,
     misses: u64,
     clears: u64,
-    /// The size walk's visited set and stack, kept between walks so that
+    /// The node walk's visited set and stack, kept between walks so that
     /// charging a remote send allocates nothing.
     walk_seen: FxHashSet<Bdd>,
     walk_stack: Vec<Bdd>,
@@ -241,7 +241,9 @@ impl StoreInner {
         r
     }
 
-    fn reachable_internal_count(&mut self, b: Bdd) -> usize {
+    /// Collects the internal nodes reachable from `b` in `walk_seen` and
+    /// returns how many there are.
+    fn walk(&mut self, b: Bdd) -> usize {
         let StoreInner {
             nodes,
             walk_seen: seen,
@@ -459,20 +461,11 @@ impl BddManager {
     /// Absorption can make a function independent of variables that appear in
     /// the original polynomial — e.g. `a + a·b` does not depend on `b`.
     pub fn support(&self, b: Bdd) -> Vec<VarId> {
-        let inner = self.store.lock();
-        let mut seen = std::collections::BTreeSet::new();
-        let mut visited = FxHashSet::default();
-        let mut stack = vec![b];
-        while let Some(cur) = stack.pop() {
-            if cur.is_terminal() || !visited.insert(cur) {
-                continue;
-            }
-            let n = inner.node(cur);
-            seen.insert(n.var);
-            stack.push(n.low);
-            stack.push(n.high);
-        }
-        seen.into_iter().collect()
+        let mut inner = self.store.lock();
+        inner.walk(b);
+        let vars: std::collections::BTreeSet<VarId> =
+            inner.walk_seen.iter().map(|&n| inner.node(n).var).collect();
+        vars.into_iter().collect()
     }
 
     /// Estimated number of bytes needed to ship this BDD over the network:
@@ -481,7 +474,7 @@ impl BddManager {
     /// the flat model every existing figure is built on; it depends only on
     /// the reachable structure, never on node ids.
     pub fn serialized_size(&self, b: Bdd) -> usize {
-        4 + self.store.lock().reachable_internal_count(b) * 12
+        4 + self.store.lock().walk(b) * 12
     }
 
     /// Number of bytes this BDD costs under the compressed wire model:

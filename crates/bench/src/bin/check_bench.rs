@@ -5,9 +5,8 @@
 //! ```
 //!
 //! Compares two directories of `BENCH_*.json` files — a fresh `figures` run
-//! against the committed `benchmarks/baseline`, a sharded run against a
-//! sequential one, a run through a persistent store against an in-memory
-//! one — and fails (exit 1) if
+//! against the committed `benchmarks/baseline`, or a sharded run against a
+//! sequential one — and fails (exit 1) if
 //!
 //! * the two are **not identical** once wall-clock time and shard count are
 //!   set aside: a figure or series present on one side only, or any series
@@ -19,8 +18,8 @@
 //!   MINCOST / PATHVECTOR savings fall below 25%.
 //!
 //! The series statistics are functions of the *simulated* protocol run, which
-//! is deterministic at every shard count and with or without persistence, so
-//! nothing here depends on the runner.  Timing is not this tool's business:
+//! is deterministic at every shard count, so nothing here depends on the
+//! runner.  Timing is not this tool's business:
 //! `benchmarks/e2e` measures it.
 
 use exspan_bench::BenchReport;

@@ -809,7 +809,9 @@ impl Deployment {
     }
 
     /// Adds a link to the topology and inserts its base tuples (both
-    /// directions) at the current simulated time.
+    /// directions) at the current simulated time.  A link with an endpoint
+    /// outside the topology, or from a node to itself, is refused: nothing
+    /// changes.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, props: LinkProps) {
         self.change_link(true, a, b, props, self.now());
     }
@@ -821,10 +823,10 @@ impl Deployment {
         self.change_link(false, a, b, cost_one, self.now());
     }
 
-    /// Applies one churn event (link addition or deletion) now.
+    /// Applies one churn event (link addition or deletion) now, refusing
+    /// what [`Self::add_link`] refuses.
     pub fn apply_churn_event(&mut self, event: &ChurnEvent) {
-        let now = self.engine.now();
-        self.schedule_churn_event(event, now);
+        self.schedule_churn_event(event, self.now());
     }
 
     /// Schedules one churn event's base-tuple deltas at absolute simulated
@@ -834,9 +836,8 @@ impl Deployment {
     /// current topology — which is at most one churn interval early.  For
     /// immediate application use [`Self::apply_churn_event`].
     ///
-    /// # Panics
-    ///
-    /// If `at` is before [`Self::now`] (or is not a number).
+    /// An `at` before [`Self::now`] or not a number is refused, as is what
+    /// [`Self::add_link`] refuses: nothing changes.
     pub fn schedule_churn_event(&mut self, event: &ChurnEvent, at: f64) {
         self.change_link(event.add, event.a, event.b, event.props, at);
     }
@@ -845,17 +846,22 @@ impl Deployment {
     /// which journals the change, and schedules the delta of its two `link`
     /// tuples at `at`, at each endpoint inside the topology.  The removed
     /// link's cost names the deleted tuples; with no such link, `props.cost`
-    /// does.
+    /// does.  An added link the topology cannot hold, or an `at` before now
+    /// or NaN, is refused before anything changes.
     fn change_link(&mut self, add: bool, a: NodeId, b: NodeId, props: LinkProps, at: f64) {
+        let nodes = self.engine.topology().num_nodes();
+        let outside = |n: NodeId| n as usize >= nodes;
+        if add && (a == b || outside(a) || outside(b)) || at < self.now() || at.is_nan() {
+            return;
+        }
         let cost = if add {
             self.engine.add_link(a, b, props);
             props.cost
         } else {
             self.engine.remove_link(a, b).unwrap_or(props).cost
         };
-        let nodes = self.engine.topology().num_nodes();
         for (from, to) in [(a, b), (b, a)] {
-            if (from as usize) < nodes {
+            if !outside(from) {
                 let tuple = Self::link_tuple(from, to, cost);
                 self.engine.schedule_delta(at, from, tuple, add);
             }

@@ -20,19 +20,17 @@ use std::collections::BTreeSet;
 /// Runs the pass, pushing diagnostics into `out`.
 pub(crate) fn check(program: &Program, source: Option<&SourceMap>, out: &mut Diagnostics) {
     let heads: BTreeSet<RelId> = program.rules.iter().map(|r| r.head.relation).collect();
+    let read: BTreeSet<RelId> = program
+        .rules
+        .iter()
+        .flat_map(|r| r.body_atoms().map(|a| a.relation))
+        .collect();
 
     // Seeds: base relations (mentioned anywhere but never derived) and event
     // predicates (injected by the workload even when rules also derive them).
     let mut derivable: BTreeSet<RelId> = BTreeSet::new();
-    let mut mentioned: BTreeSet<RelId> = heads.clone();
-    for table in &program.tables {
-        mentioned.insert(table.relation);
-    }
-    for rule in &program.rules {
-        for atom in rule.body_atoms() {
-            mentioned.insert(atom.relation);
-        }
-    }
+    let tables = program.tables.iter().map(|t| t.relation);
+    let mentioned: BTreeSet<RelId> = heads.iter().chain(&read).copied().chain(tables).collect();
     for &rel in &mentioned {
         if !heads.contains(&rel) || crate::is_event_predicate(rel.as_str()) {
             derivable.insert(rel);
@@ -90,12 +88,6 @@ pub(crate) fn check(program: &Program, source: Option<&SourceMap>, out: &mut Dia
     }
 
     // W003: declared tables neither read nor written.
-    let mut read: BTreeSet<RelId> = BTreeSet::new();
-    for rule in &program.rules {
-        for atom in rule.body_atoms() {
-            read.insert(atom.relation);
-        }
-    }
     for (ti, table) in program.tables.iter().enumerate() {
         if read.contains(&table.relation) || heads.contains(&table.relation) {
             continue;

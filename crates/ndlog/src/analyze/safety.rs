@@ -4,10 +4,12 @@
 //! sanctioned monotone pattern of the paper's MINCOST program: every cycle
 //! that re-derives the aggregate's input must pass through a rule carrying a
 //! bounding constraint (MINCOST's `C < 64` horizon), so the recursion
-//! converges instead of oscillating.  Formally, within each strongly
-//! connected component of the relation-dependency graph that contains an
-//! aggregate head: the subgraph of edges contributed by *unguarded* rules
-//! (rules with no constraint in their body) must be acyclic.  `count`
+//! converges instead of oscillating.  Formally, over the relation-dependency
+//! graph (an edge from each body relation to its rule's head), an aggregate
+//! head `H` is recursive when `H` reaches itself.  Its cycle set is every
+//! relation `R` that `H` reaches and that reaches `H` back; no relation of
+//! that set may reach itself over the edges of *unguarded* rules (rules
+//! with no constraint in their body) whose head is in the set.  `count`
 //! aggregates are never monotone under churn and may not participate in
 //! recursion at all.  Violations are `E012`.
 //!
@@ -15,7 +17,7 @@
 //! comparisons that fold to `false`, and per-variable integer bound sets
 //! that are mutually contradictory (`C < 3, C > 5`).
 
-use crate::ast::{AggFunc, BodyItem, CmpOp, Expr, Program, Term};
+use crate::ast::{AggFunc, BodyItem, CmpOp, Expr, Program, Rule, Term};
 use crate::diag::{Diagnostic, Diagnostics, Severity, SourceMap};
 use crate::eval::CExpr;
 use exspan_types::{RelId, Symbol, Value};
@@ -25,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub(crate) fn check(program: &Program, source: Option<&SourceMap>, out: &mut Diagnostics) {
     check_aggregate_recursion(program, source, out);
     for (ri, rule) in program.rules.iter().enumerate() {
-        check_satisfiability(program, ri, rule, source, out);
+        check_satisfiability(ri, rule, source, out);
     }
 }
 
@@ -34,182 +36,75 @@ pub(crate) fn check(program: &Program, source: Option<&SourceMap>, out: &mut Dia
 // ---------------------------------------------------------------------------
 
 fn check_aggregate_recursion(program: &Program, source: Option<&SourceMap>, out: &mut Diagnostics) {
-    let sccs = relation_sccs(program);
+    let all = edges(program, |_| true);
     for (ri, rule) in program.rules.iter().enumerate() {
         let Some((func, _, _)) = rule.head.aggregate() else {
             continue;
         };
         let head = rule.head.relation;
-        let Some(scc) = sccs.iter().find(|s| s.contains(&head)) else {
-            continue;
-        };
-        if !scc_is_cyclic(program, scc) {
+        let from_head = reachable(&all, head);
+        if !from_head.contains(&head) {
             continue;
         }
-        let span = source.and_then(|m| m.rule(ri).map(|r| r.full));
-        match func {
-            AggFunc::Count => {
-                let msg = format!(
-                    "count aggregate over {head} participates in recursion; \
-                     count is not monotone under churn and cannot be maintained on a cycle"
-                );
-                out.push(
-                    Diagnostic::new("E012", Severity::Error, Some(rule.label), msg).with_span(span),
-                );
-            }
+        let msg = match func {
+            AggFunc::Count => format!(
+                "count aggregate over {head} participates in recursion; \
+                 count is not monotone under churn and cannot be maintained on a cycle"
+            ),
             AggFunc::Min | AggFunc::Max => {
-                if unguarded_subgraph_is_cyclic(program, scc) {
-                    let msg = format!(
-                        "recursion through the {func} aggregate over {head} has a cycle with no \
-                         bounding constraint; add a guard (like MINCOST's cost horizon) so the \
-                         recursion converges"
-                    );
-                    out.push(
-                        Diagnostic::new("E012", Severity::Error, Some(rule.label), msg)
-                            .with_span(span),
-                    );
+                let cycle: BTreeSet<RelId> = from_head
+                    .into_iter()
+                    .filter(|&r| reachable(&all, r).contains(&head))
+                    .collect();
+                let unguarded = edges(program, |r| {
+                    cycle.contains(&r.head.relation)
+                        && !r.body.iter().any(|i| matches!(i, BodyItem::Constraint(..)))
+                });
+                if !cycle.iter().any(|&r| reachable(&unguarded, r).contains(&r)) {
+                    continue;
                 }
+                format!(
+                    "recursion through the {func} aggregate over {head} has a cycle with no \
+                     bounding constraint; add a guard (like MINCOST's cost horizon) so the \
+                     recursion converges"
+                )
             }
-        }
+        };
+        let span = source.and_then(|m| m.rule(ri).map(|r| r.full));
+        out.push(Diagnostic::new("E012", Severity::Error, Some(rule.label), msg).with_span(span));
     }
 }
 
-/// Strongly connected components of the relation-dependency graph
-/// (edge: body relation → head relation), via Kosaraju.
-fn relation_sccs(program: &Program) -> Vec<BTreeSet<RelId>> {
-    let mut rels: BTreeSet<RelId> = BTreeSet::new();
-    let mut fwd: BTreeMap<RelId, BTreeSet<RelId>> = BTreeMap::new();
-    let mut rev: BTreeMap<RelId, BTreeSet<RelId>> = BTreeMap::new();
-    for rule in &program.rules {
-        rels.insert(rule.head.relation);
+/// Relation-dependency edges: body relation → the head relations it feeds.
+type Edges = BTreeMap<RelId, BTreeSet<RelId>>;
+
+/// The body → head edges of the rules `keep` selects.
+fn edges(program: &Program, keep: impl Fn(&Rule) -> bool) -> Edges {
+    let mut edges = Edges::new();
+    for rule in program.rules.iter().filter(|r| keep(r)) {
         for atom in rule.body_atoms() {
-            rels.insert(atom.relation);
-            fwd.entry(atom.relation)
+            edges
+                .entry(atom.relation)
                 .or_default()
                 .insert(rule.head.relation);
-            rev.entry(rule.head.relation)
-                .or_default()
-                .insert(atom.relation);
         }
     }
-    let mut order = Vec::new();
+    edges
+}
+
+/// The relations `from` reaches over one or more edges; `from` is among
+/// them only when it lies on a cycle.
+fn reachable(edges: &Edges, from: RelId) -> BTreeSet<RelId> {
     let mut seen = BTreeSet::new();
-    for &r in &rels {
-        post_order(r, &fwd, &mut seen, &mut order);
-    }
-    let mut sccs = Vec::new();
-    let mut assigned = BTreeSet::new();
-    for &r in order.iter().rev() {
-        if assigned.contains(&r) {
-            continue;
-        }
-        let mut scc = BTreeSet::new();
-        collect_scc(r, &rev, &mut assigned, &mut scc);
-        sccs.push(scc);
-    }
-    sccs
-}
-
-fn post_order(
-    r: RelId,
-    edges: &BTreeMap<RelId, BTreeSet<RelId>>,
-    seen: &mut BTreeSet<RelId>,
-    order: &mut Vec<RelId>,
-) {
-    if !seen.insert(r) {
-        return;
-    }
-    if let Some(next) = edges.get(&r) {
-        for &n in next {
-            post_order(n, edges, seen, order);
-        }
-    }
-    order.push(r);
-}
-
-fn collect_scc(
-    r: RelId,
-    edges: &BTreeMap<RelId, BTreeSet<RelId>>,
-    assigned: &mut BTreeSet<RelId>,
-    scc: &mut BTreeSet<RelId>,
-) {
-    if !assigned.insert(r) {
-        return;
-    }
-    scc.insert(r);
-    if let Some(next) = edges.get(&r) {
-        for &n in next {
-            collect_scc(n, edges, assigned, scc);
-        }
-    }
-}
-
-/// A component is a real cycle when it has more than one relation, or a
-/// single relation some rule derives directly from itself.
-fn scc_is_cyclic(program: &Program, scc: &BTreeSet<RelId>) -> bool {
-    if scc.len() > 1 {
-        return true;
-    }
-    program.rules.iter().any(|rule| {
-        scc.contains(&rule.head.relation)
-            && rule.body_atoms().any(|a| a.relation == rule.head.relation)
-    })
-}
-
-/// Whether the SCC-internal edges contributed by rules carrying *no*
-/// constraint still form a cycle.  If every cycle passes through at least
-/// one constrained rule, the recursion is bounded and sanctioned.
-fn unguarded_subgraph_is_cyclic(program: &Program, scc: &BTreeSet<RelId>) -> bool {
-    let mut edges: BTreeMap<RelId, BTreeSet<RelId>> = BTreeMap::new();
-    for rule in &program.rules {
-        if !scc.contains(&rule.head.relation) {
-            continue;
-        }
-        let guarded = rule
-            .body
-            .iter()
-            .any(|i| matches!(i, BodyItem::Constraint(..)));
-        if guarded {
-            continue;
-        }
-        for atom in rule.body_atoms() {
-            if scc.contains(&atom.relation) {
-                edges
-                    .entry(atom.relation)
-                    .or_default()
-                    .insert(rule.head.relation);
+    let mut stack = vec![from];
+    while let Some(r) = stack.pop() {
+        for &n in edges.get(&r).into_iter().flatten() {
+            if seen.insert(n) {
+                stack.push(n);
             }
         }
     }
-    // DFS cycle detection over the (tiny) subgraph.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        Active,
-        Done,
-    }
-    fn dfs(
-        r: RelId,
-        edges: &BTreeMap<RelId, BTreeSet<RelId>>,
-        marks: &mut BTreeMap<RelId, Mark>,
-    ) -> bool {
-        match marks.get(&r) {
-            Some(Mark::Active) => return true,
-            Some(Mark::Done) => return false,
-            None => {}
-        }
-        marks.insert(r, Mark::Active);
-        if let Some(next) = edges.get(&r) {
-            for &n in next {
-                if dfs(n, edges, marks) {
-                    return true;
-                }
-            }
-        }
-        marks.insert(r, Mark::Done);
-        false
-    }
-    let mut marks = BTreeMap::new();
-    scc.iter().any(|&r| dfs(r, &edges, &mut marks))
+    seen
 }
 
 // ---------------------------------------------------------------------------
@@ -226,13 +121,7 @@ struct IntBounds {
     ne: BTreeSet<i64>,
 }
 
-fn check_satisfiability(
-    _program: &Program,
-    ri: usize,
-    rule: &crate::ast::Rule,
-    source: Option<&SourceMap>,
-    out: &mut Diagnostics,
-) {
+fn check_satisfiability(ri: usize, rule: &Rule, source: Option<&SourceMap>, out: &mut Diagnostics) {
     let mut bounds: BTreeMap<Symbol, IntBounds> = BTreeMap::new();
     for (bi, item) in rule.body.iter().enumerate() {
         let BodyItem::Constraint(op, lhs, rhs) = item else {
@@ -360,33 +249,60 @@ mod tests {
     }
 
     #[test]
-    fn unguarded_min_recursion_is_rejected() {
-        // MINCOST minus its cost horizon: the min aggregate feeds itself
-        // with no bounding constraint anywhere on the cycle.
-        let codes = codes(
-            "sp1 pathCost(@S,D,C) :- link(@S,D,C).\n\
-             sp2 pathCost(@S,D,C1+C2) :- link(@S,Z,C1), bestPathCost(@S,D,C2).\n\
-             sp3 bestPathCost(@S,D,min<C>) :- pathCost(@S,D,C).\n",
-        );
-        assert!(codes.contains(&"E012"), "{codes:?}");
-    }
-
-    #[test]
-    fn count_recursion_is_always_rejected() {
-        let codes = codes(
-            "c1 total(@S,count<*>) :- item(@S,X).\n\
-             c2 item(@S,N) :- total(@S,N), N < 5.\n",
-        );
-        assert!(codes.contains(&"E012"), "{codes:?}");
-    }
-
-    #[test]
-    fn non_recursive_aggregates_are_fine() {
-        let codes = codes(
-            "a1 pathCost(@S,D,C) :- link(@S,D,C).\n\
-             a2 best(@S,D,min<C>) :- pathCost(@S,D,C).\n",
-        );
-        assert!(!codes.contains(&"E012"), "{codes:?}");
+    fn aggregate_recursion_verdicts() {
+        for (what, src, e012) in [
+            (
+                "MINCOST minus its cost horizon",
+                "sp1 pathCost(@S,D,C) :- link(@S,D,C).\n\
+                 sp2 pathCost(@S,D,C1+C2) :- link(@S,Z,C1), bestPathCost(@S,D,C2).\n\
+                 sp3 bestPathCost(@S,D,min<C>) :- pathCost(@S,D,C).\n",
+                true,
+            ),
+            (
+                "count recursion, even guarded",
+                "c1 total(@S,count<*>) :- item(@S,X).\n\
+                 c2 item(@S,N) :- total(@S,N), N < 5.\n",
+                true,
+            ),
+            (
+                "a non-recursive aggregate",
+                "a1 pathCost(@S,D,C) :- link(@S,D,C).\n\
+                 a2 best(@S,D,min<C>) :- pathCost(@S,D,C).\n",
+                false,
+            ),
+            (
+                "an unguarded cycle of the cycle set that misses the head",
+                "r1 a(@S,D,C) :- link(@S,D,C).\n\
+                 r2 a(@S,D,C) :- b(@S,D,C).\n\
+                 r3 b(@S,D,C) :- a(@S,D,C).\n\
+                 r4 best(@S,D,min<C>) :- a(@S,D,C).\n\
+                 r5 b(@S,D,C) :- best(@S,D,C), C < 64.\n",
+                true,
+            ),
+            (
+                "a guarded path beside an unguarded one back to the input",
+                "sp1 pathCost(@S,D,C) :- link(@S,D,C).\n\
+                 sp2 pathCost(@S,D,C) :- link(@Z,S,C1), bestPathCost(@Z,D,C2), C=C1+C2, C<64.\n\
+                 sp3 pathCost(@S,D,C) :- bestPathCost(@S,D,C).\n\
+                 sp4 bestPathCost(@S,D,min<C>) :- pathCost(@S,D,C).\n",
+                true,
+            ),
+            (
+                "guarded two-relation min recursion",
+                "m1 cand(@S,D,C) :- link(@S,D,C).\n\
+                 m2 cand(@S,D,C) :- best(@S,D,C).\n\
+                 m3 best(@S,D,min<C>) :- cand(@S,D,C), C < 64.\n",
+                false,
+            ),
+            (
+                "a count self-loop",
+                "c1 total(@S,count<N>) :- total(@S,N), N < 5.\n",
+                true,
+            ),
+        ] {
+            let codes = codes(src);
+            assert_eq!(codes.contains(&"E012"), e012, "{what}: {codes:?}");
+        }
     }
 
     #[test]

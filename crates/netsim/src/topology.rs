@@ -206,23 +206,7 @@ impl Topology {
 
     /// Returns `true` if every node can reach every other node.
     pub fn is_connected(&self) -> bool {
-        if self.num_nodes == 0 {
-            return true;
-        }
-        let mut seen = vec![false; self.num_nodes];
-        let mut stack = vec![0 as NodeId];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(n) = stack.pop() {
-            for m in self.neighbors(n) {
-                if !seen[m as usize] {
-                    seen[m as usize] = true;
-                    count += 1;
-                    stack.push(m);
-                }
-            }
-        }
-        count == self.num_nodes
+        self.routes_from(0).iter().all(Option::is_some)
     }
 
     /// The lowest-latency route from `from` to every node (Dijkstra over link

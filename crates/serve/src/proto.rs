@@ -710,20 +710,13 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<FrameRead>> {
         return Ok(Some(FrameRead::Body(Vec::new())));
     }
     if len > MAX_FRAME_LEN {
-        // Drain the declared body in bounded chunks so the connection
-        // survives and stays framed.
-        let mut remaining = len as u64;
-        let mut sink = io::sink();
-        while remaining > 0 {
-            let chunk = remaining.min(16 * 1024);
-            let copied = io::copy(&mut stream.take(chunk), &mut sink)?;
-            if copied == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside oversized frame body",
-                ));
-            }
-            remaining -= copied;
+        // Drain the declared body through a bounded copy buffer so the
+        // connection survives and stays framed.
+        if io::copy(&mut stream.take(len as u64), &mut io::sink())? < len as u64 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "EOF inside oversized frame body",
+            ));
         }
         return Ok(Some(FrameRead::Oversized { declared: len }));
     }
@@ -750,15 +743,20 @@ pub fn write_frame(stream: &mut impl Write, frame: &Frame) -> io::Result<()> {
 /// their bodies (the skip is tracked as a counter, so a hostile 4 GiB
 /// declared length costs no memory) and surfaced as
 /// [`FrameRead::Oversized`] once fully skipped, leaving the stream framed.
+/// The bound on [`buffered`] holds for a caller that drains [`next_frame`]
+/// until it returns `None` after each [`feed`], as the server and the load
+/// generator do: a second oversized body is discarded only once the first
+/// one's `Oversized` has been taken.
 ///
 /// [`feed`]: FrameBuffer::feed
 /// [`next_frame`]: FrameBuffer::next_frame
+/// [`buffered`]: FrameBuffer::buffered
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
     pos: usize,
     /// Bytes of an oversized body still to discard, with its declared size.
-    skipping: Option<(u64, usize)>,
+    skipping: Option<(usize, usize)>,
 }
 
 impl FrameBuffer {
@@ -769,44 +767,33 @@ impl FrameBuffer {
 
     /// Appends bytes read off the socket.
     pub fn feed(&mut self, bytes: &[u8]) {
-        if let Some((remaining, declared)) = self.skipping.take() {
-            // Consume directly into the skip counter; anything past the
-            // oversized body is buffered normally.
-            let eat = (bytes.len() as u64).min(remaining);
-            let rest = remaining - eat;
-            self.buf.extend_from_slice(&bytes[eat as usize..]);
-            self.skipping = Some((rest, declared));
-            return;
-        }
         self.buf.extend_from_slice(bytes);
-        self.engage_skip();
+        self.skip_oversized();
     }
 
-    /// If the first undrained frame declares an oversized body that is not
-    /// yet fully buffered, converts the buffered prefix into the skip
-    /// counter immediately, so the body never accumulates no matter how the
-    /// caller interleaves [`feed`] and [`next_frame`] calls.
-    ///
-    /// [`feed`]: FrameBuffer::feed
-    /// [`next_frame`]: FrameBuffer::next_frame
-    fn engage_skip(&mut self) {
-        if self.skipping.is_some() {
-            // An Oversized event is still pending; don't clobber it.
-            return;
+    /// Discards the buffered part of an oversized body: the one being
+    /// skipped, or else one the first undrained frame declares.  A skip
+    /// whose `Oversized` is still pending starts no other.
+    fn skip_oversized(&mut self) {
+        if self.skipping.is_none() {
+            let avail = &self.buf[self.pos..];
+            if avail.len() < 4 {
+                return;
+            }
+            let len = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
+            if len <= MAX_FRAME_LEN {
+                return;
+            }
+            self.pos += 4;
+            self.skipping = Some((len, len));
         }
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
-            return;
+        let buffered = self.buffered();
+        if let Some((remaining, _)) = &mut self.skipping {
+            let eat = buffered.min(*remaining);
+            self.pos += eat;
+            *remaining -= eat;
         }
-        let len = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        if len <= MAX_FRAME_LEN || avail.len() >= 4 + len {
-            // In-bounds, or already fully buffered: next() handles it.
-            return;
-        }
-        let eat = avail.len() - 4;
-        self.pos += 4 + eat;
         self.compact();
-        self.skipping = Some(((len - eat) as u64, len));
     }
 
     /// Bytes currently buffered and not yet consumed by [`next_frame`].
@@ -825,9 +812,8 @@ impl FrameBuffer {
 
     /// Pops the next complete frame, if the buffer holds one.
     pub fn next_frame(&mut self) -> Option<FrameRead> {
+        self.skip_oversized();
         if let Some((remaining, declared)) = self.skipping {
-            // feed() already swallowed in-buffer bytes while skipping, so a
-            // nonzero remainder means we are still waiting for more input.
             if remaining > 0 {
                 return None;
             }
@@ -836,7 +822,6 @@ impl FrameBuffer {
         }
         let avail = &self.buf[self.pos..];
         if avail.len() < 4 {
-            self.compact();
             return None;
         }
         let len = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
@@ -846,21 +831,8 @@ impl FrameBuffer {
             self.compact();
             return Some(FrameRead::Body(Vec::new()));
         }
-        if len > MAX_FRAME_LEN {
-            let buffered = avail.len() - 4;
-            let eat = buffered.min(len);
-            self.pos += 4 + eat;
-            self.compact();
-            if eat == len {
-                return Some(FrameRead::Oversized { declared: len });
-            }
-            self.skipping = Some(((len - eat) as u64, len));
-            // The tail beyond pos is empty here (eat consumed everything);
-            // future feed() calls keep discarding until the counter drains.
-            return None;
-        }
+        // `len` is at most MAX_FRAME_LEN: skip_oversized took a longer body.
         if avail.len() < 4 + len {
-            self.compact();
             return None;
         }
         let body = avail[4..4 + len].to_vec();
@@ -1271,6 +1243,11 @@ mod tests {
             FrameRead::Oversized { .. } => panic!("third frame is fine"),
         }
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+        // A stream that ends inside an oversized body is an error.
+        let mut truncated = (declared as u32).to_be_bytes().to_vec();
+        truncated.resize(100, 0);
+        let err = read_frame(&mut io::Cursor::new(truncated)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
@@ -1309,28 +1286,31 @@ mod tests {
 
     #[test]
     fn frame_buffer_skips_oversized_without_buffering() {
-        let declared = MAX_FRAME_LEN + 100;
+        // Two oversized frames back to back, then one that fits.
+        let sizes = [MAX_FRAME_LEN + 100, MAX_FRAME_LEN + 7];
         let mut wire = Vec::new();
-        wire.extend_from_slice(&(declared as u32).to_be_bytes());
-        wire.extend(std::iter::repeat(0u8).take(declared));
+        for declared in sizes {
+            wire.extend_from_slice(&(declared as u32).to_be_bytes());
+            wire.extend(std::iter::repeat(0u8).take(declared));
+        }
         write_frame(&mut wire, &Frame::Bye).unwrap();
 
         let mut fb = FrameBuffer::new();
-        // Feed in uneven pieces so the skip spans several feeds.
+        let mut events = Vec::new();
+        // Feed in uneven pieces so each skip spans several feeds, draining
+        // after each feed as the server does.
         for piece in wire.chunks(7 * 1024 + 13) {
             fb.feed(piece);
-            // The oversized body must never accumulate in memory.
+            while let Some(read) = fb.next_frame() {
+                events.push(match read {
+                    FrameRead::Oversized { declared } => Err(declared),
+                    FrameRead::Body(body) => Ok(decode_frame(&body).unwrap()),
+                });
+            }
+            // The oversized bodies must never accumulate in memory.
             assert!(fb.buffered() <= 16 * 1024, "buffered {}", fb.buffered());
         }
-        match fb.next_frame().unwrap() {
-            FrameRead::Oversized { declared: d } => assert_eq!(d, declared),
-            FrameRead::Body(_) => panic!("first frame is oversized"),
-        }
-        match fb.next_frame().unwrap() {
-            FrameRead::Body(body) => assert_eq!(decode_frame(&body).unwrap(), Frame::Bye),
-            FrameRead::Oversized { .. } => panic!("stream must re-sync"),
-        }
-        assert!(fb.next_frame().is_none());
+        assert_eq!(events, [Err(sizes[0]), Err(sizes[1]), Ok(Frame::Bye)]);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use exspan::core::{
     BaseTupleError, BuildError, Deployment, Exspan, ProvenanceMode, QueryOutcome, Repr, Traversal,
 };
 use exspan::ndlog::programs;
-use exspan::netsim::{ChurnModel, LinkClass, LinkProps, Topology};
+use exspan::netsim::{ChurnEvent, ChurnModel, LinkClass, LinkProps, Topology};
 use exspan::types::{Tuple, Value};
 use std::sync::Arc;
 
@@ -432,6 +432,35 @@ fn a_delta_scheduled_in_the_past_is_refused() {
     assert!(deployment.schedule_delta(now, 0, tuple, true).is_ok());
     deployment.run_to_fixpoint();
     assert_ne!(deployment.state_digest(), digest);
+}
+
+#[test]
+fn a_link_change_the_deployment_cannot_apply_is_refused() {
+    let mut deployment = Exspan::builder()
+        .program(programs::mincost())
+        .topology(Topology::paper_example())
+        .build()
+        .expect("valid deployment");
+    deployment.run_to_fixpoint();
+    let (digest, bytes) = (deployment.state_digest(), deployment.total_bytes());
+    let props = LinkProps::from_class(LinkClass::Custom);
+    let add = |a, b| ChurnEvent {
+        time: 0.0,
+        add: true,
+        a,
+        b,
+        props,
+    };
+    let now = deployment.now();
+    deployment.add_link(0, 99, props);
+    deployment.apply_churn_event(&add(0, 42));
+    deployment.add_link(1, 1, props);
+    deployment.schedule_churn_event(&add(0, 3), now - 1.0);
+    deployment.schedule_churn_event(&add(0, 3), f64::NAN);
+    deployment.run_to_fixpoint();
+    assert_eq!(deployment.topology().num_links(), 5);
+    assert_eq!(deployment.state_digest(), digest);
+    assert_eq!(deployment.total_bytes(), bytes);
 }
 
 #[test]
