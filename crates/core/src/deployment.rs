@@ -98,13 +98,6 @@ pub enum BuildError {
     InvalidProgram(Vec<String>),
     /// `shards(0)` was requested.
     ZeroShards,
-    /// [`ProvenanceMode::Centralized`] names a server outside the topology.
-    CentralizedServerOutOfRange {
-        /// The requested server node.
-        server: NodeId,
-        /// Number of nodes in the topology.
-        nodes: usize,
-    },
     /// Opening or recovering the persistent store failed (I/O error,
     /// corruption past the committed prefix, or a store whose topology does
     /// not fit the configured one).  A snapshot records its node count, so a
@@ -125,10 +118,6 @@ impl std::fmt::Display for BuildError {
                 write!(f, "invalid NDlog program: {}", errors.join("; "))
             }
             BuildError::ZeroShards => write!(f, "a deployment needs at least one shard"),
-            BuildError::CentralizedServerOutOfRange { server, nodes } => write!(
-                f,
-                "centralized provenance server n{server} is outside the {nodes}-node topology"
-            ),
             BuildError::Storage(msg) => write!(f, "persistent store: {msg}"),
         }
     }
@@ -304,14 +293,6 @@ impl DeploymentBuilder {
         if self.shards == 0 {
             return Err(BuildError::ZeroShards);
         }
-        if let ProvenanceMode::Centralized { server } = self.mode {
-            if server as usize >= topology.num_nodes() {
-                return Err(BuildError::CentralizedServerOutOfRange {
-                    server,
-                    nodes: topology.num_nodes(),
-                });
-            }
-        }
         // Full static analysis (validation, type inference, safety,
         // liveness, distribution).  Errors refuse the deployment; warnings
         // and notes are retained on the deployment for inspection via
@@ -339,12 +320,6 @@ impl DeploymentBuilder {
         let executed = match self.mode {
             ProvenanceMode::None | ProvenanceMode::ValueBdd => program.clone(),
             ProvenanceMode::Reference => provenance_rewrite(&program, RewriteOptions::default()),
-            ProvenanceMode::Centralized { server } => provenance_rewrite(
-                &program,
-                RewriteOptions {
-                    centralize_at: Some(server),
-                },
-            ),
         };
         // The provenance rewrite must preserve the analysis verdict: a
         // program accepted above must stay error-free after rewriting.  This
@@ -900,12 +875,6 @@ impl Deployment {
             self.engine.run_until(time, Some(&mut self.fabric))
         };
         self.commit();
-        // A fully drained event queue means any still-unresolved query state
-        // belongs to messages the simulator dropped; write it off so future
-        // runs regain the parallel path.
-        if !self.fabric.is_idle() && self.engine.peek_time().is_none() {
-            self.fabric.clear();
-        }
         stats
     }
 
@@ -973,9 +942,8 @@ impl Deployment {
         &self.fabric.outcomes
     }
 
-    /// Number of submitted queries still in flight (not completed, not
-    /// written off as orphaned).  Service front-ends use this for admission
-    /// control.
+    /// Number of submitted queries still in flight: accepted and not yet
+    /// completed.  Service front-ends use this for admission control.
     pub fn incomplete_queries(&self) -> usize {
         self.fabric.incomplete
     }
@@ -1092,20 +1060,6 @@ mod tests {
                 .unwrap_err(),
             BuildError::ZeroShards
         );
-        let err = Exspan::builder()
-            .program(programs::mincost())
-            .topology(Topology::paper_example())
-            .mode(ProvenanceMode::Centralized { server: 9 })
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            BuildError::CentralizedServerOutOfRange {
-                server: 9,
-                nodes: 4
-            }
-        );
-        assert!(!err.to_string().is_empty());
     }
 
     #[test]
@@ -1182,12 +1136,11 @@ mod tests {
     }
 
     #[test]
-    fn dropped_query_messages_leave_an_incomplete_outcome_and_a_working_deployment() {
+    fn a_query_across_a_partition_completes_and_leaves_no_live_id() {
         // Partition the issuer from the target before a deferred query
-        // issues: the simulator drops the unroutable query message, the
-        // outcome honestly stays incomplete, and the deployment keeps
-        // serving later queries (orphaned protocol state is reaped once the
-        // event queue drains).
+        // issues: the simulator still delivers the query's messages (one
+        // minimum-latency hop each), so the query completes, no id stays
+        // live once the queue drains, and later queries still complete.
         let mut d = Exspan::builder()
             .program(programs::mincost())
             .topology(Topology::line(2))
@@ -1204,10 +1157,9 @@ mod tests {
             .submit();
         d.remove_link(0, 1);
         d.run_to_fixpoint();
-        assert!(
-            !d.outcome(orphan).unwrap().is_complete(),
-            "a query whose message was dropped must not claim completion"
-        );
+        assert!(d.outcome(orphan).unwrap().is_complete());
+        assert_eq!(d.incomplete_queries(), 0);
+        assert!(d.fabric.is_idle(), "a drained queue leaves no live id");
 
         // A later local query (issuer == target node) still completes.
         let gone = Tuple::new(

@@ -15,7 +15,7 @@
 //! * [`storage`] — typed access to the distributed `prov`/`ruleExec` tables
 //!   (the storage model of §4.1, Tables 1 and 2).
 //! * [`mode`] + [`deployment`] — the provenance distribution modes of §3
-//!   (no provenance, reference-based, value-based with BDDs, centralized)
+//!   (no provenance, reference-based, value-based with BDDs)
 //!   behind the first-class [`deployment::Deployment`] API: validated builder
 //!   construction ([`deployment::Exspan::builder`]), typed builder-style
 //!   queries returning [`deployment::QueryHandle`]s, and one unified

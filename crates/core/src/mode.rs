@@ -14,12 +14,6 @@ pub enum ProvenanceMode {
     /// entire derivation history, condensed as a BDD
     /// ("Value-based Prov. (BDD)" in the figures).
     ValueBdd,
-    /// Reference-based maintenance plus mirroring of every `prov` / `ruleExec`
-    /// entry to a central server node (centralized provenance, §3).
-    Centralized {
-        /// The node acting as the central provenance server.
-        server: u32,
-    },
 }
 
 impl ProvenanceMode {
@@ -29,7 +23,6 @@ impl ProvenanceMode {
             ProvenanceMode::None => "No Prov.",
             ProvenanceMode::Reference => "Ref-based Prov.",
             ProvenanceMode::ValueBdd => "Value-based Prov. (BDD)",
-            ProvenanceMode::Centralized { .. } => "Centralized Prov.",
         }
     }
 }
@@ -49,9 +42,5 @@ mod tests {
         assert_eq!(ProvenanceMode::None.label(), "No Prov.");
         assert_eq!(ProvenanceMode::Reference.label(), "Ref-based Prov.");
         assert_eq!(ProvenanceMode::ValueBdd.label(), "Value-based Prov. (BDD)");
-        assert_eq!(
-            ProvenanceMode::Centralized { server: 0 }.to_string(),
-            "Centralized Prov."
-        );
     }
 }

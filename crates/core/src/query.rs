@@ -423,8 +423,7 @@ pub(crate) struct QueryFabric {
     pub(crate) outcomes: Vec<QueryOutcome>,
     /// Every live protocol id, the session it belongs to and its state.
     ids: FxHashMap<Digest, (usize, State)>,
-    /// Number of submitted queries whose outcome has not been delivered (and
-    /// not been written off by [`QueryFabric::clear`]).
+    /// Number of accepted queries whose outcome has not been delivered.
     pub(crate) incomplete: usize,
 }
 
@@ -470,24 +469,6 @@ impl QueryFabric {
     /// run its shards in parallel.
     pub(crate) fn is_idle(&self) -> bool {
         self.ids.is_empty()
-    }
-
-    /// Writes off every id still in the table.  Called when the engine's
-    /// event queue has fully drained: whatever is unresolved then belongs to
-    /// a message the simulator dropped (e.g. churn partitioned the issuer
-    /// from the target) and can never progress.  Such outcomes keep
-    /// `completed_at: None`, honestly reporting that no result arrived; the
-    /// result caches are kept — completed results stay valid — and no vertex
-    /// is in flight any more.
-    pub(crate) fn clear(&mut self) {
-        self.ids.clear();
-        self.incomplete = 0;
-        for session in &mut self.sessions {
-            session.vertices.retain(|_, entry| {
-                (entry.in_flight, entry.doomed) = (0, false);
-                entry.result.is_some() || !entry.dependents.is_empty()
-            });
-        }
     }
 
     /// Submits a provenance query for `target` from `issuer` in session
@@ -822,14 +803,13 @@ impl QueryFabric {
         }
     }
 
+    /// Completes accepted query `index`; its root id left the table on the
+    /// way here, so this happens once per query.
     fn deliver_final(&mut self, index: usize, ann: Annotation, time: f64) {
-        if let Some(outcome) = self.outcomes.get_mut(index) {
-            if outcome.completed_at.is_none() {
-                self.incomplete = self.incomplete.saturating_sub(1);
-            }
-            outcome.completed_at = Some(time);
-            outcome.annotation = Some(ann);
-        }
+        let outcome = &mut self.outcomes[index];
+        outcome.completed_at = Some(time);
+        outcome.annotation = Some(ann);
+        self.incomplete -= 1;
     }
 }
 

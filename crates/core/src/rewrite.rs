@@ -27,17 +27,13 @@
 //! is precisely the reference-based provenance overhead evaluated in §7.
 
 use exspan_ndlog::ast::{Atom, BodyItem, Expr, HeadArg, Program, Rule, RuleHead, TableDecl, Term};
-use exspan_types::{NodeId, RelId, Symbol, Value};
+use exspan_types::{RelId, Symbol, Value};
 use std::collections::BTreeMap;
 
-/// Options controlling the rewrite.
+/// Options controlling the rewrite.  It has none: the type stays so that
+/// callers of [`provenance_rewrite`] keep compiling.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RewriteOptions {
-    /// When set, every `prov` and `ruleExec` insertion is additionally
-    /// forwarded to this node, modelling *centralized* provenance (§3): the
-    /// full provenance graph is mirrored at one server.
-    pub centralize_at: Option<NodeId>,
-}
+pub struct RewriteOptions {}
 
 /// Capitalizes the first character of a relation name (used to build the
 /// generated event-relation names, e.g. `pathCost` → `ePathCostTemp`).
@@ -63,7 +59,7 @@ fn send_event_name(relation: &str) -> String {
 ///
 /// The input program is normalized first (head expressions become explicit
 /// assignments) so that every head argument is a plain term.
-pub fn provenance_rewrite(program: &Program, options: RewriteOptions) -> Program {
+pub fn provenance_rewrite(program: &Program, _options: RewriteOptions) -> Program {
     let program = program.normalize();
     let mut out = Program::new(format!("{}+prov", program.name));
     out.tables = program.tables.clone();
@@ -98,48 +94,6 @@ pub fn provenance_rewrite(program: &Program, options: RewriteOptions) -> Program
         if let Some(decl) = program.table(base.as_str()) {
             out.rules.push(base_prov_rule(base.as_str(), decl.arity));
         }
-    }
-
-    // Optional centralized mirroring.
-    if let Some(server) = options.centralize_at {
-        out.tables.push(TableDecl::new("provCentral", 5));
-        out.tables.push(TableDecl::new("ruleExecCentral", 5));
-        out.rules.push(Rule::new(
-            "prov_central",
-            RuleHead::new(
-                "provCentral",
-                Term::Const(Value::Node(server)),
-                vec![
-                    HeadArg::Term(Term::var("Loc")),
-                    HeadArg::Term(Term::var("VID")),
-                    HeadArg::Term(Term::var("RID")),
-                    HeadArg::Term(Term::var("RLoc")),
-                ],
-            ),
-            vec![BodyItem::Atom(Atom::new(
-                "prov",
-                Term::var("Loc"),
-                vec![Term::var("VID"), Term::var("RID"), Term::var("RLoc")],
-            ))],
-        ));
-        out.rules.push(Rule::new(
-            "rule_exec_central",
-            RuleHead::new(
-                "ruleExecCentral",
-                Term::Const(Value::Node(server)),
-                vec![
-                    HeadArg::Term(Term::var("RLoc")),
-                    HeadArg::Term(Term::var("RID")),
-                    HeadArg::Term(Term::var("R")),
-                    HeadArg::Term(Term::var("List")),
-                ],
-            ),
-            vec![BodyItem::Atom(Atom::new(
-                "ruleExec",
-                Term::var("RLoc"),
-                vec![Term::var("RID"), Term::var("R"), Term::var("List")],
-            ))],
-        ));
     }
 
     out
@@ -418,23 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn centralized_option_adds_mirroring_rules() {
-        let p = provenance_rewrite(
-            &programs::mincost(),
-            RewriteOptions {
-                centralize_at: Some(0),
-            },
-        );
-        assert!(p.rule("prov_central").is_some());
-        assert!(p.rule("rule_exec_central").is_some());
-        assert!(p.table("provCentral").is_some());
-        assert!(
-            !analyze(&p).has_errors(),
-            "centralized rewrite must validate"
-        );
-    }
-
-    #[test]
     fn event_head_relations_are_rewritten_too() {
         // PACKETFORWARD's f1 rule derives the ePacket event; its rewrite must
         // produce a derivation rule and shared rules for ePacket.
@@ -464,45 +401,36 @@ mod tests {
             programs::packet_forward(),
         ] {
             let original = ProgramPlans::compile(&program.normalize());
-            for centralize_at in [None, Some(0)] {
-                let rewritten = provenance_rewrite(&program, RewriteOptions { centralize_at });
-                let rewritten = ProgramPlans::compile(&rewritten.normalize());
-                assert!(probed(&original).is_subset(&probed(&rewritten)));
-                assert!(rewritten.demands.is_empty(), "{:?}", rewritten.demands);
-                // The aggregate rules survive the rewrite untouched, so their
-                // group re-enumeration plans are compiled for it too.
-                assert_eq!(original.aggregates.len(), rewritten.aggregates.len());
-            }
+            let rewritten = provenance_rewrite(&program, RewriteOptions::default());
+            let rewritten = ProgramPlans::compile(&rewritten.normalize());
+            assert!(probed(&original).is_subset(&probed(&rewritten)));
+            assert!(rewritten.demands.is_empty(), "{:?}", rewritten.demands);
+            // The aggregate rules survive the rewrite untouched, so their
+            // group re-enumeration plans are compiled for it too.
+            assert_eq!(original.aggregates.len(), rewritten.aggregates.len());
         }
     }
 
     #[test]
     fn rewrite_preserves_analysis_verdict() {
         // Every analyzer-accepted builtin must stay error-free after the
-        // provenance rewrite (reference and centralized): the rewrite runs
-        // after analysis, so an error it introduced would mean deploying a
-        // program the analyzer never accepted.
+        // provenance rewrite: the rewrite runs after analysis, so an error
+        // it introduced would mean deploying a program the analyzer never
+        // accepted.
         for program in [
             programs::mincost(),
             programs::path_vector(),
             programs::packet_forward(),
         ] {
             assert!(!exspan_ndlog::analyze(&program).has_errors());
-            for options in [
-                RewriteOptions::default(),
-                RewriteOptions {
-                    centralize_at: Some(0),
-                },
-            ] {
-                let rewritten = provenance_rewrite(&program, options);
-                let analysis = exspan_ndlog::analyze(&rewritten);
-                assert!(
-                    !analysis.has_errors(),
-                    "rewrite of {} introduced analysis errors:\n{}",
-                    program.name,
-                    analysis.diagnostics.render(None)
-                );
-            }
+            let rewritten = provenance_rewrite(&program, RewriteOptions::default());
+            let analysis = exspan_ndlog::analyze(&rewritten);
+            assert!(
+                !analysis.has_errors(),
+                "rewrite of {} introduced analysis errors:\n{}",
+                program.name,
+                analysis.diagnostics.render(None)
+            );
         }
     }
 

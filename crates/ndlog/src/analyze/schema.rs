@@ -503,15 +503,18 @@ impl Infer<'_> {
                 }
             }
         }
-        if let Term::Var(v) = &rule.head.location {
-            self.set_var(
-                &mut vars,
-                label,
-                head_span,
-                *v,
-                ColType::Node,
-                "the head location".to_string(),
-            );
+        match &rule.head.location {
+            Term::Var(v) => {
+                let origin = "the head location".to_string();
+                self.set_var(&mut vars, label, head_span, *v, ColType::Node, origin);
+            }
+            // A constant names no node (there is no node literal): column 0
+            // refuses it here, in every provenance mode.
+            Term::Const(c) => {
+                let (relation, ty) = (rule.head.relation, ColType::of_value(c));
+                let origin = format!("the head location of rule {label}");
+                self.merge_col(relation, 0, ty, origin, Some(label), head_span);
+            }
         }
 
         // Assignments (binding order) and constraint typing.

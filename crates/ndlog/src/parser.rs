@@ -42,6 +42,10 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The largest arity (and key position) a `materialize` declaration may
+/// give.  No program comes near it; it keeps a typo from sizing a schema.
+const MAX_ARITY: usize = 255;
+
 /// Parses a complete NDlog program.
 ///
 /// ```
@@ -210,6 +214,22 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// A table's arity or one of its key positions: a number from 0 to
+    /// [`MAX_ARITY`].  A negative or larger one is refused here, before the
+    /// analyzer sizes a schema by it.
+    fn column_count(&mut self, what: &str) -> Result<usize, ParseError> {
+        self.skip_ws();
+        let offset = self.pos;
+        let n = self.number()?;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= MAX_ARITY)
+            .ok_or_else(|| ParseError {
+                offset,
+                message: format!("{what} must be from 0 to {MAX_ARITY}, found {n}"),
+            })
+    }
+
     fn string_literal(&mut self) -> Result<String, ParseError> {
         self.expect("\"")?;
         let start = self.pos;
@@ -233,13 +253,13 @@ impl<'a> Parser<'a> {
         self.expect("(")?;
         let relation = self.identifier()?;
         self.expect(",")?;
-        let arity = self.number()? as usize;
+        let arity = self.column_count("arity")?;
         self.expect(",")?;
         self.expect("keys")?;
         self.expect("(")?;
         let mut keys = Vec::new();
         loop {
-            keys.push(self.number()? as usize);
+            keys.push(self.column_count("key position")?);
             if !self.try_consume(",") {
                 break;
             }

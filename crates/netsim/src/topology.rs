@@ -252,13 +252,7 @@ impl Topology {
     /// later, so all shards may safely process events up to
     /// `earliest pending event + min_link_latency` in parallel.
     pub fn min_link_latency(&self) -> Option<f64> {
-        self.links
-            .values()
-            .map(|p| p.latency)
-            .fold(None, |acc, l| match acc {
-                None => Some(l),
-                Some(a) => Some(a.min(l)),
-            })
+        self.links.values().map(|p| p.latency).reduce(f64::min)
     }
 
     /// Partitions the nodes over `num_shards` shards by rendezvous (highest

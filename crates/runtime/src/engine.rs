@@ -22,13 +22,14 @@
 //! simulated time — has two event loops and picks between them from what it
 //! can observe.
 //!
-//! With more than one shard, no [`ExternalSink`] and a positive latency on
-//! every current link, it runs the shards on worker threads in *barrier
-//! windows*: at each barrier the coordinator finds the earliest pending event
-//! time `t_min` across all shards and releases every shard to process its
-//! events strictly before `t_min + L`, where `L` is the smallest link latency
-//! of the topology (the *lookahead*).  A cross-shard delta produced inside
-//! the window is due no earlier than the window's end, so delivering the
+//! With more than one shard, no [`ExternalSink`], at least one link and a
+//! positive latency on every link, it runs the shards on worker threads in
+//! *barrier windows*: at each barrier the coordinator finds the earliest
+//! pending event time `t_min` across all shards and releases every shard to
+//! process its events strictly before `t_min + L`, where `L` is the smallest
+//! link latency of the topology (the *lookahead*).  A cross-shard delta
+//! produced inside the window — routed, or crossing a partition after one
+//! `L` hop — is due no earlier than the window's end, so delivering the
 //! per-shard outboxes into the destination inboxes at the barrier never
 //! reorders anything.  Every event carries an execution-independent ordering
 //! key (`(time, source node, per-source sequence)`), per-node state is only
@@ -36,13 +37,13 @@
 //! which together make the sharded run *bit-identical* to the one-shard run,
 //! as the determinism tests assert.
 //!
-//! Otherwise — one shard, a sink listening, or a zero-latency link, which
-//! leaves a window no lookahead — it steps through the events one at a time
-//! in global key order on the calling thread (at one shard simply the shard's
-//! own queue), handing each external tuple to the sink as it arrives.  A sink
-//! cannot be served from inside a barrier window: it reads tables and the
-//! clock *at the event*, and the window has by then applied later deltas of
-//! the same node.
+//! Otherwise — one shard, a sink listening, or a zero-latency link or no
+//! link at all, which leaves a window no lookahead — it steps through the
+//! events one at a time in global key order on the calling thread (at one
+//! shard simply the shard's own queue), handing each external tuple to the
+//! sink as it arrives.  A sink cannot be served from inside a barrier window:
+//! it reads tables and the clock *at the event*, and the window has by then
+//! applied later deltas of the same node.
 
 use crate::shard::{RuleData, Shard};
 use crate::table::ProbeIter;
@@ -637,16 +638,15 @@ impl Engine {
         self.sync_topology();
         let steps_before: u64 = self.shards.iter().map(|s| s.processed).sum();
         let ext_before: u64 = self.shards.iter().map(|s| s.externals_seen).sum();
-        // A zero-latency link leaves a barrier window no lookahead: step.
-        let windowed = self.shards.len() > 1
-            && sink.is_none()
-            && self.topology.min_link_latency().map_or(true, |l| l > 0.0);
-        if windowed {
+        // A zero-latency link, or no link at all, leaves a barrier window no
+        // lookahead: step.
+        let lookahead = self.topology.min_link_latency().filter(|&l| l > 0.0);
+        if let Some(lookahead) = lookahead.filter(|_| self.shards.len() > 1 && sink.is_none()) {
             // `next_event` delivers the in-flight cross-shard deltas; with
             // nothing due by the limit (an idle server's every loop turn) no
             // worker thread is spawned for the empty window.
             if self.next_event().is_some_and(|(_, t)| t <= time_limit) {
-                self.run_parallel(time_limit);
+                self.run_parallel(time_limit, lookahead);
             }
         } else {
             let mut steps = 0u64;
@@ -682,9 +682,9 @@ impl Engine {
     /// and delivered their outboxes, (a) all shards drained their inboxes and
     /// published their earliest pending event time, (b) the coordinator
     /// decided the next horizon (or termination).  Shards then process all
-    /// events strictly before the horizon in parallel.
-    fn run_parallel(&mut self, time_limit: f64) {
-        let lookahead = self.topology.min_link_latency().unwrap_or(f64::INFINITY);
+    /// events strictly before the horizon, `lookahead` past the earliest
+    /// pending event, in parallel.
+    fn run_parallel(&mut self, time_limit: f64, lookahead: f64) {
         let num_shards = self.shards.len();
         let barrier = Barrier::new(num_shards + 1);
         let next_times: Vec<AtomicU64> = (0..num_shards)

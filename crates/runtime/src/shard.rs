@@ -397,9 +397,13 @@ impl Shard {
         if track {
             s.inputs[atom_idx] = Some(Arc::clone(tuple));
         }
+        // A head located outside the topology derives nothing, like a head
+        // whose location is not a node: there is no node to hold it.
+        let nodes = self.sim.topology().num_nodes();
         self.run_levels(rule, plan, node, 0, s, &mut |s| {
             let head = plan.derive(rule.head.relation, &s.frame);
-            if let Some(head) = self.noted(rule, head).flatten() {
+            let head = self.noted(rule, head).flatten();
+            if let Some(head) = head.filter(|h| (h.location as usize) < nodes) {
                 s.fired.push((s.grounded(), head));
             }
         });

@@ -148,7 +148,6 @@ fn churn_and_concurrent_queries_share_one_clock_in_every_mode() {
         ProvenanceMode::None,
         ProvenanceMode::Reference,
         ProvenanceMode::ValueBdd,
-        ProvenanceMode::Centralized { server: 0 },
     ] {
         let sequential = churn_with_concurrent_queries(mode, 1);
         assert!(
@@ -367,6 +366,44 @@ fn a_base_tuple_is_refused_at_a_node_that_is_not_its_own() {
 }
 
 #[test]
+fn a_head_located_outside_the_topology_derives_nothing() {
+    // `fwd(@0,n99)` is a valid base tuple at n0, but `r1` would ship its
+    // head to n99, which the 3-node line does not have: the derivation is
+    // skipped, as for a head location that is not a node, instead of
+    // reaching a node the simulator cannot hold.
+    let source = "materialize(fwd, 2, keys(0,1)).\n\
+                  materialize(got, 2, keys(0,1)).\n\
+                  r1 got(@D,S) :- fwd(@S,D).\n";
+    let program = exspan::ndlog::parse_program("FWD", source).expect("parses");
+    for mode in [
+        ProvenanceMode::None,
+        ProvenanceMode::Reference,
+        ProvenanceMode::ValueBdd,
+    ] {
+        for shards in [1, 2] {
+            let mut deployment = Exspan::builder()
+                .program(program.clone())
+                .topology(Topology::line(3))
+                .mode(mode)
+                .shards(shards)
+                .build()
+                .expect("valid deployment");
+            deployment.run_to_fixpoint();
+            let bytes = deployment.total_bytes();
+            let far = Tuple::new("fwd", 0, vec![Value::Node(99)]);
+            let near = Tuple::new("fwd", 0, vec![Value::Node(2)]);
+            deployment.insert_base(0, far).expect("n0 holds it");
+            deployment.insert_base(0, near).expect("n0 holds it");
+            deployment.run_to_fixpoint();
+            let got = deployment.tuples_everywhere_shared("got");
+            assert_eq!(got.len(), 1, "{mode:?} at {shards} shard(s): {got:?}");
+            assert_eq!(got[0].location, 2);
+            assert!(deployment.total_bytes() > bytes);
+        }
+    }
+}
+
+#[test]
 fn a_query_outside_the_topology_or_the_past_is_refused() {
     // Each of these once panicked in the simulator: an issuer or a target
     // node outside the 4-node topology indexed past its per-node tables, and
@@ -515,15 +552,25 @@ fn builder_surfaces_configuration_errors() {
         Exspan::builder().program(programs::mincost()).build(),
         Err(BuildError::MissingTopology)
     ));
-    assert!(matches!(
-        Exspan::builder()
-            .program(programs::mincost())
+    // A constant head location names no node: the user's rule is refused in
+    // every mode, not a rule the provenance rewrite generated from it.
+    let constant_head =
+        exspan::ndlog::parse_program("C", "r1 a(@oN,D) :- link(@S,D,C).").expect("parses");
+    for mode in [
+        ProvenanceMode::None,
+        ProvenanceMode::Reference,
+        ProvenanceMode::ValueBdd,
+    ] {
+        let refused = Exspan::builder()
+            .program(constant_head.clone())
             .topology(Topology::paper_example())
-            .mode(ProvenanceMode::Centralized { server: 99 })
-            .build(),
-        Err(BuildError::CentralizedServerOutOfRange {
-            server: 99,
-            nodes: 4
-        })
-    ));
+            .mode(mode)
+            .build();
+        match refused {
+            Err(BuildError::InvalidProgram(errors)) => {
+                assert!(errors.iter().all(|e| e.contains("rule r1:")), "{errors:?}");
+            }
+            other => panic!("{mode:?}: {:?}", other.map(|_| ())),
+        }
+    }
 }

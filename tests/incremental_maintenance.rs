@@ -147,28 +147,3 @@ fn value_mode_tracks_state_under_churn_too() {
         Some(true)
     );
 }
-
-#[test]
-fn centralized_mode_mirrors_provenance_to_the_server() {
-    let mut system = run_fresh(
-        Topology::paper_example(),
-        ProvenanceMode::Centralized { server: 3 },
-    );
-    system.run_to_fixpoint();
-    let engine = system.engine();
-    let mirrored = engine.tuples_shared(3, "provCentral");
-    let local: usize = all_prov_entries(engine).len();
-    assert!(
-        !mirrored.is_empty(),
-        "the central server must receive mirrored prov entries"
-    );
-    assert!(
-        mirrored.len() >= local / 2,
-        "most prov entries should be mirrored (got {} of {})",
-        mirrored.len(),
-        local
-    );
-    // Centralized mode costs more bandwidth than plain reference mode.
-    let reference = run_fresh(Topology::paper_example(), ProvenanceMode::Reference);
-    assert!(system.total_bytes() > reference.total_bytes());
-}
