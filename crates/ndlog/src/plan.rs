@@ -12,9 +12,9 @@
 //!   records which argument positions are **bound** — the probe key — and how
 //!   to obtain each key value at runtime (a term to evaluate, or the
 //!   evaluating node for the localized location attribute).
-//! * Atoms are ordered **greedily**: at each level the planner picks the atom
-//!   with the most bound positions, so the most selective probes run first
-//!   and the intermediate result stays small.
+//! * The plan is the **body order**: the atoms after the trigger are joined
+//!   in the order the rule lists them, so reordering the body is how a
+//!   program author changes which atoms are probed and on what.
 //! * A probe whose columns begin with the declared primary key's leading
 //!   columns ([`primary_prefix`]) is one key range of the table's primary
 //!   map, the only index a table keeps.  The `(relation, key columns)` pairs
@@ -33,9 +33,10 @@
 //! still unifies every probed candidate: a probe narrows the candidate set
 //! (always to a superset of the matching rows), it never replaces the match.
 //! Determinism contract: the storage layer guarantees `probe()` yields
-//! candidates in the same canonical order as `scan()`, and the executor
-//! restores body-atom order for reordered plans, so every emitted delta keeps
-//! the sequence number a body-ordered enumeration would give it.
+//! candidates in the same canonical order as `scan()`, so a firing's
+//! satisfying assignments come out in body order, lexicographic by the
+//! candidates' primary row keys, and every emitted delta keeps the same
+//! sequence number whether a level probes or scans.
 
 use crate::ast::{Atom, BodyItem, CmpOp, Expr, HeadArg, Program, Rule, Term};
 use crate::eval::{eval_cmp, CExpr, EvalError};
@@ -213,12 +214,8 @@ impl JoinLevel {
 /// A compiled join order for one rule evaluation context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinPlan {
-    /// Join levels in execution order (greedy most-bound-first).
+    /// Join levels in body-atom order, the trigger atom left out.
     pub levels: Vec<JoinLevel>,
-    /// Whether execution order equals body-atom order.  When true the
-    /// executor's result sequence is already canonical and the
-    /// order-restoring sort can be skipped.
-    pub in_body_order: bool,
     /// True when some joined atom is an event predicate: transient state is
     /// never materialized, so the join can produce no results at all.
     pub dead: bool,
@@ -348,8 +345,8 @@ fn bound_cols(
 
 /// Compiles one evaluation context of `rule`: the delta unified with body
 /// atom `trigger_idx`, or (`None`) an aggregate re-enumeration of the whole
-/// body, with `pre_bound` bound beforehand.  The remaining atoms are ordered
-/// greedily.
+/// body, with `pre_bound` bound beforehand.  The remaining atoms are joined
+/// in body order.
 fn compile_plan(rule: &Rule, trigger_idx: Option<usize>, pre_bound: &BTreeSet<Symbol>) -> JoinPlan {
     let vars = rule_vars(rule);
     let loc_is_node = trigger_idx.is_none();
@@ -361,36 +358,14 @@ fn compile_plan(rule: &Rule, trigger_idx: Option<usize>, pre_bound: &BTreeSet<Sy
         }
         _ => None,
     });
-    let atoms = rule
-        .body
-        .iter()
-        .enumerate()
-        .filter_map(|(i, item)| match item {
-            BodyItem::Atom(a) if Some(i) != trigger_idx => Some((i, a)),
-            _ => None,
-        });
-    let mut remaining: Vec<(usize, &Atom)> = atoms.collect();
-    let dead = remaining
-        .iter()
-        .any(|(_, a)| is_event_predicate(a.relation.as_str()));
-    let mut levels = Vec::with_capacity(remaining.len());
-    while !remaining.is_empty() {
-        // Score = number of bound non-location positions; ties resolve to the
-        // earliest body atom so planning is deterministic.
-        let score = |atom: &Atom| {
-            let is_bound = |t: &&Term| match t {
-                Term::Var(v) => bound.contains(v),
-                Term::Const(_) => true,
-            };
-            atom.args.iter().filter(is_bound).count()
+    let mut dead = false;
+    let mut levels = Vec::new();
+    for (body_idx, item) in rule.body.iter().enumerate() {
+        let atom = match item {
+            BodyItem::Atom(a) if Some(body_idx) != trigger_idx => a,
+            _ => continue,
         };
-        let mut best = 0usize;
-        for (i, (_, atom)) in remaining.iter().enumerate() {
-            if score(atom) > score(remaining[best].1) {
-                best = i;
-            }
-        }
-        let (body_idx, atom) = remaining.remove(best);
+        dead |= is_event_predicate(atom.relation.as_str());
         let mut level = bound_cols(atom, &bound, loc_is_node, &vars);
         level.body_idx = body_idx;
         bound.extend(atom.variables());
@@ -425,7 +400,6 @@ fn compile_plan(rule: &Rule, trigger_idx: Option<usize>, pre_bound: &BTreeSet<Sy
         term => head_term(term),
     };
     JoinPlan {
-        in_body_order: levels.windows(2).all(|w| w[0].body_idx < w[1].body_idx),
         levels,
         dead,
         trigger,
@@ -658,7 +632,6 @@ mod tests {
         assert_eq!(plan.levels.len(), 1);
         assert_eq!(plan.levels[0].cols, vec![0, 1, 3]);
         assert!(plan.levels[0].probes());
-        assert!(plan.in_body_order);
         assert!(!plan.dead);
         // Triggered by path (atom 1): bestPathCost fully bound.
         let plan = compile_trigger_plan(pv4, 1);
@@ -742,23 +715,21 @@ mod tests {
     }
 
     #[test]
-    fn greedy_order_prefers_most_bound_atoms() {
-        // r out(@S,A,B) :- t1(@S,A), t2(@S,A,B), t3(@S,B,C).
-        // Triggered by t1 (binds S, A): t2 has one bound arg (A), t3 none ->
-        // t2 first; after t2 binds B, t3 has one bound arg.
+    fn plan_levels_follow_the_body() {
+        // Triggered by t1 (binds S, A), t3 comes next although t2 has more
+        // bound arguments: only S is bound in t3, so it is scanned, and t2
+        // is then probed on every column t1 and t3 bound.
         let text = r#"
             materialize(t1, 2, keys(0,1)).
             materialize(t2, 3, keys(0,1,2)).
             materialize(t3, 3, keys(0,1,2)).
             r1 out(@S,A,B) :- t1(@S,A), t3(@S,B,C), t2(@S,A,B).
         "#;
-        let p = crate::parse_program("greedy", text).unwrap();
+        let p = crate::parse_program("body_order", text).unwrap();
         let plan = compile_trigger_plan(&p.rules[0], 0);
-        // t2 (body idx 2) is more bound than t3 (body idx 1): plan reorders.
-        assert_eq!(plan.levels[0].body_idx, 2);
-        assert_eq!(plan.levels[0].cols, vec![0, 1]);
-        assert_eq!(plan.levels[1].body_idx, 1);
-        assert_eq!(plan.levels[1].cols, vec![0, 1]);
-        assert!(!plan.in_body_order);
+        assert_eq!(plan.levels[0].body_idx, 1);
+        assert!(plan.levels[0].cols.is_empty());
+        assert_eq!(plan.levels[1].body_idx, 2);
+        assert_eq!(plan.levels[1].cols, vec![0, 1, 2]);
     }
 }

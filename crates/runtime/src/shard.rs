@@ -39,10 +39,6 @@ use std::sync::{Arc, Mutex};
 /// holds a satisfying assignment.
 type PlanSink<'a> = dyn FnMut(&mut Scratch) + 'a;
 
-/// A finished evaluation: the grounded inputs in body-atom order (left empty
-/// when nothing reads them) and what the assignment derived.
-type Derived<T> = (Vec<Arc<Tuple>>, T);
-
 /// The executor's reusable buffers, so that a firing allocates only what it
 /// derives.
 #[derive(Default)]
@@ -53,13 +49,14 @@ pub(crate) struct Scratch {
     /// while the levels below it build theirs.
     keys: Vec<Vec<Value>>,
     /// The candidate grounded at each body position — tracked only for
-    /// value-based provenance, aggregate provenance or a reordered plan.
+    /// value-based provenance or aggregate provenance.
     inputs: Vec<Option<Arc<Tuple>>>,
     /// The triggers of the delta being fired, copied out of the shared rule
     /// data so that firing them can borrow the shard mutably.
     triggers: Vec<(usize, usize)>,
-    /// The heads one rule firing derived, awaiting emission.
-    fired: Vec<Derived<Tuple>>,
+    /// The heads one rule firing derived, awaiting emission, each after its
+    /// grounded inputs in body-atom order (empty when nothing reads them).
+    fired: Vec<(Vec<Arc<Tuple>>, Tuple)>,
 }
 
 impl Scratch {
@@ -73,14 +70,11 @@ impl Scratch {
     }
 
     /// Sizes the buffers for one run of `plan` over a body of `body_len`
-    /// items; returns whether the grounded inputs are tracked: when `wanted`,
-    /// or when a reordered plan must restore the canonical order by them.
-    fn begin(&mut self, plan: &JoinPlan, body_len: usize, wanted: bool) -> bool {
+    /// items, tracking the grounded inputs when `track`.
+    fn begin(&mut self, plan: &JoinPlan, body_len: usize, track: bool) {
         self.size_frame(plan.frame_len);
-        let track = wanted || !plan.in_body_order;
         self.inputs.clear();
         self.inputs.resize(if track { body_len } else { 0 }, None);
-        track
     }
 
     /// The tracked inputs, in body-atom order.
@@ -387,15 +381,15 @@ impl Shard {
         if plan.dead || tuple.location != node {
             return;
         }
-        let track = s.begin(plan, rule.body.len(), self.policy.is_some());
+        s.begin(plan, rule.body.len(), self.policy.is_some());
         let Some(trigger) = &plan.trigger else {
             return;
         };
         if !trigger.matches(tuple, &mut s.frame) {
             return;
         }
-        if track {
-            s.inputs[atom_idx] = Some(Arc::clone(tuple));
+        if let Some(input) = s.inputs.get_mut(atom_idx) {
+            *input = Some(Arc::clone(tuple));
         }
         // A head located outside the topology derives nothing, like a head
         // whose location is not a node: there is no node to hold it.
@@ -407,9 +401,6 @@ impl Shard {
                 s.fired.push((s.grounded(), head));
             }
         });
-        if !plan.in_body_order {
-            self.restore_canonical_order(&mut s.fired);
-        }
     }
 
     /// Executes the levels of a compiled join plan from `depth` down: probes
@@ -491,28 +482,6 @@ impl Shard {
         result.map_err(|e| self.note_eval_error(rule, &e)).ok()
     }
 
-    /// Restores the canonical (body-atom order) result sequence after a
-    /// reordered plan enumerated the same satisfying assignments in greedy
-    /// order.  Body-atom order is lexicographic by the candidates' primary
-    /// row keys per body atom — exactly what comparing grounded inputs
-    /// row-key-wise reconstructs — so emitted deltas keep their
-    /// execution-independent sequence numbers and every figure stays
-    /// byte-identical.
-    fn restore_canonical_order<T>(&self, results: &mut [Derived<T>]) {
-        results.sort_by(|a, b| self.canonical_cmp(a.0.iter(), b.0.iter()));
-    }
-
-    /// Compares two assignments of one plan by their grounded inputs, in
-    /// body-atom order.
-    fn canonical_cmp<'a>(
-        &self,
-        a: impl Iterator<Item = &'a Arc<Tuple>>,
-        b: impl Iterator<Item = &'a Arc<Tuple>>,
-    ) -> Ordering {
-        let mut keys = a.zip(b).map(|(x, y)| self.store.row_order(x, y));
-        keys.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
-    }
-
     /// The history value-based provenance ships with one rule firing's
     /// delta, if this shard maintains it.
     fn note_derivation(&mut self, node: NodeId, inputs: &[Arc<Tuple>]) -> Option<Bdd> {
@@ -571,12 +540,13 @@ impl Shard {
     /// group(s) affected by a delta at body atom `atom_idx`.
     ///
     /// The recomputation itself runs as a separate queued event
-    /// ([`crate::engine::AGG_RECOMPUTE_EVENT`]) rather than synchronously:
-    /// this guarantees that any output deltas dispatched by *earlier*
-    /// recomputations of the same group have already been applied to the head
-    /// table when the comparison against the currently stored output is made.
-    /// A synchronous recomputation could read a stale output value and emit
-    /// contradictory retractions, which prevents convergence.
+    /// ([`crate::engine::AGG_RECOMPUTE_EVENT`]) rather than synchronously, so
+    /// that it sees the deltas queued before it.  It may still not see every
+    /// output an earlier recomputation of the same group dispatched: one
+    /// queued behind it is in flight, and the stored output it compares
+    /// against is then stale.  So [`Self::recompute_group`] retracts the
+    /// group's aggregate provenance whenever the output changes, whether or
+    /// not the old output has landed.
     fn recompute_event(
         &self,
         rule: &Rule,
@@ -640,23 +610,15 @@ impl Shard {
         s: &mut Scratch,
     ) -> Vec<Vec<Value>> {
         let plan = &plans.all_groups;
-        let mut found: Vec<Derived<Vec<Value>>> = Vec::new();
-        if !plan.dead {
+        let mut groups: Vec<Vec<Value>> = Vec::new();
+        if let Some(ops) = plans.body_key.as_ref().filter(|_| !plan.dead) {
             s.begin(plan, rule.body.len(), false);
             self.run_levels(rule, plan, node, 0, s, &mut |s| {
-                if let Some(ops) = &plans.body_key {
-                    found.push((s.grounded(), read_key(ops, node, &s.frame)));
+                let key = read_key(ops, node, &s.frame);
+                if !groups.contains(&key) {
+                    groups.push(key);
                 }
             });
-        }
-        if !plan.in_body_order {
-            self.restore_canonical_order(&mut found);
-        }
-        let mut groups: Vec<Vec<Value>> = Vec::new();
-        for (_, k) in found {
-            if !groups.contains(&k) {
-                groups.push(k);
-            }
         }
         let (Some((_, _, agg_pos)), Some(table)) = (
             rule.head.aggregate(),
@@ -699,8 +661,8 @@ impl Shard {
         // restriction into key-range probes.  The fold keeps the aggregate value
         // and the inputs of the winning assignment (for MIN/MAX provenance,
         // the winning tuple is the provenance child; for COUNT the first
-        // assignment is used as a representative) — first in canonical
-        // order among equals, whatever order the plan enumerates in.
+        // assignment is used as a representative) — the first enumerated
+        // among equals.
         let plan = &plans.group;
         let mut count = 0i64;
         let mut best: Option<(i64, Vec<Arc<Tuple>>)> = None;
@@ -719,15 +681,10 @@ impl Shard {
                     (_, Some(Value::Int(v))) => *v,
                     _ => return,
                 };
-                let better = best
-                    .as_ref()
-                    .map_or(true, |(cur, inputs)| match value.cmp(cur) {
-                        Ordering::Equal if plan.in_body_order => false,
-                        Ordering::Equal => self
-                            .canonical_cmp(s.inputs.iter().flatten(), inputs.iter())
-                            .is_lt(),
-                        ord => ord.is_gt() == (func == AggFunc::Max),
-                    });
+                let better = best.as_ref().map_or(true, |(cur, _)| match value.cmp(cur) {
+                    Ordering::Equal => false,
+                    ord => ord.is_gt() == (func == AggFunc::Max),
+                });
                 if better {
                     best = Some((value, s.grounded()));
                 }
@@ -769,24 +726,23 @@ impl Shard {
             return;
         }
 
-        // Retract the old output (and its aggregate-provenance entries).
+        // Retract the group's aggregate provenance, also while the output it
+        // was installed with is in flight, then the old output.
+        let installed = self
+            .agg_prov
+            .remove(&(node, rule.head.relation, group_key.to_vec()));
+        if let Some((prov_t, exec_t)) = installed {
+            self.journal_op(|| WalOp::AggProv {
+                install: false,
+                node,
+                relation: rule.head.relation,
+                group: group_key.to_vec(),
+                tuples: None,
+            });
+            self.dispatch_delta(node, prov_t, false, None);
+            self.dispatch_delta(node, exec_t, false, None);
+        }
         if let Some(old) = current {
-            if self.data.aggregate_provenance {
-                if let Some((prov_t, exec_t)) =
-                    self.agg_prov
-                        .remove(&(node, rule.head.relation, group_key.to_vec()))
-                {
-                    self.journal_op(|| WalOp::AggProv {
-                        install: false,
-                        node,
-                        relation: rule.head.relation,
-                        group: group_key.to_vec(),
-                        tuples: None,
-                    });
-                    self.dispatch_delta(node, prov_t, false, None);
-                    self.dispatch_delta(node, exec_t, false, None);
-                }
-            }
             let token = self.note_derivation(node, &[]);
             self.dispatch_delta(node, old, false, token);
         }

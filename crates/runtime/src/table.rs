@@ -532,14 +532,6 @@ impl TableStore {
         }
     }
 
-    /// Orders two tuples of one relation as its tables' primary maps do:
-    /// the order `scan()` — and therefore `probe()` — enumerates rows in.
-    pub fn row_order(&self, a: &Tuple, b: &Tuple) -> Ordering {
-        debug_assert_eq!(a.relation, b.relation);
-        let spec = self.keys.get(&a.relation).map_or(&[][..], Vec::as_slice);
-        Cols::Row(a, spec).cmp_from(Cols::Row(b, spec), 0)
-    }
-
     /// Returns the table for `(node, relation)`, creating it if necessary.
     pub fn table_mut(&mut self, node: NodeId, relation: RelId) -> &mut Table {
         match self.tables.entry((node, relation)) {

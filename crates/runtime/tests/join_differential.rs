@@ -49,7 +49,7 @@ struct ProgramShape {
     r2_shared_neighbor: bool,
     /// Upper bound in r2's guard constraint.
     r2_bound: i64,
-    /// Whether the three-atom rule r3 exists (exercises greedy reordering).
+    /// Whether the three-atom rule r3 exists (two join levels per trigger).
     with_three_atom_rule: bool,
     /// Whether the bounded MINCOST-style recursion through the aggregate
     /// exists (exercises group recomputation under churn).
@@ -143,8 +143,9 @@ fn build_program(shape: &ProgramShape) -> Program {
 
     if shape.with_three_atom_rule {
         // r3: out(@L, V3) :- mid(@L, N1, V3), base(@L, N1, V1), kv(@L, N1, V3).
-        // Written with the most selective atom last so the greedy planner
-        // must reorder (and the executor must restore canonical order).
+        // Every trigger leaves two join levels, joined in body order: the
+        // most selective atom, kv, is written last, so a `mid` or `base`
+        // trigger probes on fewer columns first.
         p = p.with_rule(Rule::new(
             "r3",
             RuleHead::new("out", var("L"), vec![HeadArg::Term(var("V3"))]),

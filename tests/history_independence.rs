@@ -7,8 +7,9 @@
 //! one, with the next change landing either at fixpoint or mid-convergence.
 //! After the last change has settled:
 //!
-//! * every visible row of the program's relations equals that of a fresh
-//!   fixpoint on the final topology;
+//! * every visible row of the program's relations, and of `prov` and
+//!   `ruleExec` in reference mode, equals that of a fresh fixpoint on the
+//!   final topology;
 //! * `state_digest` is equal at 1 and 2 shards;
 //! * every `bestPathCost` is the shortest-path cost this test computes from
 //!   the final topology (for MINCOST, the costs below `MINCOST_INFINITY`).
@@ -16,9 +17,6 @@
 //! MINCOST runs on the testbed's unit costs.  PATHVECTOR runs on distinct
 //! power-of-two link costs, so that no two paths tie: `bestPath` keeps one
 //! row per key, and a tie between two paths is not yet maintained exactly.
-//! The `prov` and `ruleExec` tables are not compared: in reference mode an
-//! aggregate's provenance row (`pv3`, `sp3`) can outlive a link removal,
-//! with or without a partition.
 
 use exspan::core::{Deployment, Exspan, ProvenanceMode};
 use exspan::ndlog::ast::Program;
@@ -177,10 +175,11 @@ impl Schedule {
     }
 }
 
-/// Every visible row of the program's relations, by relation, in a
-/// canonical order.
+/// Every visible row of the program's relations and of `prov` and
+/// `ruleExec`, by relation, in a canonical order.
 fn visible_rows(d: &Deployment, program: &Program) -> BTreeMap<String, Vec<Tuple>> {
-    let names = program.tables.iter().map(|t| t.relation.as_str());
+    let tables = program.tables.iter().map(|t| t.relation.as_str());
+    let names = tables.chain(["prov", "ruleExec"]);
     names
         .map(|name| {
             let mut rows: Vec<Tuple> = d
