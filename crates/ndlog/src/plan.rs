@@ -464,22 +464,6 @@ fn group_key_ops(rule: &Rule, bound: &BTreeSet<Symbol>, vars: &[Symbol]) -> Opti
     ops.collect()
 }
 
-/// The head-table columns identifying one aggregate group's output row: the
-/// location plus every non-aggregate argument position.  Used to look up the
-/// currently stored output with one keyed probe instead of a scan.
-pub fn group_output_cols(rule: &Rule) -> Vec<usize> {
-    let Some((_, _, agg_pos)) = rule.head.aggregate() else {
-        return Vec::new();
-    };
-    let mut cols = vec![0];
-    for i in 0..rule.head.args.len() {
-        if i != agg_pos {
-            cols.push(i + 1);
-        }
-    }
-    cols
-}
-
 /// The compiled plans of an aggregate rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AggRulePlans {
@@ -487,10 +471,6 @@ pub struct AggRulePlans {
     pub group: JoinPlan,
     /// Enumeration of every group at a node (nothing pre-bound).
     pub all_groups: JoinPlan,
-    /// Probe columns locating the group's stored output in the head table
-    /// (empty when the head has no non-aggregate structure beyond the
-    /// location, in which case the executor scans).
-    pub output_cols: Vec<usize>,
     /// Body-atom index → that atom lowered as a trigger, and how the group
     /// key of the affected group is read once it matched (`None` when the
     /// atom does not bind all of it: every group is then recomputed).
@@ -530,7 +510,6 @@ impl AggRulePlans {
         AggRulePlans {
             group: compile_plan(rule, None, &group_bound_vars(rule)),
             all_groups: compile_plan(rule, None, &BTreeSet::new()),
-            output_cols: Vec::new(),
             triggers,
             group_slots: group_slots.collect(),
             body_key: group_key_ops(rule, &body_bound, &vars),
@@ -560,14 +539,7 @@ impl ProgramPlans {
         let mut out = ProgramPlans::default();
         for (ri, rule) in program.rules.iter().enumerate() {
             if rule.is_aggregate() {
-                let mut plans = AggRulePlans::compile(rule);
-                // A location-only output key degenerates to a scan (cf.
-                // `bound_cols`).
-                let output_cols = group_output_cols(rule);
-                if output_cols.len() > 1 {
-                    out.demand(program, rule.head.relation, &output_cols);
-                    plans.output_cols = output_cols;
-                }
+                let plans = AggRulePlans::compile(rule);
                 out.collect_demands(program, &plans.group);
                 out.collect_demands(program, &plans.all_groups);
                 out.aggregates.insert(ri, plans);
@@ -585,25 +557,19 @@ impl ProgramPlans {
         out
     }
 
-    /// Records a probe of `relation` over `cols`, unless its declared key
-    /// serves it as a primary prefix.
-    fn demand(&mut self, program: &Program, relation: RelId, cols: &[usize]) {
-        let decl = program.tables.iter().find(|t| t.relation == relation);
-        let key = decl.map_or(&[][..], |t| t.keys.as_slice());
-        if primary_prefix(key, cols).is_none() {
-            self.demands
-                .entry(relation)
-                .or_default()
-                .insert(cols.to_vec());
-        }
-    }
-
+    /// Records each probe of `plan` that no primary prefix of its
+    /// relation's declared key serves.
     fn collect_demands(&mut self, program: &Program, plan: &JoinPlan) {
         if plan.dead {
             return;
         }
         for (relation, cols) in plan.probed() {
-            self.demand(program, relation, cols);
+            let decl = program.tables.iter().find(|t| t.relation == relation);
+            let key = decl.map_or(&[][..], |t| t.keys.as_slice());
+            if primary_prefix(key, cols).is_none() {
+                let demand = self.demands.entry(relation).or_default();
+                demand.insert(cols.to_vec());
+            }
         }
     }
 }
@@ -667,8 +633,6 @@ mod tests {
         // With nothing pre-bound the location-only key degenerates to a scan.
         let all = compile_body_plan(pv3, &BTreeSet::new());
         assert!(!all.levels[0].probes());
-        // The stored output of a group is located by (location, D).
-        assert_eq!(group_output_cols(pv3), vec![0, 1]);
     }
 
     #[test]

@@ -798,16 +798,18 @@ impl Engine {
         let mut agg: Vec<AggProvEntry> = self
             .shards
             .iter()
-            .flat_map(|s| {
-                s.agg_prov
-                    .iter()
-                    .map(|((node, relation, group), (prov, exec))| AggProvEntry {
-                        node: *node,
-                        relation: *relation,
+            .flat_map(|s| &s.groups)
+            .flat_map(|(&(node, relation), groups)| {
+                groups.iter().filter_map(move |(group, g)| {
+                    let (prov, exec) = g.prov.as_ref()?;
+                    Some(AggProvEntry {
+                        node,
+                        relation,
                         group: group.clone(),
                         prov: Arc::clone(prov),
                         exec: Arc::clone(exec),
                     })
+                })
             })
             .collect();
         agg.sort_by(|x, y| {
@@ -862,11 +864,15 @@ impl Engine {
             }
             for entry in &snap.agg {
                 let pair = (Arc::clone(&entry.prov), Arc::clone(&entry.exec));
-                self.set_agg_prov(entry.node, entry.relation, &entry.group, Some(pair));
+                self.set_group_prov(entry.node, entry.relation, &entry.group, Some(pair));
             }
         }
         for op in state.batches.iter().flat_map(|batch| &batch.ops) {
             self.replay_wal_op(op);
+        }
+        // A group's last dispatched output is the row its head table holds.
+        for shard in &mut self.shards {
+            shard.restore_group_outputs();
         }
         // Scheduling continues from where the crashed run committed.
         let (_, time_bits) = state.watermark();
@@ -878,8 +884,9 @@ impl Engine {
     }
 
     /// Installs (`Some`) or removes the aggregate-provenance pair of one
-    /// group at its owning shard.
-    fn set_agg_prov(
+    /// group at its owning shard.  Recovery restores the groups' outputs
+    /// only after this, so a removed pair leaves nothing of its group.
+    fn set_group_prov(
         &mut self,
         node: NodeId,
         relation: RelId,
@@ -887,12 +894,14 @@ impl Engine {
         pair: Option<(Arc<Tuple>, Arc<Tuple>)>,
     ) {
         let owner = self.owner(node);
-        let agg_prov = &mut self.shards[owner].agg_prov;
-        let key = (node, relation, group.to_vec());
+        let groups = self.shards[owner].groups.entry((node, relation));
+        let groups = groups.or_default();
         match pair {
-            Some(pair) => agg_prov.insert(key, pair),
-            None => agg_prov.remove(&key),
-        };
+            Some(pair) => groups.entry(group.to_vec()).or_default().prov = Some(pair),
+            None => {
+                groups.remove(group);
+            }
+        }
     }
 
     /// Replays one journaled operation.  Tuple intents run through the
@@ -931,7 +940,7 @@ impl Engine {
                 tuples,
             } => {
                 let pair = tuples.clone().filter(|_| *install);
-                self.set_agg_prov(*node, *relation, group, pair);
+                self.set_group_prov(*node, *relation, group, pair);
             }
         }
     }

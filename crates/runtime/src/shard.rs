@@ -33,6 +33,7 @@ use exspan_store::WalOp;
 use exspan_types::fxhash::FxHashMap;
 use exspan_types::{wire, Digest, NodeId, RelId, Symbol, Tuple, Value};
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Leaf callback of the plan executor: receives the buffers, whose frame
@@ -111,8 +112,19 @@ pub(crate) struct RuleData {
     pub provenance_relations: [RelId; 2],
 }
 
-/// Identifies one aggregate group at one node: (node, relation, group key).
-type AggGroupKey = (NodeId, RelId, Vec<Value>);
+/// What one aggregate group last dispatched: its output and, under aggregate
+/// provenance, the `prov`/`ruleExec` pair installed with it.  The group
+/// retracts exactly these when its output changes, whether or not they have
+/// landed.
+#[derive(Debug, Default)]
+pub(crate) struct AggGroup {
+    pub output: Option<Arc<Tuple>>,
+    pub prov: Option<(Arc<Tuple>, Arc<Tuple>)>,
+}
+
+/// The aggregate groups of one head relation at one node, by group key (the
+/// head location, then every non-aggregate head argument).
+pub(crate) type AggGroups = BTreeMap<Vec<Value>, AggGroup>;
 
 /// One shard: tables, event queue and rule execution for a subset of nodes.
 pub(crate) struct Shard {
@@ -122,11 +134,12 @@ pub(crate) struct Shard {
     /// The value-based provenance of an engine built with it; such an engine
     /// has this shard only.
     pub(crate) policy: Option<ValueBddPolicy>,
-    /// Bookkeeping for aggregate provenance: the (prov tuple, ruleExec
-    /// tuple) pair currently installed for each group.  Not derivable from
-    /// the tables, so it is journaled/snapshotted and restored on recovery
-    /// (`pub(crate)` for the engine's recovery path).
-    pub(crate) agg_prov: FxHashMap<AggGroupKey, (Arc<Tuple>, Arc<Tuple>)>,
+    /// Every aggregate group with a dispatched output, by `(node, head
+    /// relation)`.  The provenance pairs are not derivable from the tables,
+    /// so they are journaled/snapshotted and restored on recovery, which
+    /// reads the outputs back from the head tables (`pub(crate)` for the
+    /// engine's recovery path).
+    pub(crate) groups: FxHashMap<(NodeId, RelId), AggGroups>,
     pub(crate) last_delta_time: f64,
     pub(crate) externals_seen: u64,
     pub(crate) processed: u64,
@@ -166,7 +179,7 @@ impl Shard {
             store: TableStore::new(keys),
             sim,
             policy: None,
-            agg_prov: FxHashMap::default(),
+            groups: FxHashMap::default(),
             last_delta_time: 0.0,
             externals_seen: 0,
             processed: 0,
@@ -541,12 +554,7 @@ impl Shard {
     ///
     /// The recomputation itself runs as a separate queued event
     /// ([`crate::engine::AGG_RECOMPUTE_EVENT`]) rather than synchronously, so
-    /// that it sees the deltas queued before it.  It may still not see every
-    /// output an earlier recomputation of the same group dispatched: one
-    /// queued behind it is in flight, and the stored output it compares
-    /// against is then stale.  So [`Self::recompute_group`] retracts the
-    /// group's aggregate provenance whenever the output changes, whether or
-    /// not the old output has landed.
+    /// that it sees the deltas queued before it.
     fn recompute_event(
         &self,
         rule: &Rule,
@@ -599,9 +607,10 @@ impl Shard {
 
     /// Enumerates every group key of an aggregate rule at `node` — the head
     /// location plus every non-aggregate head argument — read out of each
-    /// assignment of the whole body, then out of each stored output: a group
-    /// whose last assignment left through an atom that does not bind the
-    /// whole key has only its output left, which its recomputation retracts.
+    /// assignment of the whole body, then every group with a dispatched
+    /// output, in key order: a group whose last assignment left through an
+    /// atom that does not bind the whole key has only its output left, which
+    /// its recomputation retracts.
     fn all_groups(
         &self,
         rule: &Rule,
@@ -620,23 +629,32 @@ impl Shard {
                 }
             });
         }
-        let (Some((_, _, agg_pos)), Some(table)) = (
-            rule.head.aggregate(),
-            self.store.table(node, rule.head.relation),
-        ) else {
-            return groups;
-        };
-        for output in table.scan() {
-            let args = output.values.iter().enumerate();
-            let rest = args.filter(|(i, _)| *i != agg_pos).map(|(_, v)| v.clone());
-            let key: Vec<Value> = std::iter::once(Value::Node(output.location))
-                .chain(rest)
-                .collect();
-            if !groups.contains(&key) {
-                groups.push(key);
+        if let Some(dispatched) = self.groups.get(&(node, rule.head.relation)) {
+            for key in dispatched.keys() {
+                if !groups.contains(key) {
+                    groups.push(key.clone());
+                }
             }
         }
         groups
+    }
+
+    /// Reads every row of an aggregate head table back as its group's last
+    /// dispatched output, as recovery does once the tables are restored.
+    pub(crate) fn restore_group_outputs(&mut self) {
+        for rule in &self.data.rules {
+            let Some((_, _, agg_pos)) = rule.head.aggregate() else {
+                continue;
+            };
+            for output in self.store.tuples_everywhere_shared(rule.head.relation) {
+                let args = output.values.iter().enumerate();
+                let rest = args.filter(|(i, _)| *i != agg_pos).map(|(_, v)| v.clone());
+                let key = std::iter::once(Value::Node(output.location)).chain(rest);
+                let key: Vec<Value> = key.collect();
+                let groups = self.groups.entry((output.location, rule.head.relation));
+                groups.or_default().entry(key).or_default().output = Some(output);
+            }
+        }
     }
 
     /// Recomputes one aggregate group and reconciles its output tuple.
@@ -696,14 +714,11 @@ impl Shard {
         };
         let winning_inputs = best.map_or_else(Vec::new, |(_, inputs)| inputs);
 
-        // Current output for this group, if any.
         let loc = match &group_key[0] {
             Value::Node(n) => *n,
             Value::Int(n) => *n as NodeId,
             _ => return,
         };
-        let current = self.find_group_output(rule, plans, node, group_key, agg_pos);
-
         let new_tuple = new_output.map(|value| {
             let mut values = Vec::with_capacity(rule.head.args.len());
             let mut key_iter = group_key.iter().skip(1);
@@ -722,16 +737,16 @@ impl Shard {
             Arc::new(Tuple::new(rule.head.relation, loc, values))
         });
 
-        if current == new_tuple {
+        // Compare with what the group last dispatched, landed or not, and
+        // take it out of its slot to retract it.
+        let slot = (node, rule.head.relation);
+        let groups = self.groups.get_mut(&slot);
+        let group = groups.and_then(|g| g.get_mut(group_key));
+        if group.as_ref().and_then(|g| g.output.as_ref()) == new_tuple.as_ref() {
             return;
         }
-
-        // Retract the group's aggregate provenance, also while the output it
-        // was installed with is in flight, then the old output.
-        let installed = self
-            .agg_prov
-            .remove(&(node, rule.head.relation, group_key.to_vec()));
-        if let Some((prov_t, exec_t)) = installed {
+        let last = group.map(std::mem::take).unwrap_or_default();
+        if let Some((prov_t, exec_t)) = last.prov {
             self.journal_op(|| WalOp::AggProv {
                 install: false,
                 node,
@@ -742,12 +757,13 @@ impl Shard {
             self.dispatch_delta(node, prov_t, false, None);
             self.dispatch_delta(node, exec_t, false, None);
         }
-        if let Some(old) = current {
+        if let Some(old) = last.output {
             let token = self.note_derivation(node, &[]);
             self.dispatch_delta(node, old, false, token);
         }
 
         // Assert the new output.
+        let mut sent = AggGroup::default();
         if let Some(new_t) = new_tuple {
             let token = self.note_derivation(node, &winning_inputs);
             if self.data.aggregate_provenance {
@@ -771,10 +787,6 @@ impl Shard {
                         Value::Node(node),
                     ],
                 ));
-                self.agg_prov.insert(
-                    (node, rule.head.relation, group_key.to_vec()),
-                    (Arc::clone(&prov_t), Arc::clone(&exec_t)),
-                );
                 self.journal_op(|| WalOp::AggProv {
                     install: true,
                     node,
@@ -782,55 +794,23 @@ impl Shard {
                     group: group_key.to_vec(),
                     tuples: Some((Arc::clone(&prov_t), Arc::clone(&exec_t))),
                 });
+                sent.prov = Some((Arc::clone(&prov_t), Arc::clone(&exec_t)));
                 self.dispatch_delta(node, exec_t, true, None);
                 self.dispatch_delta(node, prov_t, true, None);
             }
+            sent.output = Some(Arc::clone(&new_t));
             self.dispatch_delta(node, new_t, true, token);
         }
-    }
-
-    /// Finds the currently stored output tuple of an aggregate group, by a
-    /// probe of the head table over the group's output columns (falling back
-    /// to the canonical scan when it has none or its location is not a node).
-    fn find_group_output(
-        &self,
-        rule: &Rule,
-        plans: &AggRulePlans,
-        node: NodeId,
-        group_key: &[Value],
-        agg_pos: usize,
-    ) -> Option<Arc<Tuple>> {
-        let table = self.store.table(node, rule.head.relation)?;
-        let loc = match &group_key[0] {
-            Value::Node(n) => *n,
-            Value::Int(n) => *n as NodeId,
-            _ => return None,
-        };
-        let matches = |t: &&Arc<Tuple>| {
-            if t.location != loc {
-                return false;
+        let groups = self.groups.entry(slot).or_default();
+        match (groups.get_mut(group_key), sent.output.is_some()) {
+            (Some(group), true) => *group = sent,
+            (Some(_), false) => {
+                groups.remove(group_key);
             }
-            let mut key_iter = group_key.iter().skip(1);
-            for (i, v) in t.values.iter().enumerate() {
-                if i == agg_pos {
-                    continue;
-                }
-                match key_iter.next() {
-                    Some(k) if k == v => {}
-                    _ => return false,
-                }
+            (None, true) => {
+                groups.insert(group_key.to_vec(), sent);
             }
-            true
-        };
-        // The group key is the probe key once its location is node-valued.
-        let output_cols = plans.output_cols.as_slice();
-        let probe = match group_key[0] {
-            Value::Node(_) if !output_cols.is_empty() => table.probe(output_cols, group_key),
-            _ => None,
-        };
-        match probe {
-            Some(mut iter) => iter.find(matches).cloned(),
-            None => table.scan().find(matches).cloned(),
+            (None, false) => {}
         }
     }
 }

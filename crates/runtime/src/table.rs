@@ -7,7 +7,8 @@
 //!   (e.g. `pathCost(@a,c,5)` in Figure 4 has two derivations).  A tuple is
 //!   only *inserted* into the visible state when its count goes 0→1 and only
 //!   *removed* when it returns to 0, so downstream rules fire exactly on
-//!   presence changes.
+//!   presence changes.  Keyed and whole-tuple tables alike count every
+//!   derivation of a row.
 //! * **Keyed update semantics** — NDlog materialized tables declare primary
 //!   keys (e.g. `bestPathCost` is keyed on `(@S,D)`); inserting a tuple whose
 //!   key already exists with different non-key attributes *replaces* the old
@@ -361,14 +362,7 @@ impl Table {
                 InsertEffect::Added
             }
             Entry::Occupied(mut e) if e.key().tuple == *tuple => {
-                // Tables keyed on a proper subset of their attributes hold
-                // *functional* state (one row per key, e.g. an aggregate
-                // output or a routing-table entry): re-asserting the same row
-                // is idempotent.  Whole-tuple (set semantics) tables count
-                // duplicate derivations instead.
-                if self.key.is_empty() || self.key.len() >= tuple.arity() {
-                    *e.get_mut() += 1;
-                }
+                *e.get_mut() += 1;
                 InsertEffect::Duplicate
             }
             Entry::Occupied(e) => {
@@ -676,15 +670,12 @@ mod tests {
     }
 
     #[test]
-    fn keyed_rows_are_idempotent_under_reinsertion() {
+    fn keyed_rows_count_every_derivation() {
         let mut t = Table::new("bestPathCost", vec![0, 1]);
         t.insert_shared(&best(0, 2, 5));
         assert_eq!(t.insert_shared(&best(0, 2, 5)), InsertEffect::Duplicate);
-        assert_eq!(
-            t.count(&best(0, 2, 5)),
-            1,
-            "keyed rows do not count duplicates"
-        );
+        assert_eq!(t.count(&best(0, 2, 5)), 2);
+        assert_eq!(t.delete(&best(0, 2, 5)), DeleteEffect::Decremented);
         assert_eq!(t.delete(&best(0, 2, 5)), DeleteEffect::Removed);
         assert!(t.is_empty());
     }

@@ -220,6 +220,29 @@ fn an_aggregate_group_emptied_through_an_atom_not_binding_its_key_is_retracted()
     assert!(deleted.tuples_everywhere_shared("kv").is_empty());
 }
 
+#[test]
+fn a_group_does_not_resend_an_output_still_in_flight() {
+    // Both `pc` rows land inside one local processing delay, so each
+    // schedules a recomputation, and the second one runs while the output
+    // the first dispatched is still in flight.
+    let program = parse(
+        r#"
+        materialize(pc, 3, keys(0,1,2)).
+        materialize(best, 3, keys(0,1)).
+        r1 best(@S,D,min<C>) :- pc(@S,D,C).
+        "#,
+    );
+    let mut engine = Engine::new(program, Topology::line(2), EngineConfig::default());
+    let pc = |c| t("pc", 0, vec![Value::Node(1), int(c)]);
+    engine.schedule_delta(1.0, 0, pc(7), true);
+    engine.schedule_delta(1.0 + 10e-6, 0, pc(5), true);
+    // Two deltas, two recomputations and one output: the second
+    // recomputation finds the output it would send already sent.
+    assert_eq!(engine.run_to_fixpoint().steps, 5);
+    let best = t("best", 0, vec![Value::Node(1), int(5)]);
+    assert_eq!(engine.derivation_count(&best), 1);
+}
+
 /// Statically impossible evaluation errors drop the candidate and are
 /// counted once each; `note_eval_error` debug-asserts, so release only.
 #[cfg(not(debug_assertions))]

@@ -9,7 +9,7 @@
 //!
 //! * every visible row of the program's relations, and of `prov` and
 //!   `ruleExec` in reference mode, equals that of a fresh fixpoint on the
-//!   final topology;
+//!   final topology, and so does its derivation count;
 //! * `state_digest` is equal at 1 and 2 shards;
 //! * every `bestPathCost` is the shortest-path cost this test computes from
 //!   the final topology (for MINCOST, the costs below `MINCOST_INFINITY`).
@@ -176,16 +176,16 @@ impl Schedule {
 }
 
 /// Every visible row of the program's relations and of `prov` and
-/// `ruleExec`, by relation, in a canonical order.
-fn visible_rows(d: &Deployment, program: &Program) -> BTreeMap<String, Vec<Tuple>> {
+/// `ruleExec` with its derivation count, by relation, in a canonical order.
+fn visible_rows(d: &Deployment, program: &Program) -> BTreeMap<String, Vec<(Tuple, usize)>> {
     let tables = program.tables.iter().map(|t| t.relation.as_str());
     let names = tables.chain(["prov", "ruleExec"]);
     names
         .map(|name| {
-            let mut rows: Vec<Tuple> = d
+            let mut rows: Vec<(Tuple, usize)> = d
                 .tuples_everywhere_shared(name)
                 .iter()
-                .map(|t| (**t).clone())
+                .map(|t| ((**t).clone(), d.derivation_count(t)))
                 .collect();
             rows.sort();
             (name.to_string(), rows)
@@ -257,7 +257,7 @@ fn best_path_costs(d: &Deployment) -> BTreeMap<(NodeId, NodeId), i64> {
 }
 
 /// What `got` has beyond `want` and lacks of it, as `+row`/`-row` lines.
-fn diff(got: &[Tuple], want: &[Tuple]) -> Vec<String> {
+fn diff<T: PartialEq + std::fmt::Debug>(got: &[T], want: &[T]) -> Vec<String> {
     let extra = got
         .iter()
         .filter(|t| !want.contains(t))
