@@ -394,7 +394,9 @@ impl DeploymentBuilder {
         let journal = store.is_some();
         let mut engine = Engine::with_parts(executed, topology, engine_config, policy, journal);
         if let Some(state) = &recovered_state {
-            engine.recover(state);
+            engine
+                .recover(state)
+                .map_err(|e| BuildError::Storage(e.to_string()))?;
         }
         let recovered = recovered_state.is_some();
 
@@ -1181,13 +1183,19 @@ mod tests {
         let d = mincost_deployment(ProvenanceMode::ValueBdd);
         let target = (*d.tuples_shared(0, "bestPathCost").remove(0)).clone();
         let derivable = d
-            .with_value_provenance(|p| p.derivable_under(&target, |_| true))
-            .expect("value mode exposes the policy");
+            .engine()
+            .derivable_under(&target, |_| true)
+            .expect("value mode keeps annotations");
         assert!(derivable);
-        let annotation = d.with_value_provenance(|p| p.annotation_of(&target));
-        assert!(annotation.flatten().is_some());
-        // Reference mode has no value policy.
+        assert!(d.engine().annotation_of(&target).is_some());
+        assert_eq!(
+            d.with_value_provenance(|p| p.manager().node_count() > 2),
+            Some(true)
+        );
+        // Reference mode has no value policy, and its rows no annotation.
         let r = mincost_deployment(ProvenanceMode::Reference);
         assert!(r.with_value_provenance(|_| ()).is_none());
+        assert_eq!(r.engine().annotation_of(&target), None);
+        assert_eq!(r.engine().derivable_under(&target, |_| true), None);
     }
 }

@@ -117,7 +117,7 @@ pub(crate) fn prov_rows<'a>(
     let rows = engine.probe(node, relations().0, &[0, 1], key);
     rows.into_iter()
         .flatten()
-        .filter_map(|t| ProvEntry::from_tuple(t))
+        .filter_map(|(t, _)| ProvEntry::from_tuple(t))
 }
 
 /// The rule label and input VIDs of the `ruleExec` row `key` names at
@@ -128,7 +128,7 @@ pub(crate) fn rule_exec_row<'a>(
     key: &'a [Value; 2],
 ) -> Option<(Symbol, impl Iterator<Item = Vid> + 'a)> {
     let mut rows = engine.probe(node, relations().1, &[0, 1], key)?;
-    let (_, rule, vids) = rows.find_map(|t| rule_exec_fields(t))?;
+    let (_, rule, vids) = rows.find_map(|(t, _)| rule_exec_fields(t))?;
     Some((rule, vids))
 }
 
@@ -142,7 +142,7 @@ pub fn prov_entries(engine: &Engine, node: NodeId, vid: Vid) -> Vec<ProvEntry> {
 pub fn rule_exec_entry(engine: &Engine, node: NodeId, rid: Rid) -> Option<RuleExecEntry> {
     let key = vertex_key(node, rid);
     let mut rows = engine.probe(node, relations().1, &[0, 1], &key)?;
-    rows.find_map(|t| RuleExecEntry::from_tuple(t))
+    rows.find_map(|(t, _)| RuleExecEntry::from_tuple(t))
 }
 
 /// Returns every `prov` entry stored anywhere in the network (used by tests

@@ -4,11 +4,11 @@
 //! were keyed by tuple instead of by VID; a policy that charges one BDD node
 //! more or fewer, or conjoins a different input, moves one of them.
 
-use exspan_core::{Exspan, ProvenanceMode, ValueBddPolicy};
+use exspan_core::{Deployment, Exspan, ProvenanceMode, ValueBddPolicy};
 use exspan_ndlog::ast::Program;
 use exspan_ndlog::programs;
-use exspan_netsim::Topology;
-use exspan_types::Vid;
+use exspan_netsim::{LinkClass, LinkProps, Topology};
+use exspan_types::{Tuple, Value, Vid};
 use std::collections::BTreeSet;
 
 /// What a value-mode fixpoint is pinned by.
@@ -38,12 +38,8 @@ fn run(program: Program) -> Pin {
         .collect();
     let best = d.tuples_everywhere_shared("bestPathCost");
     let derivable = |trusted: &dyn Fn(Vid) -> bool| {
-        let answers = d.with_value_provenance(|p| {
-            best.iter()
-                .filter(|t| p.derivable_under(t, trusted))
-                .count()
-        });
-        answers.expect("value mode")
+        let answers = best.iter().map(|t| d.engine().derivable_under(t, trusted));
+        answers.map(|a| a.expect("value mode") as usize).sum()
     };
     Pin {
         bytes: d.engine().stats().total_bytes(),
@@ -85,4 +81,57 @@ fn pathvector_in_value_mode_is_pinned() {
             derivable_trusting_even_links: 114,
         }
     );
+}
+
+/// The annotation bytes `d` has charged so far.
+fn annotation_bytes(d: &Deployment) -> u64 {
+    d.with_value_provenance(ValueBddPolicy::total_annotation_bytes)
+        .expect("value mode")
+}
+
+/// The annotation bytes one `ePacket` from node 0 to node 4 is charged on
+/// its way, on a 5-node graph whose cheap route 0–1–3–4 goes when
+/// `remove_link(0, 1)` runs, leaving 0–2–3–4; with `before`, the same packet
+/// also travelled once before the removal.
+fn packet_after_removal(before: bool) -> u64 {
+    let mut topology = Topology::empty(5);
+    for (a, b, cost) in [(0, 1, 1), (1, 3, 1), (3, 4, 1), (0, 2, 2), (2, 3, 2)] {
+        let props = LinkProps::from_class(LinkClass::Custom);
+        topology.add_link(a, b, LinkProps { cost, ..props });
+    }
+    let mut d = Exspan::builder()
+        .program(programs::packet_forward())
+        .topology(topology)
+        .mode(ProvenanceMode::ValueBdd)
+        .build()
+        .expect("valid deployment");
+    d.run_to_fixpoint();
+    let packet = Tuple::new(
+        "ePacket",
+        0,
+        vec![Value::Node(0), Value::Node(4), Value::Payload(1024)],
+    );
+    let send = |d: &mut Deployment| {
+        d.insert_base(0, packet.clone())
+            .expect("an event at its node");
+        d.run_to_fixpoint();
+    };
+    if before {
+        send(&mut d);
+    }
+    d.remove_link(0, 1);
+    d.run_to_fixpoint();
+    let charged = annotation_bytes(&d);
+    send(&mut d);
+    assert_eq!(d.tuples_shared(4, "recvPacket").len(), 1);
+    annotation_bytes(&d) - charged
+}
+
+#[test]
+fn an_event_ships_only_its_own_history() {
+    // An event is stored nowhere, and neither is its history: the packet
+    // that takes the new route does not carry the old route's along.
+    let control = packet_after_removal(false);
+    assert_eq!(control, 156);
+    assert_eq!(packet_after_removal(true), control);
 }

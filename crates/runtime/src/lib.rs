@@ -25,8 +25,9 @@
 //!   with bit-identical results.
 //! * [`value_policy`] — *value-based* provenance (paper §3: every
 //!   transmitted tuple carries its BDD-condensed derivation history), which
-//!   the shard maintains on every base change, rule firing, send and arrival
-//!   of an engine built with it; that engine's one shard owns it.
+//!   the shard maintains on every base change, rule firing and send of an
+//!   engine built with it, in the annotation each table row carries; that
+//!   engine's one shard owns the policy and the policy its BDD store.
 //!
 //! The engine deliberately exposes low-level access (per-node tables, raw
 //! message injection, an [`engine::ExternalSink`] that receives unknown event

@@ -18,7 +18,9 @@
 //! stored table row and every grounded join input share one allocation, and
 //! relation lookups (trigger lists, tables) are keyed on interned
 //! [`RelId`]s, so the per-delta path allocates no strings and deep-copies no
-//! attribute vectors.
+//! attribute vectors.  Under value-based provenance a row's annotation
+//! comes out of the table with the row, so a firing conjoins its inputs'
+//! histories without building a list of them.
 
 use crate::engine::{EngineConfig, External, Payload};
 use crate::table::{DeleteEffect, InsertEffect, TableStore};
@@ -50,14 +52,21 @@ pub(crate) struct Scratch {
     /// while the levels below it build theirs.
     keys: Vec<Vec<Value>>,
     /// The candidate grounded at each body position — tracked only for
-    /// value-based provenance or aggregate provenance.
+    /// aggregate provenance.
     inputs: Vec<Option<Arc<Tuple>>>,
+    /// The annotation of the candidate grounded at each body position
+    /// ([`Bdd::TRUE`] at the others) — tracked only for value-based
+    /// provenance.
+    annotations: Vec<Bdd>,
     /// The triggers of the delta being fired, copied out of the shared rule
     /// data so that firing them can borrow the shard mutably.
     triggers: Vec<(usize, usize)>,
-    /// The heads one rule firing derived, awaiting emission, each after its
-    /// grounded inputs in body-atom order (empty when nothing reads them).
-    fired: Vec<(Vec<Arc<Tuple>>, Tuple)>,
+    /// The heads one rule firing derived, awaiting emission.
+    fired: Vec<Tuple>,
+    /// `annotations` at each fired head, one body's length after another.
+    fired_annotations: Vec<Bdd>,
+    /// `annotations` at an aggregate group's winning assignment.
+    winning: Vec<Bdd>,
 }
 
 impl Scratch {
@@ -71,11 +80,15 @@ impl Scratch {
     }
 
     /// Sizes the buffers for one run of `plan` over a body of `body_len`
-    /// items, tracking the grounded inputs when `track`.
-    fn begin(&mut self, plan: &JoinPlan, body_len: usize, track: bool) {
+    /// items, tracking the grounded inputs when `inputs` and their
+    /// annotations when `annotations`.
+    fn begin(&mut self, plan: &JoinPlan, body_len: usize, inputs: bool, annotations: bool) {
         self.size_frame(plan.frame_len);
         self.inputs.clear();
-        self.inputs.resize(if track { body_len } else { 0 }, None);
+        self.inputs.resize(if inputs { body_len } else { 0 }, None);
+        self.annotations.clear();
+        let len = if annotations { body_len } else { 0 };
+        self.annotations.resize(len, Bdd::TRUE);
     }
 
     /// The tracked inputs, in body-atom order.
@@ -258,9 +271,14 @@ impl Shard {
 
     fn process_delta(&mut self, node: NodeId, tuple: Arc<Tuple>, insert: bool, token: Option<Bdd>) {
         let is_event = is_event_predicate(tuple.relation.as_str());
+        // The history the rules this delta triggers conjoin: an insertion's
+        // or an event's is what it shipped, a deletion's what its row held.
+        let mut annotation = match insert || is_event {
+            true => self.shipped(&tuple, token),
+            false => Bdd::FALSE,
+        };
         let mut fire = true;
-        let mut removed = false;
-        let mut replaced: Option<Arc<Tuple>> = None;
+        let mut replaced = None;
         if !is_event {
             // Journal the mutation *intent* (not its effect): replaying the
             // same arguments through this identical code path reproduces
@@ -273,14 +291,22 @@ impl Shard {
             });
             let table = self.store.table_mut(node, tuple.relation);
             if insert {
-                match table.insert_shared(&tuple) {
+                // An alternative derivation's history is ORed into the row's.
+                let policy = &mut self.policy;
+                let or = |row, shipped| match policy {
+                    Some(p) => p.or(row, shipped),
+                    None => row,
+                };
+                match table.insert_annotated(&tuple, annotation, or) {
                     InsertEffect::Added => {}
                     InsertEffect::Duplicate => fire = false,
-                    InsertEffect::Replaced(old) => replaced = Some(old),
+                    InsertEffect::Replaced(old, old_annotation) => {
+                        replaced = Some((old, old_annotation));
+                    }
                 }
             } else {
                 match table.delete(&tuple) {
-                    DeleteEffect::Removed => removed = true,
+                    DeleteEffect::Removed(stored) => annotation = stored,
                     DeleteEffect::Decremented | DeleteEffect::Missing => fire = false,
                 }
             }
@@ -288,30 +314,24 @@ impl Shard {
                 self.note_vertex_change(&tuple);
             }
         }
-        // Insertions merge their shipped annotation *before* firing, so the
-        // rules triggered by this delta see it; deletions drop the stored
-        // annotation only *after* their cascade fired, because the cascade
-        // ships the retracted derivation's history with its own deltas.
-        if insert {
-            if let Some(p) = &mut self.policy {
-                p.on_arrival(node, &tuple, token, true, false);
-            }
-        }
         if fire {
-            if let Some(old) = replaced {
+            if let Some((old, old_annotation)) = replaced {
                 // Cascade the replaced row as a deletion before propagating
                 // the new insertion; it left the visible state for good.
-                self.fire_rules(node, &old, false);
-                if let Some(p) = &mut self.policy {
-                    p.on_arrival(node, &old, None, false, true);
-                }
+                self.fire_rules(node, &old, old_annotation, false);
             }
-            self.fire_rules(node, &tuple, insert);
+            self.fire_rules(node, &tuple, annotation, insert);
         }
-        if !insert {
-            if let Some(p) = &mut self.policy {
-                p.on_arrival(node, &tuple, token, false, removed);
-            }
+    }
+
+    /// The history a delta for `tuple` shipped under value-based provenance
+    /// ([`Bdd::FALSE`] without it).  One that shipped none — sent by a
+    /// higher layer, never scheduled as a base change — is taken for a base
+    /// tuple.
+    fn shipped(&mut self, tuple: &Arc<Tuple>, token: Option<Bdd>) -> Bdd {
+        match (&mut self.policy, token) {
+            (Some(policy), None) => policy.var_for(tuple),
+            (_, token) => token.unwrap_or(Bdd::FALSE),
         }
     }
 
@@ -336,7 +356,7 @@ impl Shard {
         }
     }
 
-    fn fire_rules(&mut self, node: NodeId, tuple: &Arc<Tuple>, insert: bool) {
+    fn fire_rules(&mut self, node: NodeId, tuple: &Arc<Tuple>, annotation: Bdd, insert: bool) {
         let mut s = std::mem::take(&mut self.scratch);
         s.triggers.clear();
         if let Some(list) = self.data.triggers.get(&tuple.relation) {
@@ -348,7 +368,7 @@ impl Shard {
             let recompute = match self.data.plans.aggregates.get(&rule_idx) {
                 Some(plans) => self.recompute_event(rule, plans, node, tuple, atom_idx, &mut s),
                 None => {
-                    self.evaluate_trigger(rule, rule_idx, node, tuple, atom_idx, &mut s);
+                    self.evaluate_trigger(rule_idx, node, tuple, annotation, atom_idx, &mut s);
                     None
                 }
             };
@@ -363,29 +383,33 @@ impl Shard {
                     },
                 );
             }
-            // One head delta per satisfying assignment.
-            for (inputs, head) in s.fired.drain(..) {
-                let head = Arc::new(head);
-                let token = self.note_derivation(node, &inputs);
-                self.dispatch_delta(node, head, insert, token);
+            // One head delta per satisfying assignment; `n` is the body's
+            // length where annotations are tracked, 0 elsewhere.
+            let n = s.annotations.len();
+            for (i, head) in s.fired.drain(..).enumerate() {
+                let token = self.note_derivation(&s.fired_annotations[i * n..][..n]);
+                self.dispatch_delta(node, Arc::new(head), insert, token);
             }
+            s.fired_annotations.clear();
         }
         self.scratch = s;
     }
 
-    /// Evaluates a non-aggregate rule body with `tuple` bound at `atom_idx`
-    /// by executing the compiled join plan, leaving in `s.fired` the head
-    /// tuple of each satisfying assignment in body-atom order, with its
-    /// grounded input tuples when they are tracked.
+    /// Evaluates a non-aggregate rule body with the trigger `tuple`, whose
+    /// history is `annotation`, bound at `atom_idx` by executing the
+    /// compiled join plan, leaving in `s.fired` the head tuple of each
+    /// satisfying assignment, and in `s.fired_annotations` its inputs'
+    /// annotations when they are tracked.
     fn evaluate_trigger(
         &self,
-        rule: &Rule,
         rule_idx: usize,
         node: NodeId,
         tuple: &Arc<Tuple>,
+        annotation: Bdd,
         atom_idx: usize,
         s: &mut Scratch,
     ) {
+        let rule = &self.data.rules[rule_idx];
         let Some(plan) = self.data.plans.triggers.get(&(rule_idx, atom_idx)) else {
             return;
         };
@@ -394,15 +418,15 @@ impl Shard {
         if plan.dead || tuple.location != node {
             return;
         }
-        s.begin(plan, rule.body.len(), self.policy.is_some());
+        s.begin(plan, rule.body.len(), false, self.policy.is_some());
         let Some(trigger) = &plan.trigger else {
             return;
         };
         if !trigger.matches(tuple, &mut s.frame) {
             return;
         }
-        if let Some(input) = s.inputs.get_mut(atom_idx) {
-            *input = Some(Arc::clone(tuple));
+        if let Some(slot) = s.annotations.get_mut(atom_idx) {
+            *slot = annotation;
         }
         // A head located outside the topology derives nothing, like a head
         // whose location is not a node: there is no node to hold it.
@@ -411,7 +435,8 @@ impl Shard {
             let head = plan.derive(rule.head.relation, &s.frame);
             let head = self.noted(rule, head).flatten();
             if let Some(head) = head.filter(|h| (h.location as usize) < nodes) {
-                s.fired.push((s.grounded(), head));
+                s.fired.push(head);
+                s.fired_annotations.extend_from_slice(&s.annotations);
             }
         });
     }
@@ -452,13 +477,16 @@ impl Shard {
             false => None,
         };
         let local_only = plan.trigger.is_none();
-        let mut visit = |candidate: &Arc<Tuple>| {
+        let mut visit = |(candidate, annotation): (&Arc<Tuple>, Bdd)| {
             if local_only && candidate.location != node {
                 return;
             }
             if level.atom.matches(candidate, &mut s.frame) {
                 if let Some(input) = s.inputs.get_mut(level.body_idx) {
                     *input = Some(Arc::clone(candidate));
+                }
+                if let Some(slot) = s.annotations.get_mut(level.body_idx) {
+                    *slot = annotation;
                 }
                 self.run_levels(rule, plan, node, depth + 1, s, sink);
             }
@@ -496,10 +524,11 @@ impl Shard {
     }
 
     /// The history value-based provenance ships with one rule firing's
-    /// delta, if this shard maintains it.
-    fn note_derivation(&mut self, node: NodeId, inputs: &[Arc<Tuple>]) -> Option<Bdd> {
+    /// delta, from its grounded inputs' annotations, if this shard maintains
+    /// it.
+    fn note_derivation(&mut self, inputs: &[Bdd]) -> Option<Bdd> {
         let policy = self.policy.as_mut()?;
-        Some(policy.on_derivation(node, inputs))
+        Some(policy.conjoin(inputs))
     }
 
     /// Sends or locally enqueues a delta for `head` produced at `node`.
@@ -621,7 +650,7 @@ impl Shard {
         let plan = &plans.all_groups;
         let mut groups: Vec<Vec<Value>> = Vec::new();
         if let Some(ops) = plans.body_key.as_ref().filter(|_| !plan.dead) {
-            s.begin(plan, rule.body.len(), false);
+            s.begin(plan, rule.body.len(), false, false);
             self.run_levels(rule, plan, node, 0, s, &mut |s| {
                 let key = read_key(ops, node, &s.frame);
                 if !groups.contains(&key) {
@@ -677,16 +706,16 @@ impl Shard {
         // (essential for performance: one delta must not trigger a scan of
         // every group at the node), and the compiled group plan turns the
         // restriction into key-range probes.  The fold keeps the aggregate value
-        // and the inputs of the winning assignment (for MIN/MAX provenance,
-        // the winning tuple is the provenance child; for COUNT the first
-        // assignment is used as a representative) — the first enumerated
-        // among equals.
+        // and the inputs and their annotations of the winning assignment (for
+        // MIN/MAX provenance, the winning tuple is the provenance child; for
+        // COUNT the first assignment is used as a representative) — the
+        // first enumerated among equals.
         let plan = &plans.group;
         let mut count = 0i64;
         let mut best: Option<(i64, Vec<Arc<Tuple>>)> = None;
         if !plan.dead {
-            let wanted = self.policy.is_some() || self.data.aggregate_provenance;
-            s.begin(plan, rule.body.len(), wanted);
+            let inputs = self.data.aggregate_provenance;
+            s.begin(plan, rule.body.len(), inputs, self.policy.is_some());
             for (slot, value) in plans.group_slots.iter().zip(group_key) {
                 if let Some(slot) = slot {
                     s.frame[*slot] = value.clone();
@@ -705,6 +734,8 @@ impl Shard {
                 });
                 if better {
                     best = Some((value, s.grounded()));
+                    s.winning.clear();
+                    s.winning.extend_from_slice(&s.annotations);
                 }
             });
         }
@@ -758,14 +789,14 @@ impl Shard {
             self.dispatch_delta(node, exec_t, false, None);
         }
         if let Some(old) = last.output {
-            let token = self.note_derivation(node, &[]);
+            let token = self.note_derivation(&[]);
             self.dispatch_delta(node, old, false, token);
         }
 
         // Assert the new output.
         let mut sent = AggGroup::default();
         if let Some(new_t) = new_tuple {
-            let token = self.note_derivation(node, &winning_inputs);
+            let token = self.note_derivation(&s.winning);
             if self.data.aggregate_provenance {
                 let vids: Vec<_> = winning_inputs.iter().map(|t| t.vid()).collect();
                 let rid = exspan_types::tuple::rule_exec_id(rule.label.as_str(), node, &vids);

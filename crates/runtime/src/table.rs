@@ -9,6 +9,13 @@
 //!   *removed* when it returns to 0, so downstream rules fire exactly on
 //!   presence changes.  Keyed and whole-tuple tables alike count every
 //!   derivation of a row.
+//! * **Annotations** — under value-based provenance a row carries its
+//!   derivation history, a BDD in the engine's policy's store, beside its
+//!   count: an insertion ORs the history its delta shipped into the row's,
+//!   a keyed replacement starts the new row from its own and hands the old
+//!   row's back, and a deletion hands the removed row's back for its
+//!   cascade.  Probes and scans yield each row's annotation with it, so a
+//!   rule firing conjoins its inputs' histories without looking a tuple up.
 //! * **Keyed update semantics** — NDlog materialized tables declare primary
 //!   keys (e.g. `bestPathCost` is keyed on `(@S,D)`); inserting a tuple whose
 //!   key already exists with different non-key attributes *replaces* the old
@@ -33,8 +40,9 @@
 //! `exspan_ndlog::plan::primary_prefix`.  A column set no such prefix serves
 //! is not probed: the caller scans.
 
+use exspan_bdd::Bdd;
 use exspan_ndlog::plan::primary_prefix;
-use exspan_store::TableDump;
+use exspan_store::{StoreError, TableDump};
 use exspan_types::fxhash::FxHashMap;
 use exspan_types::{NodeId, RelId, Tuple, Value};
 use std::borrow::{Borrow, Cow};
@@ -53,17 +61,18 @@ pub enum InsertEffect {
     /// incremented but the visible state did not change.
     Duplicate,
     /// A tuple with the same primary key but different attributes was
-    /// replaced.  The old tuple must be cascaded as a deletion before the new
-    /// tuple's insertion is propagated.
-    Replaced(Arc<Tuple>),
+    /// replaced; the old tuple and its annotation are handed back.  The old
+    /// tuple must be cascaded as a deletion before the new tuple's insertion
+    /// is propagated.
+    Replaced(Arc<Tuple>, Bdd),
 }
 
 /// Effect of a deletion on the visible state of the table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeleteEffect {
-    /// The last derivation was removed: the tuple left the table and
-    /// downstream deletions must fire.
-    Removed,
+    /// The last derivation was removed: the tuple left the table with this
+    /// annotation, and downstream deletions must fire.
+    Removed(Bdd),
     /// One derivation was removed but others remain; no visible change.
     Decremented,
     /// The tuple (or that exact version of the keyed row) was not present.
@@ -274,6 +283,15 @@ impl PartialEq for RowKey {
 
 impl Eq for RowKey {}
 
+/// What a table keeps for each row beside its key: the row's derivation
+/// count and its annotation ([`Bdd::FALSE`] where none is kept) — eight
+/// bytes, the size of a `usize` count.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    count: u32,
+    annotation: Bdd,
+}
+
 /// A borrowed key: a tuple projected on a spec, or a probe prefix.
 #[derive(Debug)]
 struct Probe<'a> {
@@ -311,8 +329,8 @@ pub struct Table {
     /// Primary-key positions over the full attribute list (0 = location).
     /// Empty means whole-tuple (set) semantics.
     key: Spec,
-    /// Each row, keyed by itself, with its derivation count.
-    rows: BTreeMap<RowKey, usize>,
+    /// Each row, keyed by itself, with its count and annotation.
+    rows: BTreeMap<RowKey, Row>,
 }
 
 impl Table {
@@ -352,29 +370,51 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Inserts one derivation of `tuple`, sharing the caller's allocation
-    /// (the delta's `Arc` becomes the stored row on 0→1).
+    /// Inserts one derivation of `tuple` with no annotation, sharing the
+    /// caller's allocation (the delta's `Arc` becomes the stored row on
+    /// 0→1).
     pub fn insert_shared(&mut self, tuple: &Arc<Tuple>) -> InsertEffect {
+        self.insert_annotated(tuple, Bdd::FALSE, |row, _| row)
+    }
+
+    /// Inserts one derivation of `tuple` whose delta shipped the history
+    /// `shipped`: a new row (or a keyed row's new version) takes it, an
+    /// existing row merges it into its own as `or(row, shipped)`.
+    pub fn insert_annotated(
+        &mut self,
+        tuple: &Arc<Tuple>,
+        shipped: Bdd,
+        or: impl FnOnce(Bdd, Bdd) -> Bdd,
+    ) -> InsertEffect {
         debug_assert_eq!(tuple.relation, self.relation);
+        let fresh = Row {
+            count: 1,
+            annotation: shipped,
+        };
         match self.rows.entry(RowKey::new(Arc::clone(tuple), self.key)) {
             Entry::Vacant(e) => {
-                e.insert(1);
+                e.insert(fresh);
                 InsertEffect::Added
             }
             Entry::Occupied(mut e) if e.key().tuple == *tuple => {
-                *e.get_mut() += 1;
+                let row = e.get_mut();
+                row.count = row
+                    .count
+                    .checked_add(1)
+                    .expect("fewer than 2³² derivations");
+                row.annotation = or(row.annotation, shipped);
                 InsertEffect::Duplicate
             }
             Entry::Occupied(e) => {
                 // Keyed update: the row is re-keyed by its new version (the
                 // key columns, hence the abbreviations, are unchanged).
-                let (old, _) = e.remove_entry();
-                let row = RowKey {
+                let (old, old_row) = e.remove_entry();
+                let key = RowKey {
                     tuple: Arc::clone(tuple),
                     ..old
                 };
-                self.rows.insert(row, 1);
-                InsertEffect::Replaced(old.tuple)
+                self.rows.insert(key, fresh);
+                InsertEffect::Replaced(old.tuple, old_row.annotation)
             }
         }
     }
@@ -388,24 +428,31 @@ impl Table {
             // A stale deletion for a version of the row that has already
             // been replaced: ignore it.
             Entry::Occupied(e) if e.key().tuple != *tuple => DeleteEffect::Missing,
-            Entry::Occupied(mut e) if *e.get() > 1 => {
-                *e.get_mut() -= 1;
+            Entry::Occupied(mut e) if e.get().count > 1 => {
+                e.get_mut().count -= 1;
                 DeleteEffect::Decremented
             }
-            Entry::Occupied(e) => {
-                e.remove_entry();
-                DeleteEffect::Removed
-            }
+            Entry::Occupied(e) => DeleteEffect::Removed(e.remove().annotation),
+        }
+    }
+
+    /// The row holding exactly `tuple`, if any.
+    fn row(&self, tuple: &Tuple) -> Option<Row> {
+        let probe = Probe::new(Cols::Row(tuple, self.key));
+        match self.rows.get_key_value(&probe as &dyn KeyView) {
+            Some((key, &row)) if *key.tuple == *tuple => Some(row),
+            _ => None,
         }
     }
 
     /// Returns the current derivation count of `tuple` (0 if absent).
     pub fn count(&self, tuple: &Tuple) -> usize {
-        let probe = Probe::new(Cols::Row(tuple, self.key));
-        match self.rows.get_key_value(&probe as &dyn KeyView) {
-            Some((row, &count)) if *row.tuple == *tuple => count,
-            _ => 0,
-        }
+        self.row(tuple).map_or(0, |row| row.count as usize)
+    }
+
+    /// The annotation of the row holding exactly `tuple`, if it is visible.
+    pub fn annotation(&self, tuple: &Tuple) -> Option<Bdd> {
+        self.row(tuple).map(|row| row.annotation)
     }
 
     /// Whether the exact tuple is currently visible.
@@ -413,26 +460,38 @@ impl Table {
         self.count(tuple) > 0
     }
 
-    /// Reinstates one row with an explicit derivation count.  Used by
-    /// snapshot recovery, which hands
-    /// rows back in the exact `(tuple, count)` form [`Table::rows_with_counts`]
-    /// emitted them in — the rebuilt table is structurally identical to the
-    /// one that was dumped.
-    pub fn restore(&mut self, tuple: Arc<Tuple>, count: u64) {
+    /// Reinstates one row with an explicit derivation count and no
+    /// annotation.  Used by snapshot recovery, which hands rows back in the
+    /// exact `(tuple, count)` form [`Table::rows_with_counts`] emitted them in
+    /// — the rebuilt table is structurally identical to the one that was
+    /// dumped.  A count past `u32::MAX` was never dumped: the snapshot is
+    /// corrupt.
+    pub fn restore(&mut self, tuple: Arc<Tuple>, count: u64) -> Result<(), StoreError> {
         debug_assert_eq!(tuple.relation, self.relation);
-        self.rows
-            .insert(RowKey::new(tuple, self.key), count as usize);
+        let corrupt = |_| StoreError::Corrupt(format!("a row with {count} derivations"));
+        let count = u32::try_from(count).map_err(corrupt)?;
+        let row = Row {
+            count,
+            annotation: Bdd::FALSE,
+        };
+        self.rows.insert(RowKey::new(tuple, self.key), row);
+        Ok(())
     }
 
     /// Iterates the visible rows with their derivation counts, in canonical
     /// scan order (the persistence dump format).
     pub fn rows_with_counts(&self) -> impl Iterator<Item = (&Arc<Tuple>, u64)> {
-        self.rows.iter().map(|(row, &c)| (&row.tuple, c as u64))
+        self.rows
+            .iter()
+            .map(|(key, row)| (&key.tuple, u64::from(row.count)))
     }
 
-    /// Iterates over the visible tuples (shared rows, in canonical order).
-    pub fn scan(&self) -> impl Iterator<Item = &Arc<Tuple>> {
-        self.rows.keys().map(|row| &row.tuple)
+    /// Iterates over the visible tuples (shared rows, in canonical order),
+    /// each with its annotation.
+    pub fn scan(&self) -> impl Iterator<Item = (&Arc<Tuple>, Bdd)> {
+        self.rows
+            .iter()
+            .map(|(key, row)| (&key.tuple, row.annotation))
     }
 
     /// Probes for the rows whose projection at `cols` equals `key`, yielding
@@ -463,7 +522,7 @@ impl Table {
     /// Collects the visible tuples as shared handles (sorted by tuple
     /// content for determinism), without deep-copying attribute vectors.
     pub fn tuples_shared(&self) -> Vec<Arc<Tuple>> {
-        let mut out: Vec<Arc<Tuple>> = self.scan().cloned().collect();
+        let mut out: Vec<Arc<Tuple>> = self.scan().map(|(t, _)| Arc::clone(t)).collect();
         out.sort();
         out
     }
@@ -480,28 +539,29 @@ fn holds(tuple: &Tuple, cols: &[usize], key: &[Value]) -> bool {
 
 /// Iterator over the rows matching one probe, in canonical scan order: a
 /// walk of the primary rows whose key starts with `prefix`, yielding those
-/// that hold `key` at `cols`.
+/// that hold `key` at `cols`, each with its annotation.
 #[derive(Debug)]
 pub struct ProbeIter<'a> {
     /// `None` once the walk left the range.
-    rows: Option<btree_map::Range<'a, RowKey, usize>>,
+    rows: Option<btree_map::Range<'a, RowKey, Row>>,
     prefix: Probe<'a>,
     cols: &'a [usize],
     key: &'a [Value],
 }
 
 impl<'a> Iterator for ProbeIter<'a> {
-    type Item = &'a Arc<Tuple>;
+    /// A matching row with its annotation.
+    type Item = (&'a Arc<Tuple>, Bdd);
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let (row, _) = self.rows.as_mut()?.next()?;
-            if !row.starts_with(&self.prefix) {
+            let (key, row) = self.rows.as_mut()?.next()?;
+            if !key.starts_with(&self.prefix) {
                 self.rows = None;
                 return None;
             }
-            if holds(&row.tuple, self.cols, self.key) {
-                return Some(&row.tuple);
+            if holds(&key.tuple, self.cols, self.key) {
+                return Some((&key.tuple, row.annotation));
             }
         }
     }
@@ -555,7 +615,7 @@ impl TableStore {
             .tables
             .iter()
             .filter(|((_, r), _)| *r == relation)
-            .flat_map(|(_, t)| t.scan().cloned())
+            .flat_map(|(_, t)| t.scan().map(|(t, _)| Arc::clone(t)))
             .collect();
         out.sort();
         out
@@ -601,6 +661,7 @@ impl TableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exspan_bdd::BddStore;
     use exspan_types::Symbol;
 
     fn path_cost(loc: NodeId, d: NodeId, c: i64) -> Arc<Tuple> {
@@ -629,7 +690,7 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.delete(&p), DeleteEffect::Decremented);
         assert!(t.contains(&p));
-        assert_eq!(t.delete(&p), DeleteEffect::Removed);
+        assert_eq!(t.delete(&p), DeleteEffect::Removed(Bdd::FALSE));
         assert!(!t.contains(&p));
         assert_eq!(t.delete(&p), DeleteEffect::Missing);
     }
@@ -640,7 +701,7 @@ mod tests {
         let p = path_cost(0, 2, 5);
         assert_eq!(t.insert_shared(&p), InsertEffect::Added);
         // The stored row is the same allocation, not a deep copy.
-        let stored = t.scan().next().unwrap();
+        let (stored, _) = t.scan().next().unwrap();
         assert!(Arc::ptr_eq(stored, &p));
     }
 
@@ -660,7 +721,7 @@ mod tests {
         let mut t = Table::new("bestPathCost", vec![0, 1]);
         assert_eq!(t.insert_shared(&best(0, 2, 5)), InsertEffect::Added);
         let eff = t.insert_shared(&best(0, 2, 4));
-        assert_eq!(eff, InsertEffect::Replaced(best(0, 2, 5)));
+        assert_eq!(eff, InsertEffect::Replaced(best(0, 2, 5), Bdd::FALSE));
         assert_eq!(t.len(), 1);
         assert!(t.contains(&best(0, 2, 4)));
         assert!(!t.contains(&best(0, 2, 5)));
@@ -676,8 +737,55 @@ mod tests {
         assert_eq!(t.insert_shared(&best(0, 2, 5)), InsertEffect::Duplicate);
         assert_eq!(t.count(&best(0, 2, 5)), 2);
         assert_eq!(t.delete(&best(0, 2, 5)), DeleteEffect::Decremented);
-        assert_eq!(t.delete(&best(0, 2, 5)), DeleteEffect::Removed);
+        assert_eq!(t.delete(&best(0, 2, 5)), DeleteEffect::Removed(Bdd::FALSE));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn a_row_keeps_its_annotation_beside_its_count() {
+        let mut s = BddStore::new();
+        let (a, b) = (s.var(0), s.var(1));
+        let a_or_b = s.or(a, b);
+        let mut t = Table::new("bestPathCost", vec![0, 1]);
+        let mut insert = |t: &mut Table, row: &Arc<Tuple>, shipped| {
+            t.insert_annotated(row, shipped, |row, shipped| s.or(row, shipped))
+        };
+        let (old, new) = (best(0, 2, 5), best(0, 2, 4));
+        // Added takes the shipped history; Duplicate ORs into it.
+        assert_eq!(insert(&mut t, &old, a), InsertEffect::Added);
+        assert_eq!(t.annotation(&old), Some(a));
+        assert_eq!(insert(&mut t, &old, b), InsertEffect::Duplicate);
+        assert_eq!(t.annotation(&old), Some(a_or_b));
+        // Decremented keeps it.
+        assert_eq!(t.delete(&old), DeleteEffect::Decremented);
+        assert_eq!(t.annotation(&old), Some(a_or_b));
+        // A keyed replacement hands the old row's back; the new row starts
+        // from its own shipped history.
+        let replaced = insert(&mut t, &new, b);
+        assert_eq!(replaced, InsertEffect::Replaced(old.clone(), a_or_b));
+        assert_eq!(t.annotation(&new), Some(b));
+        assert_eq!(t.annotation(&old), None);
+        // Probes and scans yield it with the row.
+        let key = [Value::Node(0), Value::Node(2)];
+        let probed: Vec<_> = t.probe(&[0, 1], &key).unwrap().collect();
+        assert_eq!(probed, vec![(&new, b)]);
+        assert_eq!(t.scan().collect::<Vec<_>>(), probed);
+        // Removed hands it back.
+        assert_eq!(t.delete(&new), DeleteEffect::Removed(b));
+        assert_eq!(t.annotation(&new), None);
+    }
+
+    #[test]
+    fn restore_refuses_a_count_no_dump_holds() {
+        let mut t = Table::set_semantics("pathCost");
+        let p = path_cost(0, 2, 5);
+        for count in [u64::from(u32::MAX) + 1, u64::MAX] {
+            let refused = t.restore(Arc::clone(&p), count);
+            assert!(matches!(refused, Err(StoreError::Corrupt(_))), "{count}");
+        }
+        assert!(t.is_empty());
+        t.restore(Arc::clone(&p), u64::from(u32::MAX)).unwrap();
+        assert_eq!(t.count(&p), u32::MAX as usize);
     }
 
     #[test]
@@ -733,8 +841,8 @@ mod tests {
                 .map(|&c| attrs(row)[c].clone())
                 .collect::<Vec<_>>()
         };
-        let rows = t.scan().filter(|row| attrs_at(row) == key);
-        rows.cloned().collect()
+        let rows = t.scan().filter(|(row, _)| attrs_at(row) == key);
+        rows.map(|(row, _)| Arc::clone(row)).collect()
     }
 
     /// Every non-empty column set over four attributes, ascending.
@@ -780,7 +888,7 @@ mod tests {
                         let probe = t.probe(&cols, &key);
                         proptest::prop_assert_eq!(probe.is_some(), served);
                         let Some(probe) = probe else { continue };
-                        let probed: Vec<Arc<Tuple>> = probe.cloned().collect();
+                        let probed: Vec<Arc<Tuple>> = probe.map(|(t, _)| Arc::clone(t)).collect();
                         proptest::prop_assert_eq!(&probed, &scanned_then_filtered(t, &cols, &key));
                         if spec == 0 && cols.iter().copied().eq(0..cols.len()) {
                             let sorted = sorted_then_filtered(t.tuples_shared(), &key);

@@ -1,15 +1,17 @@
 //! Pins what a table's hot operations allocate and what a keyed replacement
 //! leaves alive.  Once the table is built, a duplicate insert, a decrement,
 //! a stale delete, a point probe, a prefix probe and a count allocate no
-//! byte: a row is its own key, and a lookup borrows the tuple or the probe
-//! key instead of copying key columns.  A replaced tuple is held by its
-//! caller alone.
+//! byte, and neither do their annotated forms (value-based provenance's
+//! history rides in the row): a row is its own key, and a lookup borrows
+//! the tuple or the probe key instead of copying key columns.  A replaced
+//! tuple is held by its caller alone.
 //!
 //! The counting allocator is the only `unsafe` here: it forwards every call
 //! to the system allocator and adds the requested size to a per-thread
 //! counter, so tests running on other threads do not disturb a reading.
 #![allow(unsafe_code)]
 
+use exspan_bdd::{Bdd, BddStore};
 use exspan_runtime::{DeleteEffect, InsertEffect, Table};
 use exspan_types::{Tuple, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -106,11 +108,43 @@ fn hot_table_operations_allocate_nothing() {
 }
 
 #[test]
+fn annotated_table_operations_allocate_nothing() {
+    // The store's nodes are made before the readings; an OR of existing
+    // nodes whose result exists is a memo entry at most, made here too.
+    let mut bdds = BddStore::new();
+    let (a, b) = (bdds.var(0), bdds.var(1));
+    let a_or_b = bdds.or(a, b);
+    let mut set = Table::set_semantics("r");
+    let rows: Vec<Arc<Tuple>> = (0..64).map(|i| row(0, i % 8, i64::from(i) - 32)).collect();
+    for r in &rows {
+        set.insert_annotated(r, a, |row, _| row);
+    }
+    let r = &rows[17];
+    let point = [Value::Node(0), Value::Node(1), Value::Int(-15)];
+
+    allocates_nothing("an annotated duplicate insert", || {
+        set.insert_annotated(r, b, |row, shipped| bdds.or(row, shipped)) == InsertEffect::Duplicate
+    });
+    allocates_nothing("an annotation read", || set.annotation(r) == Some(a_or_b));
+    allocates_nothing("a decrement", || set.delete(r) == DeleteEffect::Decremented);
+    allocates_nothing("an annotated point probe", || {
+        let mut found = set.probe(&[0, 1, 2], &point).unwrap();
+        found.next() == Some((r, a_or_b)) && found.next().is_none()
+    });
+    allocates_nothing("an annotated scan", || {
+        set.scan().filter(|(_, ann)| *ann == a).count() == 63
+    });
+    allocates_nothing("a removal handing its annotation back", || {
+        set.delete(r) == DeleteEffect::Removed(a_or_b)
+    });
+}
+
+#[test]
 fn a_keyed_replacement_keeps_no_handle_on_the_replaced_tuple() {
     let mut keyed = Table::new("r", vec![0, 1]);
     let (old, new) = (row(0, 2, 5), row(0, 2, 4));
     assert_eq!(keyed.insert_shared(&old), InsertEffect::Added);
-    let InsertEffect::Replaced(replaced) = keyed.insert_shared(&new) else {
+    let InsertEffect::Replaced(replaced, _) = keyed.insert_shared(&new) else {
         panic!("a new version of a keyed row replaces the old one");
     };
     assert!(Arc::ptr_eq(&replaced, &old));
@@ -118,7 +152,7 @@ fn a_keyed_replacement_keeps_no_handle_on_the_replaced_tuple() {
     assert_eq!(Arc::strong_count(&new), 2, "the caller's and the table's");
     allocates_nothing("a probe of the whole declared key", || {
         let key = [Value::Node(0), Value::Node(2)];
-        keyed.probe(&[0, 1], &key).and_then(|mut rows| rows.next()) == Some(&new)
+        keyed.probe(&[0, 1], &key).and_then(|mut rows| rows.next()) == Some((&new, Bdd::FALSE))
     });
     // A stale delete of the replaced version leaves the row as it is.
     allocates_nothing("a stale keyed delete", || {

@@ -195,7 +195,8 @@ fn shards_is_an_upper_bound_that_value_mode_caps_at_one() {
     let answers = |deployment: &exspan::core::Deployment| {
         trusts.map(|trusted| {
             deployment
-                .with_value_provenance(|p| p.derivable_under(&target, trusted))
+                .engine()
+                .derivable_under(&target, trusted)
                 .expect("value mode")
         })
     };

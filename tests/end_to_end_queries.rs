@@ -343,11 +343,13 @@ fn value_and_reference_provenance_agree_on_derivability() {
             Some(false)
         );
         assert_eq!(
-            value_deployment.with_value_provenance(|p| p.derivable_under(&target, |_| true)),
+            value_deployment.engine().derivable_under(&target, |_| true),
             Some(true)
         );
         assert_eq!(
-            value_deployment.with_value_provenance(|p| p.derivable_under(&target, |_| false)),
+            value_deployment
+                .engine()
+                .derivable_under(&target, |_| false),
             Some(false)
         );
 
@@ -361,7 +363,9 @@ fn value_and_reference_provenance_agree_on_derivability() {
         };
         assert_eq!(
             ref_deployment.derivable_under(handle, trust_even),
-            value_deployment.with_value_provenance(|p| p.derivable_under(&target, trust_even)),
+            value_deployment
+                .engine()
+                .derivable_under(&target, trust_even),
             "value- and reference-based derivability disagree for {target}"
         );
     }

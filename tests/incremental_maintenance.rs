@@ -143,7 +143,7 @@ fn value_mode_tracks_state_under_churn_too() {
     // closure-scoped accessor (no MutexGuard escapes).
     let target = best_path_costs(&system).remove(0);
     assert_eq!(
-        system.with_value_provenance(|p| p.derivable_under(&target, |_| true)),
+        system.engine().derivable_under(&target, |_| true),
         Some(true)
     );
 }
