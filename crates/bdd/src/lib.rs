@@ -16,13 +16,15 @@
 //!   `u32` handles (terminals 0 and 1), a unique table from node shape to
 //!   handle, a bounded, epoch-cleared apply memo and an epoch-stamped mark
 //!   vector for the node walk, all hashed by [`exspan_types::fxhash`].  Its
-//!   owner applies without a lock: the engine's value-based provenance owns
-//!   one outright.
+//!   owner applies without a lock.
+//! * [`KeyedBddStore`] is a store plus the numbering of base tuples as its
+//!   variables, in first-seen order, and each variable's VID.  It is the
+//!   one shape both users own: the engine's value-based provenance (keyed by
+//!   tuple) and each condensed (BDD) query session (keyed by VID), whose
+//!   store lives and dies with its deployment.
 //! * [`SharedBddStore`] puts a store behind an `Arc<Mutex<_>>`, and
-//!   [`BddManager`] is a cloneable handle onto one.  One process-global
-//!   store backs every `BddManager::new()`, so the query sessions' BDDs are
-//!   stored once and share memo hits; use [`BddManager::with_store`] with a
-//!   fresh store for isolation.
+//!   [`BddManager`] is a handle onto one.  The pair is kept only for the
+//!   end-to-end benchmark's BDD probe.
 //! * [`Bdd`] is a `u32` handle, meaningful in the store that made it.  Equal
 //!   handles of one store are equal functions; no size, count or
 //!   evaluation reads a handle's value, so none depends on the order in
@@ -30,7 +32,7 @@
 //! * Boolean connectives are [`BddStore::and`], [`BddStore::or`] and
 //!   [`BddStore::not`] (negation shares the apply memo), plus variable
 //!   creation, evaluation, [`BddStore::support`] and
-//!   [`BddStore::sat_count`]; [`BddManager`] forwards each.
+//!   [`BddStore::sat_count`].
 //! * [`BddStore::serialized_size`] estimates the number of bytes required
 //!   to ship a BDD over the network, which is what the evaluation's
 //!   bandwidth accounting uses for value-based (BDD) provenance and for the
@@ -42,7 +44,9 @@
 
 mod manager;
 
-pub use manager::{Bdd, BddManager, BddStore, MemoStats, SharedBddStore, VarId, MEMO_CAPACITY};
+pub use manager::{
+    Bdd, BddManager, BddStore, KeyedBddStore, MemoStats, SharedBddStore, VarId, MEMO_CAPACITY,
+};
 
 #[cfg(test)]
 mod tests {
@@ -50,7 +54,7 @@ mod tests {
 
     #[test]
     fn crate_level_smoke() {
-        let mut m = BddManager::new();
+        let mut m = BddStore::new();
         let a = m.var(0);
         let b = m.var(1);
         let ab = m.and(a, b);

@@ -8,10 +8,12 @@
 //! nothing that leaves a store — a size, a count, an evaluation — reads a
 //! handle's value.
 //!
-//! A store is owned: whoever holds it applies without a lock (the engine's
-//! value-based provenance owns one outright).  [`SharedBddStore`] puts one
-//! behind an `Arc<Mutex<_>>` for [`BddManager`] handles to share — by
-//! default the process-global store, which every query session attaches to.
+//! A store is owned: whoever holds it applies without a lock.  Both BDD
+//! users own theirs as a [`KeyedBddStore`], which numbers base tuples as
+//! variables: the engine's value-based provenance, and each condensed
+//! (BDD) query session, whose store is dropped with its deployment.
+//! [`SharedBddStore`] and [`BddManager`] are a locked shim that only the
+//! end-to-end benchmark's BDD probe still uses.
 //!
 //! # Memory
 //!
@@ -25,7 +27,9 @@
 
 use exspan_types::codec::varint_len;
 use exspan_types::fxhash::FxHashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use exspan_types::Vid;
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identifier of a boolean variable.  In ExSPAN each variable stands for one
 /// base tuple (or, at node granularity, one node / trust domain).
@@ -37,12 +41,11 @@ pub const MEMO_CAPACITY: usize = 1 << 16;
 
 /// A handle to a BDD node: its index in the [`BddStore`] that made it.
 ///
-/// Handles are meaningful relative to that store only — for every manager
-/// built with [`BddManager::new`] the process-global store, so such handles
-/// interchange freely across managers.  A handle from another store (an
-/// engine's value-provenance store, say) names an unrelated function there,
-/// or none.  Equal handles of one store denote semantically equal boolean
-/// functions (canonicity of ROBDDs).
+/// Handles are meaningful relative to that store only: a handle from
+/// another store (an engine's value-provenance store, or another query
+/// session's) names an unrelated function there, or none.  Equal handles of
+/// one store denote semantically equal boolean functions (canonicity of
+/// ROBDDs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Bdd(u32);
 
@@ -386,91 +389,112 @@ impl BddStore {
     }
 }
 
-/// A [`BddStore`] shared by any number of [`BddManager`] handles behind a
-/// lock.  [`SharedBddStore::global`] is the process-wide instance every
-/// `BddManager::new()` attaches to; [`SharedBddStore::new`] creates an
-/// isolated one (tests and benchmarks that measure allocation behavior want
-/// one not shared with concurrently running code).
+/// A [`BddStore`] whose variables stand for keys (base tuples), numbered
+/// in the order they are first seen, with each variable's [`Vid`] for trust
+/// assignments.  The engine's value-based provenance keys it by tuple, a
+/// condensed (BDD) query session by VID.
+///
+/// ```
+/// use exspan_bdd::KeyedBddStore;
+/// use exspan_types::{Tuple, Value};
+/// let vid = |name: &str| Tuple::new(name, 0, vec![Value::Int(1)]).vid();
+/// let (a, b) = (vid("a"), vid("b"));
+/// let mut s = KeyedBddStore::default();
+/// let (va, vb) = (s.var(a, |v| *v), s.var(b, |v| *v));
+/// let f = s.store_mut().and(va, vb);
+/// assert!(s.derivable_under(f, |_| true));
+/// assert!(!s.derivable_under(f, |v| v == a));
+/// ```
+#[derive(Debug)]
+pub struct KeyedBddStore<K> {
+    store: BddStore,
+    /// Each key's variable, numbered in first-seen order.
+    vars: FxHashMap<K, VarId>,
+    /// Each variable's VID, indexed by variable.
+    vids: Vec<Vid>,
+}
+
+impl<K> Default for KeyedBddStore<K> {
+    fn default() -> Self {
+        KeyedBddStore {
+            store: BddStore::new(),
+            vars: FxHashMap::default(),
+            vids: Vec::new(),
+        }
+    }
+}
+
+impl<K: Hash + Eq> KeyedBddStore<K> {
+    /// The variable of `key`, numbered on first sight, when `vid` takes the
+    /// key's VID.
+    pub fn var(&mut self, key: K, vid: impl FnOnce(&K) -> Vid) -> Bdd {
+        let (next, vids) = (self.vids.len() as VarId, &mut self.vids);
+        let id = *self.vars.entry(key).or_insert_with_key(|key| {
+            vids.push(vid(key));
+            next
+        });
+        self.store.var(id)
+    }
+
+    /// Whether `b` holds using only trusted base tuples: each variable is
+    /// true exactly when its VID is `trusted`.
+    pub fn derivable_under(&self, b: Bdd, trusted: impl Fn(Vid) -> bool) -> bool {
+        let vid = |v: VarId| self.vids.get(v as usize).copied();
+        self.store.evaluate(b, |v| vid(v).is_some_and(&trusted))
+    }
+
+    /// The store the variables live in.
+    pub fn store(&self) -> &BddStore {
+        &self.store
+    }
+
+    /// The store, to apply in.
+    pub fn store_mut(&mut self) -> &mut BddStore {
+        &mut self.store
+    }
+}
+
+/// A [`BddStore`] behind an `Arc<Mutex<_>>`, shared by the [`BddManager`]
+/// handles made from its clones.  Nothing in the workspace uses it: it
+/// exists for the end-to-end benchmark's BDD probe, which measures the
+/// locked path from two threads.
 #[derive(Debug, Clone, Default)]
 pub struct SharedBddStore {
     inner: Arc<Mutex<BddStore>>,
 }
 
 impl SharedBddStore {
-    /// Creates a fresh, isolated store containing only the two terminals.
+    /// Creates a fresh store containing only the two terminals.
     pub fn new() -> SharedBddStore {
         SharedBddStore::default()
-    }
-
-    /// The process-global store.
-    pub fn global() -> SharedBddStore {
-        static GLOBAL: OnceLock<SharedBddStore> = OnceLock::new();
-        GLOBAL.get_or_init(SharedBddStore::new).clone()
     }
 
     fn lock(&self) -> MutexGuard<'_, BddStore> {
         self.inner.lock().expect("shared BDD store poisoned")
     }
-
-    /// Number of interned nodes, including the two terminals.
-    pub fn node_count(&self) -> usize {
-        self.lock().node_count()
-    }
-
-    /// Memo counters (hits, misses, epoch clears, current entries).
-    pub fn memo_stats(&self) -> MemoStats {
-        self.lock().memo_stats()
-    }
 }
 
-/// A handle onto a [`SharedBddStore`] providing boolean operations; each
-/// call takes the store's lock for its duration.
+/// A handle onto a [`SharedBddStore`]; each call takes the store's lock for
+/// its duration.  Its methods are exactly those the end-to-end benchmark's
+/// BDD probe calls; own a [`BddStore`] instead:
 ///
 /// ```
-/// use exspan_bdd::BddManager;
-/// let mut m = BddManager::new();
-/// let a = m.var(0);
-/// let b = m.var(1);
-/// let ab = m.and(a, b);
-/// let f = m.or(a, ab);
-/// assert_eq!(f, a); // absorption
+/// use exspan_bdd::BddStore;
+/// let mut s = BddStore::new();
+/// let a = s.var(0);
+/// let b = s.var(1);
+/// let ab = s.and(a, b);
+/// assert_eq!(s.or(a, ab), a); // absorption
 /// ```
-///
-/// `Clone` shares the store, and [`BddManager::node_count`] reports the
-/// store's population: code that asserts allocation behavior should attach
-/// to an isolated store via [`BddManager::with_store`].
 #[derive(Debug, Clone)]
 pub struct BddManager {
     store: SharedBddStore,
 }
 
-impl Default for BddManager {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl BddManager {
-    /// Creates a handle onto the process-global shared store.
-    pub fn new() -> Self {
-        BddManager {
-            store: SharedBddStore::global(),
-        }
-    }
-
-    /// Creates a handle onto a specific (e.g. isolated) store.
+    /// Creates a handle onto `store`.
     pub fn with_store(store: SharedBddStore) -> Self {
         BddManager { store }
-    }
-
-    /// Number of nodes in the underlying store, including the two terminals.
-    pub fn node_count(&self) -> usize {
-        self.store.node_count()
-    }
-
-    /// Memo counters of the underlying store.
-    pub fn memo_stats(&self) -> MemoStats {
-        self.store.memo_stats()
     }
 
     /// Returns the BDD for a single positive variable literal.
@@ -496,67 +520,22 @@ impl BddManager {
     pub fn or(&mut self, a: Bdd, b: Bdd) -> Bdd {
         self.store.lock().or(a, b)
     }
-
-    /// Conjunction of an iterator of BDDs (`true` for an empty iterator).
-    pub fn and_all<I: IntoIterator<Item = Bdd>>(&mut self, items: I) -> Bdd {
-        self.store.lock().and_all(items)
-    }
-
-    /// Disjunction of an iterator of BDDs (`false` for an empty iterator).
-    pub fn or_all<I: IntoIterator<Item = Bdd>>(&mut self, items: I) -> Bdd {
-        self.store.lock().or_all(items)
-    }
-
-    /// [`BddStore::evaluate`].
-    pub fn evaluate<F: Fn(VarId) -> bool>(&self, b: Bdd, assignment: F) -> bool {
-        self.store.lock().evaluate(b, assignment)
-    }
-
-    /// Negation of a BDD.
-    pub fn not(&mut self, a: Bdd) -> Bdd {
-        self.store.lock().not(a)
-    }
-
-    /// [`BddStore::support`].
-    pub fn support(&self, b: Bdd) -> Vec<VarId> {
-        self.store.lock().support(b)
-    }
-
-    /// [`BddStore::serialized_size`].
-    pub fn serialized_size(&self, b: Bdd) -> usize {
-        self.store.lock().serialized_size(b)
-    }
-
-    /// [`BddStore::compressed_serialized_size`].
-    pub fn compressed_serialized_size(&self, b: Bdd) -> usize {
-        self.store.lock().compressed_serialized_size(b)
-    }
-
-    /// [`BddStore::sat_count`].
-    pub fn sat_count(&self, b: Bdd, num_vars: u32) -> u64 {
-        self.store.lock().sat_count(b, num_vars)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A manager over an isolated store, for tests that assert allocation
-    /// or memo behavior (the global store is shared with parallel tests).
-    fn isolated() -> BddManager {
-        BddManager::with_store(SharedBddStore::new())
-    }
-
     #[test]
     fn constants_and_terminals() {
-        let m = isolated();
+        let store = SharedBddStore::new();
+        let m = BddManager::with_store(store.clone());
         assert!(Bdd::TRUE.is_terminal());
         assert!(Bdd::FALSE.is_terminal());
         assert_eq!(m.constant(true), Bdd::TRUE);
         assert_eq!(m.constant(false), Bdd::FALSE);
         assert_eq!(BddStore::new().node_count(), 2);
-        assert_eq!(m.node_count(), 2);
+        assert_eq!(store.lock().node_count(), 2);
     }
 
     #[test]
@@ -723,7 +702,7 @@ mod tests {
 
     #[test]
     fn support_of_constant_is_empty() {
-        let m = isolated();
+        let mut m = BddStore::new();
         assert!(m.support(Bdd::TRUE).is_empty());
         assert!(m.support(Bdd::FALSE).is_empty());
     }
@@ -733,26 +712,27 @@ mod tests {
         let store = SharedBddStore::new();
         let mut m1 = BddManager::with_store(store.clone());
         let mut m2 = BddManager::with_store(store.clone());
-        let before = store.node_count();
+        let nodes = || store.lock().node_count();
+        let before = nodes();
         let a1 = m1.var(7);
-        let after_first = store.node_count();
+        let after_first = nodes();
         let a2 = m2.var(7);
         // The second manager's identical literal allocates nothing.
         assert_eq!(a1, a2);
-        assert_eq!(store.node_count(), after_first);
+        assert_eq!(nodes(), after_first);
         assert_eq!(after_first, before + 1);
         // Handles interchange between managers on the same store.
         let b = m1.var(8);
         let ab = m2.and(a1, b);
-        assert!(m1.evaluate(ab, |_| true));
+        assert!(store.lock().evaluate(ab, |_| true));
     }
 
     #[test]
     fn apply_memo_is_bounded_and_nodes_reach_steady_state() {
-        let mut m = isolated();
+        let mut m = BddStore::new();
         // One churn round: tens of thousands of distinct pairwise
         // conjunctions — far more apply keys than MEMO_CAPACITY.
-        let churn = |m: &mut BddManager| {
+        let churn = |m: &mut BddStore| {
             // Coprime moduli: the pair (i % 509, i % 512) is distinct for
             // every i below 509·512, giving ~80k distinct apply keys.
             for i in 0..40_000u32 {

@@ -1,7 +1,7 @@
 //! Property-based tests: the BDD library must be a correct boolean algebra
 //! and its canonical handles must coincide with semantic equality.
 
-use exspan_bdd::{Bdd, BddManager, VarId};
+use exspan_bdd::{Bdd, BddStore, VarId};
 use proptest::prelude::*;
 
 /// A small boolean-expression AST we build random instances of, then check
@@ -40,10 +40,11 @@ fn eval_direct(e: &Expr, assignment: u32) -> bool {
     }
 }
 
-fn build_bdd(m: &mut BddManager, e: &Expr) -> Bdd {
+fn build_bdd(m: &mut BddStore, e: &Expr) -> Bdd {
     match e {
         Expr::Var(v) => m.var(*v),
-        Expr::Const(c) => m.constant(*c),
+        Expr::Const(true) => Bdd::TRUE,
+        Expr::Const(false) => Bdd::FALSE,
         Expr::Not(a) => {
             let x = build_bdd(m, a);
             m.not(x)
@@ -70,7 +71,7 @@ proptest! {
     /// every assignment of the variables.
     #[test]
     fn bdd_matches_truth_table(e in arb_expr(NUM_VARS)) {
-        let mut m = BddManager::new();
+        let mut m = BddStore::new();
         let b = build_bdd(&mut m, &e);
         for assignment in 0u32..(1 << NUM_VARS) {
             let expected = eval_direct(&e, assignment);
@@ -83,7 +84,7 @@ proptest! {
     /// (canonicity), exercised via De Morgan's laws.
     #[test]
     fn de_morgan_canonicity(e1 in arb_expr(NUM_VARS), e2 in arb_expr(NUM_VARS)) {
-        let mut m = BddManager::new();
+        let mut m = BddStore::new();
         let a = build_bdd(&mut m, &e1);
         let b = build_bdd(&mut m, &e2);
         let lhs = { let ab = m.and(a, b); m.not(ab) };
@@ -95,7 +96,7 @@ proptest! {
     /// a · (a + b) == a.
     #[test]
     fn absorption_law(e1 in arb_expr(NUM_VARS), e2 in arb_expr(NUM_VARS)) {
-        let mut m = BddManager::new();
+        let mut m = BddStore::new();
         let a = build_bdd(&mut m, &e1);
         let b = build_bdd(&mut m, &e2);
         let ab = m.and(a, b);
@@ -107,7 +108,7 @@ proptest! {
     /// sat_count agrees with a brute-force truth-table count.
     #[test]
     fn sat_count_matches_bruteforce(e in arb_expr(NUM_VARS)) {
-        let mut m = BddManager::new();
+        let mut m = BddStore::new();
         let b = build_bdd(&mut m, &e);
         let brute = (0u32..(1 << NUM_VARS))
             .filter(|&a| eval_direct(&e, a))
@@ -119,7 +120,7 @@ proptest! {
     /// mention, and evaluation only depends on support variables.
     #[test]
     fn support_is_sound(e in arb_expr(NUM_VARS)) {
-        let mut m = BddManager::new();
+        let mut m = BddStore::new();
         let b = build_bdd(&mut m, &e);
         let support = m.support(b);
         for &v in &support {

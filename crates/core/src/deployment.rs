@@ -59,6 +59,7 @@ use crate::query::{
 };
 use crate::repr::Repr;
 use crate::rewrite::{provenance_rewrite, RewriteOptions};
+use exspan_bdd::BddStore;
 use exspan_ndlog::ast::Program;
 use exspan_ndlog::diag::{Diagnostic, Severity};
 use exspan_netsim::{ChurnEvent, LinkClass, LinkProps, Topology};
@@ -482,6 +483,13 @@ impl QuerySession<'_> {
     /// Number of cache entries currently held across all nodes.
     pub fn cache_entries(&self) -> usize {
         self.0.cache_entries()
+    }
+
+    /// The session's own BDD store, which its [`Repr::Bdd`] answers are
+    /// handles into (with its node and memo counts); `None` under any other
+    /// representation.  It is dropped with the deployment.
+    pub fn bdd(&self) -> Option<&BddStore> {
+        self.0.repr.bdd()
     }
 }
 

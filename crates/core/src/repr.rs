@@ -20,9 +20,9 @@
 //! | `Bdd` | BDD variable | BDD AND | BDD OR | §6.3 |
 //! | `TrustDomain`, `ContiguousTrustDomains` | `{domain(node)}` | set union | set union | §3 (granularity) |
 
-use exspan_bdd::{Bdd, BddManager};
+use exspan_bdd::{Bdd, BddStore, KeyedBddStore};
 use exspan_types::{NodeId, Symbol, Vid};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Typed selector for a provenance representation, used by the builder-style
@@ -31,7 +31,8 @@ use std::fmt;
 /// The deployment computes the selected representation per query *session*:
 /// queries submitted with equal `Repr` values (and equal traversal/caching
 /// settings) share one session — and therefore one result cache and, for
-/// [`Repr::Bdd`], one numbering of base tuples as BDD variables.
+/// [`Repr::Bdd`], one BDD store with one numbering of base tuples as its
+/// variables.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum Repr {
     /// Full provenance polynomials (§5.2.1).
@@ -170,7 +171,8 @@ pub enum Annotation {
     Count(u64),
     /// A derivability flag.
     Bool(bool),
-    /// A handle into the representation's BDD manager.
+    /// A handle into its query session's own BDD store
+    /// ([`crate::deployment::QuerySession::bdd`]), meaningful in no other.
     Bdd(Bdd),
 }
 
@@ -214,9 +216,9 @@ impl Annotation {
 /// to be of the kind its `Repr` produces.
 pub(crate) struct Representation {
     pub(crate) repr: Repr,
-    /// The BDD store and the variable of each base tuple ([`Repr::Bdd`]).
-    manager: BddManager,
-    vars: HashMap<Vid, u32>,
+    /// The session's own BDD store, and the variable of each base tuple
+    /// ([`Repr::Bdd`]); dropped with the session.
+    bdd: KeyedBddStore<Vid>,
 }
 
 /// The polynomials among `annotations`, moved out in order into a vector of
@@ -243,9 +245,13 @@ impl Representation {
     pub(crate) fn new(repr: Repr) -> Self {
         Representation {
             repr,
-            manager: BddManager::new(),
-            vars: HashMap::new(),
+            bdd: KeyedBddStore::default(),
         }
+    }
+
+    /// The session's BDD store under [`Repr::Bdd`].
+    pub(crate) fn bdd(&self) -> Option<&BddStore> {
+        matches!(self.repr, Repr::Bdd).then(|| self.bdd.store())
     }
 
     /// `f_pEDB`: the annotation of the base tuple `vid` stored at `loc`.
@@ -254,11 +260,7 @@ impl Representation {
             Repr::Polynomial => Annotation::Expr(ProvExpr::Base(vid)),
             Repr::DerivationCount => Annotation::Count(1),
             Repr::Derivability => Annotation::Bool(true),
-            Repr::Bdd => {
-                let next = self.vars.len() as u32;
-                let var = *self.vars.entry(vid).or_insert(next);
-                Annotation::Bdd(self.manager.var(var))
-            }
+            Repr::Bdd => Annotation::Bdd(self.bdd.var(vid, |v| *v)),
             Repr::NodeSet | Repr::TrustDomain(_) | Repr::ContiguousTrustDomains(_) => {
                 self.union(Vec::new(), Some(loc))
             }
@@ -286,7 +288,7 @@ impl Representation {
             Repr::Derivability => {
                 Annotation::Bool(children.iter().all(|a| a.as_bool().unwrap_or(false)))
             }
-            Repr::Bdd => Annotation::Bdd(self.manager.and_all(bdds(children))),
+            Repr::Bdd => Annotation::Bdd(self.bdd.store_mut().and_all(bdds(children))),
             Repr::NodeSet | Repr::TrustDomain(_) | Repr::ContiguousTrustDomains(_) => {
                 self.union(children, Some(rloc))
             }
@@ -311,7 +313,7 @@ impl Representation {
             Repr::Derivability => {
                 Annotation::Bool(derivations.iter().any(|a| a.as_bool().unwrap_or(false)))
             }
-            Repr::Bdd => Annotation::Bdd(self.manager.or_all(bdds(derivations))),
+            Repr::Bdd => Annotation::Bdd(self.bdd.store_mut().or_all(bdds(derivations))),
             Repr::NodeSet | Repr::TrustDomain(_) | Repr::ContiguousTrustDomains(_) => {
                 self.union(derivations, None)
             }
@@ -354,14 +356,15 @@ impl Representation {
         }
     }
 
-    /// Number of bytes `annotation` occupies in a query response message.
-    pub(crate) fn wire_size(&self, annotation: &Annotation) -> usize {
+    /// Number of bytes `annotation` occupies in a query response message
+    /// (a BDD's size walk marks the nodes it reaches, hence `&mut`).
+    pub(crate) fn wire_size(&mut self, annotation: &Annotation) -> usize {
         match annotation {
             Annotation::Expr(e) => e.wire_size(),
             Annotation::Nodes(s) | Annotation::Domains(s) => 2 + 4 * s.len(),
             Annotation::Count(_) => 4,
             Annotation::Bool(_) => 1,
-            Annotation::Bdd(b) => self.manager.serialized_size(*b),
+            Annotation::Bdd(b) => self.bdd.store_mut().serialized_size(*b),
         }
     }
 
@@ -375,15 +378,7 @@ impl Representation {
         let (Repr::Bdd, Annotation::Bdd(b)) = (&self.repr, annotation) else {
             return None;
         };
-        let by_var: HashMap<u32, bool> = self
-            .vars
-            .iter()
-            .map(|(vid, var)| (*var, trusted(*vid)))
-            .collect();
-        Some(
-            self.manager
-                .evaluate(*b, |v| by_var.get(&v).copied().unwrap_or(false)),
-        )
+        Some(self.bdd.derivable_under(*b, trusted))
     }
 }
 

@@ -11,9 +11,11 @@
 //! it triggers.
 //!
 //! This policy owns the BDD store the annotations are handles into, with no
-//! lock, and numbers each base tuple's variable when the tuple is first
-//! scheduled ([`crate::Engine::schedule_delta`]), taking its VID then, once,
-//! for the trust callbacks of [`ValueBddPolicy::derivable_under`].  It sees
+//! lock: an [`exspan_bdd::KeyedBddStore`] keyed by tuple, the shape a
+//! condensed query session owns too.  It numbers each base tuple's variable
+//! when the tuple is first scheduled ([`crate::Engine::schedule_delta`]),
+//! taking its VID then, once, for the trust callbacks of
+//! [`ValueBddPolicy::derivable_under`].  It sees
 //! every base change and rule firing in event order, so an engine built with
 //! one ([`crate::Engine::with_parts`]) runs one shard, which owns it.
 //!
@@ -22,19 +24,15 @@
 //! any distributed traversal — the trade-off the paper explores: high
 //! maintenance bandwidth, zero query latency.
 
-use exspan_bdd::{Bdd, BddStore};
-use exspan_types::fxhash::FxHashMap;
+use exspan_bdd::{Bdd, BddStore, KeyedBddStore};
 use exspan_types::{Tuple, Vid};
 use std::sync::Arc;
 
 /// The value-based (BDD) provenance an engine maintains in value mode.
 #[derive(Debug, Default)]
 pub struct ValueBddPolicy {
-    store: BddStore,
-    /// Boolean variable assigned to each base tuple, in first-seen order.
-    vars: FxHashMap<Arc<Tuple>, u32>,
-    /// Each variable's VID, indexed by variable.
-    var_vids: Vec<Vid>,
+    /// The store, and the variable of each base tuple in first-seen order.
+    bdds: KeyedBddStore<Arc<Tuple>>,
     /// Bytes of annotation attached to messages so far.
     annotation_bytes_total: u64,
 }
@@ -47,20 +45,13 @@ impl ValueBddPolicy {
 
     /// The variable of base tuple `tuple`, numbered on first sight.
     pub(crate) fn var_for(&mut self, tuple: &Arc<Tuple>) -> Bdd {
-        let (next, vids) = (self.var_vids.len() as u32, &mut self.var_vids);
-        let id = *self.vars.entry(Arc::clone(tuple)).or_insert_with(|| {
-            vids.push(tuple.vid());
-            next
-        });
-        self.store.var(id)
+        self.bdds.var(Arc::clone(tuple), |t| t.vid())
     }
 
     /// Derivability test under a trust assignment over base tuples: does
     /// `annotation` hold using only trusted base tuples?
     pub fn derivable_under<F: Fn(Vid) -> bool>(&self, annotation: Bdd, trusted: F) -> bool {
-        let vid = |v: u32| self.var_vids.get(v as usize).copied();
-        self.store
-            .evaluate(annotation, |v| vid(v).is_some_and(&trusted))
+        self.bdds.derivable_under(annotation, trusted)
     }
 
     /// Total annotation bytes attached to transmitted tuples so far.
@@ -70,7 +61,7 @@ impl ValueBddPolicy {
 
     /// The BDD store the annotations live in (for inspection).
     pub fn manager(&self) -> &BddStore {
-        &self.store
+        self.bdds.store()
     }
 
     /// The history one rule firing ships with its delta: the AND of its
@@ -81,19 +72,18 @@ impl ValueBddPolicy {
     /// that derivation's history just like the insertion that established
     /// it.
     pub(crate) fn conjoin(&mut self, inputs: &[Bdd]) -> Bdd {
-        inputs
-            .iter()
-            .fold(Bdd::TRUE, |conj, &b| self.store.and(conj, b))
+        let store = self.bdds.store_mut();
+        inputs.iter().fold(Bdd::TRUE, |conj, &b| store.and(conj, b))
     }
 
     /// Merges an alternative derivation's history into a row's.
     pub(crate) fn or(&mut self, row: Bdd, shipped: Bdd) -> Bdd {
-        self.store.or(row, shipped)
+        self.bdds.store_mut().or(row, shipped)
     }
 
     /// Charges the annotation bytes of a transmitted delta carrying `token`.
     pub(crate) fn annotation_bytes(&mut self, token: Option<Bdd>) -> usize {
-        let bytes = token.map_or(0, |t| self.store.serialized_size(t));
+        let bytes = token.map_or(0, |t| self.bdds.store_mut().serialized_size(t));
         self.annotation_bytes_total += bytes as u64;
         bytes
     }

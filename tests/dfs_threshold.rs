@@ -5,20 +5,22 @@
 //! cost what DFS costs: the same answers and bytes, no BDD node more, and no
 //! partial combination computed and thrown away on a child's arrival.
 //!
-//! One test, so that no other test shares the process-wide BDD store while
-//! its counters are read.
+//! Every run builds a fresh deployment, so a BDD session's store starts
+//! empty and its counters count that run's work alone.
 
-use exspan::bdd::SharedBddStore;
 use exspan::core::storage::prov_entries;
 use exspan::core::{Annotation, ProvExpr, Repr, Traversal};
 use exspan::netsim::Topology;
 use exspan::setup;
 
+/// What one run observed: the answers, the query bytes, and the BDD
+/// session's memo lookups (hits + misses), node count and memo clears —
+/// zero for a session of another representation.
+type Run = (Vec<Annotation>, u64, u64, usize, u64);
+
 /// Queries, on a fresh converged MINCOST deployment, every `pathCost` tuple
-/// with at least three alternative derivations (at most 12): the answers,
-/// the query bytes, and the apply steps the BDD store took meanwhile (memo
-/// hits and misses).
-fn run(repr: Repr, traversal: Traversal) -> (Vec<Annotation>, u64, u64) {
+/// with at least three alternative derivations (at most 12), in one session.
+fn run(repr: Repr, traversal: Traversal) -> Run {
     let mut d = setup::mincost_reference(Topology::testbed_ring(20, 7), 1);
     let nodes = 0..d.topology().num_nodes() as u32;
     let mut targets: Vec<_> = nodes
@@ -30,20 +32,28 @@ fn run(repr: Repr, traversal: Traversal) -> (Vec<Annotation>, u64, u64) {
         targets.len() >= 4,
         "too few targets with three alternatives"
     );
-    let steps = || {
-        let memo = SharedBddStore::global().memo_stats();
-        memo.hits + memo.misses
-    };
-    let before = steps();
-    let answers = targets
-        .iter()
-        .map(|t| {
-            let q = d.query(t).issuer((t.location + 5) % 20).repr(repr.clone());
-            let outcome = q.traversal(traversal).execute();
-            outcome.annotation.expect("the query completes")
-        })
-        .collect();
-    (answers, d.query_traffic_stats().bytes, steps() - before)
+    let mut answers = Vec::new();
+    let mut last = None;
+    for t in &targets {
+        let q = d.query(t).issuer((t.location + 5) % 20).repr(repr.clone());
+        let handle = q.traversal(traversal).submit();
+        d.run_to_fixpoint();
+        let outcome = d.outcome(handle).expect("submitted");
+        answers.push(outcome.annotation.clone().expect("the query completes"));
+        last = Some(handle);
+    }
+    let session = d.session(last.expect("at least one query"));
+    let (lookups, nodes, clears) = session.bdd().map_or((0, 0, 0), |store| {
+        let memo = store.memo_stats();
+        (memo.hits + memo.misses, store.node_count(), memo.clears)
+    });
+    (
+        answers,
+        d.query_traffic_stats().bytes,
+        lookups,
+        nodes,
+        clears,
+    )
 }
 
 #[test]
@@ -52,26 +62,18 @@ fn a_threshold_no_partial_result_satisfies_costs_what_dfs_costs() {
     let dfs = run(Repr::Polynomial, Traversal::Dfs);
     let derivations = |a: &Annotation| a.as_expr().map(ProvExpr::num_derivations);
     assert!(dfs.0.iter().all(|a| derivations(a) >= Some(3)));
+    assert_eq!(dfs.2, 0, "a polynomial session has no BDD store");
     assert_eq!(run(Repr::Polynomial, threshold), dfs);
 
-    // A BDD session numbers base tuples in the order it meets them, so equal
-    // traversals give equal handles into the shared store.  The first run
-    // makes every node and fills the memo; from then on, equal work is an
-    // equal number of memo hits.
-    let store = SharedBddStore::global();
-    run(Repr::Bdd, Traversal::Dfs);
-    let (nodes, clears) = (store.node_count(), store.memo_stats().clears);
+    // A BDD session numbers base tuples in the order it meets them and owns
+    // its store, so equal traversals on fresh deployments give equal
+    // handles, equal memo lookups, equal nodes and equal memo clears.
     let dfs = run(Repr::Bdd, Traversal::Dfs);
     assert!(dfs.2 > 0, "the BDD store did no work");
+    assert!(dfs.3 > 2, "the BDD store made no node");
     assert_eq!(
         run(Repr::Bdd, threshold),
         dfs,
-        "answers, bytes, apply steps"
+        "answers, bytes, memo lookups, nodes, memo clears"
     );
-    assert_eq!(
-        store.node_count(),
-        nodes,
-        "BDD nodes added after the first run"
-    );
-    assert_eq!(store.memo_stats().clears, clears, "the memo was cleared");
 }

@@ -3,12 +3,12 @@
 //! of the `prov` / `ruleExec` tables of Tables 1 and 2.
 
 use exspan::core::storage::{all_prov_entries, prov_entries, rule_exec_entry};
-use exspan::core::{Annotation, Deployment, ProvenanceMode, Repr};
+use exspan::core::{Annotation, Deployment, ProvExpr, ProvenanceMode, Repr};
 use exspan::ndlog::programs;
 use exspan::netsim::Topology;
 use exspan::setup;
 use exspan::types::tuple::rule_exec_id;
-use exspan::types::{Tuple, Value};
+use exspan::types::{Tuple, Value, Vid};
 
 const A: u32 = 0;
 const B: u32 = 1;
@@ -217,12 +217,24 @@ fn reference_mode_overhead_is_small_on_the_example() {
     );
 }
 
+/// `e` evaluated in the Boolean semiring: a base tuple is true when trusted.
+fn holds(e: &ProvExpr, trusted: &dyn Fn(Vid) -> bool) -> bool {
+    match e {
+        ProvExpr::Base(v) => trusted(*v),
+        ProvExpr::Sum { terms, .. } => terms.iter().any(|t| holds(t, trusted)),
+        ProvExpr::Product { factors, .. } => factors.iter().all(|f| holds(f, trusted)),
+    }
+}
+
 /// The exact traffic of a fixed query sequence — once uncached, then twice in
 /// a caching session — under every representation, so that a change in what
 /// the query protocol sends, caches or answers fails here, not only in the
-/// benchmark's exact counts.  Only a BDD session evaluates trust assignments.
-/// The trust-domain map leaves b unmapped, so b is its own domain, 1 — the
-/// domain a is mapped to as well.
+/// benchmark's exact counts.  Only a BDD session evaluates trust assignments,
+/// in its own store: each of its answers, evaluated under every assignment
+/// of the polynomial's base tuples, must equal the polynomial evaluated in
+/// the Boolean semiring (the PosBool homomorphism).  The trust-domain map
+/// leaves b unmapped, so b is its own domain, 1 — the domain a is mapped to
+/// as well.
 #[test]
 fn query_traffic_of_a_fixed_sequence_is_pinned() {
     let polynomial =
@@ -257,7 +269,9 @@ fn query_traffic_of_a_fixed_sequence_is_pinned() {
         ),
         (
             Repr::Bdd,
-            "bdd",
+            // A handle into the session's own store, which numbers its
+            // nodes from 2: the three literals, `ba·bc`, then the answer.
+            "Bdd(Bdd(6))",
             [(452, 4, 0, 12), (678, 6, 1, 12)],
             Some(true),
         ),
@@ -275,6 +289,11 @@ fn query_traffic_of_a_fixed_sequence_is_pinned() {
         ),
     ];
     let target = tuple("bestPathCost", A, C, 5);
+    let outcome = reference_system().query(&target).issuer(3).execute();
+    let expr = outcome.annotation.as_ref().and_then(Annotation::as_expr);
+    let expr = expr.expect("a polynomial answer");
+    assert_eq!(expr.to_string(), polynomial);
+    let bases: Vec<Vid> = expr.base_tuples().into_iter().collect();
     for (repr, answer, traffic, trusted) in pinned {
         let mut system = reference_system();
         let mut handles = Vec::new();
@@ -286,9 +305,6 @@ fn query_traffic_of_a_fixed_sequence_is_pinned() {
         for (handle, traffic) in [handles[0], handles[2]].into_iter().zip(traffic) {
             let outcome = system.outcome(handle).expect("submitted");
             let observed = match outcome.annotation.as_ref().expect("completed") {
-                // A handle into the process-global BDD store: its number
-                // depends on what else the process built.
-                Annotation::Bdd(_) => "bdd".to_string(),
                 Annotation::Expr(e) => e.to_string(),
                 other => format!("{other:?}"),
             };
@@ -302,6 +318,22 @@ fn query_traffic_of_a_fixed_sequence_is_pinned() {
                 trusted,
                 "{repr:?}"
             );
+            assert_eq!(session.bdd().is_some(), repr == Repr::Bdd, "{repr:?}");
+            if repr != Repr::Bdd {
+                continue;
+            }
+            for mask in 0..1u32 << bases.len() {
+                let trusted = |v: Vid| {
+                    (bases.iter())
+                        .position(|b| *b == v)
+                        .is_some_and(|i| mask >> i & 1 == 1)
+                };
+                assert_eq!(
+                    system.derivable_under(handle, trusted),
+                    Some(holds(expr, &trusted)),
+                    "trusted set {mask:03b}"
+                );
+            }
         }
     }
 }
