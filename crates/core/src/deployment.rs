@@ -795,8 +795,8 @@ impl Deployment {
 
     /// Adds a link to the topology and inserts its base tuples (both
     /// directions) at the current simulated time.  A link with an endpoint
-    /// outside the topology, or from a node to itself, is refused: nothing
-    /// changes.
+    /// outside the topology, from a node to itself, or with a latency that
+    /// is not a finite number ≥ 0, is refused: nothing changes.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, props: LinkProps) {
         self.change_link(true, a, b, props, self.now());
     }
@@ -822,7 +822,9 @@ impl Deployment {
     /// immediate application use [`Self::apply_churn_event`].
     ///
     /// An `at` before [`Self::now`] or not a number is refused, as is what
-    /// [`Self::add_link`] refuses: nothing changes.
+    /// [`Self::add_link`] refuses (an added link's endpoint outside the
+    /// topology, a self-link, a latency that is not a finite number ≥ 0):
+    /// nothing changes.
     pub fn schedule_churn_event(&mut self, event: &ChurnEvent, at: f64) {
         self.change_link(event.add, event.a, event.b, event.props, at);
     }
@@ -831,12 +833,15 @@ impl Deployment {
     /// which journals the change, and schedules the delta of its two `link`
     /// tuples at `at`, at each endpoint inside the topology.  The removed
     /// link's cost names the deleted tuples; with no such link, `props.cost`
-    /// does.  An added link the topology cannot hold, or an `at` before now
-    /// or NaN, is refused before anything changes.
+    /// does.  An added link the topology cannot hold (a latency that is not
+    /// a finite number ≥ 0 among them), or an `at` before now or NaN, is
+    /// refused before anything changes.
     fn change_link(&mut self, add: bool, a: NodeId, b: NodeId, props: LinkProps, at: f64) {
         let nodes = self.engine.topology().num_nodes();
         let outside = |n: NodeId| n as usize >= nodes;
-        if add && (a == b || outside(a) || outside(b)) || at < self.now() || at.is_nan() {
+        let latency = (0.0..f64::INFINITY).contains(&props.latency);
+        let unfit = a == b || outside(a) || outside(b) || !latency;
+        if add && unfit || at < self.now() || at.is_nan() {
             return;
         }
         let cost = if add {

@@ -134,12 +134,17 @@ impl Topology {
         0..self.num_nodes as NodeId
     }
 
-    /// Adds (or replaces) a bidirectional link.
+    /// Adds (or replaces) a bidirectional link.  Its latency must be a
+    /// finite number ≥ 0: it is the sharded runtime's lookahead.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, props: LinkProps) {
         assert!(a != b, "self links are not allowed");
         assert!(
             (a as usize) < self.num_nodes && (b as usize) < self.num_nodes,
             "link endpoints must be valid nodes"
+        );
+        assert!(
+            (0.0..f64::INFINITY).contains(&props.latency),
+            "link latency must be a finite number >= 0"
         );
         self.links.insert(Self::key(a, b), props);
         self.adjacency.entry(a).or_default().insert(b);

@@ -1,4 +1,4 @@
-//! The distributed NDlog engine: shard coordinator.
+//! The distributed NDlog engine: its shards and their two event loops.
 //!
 //! The engine executes a (localized, normalized) NDlog [`Program`] over the
 //! discrete-event simulator using pipelined semi-naïve evaluation: every
@@ -23,19 +23,21 @@
 //! can observe.
 //!
 //! With more than one shard, no [`ExternalSink`], at least one link and a
-//! positive latency on every link, it runs the shards on worker threads in
-//! *barrier windows*: at each barrier the coordinator finds the earliest
-//! pending event time `t_min` across all shards and releases every shard to
-//! process its events strictly before `t_min + L`, where `L` is the smallest
-//! link latency of the topology (the *lookahead*).  A cross-shard delta
-//! produced inside the window — routed, or crossing a partition after one
-//! `L` hop — is due no earlier than the window's end, so delivering the
-//! per-shard outboxes into the destination inboxes at the barrier never
-//! reorders anything.  Every event carries an execution-independent ordering
-//! key (`(time, source node, per-source sequence)`), per-node state is only
-//! ever touched by the owning shard, and the traffic counters are integral —
-//! which together make the sharded run *bit-identical* to the one-shard run,
-//! as the determinism tests assert.
+//! positive latency on every link, it runs the shards in *barrier windows*,
+//! shard 0 on the calling thread and each other shard on a thread of its
+//! own, with no coordinator.  Every shard publishes its earliest pending
+//! event time, and after a barrier each reads all of them and computes the
+//! same horizon `t_min + L`, where `t_min` is the earliest time across all
+//! shards and `L` the smallest link latency of the topology (the
+//! *lookahead*); it then processes its events strictly before the horizon.
+//! A cross-shard delta produced inside the window — routed, or crossing a
+//! partition after one `L` hop — is due no earlier than the window's end,
+//! so delivering it to its shard's mailbox at the window's second barrier
+//! never reorders anything.  Every event carries an execution-independent
+//! ordering key (`(time, source node, per-source sequence)`), per-node state
+//! is only ever touched by the owning shard, and the traffic counters are
+//! integral — which together make the sharded run *bit-identical* to the
+//! one-shard run, as the determinism tests assert.
 //!
 //! Otherwise — one shard, a sink listening, or a zero-latency link or no
 //! link at all, which leaves a window no lookahead — it steps through the
@@ -57,7 +59,7 @@ use exspan_netsim::{
 use exspan_store::{AggProvEntry, LinkRecord, RecoveredState, SnapshotData, StoreError, WalOp};
 use exspan_types::fxhash::FxHashMap;
 use exspan_types::{wire, Digest, NodeId, RelId, Symbol, Tuple, Value, Vid};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 /// Name of the internal event used to trigger aggregate-group recomputation.
@@ -103,7 +105,8 @@ pub struct FixpointStats {
     pub fixpoint_time: f64,
     /// Number of events processed.
     pub steps: u64,
-    /// Number of external (unhandled) tuples encountered and dropped.
+    /// Number of external (unhandled) tuples encountered: handed to the
+    /// sink when there is one, dropped otherwise.
     pub external: u64,
 }
 
@@ -174,9 +177,6 @@ pub struct Engine {
     /// `assignment[node]` = shard owning that node.
     assignment: Arc<Vec<u16>>,
     shards: Vec<Shard>,
-    /// Cross-shard mailboxes: `inboxes[s]` holds events routed to shard `s`
-    /// that it has not yet pulled into its queue.
-    inboxes: Vec<Mutex<Vec<RoutedEvent<Payload>>>>,
 }
 
 /// On-wire encoding of a [`LinkClass`] inside a [`LinkRecord`].
@@ -306,7 +306,6 @@ impl Engine {
             topology,
             topo_dirty: false,
             assignment,
-            inboxes: (0..num_shards).map(|_| Mutex::new(Vec::new())).collect(),
             shards,
         }
     }
@@ -578,50 +577,28 @@ impl Engine {
             .flat_map(|changes| changes.drain(..))
     }
 
-    /// Moves events diverted to foreign shards into the destination inboxes,
-    /// coalescing same-destination events into one locked append per
-    /// destination shard rather than a lock round-trip per event.
+    /// Moves every event a shard diverted to a foreign shard straight into
+    /// that shard's queue.
     fn flush_outboxes(&mut self) {
-        let num_shards = self.shards.len();
-        let mut grouped: Vec<Vec<RoutedEvent<Payload>>> = Vec::new();
-        for i in 0..num_shards {
-            let out = self.shards[i].sim.take_outbox();
-            if out.is_empty() {
-                continue;
+        for i in 0..self.shards.len() {
+            for ev in self.shards[i].sim.take_outbox() {
+                let dest = self.owner(ev.msg.to);
+                self.shards[dest].sim.push_routed(ev);
             }
-            grouped.resize_with(num_shards, Vec::new);
-            for ev in out {
-                grouped[self.owner(ev.msg.to)].push(ev);
-            }
-        }
-        for (dest, batch) in grouped.iter_mut().enumerate() {
-            if !batch.is_empty() {
-                self.inboxes[dest]
-                    .lock()
-                    .expect("inbox poisoned")
-                    .append(batch);
-            }
-        }
-    }
-
-    /// Pulls every inbox into its shard's queue (single-threaded contexts).
-    fn drain_inboxes(&mut self) {
-        for (shard, inbox) in self.shards.iter_mut().zip(&self.inboxes) {
-            shard.drain_inbox(inbox);
         }
     }
 
     /// The shard holding the next event in global key order, and that event's
     /// time, or `None` when every queue is empty.  With several shards the
-    /// in-flight cross-shard deltas are delivered first and the per-shard
-    /// queues merged by event key — the exact order one shard would use.  One
-    /// shard diverts nothing to an outbox, so its own queue is the answer.
+    /// cross-shard deltas in the outboxes are delivered first and the
+    /// per-shard queues merged by event key — the exact order one shard would
+    /// use.  One shard diverts nothing to an outbox, so its own queue is the
+    /// answer.
     fn next_event(&mut self) -> Option<(usize, f64)> {
         if let [only] = self.shards.as_slice() {
             return only.sim.peek_time().map(|t| (0, t));
         }
         self.flush_outboxes();
-        self.drain_inboxes();
         self.shards
             .iter()
             .enumerate()
@@ -699,90 +676,74 @@ impl Engine {
         }
     }
 
-    /// The barrier-windowed parallel event loop.
-    ///
-    /// Every round has three barriers: (w) all shards finished their window
-    /// and delivered their outboxes, (a) all shards drained their inboxes and
-    /// published their earliest pending event time, (b) the coordinator
-    /// decided the next horizon (or termination).  Shards then process all
-    /// events strictly before the horizon, `lookahead` past the earliest
-    /// pending event, in parallel.
+    /// The barrier-windowed parallel event loop.  Shard 0 runs on the calling
+    /// thread, every other shard on a scoped thread of its own, and all of
+    /// them wait twice per window on one barrier.  Each shard publishes its
+    /// earliest pending event time and its step count into its own slot and
+    /// waits at (a); then every shard reads all slots and decides alike —
+    /// stop when nothing is due by `time_limit` or [`MAX_STEPS`] is reached,
+    /// else process every event strictly before the horizon, `lookahead`
+    /// past the earliest pending one.  It delivers its cross-shard deltas to
+    /// the destination mailboxes and waits at (w), then pulls its own
+    /// mailbox into its queue and publishes again.  No slot is written
+    /// between (a) and the next publication, and no mailbox between (w) and
+    /// the next (a), so no shard reads what another is writing.
     fn run_parallel(&mut self, time_limit: f64, lookahead: f64) {
         let num_shards = self.shards.len();
-        let barrier = Barrier::new(num_shards + 1);
-        let next_times: Vec<AtomicU64> = (0..num_shards)
-            .map(|_| AtomicU64::new(f64::NAN.to_bits()))
-            .collect();
-        let horizon = AtomicU64::new(f64::NAN.to_bits());
-        let stop = AtomicBool::new(false);
-        let total_steps = AtomicU64::new(0);
-
-        fn publish(slot: &AtomicU64, t: Option<f64>) {
-            slot.store(t.unwrap_or(f64::NAN).to_bits(), Ordering::SeqCst);
-        }
-
-        let inboxes = &self.inboxes;
+        let barrier = Barrier::new(num_shards);
+        // Slot `i`: shard `i`'s earliest pending event time (NaN for none)
+        // and its steps so far, as bits.
+        let slots: Vec<[AtomicU64; 2]> = (0..num_shards).map(|_| Default::default()).collect();
+        let mailboxes: Vec<Mutex<Vec<RoutedEvent<Payload>>>> =
+            (0..num_shards).map(|_| Mutex::default()).collect();
+        let mailbox = |dest: usize| mailboxes[dest].lock().expect("mailbox poisoned");
         let assignment = &self.assignment;
-        let barrier_ref = &barrier;
-        let next_ref = &next_times;
-        let horizon_ref = &horizon;
-        let stop_ref = &stop;
-        let steps_ref = &total_steps;
-
-        std::thread::scope(|scope| {
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    shard.drain_inbox(&inboxes[i]);
-                    publish(&next_ref[i], shard.sim.peek_time());
-                    // Per-destination coalescing buffers, reused across
-                    // windows: one locked append per destination shard per
-                    // barrier window instead of a lock round-trip per event.
-                    let mut outbound: Vec<Vec<RoutedEvent<Payload>>> =
-                        (0..num_shards).map(|_| Vec::new()).collect();
-                    loop {
-                        barrier_ref.wait(); // (a) every shard published its minimum
-                        barrier_ref.wait(); // (b) coordinator decided
-                        if stop_ref.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let h = f64::from_bits(horizon_ref.load(Ordering::SeqCst));
-                        let steps = shard.run_window(h, time_limit);
-                        steps_ref.fetch_add(steps, Ordering::SeqCst);
-                        for ev in shard.sim.take_outbox() {
-                            outbound[assignment[ev.msg.to as usize] as usize].push(ev);
-                        }
-                        for (dest, batch) in outbound.iter_mut().enumerate() {
-                            if !batch.is_empty() {
-                                inboxes[dest].lock().expect("inbox poisoned").append(batch);
-                            }
-                        }
-                        barrier_ref.wait(); // (w) all cross-shard deltas delivered
-                        shard.drain_inbox(&inboxes[i]);
-                        publish(&next_ref[i], shard.sim.peek_time());
-                    }
-                });
-            }
-            // Coordinator.
+        let run = |i: usize, shard: &mut Shard| {
+            let mut steps = 0u64;
+            // Per-destination coalescing buffers, reused across windows: one
+            // locked append per destination shard per window.
+            let mut outbound: Vec<Vec<RoutedEvent<Payload>>> =
+                (0..num_shards).map(|_| Vec::new()).collect();
             loop {
-                barrier.wait(); // (a)
-                let min_next = next_times
+                let next = shard.sim.peek_time().unwrap_or(f64::NAN);
+                slots[i][0].store(next.to_bits(), Ordering::SeqCst);
+                slots[i][1].store(steps, Ordering::SeqCst);
+                barrier.wait(); // (a) every shard published
+                let min_next = slots
                     .iter()
-                    .map(|s| f64::from_bits(s.load(Ordering::SeqCst)))
-                    .filter(|t| !t.is_nan())
+                    .map(|s| f64::from_bits(s[0].load(Ordering::SeqCst)))
                     .fold(f64::NAN, f64::min);
-                let exhausted = total_steps.load(Ordering::SeqCst) >= MAX_STEPS;
-                let terminate = min_next.is_nan() || min_next > time_limit || exhausted;
-                if terminate {
-                    stop.store(true, Ordering::SeqCst);
-                } else {
-                    horizon.store((min_next + lookahead).to_bits(), Ordering::SeqCst);
-                }
-                barrier.wait(); // (b)
-                if terminate {
+                let total: u64 = slots.iter().map(|s| s[1].load(Ordering::SeqCst)).sum();
+                if min_next.is_nan() || min_next > time_limit || total >= MAX_STEPS {
                     break;
                 }
-                barrier.wait(); // (w)
+                // The window: every event strictly before the horizon and
+                // none after the limit, externals dropped.
+                let due = |t: f64| t < min_next + lookahead && t <= time_limit;
+                while shard.sim.peek_time().is_some_and(due) {
+                    shard.step();
+                    steps += 1;
+                }
+                for ev in shard.sim.take_outbox() {
+                    outbound[assignment[ev.msg.to as usize] as usize].push(ev);
+                }
+                for (dest, batch) in outbound.iter_mut().enumerate() {
+                    if !batch.is_empty() {
+                        mailbox(dest).append(batch);
+                    }
+                }
+                barrier.wait(); // (w) every cross-shard delta delivered
+                for ev in mailbox(i).drain(..) {
+                    shard.sim.push_routed(ev);
+                }
             }
+        };
+        let (first, rest) = self.shards.split_at_mut(1);
+        std::thread::scope(|scope| {
+            for (i, shard) in rest.iter_mut().enumerate() {
+                scope.spawn(move || run(i + 1, shard));
+            }
+            run(0, &mut first[0]);
         });
     }
 
@@ -991,6 +952,15 @@ mod tests {
         tuples.iter().any(|x| **x == *t)
     }
 
+    /// An engine of `program` over `topology` on at most `shards` shards.
+    fn sharded(program: Program, topology: Topology, shards: usize) -> Engine {
+        let config = EngineConfig {
+            shards,
+            ..Default::default()
+        };
+        Engine::new(program, topology, config)
+    }
+
     /// Inserts both directions of every link of the topology as base tuples
     /// (the paper assumes symmetric links).
     fn seed_links(engine: &mut Engine) {
@@ -1155,12 +1125,22 @@ mod tests {
 
     #[test]
     fn run_until_respects_time_limit() {
-        let topo = Topology::transit_stub(1, 5);
-        let mut engine = Engine::new(programs::mincost(), topo, EngineConfig::default());
-        seed_links(&mut engine);
-        let stats = engine.run_until(0.01, None);
-        assert!(engine.now() <= 0.011);
-        assert!(stats.steps > 0);
+        // One shard, or a sink, steps; two and four shards without one run
+        // barrier windows.
+        for shards in [1, 2, 4] {
+            for with_sink in [false, true] {
+                let topo = Topology::transit_stub(1, 5);
+                let mut engine = sharded(programs::mincost(), topo, shards);
+                seed_links(&mut engine);
+                let mut sink = Record(Vec::new());
+                let sink: Option<&mut dyn ExternalSink> = with_sink.then_some(&mut sink);
+                let stats = engine.run_until(0.01, sink);
+                let clocks = engine.shards.iter().map(|s| s.sim.now());
+                assert!(clocks.fold(0.0, f64::max) <= 0.01, "{shards} shards");
+                assert!(stats.steps > 0);
+                assert!(engine.peek_time().is_some(), "events must remain queued");
+            }
+        }
     }
 
     #[test]
@@ -1220,14 +1200,7 @@ mod tests {
         let relations = ["link", "pathCost", "bestPathCost"];
         let build = |shards: usize| {
             let topo = Topology::transit_stub(1, 42);
-            let mut engine = Engine::new(
-                programs::mincost(),
-                topo,
-                EngineConfig {
-                    shards,
-                    ..Default::default()
-                },
-            );
+            let mut engine = sharded(programs::mincost(), topo, shards);
             seed_links(&mut engine);
             let stats = engine.run_to_fixpoint();
             (state_fingerprint(&engine, &relations), stats)
@@ -1248,14 +1221,7 @@ mod tests {
         let relations = ["link", "pathCost", "bestPathCost"];
         let build = |shards: usize| {
             let topo = Topology::testbed_ring(24, 7);
-            let mut engine = Engine::new(
-                programs::mincost(),
-                topo,
-                EngineConfig {
-                    shards,
-                    ..Default::default()
-                },
-            );
+            let mut engine = sharded(programs::mincost(), topo, shards);
             seed_links(&mut engine);
             engine.run_to_fixpoint();
             // Delete a few links and re-run, exercising cross-shard retraction.
@@ -1300,14 +1266,7 @@ mod tests {
 
         let run = |shards: usize| {
             let topo = Topology::paper_example();
-            let mut engine = Engine::new(
-                programs::mincost(),
-                topo,
-                EngineConfig {
-                    shards,
-                    ..Default::default()
-                },
-            );
+            let mut engine = sharded(programs::mincost(), topo, shards);
             seed_links(&mut engine);
             engine.run_to_fixpoint();
             for n in 0..4u32 {
@@ -1331,60 +1290,41 @@ mod tests {
         assert_eq!(seq, run(4).0);
     }
 
-    #[test]
-    fn run_until_with_a_sink_respects_the_time_limit() {
-        struct Ignore;
-        impl ExternalSink for Ignore {
-            fn on_external(&mut self, _: &mut Engine, _: NodeId, _: Arc<Tuple>, _: f64, _: bool) {}
+    /// Records the arrival time of every external it is handed.
+    struct Record(Vec<f64>);
+    impl ExternalSink for Record {
+        fn on_external(&mut self, _: &mut Engine, _: NodeId, _: Arc<Tuple>, t: f64, _: bool) {
+            self.0.push(t);
         }
-        let topo = Topology::transit_stub(1, 5);
-        let mut engine = Engine::new(programs::mincost(), topo, EngineConfig::default());
+    }
+
+    /// Externals beside route maintenance and forwarded packets: probes
+    /// (event tuples no rule handles) sent over the network before the
+    /// routes converge and scheduled locally after.
+    fn probes_and_packets(shards: usize) -> Engine {
+        let topo = Topology::paper_example();
+        let mut engine = sharded(programs::packet_forward(), topo, shards);
         seed_links(&mut engine);
-        let stats = engine.run_until(0.01, Some(&mut Ignore));
-        assert!(engine.now() <= 0.011);
-        assert!(stats.steps > 0);
-        assert!(engine.peek_time().is_some(), "events must remain queued");
+        for n in 0..4u32 {
+            let peer = (n + 2) % 4;
+            let probe = |at: NodeId, id: u32| Tuple::new("eProbe", at, vec![Value::Int(id.into())]);
+            engine.send_tuple(n, peer, probe(peer, n), 16);
+            engine.schedule_delta(0.003 * f64::from(n + 1), n, probe(n, 10 + n), true);
+            let packet = vec![Value::Node(n), Value::Node(peer), Value::Payload(256)];
+            engine.schedule_delta(0.05, n, Tuple::new("ePacket", n, packet), true);
+        }
+        engine
     }
 
     #[test]
     fn both_loops_agree_with_and_without_a_sink() {
-        /// Records the arrival time of every external it is handed.
-        struct Record(Vec<f64>);
-        impl ExternalSink for Record {
-            fn on_external(&mut self, _: &mut Engine, _: NodeId, _: Arc<Tuple>, t: f64, _: bool) {
-                self.0.push(t);
-            }
-        }
-
-        // Externals beside route maintenance and forwarded packets: probes
-        // (event tuples no rule handles) sent over the network before the
-        // routes converge and scheduled locally after.  The 3-shard run
-        // without a sink is `run_parallel`; the other three are the stepping
-        // loop.
+        // Several shards without a sink run barrier windows; one shard, or a
+        // sink, steps.
         let run = |shards: usize, with_sink: bool| {
-            let config = EngineConfig {
-                shards,
-                ..Default::default()
-            };
-            let mut engine = Engine::new(
-                programs::packet_forward(),
-                Topology::paper_example(),
-                config,
-            );
-            seed_links(&mut engine);
-            for n in 0..4u32 {
-                let peer = (n + 2) % 4;
-                let probe =
-                    |at: NodeId, id: u32| Tuple::new("eProbe", at, vec![Value::Int(id.into())]);
-                engine.send_tuple(n, peer, probe(peer, n), 16);
-                engine.schedule_delta(0.003 * f64::from(n + 1), n, probe(n, 10 + n), true);
-                let packet = vec![Value::Node(n), Value::Node(peer), Value::Payload(256)];
-                engine.schedule_delta(0.05, n, Tuple::new("ePacket", n, packet), true);
-            }
+            let mut engine = probes_and_packets(shards);
             let mut sink = Record(Vec::new());
             let mut advance = |engine: &mut Engine, limit: f64| {
-                let sink: Option<&mut dyn ExternalSink> =
-                    if with_sink { Some(&mut sink) } else { None };
+                let sink: Option<&mut dyn ExternalSink> = with_sink.then_some(&mut sink);
                 engine.run_until(limit, sink)
             };
             let at_limit = advance(&mut engine, 0.0065);
@@ -1417,7 +1357,35 @@ mod tests {
         assert!(next.is_some() && queued > 0, "the limit must cut the run");
         assert_eq!(received, 4, "every packet delivered");
         assert_eq!(reference, run(1, true), "1 shard, sink");
-        assert_eq!(reference, run(3, false), "3 shards, run_parallel");
-        assert_eq!(reference, run(3, true), "3 shards, sink");
+        for shards in [2, 3, 4] {
+            assert_eq!(reference, run(shards, false), "{shards} shards, windows");
+            assert_eq!(reference, run(shards, true), "{shards} shards, sink");
+        }
+    }
+
+    #[test]
+    fn alternating_loops_hand_each_other_their_events() {
+        // Successive runs alternate a sink (stepping) and none (barrier
+        // windows at several shards): what one loop leaves queued or in
+        // flight, the next must pick up.
+        let run = |shards: usize| {
+            let mut engine = probes_and_packets(shards);
+            let mut sink = Record(Vec::new());
+            let limits = [0.001, 0.0025, 0.0065, 0.01, 0.02, 0.049, 0.0505, 0.06];
+            let mut externals = 0;
+            for (i, limit) in limits.into_iter().chain([f64::INFINITY]).enumerate() {
+                let sink: Option<&mut dyn ExternalSink> = (i % 2 == 0).then_some(&mut sink);
+                externals += engine.run_until(limit, sink).external;
+            }
+            assert_eq!(engine.peek_time(), None);
+            let bytes = engine.stats().total_bytes();
+            let received = engine.tuples_everywhere_shared("recvPacket").len();
+            (sink.0, externals, bytes, received, engine.state_digest())
+        };
+        let reference = run(1);
+        assert_eq!(reference.1, 8, "every external surfaced");
+        assert!(!reference.0.is_empty(), "the sink was handed some");
+        assert_eq!(reference.3, 4, "every packet delivered");
+        assert_eq!(reference, run(3), "3 shards");
     }
 }

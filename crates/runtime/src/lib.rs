@@ -14,15 +14,15 @@
 //!   shipped to its location specifier, MIN/MAX/COUNT aggregate maintenance,
 //!   incremental insertion *and* deletion with cascades) over the subset of
 //!   nodes the shard owns.
-//! * [`engine`] — the [`engine::Engine`] coordinator: partitions the
-//!   topology's nodes over shards by rendezvous hashing (one shard when it
-//!   maintains value-based provenance or keeps a journal for a durable store,
-//!   which the engine's owner commits: the engine does no I/O).
+//! * [`engine`] — the [`engine::Engine`]: partitions the topology's nodes
+//!   over shards by rendezvous hashing (one shard when it maintains
+//!   value-based provenance or keeps a journal for a durable store, which the
+//!   engine's owner commits: the engine does no I/O).
 //!   [`engine::Engine::run_until`] is the one way to advance simulated time:
 //!   all a caller says is how far.  It has two event loops — deterministic
-//!   barrier windows on worker threads, and a stepping loop in global event
-//!   order for one shard or while an [`engine::ExternalSink`] is listening —
-//!   with bit-identical results.
+//!   barrier windows, one thread per shard, and a stepping loop in global
+//!   event order for one shard or while an [`engine::ExternalSink`] is
+//!   listening — with bit-identical results.
 //! * [`value_policy`] — *value-based* provenance (paper §3: every
 //!   transmitted tuple carries its BDD-condensed derivation history), which
 //!   the shard maintains on every base change, rule firing and send of an

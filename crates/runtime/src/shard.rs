@@ -30,13 +30,13 @@ use exspan_ndlog::ast::{AggFunc, Rule};
 use exspan_ndlog::eval::EvalError;
 use exspan_ndlog::is_event_predicate;
 use exspan_ndlog::plan::{AggRulePlans, JoinPlan, KeyOp, ProgramPlans};
-use exspan_netsim::{RoutedEvent, Simulator};
+use exspan_netsim::Simulator;
 use exspan_store::WalOp;
 use exspan_types::fxhash::FxHashMap;
 use exspan_types::{wire, Digest, NodeId, RelId, Symbol, Tuple, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Leaf callback of the plan executor: receives the buffers, whose frame
 /// holds a satisfying assignment.
@@ -204,14 +204,6 @@ impl Shard {
         }
     }
 
-    /// Moves every event waiting in `inbox` into this shard's queue.
-    pub(crate) fn drain_inbox(&mut self, inbox: &Mutex<Vec<RoutedEvent<Payload>>>) {
-        let mut guard = inbox.lock().expect("inbox poisoned");
-        for ev in guard.drain(..) {
-            self.sim.push_routed(ev);
-        }
-    }
-
     /// Processes the next queued event, returning the external tuple it
     /// carried, if any.
     pub(crate) fn step(&mut self) -> Option<External> {
@@ -240,23 +232,6 @@ impl Shard {
         self.last_delta_time = time;
         self.process_delta(node, tuple, insert, token);
         None
-    }
-
-    /// Processes every queued event strictly before `horizon` (and no later
-    /// than `limit`), dropping externals, and returns the number processed.
-    /// This is one barrier window of the parallel fixpoint loop; the horizon
-    /// is chosen by the coordinator such that no in-flight cross-shard
-    /// message can be due before it.
-    pub(crate) fn run_window(&mut self, horizon: f64, limit: f64) -> u64 {
-        let mut steps = 0u64;
-        while let Some(k) = self.sim.peek_key() {
-            if k.time >= horizon || k.time > limit {
-                break;
-            }
-            self.step();
-            steps += 1;
-        }
-        steps
     }
 
     /// Whether tuples of `relation` have no handler inside the engine: event

@@ -495,6 +495,12 @@ fn a_link_change_the_deployment_cannot_apply_is_refused() {
     deployment.add_link(1, 1, props);
     deployment.schedule_churn_event(&add(0, 3), now - 1.0);
     deployment.schedule_churn_event(&add(0, 3), f64::NAN);
+    // A latency that is not a finite number >= 0 would deliver a message
+    // before it was sent, or leave a barrier window no lookahead.
+    for latency in [-0.5, f64::NAN, f64::INFINITY] {
+        deployment.add_link(0, 3, LinkProps { latency, ..props });
+    }
+    assert_eq!(deployment.topology().num_links(), 5);
     deployment.run_to_fixpoint();
     assert_eq!(deployment.topology().num_links(), 5);
     assert_eq!(deployment.state_digest(), digest);
