@@ -23,10 +23,10 @@
 //!   [`Deployment::run_to_fixpoint`], the same call with no limit) is the one
 //!   way to advance time: protocol maintenance, churn deltas *and* in-flight
 //!   queries share one simulated clock (while its id table is non-empty the
-//!   query fabric listens as the engine's [`exspan_runtime::ExternalSink`]),
-//!   so query traffic overlaps ongoing maintenance exactly as Figures 9–12
-//!   of the paper intend.  A front-end — figures, tests, the benchmark,
-//!   `exspan-serve` — says only how far simulated time may go.
+//!   engine runs listening, and hands each query message back for the query
+//!   fabric), so query traffic overlaps ongoing maintenance exactly as
+//!   Figures 9–12 of the paper intend.  A front-end — figures, tests, the
+//!   benchmark, `exspan-serve` — says only how far simulated time may go.
 //!
 //! ```
 //! use exspan_core::{Exspan, ProvenanceMode, Repr, Traversal};
@@ -63,7 +63,7 @@ use exspan_bdd::BddStore;
 use exspan_ndlog::ast::Program;
 use exspan_ndlog::diag::{Diagnostic, Severity};
 use exspan_netsim::{ChurnEvent, LinkClass, LinkProps, Topology};
-use exspan_runtime::{Engine, EngineConfig, FixpointStats, ValueBddPolicy};
+use exspan_runtime::{Engine, EngineConfig, FixpointStats, ValueBddPolicy, MAX_STEPS};
 use exspan_store::{DiskBackend, StorageStats, WalOp};
 use exspan_types::fxhash::FxHashMap;
 use exspan_types::wire::BandwidthSeries;
@@ -875,22 +875,29 @@ impl Deployment {
     /// what is computed below that time is the engine's deterministic event
     /// order, whoever asks and however often.
     ///
-    /// While any query id is live the query fabric listens as the engine's
-    /// [`exspan_runtime::ExternalSink`], so query-protocol messages are
-    /// handled between maintenance deltas in global event order; with an
-    /// empty id table the engine is free to run its shards in parallel.
+    /// While any query id is live the engine runs listening: it stops at
+    /// each query-protocol message, in global event order, and the query
+    /// fabric handles it before the engine goes on.  With an empty id table
+    /// the engine is free to run its shards in parallel.  Either way, every
+    /// provenance change the run applied reaches the caching sessions before
+    /// it returns.
     ///
     /// A durable deployment commits what the run journaled — and any link
     /// change made since the last commit — as one WAL batch before
     /// returning; a run that journaled nothing commits nothing.
     pub fn run_until(&mut self, time: f64) -> FixpointStats {
-        let stats = if self.fabric.is_idle() {
-            self.engine.run_until(time, None)
-        } else {
-            self.engine.run_until(time, Some(&mut self.fabric))
+        let mut steps = 0;
+        let last = loop {
+            let (run, external) = self.engine.run_until(time, !self.fabric.is_idle());
+            steps += run.steps;
+            match external.filter(|_| steps < MAX_STEPS) {
+                Some(external) => self.fabric.on_external(&mut self.engine, &external),
+                None => break run,
+            }
         };
+        self.fabric.apply_vertex_changes(&mut self.engine);
         self.commit();
-        stats
+        FixpointStats { steps, ..last }
     }
 
     // ------------------------------------------------------------------

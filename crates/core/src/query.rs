@@ -25,8 +25,8 @@
 //! A message names one id and is acted on only if that id is in the state the
 //! message implies; anything else is dropped.  The table is empty exactly
 //! when no query is in progress, which is how
-//! [`crate::deployment::Deployment`] decides whether the fabric must listen
-//! to the engine at all.
+//! [`crate::deployment::Deployment`] decides whether the engine must run
+//! listening, handing each query message back to the fabric, at all.
 //!
 //! Ids are **derived**, as the paper derives them (`RQID = f_sha1(QID+RID)`),
 //! not drawn from a counter — an id is a function of the path from the
@@ -58,10 +58,11 @@
 //!   `ruleExec` row of its vertex, and so does every result computed from it.
 //!   Once a caching session exists the engine records those vertices
 //!   ([`Engine::record_vertex_changes`]); the fabric drains them before it
-//!   handles each query message, the only time it reads a cache, and walks
-//!   each one up the dependency edges registered when a parent dispatched a
-//!   child.  A vertex such a walk reaches while it is being computed
-//!   completes uncached.
+//!   handles each query message, the only time it reads a cache, and at the
+//!   end of every run, so a deployment that churns with no query in flight
+//!   holds no growing record.  It walks each one up the dependency edges
+//!   registered when a parent dispatched a child.  A vertex such a walk
+//!   reaches while it is being computed completes uncached.
 //! * **Traversal orders** (§6.2) — BFS explores all alternative derivations
 //!   at once; DFS explores them sequentially; DFS-with-threshold stops as
 //!   soon as the partial result satisfies the query's threshold; random
@@ -71,7 +72,7 @@
 
 use crate::repr::{Annotation, Repr, Representation};
 use crate::storage::{prov_rows, rule_exec_row, vertex_key};
-use exspan_runtime::{Engine, ExternalSink};
+use exspan_runtime::{Engine, External};
 use exspan_types::fxhash::FxHashMap;
 use exspan_types::sha1::Sha1;
 use exspan_types::wire::BandwidthSeries;
@@ -79,7 +80,7 @@ use exspan_types::{Digest, NodeId, RelId, Rid, Symbol, Tuple, Value, Vid};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Bucket width, in simulated seconds, of every session's bandwidth series.
 pub(crate) const SERIES_BUCKET_S: f64 = 0.1;
@@ -148,7 +149,8 @@ pub struct SessionStats {
     /// Number of cache misses (sub-queries actually executed).
     pub cache_misses: u64,
     /// Number of cached results dropped because the provenance graph beneath
-    /// them changed; counted when the next query message is handled.
+    /// them changed; counted before the next query message is handled, or at
+    /// the end of the run that made the change, whichever comes first.
     pub invalidations: u64,
 }
 
@@ -465,8 +467,8 @@ impl QueryFabric {
     }
 
     /// Whether no query is in progress: no id is travelling or waiting.  An
-    /// idle fabric need not listen to the engine, which frees the engine to
-    /// run its shards in parallel.
+    /// idle fabric need not be handed the engine's external tuples, which
+    /// frees the engine to run its shards in parallel.
     pub(crate) fn is_idle(&self) -> bool {
         self.ids.is_empty()
     }
@@ -549,10 +551,18 @@ impl QueryFabric {
         self.send(engine, sid, (issuer, target_node), &msg, None);
     }
 
-    /// Acts on one query-protocol message surfaced at `node`, if the id it
-    /// names is in the state the message implies.
-    fn on_message(&mut self, engine: &mut Engine, node: NodeId, msg: QueryMsg, time: f64) {
-        let id = msg.id();
+    /// Acts on one external tuple the engine handed back: a query-protocol
+    /// message, if the id it names is in the state the message implies.
+    /// Anything else is dropped.
+    pub(crate) fn on_external(&mut self, engine: &mut Engine, external: &External) {
+        let Some(msg) = QueryMsg::from_tuple(&external.tuple) else {
+            return;
+        };
+        // A message is the only time a cache is read while the engine
+        // advances: every provenance change applied so far reaches the
+        // caches first.
+        self.apply_vertex_changes(engine);
+        let (node, time, id) = (external.node, external.time, msg.id());
         let Some((sid, state)) = self.ids.remove(&id) else {
             return;
         };
@@ -803,6 +813,18 @@ impl QueryFabric {
         }
     }
 
+    /// Drops every cached result whose `prov`/`ruleExec` rows the engine
+    /// changed since the last call, in every caching session, and what was
+    /// computed from it.  Run before each query message and at the end of
+    /// every run, so the engine's record stays bounded by one run's changes.
+    pub(crate) fn apply_vertex_changes(&mut self, engine: &mut Engine) {
+        for vertex in engine.drain_vertex_changes() {
+            for session in self.sessions.iter_mut().filter(|s| s.caching) {
+                session.invalidate(vertex);
+            }
+        }
+    }
+
     /// Completes accepted query `index`; its root id left the table on the
     /// way here, so this happens once per query.
     fn deliver_final(&mut self, index: usize, ann: Annotation, time: f64) {
@@ -810,31 +832,6 @@ impl QueryFabric {
         outcome.completed_at = Some(time);
         outcome.annotation = Some(ann);
         self.incomplete -= 1;
-    }
-}
-
-/// The engine hands every surfaced external tuple to the fabric; whatever
-/// does not parse as a query-protocol message is dropped.
-impl ExternalSink for QueryFabric {
-    fn on_external(
-        &mut self,
-        engine: &mut Engine,
-        node: NodeId,
-        tuple: Arc<Tuple>,
-        time: f64,
-        _insert: bool,
-    ) {
-        if let Some(msg) = QueryMsg::from_tuple(&tuple) {
-            // A message is the only time a cache is read while the engine
-            // advances: every provenance change applied so far reaches the
-            // caches first.
-            for vertex in engine.drain_vertex_changes() {
-                for session in self.sessions.iter_mut().filter(|s| s.caching) {
-                    session.invalidate(vertex);
-                }
-            }
-            self.on_message(engine, node, msg, time);
-        }
     }
 }
 

@@ -10,7 +10,7 @@
 use exspan_core::{Deployment, Exspan, ProvExpr, ProvenanceMode, Repr};
 use exspan_ndlog::ast::Program;
 use exspan_ndlog::programs;
-use exspan_netsim::Topology;
+use exspan_netsim::{ChurnEvent, Topology};
 use exspan_types::{Tuple, Vid};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -175,6 +175,60 @@ fn cached_answers_after_link_deletion_identical_across_shard_counts() {
             .collect::<Vec<_>>()
     };
     assert_eq!(round(1), round(4));
+}
+
+#[test]
+fn a_run_whose_queries_end_before_its_churn_is_identical_across_shard_counts() {
+    // Every query completes early in the run and the churn goes on after
+    // it: the run steps while a query is in flight, and at several shards
+    // finishes in barrier windows once none is.
+    let run = |shards: usize| {
+        let mut deployment = deploy(&programs::mincost(), ProvenanceMode::Reference, shards);
+        deployment.run_to_fixpoint();
+        let start = deployment.now();
+        let targets: Vec<Tuple> = deployment
+            .tuples_everywhere_shared("bestPathCost")
+            .iter()
+            .filter(|t| t.location < 4)
+            .map(|t| (**t).clone())
+            .collect();
+        let handles: Vec<_> = targets
+            .iter()
+            .map(|t| {
+                let query = deployment.query(t).issuer(t.location + 5);
+                query.cached(true).at(start + 0.001).submit()
+            })
+            .collect();
+        let churn_at = start + 1.0;
+        for (i, (a, b)) in [(0u32, 1u32), (8, 9), (16, 17)].into_iter().enumerate() {
+            let props = *deployment.topology().link(a, b).expect("ring link");
+            let at = churn_at + i as f64;
+            let event = ChurnEvent {
+                time: at,
+                add: false,
+                a,
+                b,
+                props,
+            };
+            deployment.schedule_churn_event(&event, at);
+        }
+        let steps = deployment.run_until(churn_at + 10.0).steps;
+        let outcomes: Vec<_> = handles
+            .iter()
+            .map(|h| {
+                let outcome = deployment.outcome(*h).expect("own handle");
+                let done = outcome.completed_at.expect("completed");
+                assert!(done < churn_at, "completed at {done}, churn at {churn_at}");
+                (outcome.annotation.clone(), done)
+            })
+            .collect();
+        let digest = deployment.state_digest();
+        (digest, deployment.total_bytes(), outcomes, steps)
+    };
+    let oracle = run(1);
+    assert!(!oracle.2.is_empty());
+    assert_eq!(oracle, run(2), "2 shards");
+    assert_eq!(oracle, run(4), "4 shards");
 }
 
 #[test]

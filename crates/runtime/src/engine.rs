@@ -22,7 +22,7 @@
 //! simulated time — has two event loops and picks between them from what it
 //! can observe.
 //!
-//! With more than one shard, no [`ExternalSink`], at least one link and a
+//! With more than one shard, no listening caller, at least one link and a
 //! positive latency on every link, it runs the shards in *barrier windows*,
 //! shard 0 on the calling thread and each other shard on a thread of its
 //! own, with no coordinator.  Every shard publishes its earliest pending
@@ -39,19 +39,20 @@
 //! integral — which together make the sharded run *bit-identical* to the
 //! one-shard run, as the determinism tests assert.
 //!
-//! Otherwise — one shard, a sink listening, or a zero-latency link or no
+//! Otherwise — one shard, a caller listening, or a zero-latency link or no
 //! link at all, which leaves a window no lookahead — it steps through the
 //! events one at a time in global key order on the calling thread (at one
-//! shard simply the shard's own queue), handing each external tuple to the
-//! sink as it arrives.  A sink cannot be served from inside a barrier window:
-//! it reads tables and the clock *at the event*, and the window has by then
-//! applied later deltas of the same node.
+//! shard simply the shard's own queue), returning each external tuple to a
+//! listening caller as it arrives ([`External`]).  That cannot be done from
+//! inside a barrier window: the caller reads tables and the clock *at the
+//! event*, and the window has by then applied later deltas of the same node.
 
 use crate::shard::{RuleData, Shard};
 use crate::table::ProbeIter;
 use crate::value_policy::ValueBddPolicy;
 use exspan_bdd::Bdd;
 use exspan_ndlog::ast::{BodyItem, Program};
+use exspan_ndlog::is_event_predicate;
 use exspan_ndlog::plan::ProgramPlans;
 use exspan_netsim::{
     LinkClass, LinkProps, RoutedEvent, ShardView, Simulator, Topology, TrafficStats,
@@ -87,15 +88,13 @@ pub struct Payload {
 /// An event tuple that arrived for which the engine has no rules.  Higher
 /// layers (the provenance query protocol) handle these.
 #[derive(Debug)]
-pub(crate) struct External {
+pub struct External {
     /// Node at which the tuple arrived.
-    pub(crate) node: NodeId,
+    pub node: NodeId,
     /// The tuple itself (shared with the delta that carried it).
-    pub(crate) tuple: Arc<Tuple>,
+    pub tuple: Arc<Tuple>,
     /// Simulated arrival time.
-    pub(crate) time: f64,
-    /// Polarity of the delta.
-    pub(crate) insert: bool,
+    pub time: f64,
 }
 
 /// Statistics about a fixpoint computation.
@@ -105,39 +104,12 @@ pub struct FixpointStats {
     pub fixpoint_time: f64,
     /// Number of events processed.
     pub steps: u64,
-    /// Number of external (unhandled) tuples encountered: handed to the
-    /// sink when there is one, dropped otherwise.
-    pub external: u64,
 }
 
-/// Receives event tuples the engine has no rules for during a driven run.
-///
-/// This is the hook through which higher protocol layers — the distributed
-/// provenance *query* protocol of `exspan-core` — participate in the
-/// engine's single simulated clock: [`Engine::run_until`] calls
-/// the sink for every external tuple *in deterministic event order*, with the
-/// engine handed back mutably so the sink can reply (send tuples, schedule
-/// deltas) at the exact simulated time the event occurred.  Protocol
-/// maintenance deltas, churn deltas and query messages therefore interleave
-/// on one event queue instead of the query layer monopolizing the engine.
-pub trait ExternalSink {
-    /// Called for every surfaced external tuple.  `time` is the simulated
-    /// arrival time; `insert` is the delta's polarity.  The tuple is shared
-    /// with the delta that carried it (clone the `Arc` to retain it).
-    fn on_external(
-        &mut self,
-        engine: &mut Engine,
-        node: NodeId,
-        tuple: Arc<Tuple>,
-        time: f64,
-        insert: bool,
-    );
-}
-
-/// Runaway guard: the most events one `run_until` call processes.  The
-/// parallel loop checks it once per barrier window, so it may process
-/// slightly more.
-const MAX_STEPS: u64 = 200_000_000;
+/// Runaway guard: the most events one `run_until` call processes, or a
+/// caller re-entering it per external tuple.  The parallel loop checks it
+/// once per barrier window, so it may process slightly more.
+pub const MAX_STEPS: u64 = 200_000_000;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -505,12 +477,7 @@ impl Engine {
     pub fn schedule_delta(&mut self, time: f64, node: NodeId, tuple: Tuple, insert: bool) {
         let owner = self.owner(node);
         let tuple = Arc::new(tuple);
-        // A scheduled base insertion is numbered its variable when it is
-        // scheduled, and ships it to the row it lands in (a deletion takes
-        // the history of the row it removes); derived deltas never go
-        // through here.
-        let policy = self.shards[owner].policy.as_mut().filter(|_| insert);
-        let token = policy.map(|policy| policy.var_for(&tuple));
+        let token = self.entering_history(owner, &tuple, insert);
         self.shards[owner].sim.schedule_at(
             time,
             node,
@@ -520,6 +487,15 @@ impl Engine {
                 token,
             },
         );
+    }
+
+    /// The history a delta entering from outside ships under value-based
+    /// provenance: its base tuple's variable, numbered on first sight, for
+    /// an insertion or an event a rule hears.  A deletion takes its row's.
+    fn entering_history(&mut self, owner: usize, tuple: &Arc<Tuple>, insert: bool) -> Option<Bdd> {
+        let policy = self.shards[owner].policy.as_mut()?;
+        let fires = insert || is_event_predicate(tuple.relation.as_str());
+        (fires && !self.data.is_external(tuple.relation)).then(|| policy.var_for(tuple))
     }
 
     /// Sends a tuple from `from` to `to` on behalf of a higher layer (the
@@ -543,14 +519,16 @@ impl Engine {
                 extra_bytes,
             ) as u64;
         }
+        let tuple = Arc::new(tuple);
+        let token = self.entering_history(owner, &tuple, true);
         self.shards[owner].sim.send(
             from,
             to,
             bytes,
             Payload {
-                tuple: Arc::new(tuple),
+                tuple,
                 insert: true,
-                token: None,
+                token,
             },
         );
         self.flush_outboxes();
@@ -615,33 +593,37 @@ impl Engine {
         self.next_event().map(|(_, t)| t)
     }
 
-    /// Runs until the event queue is empty (global fixpoint).
+    /// Runs until the event queue is empty (global fixpoint), dropping
+    /// external tuples.
     pub fn run_to_fixpoint(&mut self) -> FixpointStats {
-        self.run_until(f64::INFINITY, None)
+        self.run_until(f64::INFINITY, false).0
     }
 
     /// Runs until the next event would occur after `time_limit` (or the
-    /// queues empty).
+    /// queues empty), or, when `listen`ing, until an external tuple — an
+    /// event tuple no rule handles — arrives.
     ///
-    /// External tuples — event tuples no rule handles — are handed to `sink`
-    /// in global deterministic event order, with the engine available for
-    /// replies, so higher protocol layers (the provenance query protocol)
-    /// advance on the *same* simulated clock as protocol maintenance and
-    /// churn.  Without a sink they are dropped and counted, and a
+    /// A listening run steps in global deterministic event order and hands
+    /// the external tuple back with the engine paused at its arrival: a
+    /// higher layer (the provenance query protocol) handles it and calls
+    /// again, so it advances on the *same* simulated clock as protocol
+    /// maintenance and churn.  Otherwise external tuples are dropped, and a
     /// multi-shard engine is free to use the parallel barrier loop; the
     /// result is bit-identical either way.
     pub fn run_until(
         &mut self,
         time_limit: f64,
-        mut sink: Option<&mut dyn ExternalSink>,
-    ) -> FixpointStats {
+        listen: bool,
+    ) -> (FixpointStats, Option<External>) {
         self.sync_topology();
         let steps_before: u64 = self.shards.iter().map(|s| s.processed).sum();
-        let ext_before: u64 = self.shards.iter().map(|s| s.externals_seen).sum();
+        let mut external = None;
         // A zero-latency link, or no link at all, leaves a barrier window no
-        // lookahead: step.
-        let lookahead = self.topology.min_link_latency().filter(|&l| l > 0.0);
-        if let Some(lookahead) = lookahead.filter(|_| self.shards.len() > 1 && sink.is_none()) {
+        // lookahead: step.  The lookahead walks every link, so it is only
+        // asked for when windows are possible.
+        let windows = self.shards.len() > 1 && !listen;
+        let lookahead = windows.then(|| self.topology.min_link_latency());
+        if let Some(lookahead) = lookahead.flatten().filter(|&l| l > 0.0) {
             // `next_event` delivers the in-flight cross-shard deltas; with
             // nothing due by the limit (an idle server's every loop turn) no
             // worker thread is spawned for the empty window.
@@ -650,7 +632,7 @@ impl Engine {
             }
         } else {
             let mut steps = 0u64;
-            while steps < MAX_STEPS {
+            while steps < MAX_STEPS && external.is_none() {
                 let Some((idx, t)) = self.next_event() else {
                     break;
                 };
@@ -658,22 +640,15 @@ impl Engine {
                     break;
                 }
                 steps += 1;
-                let external = self.shards[idx].step();
-                if let (Some(ext), Some(sink)) = (external, sink.as_deref_mut()) {
-                    sink.on_external(self, ext.node, ext.tuple, ext.time, ext.insert);
-                    // The sink held the engine mutably: pick up a topology
-                    // change before the next event routes.
-                    self.sync_topology();
-                }
+                external = self.shards[idx].step().filter(|_| listen);
             }
         }
         let steps_after: u64 = self.shards.iter().map(|s| s.processed).sum();
-        let ext_after: u64 = self.shards.iter().map(|s| s.externals_seen).sum();
-        FixpointStats {
+        let stats = FixpointStats {
             fixpoint_time: self.last_activity(),
             steps: steps_after - steps_before,
-            external: ext_after - ext_before,
-        }
+        };
+        (stats, external)
     }
 
     /// The barrier-windowed parallel event loop.  Shard 0 runs on the calling
@@ -961,6 +936,26 @@ mod tests {
         Engine::new(program, topology, config)
     }
 
+    /// Advances `engine` to `limit` as a deployment does: a listening run is
+    /// re-entered after each external tuple it hands back, which `handle`
+    /// is given first, with the engine.  Returns the runs' summed stats.
+    fn drive(
+        engine: &mut Engine,
+        limit: f64,
+        listen: bool,
+        mut handle: impl FnMut(&mut Engine, External),
+    ) -> FixpointStats {
+        let mut steps = 0;
+        loop {
+            let (stats, external) = engine.run_until(limit, listen);
+            steps += stats.steps;
+            match external {
+                Some(external) => handle(engine, external),
+                None => return FixpointStats { steps, ..stats },
+            }
+        }
+    }
+
     /// Inserts both directions of every link of the topology as base tuples
     /// (the paper assumes symmetric links).
     fn seed_links(engine: &mut Engine) {
@@ -1125,16 +1120,14 @@ mod tests {
 
     #[test]
     fn run_until_respects_time_limit() {
-        // One shard, or a sink, steps; two and four shards without one run
-        // barrier windows.
+        // One shard, or a listening caller, steps; two and four shards
+        // without one run barrier windows.
         for shards in [1, 2, 4] {
-            for with_sink in [false, true] {
+            for listen in [false, true] {
                 let topo = Topology::transit_stub(1, 5);
                 let mut engine = sharded(programs::mincost(), topo, shards);
                 seed_links(&mut engine);
-                let mut sink = Record(Vec::new());
-                let sink: Option<&mut dyn ExternalSink> = with_sink.then_some(&mut sink);
-                let stats = engine.run_until(0.01, sink);
+                let stats = drive(&mut engine, 0.01, listen, |_, _| {});
                 let clocks = engine.shards.iter().map(|s| s.sim.now());
                 assert!(clocks.fold(0.0, f64::max) <= 0.01, "{shards} shards");
                 assert!(stats.steps > 0);
@@ -1239,31 +1232,9 @@ mod tests {
     }
 
     #[test]
-    fn run_until_hands_externals_to_the_sink_in_step_order() {
-        /// Collects surfaced externals; replies once to the first one so the
-        /// reply's surfacing proves the sink can drive the engine re-entrantly.
-        struct Collect {
-            seen: Vec<(NodeId, Tuple, f64)>,
-            replied: bool,
-        }
-        impl ExternalSink for Collect {
-            fn on_external(
-                &mut self,
-                engine: &mut Engine,
-                node: NodeId,
-                tuple: Arc<Tuple>,
-                time: f64,
-                _insert: bool,
-            ) {
-                self.seen.push((node, (*tuple).clone(), time));
-                if !self.replied && tuple.relation == "eProvQuery" {
-                    self.replied = true;
-                    let reply = Tuple::new("eProvResults", (node + 1) % 4, vec![Value::Int(7)]);
-                    engine.send_tuple(node, (node + 1) % 4, reply, 0);
-                }
-            }
-        }
-
+    fn run_until_hands_externals_back_in_step_order() {
+        // The caller replies once, to the first query, so the reply's
+        // coming back proves the caller can drive the engine between runs.
         let run = |shards: usize| {
             let topo = Topology::paper_example();
             let mut engine = sharded(programs::mincost(), topo, shards);
@@ -1273,29 +1244,26 @@ mod tests {
                 let q = Tuple::new("eProvQuery", n, vec![Value::Int(n as i64)]);
                 engine.send_tuple(n, (n + 1) % 4, q, 0);
             }
-            let mut sink = Collect {
-                seen: Vec::new(),
-                replied: false,
-            };
-            let stats = engine.run_until(f64::INFINITY, Some(&mut sink));
-            (sink.seen, stats.external)
+            let mut seen = Vec::new();
+            let mut replied = false;
+            drive(&mut engine, f64::INFINITY, true, |engine, ext| {
+                seen.push((ext.node, (*ext.tuple).clone(), ext.time));
+                if !replied && ext.tuple.relation == "eProvQuery" {
+                    replied = true;
+                    let to = (ext.node + 1) % 4;
+                    let reply = Tuple::new("eProvResults", to, vec![Value::Int(7)]);
+                    engine.send_tuple(ext.node, to, reply, 0);
+                }
+            });
+            seen
         };
-        let (seq, externals) = run(1);
-        // All four queries plus the sink's reply were surfaced (not dropped).
-        assert_eq!(externals, 5);
+        let seq = run(1);
+        // All four queries plus the reply were handed back (not dropped).
         assert_eq!(seq.len(), 5);
         assert!(seq.iter().any(|(_, t, _)| t.relation == "eProvResults"));
         // And the stepping loop is shard-count independent.
-        assert_eq!(seq, run(3).0);
-        assert_eq!(seq, run(4).0);
-    }
-
-    /// Records the arrival time of every external it is handed.
-    struct Record(Vec<f64>);
-    impl ExternalSink for Record {
-        fn on_external(&mut self, _: &mut Engine, _: NodeId, _: Arc<Tuple>, t: f64, _: bool) {
-            self.0.push(t);
-        }
+        assert_eq!(seq, run(3));
+        assert_eq!(seq, run(4));
     }
 
     /// Externals beside route maintenance and forwarded packets: probes
@@ -1317,30 +1285,35 @@ mod tests {
     }
 
     #[test]
-    fn both_loops_agree_with_and_without_a_sink() {
-        // Several shards without a sink run barrier windows; one shard, or a
-        // sink, steps.
-        let run = |shards: usize, with_sink: bool| {
+    fn both_loops_agree_listening_or_not() {
+        // Several shards not listening run barrier windows; one shard, or a
+        // listening caller, steps.
+        let run = |shards: usize, listen: bool| {
             let mut engine = probes_and_packets(shards);
-            let mut sink = Record(Vec::new());
+            let mut handed = Vec::new();
             let mut advance = |engine: &mut Engine, limit: f64| {
-                let sink: Option<&mut dyn ExternalSink> = with_sink.then_some(&mut sink);
-                engine.run_until(limit, sink)
+                let before = handed.len();
+                let stats = drive(engine, limit, listen, |_, ext| handed.push(ext.time));
+                (stats, handed.len() - before)
             };
-            let at_limit = advance(&mut engine, 0.0065);
+            let (at_limit, at_limit_handed) = advance(&mut engine, 0.0065);
             // Nothing is due by the same limit a second time, and events
             // remain queued: the empty window spawns no worker threads.
-            let idle = advance(&mut engine, 0.0065);
-            assert_eq!((idle.steps, idle.external), (0, 0));
+            let (idle, idle_handed) = advance(&mut engine, 0.0065);
+            assert_eq!((idle.steps, idle_handed), (0, 0));
             assert_eq!(idle.fixpoint_time, at_limit.fixpoint_time);
             let next = engine.peek_time();
             let queued: usize = engine.shards.iter().map(|s| s.sim.pending()).sum();
-            let rest = advance(&mut engine, f64::INFINITY);
+            let (rest, rest_handed) = advance(&mut engine, f64::INFINITY);
             assert_eq!(engine.peek_time(), None);
-            assert_eq!(advance(&mut engine, f64::INFINITY).steps, 0, "drained");
-            if with_sink {
-                assert_eq!(sink.0.len() as u64, at_limit.external + rest.external);
-                assert!(sink.0.windows(2).all(|w| w[0] <= w[1]), "{:?}", sink.0);
+            assert_eq!(advance(&mut engine, f64::INFINITY).0.steps, 0, "drained");
+            if listen {
+                let sides = (at_limit_handed, rest_handed);
+                assert!(sides.0 > 0 && sides.1 > 0, "externals on both sides");
+                assert_eq!(sides.0 + sides.1, 8);
+                assert!(handed.windows(2).all(|w| w[0] <= w[1]), "{handed:?}");
+            } else {
+                assert_eq!((at_limit_handed, rest_handed), (0, 0), "dropped");
             }
             let bytes = engine.stats().total_bytes();
             let received = engine.tuples_everywhere_shared("recvPacket").len();
@@ -1348,44 +1321,56 @@ mod tests {
             (at_limit, next, queued, rest, bytes, received, digest)
         };
         let reference = run(1, false);
-        let (at_limit, next, queued, rest, _, received, _) = reference;
-        assert!(
-            at_limit.external > 0 && rest.external > 0,
-            "externals on both sides"
-        );
-        assert_eq!(at_limit.external + rest.external, 8);
+        let (_, next, queued, _, _, received, _) = reference;
         assert!(next.is_some() && queued > 0, "the limit must cut the run");
         assert_eq!(received, 4, "every packet delivered");
-        assert_eq!(reference, run(1, true), "1 shard, sink");
+        assert_eq!(reference, run(1, true), "1 shard, listening");
         for shards in [2, 3, 4] {
             assert_eq!(reference, run(shards, false), "{shards} shards, windows");
-            assert_eq!(reference, run(shards, true), "{shards} shards, sink");
+            assert_eq!(reference, run(shards, true), "{shards} shards, listening");
         }
     }
 
     #[test]
     fn alternating_loops_hand_each_other_their_events() {
-        // Successive runs alternate a sink (stepping) and none (barrier
+        // Successive runs alternate listening (stepping) and not (barrier
         // windows at several shards): what one loop leaves queued or in
         // flight, the next must pick up.
-        let run = |shards: usize| {
+        let limits = [0.001, 0.0025, 0.0065, 0.01, 0.02, 0.049, 0.0505, 0.06];
+        let run = |shards: usize, listen: fn(usize) -> bool| {
             let mut engine = probes_and_packets(shards);
-            let mut sink = Record(Vec::new());
-            let limits = [0.001, 0.0025, 0.0065, 0.01, 0.02, 0.049, 0.0505, 0.06];
-            let mut externals = 0;
+            let mut handed = Vec::new();
             for (i, limit) in limits.into_iter().chain([f64::INFINITY]).enumerate() {
-                let sink: Option<&mut dyn ExternalSink> = (i % 2 == 0).then_some(&mut sink);
-                externals += engine.run_until(limit, sink).external;
+                drive(&mut engine, limit, listen(i), |_, ext| {
+                    handed.push(ext.time);
+                });
             }
             assert_eq!(engine.peek_time(), None);
             let bytes = engine.stats().total_bytes();
             let received = engine.tuples_everywhere_shared("recvPacket").len();
-            (sink.0, externals, bytes, received, engine.state_digest())
+            (handed, bytes, received, engine.state_digest())
         };
-        let reference = run(1);
-        assert_eq!(reference.1, 8, "every external surfaced");
-        assert!(!reference.0.is_empty(), "the sink was handed some");
-        assert_eq!(reference.3, 4, "every packet delivered");
-        assert_eq!(reference, run(3), "3 shards");
+        let every = run(1, |_| true);
+        assert_eq!(every.0.len(), 8, "every external handed back");
+        assert_eq!(every.2, 4, "every packet delivered");
+        let reference = run(1, |i| i % 2 == 0);
+        // Each listening run hands back exactly the externals due in its
+        // window; the others drop theirs.
+        let window = |t: f64| limits.iter().position(|&l| t <= l).unwrap_or(limits.len());
+        let due: Vec<f64> = every
+            .0
+            .iter()
+            .copied()
+            .filter(|&t| window(t) % 2 == 0)
+            .collect();
+        assert!(!due.is_empty(), "the listening runs were handed some");
+        assert_eq!(reference.0, due);
+        let state = |r: &(Vec<f64>, u64, usize, Digest)| (r.1, r.2, r.3);
+        assert_eq!(
+            state(&reference),
+            state(&every),
+            "listening changes nothing"
+        );
+        assert_eq!(reference, run(3, |i| i % 2 == 0), "3 shards");
     }
 }

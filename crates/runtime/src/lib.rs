@@ -19,10 +19,11 @@
 //!   value-based provenance or keeps a journal for a durable store, which the
 //!   engine's owner commits: the engine does no I/O).
 //!   [`engine::Engine::run_until`] is the one way to advance simulated time:
-//!   all a caller says is how far.  It has two event loops — deterministic
-//!   barrier windows, one thread per shard, and a stepping loop in global
-//!   event order for one shard or while an [`engine::ExternalSink`] is
-//!   listening — with bit-identical results.
+//!   all a caller says is how far, and whether it listens for external
+//!   tuples.  It has two event loops — deterministic barrier windows, one
+//!   thread per shard, and a stepping loop in global event order for one
+//!   shard or a listening caller, which it hands each external tuple back
+//!   to as it arrives — with bit-identical results.
 //! * [`value_policy`] — *value-based* provenance (paper §3: every
 //!   transmitted tuple carries its BDD-condensed derivation history), which
 //!   the shard maintains on every base change, rule firing and send of an
@@ -30,8 +31,8 @@
 //!   engine's one shard owns the policy and the policy its BDD store.
 //!
 //! The engine deliberately exposes low-level access (per-node tables, raw
-//! message injection, an [`engine::ExternalSink`] that receives unknown event
-//! tuples) so that the provenance query protocol of `exspan-core` can be
+//! message injection, a run that hands back the event tuples no rule
+//! handles) so that the provenance query protocol of `exspan-core` can be
 //! layered on top as plain message traffic.
 
 pub mod engine;
@@ -39,6 +40,6 @@ pub mod shard;
 pub mod table;
 pub mod value_policy;
 
-pub use engine::{Engine, EngineConfig, ExternalSink, FixpointStats, Payload};
+pub use engine::{Engine, EngineConfig, External, FixpointStats, Payload, MAX_STEPS};
 pub use table::{DeleteEffect, InsertEffect, Table};
 pub use value_policy::ValueBddPolicy;

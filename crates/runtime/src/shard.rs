@@ -125,6 +125,14 @@ pub(crate) struct RuleData {
     pub provenance_relations: [RelId; 2],
 }
 
+impl RuleData {
+    /// Whether tuples of `relation` have no handler inside the engine: event
+    /// predicates that trigger no rule are surfaced to the caller.
+    pub(crate) fn is_external(&self, relation: RelId) -> bool {
+        is_event_predicate(relation.as_str()) && !self.triggers.contains_key(&relation)
+    }
+}
+
 /// What one aggregate group last dispatched: its output and, under aggregate
 /// provenance, the `prov`/`ruleExec` pair installed with it.  The group
 /// retracts exactly these when its output changes, whether or not they have
@@ -154,7 +162,6 @@ pub(crate) struct Shard {
     /// engine's recovery path).
     pub(crate) groups: FxHashMap<(NodeId, RelId), AggGroups>,
     pub(crate) last_delta_time: f64,
-    pub(crate) externals_seen: u64,
     pub(crate) processed: u64,
     /// Count of evaluation errors that are statically impossible for
     /// analyzer-accepted programs (unbound variables, unknown functions).
@@ -194,7 +201,6 @@ impl Shard {
             policy: None,
             groups: FxHashMap::default(),
             last_delta_time: 0.0,
-            externals_seen: 0,
             processed: 0,
             eval_errors: std::cell::Cell::new(0),
             compressed_bytes: 0,
@@ -220,24 +226,12 @@ impl Shard {
             self.handle_aggregate_recompute(node, &tuple);
             return None;
         }
-        if self.is_external(tuple.relation) {
-            self.externals_seen += 1;
-            return Some(External {
-                node,
-                tuple,
-                time,
-                insert,
-            });
+        if self.data.is_external(tuple.relation) {
+            return Some(External { node, tuple, time });
         }
         self.last_delta_time = time;
         self.process_delta(node, tuple, insert, token);
         None
-    }
-
-    /// Whether tuples of `relation` have no handler inside the engine: event
-    /// predicates that trigger no rule are surfaced to the caller.
-    fn is_external(&self, relation: RelId) -> bool {
-        is_event_predicate(relation.as_str()) && !self.data.triggers.contains_key(&relation)
     }
 
     // ------------------------------------------------------------------
@@ -246,12 +240,10 @@ impl Shard {
 
     fn process_delta(&mut self, node: NodeId, tuple: Arc<Tuple>, insert: bool, token: Option<Bdd>) {
         let is_event = is_event_predicate(tuple.relation.as_str());
-        // The history the rules this delta triggers conjoin: an insertion's
-        // or an event's is what it shipped, a deletion's what its row held.
-        let mut annotation = match insert || is_event {
-            true => self.shipped(&tuple, token),
-            false => Bdd::FALSE,
-        };
+        // The history the rules this delta triggers conjoin: what it shipped
+        // (the engine numbers a base tuple's variable where it enters), or a
+        // deletion's row's, read below.
+        let mut annotation = token.unwrap_or(Bdd::FALSE);
         let mut fire = true;
         let mut replaced = None;
         if !is_event {
@@ -296,17 +288,6 @@ impl Shard {
                 self.fire_rules(node, &old, old_annotation, false);
             }
             self.fire_rules(node, &tuple, annotation, insert);
-        }
-    }
-
-    /// The history a delta for `tuple` shipped under value-based provenance
-    /// ([`Bdd::FALSE`] without it).  One that shipped none — sent by a
-    /// higher layer, never scheduled as a base change — is taken for a base
-    /// tuple.
-    fn shipped(&mut self, tuple: &Arc<Tuple>, token: Option<Bdd>) -> Bdd {
-        match (&mut self.policy, token) {
-            (Some(policy), None) => policy.var_for(tuple),
-            (_, token) => token.unwrap_or(Bdd::FALSE),
         }
     }
 

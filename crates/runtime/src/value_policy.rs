@@ -12,10 +12,11 @@
 //!
 //! This policy owns the BDD store the annotations are handles into, with no
 //! lock: an [`exspan_bdd::KeyedBddStore`] keyed by tuple, the shape a
-//! condensed query session owns too.  It numbers each base tuple's variable
-//! when the tuple is first scheduled ([`crate::Engine::schedule_delta`]),
-//! taking its VID then, once, for the trust callbacks of
-//! [`ValueBddPolicy::derivable_under`].  It sees
+//! condensed query session owns too.  The engine numbers each base tuple's
+//! variable where the tuple first enters it — scheduled
+//! ([`crate::Engine::schedule_delta`]) or sent by a higher layer
+//! ([`crate::Engine::send_tuple`]) — taking its VID then, once, for the
+//! trust callbacks of [`ValueBddPolicy::derivable_under`].  It sees
 //! every base change and rule firing in event order, so an engine built with
 //! one ([`crate::Engine::with_parts`]) runs one shard, which owns it.
 //!

@@ -15,7 +15,9 @@
 //! UTF-8.  [`Value`]s — the attribute values of a submitted query's target
 //! tuple — travel in the canonical encoding of [`exspan_types::codec`], the
 //! same bytes that name the tuple in a provenance VID and persist it in the
-//! store; frames are decoded with that module's bounds-checked `Reader`.
+//! store; frames are decoded with that module's bounds-checked `Reader`.  A
+//! string value is looked up, never interned: one that no stored tuple could
+//! hold makes the frame malformed.
 //!
 //! Frame types (client → server requests carry a `request_id` echoed in the
 //! response so a session can pipeline):
@@ -621,7 +623,7 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame, WireError> {
             let count = r.count(count)?;
             let mut values = Vec::with_capacity(count);
             for _ in 0..count {
-                values.push(codec::decode_value(&mut r)?);
+                values.push(codec::decode_known_value(&mut r)?);
             }
             Frame::SubmitQuery {
                 request,

@@ -5,8 +5,9 @@
 //! connection that stays open — plus chunked result streaming past
 //! [`MAX_FRAME_LEN`], pipelined out-of-order completion, slow-reader
 //! write-queue overflow, canonical values on the wire, unknown relation
-//! names refused without interning them, simulated time advancing with no
-//! client attached, and a reactor holding ten thousand idle sessions.
+//! names and string values refused without interning them, simulated time
+//! advancing with no client attached, and a reactor holding ten thousand
+//! idle sessions.
 
 use exspan_core::{Deployment, Exspan, ProvenanceMode, Repr, Traversal};
 use exspan_netsim::{ChurnEvent, LinkClass, LinkProps, Topology};
@@ -14,7 +15,8 @@ use exspan_serve::proto::{
     self, ErrorCode, Frame, FrameRead, QuerySpec, QueryState, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use exspan_serve::{Response, ResultAssembler, ServeClient, ServeConfig, Server, ServerHandle};
-use exspan_types::{Symbol, Tuple, Value};
+use exspan_types::value::encode_str_for_hash;
+use exspan_types::{codec, Symbol, Tuple, Value};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -621,8 +623,8 @@ fn submitted_values_travel_in_the_canonical_form() {
 
 #[test]
 fn an_unknown_relation_is_malformed_and_never_interned() {
-    // A relation name is client input: the server looks it up and does not
-    // intern it, since an interned name is never freed.
+    // A relation name or a string value is client input: the server looks
+    // it up and does not intern it, since an interned string is never freed.
     let server = boot(ServeConfig::default().clock_rate(1000.0));
     let mut client = ServeClient::connect(server.addr()).expect("handshake");
     let err = client
@@ -632,6 +634,26 @@ fn an_unknown_relation_is_malformed_and_never_interned() {
         })
         .expect_err("no program defines the relation");
     assert_eq!(err.code(), Some(ErrorCode::Malformed));
+    // A string value no tuple holds, its bytes built without interning it:
+    // this process is the server's.
+    let fresh = "a string value no tuple holds";
+    let spec = QuerySpec {
+        values: vec![],
+        ..bestpath_spec()
+    };
+    let frame = proto::encode_frame(&Frame::SubmitQuery { request: 1, spec });
+    let mut body = frame.expect("encodes").split_off(4);
+    body.truncate(body.len() - 2); // the zero value count
+    body.extend_from_slice(&2u16.to_be_bytes());
+    codec::encode_value(&Value::Node(2), &mut body);
+    encode_str_for_hash(fresh, &mut body);
+    let mut stream = raw_connect(&server);
+    hello(&mut stream);
+    stream
+        .write_all(&(body.len() as u32).to_be_bytes())
+        .unwrap();
+    stream.write_all(&body).unwrap();
+    expect_error(&mut stream, ErrorCode::Malformed);
     // The session stays usable.
     let query = client.submit(bestpath_spec()).expect("admitted");
     let status = client
@@ -642,6 +664,7 @@ fn an_unknown_relation_is_malformed_and_never_interned() {
     client.bye().expect("clean goodbye");
     assert_eq!(server.shutdown().outcomes().len(), 1);
     assert_eq!(Symbol::get("noSuchRelation"), None);
+    assert_eq!(Symbol::get(fresh), None);
 }
 
 #[test]

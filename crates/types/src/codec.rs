@@ -25,6 +25,7 @@
 //! hostile input.  LEB128 varints ([`put_varint`], [`Reader::varint`],
 //! [`varint_len`]) serve that byte codec and the compressed size models.
 
+use crate::symbol::Symbol;
 use crate::tuple::Tuple;
 use crate::value::{encode_str_for_hash, Value};
 
@@ -32,6 +33,9 @@ use crate::value::{encode_str_for_hash, Value};
 /// in this workspace produces.  Bounds recursion, so a hostile or bit-rotted
 /// input fails with a [`DecodeError`] instead of exhausting the stack.
 pub const MAX_LIST_DEPTH: usize = 8;
+
+/// How a decoder turns a string into its symbol.
+type Lookup = fn(&str) -> Option<Symbol>;
 
 /// A decode failure: the offset it occurred at plus a static reason.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,16 +211,26 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
     v.encode_for_hash(out);
 }
 
-/// Decodes one [`Value`], re-interning string symbols.
+/// Decodes one [`Value`], re-interning string symbols (as recovery in a
+/// fresh process must).
 pub fn decode_value(r: &mut Reader<'_>) -> Result<Value, DecodeError> {
-    decode_value_at(r, 0)
+    decode_value_at(r, 0, |s| Some(Symbol::intern(s)))
 }
 
-fn decode_value_at(r: &mut Reader<'_>, depth: usize) -> Result<Value, DecodeError> {
+/// Decodes one [`Value`] of client input, whose strings are looked up and
+/// never interned (an interned string is never freed): a string no symbol
+/// holds, which no stored tuple can hold either, is an error.
+pub fn decode_known_value(r: &mut Reader<'_>) -> Result<Value, DecodeError> {
+    decode_value_at(r, 0, Symbol::get)
+}
+
+fn decode_value_at(r: &mut Reader<'_>, depth: usize, symbol: Lookup) -> Result<Value, DecodeError> {
     match r.u8()? {
         0x01 => Ok(Value::Node(r.u32()?)),
         0x02 => Ok(Value::Int(r.i64()?)),
-        0x03 => Ok(Value::from(r.str_body()?)),
+        0x03 => symbol(r.str_body()?)
+            .map(Value::Str)
+            .ok_or(r.error("unknown string")),
         0x04 => match r.u8()? {
             0 => Ok(Value::Bool(false)),
             1 => Ok(Value::Bool(true)),
@@ -230,7 +244,7 @@ fn decode_value_at(r: &mut Reader<'_>, depth: usize) -> Result<Value, DecodeErro
             let count = r.count(count)?;
             let mut items = Vec::with_capacity(count);
             for _ in 0..count {
-                items.push(decode_value_at(r, depth + 1)?);
+                items.push(decode_value_at(r, depth + 1, symbol)?);
             }
             Ok(Value::list(items))
         }

@@ -7,7 +7,9 @@
 //! * a negative entry, cached while its tuple was absent, when the tuple
 //!   returns;
 //! * an entry beside which a new link adds a second derivation;
-//! * an entry computed by a query in flight while a link it uses goes.
+//! * an entry computed by a query in flight while a link it uses goes;
+//! * an entry beneath which the graph changes with no query message after
+//!   the change, which used to be the only time the cache heard of it.
 
 use exspan::core::{Deployment, Repr};
 use exspan::netsim::{ChurnEvent, LinkProps, Topology};
@@ -98,4 +100,20 @@ fn a_query_in_flight_when_a_link_goes_caches_no_derivation_of_it() {
         let answers = cached_then_uncached(&mut d, &target);
         assert_eq!(answers, [Some(1), Some(1)], "deletion at +{offset} s");
     }
+}
+
+#[test]
+fn a_change_reaches_the_cache_by_the_end_of_its_run() {
+    let mut d = setup::mincost_reference(Topology::paper_example(), 1);
+    let target = tuple("bestPathCost", A, C, 5);
+    let query = d.query(&target).repr(Repr::Polynomial).cached(true);
+    let handle = query.submit();
+    d.run_to_fixpoint();
+    assert!(d.outcome(handle).expect("submitted").is_complete());
+    let warm = d.session(handle).cache_entries();
+    // a-b carries one of the target's two derivations; no query follows.
+    cut(&mut d, A, B);
+    let session = d.session(handle);
+    assert!(session.cache_entries() < warm, "{warm} entries before");
+    assert!(session.stats().invalidations > 0);
 }
