@@ -17,20 +17,20 @@
 //!   handle, a bounded, epoch-cleared apply memo and an epoch-stamped mark
 //!   vector for the node walk, all hashed by [`exspan_types::fxhash`].  Its
 //!   owner applies without a lock.
-//! * [`KeyedBddStore`] is a store plus the numbering of base tuples as its
-//!   variables, in first-seen order, and each variable's VID.  It is the
-//!   one shape both users own: the engine's value-based provenance (keyed by
-//!   tuple) and each condensed (BDD) query session (keyed by VID), whose
-//!   store lives and dies with its deployment.
-//! * [`SharedBddStore`] puts a store behind an `Arc<Mutex<_>>`, and
-//!   [`BddManager`] is a handle onto one.  The pair is kept only for the
-//!   end-to-end benchmark's BDD probe.
+//! * [`Variables`] numbers base tuples as variables, in first-seen order,
+//!   with each variable's VID.  A value-mode engine owns one numbering (keyed
+//!   by tuple) and a store per shard; each condensed (BDD) query session
+//!   owns a numbering (keyed by VID) and a store, which live and die with
+//!   its deployment.
+//! * [`BddManager`] puts a store behind an `Arc<Mutex<_>>`, its clones
+//!   handles onto it ([`SharedBddStore`] is the same type).  It is kept only
+//!   for the end-to-end benchmark's BDD probe.
 //! * [`Bdd`] is a `u32` handle, meaningful in the store that made it.  Equal
 //!   handles of one store are equal functions; no size, count or
 //!   evaluation reads a handle's value, so none depends on the order in
 //!   which nodes were made.
-//! * Boolean connectives are [`BddStore::and`], [`BddStore::or`] and
-//!   [`BddStore::not`] (negation shares the apply memo), plus variable
+//! * The connectives are [`BddStore::and`] and [`BddStore::or`]
+//!   (provenance is monotone: nothing negates a history), plus variable
 //!   creation, evaluation, [`BddStore::support`] and
 //!   [`BddStore::sat_count`].
 //! * [`BddStore::serialized_size`] estimates the number of bytes required
@@ -40,12 +40,27 @@
 //!   send in value mode, so its walk allocates nothing once the store's mark
 //!   vector has grown.  [`BddStore::compressed_serialized_size`] is the
 //!   varint-encoded counterpart used by the opt-in compressed accounting
-//!   mode (Figure 18).
+//!   mode (Figure 18): the length of the canonical encoding
+//!   [`BddStore::encode`] writes and [`BddStore::decode`] reads, in which a
+//!   value-mode history crosses from one shard's store to another's.  Its
+//!   variable ids are written as they are: in a store whose variables are
+//!   numbered alike, [`BddStore::decode`] rebuilds the same function.
+//!
+//! # Memory
+//!
+//! The apply memo is bounded at [`MEMO_CAPACITY`] entries and
+//! epoch-cleared when full (the classic computed-table policy), so a
+//! long-lived store does not grow its memo without bound.  Nodes are
+//! permanent — repeating a workload allocates nothing new, which is what
+//! keeps long churn runs at steady-state memory.  The node walks mark the
+//! nodes they reached with a per-walk epoch in a vector indexed by handle,
+//! so charging or encoding a send allocates nothing once the vector has
+//! grown.
 
 mod manager;
 
 pub use manager::{
-    Bdd, BddManager, BddStore, KeyedBddStore, MemoStats, SharedBddStore, VarId, MEMO_CAPACITY,
+    Bdd, BddManager, BddStore, MemoStats, SharedBddStore, VarId, Variables, MEMO_CAPACITY,
 };
 
 #[cfg(test)]

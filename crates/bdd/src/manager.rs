@@ -1,31 +1,7 @@
-//! Hash-consed reduced ordered BDDs in an arena-indexed node store.
-//!
-//! A [`BddStore`] keeps its nodes in a `Vec`: a [`Bdd`] handle is the
-//! node's index (the terminals are 0 and 1), and a unique table maps each
-//! internal node's shape to its handle, so equal handles of one store mean
-//! equal boolean functions.  Handles are dense per store and say nothing
-//! about content: two stores number the same function differently, and
-//! nothing that leaves a store — a size, a count, an evaluation — reads a
-//! handle's value.
-//!
-//! A store is owned: whoever holds it applies without a lock.  Both BDD
-//! users own theirs as a [`KeyedBddStore`], which numbers base tuples as
-//! variables: the engine's value-based provenance, and each condensed
-//! (BDD) query session, whose store is dropped with its deployment.
-//! [`SharedBddStore`] and [`BddManager`] are a locked shim that only the
-//! end-to-end benchmark's BDD probe still uses.
-//!
-//! # Memory
-//!
-//! The apply memo is bounded at [`MEMO_CAPACITY`] entries and
-//! epoch-cleared when full (the classic computed-table policy), so a
-//! long-lived store does not grow its memo without bound.  Nodes are
-//! permanent — repeating a workload allocates nothing new, which is what
-//! keeps long churn runs at steady-state memory.  The size walk marks the
-//! nodes it reached with a per-walk epoch in a vector indexed by handle, so
-//! charging a send allocates nothing once the vector has grown.
+//! The node store, its handles, its canonical encoding and the numbering
+//! of its variables; the crate docs describe them.
 
-use exspan_types::codec::varint_len;
+use exspan_types::codec::{put_varint, varint_len, Reader};
 use exspan_types::fxhash::FxHashMap;
 use exspan_types::Vid;
 use std::hash::Hash;
@@ -77,16 +53,14 @@ struct Node {
 enum Op {
     And,
     Or,
-    /// Negation, memoized under the key `(Not, a, a)`.
-    Not,
 }
 
 /// Counters of a store's bounded memo.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Apply/negation results answered from the memo.
+    /// Apply results answered from the memo.
     pub hits: u64,
-    /// Apply/negation recursions that had to compute.
+    /// Apply recursions that had to compute.
     pub misses: u64,
     /// Times the memos were epoch-cleared after reaching [`MEMO_CAPACITY`].
     pub clears: u64,
@@ -119,7 +93,10 @@ pub struct BddStore {
     /// (grown on demand), and the current walk's epoch.
     marks: Vec<u32>,
     epoch: u32,
-    /// The walk's stack, kept between walks.
+    /// Each node's position in the encoding being written, by slot (valid
+    /// where `marks` holds the current epoch; grown by encodings only).
+    positions: Vec<u32>,
+    /// The walk's stack, kept between walks (and a decoder's node list).
     stack: Vec<Bdd>,
 }
 
@@ -161,11 +138,6 @@ impl BddStore {
         })
     }
 
-    fn clear_memos(&mut self) {
-        self.apply_memo.clear();
-        self.clears += 1;
-    }
-
     /// Returns the BDD for a single positive variable literal.
     pub fn var(&mut self, v: VarId) -> Bdd {
         self.mk_node(v, Bdd::FALSE, Bdd::TRUE)
@@ -181,28 +153,10 @@ impl BddStore {
         self.apply(Op::Or, a, b)
     }
 
-    /// Negation of a BDD.
-    pub fn not(&mut self, a: Bdd) -> Bdd {
-        if a.is_terminal() {
-            return Bdd(1 - a.0);
-        }
-        let key = (Op::Not, a, a);
-        if let Some(&r) = self.apply_memo.get(&key) {
-            self.hits += 1;
-            return r;
-        }
-        self.misses += 1;
-        let n = self.node(a);
-        let low = self.not(n.low);
-        let high = self.not(n.high);
-        let r = self.mk_node(n.var, low, high);
-        self.memoize(key, r);
-        r
-    }
-
     fn memoize(&mut self, key: (Op, Bdd, Bdd), r: Bdd) {
         if self.apply_memo.len() >= MEMO_CAPACITY {
-            self.clear_memos();
+            self.apply_memo.clear();
+            self.clears += 1;
         }
         self.apply_memo.insert(key, r);
     }
@@ -212,7 +166,6 @@ impl BddStore {
         let (zero, one) = match op {
             Op::And => (Bdd::FALSE, Bdd::TRUE),
             Op::Or => (Bdd::TRUE, Bdd::FALSE),
-            Op::Not => unreachable!("negation is not a binary apply"),
         };
         if a == zero || b == zero {
             return zero;
@@ -307,9 +260,8 @@ impl BddStore {
         vars
     }
 
-    /// Visits each internal node reachable from `b` once, marking it with
-    /// this walk's epoch.
-    fn walk(&mut self, b: Bdd, mut visit: impl FnMut(&Node)) {
+    /// Starts a walk: grows the marks to the arena and takes a fresh epoch.
+    fn begin_walk(&mut self) {
         self.marks.resize(self.nodes.len(), 0);
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -317,9 +269,19 @@ impl BddStore {
             self.marks.fill(0);
             self.epoch = 1;
         }
+    }
+
+    fn marked(&self, b: Bdd) -> bool {
+        self.marks[b.slot()] == self.epoch
+    }
+
+    /// Visits each internal node reachable from `b` once, marking it with
+    /// this walk's epoch.
+    fn walk(&mut self, b: Bdd, mut visit: impl FnMut(&Node)) {
+        self.begin_walk();
         self.stack.push(b);
         while let Some(cur) = self.stack.pop() {
-            if cur.is_terminal() || self.marks[cur.slot()] == self.epoch {
+            if cur.is_terminal() || self.marked(cur) {
                 continue;
             }
             self.marks[cur.slot()] = self.epoch;
@@ -329,41 +291,84 @@ impl BddStore {
         }
     }
 
-    /// Varint-serialized size: nodes are numbered 0..n in a deterministic
-    /// structural postorder (low child first), references are varints (0/1
-    /// for terminals, local index + 2 otherwise), each node costs
-    /// `varint(var) + varint(low ref) + varint(high ref)`, and the root
-    /// reference closes the encoding.
-    fn compressed_size_walk(&self, b: Bdd, local: &mut FxHashMap<Bdd, u64>, size: &mut usize) {
-        if b.is_terminal() || local.contains_key(&b) {
-            return;
-        }
-        let n = self.node(b);
-        self.compressed_size_walk(n.low, local, size);
-        self.compressed_size_walk(n.high, local, size);
-        let child_ref = |x: Bdd| match x.is_terminal() {
+    /// Hands `emit` the integers of `b`'s canonical encoding, in order: the
+    /// nodes reachable from `b` in structural postorder (low child first),
+    /// each as its variable and two child references, then the root's
+    /// reference.  A reference is 0 or 1 for a terminal and a node's
+    /// position + 2 otherwise, so a terminal function is its reference alone.
+    fn postorder(&mut self, b: Bdd, mut emit: impl FnMut(u64)) {
+        self.begin_walk();
+        self.positions.resize(self.nodes.len(), 0);
+        let reference = |s: &Self, x: Bdd| match x.is_terminal() {
             true => u64::from(x.0),
-            false => local[&x] + 2,
+            false => u64::from(s.positions[x.slot()]) + 2,
         };
-        *size += varint_len(u64::from(n.var))
-            + varint_len(child_ref(n.low))
-            + varint_len(child_ref(n.high));
-        local.insert(b, local.len() as u64);
+        let mut next = 0;
+        self.stack.extend((!b.is_terminal()).then_some(b));
+        while let Some(&cur) = self.stack.last() {
+            // Descend into the first child not yet written, low first; the
+            // stack is a path of an acyclic graph, so it holds no node twice.
+            let n = self.node(cur);
+            let mut pending = [n.low, n.high].into_iter();
+            if let Some(child) = pending.find(|&c| !c.is_terminal() && !self.marked(c)) {
+                self.stack.push(child);
+                continue;
+            }
+            self.stack.pop();
+            emit(u64::from(n.var));
+            emit(reference(self, n.low));
+            emit(reference(self, n.high));
+            self.marks[cur.slot()] = self.epoch;
+            self.positions[cur.slot()] = next;
+            next += 1;
+        }
+        emit(reference(self, b));
     }
 
-    /// Number of bytes this BDD costs under the compressed wire model:
-    /// nodes numbered in deterministic structural postorder, variable ids
-    /// and child references encoded as varints.  Like
+    /// Appends `b`'s canonical encoding to `out`: the integers of a
+    /// structural postorder of its nodes, as varints.  Variable ids are
+    /// written as they are.
+    pub fn encode(&mut self, b: Bdd, out: &mut Vec<u8>) {
+        self.postorder(b, |x| put_varint(out, x));
+    }
+
+    /// Rebuilds the function `bytes` encodes ([`BddStore::encode`]) in this
+    /// store, bottom-up, and returns its handle — the one it already has if
+    /// this store holds it.  Panics if `bytes` is not one whole encoding.
+    pub fn decode(&mut self, bytes: &[u8]) -> Bdd {
+        const MALFORMED: &str = "not a BDD encoding";
+        let mut r = Reader::new(bytes);
+        let mut built = std::mem::take(&mut self.stack);
+        let resolve = |built: &[Bdd], x: u64| match x {
+            0 => Bdd::FALSE,
+            1 => Bdd::TRUE,
+            x => *built.get(x as usize - 2).expect(MALFORMED),
+        };
+        let root = loop {
+            // A node is three integers and the root reference one, so an
+            // integer that ends the input is the root.
+            let first = r.varint().expect(MALFORMED);
+            if r.is_empty() {
+                break resolve(&built, first);
+            }
+            let var = VarId::try_from(first).expect(MALFORMED);
+            let low = resolve(&built, r.varint().expect(MALFORMED));
+            let high = resolve(&built, r.varint().expect(MALFORMED));
+            built.push(self.mk_node(var, low, high));
+        };
+        built.clear();
+        self.stack = built;
+        root
+    }
+
+    /// Length of `b`'s canonical encoding ([`BddStore::encode`]): what it
+    /// costs under the compressed wire model.  Like
     /// [`BddStore::serialized_size`] it is a pure function of the reachable
     /// structure, so compressed byte counts are identical at any shard count.
-    pub fn compressed_serialized_size(&self, b: Bdd) -> usize {
-        if b.is_terminal() {
-            return varint_len(u64::from(b.0));
-        }
-        let mut local = FxHashMap::default();
-        let mut size = 0usize;
-        self.compressed_size_walk(b, &mut local, &mut size);
-        size + varint_len(local[&b] + 2)
+    pub fn compressed_serialized_size(&mut self, b: Bdd) -> usize {
+        let mut size = 0;
+        self.postorder(b, |x| size += varint_len(x));
+        size
     }
 
     /// Counts satisfying assignments over the given number of variables.
@@ -389,117 +394,90 @@ impl BddStore {
     }
 }
 
-/// A [`BddStore`] whose variables stand for keys (base tuples), numbered
-/// in the order they are first seen, with each variable's [`Vid`] for trust
-/// assignments.  The engine's value-based provenance keys it by tuple, a
-/// condensed (BDD) query session by VID.
+/// The numbering of keys (base tuples) as BDD variables, in first-seen
+/// order, with each variable's [`Vid`] for trust assignments: a value-mode
+/// engine's keyed by tuple, a condensed (BDD) query session's by VID.
 ///
 /// ```
-/// use exspan_bdd::KeyedBddStore;
+/// use exspan_bdd::{BddStore, Variables};
 /// use exspan_types::{Tuple, Value};
 /// let vid = |name: &str| Tuple::new(name, 0, vec![Value::Int(1)]).vid();
 /// let (a, b) = (vid("a"), vid("b"));
-/// let mut s = KeyedBddStore::default();
-/// let (va, vb) = (s.var(a, |v| *v), s.var(b, |v| *v));
-/// let f = s.store_mut().and(va, vb);
-/// assert!(s.derivable_under(f, |_| true));
-/// assert!(!s.derivable_under(f, |v| v == a));
+/// let (mut vars, mut s) = (Variables::default(), BddStore::new());
+/// let (va, vb) = (vars.id(a, |v| *v), vars.id(b, |v| *v));
+/// let f = { let (x, y) = (s.var(va), s.var(vb)); s.and(x, y) };
+/// assert!(vars.derivable_under(&s, f, |_| true));
+/// assert!(!vars.derivable_under(&s, f, |v| v == a));
 /// ```
 #[derive(Debug)]
-pub struct KeyedBddStore<K> {
-    store: BddStore,
+pub struct Variables<K> {
     /// Each key's variable, numbered in first-seen order.
-    vars: FxHashMap<K, VarId>,
+    ids: FxHashMap<K, VarId>,
     /// Each variable's VID, indexed by variable.
     vids: Vec<Vid>,
 }
 
-impl<K> Default for KeyedBddStore<K> {
+impl<K> Default for Variables<K> {
     fn default() -> Self {
-        KeyedBddStore {
-            store: BddStore::new(),
-            vars: FxHashMap::default(),
+        Variables {
+            ids: FxHashMap::default(),
             vids: Vec::new(),
         }
     }
 }
 
-impl<K: Hash + Eq> KeyedBddStore<K> {
+impl<K: Hash + Eq> Variables<K> {
     /// The variable of `key`, numbered on first sight, when `vid` takes the
     /// key's VID.
-    pub fn var(&mut self, key: K, vid: impl FnOnce(&K) -> Vid) -> Bdd {
+    pub fn id(&mut self, key: K, vid: impl FnOnce(&K) -> Vid) -> VarId {
         let (next, vids) = (self.vids.len() as VarId, &mut self.vids);
-        let id = *self.vars.entry(key).or_insert_with_key(|key| {
+        *self.ids.entry(key).or_insert_with_key(|key| {
             vids.push(vid(key));
             next
-        });
-        self.store.var(id)
+        })
     }
 
-    /// Whether `b` holds using only trusted base tuples: each variable is
-    /// true exactly when its VID is `trusted`.
-    pub fn derivable_under(&self, b: Bdd, trusted: impl Fn(Vid) -> bool) -> bool {
+    /// Whether `b`, a function of `store` over these variables, holds using
+    /// only trusted base tuples: each variable is true exactly when its VID
+    /// is `trusted`.
+    pub fn derivable_under(&self, store: &BddStore, b: Bdd, trusted: impl Fn(Vid) -> bool) -> bool {
         let vid = |v: VarId| self.vids.get(v as usize).copied();
-        self.store.evaluate(b, |v| vid(v).is_some_and(&trusted))
-    }
-
-    /// The store the variables live in.
-    pub fn store(&self) -> &BddStore {
-        &self.store
-    }
-
-    /// The store, to apply in.
-    pub fn store_mut(&mut self) -> &mut BddStore {
-        &mut self.store
+        store.evaluate(b, |v| vid(v).is_some_and(&trusted))
     }
 }
 
-/// A [`BddStore`] behind an `Arc<Mutex<_>>`, shared by the [`BddManager`]
-/// handles made from its clones.  Nothing in the workspace uses it: it
-/// exists for the end-to-end benchmark's BDD probe, which measures the
-/// locked path from two threads.
+/// A [`BddStore`] behind an `Arc<Mutex<_>>`: clones are handles onto one
+/// store, and each call takes its lock for its duration.  Nothing in the
+/// workspace uses it: it exists for the end-to-end benchmark's BDD probe,
+/// which measures the locked path from two threads, with exactly these
+/// methods.  Own a [`BddStore`] instead.
 #[derive(Debug, Clone, Default)]
-pub struct SharedBddStore {
+pub struct BddManager {
     inner: Arc<Mutex<BddStore>>,
 }
 
-impl SharedBddStore {
+/// The store a [`BddManager`] is a handle onto: a manager, whose clones
+/// share it.
+pub type SharedBddStore = BddManager;
+
+impl BddManager {
     /// Creates a fresh store containing only the two terminals.
-    pub fn new() -> SharedBddStore {
-        SharedBddStore::default()
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A handle onto `store`: the store's own.
+    pub fn with_store(store: SharedBddStore) -> Self {
+        store
     }
 
     fn lock(&self) -> MutexGuard<'_, BddStore> {
         self.inner.lock().expect("shared BDD store poisoned")
     }
-}
-
-/// A handle onto a [`SharedBddStore`]; each call takes the store's lock for
-/// its duration.  Its methods are exactly those the end-to-end benchmark's
-/// BDD probe calls; own a [`BddStore`] instead:
-///
-/// ```
-/// use exspan_bdd::BddStore;
-/// let mut s = BddStore::new();
-/// let a = s.var(0);
-/// let b = s.var(1);
-/// let ab = s.and(a, b);
-/// assert_eq!(s.or(a, ab), a); // absorption
-/// ```
-#[derive(Debug, Clone)]
-pub struct BddManager {
-    store: SharedBddStore,
-}
-
-impl BddManager {
-    /// Creates a handle onto `store`.
-    pub fn with_store(store: SharedBddStore) -> Self {
-        BddManager { store }
-    }
 
     /// Returns the BDD for a single positive variable literal.
     pub fn var(&mut self, v: VarId) -> Bdd {
-        self.store.lock().var(v)
+        self.lock().var(v)
     }
 
     /// Returns the constant BDD for `value`.
@@ -513,12 +491,12 @@ impl BddManager {
 
     /// Conjunction of two BDDs.
     pub fn and(&mut self, a: Bdd, b: Bdd) -> Bdd {
-        self.store.lock().and(a, b)
+        self.lock().and(a, b)
     }
 
     /// Disjunction of two BDDs.
     pub fn or(&mut self, a: Bdd, b: Bdd) -> Bdd {
-        self.store.lock().or(a, b)
+        self.lock().or(a, b)
     }
 }
 
@@ -548,22 +526,6 @@ mod tests {
         assert_eq!(m.or(a, Bdd::TRUE), Bdd::TRUE);
         assert_eq!(m.and(a, a), a);
         assert_eq!(m.or(a, a), a);
-    }
-
-    #[test]
-    fn negation_involution_and_excluded_middle() {
-        let mut m = BddStore::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = {
-            let ab = m.and(a, b);
-            let nb = m.not(b);
-            m.or(ab, nb)
-        };
-        let nf = m.not(f);
-        assert_eq!(m.not(nf), f);
-        assert_eq!(m.or(f, nf), Bdd::TRUE);
-        assert_eq!(m.and(f, nf), Bdd::FALSE);
     }
 
     #[test]
@@ -632,9 +594,6 @@ mod tests {
         let b = m.var(1);
         let ab = m.and(a, b);
         assert_ne!(ab, Bdd::FALSE);
-        let na = m.not(a);
-        let contradiction = m.and(a, na);
-        assert_eq!(contradiction, Bdd::FALSE);
     }
 
     #[test]

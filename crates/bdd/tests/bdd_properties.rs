@@ -11,7 +11,6 @@ use proptest::prelude::*;
 enum Expr {
     Var(VarId),
     Const(bool),
-    Not(Box<Expr>),
     And(Box<Expr>, Box<Expr>),
     Or(Box<Expr>, Box<Expr>),
 }
@@ -23,7 +22,6 @@ fn arb_expr(num_vars: u32) -> impl Strategy<Value = Expr> {
     ];
     leaf.prop_recursive(4, 32, 2, |inner| {
         prop_oneof![
-            inner.clone().prop_map(|e| Expr::Not(Box::new(e))),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::And(Box::new(a), Box::new(b))),
             (inner.clone(), inner).prop_map(|(a, b)| Expr::Or(Box::new(a), Box::new(b))),
         ]
@@ -34,7 +32,6 @@ fn eval_direct(e: &Expr, assignment: u32) -> bool {
     match e {
         Expr::Var(v) => assignment & (1 << v) != 0,
         Expr::Const(c) => *c,
-        Expr::Not(a) => !eval_direct(a, assignment),
         Expr::And(a, b) => eval_direct(a, assignment) && eval_direct(b, assignment),
         Expr::Or(a, b) => eval_direct(a, assignment) || eval_direct(b, assignment),
     }
@@ -45,10 +42,6 @@ fn build_bdd(m: &mut BddStore, e: &Expr) -> Bdd {
         Expr::Var(v) => m.var(*v),
         Expr::Const(true) => Bdd::TRUE,
         Expr::Const(false) => Bdd::FALSE,
-        Expr::Not(a) => {
-            let x = build_bdd(m, a);
-            m.not(x)
-        }
         Expr::And(a, b) => {
             let x = build_bdd(m, a);
             let y = build_bdd(m, b);
@@ -63,6 +56,9 @@ fn build_bdd(m: &mut BddStore, e: &Expr) -> Bdd {
 }
 
 const NUM_VARS: u32 = 5;
+
+/// Variables of the encoding round trip: every assignment is checked.
+const CODEC_VARS: u32 = 8;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -81,14 +77,17 @@ proptest! {
     }
 
     /// Semantically equivalent constructions produce identical handles
-    /// (canonicity), exercised via De Morgan's laws.
+    /// (canonicity), exercised via distributivity: a·(b + c) == a·b + a·c.
     #[test]
-    fn de_morgan_canonicity(e1 in arb_expr(NUM_VARS), e2 in arb_expr(NUM_VARS)) {
+    fn distributivity_canonicity(
+        e1 in arb_expr(NUM_VARS),
+        e2 in arb_expr(NUM_VARS),
+        e3 in arb_expr(NUM_VARS),
+    ) {
         let mut m = BddStore::new();
-        let a = build_bdd(&mut m, &e1);
-        let b = build_bdd(&mut m, &e2);
-        let lhs = { let ab = m.and(a, b); m.not(ab) };
-        let rhs = { let na = m.not(a); let nb = m.not(b); m.or(na, nb) };
+        let (a, b, c) = (build_bdd(&mut m, &e1), build_bdd(&mut m, &e2), build_bdd(&mut m, &e3));
+        let lhs = { let bc = m.or(b, c); m.and(a, bc) };
+        let rhs = { let ab = m.and(a, b); let ac = m.and(a, c); m.or(ab, ac) };
         prop_assert_eq!(lhs, rhs);
     }
 
@@ -136,5 +135,34 @@ proptest! {
                 prop_assert_eq!(a1, a2);
             }
         }
+    }
+
+    /// The canonical encoding carries a function from one store to another
+    /// whole: decoded into a fresh store it keeps its size, count and truth
+    /// table; its length is the compressed size; and decoded into the store
+    /// that made it, it is the handle it was encoded from.
+    #[test]
+    fn encoding_round_trips(e in arb_expr(CODEC_VARS), noise in arb_expr(CODEC_VARS)) {
+        let mut m = BddStore::new();
+        // Unrelated nodes first, so that each store numbers the function's
+        // nodes its own way.
+        let unrelated = build_bdd(&mut m, &noise);
+        let b = build_bdd(&mut m, &e);
+        let (mut unrelated_bytes, mut bytes) = (Vec::new(), Vec::new());
+        m.encode(unrelated, &mut unrelated_bytes);
+        m.encode(b, &mut bytes);
+        prop_assert_eq!(m.compressed_serialized_size(b), bytes.len());
+        let mut fresh = BddStore::new();
+        fresh.decode(&unrelated_bytes);
+        let copy = fresh.decode(&bytes);
+        prop_assert_eq!(fresh.serialized_size(copy), m.serialized_size(b));
+        prop_assert_eq!(fresh.sat_count(copy, CODEC_VARS), m.sat_count(b, CODEC_VARS));
+        for assignment in 0u32..(1 << CODEC_VARS) {
+            let holds = |s: &BddStore, f| s.evaluate(f, |v| assignment & (1 << v) != 0);
+            prop_assert_eq!(holds(&fresh, copy), holds(&m, b), "assignment {:b}", assignment);
+        }
+        let nodes = m.node_count();
+        prop_assert_eq!(m.decode(&bytes), b);
+        prop_assert_eq!(m.node_count(), nodes);
     }
 }

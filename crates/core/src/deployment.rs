@@ -237,11 +237,11 @@ impl DeploymentBuilder {
     }
 
     /// At most how many worker shards execute the protocol (default 1).
-    /// Results are bit-identical for every shard count.  An upper bound, not
-    /// a promise: [`ProvenanceMode::ValueBdd`] runs one shard whatever is
-    /// asked for here, because one value-based policy has to see every
-    /// arrival, derivation and send in event order, and so does a deployment
-    /// with a [`DeploymentBuilder::data_dir`], whose one shard keeps the
+    /// Results are bit-identical for every shard count, in every provenance
+    /// mode: under [`ProvenanceMode::ValueBdd`] each shard keeps its own BDD
+    /// store, and a history crossing shards travels in its canonical
+    /// encoding.  An upper bound, not a promise: a deployment with a
+    /// [`DeploymentBuilder::data_dir`] runs one shard, which keeps the
     /// journal ([`Deployment::num_shards`] reports what was built).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -386,14 +386,14 @@ impl DeploymentBuilder {
             store = Some(disk);
             recovered_state = state;
         }
-        let policy = (self.mode == ProvenanceMode::ValueBdd).then(ValueBddPolicy::new);
+        let value = self.mode == ProvenanceMode::ValueBdd;
         let arities = executed
             .tables
             .iter()
             .map(|t| (t.relation, t.arity))
             .collect();
         let journal = store.is_some();
-        let mut engine = Engine::with_parts(executed, topology, engine_config, policy, journal);
+        let mut engine = Engine::with_parts(executed, topology, engine_config, value, journal);
         if let Some(state) = &recovered_state {
             engine
                 .recover(state)
@@ -1016,10 +1016,12 @@ impl Deployment {
     // Value-based provenance
     // ------------------------------------------------------------------
 
-    /// Runs `f` against the value-based provenance policy (only in
-    /// [`ProvenanceMode::ValueBdd`]; the engine owns it).
+    /// Runs `f` against the value-based provenance of the engine's first
+    /// shard — all of it at one shard (only in [`ProvenanceMode::ValueBdd`]).
+    /// Every shard's: [`Engine::policies`]; the annotation bytes of all:
+    /// [`Engine::annotation_bytes`].
     pub fn with_value_provenance<T>(&self, f: impl FnOnce(&ValueBddPolicy) -> T) -> Option<T> {
-        self.engine.policy().map(f)
+        self.engine.policies().next().map(f)
     }
 }
 

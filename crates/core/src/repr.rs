@@ -20,7 +20,7 @@
 //! | `Bdd` | BDD variable | BDD AND | BDD OR | §6.3 |
 //! | `TrustDomain`, `ContiguousTrustDomains` | `{domain(node)}` | set union | set union | §3 (granularity) |
 
-use exspan_bdd::{Bdd, BddStore, KeyedBddStore};
+use exspan_bdd::{Bdd, BddStore, Variables};
 use exspan_types::{NodeId, Symbol, Vid};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -218,7 +218,8 @@ pub(crate) struct Representation {
     pub(crate) repr: Repr,
     /// The session's own BDD store, and the variable of each base tuple
     /// ([`Repr::Bdd`]); dropped with the session.
-    bdd: KeyedBddStore<Vid>,
+    bdd: BddStore,
+    vars: Variables<Vid>,
 }
 
 /// The polynomials among `annotations`, moved out in order into a vector of
@@ -245,13 +246,14 @@ impl Representation {
     pub(crate) fn new(repr: Repr) -> Self {
         Representation {
             repr,
-            bdd: KeyedBddStore::default(),
+            bdd: BddStore::new(),
+            vars: Variables::default(),
         }
     }
 
     /// The session's BDD store under [`Repr::Bdd`].
     pub(crate) fn bdd(&self) -> Option<&BddStore> {
-        matches!(self.repr, Repr::Bdd).then(|| self.bdd.store())
+        matches!(self.repr, Repr::Bdd).then_some(&self.bdd)
     }
 
     /// `f_pEDB`: the annotation of the base tuple `vid` stored at `loc`.
@@ -260,7 +262,7 @@ impl Representation {
             Repr::Polynomial => Annotation::Expr(ProvExpr::Base(vid)),
             Repr::DerivationCount => Annotation::Count(1),
             Repr::Derivability => Annotation::Bool(true),
-            Repr::Bdd => Annotation::Bdd(self.bdd.var(vid, |v| *v)),
+            Repr::Bdd => Annotation::Bdd(self.bdd.var(self.vars.id(vid, |v| *v))),
             Repr::NodeSet | Repr::TrustDomain(_) | Repr::ContiguousTrustDomains(_) => {
                 self.union(Vec::new(), Some(loc))
             }
@@ -288,7 +290,7 @@ impl Representation {
             Repr::Derivability => {
                 Annotation::Bool(children.iter().all(|a| a.as_bool().unwrap_or(false)))
             }
-            Repr::Bdd => Annotation::Bdd(self.bdd.store_mut().and_all(bdds(children))),
+            Repr::Bdd => Annotation::Bdd(self.bdd.and_all(bdds(children))),
             Repr::NodeSet | Repr::TrustDomain(_) | Repr::ContiguousTrustDomains(_) => {
                 self.union(children, Some(rloc))
             }
@@ -313,7 +315,7 @@ impl Representation {
             Repr::Derivability => {
                 Annotation::Bool(derivations.iter().any(|a| a.as_bool().unwrap_or(false)))
             }
-            Repr::Bdd => Annotation::Bdd(self.bdd.store_mut().or_all(bdds(derivations))),
+            Repr::Bdd => Annotation::Bdd(self.bdd.or_all(bdds(derivations))),
             Repr::NodeSet | Repr::TrustDomain(_) | Repr::ContiguousTrustDomains(_) => {
                 self.union(derivations, None)
             }
@@ -364,7 +366,7 @@ impl Representation {
             Annotation::Nodes(s) | Annotation::Domains(s) => 2 + 4 * s.len(),
             Annotation::Count(_) => 4,
             Annotation::Bool(_) => 1,
-            Annotation::Bdd(b) => self.bdd.store_mut().serialized_size(*b),
+            Annotation::Bdd(b) => self.bdd.serialized_size(*b),
         }
     }
 
@@ -378,7 +380,7 @@ impl Representation {
         let (Repr::Bdd, Annotation::Bdd(b)) = (&self.repr, annotation) else {
             return None;
         };
-        Some(self.bdd.derivable_under(*b, trusted))
+        Some(self.vars.derivable_under(&self.bdd, *b, trusted))
     }
 }
 

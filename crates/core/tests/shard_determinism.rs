@@ -3,9 +3,10 @@
 //! The tentpole guarantee of the sharded runtime is that every observable —
 //! protocol state, per-node byte counters, the bandwidth time-series — is
 //! *bit-identical* to the sequential engine (`shards(1)`).  These tests pin
-//! that guarantee for each provenance mode that shards, over topologies small
-//! enough for debug-mode CI.  (Value-based provenance runs one shard whatever
-//! is asked for; root `tests/deployment_api.rs` pins that.)
+//! that guarantee for every provenance mode, over topologies small enough for
+//! debug-mode CI.  Under value-based provenance each shard keeps its own BDD
+//! store and a history crossing shards travels encoded, so the annotation
+//! bytes and the derivability answers are pinned too.
 
 use exspan_core::{Deployment, Exspan, ProvExpr, ProvenanceMode, Repr};
 use exspan_ndlog::ast::Program;
@@ -24,6 +25,26 @@ struct Fingerprint {
     avg_comm_mb: f64,
     bandwidth: Vec<(f64, f64)>,
     fixpoint_time: f64,
+    /// Value mode only: the annotation bytes summed across shards, and
+    /// whether each visible `bestPathCost` is derivable under each of
+    /// [`trust_assignments`].
+    value: Option<(u64, Vec<Vec<bool>>)>,
+}
+
+/// Three fixed trust assignments over base tuples: all of them, the links
+/// stored at even nodes, and the tuples whose VID begins with an even byte.
+fn trust_assignments(deployment: &Deployment) -> [Box<dyn Fn(Vid) -> bool>; 3] {
+    let even_links: BTreeSet<Vid> = deployment
+        .tuples_everywhere_shared("link")
+        .iter()
+        .filter(|l| l.location % 2 == 0)
+        .map(|l| l.vid())
+        .collect();
+    [
+        Box::new(|_| true),
+        Box::new(move |vid| even_links.contains(&vid)),
+        Box::new(|vid: Vid| vid.0[0] % 2 == 0),
+    ]
 }
 
 fn deploy(program: &Program, mode: ProvenanceMode, shards: usize) -> Deployment {
@@ -58,6 +79,16 @@ fn run(program: &Program, mode: ProvenanceMode, shards: usize, churn: bool) -> F
         tuples.extend(deployment.tuples_everywhere_shared(rel));
     }
     let s = deployment.engine().stats();
+    let engine = deployment.engine();
+    let value = engine.annotation_bytes().map(|bytes| {
+        let trusts = trust_assignments(&deployment);
+        let best = deployment.tuples_everywhere_shared("bestPathCost");
+        let derivable = |t: &Tuple| -> Vec<bool> {
+            let answers = trusts.iter().map(|f| engine.derivable_under(t, f));
+            answers.map(|a| a.expect("value mode")).collect()
+        };
+        (bytes, best.iter().map(|t| derivable(t)).collect())
+    });
     Fingerprint {
         tuples,
         bytes_sent: s.bytes_sent.clone(),
@@ -65,11 +96,17 @@ fn run(program: &Program, mode: ProvenanceMode, shards: usize, churn: bool) -> F
         avg_comm_mb: deployment.avg_comm_mb(),
         bandwidth: deployment.avg_bandwidth_mbps(),
         fixpoint_time: stats.fixpoint_time,
+        value,
     }
 }
 
 fn assert_modes_deterministic(program: &Program, churn: bool) {
-    for mode in [ProvenanceMode::None, ProvenanceMode::Reference] {
+    let modes = [
+        ProvenanceMode::None,
+        ProvenanceMode::Reference,
+        ProvenanceMode::ValueBdd,
+    ];
+    for mode in modes {
         let oracle = run(program, mode, 1, churn);
         for shards in [2, 4] {
             let sharded = run(program, mode, shards, churn);

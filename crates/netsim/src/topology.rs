@@ -8,7 +8,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// The class of a link; used to pick latency/bandwidth defaults and to select
 /// candidate links for the churn workload (which only touches stub-to-stub
-/// links, as in §7.2).
+/// links, as in §7.2).  A stored link record carries a class as its
+/// position in [`LinkClass::ALL`] (`class as u8`), so the order is fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkClass {
     /// Between two transit (backbone) nodes: 50 ms, 1 Gbps.
@@ -24,6 +25,15 @@ pub enum LinkClass {
 }
 
 impl LinkClass {
+    /// Every class, in declaration order.
+    pub const ALL: [LinkClass; 5] = [
+        LinkClass::TransitTransit,
+        LinkClass::TransitStub,
+        LinkClass::StubStub,
+        LinkClass::Testbed,
+        LinkClass::Custom,
+    ];
+
     /// Default propagation latency in seconds for this class (paper §7).
     pub fn default_latency(self) -> f64 {
         match self {

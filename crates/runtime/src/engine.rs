@@ -22,35 +22,37 @@
 //! simulated time — has two event loops and picks between them from what it
 //! can observe.
 //!
-//! With more than one shard, no listening caller, at least one link and a
-//! positive latency on every link, it runs the shards in *barrier windows*,
-//! shard 0 on the calling thread and each other shard on a thread of its
-//! own, with no coordinator.  Every shard publishes its earliest pending
-//! event time, and after a barrier each reads all of them and computes the
-//! same horizon `t_min + L`, where `t_min` is the earliest time across all
-//! shards and `L` the smallest link latency of the topology (the
+//! With more than one shard, no listening caller and a positive hop, it runs
+//! the shards in *barrier windows*, shard 0 on the calling thread and each
+//! other shard on a thread of its own, with no coordinator.  Every shard
+//! publishes its earliest pending event time, and after a barrier each reads
+//! all of them and computes the same horizon `t_min + L`, where `t_min` is
+//! the earliest time across all shards and `L` the simulator's hop
+//! ([`Simulator::hop`]: the smallest link latency of the topology, the
 //! *lookahead*); it then processes its events strictly before the horizon.
 //! A cross-shard delta produced inside the window — routed, or crossing a
 //! partition after one `L` hop — is due no earlier than the window's end,
 //! so delivering it to its shard's mailbox at the window's second barrier
-//! never reorders anything.  Every event carries an execution-independent
-//! ordering key (`(time, source node, per-source sequence)`), per-node state
-//! is only ever touched by the owning shard, and the traffic counters are
-//! integral — which together make the sharded run *bit-identical* to the
-//! one-shard run, as the determinism tests assert.
+//! never reorders anything.  A value-based history leaves its shard's BDD
+//! store in the canonical encoding and is rebuilt in the destination's as
+//! the destination drains its mailbox.  Every event carries an
+//! execution-independent ordering key (`(time, source node, per-source
+//! sequence)`), per-node state is only ever touched by the owning shard, and
+//! the traffic counters are integral — which together make the sharded run
+//! *bit-identical* to the one-shard run, as the determinism tests assert.
 //!
-//! Otherwise — one shard, a caller listening, or a zero-latency link or no
-//! link at all, which leaves a window no lookahead — it steps through the
-//! events one at a time in global key order on the calling thread (at one
-//! shard simply the shard's own queue), returning each external tuple to a
-//! listening caller as it arrives ([`External`]).  That cannot be done from
-//! inside a barrier window: the caller reads tables and the clock *at the
-//! event*, and the window has by then applied later deltas of the same node.
+//! Otherwise — one shard, a caller listening, or a zero-latency link, which
+//! leaves a window no lookahead — it steps through the events one at a time
+//! in global key order on the calling thread (at one shard simply the
+//! shard's own queue), returning each external tuple to a listening caller
+//! as it arrives ([`External`]).  That cannot be done from inside a barrier
+//! window: the caller reads tables and the clock *at the event*, and the
+//! window has by then applied later deltas of the same node.
 
 use crate::shard::{RuleData, Shard};
 use crate::table::ProbeIter;
 use crate::value_policy::ValueBddPolicy;
-use exspan_bdd::Bdd;
+use exspan_bdd::{Bdd, Variables};
 use exspan_ndlog::ast::{BodyItem, Program};
 use exspan_ndlog::is_event_predicate;
 use exspan_ndlog::plan::ProgramPlans;
@@ -115,9 +117,9 @@ pub const MAX_STEPS: u64 = 200_000_000;
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// At most how many shards (worker threads) execute the protocol; 1
-    /// keeps everything on the calling thread.  An engine built with
-    /// value-based provenance or a journal ([`Engine::with_parts`]) runs one
-    /// shard whatever this says.
+    /// keeps everything on the calling thread.  An engine built with a
+    /// journal ([`Engine::with_parts`]) runs one shard whatever this says; a
+    /// value-mode engine runs them all, each with a BDD store of its own.
     pub shards: usize,
     /// When `true`, the engine additionally accounts every transmitted
     /// message under the dictionary size model ([`exspan_types::compress`]):
@@ -149,26 +151,45 @@ pub struct Engine {
     /// `assignment[node]` = shard owning that node.
     assignment: Arc<Vec<u16>>,
     shards: Vec<Shard>,
+    /// The variable of each base tuple, under value-based provenance.
+    variables: Option<Variables<Arc<Tuple>>>,
 }
 
-/// On-wire encoding of a [`LinkClass`] inside a [`LinkRecord`].
-fn link_class_code(class: LinkClass) -> u8 {
-    match class {
-        LinkClass::TransitTransit => 0,
-        LinkClass::TransitStub => 1,
-        LinkClass::StubStub => 2,
-        LinkClass::Testbed => 3,
-        LinkClass::Custom => 4,
+/// Events leaving one shard for another, with the history each one ships
+/// in the canonical encoding ([`exspan_bdd::BddStore::encode`]): a history
+/// is a handle into its own shard's store, and means nothing in another.
+#[derive(Default)]
+struct Parcel {
+    events: Vec<RoutedEvent<Payload>>,
+    /// The events' encoded histories, back to back, and their lengths.
+    histories: Vec<u8>,
+    lengths: Vec<usize>,
+}
+
+impl Parcel {
+    /// Adds `ev`, encoding its history out of its shard's `policy`.
+    fn pack(&mut self, policy: Option<&mut ValueBddPolicy>, ev: RoutedEvent<Payload>) {
+        if let (Some(policy), Some(token)) = (policy, ev.msg.payload.token) {
+            let start = self.histories.len();
+            policy.store.encode(token, &mut self.histories);
+            self.lengths.push(self.histories.len() - start);
+        }
+        self.events.push(ev);
     }
-}
 
-fn link_class_from_code(code: u8) -> LinkClass {
-    match code {
-        0 => LinkClass::TransitTransit,
-        1 => LinkClass::TransitStub,
-        2 => LinkClass::StubStub,
-        3 => LinkClass::Testbed,
-        _ => LinkClass::Custom,
+    /// Queues every event at `shard`, its history rebuilt in the shard's
+    /// store, emptying the parcel.
+    fn unpack(&mut self, shard: &mut Shard) {
+        let (mut lengths, mut at) = (self.lengths.drain(..), 0);
+        for mut ev in self.events.drain(..) {
+            if let (Some(policy), Some(token)) = (&mut shard.policy, &mut ev.msg.payload.token) {
+                let len = lengths.next().expect("an encoding per history");
+                *token = policy.store.decode(&self.histories[at..at + len]);
+                at += len;
+            }
+            shard.sim.push_routed(ev);
+        }
+        self.histories.clear();
     }
 }
 
@@ -179,7 +200,7 @@ fn link_record(a: NodeId, b: NodeId, props: &LinkProps) -> LinkRecord {
         latency_bits: props.latency.to_bits(),
         bandwidth_bits: props.bandwidth.to_bits(),
         cost: props.cost,
-        class: link_class_code(props.class),
+        class: props.class as u8,
     }
 }
 
@@ -188,7 +209,9 @@ fn link_props(record: &LinkRecord) -> LinkProps {
         latency: f64::from_bits(record.latency_bits),
         bandwidth: f64::from_bits(record.bandwidth_bits),
         cost: record.cost,
-        class: link_class_from_code(record.class),
+        class: LinkClass::ALL
+            .get(usize::from(record.class))
+            .map_or(LinkClass::Custom, |c| *c),
     }
 }
 
@@ -201,22 +224,20 @@ impl Engine {
     /// winning input tuple (§4.2.2); the rewritten rules cover the rest, but
     /// cannot express an aggregate.
     pub fn new(program: Program, topology: Topology, config: EngineConfig) -> Self {
-        Self::with_parts(program, topology, config, None, false)
+        Self::with_parts(program, topology, config, false, false)
     }
 
-    /// Creates an engine that maintains value-based provenance in `policy`,
-    /// if given, on every base change, rule firing, remote send and arrival
-    /// (in the annotation each table row carries),
-    /// and, if `journal` is set, journals every change to its state as a
-    /// [`WalOp`] for its owner to take ([`Engine::take_journal`]) and make
-    /// durable.  One policy has to see all of those events in event order,
-    /// and one journal is one shard's record, so either runs one shard
-    /// whatever [`EngineConfig::shards`] says.
+    /// Creates an engine that maintains value-based provenance if `value` is
+    /// set (a [`ValueBddPolicy`] per shard, [`crate::value_policy`]) and, if
+    /// `journal` is set, journals every change to its state as a [`WalOp`]
+    /// for its owner to take ([`Engine::take_journal`]) and make durable.
+    /// One journal is one shard's record, so a journaling engine runs one
+    /// shard whatever [`EngineConfig::shards`] says.
     pub fn with_parts(
         program: Program,
         topology: Topology,
         config: EngineConfig,
-        policy: Option<ValueBddPolicy>,
+        value: bool,
         journal: bool,
     ) -> Self {
         let aggregate_provenance =
@@ -238,11 +259,7 @@ impl Engine {
             .map(|t| (t.relation, t.keys.clone()))
             .collect();
         let plans = ProgramPlans::compile(&program);
-        let num_shards = if policy.is_some() || journal {
-            1
-        } else {
-            config.shards.max(1)
-        };
+        let num_shards = if journal { 1 } else { config.shards.max(1) };
         let assignment = Arc::new(topology.partition_rendezvous(num_shards));
         let mut rule_by_label = FxHashMap::default();
         for (ri, rule) in program.rules.iter().enumerate() {
@@ -268,10 +285,11 @@ impl Engine {
                         shard_id: i as u16,
                     });
                 }
-                Shard::new(Arc::clone(&data), keys.clone(), sim)
+                let mut shard = Shard::new(Arc::clone(&data), keys.clone(), sim);
+                shard.policy = value.then(ValueBddPolicy::default);
+                shard
             })
             .collect();
-        shards[0].policy = policy;
         shards[0].journal = journal.then(Vec::new);
         Engine {
             data,
@@ -279,6 +297,7 @@ impl Engine {
             topo_dirty: false,
             assignment,
             shards,
+            variables: value.then(Variables::default),
         }
     }
 
@@ -296,30 +315,38 @@ impl Engine {
         self.shard_of(node) as usize
     }
 
-    /// The value-based provenance this engine was built with, if any.
-    pub fn policy(&self) -> Option<&ValueBddPolicy> {
-        self.shards[0].policy.as_ref()
+    /// Each shard's value-based provenance, if the engine keeps it.
+    pub fn policies(&self) -> impl Iterator<Item = &ValueBddPolicy> {
+        self.shards.iter().filter_map(|s| s.policy.as_ref())
+    }
+
+    /// Annotation bytes attached to transmitted tuples so far, summed across
+    /// the shards; `None` without value-based provenance.
+    pub fn annotation_bytes(&self) -> Option<u64> {
+        let bytes = self.policies().map(ValueBddPolicy::total_annotation_bytes);
+        self.variables.as_ref().map(|_| bytes.sum())
     }
 
     /// The value-based provenance of `tuple`: the annotation of its row at
-    /// its own location.  `None` without a policy or a visible row — an
-    /// event keeps none.  The handle belongs to the policy's own store
-    /// (`policy().manager()`); any other store reads it as a different
-    /// function, or none.
+    /// its own location.  `None` without value-based provenance or a visible
+    /// row — an event keeps none.  The handle belongs to the store of the
+    /// shard owning the location; any other reads it as another function.
     pub fn annotation_of(&self, tuple: &Tuple) -> Option<Bdd> {
-        self.policy()?;
+        self.variables.as_ref()?;
         let shard = &self.shards[self.owner(tuple.location)];
         let table = shard.store.table(tuple.location, tuple.relation)?;
         table.annotation(tuple)
     }
 
     /// Derivability of `tuple` under a trust assignment over base tuples
-    /// (value mode, answered locally): is it derivable using only trusted
-    /// base tuples?  A tuple not visible is not.  `None` without a policy.
+    /// (value mode, answered locally by the shard owning the tuple): is it
+    /// derivable using only trusted base tuples?  A tuple not visible is
+    /// not.  `None` without value-based provenance.
     pub fn derivable_under<F: Fn(Vid) -> bool>(&self, tuple: &Tuple, trusted: F) -> Option<bool> {
-        let policy = self.policy()?;
+        let variables = self.variables.as_ref()?;
+        let policy = self.shards[self.owner(tuple.location)].policy.as_ref()?;
         let annotation = self.annotation_of(tuple);
-        Some(annotation.is_some_and(|b| policy.derivable_under(b, trusted)))
+        Some(annotation.is_some_and(|b| variables.derivable_under(&policy.store, b, trusted)))
     }
 
     /// Current simulated time.
@@ -489,13 +516,18 @@ impl Engine {
         );
     }
 
-    /// The history a delta entering from outside ships under value-based
-    /// provenance: its base tuple's variable, numbered on first sight, for
-    /// an insertion or an event a rule hears.  A deletion takes its row's.
+    /// The history a delta entering from outside at shard `owner` ships
+    /// under value-based provenance: its base tuple's variable, numbered on
+    /// first sight, for an insertion or an event a rule hears, made in the
+    /// shard's store.  A deletion takes its row's.
     fn entering_history(&mut self, owner: usize, tuple: &Arc<Tuple>, insert: bool) -> Option<Bdd> {
-        let policy = self.shards[owner].policy.as_mut()?;
+        let variables = self.variables.as_mut()?;
         let fires = insert || is_event_predicate(tuple.relation.as_str());
-        (fires && !self.data.is_external(tuple.relation)).then(|| policy.var_for(tuple))
+        if !fires || self.data.is_external(tuple.relation) {
+            return None;
+        }
+        let id = variables.id(Arc::clone(tuple), |t| t.vid());
+        Some(self.shards[owner].policy.as_mut()?.store.var(id))
     }
 
     /// Sends a tuple from `from` to `to` on behalf of a higher layer (the
@@ -556,12 +588,14 @@ impl Engine {
     }
 
     /// Moves every event a shard diverted to a foreign shard straight into
-    /// that shard's queue.
+    /// that shard's queue, its history re-made in that shard's store.
     fn flush_outboxes(&mut self) {
+        let mut parcel = Parcel::default();
         for i in 0..self.shards.len() {
             for ev in self.shards[i].sim.take_outbox() {
                 let dest = self.owner(ev.msg.to);
-                self.shards[dest].sim.push_routed(ev);
+                parcel.pack(self.shards[i].policy.as_mut(), ev);
+                parcel.unpack(&mut self.shards[dest]);
             }
         }
     }
@@ -618,12 +652,10 @@ impl Engine {
         self.sync_topology();
         let steps_before: u64 = self.shards.iter().map(|s| s.processed).sum();
         let mut external = None;
-        // A zero-latency link, or no link at all, leaves a barrier window no
-        // lookahead: step.  The lookahead walks every link, so it is only
-        // asked for when windows are possible.
-        let windows = self.shards.len() > 1 && !listen;
-        let lookahead = windows.then(|| self.topology.min_link_latency());
-        if let Some(lookahead) = lookahead.flatten().filter(|&l| l > 0.0) {
+        // The hop is the lookahead: a zero-latency link leaves a barrier
+        // window none, so step.
+        let lookahead = self.shards[0].sim.hop();
+        if self.shards.len() > 1 && !listen && lookahead > 0.0 {
             // `next_event` delivers the in-flight cross-shard deltas; with
             // nothing due by the limit (an idle server's every loop turn) no
             // worker thread is spawned for the empty window.
@@ -659,8 +691,9 @@ impl Engine {
     /// stop when nothing is due by `time_limit` or [`MAX_STEPS`] is reached,
     /// else process every event strictly before the horizon, `lookahead`
     /// past the earliest pending one.  It delivers its cross-shard deltas to
-    /// the destination mailboxes and waits at (w), then pulls its own
-    /// mailbox into its queue and publishes again.  No slot is written
+    /// the destination mailboxes, their histories encoded out of its own
+    /// store, and waits at (w), then pulls its own mailbox into its queue,
+    /// rebuilding the histories in its store, and publishes again.  No slot is written
     /// between (a) and the next publication, and no mailbox between (w) and
     /// the next (a), so no shard reads what another is writing.
     fn run_parallel(&mut self, time_limit: f64, lookahead: f64) {
@@ -669,7 +702,7 @@ impl Engine {
         // Slot `i`: shard `i`'s earliest pending event time (NaN for none)
         // and its steps so far, as bits.
         let slots: Vec<[AtomicU64; 2]> = (0..num_shards).map(|_| Default::default()).collect();
-        let mailboxes: Vec<Mutex<Vec<RoutedEvent<Payload>>>> =
+        let mailboxes: Vec<Mutex<Vec<Parcel>>> =
             (0..num_shards).map(|_| Mutex::default()).collect();
         let mailbox = |dest: usize| mailboxes[dest].lock().expect("mailbox poisoned");
         let assignment = &self.assignment;
@@ -677,8 +710,7 @@ impl Engine {
             let mut steps = 0u64;
             // Per-destination coalescing buffers, reused across windows: one
             // locked append per destination shard per window.
-            let mut outbound: Vec<Vec<RoutedEvent<Payload>>> =
-                (0..num_shards).map(|_| Vec::new()).collect();
+            let mut outbound: Vec<Parcel> = (0..num_shards).map(|_| Parcel::default()).collect();
             loop {
                 let next = shard.sim.peek_time().unwrap_or(f64::NAN);
                 slots[i][0].store(next.to_bits(), Ordering::SeqCst);
@@ -700,16 +732,17 @@ impl Engine {
                     steps += 1;
                 }
                 for ev in shard.sim.take_outbox() {
-                    outbound[assignment[ev.msg.to as usize] as usize].push(ev);
+                    let dest = assignment[ev.msg.to as usize] as usize;
+                    outbound[dest].pack(shard.policy.as_mut(), ev);
                 }
-                for (dest, batch) in outbound.iter_mut().enumerate() {
-                    if !batch.is_empty() {
-                        mailbox(dest).append(batch);
+                for (dest, parcel) in outbound.iter_mut().enumerate() {
+                    if !parcel.events.is_empty() {
+                        mailbox(dest).push(std::mem::take(parcel));
                     }
                 }
                 barrier.wait(); // (w) every cross-shard delta delivered
-                for ev in mailbox(i).drain(..) {
-                    shard.sim.push_routed(ev);
+                for mut parcel in mailbox(i).drain(..) {
+                    parcel.unpack(shard);
                 }
             }
         };

@@ -15,9 +15,9 @@
 //!   incremental insertion *and* deletion with cascades) over the subset of
 //!   nodes the shard owns.
 //! * [`engine`] — the [`engine::Engine`]: partitions the topology's nodes
-//!   over shards by rendezvous hashing (one shard when it maintains
-//!   value-based provenance or keeps a journal for a durable store, which the
-//!   engine's owner commits: the engine does no I/O).
+//!   over shards by rendezvous hashing (one shard when it keeps a journal
+//!   for a durable store, which the engine's owner commits: the engine does
+//!   no I/O).
 //!   [`engine::Engine::run_until`] is the one way to advance simulated time:
 //!   all a caller says is how far, and whether it listens for external
 //!   tuples.  It has two event loops — deterministic barrier windows, one
@@ -27,8 +27,9 @@
 //! * [`value_policy`] — *value-based* provenance (paper §3: every
 //!   transmitted tuple carries its BDD-condensed derivation history), which
 //!   the shard maintains on every base change, rule firing and send of an
-//!   engine built with it, in the annotation each table row carries; that
-//!   engine's one shard owns the policy and the policy its BDD store.
+//!   engine built with it, in the annotation each table row carries; each
+//!   shard owns a policy and the policy its BDD store, and a history
+//!   crossing shards travels in the store's canonical encoding.
 //!
 //! The engine deliberately exposes low-level access (per-node tables, raw
 //! message injection, a run that hands back the event tuples no rule

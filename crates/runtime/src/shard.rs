@@ -152,8 +152,8 @@ pub(crate) struct Shard {
     data: Arc<RuleData>,
     pub(crate) store: TableStore,
     pub(crate) sim: Simulator<Payload>,
-    /// The value-based provenance of an engine built with it; such an engine
-    /// has this shard only.
+    /// This shard's value-based provenance, in an engine built with it: the
+    /// store its annotations and queued histories are handles into.
     pub(crate) policy: Option<ValueBddPolicy>,
     /// Every aggregate group with a dispatched output, by `(node, head
     /// relation)`.  The provenance pairs are not derivable from the tables,
@@ -343,7 +343,8 @@ impl Shard {
             // length where annotations are tracked, 0 elsewhere.
             let n = s.annotations.len();
             for (i, head) in s.fired.drain(..).enumerate() {
-                let token = self.note_derivation(&s.fired_annotations[i * n..][..n]);
+                let inputs = &s.fired_annotations[i * n..][..n];
+                let token = self.policy.as_mut().map(|p| p.conjoin(inputs));
                 self.dispatch_delta(node, Arc::new(head), insert, token);
             }
             s.fired_annotations.clear();
@@ -479,14 +480,6 @@ impl Shard {
         result.map_err(|e| self.note_eval_error(rule, &e)).ok()
     }
 
-    /// The history value-based provenance ships with one rule firing's
-    /// delta, from its grounded inputs' annotations, if this shard maintains
-    /// it.
-    fn note_derivation(&mut self, inputs: &[Bdd]) -> Option<Bdd> {
-        let policy = self.policy.as_mut()?;
-        Some(policy.conjoin(inputs))
-    }
-
     /// Sends or locally enqueues a delta for `head` produced at `node`.
     fn dispatch_delta(&mut self, node: NodeId, head: Arc<Tuple>, insert: bool, token: Option<Bdd>) {
         let dest = head.location;
@@ -508,8 +501,8 @@ impl Shard {
             if self.data.config.track_compressed {
                 // The shipped BDD's varint node encoding; the flat charge
                 // above already counted this delta's annotation bytes.
-                let compressed_annotation = match (&self.policy, token) {
-                    (Some(policy), Some(bdd)) => policy.manager().compressed_serialized_size(bdd),
+                let compressed_annotation = match (&mut self.policy, token) {
+                    (Some(policy), Some(bdd)) => policy.store.compressed_serialized_size(bdd),
                     _ => 0,
                 };
                 self.compressed_bytes += exspan_types::compress::compressed_message_size(
@@ -745,14 +738,14 @@ impl Shard {
             self.dispatch_delta(node, exec_t, false, None);
         }
         if let Some(old) = last.output {
-            let token = self.note_derivation(&[]);
+            let token = self.policy.as_mut().map(|p| p.conjoin(&[]));
             self.dispatch_delta(node, old, false, token);
         }
 
         // Assert the new output.
         let mut sent = AggGroup::default();
         if let Some(new_t) = new_tuple {
-            let token = self.note_derivation(&s.winning);
+            let token = self.policy.as_mut().map(|p| p.conjoin(&s.winning));
             if self.data.aggregate_provenance {
                 let vids: Vec<_> = winning_inputs.iter().map(|t| t.vid()).collect();
                 let rid = exspan_types::tuple::rule_exec_id(rule.label.as_str(), node, &vids);

@@ -632,16 +632,13 @@ impl TableStore {
         self.tables.values().map(Table::len).sum()
     }
 
-    /// Dumps every table in canonical order: sorted by `(node, relation
-    /// name)`, rows in scan order with their derivation counts.  This is the
-    /// table section of a snapshot and the input to the engine's state
-    /// digest; its bytes are independent of shard count and execution
-    /// interleaving.  Empty tables
-    /// are skipped (a never-written and a written-then-emptied table are
-    /// the same logical state).
+    /// Dumps every table, rows in scan order with their derivation counts:
+    /// the table section of a snapshot and the input to the engine's state
+    /// digest, once the engine has sorted the dumps of all its shards by
+    /// `(node, relation name)`.  Empty tables are skipped (a never-written
+    /// and a written-then-emptied table are the same logical state).
     pub fn dump(&self) -> Vec<TableDump> {
-        let mut dumps: Vec<TableDump> = self
-            .tables
+        self.tables
             .iter()
             .filter(|(_, t)| !t.is_empty())
             .map(|(&(node, relation), table)| TableDump {
@@ -652,9 +649,7 @@ impl TableStore {
                     .map(|(t, c)| (Arc::clone(t), c))
                     .collect(),
             })
-            .collect();
-        dumps.sort_by(|a, b| (a.node, a.relation.as_str()).cmp(&(b.node, b.relation.as_str())));
-        dumps
+            .collect()
     }
 }
 

@@ -10,59 +10,48 @@
 //! keeps no annotation: the history it arrived with serves only the firing
 //! it triggers.
 //!
-//! This policy owns the BDD store the annotations are handles into, with no
-//! lock: an [`exspan_bdd::KeyedBddStore`] keyed by tuple, the shape a
-//! condensed query session owns too.  The engine numbers each base tuple's
-//! variable where the tuple first enters it — scheduled
-//! ([`crate::Engine::schedule_delta`]) or sent by a higher layer
-//! ([`crate::Engine::send_tuple`]) — taking its VID then, once, for the
-//! trust callbacks of [`ValueBddPolicy::derivable_under`].  It sees
-//! every base change and rule firing in event order, so an engine built with
-//! one ([`crate::Engine::with_parts`]) runs one shard, which owns it.
+//! Each shard of a value-mode engine owns one [`ValueBddPolicy`]: the BDD
+//! store its rows' annotations and its queued deltas' histories are handles
+//! into, with no lock, and the annotation bytes its sends were charged.  The
+//! engine owns the one numbering of base tuples as variables
+//! ([`exspan_bdd::Variables`]).  It numbers a base tuple where the tuple
+//! enters it — scheduled ([`crate::Engine::schedule_delta`]) or sent by a
+//! higher layer ([`crate::Engine::send_tuple`]), always outside an event
+//! loop, so the numbering does not depend on the shard count — and makes
+//! the variable's node in the store of the shard the tuple enters.  A delta
+//! that leaves its shard ships its history in the canonical encoding
+//! ([`exspan_bdd::BddStore::encode`]), and the destination shard rebuilds it
+//! in its own store as it takes the delta in.  The variable ids travel as
+//! they are, so the rebuilt history has the structure — and the
+//! [`exspan_bdd::BddStore::serialized_size`] — of the shipped one.
 //!
 //! Because the annotation is carried with the data, queries in value-based
-//! mode are answered locally ([`crate::Engine::derivable_under`]) without
-//! any distributed traversal — the trade-off the paper explores: high
-//! maintenance bandwidth, zero query latency.
+//! mode are answered locally ([`crate::Engine::derivable_under`], at the
+//! shard owning the tuple) without any distributed traversal — the
+//! trade-off the paper explores: high maintenance bandwidth, zero query
+//! latency.
 
-use exspan_bdd::{Bdd, BddStore, KeyedBddStore};
-use exspan_types::{Tuple, Vid};
-use std::sync::Arc;
+use exspan_bdd::{Bdd, BddStore};
 
-/// The value-based (BDD) provenance an engine maintains in value mode.
+/// One shard's value-based (BDD) provenance in value mode.
 #[derive(Debug, Default)]
 pub struct ValueBddPolicy {
-    /// The store, and the variable of each base tuple in first-seen order.
-    bdds: KeyedBddStore<Arc<Tuple>>,
-    /// Bytes of annotation attached to messages so far.
+    /// The store this shard's annotations and histories live in.
+    pub(crate) store: BddStore,
+    /// Bytes of annotation attached to this shard's messages so far.
     annotation_bytes_total: u64,
 }
 
 impl ValueBddPolicy {
-    /// Creates an empty policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The variable of base tuple `tuple`, numbered on first sight.
-    pub(crate) fn var_for(&mut self, tuple: &Arc<Tuple>) -> Bdd {
-        self.bdds.var(Arc::clone(tuple), |t| t.vid())
-    }
-
-    /// Derivability test under a trust assignment over base tuples: does
-    /// `annotation` hold using only trusted base tuples?
-    pub fn derivable_under<F: Fn(Vid) -> bool>(&self, annotation: Bdd, trusted: F) -> bool {
-        self.bdds.derivable_under(annotation, trusted)
-    }
-
-    /// Total annotation bytes attached to transmitted tuples so far.
+    /// Total annotation bytes attached to the tuples this shard transmitted
+    /// so far ([`crate::Engine::annotation_bytes`] sums the shards).
     pub fn total_annotation_bytes(&self) -> u64 {
         self.annotation_bytes_total
     }
 
     /// The BDD store the annotations live in (for inspection).
     pub fn manager(&self) -> &BddStore {
-        self.bdds.store()
+        &self.store
     }
 
     /// The history one rule firing ships with its delta: the AND of its
@@ -73,18 +62,17 @@ impl ValueBddPolicy {
     /// that derivation's history just like the insertion that established
     /// it.
     pub(crate) fn conjoin(&mut self, inputs: &[Bdd]) -> Bdd {
-        let store = self.bdds.store_mut();
-        inputs.iter().fold(Bdd::TRUE, |conj, &b| store.and(conj, b))
+        self.store.and_all(inputs.iter().copied())
     }
 
     /// Merges an alternative derivation's history into a row's.
     pub(crate) fn or(&mut self, row: Bdd, shipped: Bdd) -> Bdd {
-        self.bdds.store_mut().or(row, shipped)
+        self.store.or(row, shipped)
     }
 
     /// Charges the annotation bytes of a transmitted delta carrying `token`.
     pub(crate) fn annotation_bytes(&mut self, token: Option<Bdd>) -> usize {
-        let bytes = token.map_or(0, |t| self.bdds.store_mut().serialized_size(t));
+        let bytes = token.map_or(0, |t| self.store.serialized_size(t));
         self.annotation_bytes_total += bytes as u64;
         bytes
     }

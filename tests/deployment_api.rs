@@ -167,9 +167,9 @@ fn churn_and_concurrent_queries_share_one_clock_in_every_mode() {
 }
 
 #[test]
-fn shards_is_an_upper_bound_that_value_mode_caps_at_one() {
-    // One value-based policy sees every event, so a value-mode engine runs
-    // one shard whatever is asked for — and answers as `.shards(1)` does.
+fn value_mode_builds_the_shards_it_is_asked_for() {
+    // Each shard keeps its own BDD store and a history crossing shards
+    // travels encoded, so four value-mode shards answer as one does.
     let build = |mode: ProvenanceMode, shards: usize| {
         let mut deployment = Exspan::builder()
             .program(programs::mincost())
@@ -185,9 +185,11 @@ fn shards_is_an_upper_bound_that_value_mode_caps_at_one() {
         build(ProvenanceMode::ValueBdd, 1),
         build(ProvenanceMode::ValueBdd, 4),
     );
-    assert_eq!((one.num_shards(), four.num_shards()), (1, 1));
+    assert_eq!((one.num_shards(), four.num_shards()), (1, 4));
     assert_eq!(one.state_digest(), four.state_digest());
     assert_eq!(one.total_bytes(), four.total_bytes());
+    let annotation_bytes = |d: &Deployment| d.engine().annotation_bytes();
+    assert_eq!(annotation_bytes(&one), annotation_bytes(&four));
     let target = one.tuples_shared(0, "bestPathCost").remove(0);
     let links = one.tuples_shared(0, "link");
     let trusts: [&dyn Fn(exspan::types::Vid) -> bool; 3] =
@@ -275,18 +277,24 @@ fn a_zero_latency_link_is_stepped_through_not_refused() {
         deployment.state_digest()
     };
     assert_eq!(digest(1), digest(2));
-    // Value mode builds one shard whatever is asked for, so a zero-latency
-    // link is no reason to refuse four.
-    let mut topology = Topology::line(4);
-    topology.add_link(0, 3, instant);
-    let value = Exspan::builder()
-        .program(programs::mincost())
-        .topology(topology)
-        .mode(ProvenanceMode::ValueBdd)
-        .shards(4)
-        .build()
-        .expect("value mode builds one shard");
-    assert_eq!(value.num_shards(), 1);
+    // Nor is it a reason to refuse four value-mode shards, which step
+    // through it to what one shard computes.
+    let value = |shards: usize| {
+        let mut topology = Topology::line(4);
+        topology.add_link(0, 3, instant);
+        let mut deployment = Exspan::builder()
+            .program(programs::mincost())
+            .topology(topology)
+            .mode(ProvenanceMode::ValueBdd)
+            .shards(shards)
+            .build()
+            .expect("a zero-latency link is no reason to refuse value mode");
+        assert_eq!(deployment.num_shards(), shards);
+        deployment.run_to_fixpoint();
+        let bytes = deployment.engine().annotation_bytes();
+        (deployment.state_digest(), bytes)
+    };
+    assert_eq!(value(1), value(4));
 }
 
 #[test]

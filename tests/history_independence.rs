@@ -284,11 +284,7 @@ fn every_schedule_ends_at_the_fixpoint_of_its_final_topology() {
             schedule.splits
         );
         let one = schedule.run(1);
-        // A value-mode deployment runs one shard whatever `shards` says, so
-        // its 2-shard run would repeat this one.
-        if schedule.mode != ProvenanceMode::ValueBdd
-            && one.state_digest() != schedule.run(2).state_digest()
-        {
+        if one.state_digest() != schedule.run(2).state_digest() {
             failures.push(format!("{what}: the state differs at 1 and 2 shards"));
         }
         let program = schedule.program();
