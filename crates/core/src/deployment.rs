@@ -155,8 +155,8 @@ pub enum BaseTupleError {
         /// The tuple's arity.
         found: usize,
     },
-    /// The delta was scheduled before the deployment's current simulated
-    /// time (or at a time that is not a number).
+    /// The delta was scheduled at a time the clock cannot reach: before
+    /// the deployment's current simulated time, infinite, or not a number.
     Past {
         /// The time the delta was scheduled at.
         time: f64,
@@ -183,13 +183,19 @@ impl std::fmt::Display for BaseTupleError {
                 "{relation} is declared with {declared} attributes, not {found}"
             ),
             BaseTupleError::Past { time, now } => {
-                write!(f, "t={time} is before now (t={now})")
+                write!(f, "the clock at t={now} never reaches t={time}")
             }
         }
     }
 }
 
 impl std::error::Error for BaseTupleError {}
+
+/// Whether a clock at `now` can reach time `t`: not before now, not
+/// infinite, not NaN.  Every call that schedules at a time refuses the rest.
+pub(crate) fn reachable(now: f64, t: f64) -> bool {
+    (now..f64::INFINITY).contains(&t)
+}
 
 /// Builder for a [`Deployment`]; obtained from [`Exspan::builder`].
 #[derive(Debug, Clone)]
@@ -534,8 +540,8 @@ impl<'a> QueryBuilder<'a> {
     }
 
     /// Schedules issuance at an absolute simulated time instead of now.  A
-    /// time before [`Deployment::now`] (or one that is not a number) is
-    /// refused as an issuer outside the topology is (see [`Self::issuer`]).
+    /// time before [`Deployment::now`], infinite or not a number is refused
+    /// as an issuer outside the topology is (see [`Self::issuer`]).
     pub fn at(mut self, time: f64) -> Self {
         self.at = Some(time);
         self
@@ -775,8 +781,9 @@ impl Deployment {
 
     /// Schedules a base-tuple delta at an absolute simulated time (churn
     /// schedules, data-plane workloads), applied when the clock passes
-    /// `time`.  A `time` before [`Self::now`] is refused
-    /// ([`BaseTupleError::Past`]), as is what [`Self::insert_base`] refuses.
+    /// `time`.  A `time` the clock cannot reach — before [`Self::now`],
+    /// infinite or not a number — is refused ([`BaseTupleError::Past`]), as
+    /// is what [`Self::insert_base`] refuses.
     pub fn schedule_delta(
         &mut self,
         time: f64,
@@ -786,7 +793,7 @@ impl Deployment {
     ) -> Result<(), BaseTupleError> {
         self.check_base(node, &tuple)?;
         let now = self.now();
-        if time < now || time.is_nan() {
+        if !reachable(now, time) {
             return Err(BaseTupleError::Past { time, now });
         }
         self.engine.schedule_delta(time, node, tuple, insert);
@@ -821,10 +828,10 @@ impl Deployment {
     /// current topology — which is at most one churn interval early.  For
     /// immediate application use [`Self::apply_churn_event`].
     ///
-    /// An `at` before [`Self::now`] or not a number is refused, as is what
-    /// [`Self::add_link`] refuses (an added link's endpoint outside the
-    /// topology, a self-link, a latency that is not a finite number ≥ 0):
-    /// nothing changes.
+    /// An `at` before [`Self::now`], infinite or not a number is refused, as
+    /// is what [`Self::add_link`] refuses (an added link's endpoint outside
+    /// the topology, a self-link, a latency that is not a finite number
+    /// ≥ 0): nothing changes.
     pub fn schedule_churn_event(&mut self, event: &ChurnEvent, at: f64) {
         self.change_link(event.add, event.a, event.b, event.props, at);
     }
@@ -834,14 +841,14 @@ impl Deployment {
     /// tuples at `at`, at each endpoint inside the topology.  The removed
     /// link's cost names the deleted tuples; with no such link, `props.cost`
     /// does.  An added link the topology cannot hold (a latency that is not
-    /// a finite number ≥ 0 among them), or an `at` before now or NaN, is
-    /// refused before anything changes.
+    /// a finite number ≥ 0 among them), or an `at` the clock cannot reach,
+    /// is refused before anything changes.
     fn change_link(&mut self, add: bool, a: NodeId, b: NodeId, props: LinkProps, at: f64) {
         let nodes = self.engine.topology().num_nodes();
         let outside = |n: NodeId| n as usize >= nodes;
         let latency = (0.0..f64::INFINITY).contains(&props.latency);
         let unfit = a == b || outside(a) || outside(b) || !latency;
-        if add && unfit || at < self.now() || at.is_nan() {
+        if add && unfit || !reachable(self.now(), at) {
             return;
         }
         let cost = if add {

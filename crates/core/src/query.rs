@@ -70,6 +70,7 @@
 //!   rule-execution vertices share one children-dispatch routine, so the
 //!   choice is made in one place.
 
+use crate::deployment::reachable;
 use crate::repr::{Annotation, Repr, Representation};
 use crate::storage::{prov_rows, rule_exec_row, vertex_key};
 use exspan_runtime::{Engine, External};
@@ -476,8 +477,8 @@ impl QueryFabric {
     /// Submits a provenance query for `target` from `issuer` in session
     /// `sid`, now or at simulated time `at`.  Returns the outcome index.  A
     /// query whose issuer or target node is outside the topology, or whose
-    /// `at` is before now, is refused: its outcome never completes, it is not
-    /// counted as incomplete, and nothing is sent.
+    /// `at` the clock cannot reach, is refused: its outcome never completes,
+    /// it is not counted as incomplete, and nothing is sent.
     pub(crate) fn submit(
         &mut self,
         engine: &mut Engine,
@@ -497,7 +498,7 @@ impl QueryFabric {
             annotation: None,
         });
         let outside = |node: NodeId| node as usize >= engine.topology().num_nodes();
-        let past = at.is_some_and(|t| t < now || t.is_nan());
+        let past = at.is_some_and(|t| !reachable(now, t));
         if outside(issuer) || outside(target.location) || past {
             return index;
         }

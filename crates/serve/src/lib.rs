@@ -38,8 +38,9 @@
 //! response carrying its request id — possibly **out of order**: a short
 //! response overtakes the tail of a long result stream.  Completed polls
 //! stream the rendered result as `ResultChunk` frames
-//! ([`proto::MAX_FRAME_LEN`] bounds *frames*, not results) and reassembled
-//! transparently by [`ServeClient`].  A session ends with `Bye ↔ Bye`.
+//! ([`proto::MAX_FRAME_LEN`] bounds *frames*, not results), which a client
+//! reassembles with [`proto::ResultAssembler`].  A session ends with
+//! `Bye ↔ Bye`.
 //! Bodies travel as rendered: the handshake's `codec` flag and the two
 //! trailing `QueryStatusV2` counters are reserved, and its `pipeline_depth`
 //! is a constant window hint (see [`proto`]).
@@ -59,20 +60,17 @@
 //!
 //! `cargo run -p exspan-serve --bin exspan-serve` prints the bound address
 //! and serves until stdin closes; the in-process equivalent is
-//! [`Server::bind`] + [`ServeClient::connect`].  Load is measured by the
-//! repository's end-to-end benchmark, not by this crate:
+//! [`Server::bind`], spoken to over a `TcpStream` with the raw protocol
+//! ([`proto::write_frame`], [`proto::read_frame`]).  Load is measured by
+//! the repository's end-to-end benchmark, not by this crate:
 //! `bash benchmarks/e2e/run.sh --workload serve-query --seed 42 --seconds 8
 //! --trace 0` drives closed- and open-loop query mixes against a live server
 //! over loopback TCP.
 
-pub mod client;
-pub mod error;
 pub mod limiter;
 pub mod proto;
 pub mod server;
 
-pub use client::{PollStatus, Response, ServeClient, SessionInfo};
-pub use error::ServeError;
 pub use limiter::TokenBucket;
 pub use proto::{
     ErrorCode, Frame, FrameBuffer, QuerySpec, QueryState, ResultAssembler, ResultStream, WireError,

@@ -70,8 +70,7 @@
 //! body; it stays in the layout, a client may still set it, and the server
 //! always answers `false`.  The `cache_maintained` and
 //! `compressed_bytes_saved` counters of [`Frame::QueryStatusV2`] likewise
-//! stay in the layout, written as zero by the server and ignored by
-//! [`crate::ServeClient`].
+//! stay in the layout, written as zero by the server.
 
 use exspan_core::{Repr, TraversalOrder};
 use exspan_types::codec::{self, DecodeError, Reader};

@@ -12,14 +12,16 @@
 use exspan_core::{Deployment, Exspan, ProvenanceMode, Repr, Traversal};
 use exspan_netsim::{ChurnEvent, LinkClass, LinkProps, Topology};
 use exspan_serve::proto::{
-    self, ErrorCode, Frame, FrameRead, QuerySpec, QueryState, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    self, ErrorCode, Frame, FrameRead, QuerySpec, QueryState, MAX_CHUNK_DATA, MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
 };
-use exspan_serve::{Response, ResultAssembler, ServeClient, ServeConfig, Server, ServerHandle};
+use exspan_serve::{ResultAssembler, ServeConfig, Server, ServerHandle};
 use exspan_types::value::encode_str_for_hash;
 use exspan_types::{codec, Symbol, Tuple, Value};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn boot_on(topology: Topology, config: ServeConfig) -> ServerHandle {
     let mut deployment = Exspan::builder()
@@ -62,6 +64,7 @@ fn raw_connect(server: &ServerHandle) -> TcpStream {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
+    stream.set_nodelay(true).unwrap();
     stream
 }
 
@@ -72,7 +75,8 @@ fn read_decoded(stream: &mut TcpStream) -> Frame {
     }
 }
 
-fn hello(stream: &mut TcpStream) {
+/// Greets a raw connection; returns the server's `HelloAckV2`.
+fn hello(stream: &mut TcpStream) -> Frame {
     proto::write_frame(
         stream,
         &Frame::Hello {
@@ -81,19 +85,125 @@ fn hello(stream: &mut TcpStream) {
         },
     )
     .unwrap();
-    match read_decoded(stream) {
-        Frame::HelloAckV2 { nodes, version, .. } => {
-            assert_eq!(nodes, 4);
-            assert_eq!(version, PROTOCOL_VERSION);
-        }
-        other => panic!("expected HelloAckV2, got {other:?}"),
-    }
+    let ack = read_decoded(stream);
+    assert!(
+        matches!(ack, Frame::HelloAckV2 { version, .. } if version == PROTOCOL_VERSION),
+        "expected HelloAckV2, got {ack:?}"
+    );
+    ack
+}
+
+/// A connected, greeted session.
+fn session(server: &ServerHandle) -> TcpStream {
+    let mut stream = raw_connect(server);
+    hello(&mut stream);
+    stream
+}
+
+/// Ends a session whose requests are all answered: `Bye ↔ Bye`.
+fn bye(mut stream: TcpStream) {
+    proto::write_frame(&mut stream, &Frame::Bye).unwrap();
+    assert!(matches!(read_decoded(&mut stream), Frame::Bye));
 }
 
 fn expect_error(stream: &mut TcpStream, code: ErrorCode) {
     match read_decoded(stream) {
         Frame::Error { code: got, .. } => assert_eq!(got, code),
         other => panic!("expected {code:?} error, got {other:?}"),
+    }
+}
+
+/// Submits `spec` on a greeted connection: the query id, or the typed
+/// refusal.
+fn submit(stream: &mut TcpStream, spec: QuerySpec) -> Result<u64, ErrorCode> {
+    proto::write_frame(stream, &Frame::SubmitQuery { request: 1, spec }).unwrap();
+    match read_decoded(stream) {
+        Frame::SubmitAck { query, .. } => Ok(query),
+        Frame::Error { code, .. } => Err(code),
+        other => panic!("expected SubmitAck, got {other:?}"),
+    }
+}
+
+/// One poll's answer, its streamed result reassembled.
+#[derive(Debug, PartialEq)]
+struct Status {
+    state: QueryState,
+    latency: f64,
+    summary: String,
+    /// The result length the status announced.
+    total: u64,
+    body: Vec<u8>,
+}
+
+/// Reads until one poll response is whole: its request id, and the status
+/// or the typed refusal.  Pipelined polls' chunk streams may interleave;
+/// `open` holds the ones still arriving.
+fn recv_status(
+    stream: &mut TcpStream,
+    open: &mut HashMap<u64, (Status, ResultAssembler)>,
+) -> (u64, Result<Status, ErrorCode>) {
+    loop {
+        match read_decoded(stream) {
+            Frame::QueryStatusV2 {
+                request,
+                state,
+                latency,
+                summary,
+                result_total,
+                cache_maintained,
+                compressed_bytes_saved,
+                ..
+            } => {
+                assert_eq!((cache_maintained, compressed_bytes_saved), (0, 0));
+                let status = Status {
+                    state,
+                    latency,
+                    summary,
+                    total: result_total,
+                    body: Vec::new(),
+                };
+                if result_total == 0 {
+                    return (request, Ok(status));
+                }
+                open.insert(request, (status, ResultAssembler::new(result_total)));
+            }
+            Frame::ResultChunk {
+                request,
+                offset,
+                total,
+                bytes,
+            } => {
+                let (_, assembler) = open.get_mut(&request).expect("an announced stream");
+                if let Some(body) = assembler.accept(offset, total, &bytes).expect("in order") {
+                    let (status, _) = open.remove(&request).expect("just found");
+                    return (request, Ok(Status { body, ..status }));
+                }
+            }
+            Frame::Error { request, code, .. } => return (request, Err(code)),
+            other => panic!("expected a poll response, got {other:?}"),
+        }
+    }
+}
+
+/// Polls `query` once.
+fn poll(stream: &mut TcpStream, query: u64) -> Result<Status, ErrorCode> {
+    proto::write_frame(stream, &Frame::Poll { request: 2, query }).unwrap();
+    recv_status(stream, &mut HashMap::new()).1
+}
+
+/// Polls `query` every millisecond until it completes, absorbing admission
+/// and rate-limit pushback; a query still pending after two minutes fails
+/// the test.
+fn wait_for(stream: &mut TcpStream, query: u64) -> Result<Status, ErrorCode> {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        match poll(stream, query) {
+            Ok(status) if status.state != QueryState::Complete => {}
+            Err(ErrorCode::Admission | ErrorCode::RateLimited) => {}
+            done => return done,
+        }
+        assert!(Instant::now() < deadline, "query {query} never completed");
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -151,8 +261,7 @@ fn malformed_truncated_and_oversized_frames_get_typed_errors() {
     expect_error(&mut stream, ErrorCode::Oversized);
 
     // The connection survived all four violations.
-    proto::write_frame(&mut stream, &Frame::Bye).unwrap();
-    assert!(matches!(read_decoded(&mut stream), Frame::Bye));
+    bye(stream);
     server.shutdown();
 }
 
@@ -242,18 +351,17 @@ fn query_admission_overflow_is_refused_with_a_typed_error() {
     // clock_rate ≈ 0 freezes simulated time, so submitted queries cannot
     // complete and the in-flight cap is hit deterministically.
     let server = boot(ServeConfig::default().max_inflight(3).clock_rate(1e-9));
-    let mut client = ServeClient::connect(server.addr()).expect("handshake");
+    let mut client = session(&server);
     for _ in 0..3 {
-        client.submit(bestpath_spec()).expect("under the cap");
+        submit(&mut client, bestpath_spec()).expect("under the cap");
     }
-    let err = client.submit(bestpath_spec()).expect_err("cap reached");
-    assert_eq!(err.code(), Some(ErrorCode::Admission));
-    assert!(err.is_backpressure());
+    let err = submit(&mut client, bestpath_spec()).expect_err("cap reached");
+    assert_eq!(err, ErrorCode::Admission);
 
     // The session is still usable: polls keep working.
-    let status = client.poll(0).expect("poll works");
+    let status = poll(&mut client, 0).expect("poll works");
     assert_eq!(status.state, QueryState::Pending);
-    client.bye().expect("clean goodbye");
+    bye(client);
     server.shutdown();
 }
 
@@ -264,14 +372,13 @@ fn rate_limit_backpressure_is_typed_and_recoverable() {
             .rate_limit(0.001, 2) // effectively no refill within the test
             .clock_rate(1e-9),
     );
-    let mut client = ServeClient::connect(server.addr()).expect("handshake");
-    client.submit(bestpath_spec()).expect("token 1");
-    client.submit(bestpath_spec()).expect("token 2");
-    let err = client.submit(bestpath_spec()).expect_err("bucket empty");
-    assert_eq!(err.code(), Some(ErrorCode::RateLimited));
-    assert!(err.is_backpressure());
+    let mut client = session(&server);
+    submit(&mut client, bestpath_spec()).expect("token 1");
+    submit(&mut client, bestpath_spec()).expect("token 2");
+    let err = submit(&mut client, bestpath_spec()).expect_err("bucket empty");
+    assert_eq!(err, ErrorCode::RateLimited);
     // Still connected: the goodbye handshake completes.
-    client.bye().expect("clean goodbye");
+    bye(client);
     server.shutdown();
 }
 
@@ -306,8 +413,7 @@ fn bind_refuses_rates_no_clock_or_bucket_can_run_on() {
     }
     // Refusal came before anything was bound: the address is still free.
     let server = bind(ServeConfig::default()).expect("a sound config binds the same address");
-    let client = ServeClient::connect(server.addr()).expect("handshake");
-    client.bye().expect("clean goodbye");
+    bye(session(&server));
     server.shutdown();
 }
 
@@ -341,33 +447,44 @@ fn shutdown_checkpoints_a_deployment_that_has_a_store() {
 #[test]
 fn unknown_query_ids_are_typed_errors() {
     let server = boot(ServeConfig::default());
-    let mut client = ServeClient::connect(server.addr()).expect("handshake");
-    let err = client.poll(987_654).expect_err("no such query");
-    assert_eq!(err.code(), Some(ErrorCode::UnknownQuery));
-    client.bye().expect("clean goodbye");
+    let mut client = session(&server);
+    let err = poll(&mut client, 987_654).expect_err("no such query");
+    assert_eq!(err, ErrorCode::UnknownQuery);
+    bye(client);
     server.shutdown();
 }
 
 #[test]
 fn a_query_completes_end_to_end_over_the_wire() {
     let server = boot(ServeConfig::default().clock_rate(1000.0));
-    let mut client = ServeClient::connect(server.addr()).expect("handshake");
-    assert_eq!(client.info().program, "MINCOST");
-    assert_eq!(client.info().version, PROTOCOL_VERSION);
-    let query = client.submit(bestpath_spec()).expect("admitted");
-    let status = client
-        .wait_for(query, Duration::from_secs(30))
-        .expect("no protocol error")
-        .expect("completes within the budget");
+    let mut client = raw_connect(&server);
+    let Frame::HelloAckV2 {
+        program,
+        nodes,
+        version,
+        pipeline_depth,
+        chunk_bytes,
+        ..
+    } = hello(&mut client)
+    else {
+        unreachable!("hello checks the ack")
+    };
+    assert_eq!(program, "MINCOST");
+    assert_eq!(nodes, 4);
+    assert_eq!(version, PROTOCOL_VERSION);
+    assert_eq!(pipeline_depth, 32);
+    assert_eq!(chunk_bytes, MAX_CHUNK_DATA as u32);
+    let query = submit(&mut client, bestpath_spec()).expect("admitted");
+    let status = wait_for(&mut client, query).expect("no protocol error");
     assert_eq!(status.state, QueryState::Complete);
     assert!(status.latency > 0.0, "simulated latency is positive");
     assert_eq!(status.summary, "2 derivations");
     // The rendered polynomial is streamed alongside the summary.
-    let result = status
-        .result
-        .expect("completed polls carry the result body");
-    assert!(!result.is_empty());
-    client.bye().expect("clean goodbye");
+    assert!(
+        !status.body.is_empty(),
+        "completed polls carry the result body"
+    );
+    bye(client);
     let deployment = server.shutdown();
     assert_eq!(deployment.outcomes().len(), 1);
 }
@@ -378,17 +495,12 @@ fn large_results_stream_chunked_and_pipelined_polls_complete_out_of_order() {
     // MAX_FRAME_LEN, so the body must arrive as a reassembled chunk stream.
     let k = 12;
     let server = boot_on(diamond_chain(k), ServeConfig::default().clock_rate(1000.0));
-    let mut client = ServeClient::connect(server.addr()).expect("handshake");
+    let mut client = session(&server);
 
-    let big = client
-        .submit(diamond_spec(k as u32, 2 * k as i64))
-        .expect("admitted");
-    let status = client
-        .wait_for(big, Duration::from_secs(120))
-        .expect("no protocol error")
-        .expect("completes");
+    let big = submit(&mut client, diamond_spec(k as u32, 2 * k as i64)).expect("admitted");
+    let status = wait_for(&mut client, big).expect("no protocol error");
     assert_eq!(status.summary, format!("{} derivations", 1u64 << k));
-    let body = status.result.expect("result body streamed");
+    let body = status.body;
     assert!(
         body.len() > MAX_FRAME_LEN,
         "result must exceed one frame to exercise chunking, got {} bytes",
@@ -396,13 +508,8 @@ fn large_results_stream_chunked_and_pipelined_polls_complete_out_of_order() {
     );
 
     // A one-hop route: small result, instant to render.
-    let small = client
-        .submit(diamond_spec(k as u32 + 1, 1))
-        .expect("admitted");
-    client
-        .wait_for(small, Duration::from_secs(30))
-        .expect("no protocol error")
-        .expect("completes");
+    let small = submit(&mut client, diamond_spec(k as u32 + 1, 1)).expect("admitted");
+    wait_for(&mut client, small).expect("no protocol error");
 
     // Pipeline a poll of the big query then a poll of the small one and
     // hold off reading: the server commits the small response while it is
@@ -413,17 +520,18 @@ fn large_results_stream_chunked_and_pipelined_polls_complete_out_of_order() {
     // to drain in between, the pair is simply retried; one interleaved
     // attempt proves the protocol property.
     let mut interleaved = false;
+    let (r_big, r_small) = (1, 2);
     for attempt in 0..5 {
-        let r_big = client.poll_pipelined(big).expect("pipelined");
-        let r_small = client.poll_pipelined(small).expect("pipelined");
+        for (request, query) in [(r_big, big), (r_small, small)] {
+            proto::write_frame(&mut client, &Frame::Poll { request, query }).expect("pipelined");
+        }
         std::thread::sleep(Duration::from_millis(400));
 
+        let mut open = HashMap::new();
         let mut responses = Vec::new();
         for _ in 0..2 {
-            match client.recv_response().expect("pipelined response") {
-                Response::Status {
-                    request, status, ..
-                } => responses.push((request, status)),
+            match recv_status(&mut client, &mut open) {
+                (request, Ok(status)) => responses.push((request, status)),
                 other => panic!("expected a poll status, got {other:?}"),
             }
         }
@@ -434,7 +542,7 @@ fn large_results_stream_chunked_and_pipelined_polls_complete_out_of_order() {
             .find(|(r, _)| *r == r_big)
             .expect("big poll answered")
             .1;
-        assert_eq!(big_status.result.as_deref(), Some(body.as_str()));
+        assert_eq!(big_status.body, body);
         assert!(
             responses.iter().any(|(r, _)| *r == r_small),
             "small poll answered"
@@ -450,58 +558,8 @@ fn large_results_stream_chunked_and_pipelined_polls_complete_out_of_order() {
         "the small poll never completed ahead of the big stream in 5 attempts"
     );
 
-    client.bye().expect("clean goodbye");
+    bye(client);
     server.shutdown();
-}
-
-/// Submits [`bestpath_spec`] on a greeted raw connection.
-fn submit_bestpath(stream: &mut TcpStream) -> u64 {
-    let submit = Frame::SubmitQuery {
-        request: 1,
-        spec: bestpath_spec(),
-    };
-    proto::write_frame(stream, &submit).unwrap();
-    match read_decoded(stream) {
-        Frame::SubmitAck { query, .. } => query,
-        other => panic!("expected SubmitAck, got {other:?}"),
-    }
-}
-
-/// Polls `query` until complete, then reassembles the chunk stream:
-/// `(result_total, body)`.
-fn poll_body(stream: &mut TcpStream, query: u64) -> (u64, Vec<u8>) {
-    let result_total = loop {
-        proto::write_frame(stream, &Frame::Poll { request: 2, query }).unwrap();
-        match read_decoded(stream) {
-            Frame::QueryStatusV2 {
-                state: QueryState::Complete,
-                result_total,
-                cache_maintained,
-                compressed_bytes_saved,
-                ..
-            } => {
-                assert_eq!((cache_maintained, compressed_bytes_saved), (0, 0));
-                break result_total;
-            }
-            Frame::QueryStatusV2 { .. } => std::thread::sleep(Duration::from_millis(2)),
-            other => panic!("expected QueryStatusV2, got {other:?}"),
-        }
-    };
-    let mut assembler = ResultAssembler::new(result_total);
-    loop {
-        let Frame::ResultChunk {
-            offset,
-            total,
-            bytes,
-            ..
-        } = read_decoded(stream)
-        else {
-            panic!("expected ResultChunk");
-        };
-        if let Some(body) = assembler.accept(offset, total, &bytes).expect("in order") {
-            break (result_total, body);
-        }
-    }
 }
 
 #[test]
@@ -522,8 +580,8 @@ fn offered_codec_is_declined_and_bodies_travel_plain() {
         Frame::HelloAckV2 { codec, .. } => assert!(!codec, "the offer must be declined"),
         other => panic!("expected HelloAckV2, got {other:?}"),
     }
-    let query = submit_bestpath(&mut stream);
-    let (_, body) = poll_body(&mut stream, query);
+    let query = submit(&mut stream, bestpath_spec()).expect("admitted");
+    let body = wait_for(&mut stream, query).expect("completes").body;
 
     let deployment = server.shutdown();
     let rendered = deployment.outcomes()[0]
@@ -540,15 +598,13 @@ fn repeated_polls_from_any_session_render_the_same_body() {
     // The server keeps nothing per query or per session: a query id is the
     // index of its outcome, and every poll renders that outcome again.
     let server = boot(ServeConfig::default().clock_rate(1000.0));
-    let mut stream = raw_connect(&server);
-    hello(&mut stream);
-    let query = submit_bestpath(&mut stream);
-    let first = poll_body(&mut stream, query);
-    assert!(first.0 > 0 && first.0 == first.1.len() as u64);
-    assert_eq!(first, poll_body(&mut stream, query));
-    let mut other = raw_connect(&server);
-    hello(&mut other);
-    assert_eq!(first, poll_body(&mut other, query));
+    let mut stream = session(&server);
+    let query = submit(&mut stream, bestpath_spec()).expect("admitted");
+    let first = wait_for(&mut stream, query).expect("completes");
+    assert!(first.total > 0 && first.total == first.body.len() as u64);
+    assert_eq!(first, wait_for(&mut stream, query).expect("completes"));
+    let mut other = session(&server);
+    assert_eq!(first, wait_for(&mut other, query).expect("completes"));
     server.shutdown();
 }
 
@@ -564,23 +620,16 @@ fn slow_reader_write_queue_overflow_is_typed_and_closes() {
             .clock_rate(1000.0)
             .write_queue_bytes(4096),
     );
-    let mut client = ServeClient::connect(server.addr()).expect("handshake");
-    let query = client
-        .submit(diamond_spec(k as u32, 2 * k as i64))
-        .expect("admitted");
+    let mut client = session(&server);
+    let query = submit(&mut client, diamond_spec(k as u32, 2 * k as i64)).expect("admitted");
     // Pending polls are small and fit the budget; the completion response
-    // does not, so the wait surfaces the overload error.
-    let err = client
-        .wait_for(query, Duration::from_secs(60))
-        .expect_err("overload instead of a result");
-    assert_eq!(err.code(), Some(ErrorCode::Overloaded));
-    assert!(
-        !err.is_backpressure(),
-        "overload is fatal, not a retry hint"
-    );
+    // does not, so the wait surfaces the overload error — fatal, not one
+    // of the retry hints `wait_for` absorbs.
+    let err = wait_for(&mut client, query).expect_err("overload instead of a result");
+    assert_eq!(err, ErrorCode::Overloaded);
     // The server drained the error frame and closed the connection.
-    let err = client.poll(query).expect_err("connection is gone");
-    assert!(err.code().is_none());
+    let eof = proto::read_frame(&mut client).expect("an orderly close");
+    assert!(eof.is_none(), "connection is gone");
     server.shutdown();
 }
 
@@ -601,19 +650,15 @@ fn submitted_values_travel_in_the_canonical_form() {
         ]),
         Value::Digest([0xA5; 20]),
     ];
-    let mut client = ServeClient::connect(server.addr()).expect("handshake");
-    let query = client
-        .submit(QuerySpec {
-            values: values.clone(),
-            ..bestpath_spec()
-        })
-        .expect("admitted");
-    let status = client
-        .wait_for(query, Duration::from_secs(30))
-        .expect("no protocol error")
-        .expect("completes");
+    let mut client = session(&server);
+    let spec = QuerySpec {
+        values: values.clone(),
+        ..bestpath_spec()
+    };
+    let query = submit(&mut client, spec).expect("admitted");
+    let status = wait_for(&mut client, query).expect("no protocol error");
     assert_eq!(status.state, QueryState::Complete);
-    client.bye().expect("clean goodbye");
+    bye(client);
     let deployment = server.shutdown();
     assert_eq!(
         deployment.outcomes()[0].vid,
@@ -626,14 +671,13 @@ fn an_unknown_relation_is_malformed_and_never_interned() {
     // A relation name or a string value is client input: the server looks
     // it up and does not intern it, since an interned string is never freed.
     let server = boot(ServeConfig::default().clock_rate(1000.0));
-    let mut client = ServeClient::connect(server.addr()).expect("handshake");
-    let err = client
-        .submit(QuerySpec {
-            relation: "noSuchRelation".into(),
-            ..bestpath_spec()
-        })
-        .expect_err("no program defines the relation");
-    assert_eq!(err.code(), Some(ErrorCode::Malformed));
+    let mut client = session(&server);
+    let unknown = QuerySpec {
+        relation: "noSuchRelation".into(),
+        ..bestpath_spec()
+    };
+    let err = submit(&mut client, unknown).expect_err("no program defines the relation");
+    assert_eq!(err, ErrorCode::Malformed);
     // A string value no tuple holds, its bytes built without interning it:
     // this process is the server's.
     let fresh = "a string value no tuple holds";
@@ -647,21 +691,17 @@ fn an_unknown_relation_is_malformed_and_never_interned() {
     body.extend_from_slice(&2u16.to_be_bytes());
     codec::encode_value(&Value::Node(2), &mut body);
     encode_str_for_hash(fresh, &mut body);
-    let mut stream = raw_connect(&server);
-    hello(&mut stream);
+    let mut stream = session(&server);
     stream
         .write_all(&(body.len() as u32).to_be_bytes())
         .unwrap();
     stream.write_all(&body).unwrap();
     expect_error(&mut stream, ErrorCode::Malformed);
     // The session stays usable.
-    let query = client.submit(bestpath_spec()).expect("admitted");
-    let status = client
-        .wait_for(query, Duration::from_secs(30))
-        .expect("no protocol error")
-        .expect("completes");
+    let query = submit(&mut client, bestpath_spec()).expect("admitted");
+    let status = wait_for(&mut client, query).expect("no protocol error");
     assert_eq!(status.summary, "2 derivations");
-    client.bye().expect("clean goodbye");
+    bye(client);
     assert_eq!(server.shutdown().outcomes().len(), 1);
     assert_eq!(Symbol::get("noSuchRelation"), None);
     assert_eq!(Symbol::get(fresh), None);
@@ -714,34 +754,28 @@ fn idle_sessions_soak() {
     let n = 10_000.min((nofile - 512) / 2);
     assert!(n >= 9_000, "descriptor limit {nofile} is too low to soak");
     let server = boot(ServeConfig::default().max_sessions(n).clock_rate(1000.0));
-    let addr = server.addr();
-    let complete = |client: &mut ServeClient| {
-        let query = client.submit(bestpath_spec()).expect("admitted");
-        let status = client
-            .wait_for(query, Duration::from_secs(30))
-            .expect("no protocol error")
-            .expect("completes");
+    let complete = |client: &mut TcpStream| {
+        let query = submit(client, bestpath_spec()).expect("admitted");
+        let status = wait_for(client, query).expect("no protocol error");
         assert_eq!(status.summary, "2 derivations");
         query
     };
 
-    let mut first = ServeClient::connect(addr).expect("handshake");
+    let mut first = session(&server);
     let known = complete(&mut first);
     let connected = std::sync::Barrier::new(WORKERS + 1);
     let mut last = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..WORKERS)
             .map(|w| {
-                let connected = &connected;
+                let (connected, server) = (&connected, &server);
                 scope.spawn(move || {
                     // n - 2 sessions here, plus `first` and `last`.
                     let share = (n - 2) / WORKERS + usize::from(w < (n - 2) % WORKERS);
-                    let mut clients: Vec<ServeClient> = (0..share)
-                        .map(|_| ServeClient::connect(addr).expect("handshake"))
-                        .collect();
+                    let mut clients: Vec<TcpStream> = (0..share).map(|_| session(server)).collect();
                     connected.wait(); // everyone is connected
                     connected.wait(); // the idle hold is over
                     for client in &mut clients {
-                        let status = client.poll(known).expect("idle session still served");
+                        let status = poll(client, known).expect("idle session still served");
                         assert_eq!(status.state, QueryState::Complete);
                     }
                     connected.wait(); // keep every session open until all polled
@@ -749,7 +783,7 @@ fn idle_sessions_soak() {
             })
             .collect();
         connected.wait();
-        let last = ServeClient::connect(addr).expect("handshake");
+        let last = session(&server);
         assert_eq!(server.session_count(), n);
         std::thread::sleep(Duration::from_secs(1));
         assert_eq!(server.session_count(), n, "idle sessions are kept");

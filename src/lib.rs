@@ -24,7 +24,7 @@
 //! | [`netsim`] | `exspan-netsim` | discrete-event simulator, topologies, churn |
 //! | [`runtime`] | `exspan-runtime` | distributed pipelined semi-naïve NDlog engine |
 //! | [`core`] | `exspan-core` | the `Deployment` API, provenance rewrite, modes, queries |
-//! | [`serve`] | `exspan-serve` | wall-clock TCP service front-end, wire protocol, load generator |
+//! | [`serve`] | `exspan-serve` | wall-clock TCP service front-end, wire protocol |
 //!
 //! ## Quick start
 //!
@@ -103,7 +103,7 @@ pub use exspan_runtime as runtime;
 pub use exspan_serve as serve;
 pub use exspan_types as types;
 
-pub use exspan_serve::{ServeClient, ServeConfig};
+pub use exspan_serve::ServeConfig;
 
 /// Shared deployment prologues used by the `examples/` binaries and the
 /// integration tests — one builder-based helper instead of each call site

@@ -415,8 +415,9 @@ fn a_head_located_outside_the_topology_derives_nothing() {
 #[test]
 fn a_query_outside_the_topology_or_the_past_is_refused() {
     // Each of these once panicked in the simulator: an issuer or a target
-    // node outside the 4-node topology indexed past its per-node tables, and
-    // an issue time before now was scheduled in the past.
+    // node outside the 4-node topology indexed past its per-node tables, an
+    // issue time before now was scheduled in the past, and one at +∞ was
+    // never reached.
     let mut deployment = Exspan::builder()
         .program(programs::mincost())
         .topology(Topology::paper_example())
@@ -436,6 +437,7 @@ fn a_query_outside_the_topology_or_the_past_is_refused() {
     let handles = [
         deployment.query(&best).issuer(99).at(now + 1.0).submit(),
         deployment.query(&best).at(now - 1.0).submit(),
+        deployment.query(&best).at(f64::INFINITY).submit(),
     ];
     assert_eq!(deployment.incomplete_queries(), 0);
     deployment.run_to_fixpoint();
@@ -460,7 +462,7 @@ fn a_delta_scheduled_in_the_past_is_refused() {
     let digest = deployment.state_digest();
     let now = deployment.now();
     let tuple = Deployment::link_tuple(0, 2, 1);
-    for time in [now - 1.0, f64::NAN] {
+    for time in [now - 1.0, f64::NAN, f64::INFINITY] {
         let err = deployment
             .schedule_delta(time, 0, tuple.clone(), true)
             .unwrap_err();
@@ -503,6 +505,7 @@ fn a_link_change_the_deployment_cannot_apply_is_refused() {
     deployment.add_link(1, 1, props);
     deployment.schedule_churn_event(&add(0, 3), now - 1.0);
     deployment.schedule_churn_event(&add(0, 3), f64::NAN);
+    deployment.schedule_churn_event(&add(0, 3), f64::INFINITY);
     // A latency that is not a finite number >= 0 would deliver a message
     // before it was sent, or leave a barrier window no lookahead.
     for latency in [-0.5, f64::NAN, f64::INFINITY] {
