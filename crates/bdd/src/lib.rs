@@ -13,10 +13,10 @@
 //! The implementation is a classic hash-consed apply-based ROBDD:
 //!
 //! * [`BddStore`] owns one node arena: a `Vec` of nodes indexed by dense
-//!   `u32` handles (terminals 0 and 1), a unique table from node shape to
-//!   handle, a bounded, epoch-cleared apply memo and an epoch-stamped mark
-//!   vector for the node walk, all hashed by [`exspan_types::fxhash`].  Its
-//!   owner applies without a lock.
+//!   `u32` handles (terminals 0 and 1), an open-addressed unique table of
+//!   handles, a bounded apply memo and an epoch-stamped mark vector for the
+//!   node walk, all flat vectors of integers.  Its owner applies without a
+//!   lock.
 //! * [`Variables`] numbers base tuples as variables, in first-seen order,
 //!   with each variable's VID.  A value-mode engine owns one numbering (keyed
 //!   by tuple) and a store per shard; each condensed (BDD) query session
@@ -48,14 +48,14 @@
 //!
 //! # Memory
 //!
-//! The apply memo is bounded at [`MEMO_CAPACITY`] entries and
-//! epoch-cleared when full (the classic computed-table policy), so a
-//! long-lived store does not grow its memo without bound.  Nodes are
-//! permanent — repeating a workload allocates nothing new, which is what
-//! keeps long churn runs at steady-state memory.  The node walks mark the
-//! nodes they reached with a per-walk epoch in a vector indexed by handle,
-//! so charging or encoding a send allocates nothing once the vector has
-//! grown.
+//! The unique table is rebuilt from the arena before it passes ¾ full, so a
+//! handle stays its node's creation rank.  The apply memo is a lossy,
+//! direct-mapped cache that grows with the store up to [`MEMO_CAPACITY`]
+//! slots and is never cleared.  Nodes are permanent — repeating a workload
+//! allocates nothing new, which keeps long churn runs at steady-state memory.
+//! The node walks mark the nodes they reached with a per-walk epoch in a
+//! vector indexed by handle, so charging or encoding a send allocates
+//! nothing once the vector has grown.
 
 mod manager;
 

@@ -1023,10 +1023,10 @@ impl Deployment {
     // Value-based provenance
     // ------------------------------------------------------------------
 
-    /// Runs `f` against the value-based provenance of the engine's first
-    /// shard — all of it at one shard (only in [`ProvenanceMode::ValueBdd`]).
-    /// Every shard's: [`Engine::policies`]; the annotation bytes of all:
-    /// [`Engine::annotation_bytes`].
+    /// Runs `f` against the first shard's value-based provenance policy
+    /// only (in [`ProvenanceMode::ValueBdd`]): at two shards or more it sees
+    /// that shard's store and charges alone.  Read every shard's through
+    /// [`Engine::policies`] and the total through [`Engine::annotation_bytes`].
     pub fn with_value_provenance<T>(&self, f: impl FnOnce(&ValueBddPolicy) -> T) -> Option<T> {
         self.engine.policies().next().map(f)
     }

@@ -6,14 +6,11 @@
 //! sends keep SipHash, a caching query session's target VIDs included.  No output reads either
 //! kind's iteration order: every dump, snapshot and listing sorts.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` hashed by [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// A `HashSet` hashed by [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 /// The Fx hasher.  Unseeded, so deterministic across runs.
 #[derive(Debug, Default, Clone, Copy)]

@@ -39,11 +39,13 @@ pub fn message_size(tuples: &[Tuple], annotation_bytes: usize) -> usize {
 
 /// A running bandwidth accumulator that buckets bytes into fixed-width time
 /// windows, producing the "average bandwidth over time" series used by
-/// Figures 8–11, 13, 15 and 16.
+/// Figures 8–11, 13, 15 and 16.  It holds only the buckets something was
+/// recorded in, so its memory follows the traffic, not the clock.
 #[derive(Debug, Clone)]
 pub struct BandwidthSeries {
     bucket_width: f64,
-    buckets: Vec<u64>,
+    /// The recorded buckets, as `(index, bytes)` pairs in index order.
+    buckets: Vec<(u64, u64)>,
 }
 
 impl BandwidthSeries {
@@ -58,25 +60,38 @@ impl BandwidthSeries {
 
     /// Records `bytes` transmitted at simulated time `time`.
     pub fn record(&mut self, time: f64, bytes: usize) {
-        let idx = (time / self.bucket_width).floor() as usize;
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += bytes as u64;
+        self.add((time / self.bucket_width).floor() as u64, bytes as u64);
     }
 
-    /// Returns `(bucket_start_time, bytes_per_second)` samples.
+    /// Adds `bytes` to bucket `idx`: an append while time moves forward, a
+    /// binary-search insert otherwise.
+    fn add(&mut self, idx: u64, bytes: u64) {
+        let at = match self.buckets.last() {
+            Some(&(last, _)) if last == idx => Ok(self.buckets.len() - 1),
+            Some(&(last, _)) if last > idx => self.buckets.binary_search_by_key(&idx, |b| b.0),
+            _ => Err(self.buckets.len()),
+        };
+        match at {
+            Ok(at) => self.buckets[at].1 += bytes,
+            Err(at) => self.buckets.insert(at, (idx, bytes)),
+        }
+    }
+
+    /// Returns `(bucket_start_time, bytes_per_second)` samples, every bucket
+    /// up to the last recorded one, zeros included.
     pub fn samples(&self) -> Vec<(f64, f64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (i as f64 * self.bucket_width, b as f64 / self.bucket_width))
-            .collect()
+        let w = self.bucket_width;
+        let len = self.buckets.last().map_or(0, |b| b.0 + 1);
+        let mut samples: Vec<_> = (0..len).map(|i| (i as f64 * w, 0.0)).collect();
+        for &(i, b) in &self.buckets {
+            samples[i as usize].1 = b as f64 / w;
+        }
+        samples
     }
 
     /// Total bytes recorded.
     pub fn total_bytes(&self) -> u64 {
-        self.buckets.iter().sum()
+        self.buckets.iter().map(|b| b.1).sum()
     }
 
     /// Adds another series into this one, bucket by bucket.  Buckets hold
@@ -88,11 +103,8 @@ impl BandwidthSeries {
             self.bucket_width, other.bucket_width,
             "cannot merge series with different bucket widths"
         );
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+        for &(idx, bytes) in &other.buckets {
+            self.add(idx, bytes);
         }
     }
 }
