@@ -914,13 +914,14 @@ impl Deployment {
     /// Total bytes transmitted so far across all nodes (protocol maintenance
     /// plus query traffic — everything shares the one network).
     pub fn total_bytes(&self) -> u64 {
-        self.engine.stats().total_bytes()
+        self.engine.total_bytes()
     }
 
     /// Average bytes transmitted per node, in megabytes (the metric of
     /// Figures 6 and 7).
     pub fn avg_comm_mb(&self) -> f64 {
-        self.engine.stats().avg_bytes_per_node() / 1e6
+        let nodes = self.engine.topology().num_nodes().max(1) as f64;
+        self.engine.total_bytes() as f64 / nodes / 1e6
     }
 
     /// Average *compressed* bytes transmitted per node, in megabytes — the

@@ -79,6 +79,8 @@ fn run(program: &Program, mode: ProvenanceMode, shards: usize, churn: bool) -> F
         tuples.extend(deployment.tuples_everywhere_shared(rel));
     }
     let s = deployment.engine().stats();
+    // The summed per-shard counters equal the merged statistics' total.
+    assert_eq!(deployment.total_bytes(), s.total_bytes(), "{shards} shards");
     let engine = deployment.engine();
     let value = engine.annotation_bytes().map(|bytes| {
         let trusts = trust_assignments(&deployment);

@@ -374,6 +374,15 @@ impl Engine {
         merged
     }
 
+    /// Bytes sent by every node, summed across shards: the total of
+    /// [`Engine::stats`] without cloning and merging the bandwidth series.
+    pub fn total_bytes(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.sim.stats().total_bytes())
+            .sum()
+    }
+
     /// Total bytes every transmitted message would have cost under the
     /// dictionary size model, summed across shards.  Only accumulates when
     /// [`EngineConfig::track_compressed`] is set; the merge is a sum of

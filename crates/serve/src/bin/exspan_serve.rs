@@ -22,7 +22,6 @@
 use exspan_core::{Exspan, ProvenanceMode};
 use exspan_netsim::{ChurnModel, Topology};
 use exspan_serve::{ServeConfig, Server};
-use std::io::BufRead;
 use std::process::ExitCode;
 
 struct Args {
@@ -34,13 +33,15 @@ struct Args {
     burst: u32,
     max_sessions: usize,
     max_inflight: usize,
-    write_queue_kib: usize,
+    write_queue_bytes: usize,
     churn_duration: f64,
     churn: bool,
     data_dir: Option<std::path::PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the flags that follow the program name, refusing a value the
+/// server cannot run on.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:0".into(),
         domains: 1,
@@ -50,53 +51,58 @@ fn parse_args() -> Result<Args, String> {
         burst: 64,
         max_sessions: 256,
         max_inflight: 4096,
-        write_queue_kib: 1024,
+        write_queue_bytes: 1024 * 1024,
         churn_duration: 30.0,
         churn: true,
         data_dir: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
+        let mut value = || it.next().ok_or_else(|| format!("{flag} expects a value"));
         match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--domains" => args.domains = parse(&value("--domains")?, "--domains")?,
-            "--seed" => args.seed = parse(&value("--seed")?, "--seed")?,
-            "--clock-rate" => args.clock_rate = parse(&value("--clock-rate")?, "--clock-rate")?,
-            "--rate" => args.rate = parse(&value("--rate")?, "--rate")?,
-            "--burst" => args.burst = parse(&value("--burst")?, "--burst")?,
-            "--max-sessions" => {
-                args.max_sessions = parse(&value("--max-sessions")?, "--max-sessions")?;
-            }
-            "--max-inflight" => {
-                args.max_inflight = parse(&value("--max-inflight")?, "--max-inflight")?;
-            }
+            "--addr" => args.addr = value()?,
+            "--domains" => args.domains = parse(&flag, value()?)?,
+            "--seed" => args.seed = parse(&flag, value()?)?,
+            "--clock-rate" => args.clock_rate = parse(&flag, value()?)?,
+            "--rate" => args.rate = parse(&flag, value()?)?,
+            "--burst" => args.burst = parse(&flag, value()?)?,
+            "--max-sessions" => args.max_sessions = parse(&flag, value()?)?,
+            "--max-inflight" => args.max_inflight = parse(&flag, value()?)?,
             "--write-queue-kib" => {
-                args.write_queue_kib = parse(&value("--write-queue-kib")?, "--write-queue-kib")?;
+                let kib: usize = parse(&flag, value()?)?;
+                let bytes = kib.checked_mul(1024);
+                args.write_queue_bytes = bytes.ok_or(format!("{flag}: {kib} KiB overflows"))?;
             }
-            "--churn-duration" => {
-                args.churn_duration = parse(&value("--churn-duration")?, "--churn-duration")?;
-            }
+            "--churn-duration" => args.churn_duration = parse(&flag, value()?)?,
             "--no-churn" => args.churn = false,
-            "--data-dir" => args.data_dir = Some(value("--data-dir")?.into()),
+            "--data-dir" => args.data_dir = Some(value()?.into()),
             other => return Err(format!("unknown flag {other}")),
         }
+    }
+    // The churn schedule is generated up front, every step of it.
+    let duration = args.churn_duration;
+    if !(duration.is_finite() && duration >= 0.0) {
+        return Err(format!(
+            "--churn-duration must be finite and >= 0, got {duration}"
+        ));
     }
     Ok(args)
 }
 
-fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
+fn parse<T: std::str::FromStr>(flag: &str, s: String) -> Result<T, String> {
     s.parse().map_err(|_| format!("{flag}: cannot parse {s:?}"))
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("exspan-serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    if let Err(e) = serve() {
+        eprintln!("exspan-serve: {e}");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+fn serve() -> Result<(), String> {
+    let args = parse_args(std::env::args().skip(1))?;
 
     let topology = Topology::transit_stub(args.domains, args.seed);
     let mut builder = Exspan::builder()
@@ -106,13 +112,9 @@ fn main() -> ExitCode {
     if let Some(dir) = &args.data_dir {
         builder = builder.data_dir(dir);
     }
-    let mut deployment = match builder.build() {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("exspan-serve: cannot build deployment: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut deployment = builder
+        .build()
+        .map_err(|e| format!("cannot build deployment: {e}"))?;
     if deployment.recovered_from_store() {
         // The store holds a quiescent fixpoint; no need to recompute it.
         eprintln!(
@@ -148,25 +150,14 @@ fn main() -> ExitCode {
         .max_inflight(args.max_inflight)
         .rate_limit(args.rate, args.burst)
         .clock_rate(args.clock_rate)
-        .write_queue_bytes(args.write_queue_kib * 1024);
-    let server = match Server::bind(deployment, config) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("exspan-serve: cannot bind: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+        .write_queue_bytes(args.write_queue_bytes);
+    let server = Server::bind(deployment, config).map_err(|e| format!("cannot bind: {e}"))?;
     // The bound address is the one line of stdout, so scripts can do
     // `ADDR=$(exspan-serve ... &)`-style capture.
     println!("{}", server.addr());
     eprintln!("exspan-serve: serving (EOF on stdin shuts down)");
 
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        if line.is_err() {
-            break;
-        }
-    }
+    let _ = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
     eprintln!("exspan-serve: shutting down");
     // shutdown() checkpoints the deployment's store, if it has one.
     let deployment = server.shutdown();
@@ -178,5 +169,30 @@ fn main() -> ExitCode {
         deployment.outcomes().len(),
         deployment.incomplete_queries()
     );
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(argv: &[&str]) -> Result<super::Args, String> {
+        parse_args(argv.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn values_the_server_cannot_run_on_are_refused() {
+        for duration in ["inf", "NaN", "-1"] {
+            let err = parse(&["--churn-duration", duration]).err();
+            assert!(
+                err.is_some_and(|e| e.contains("--churn-duration")),
+                "{duration}"
+            );
+        }
+        let overflowing = (usize::MAX / 1024 + 1).to_string();
+        let err = parse(&["--write-queue-kib", &overflowing]).err();
+        assert!(err.is_some_and(|e| e.contains("overflows")));
+        let args = parse(&["--churn-duration", "0", "--write-queue-kib", "4"]).expect("sound");
+        assert_eq!((args.churn_duration, args.write_queue_bytes), (0.0, 4096));
+    }
 }

@@ -4,23 +4,17 @@
 //! `Deployment` that regenerates the paper's figures, served over TCP to
 //! concurrent client sessions while the deployment keeps churning.
 //!
-//! ## Architecture: one poll(2) reactor thread
+//! ## Architecture: a core without I/O, and a poll(2) shell
 //!
-//! The server is one thread, no async runtime.  It owns the listen socket,
-//! every connection and the [`exspan_core::Deployment`].  All sockets are
-//! nonblocking; one `poll(2)` loop (via the vendored `pollshim`) drives
-//! per-connection state machines — an incremental [`proto::FrameBuffer`] on
-//! the read side, a bounded write queue plus pending
-//! [`proto::ResultStream`]s on the write side.  A connection that requests
-//! more response bytes than [`ServeConfig::write_queue_bytes`] while not
-//! reading them is answered with a typed `Overloaded` error and closed —
-//! slow readers cannot pin server memory.
-//!
-//! The loop sleeps until a socket is ready or the next simulated event is
-//! due, advances the deployment to `origin + elapsed × clock_rate`, then
-//! answers the frames it read: submits and polls run inline, against the
-//! deployment, so no request waits on another thread.  It holds no
-//! per-query state, and serves no socket while a `run_until` runs.
+//! [`Service`] ([`service`]) makes every protocol decision — sessions,
+//! admission, token buckets, bounded write queues, result streams — and
+//! does no I/O: it takes bytes in and hands bytes out, and every call says
+//! the wall time, to which it advances the deployment first.
+//! [`Server`] ([`server`]) is the shell: one thread, no async runtime, one
+//! `poll(2)` loop (via the vendored `pollshim`) over nonblocking sockets,
+//! and the one reader of the wall clock.  Requests are answered in the turn
+//! that reads them, so no request waits on another thread; no socket is
+//! served while a `run_until` runs.
 //!
 //! ## Wire protocol
 //!
@@ -70,9 +64,11 @@
 pub mod limiter;
 pub mod proto;
 pub mod server;
+pub mod service;
 
 pub use limiter::TokenBucket;
 pub use proto::{
     ErrorCode, Frame, FrameBuffer, QuerySpec, QueryState, ResultAssembler, ResultStream, WireError,
 };
 pub use server::{ServeConfig, Server, ServerHandle};
+pub use service::{ConnId, Service};

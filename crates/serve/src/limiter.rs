@@ -1,18 +1,18 @@
 //! Per-session token-bucket rate limiting.
 
-use std::time::Instant;
-
 /// A classic token bucket: `rate` tokens accrue per second up to a `burst`
 /// capacity; each admitted request spends one token.
 ///
-/// Refill is computed lazily from elapsed wall time at each
-/// [`TokenBucket::try_take`], so an idle bucket costs nothing.
+/// Time is handed in, in seconds on any clock that never goes back.  Refill
+/// is computed lazily at each [`TokenBucket::try_take`], so an idle bucket
+/// costs nothing, and a refused take changes nothing.
 #[derive(Debug, Clone)]
 pub struct TokenBucket {
     capacity: f64,
+    /// Tokens held at time `last`.
     tokens: f64,
     rate: f64,
-    last: Instant,
+    last: f64,
 }
 
 impl TokenBucket {
@@ -32,63 +32,52 @@ impl TokenBucket {
             capacity: f64::from(burst),
             tokens: f64::from(burst),
             rate,
-            last: Instant::now(),
+            last: 0.0,
         }
     }
 
-    /// Spends one token if available.  Returns `false` (rate limited) when
-    /// the bucket is empty.
-    pub fn try_take(&mut self) -> bool {
-        self.refill(Instant::now());
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
+    /// Spends one token if one has accrued by `now`.  Returns `false` (rate
+    /// limited) when the bucket is empty.
+    pub fn try_take(&mut self, now: f64) -> bool {
+        let tokens = (self.tokens + (now - self.last) * self.rate).min(self.capacity);
+        if tokens < 1.0 {
+            return false;
         }
-    }
-
-    /// Tokens currently available (after refilling to now).
-    pub fn available(&mut self) -> f64 {
-        self.refill(Instant::now());
-        self.tokens
-    }
-
-    fn refill(&mut self, now: Instant) {
-        let elapsed = now.duration_since(self.last).as_secs_f64();
+        self.tokens = tokens - 1.0;
         self.last = now;
-        self.tokens = (self.tokens + elapsed * self.rate).min(self.capacity);
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn burst_is_honored_then_empty_bucket_rejects() {
         // Refill is negligible within this test (1 token per 1000 s).
         let mut bucket = TokenBucket::new(0.001, 3);
-        assert!(bucket.try_take());
-        assert!(bucket.try_take());
-        assert!(bucket.try_take());
-        assert!(!bucket.try_take(), "burst exhausted");
-        assert!(!bucket.try_take(), "still empty");
+        assert!(bucket.try_take(0.0));
+        assert!(bucket.try_take(0.0));
+        assert!(bucket.try_take(0.0));
+        assert!(!bucket.try_take(0.0), "burst exhausted");
+        assert!(!bucket.try_take(0.0), "still empty");
     }
 
     #[test]
     fn tokens_refill_with_wall_time() {
         let mut bucket = TokenBucket::new(1000.0, 2);
-        assert!(bucket.try_take());
-        assert!(bucket.try_take());
-        assert!(!bucket.try_take());
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(
-            bucket.try_take(),
-            "5 ms at 1000/s refills well over 1 token"
-        );
-        assert!(bucket.available() <= 2.0, "capacity caps the refill");
+        assert!(bucket.try_take(0.0));
+        assert!(bucket.try_take(0.0));
+        assert!(!bucket.try_take(0.0));
+        assert!(!bucket.try_take(0.000_5), "half a token at 0.5 ms");
+        assert!(bucket.try_take(0.001), "one token at 1 ms");
+        assert!(!bucket.try_take(0.001));
+        // An hour refills no more than the capacity.
+        for _ in 0..2 {
+            assert!(bucket.try_take(3600.0));
+        }
+        assert!(!bucket.try_take(3600.0), "capacity caps the refill");
     }
 
     #[test]

@@ -114,8 +114,6 @@ pub enum ErrorCode {
     RateLimited,
     /// A [`Frame::Poll`] named a query id this deployment never issued.
     UnknownQuery,
-    /// The server is shutting down and no longer accepts work.
-    Shutdown,
     /// The connection's bounded write queue overflowed — the client is
     /// reading too slowly for the responses it requested.  The server sends
     /// this and then closes the connection cleanly.
@@ -132,7 +130,6 @@ impl ErrorCode {
             ErrorCode::Admission => 4,
             ErrorCode::RateLimited => 5,
             ErrorCode::UnknownQuery => 6,
-            ErrorCode::Shutdown => 7,
             ErrorCode::Overloaded => 8,
         }
     }
@@ -146,7 +143,6 @@ impl ErrorCode {
             4 => ErrorCode::Admission,
             5 => ErrorCode::RateLimited,
             6 => ErrorCode::UnknownQuery,
-            7 => ErrorCode::Shutdown,
             8 => ErrorCode::Overloaded,
             other => return Err(WireError::new(format!("unknown error code {other}"))),
         })
@@ -162,7 +158,6 @@ impl std::fmt::Display for ErrorCode {
             ErrorCode::Admission => "admission control refused",
             ErrorCode::RateLimited => "rate limited",
             ErrorCode::UnknownQuery => "unknown query id",
-            ErrorCode::Shutdown => "server shutting down",
             ErrorCode::Overloaded => "write queue overflow (slow reader)",
         };
         f.write_str(name)
@@ -875,16 +870,6 @@ impl ResultStream {
         }
     }
 
-    /// The request id this stream answers.
-    pub fn request(&self) -> u64 {
-        self.request
-    }
-
-    /// Bytes not yet emitted.
-    pub fn remaining(&self) -> usize {
-        self.body.len() - self.offset
-    }
-
     /// Whether every byte has been emitted (vacuously true for an empty
     /// body: an empty result sends no chunks at all).
     pub fn is_done(&self) -> bool {
@@ -1349,7 +1334,6 @@ mod tests {
             assert_eq!(frames, len.div_ceil(chunk));
             assert_eq!(out.expect("stream completes"), body);
             assert!(stream.is_done());
-            assert_eq!(stream.remaining(), 0);
         }
         // Empty body: no chunks, assembler complete from the start.
         let mut empty = ResultStream::new(1, Arc::new(Vec::new()), 64);

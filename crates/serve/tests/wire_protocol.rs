@@ -1,13 +1,18 @@
-//! End-to-end wire-protocol tests against a live in-process server:
-//! malformed / oversized / truncated frames, handshake rejection of old
-//! protocol versions, admission-control overflow and rate-limit
-//! backpressure — each answered with a *typed* protocol error on a
-//! connection that stays open — plus chunked result streaming past
-//! [`MAX_FRAME_LEN`], pipelined out-of-order completion, slow-reader
-//! write-queue overflow, canonical values on the wire, unknown relation
-//! names and string values refused without interning them, simulated time
-//! advancing with no client attached, and a reactor holding ten thousand
-//! idle sessions.
+//! Wire-protocol tests, most of them against the service core on a scripted
+//! clock — no socket, no sleep, no wall clock: malformed / oversized /
+//! truncated frames, handshake rejection of old protocol versions,
+//! query-admission overflow and rate-limit backpressure — each answered with
+//! a *typed* protocol error on a connection that stays open — plus chunked
+//! result streaming past [`MAX_FRAME_LEN`], pipelined out-of-order
+//! completion, slow-reader write-queue overflow, canonical values on the
+//! wire, and unknown relation names and string values refused without
+//! interning them.
+//!
+//! What only the socket shell does runs against a live in-process server:
+//! the refusal of unrunnable rates before anything is bound, the shutdown
+//! checkpoint, the accept-path session cap, one query end to end, simulated
+//! time advancing with no client attached, and one reactor holding ten
+//! thousand idle sessions.
 
 use exspan_core::{Deployment, Exspan, ProvenanceMode, Repr, Traversal};
 use exspan_netsim::{ChurnEvent, LinkClass, LinkProps, Topology};
@@ -15,15 +20,18 @@ use exspan_serve::proto::{
     self, ErrorCode, Frame, FrameRead, QuerySpec, QueryState, MAX_CHUNK_DATA, MAX_FRAME_LEN,
     PROTOCOL_VERSION,
 };
-use exspan_serve::{ResultAssembler, ServeConfig, Server, ServerHandle};
+use exspan_serve::server::FLUSH_BYTES_PER_TURN;
+use exspan_serve::{ConnId, ResultAssembler, ServeConfig, Server, ServerHandle, Service};
 use exspan_types::value::encode_str_for_hash;
 use exspan_types::{codec, Symbol, Tuple, Value};
-use std::collections::HashMap;
-use std::io::Write;
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::rc::{Rc, Weak};
+use std::time::Duration;
 
-fn boot_on(topology: Topology, config: ServeConfig) -> ServerHandle {
+fn deployment(topology: Topology) -> Deployment {
     let mut deployment = Exspan::builder()
         .program(exspan_ndlog::programs::mincost())
         .topology(topology)
@@ -31,11 +39,23 @@ fn boot_on(topology: Topology, config: ServeConfig) -> ServerHandle {
         .build()
         .expect("valid deployment");
     deployment.run_to_fixpoint();
-    Server::bind(deployment, config).expect("server boots")
+    deployment
 }
 
-fn boot(config: ServeConfig) -> ServerHandle {
+/// The core serving MINCOST on `topology`, at wall time 0.
+fn boot_on(topology: Topology, config: ServeConfig) -> Core {
+    let service = Service::new(deployment(topology), &config).expect("a sound config");
+    Core(Rc::new(RefCell::new(Scripted { service, now: 0.0 })))
+}
+
+fn boot(config: ServeConfig) -> Core {
     boot_on(Topology::paper_example(), config)
+}
+
+/// A live server on a loopback socket, serving MINCOST on the paper's
+/// example topology.
+fn serve(config: ServeConfig) -> ServerHandle {
+    Server::bind(deployment(Topology::paper_example()), config).expect("server boots")
 }
 
 /// A chain of `k` diamonds: spine `0..=k`, each hop doubled through two
@@ -59,16 +79,140 @@ fn diamond_chain(k: usize) -> Topology {
     topology
 }
 
-fn raw_connect(server: &ServerHandle) -> TcpStream {
-    let stream = TcpStream::connect(server.addr()).expect("connects");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream
+/// What a test talks to: the core on a scripted clock, or a live server.
+trait Host {
+    type Conn: Wire;
+    /// A connection the server holds, not yet greeted.
+    fn raw_connect(&self) -> Self::Conn;
 }
 
-fn read_decoded(stream: &mut TcpStream) -> Frame {
+/// A client end: frames go out through `Write` and come back through `Read`.
+trait Wire: Read + Write {
+    /// Lets one millisecond of wall time pass.
+    fn pause(&mut self);
+}
+
+impl Host for ServerHandle {
+    type Conn = TcpStream;
+
+    fn raw_connect(&self) -> TcpStream {
+        let stream = TcpStream::connect(self.addr()).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+    }
+}
+
+impl Wire for TcpStream {
+    fn pause(&mut self) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The service core and the wall time a test has scripted for it.
+struct Scripted {
+    service: Service,
+    /// Wall seconds since boot; moves only when a test moves it.
+    now: f64,
+}
+
+/// The core on a scripted clock, shared by the connections a test opens.
+struct Core(Rc<RefCell<Scripted>>);
+
+impl Core {
+    /// Moves the wall clock to `now` seconds since boot.
+    fn set_clock(&self, now: f64) {
+        self.0.borrow_mut().now = now;
+    }
+
+    fn shutdown(self) -> Deployment {
+        let scripted = Rc::try_unwrap(self.0)
+            .ok()
+            .expect("connections hold no core");
+        scripted.into_inner().service.into_deployment()
+    }
+}
+
+impl Host for Core {
+    type Conn = CoreConn;
+
+    fn raw_connect(&self) -> CoreConn {
+        let id = self.0.borrow_mut().service.connect();
+        CoreConn {
+            core: Rc::downgrade(&self.0),
+            id: id.expect("under the session cap"),
+            unread: VecDeque::new(),
+        }
+    }
+}
+
+/// One connection to a [`Core`]: a write hands the bytes to the core at the
+/// scripted time, and a read takes what one turn of the socket shell would
+/// write to a peer that accepts everything, at most
+/// [`FLUSH_BYTES_PER_TURN`].  With nothing to read, a read fails with
+/// `WouldBlock` — or reads EOF once the core has finished the connection.
+struct CoreConn {
+    core: Weak<RefCell<Scripted>>,
+    id: ConnId,
+    /// Bytes the core wrote that the test has not read yet.
+    unread: VecDeque<u8>,
+}
+
+impl CoreConn {
+    fn core(&self) -> Rc<RefCell<Scripted>> {
+        self.core.upgrade().expect("the core is up")
+    }
+}
+
+impl Write for CoreConn {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        let core = self.core();
+        let Scripted { service, now } = &mut *core.borrow_mut();
+        service.receive(self.id, bytes, *now);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Read for CoreConn {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let core = self.core();
+        let service = &mut core.borrow_mut().service;
+        if self.unread.is_empty() {
+            let mut written = 0;
+            while written < FLUSH_BYTES_PER_TURN {
+                let out = service.output(self.id);
+                if out.is_empty() {
+                    break;
+                }
+                let n = out.len().min(FLUSH_BYTES_PER_TURN - written);
+                self.unread.extend(&out[..n]);
+                written += n;
+                service.wrote(self.id, n);
+            }
+            if written == 0 {
+                if service.finished(self.id) {
+                    return Ok(0);
+                }
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+        }
+        self.unread.read(buf)
+    }
+}
+
+impl Wire for CoreConn {
+    fn pause(&mut self) {
+        self.core().borrow_mut().now += 0.001;
+    }
+}
+
+fn read_decoded(stream: &mut impl Read) -> Frame {
     match proto::read_frame(stream).expect("read").expect("not EOF") {
         FrameRead::Body(body) => proto::decode_frame(&body).expect("decodable reply"),
         FrameRead::Oversized { .. } => panic!("server never sends oversized frames"),
@@ -76,7 +220,7 @@ fn read_decoded(stream: &mut TcpStream) -> Frame {
 }
 
 /// Greets a raw connection; returns the server's `HelloAckV2`.
-fn hello(stream: &mut TcpStream) -> Frame {
+fn hello(stream: &mut impl Wire) -> Frame {
     proto::write_frame(
         stream,
         &Frame::Hello {
@@ -94,19 +238,19 @@ fn hello(stream: &mut TcpStream) -> Frame {
 }
 
 /// A connected, greeted session.
-fn session(server: &ServerHandle) -> TcpStream {
-    let mut stream = raw_connect(server);
+fn session<H: Host>(server: &H) -> H::Conn {
+    let mut stream = server.raw_connect();
     hello(&mut stream);
     stream
 }
 
 /// Ends a session whose requests are all answered: `Bye ↔ Bye`.
-fn bye(mut stream: TcpStream) {
+fn bye(mut stream: impl Wire) {
     proto::write_frame(&mut stream, &Frame::Bye).unwrap();
     assert!(matches!(read_decoded(&mut stream), Frame::Bye));
 }
 
-fn expect_error(stream: &mut TcpStream, code: ErrorCode) {
+fn expect_error(stream: &mut impl Wire, code: ErrorCode) {
     match read_decoded(stream) {
         Frame::Error { code: got, .. } => assert_eq!(got, code),
         other => panic!("expected {code:?} error, got {other:?}"),
@@ -115,7 +259,7 @@ fn expect_error(stream: &mut TcpStream, code: ErrorCode) {
 
 /// Submits `spec` on a greeted connection: the query id, or the typed
 /// refusal.
-fn submit(stream: &mut TcpStream, spec: QuerySpec) -> Result<u64, ErrorCode> {
+fn submit(stream: &mut impl Wire, spec: QuerySpec) -> Result<u64, ErrorCode> {
     proto::write_frame(stream, &Frame::SubmitQuery { request: 1, spec }).unwrap();
     match read_decoded(stream) {
         Frame::SubmitAck { query, .. } => Ok(query),
@@ -139,7 +283,7 @@ struct Status {
 /// or the typed refusal.  Pipelined polls' chunk streams may interleave;
 /// `open` holds the ones still arriving.
 fn recv_status(
-    stream: &mut TcpStream,
+    stream: &mut impl Wire,
     open: &mut HashMap<u64, (Status, ResultAssembler)>,
 ) -> (u64, Result<Status, ErrorCode>) {
     loop {
@@ -186,7 +330,7 @@ fn recv_status(
 }
 
 /// Polls `query` once.
-fn poll(stream: &mut TcpStream, query: u64) -> Result<Status, ErrorCode> {
+fn poll(stream: &mut impl Wire, query: u64) -> Result<Status, ErrorCode> {
     proto::write_frame(stream, &Frame::Poll { request: 2, query }).unwrap();
     recv_status(stream, &mut HashMap::new()).1
 }
@@ -194,17 +338,16 @@ fn poll(stream: &mut TcpStream, query: u64) -> Result<Status, ErrorCode> {
 /// Polls `query` every millisecond until it completes, absorbing admission
 /// and rate-limit pushback; a query still pending after two minutes fails
 /// the test.
-fn wait_for(stream: &mut TcpStream, query: u64) -> Result<Status, ErrorCode> {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
+fn wait_for(stream: &mut impl Wire, query: u64) -> Result<Status, ErrorCode> {
+    for _ in 0..120_000 {
         match poll(stream, query) {
             Ok(status) if status.state != QueryState::Complete => {}
             Err(ErrorCode::Admission | ErrorCode::RateLimited) => {}
             done => return done,
         }
-        assert!(Instant::now() < deadline, "query {query} never completed");
-        std::thread::sleep(Duration::from_millis(1));
+        stream.pause();
     }
+    panic!("query {query} never completed");
 }
 
 fn bestpath_spec() -> QuerySpec {
@@ -236,7 +379,7 @@ fn diamond_spec(to: u32, cost: i64) -> QuerySpec {
 #[test]
 fn malformed_truncated_and_oversized_frames_get_typed_errors() {
     let server = boot(ServeConfig::default());
-    let mut stream = raw_connect(&server);
+    let mut stream = server.raw_connect();
     hello(&mut stream);
 
     // Unknown frame type.
@@ -268,7 +411,7 @@ fn malformed_truncated_and_oversized_frames_get_typed_errors() {
 #[test]
 fn handshake_rejects_old_versions_and_the_connection_stays_usable() {
     let server = boot(ServeConfig::default());
-    let mut stream = raw_connect(&server);
+    let mut stream = server.raw_connect();
 
     // Requests before any Hello are rejected but the connection stays open.
     proto::write_frame(
@@ -334,14 +477,14 @@ fn handshake_rejects_old_versions_and_the_connection_stays_usable() {
 
 #[test]
 fn session_admission_overflow_is_refused_with_a_typed_error() {
-    let server = boot(ServeConfig::default().max_sessions(2));
-    let mut a = raw_connect(&server);
+    let server = serve(ServeConfig::default().max_sessions(2));
+    let mut a = server.raw_connect();
     hello(&mut a);
-    let mut b = raw_connect(&server);
+    let mut b = server.raw_connect();
     hello(&mut b);
     // Session slots are released asynchronously, so the cap is checked on
     // the live pair: the third connection must be refused while both are up.
-    let mut c = raw_connect(&server);
+    let mut c = server.raw_connect();
     expect_error(&mut c, ErrorCode::Admission);
     server.shutdown();
 }
@@ -367,16 +510,20 @@ fn query_admission_overflow_is_refused_with_a_typed_error() {
 
 #[test]
 fn rate_limit_backpressure_is_typed_and_recoverable() {
-    let server = boot(
-        ServeConfig::default()
-            .rate_limit(0.001, 2) // effectively no refill within the test
-            .clock_rate(1e-9),
-    );
+    // One token a second, two at most; simulated time stands still.
+    let server = boot(ServeConfig::default().rate_limit(1.0, 2).clock_rate(1e-9));
     let mut client = session(&server);
     submit(&mut client, bestpath_spec()).expect("token 1");
     submit(&mut client, bestpath_spec()).expect("token 2");
     let err = submit(&mut client, bestpath_spec()).expect_err("bucket empty");
     assert_eq!(err, ErrorCode::RateLimited);
+    // The bucket refills a whole token a second after it was spent, and no
+    // sooner.
+    server.set_clock(0.999);
+    let err = submit(&mut client, bestpath_spec()).expect_err("not yet a whole token");
+    assert_eq!(err, ErrorCode::RateLimited);
+    server.set_clock(1.0);
+    submit(&mut client, bestpath_spec()).expect("token 3, refilled");
     // Still connected: the goodbye handshake completes.
     bye(client);
     server.shutdown();
@@ -456,8 +603,8 @@ fn unknown_query_ids_are_typed_errors() {
 
 #[test]
 fn a_query_completes_end_to_end_over_the_wire() {
-    let server = boot(ServeConfig::default().clock_rate(1000.0));
-    let mut client = raw_connect(&server);
+    let server = serve(ServeConfig::default().clock_rate(1000.0));
+    let mut client = server.raw_connect();
     let Frame::HelloAckV2 {
         program,
         nodes,
@@ -511,51 +658,41 @@ fn large_results_stream_chunked_and_pipelined_polls_complete_out_of_order() {
     let small = submit(&mut client, diamond_spec(k as u32 + 1, 1)).expect("admitted");
     wait_for(&mut client, small).expect("no protocol error");
 
-    // Pipeline a poll of the big query then a poll of the small one and
-    // hold off reading: the server commits the small response while it is
-    // still flushing the big stream one slice per loop turn, so the small
-    // response overtakes the stream's tail — genuine out-of-order
-    // completion.  Both polls are idempotent reads of completed outcomes,
-    // so should the two polls arrive far enough apart for the whole stream
-    // to drain in between, the pair is simply retried; one interleaved
-    // attempt proves the protocol property.
-    let mut interleaved = false;
+    // Pipeline a poll of the big query then a poll of the small one, both
+    // in one read: the small response is committed while the big stream
+    // still drains one turn's slice at a time, and streams drain
+    // round-robin, so the small response overtakes the stream's tail —
+    // genuine out-of-order completion.
     let (r_big, r_small) = (1, 2);
-    for attempt in 0..5 {
-        for (request, query) in [(r_big, big), (r_small, small)] {
-            proto::write_frame(&mut client, &Frame::Poll { request, query }).expect("pipelined");
-        }
-        std::thread::sleep(Duration::from_millis(400));
-
-        let mut open = HashMap::new();
-        let mut responses = Vec::new();
-        for _ in 0..2 {
-            match recv_status(&mut client, &mut open) {
-                (request, Ok(status)) => responses.push((request, status)),
-                other => panic!("expected a poll status, got {other:?}"),
-            }
-        }
-        // Both responses must arrive intact regardless of order, and the
-        // big one must carry the full reassembled body every time.
-        let big_status = &responses
-            .iter()
-            .find(|(r, _)| *r == r_big)
-            .expect("big poll answered")
-            .1;
-        assert_eq!(big_status.body, body);
-        assert!(
-            responses.iter().any(|(r, _)| *r == r_small),
-            "small poll answered"
-        );
-        if responses[0].0 == r_small {
-            interleaved = true;
-            break;
-        }
-        eprintln!("attempt {attempt}: responses arrived in request order; retrying");
+    let mut pipelined = Vec::new();
+    for (request, query) in [(r_big, big), (r_small, small)] {
+        proto::write_frame(&mut pipelined, &Frame::Poll { request, query }).expect("pipelined");
     }
+    client.write_all(&pipelined).unwrap();
+
+    let mut open = HashMap::new();
+    let mut responses = Vec::new();
+    for _ in 0..2 {
+        match recv_status(&mut client, &mut open) {
+            (request, Ok(status)) => responses.push((request, status)),
+            other => panic!("expected a poll status, got {other:?}"),
+        }
+    }
+    // Both responses must arrive intact, and the big one must carry the
+    // full reassembled body.
+    let big_status = &responses
+        .iter()
+        .find(|(r, _)| *r == r_big)
+        .expect("big poll answered")
+        .1;
+    assert_eq!(big_status.body, body);
     assert!(
-        interleaved,
-        "the small poll never completed ahead of the big stream in 5 attempts"
+        responses.iter().any(|(r, _)| *r == r_small),
+        "small poll answered"
+    );
+    assert_eq!(
+        responses[0].0, r_small,
+        "the small poll completes ahead of the big stream"
     );
 
     bye(client);
@@ -567,7 +704,7 @@ fn offered_codec_is_declined_and_bodies_travel_plain() {
     // The `codec` flag is reserved: a client that still offers it is told
     // `false`, and the chunk stream carries the rendering itself.
     let server = boot(ServeConfig::default().clock_rate(1000.0));
-    let mut stream = raw_connect(&server);
+    let mut stream = server.raw_connect();
     proto::write_frame(
         &mut stream,
         &Frame::Hello {
@@ -753,7 +890,7 @@ fn idle_sessions_soak() {
     let nofile = pollshim::raise_nofile_limit(20_512).expect("rlimit") as usize;
     let n = 10_000.min((nofile - 512) / 2);
     assert!(n >= 9_000, "descriptor limit {nofile} is too low to soak");
-    let server = boot(ServeConfig::default().max_sessions(n).clock_rate(1000.0));
+    let server = serve(ServeConfig::default().max_sessions(n).clock_rate(1000.0));
     let complete = |client: &mut TcpStream| {
         let query = submit(client, bestpath_spec()).expect("admitted");
         let status = wait_for(client, query).expect("no protocol error");
